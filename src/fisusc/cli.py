@@ -18,8 +18,8 @@ import numpy as np
 import yaml
 
 from .fisher import fisher_bundle, qfi_matrix
-from .sweep import (MEASUREMENTS, MODELS, _MEASUREMENT_FOR_MODEL, SweepSpec,
-                    SweepSpecError, _param_names, build_model_povm, run_sweep)
+from .sweep import (MEASUREMENTS, MODELS, SweepSpec, SweepSpecError,
+                    build_model_povm, check_model_spec, run_sweep)
 from .verify import run_verify
 
 EXIT_OK = 0
@@ -137,21 +137,7 @@ def _cmd_show_model(args):
         fixed = _parse_fix(args.fix)
         model_id = args.model or ""
         measurement = args.measurement or ""
-        if model_id not in MODELS:
-            raise SweepSpecError(f"unknown model {model_id!r}; choose from {MODELS}")
-        if measurement not in MEASUREMENTS:
-            raise SweepSpecError(
-                f"unknown measurement {measurement!r}; choose from {MEASUREMENTS}")
-        if measurement not in _MEASUREMENT_FOR_MODEL[model_id]:
-            raise SweepSpecError(
-                f"measurement {measurement!r} does not apply to model {model_id!r}")
-        names = _param_names(model_id)
-        missing = [n for n in names if n not in fixed]
-        if missing:
-            raise SweepSpecError(f"missing --fix values for {missing}")
-        unknown = [n for n in fixed if n not in names]
-        if unknown:
-            raise SweepSpecError(f"unknown parameters {unknown}; model has {names}")
+        names = check_model_spec(model_id, measurement, fixed)
         theta = np.array([fixed[n] for n in names])
         model, povm, copies, _ = build_model_povm(model_id, measurement, theta)
     except SweepSpecError as err:

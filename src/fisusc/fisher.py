@@ -107,7 +107,10 @@ def sld(rho, drho, cutoff=DEFAULT_SLD_CUTOFF):
 
     Computed in the eigenbasis of rho as L_ij = 2 <i|drho|j> / (l_i + l_j)
     wherever ``l_i + l_j > cutoff``; the kernel-kernel block is set to
-    zero (Moore-Penrose-style convention).
+    zero (Moore-Penrose-style convention).  Only the inputs are validated:
+    the rounding of the result scales with 1 / (l_i + l_j), far above any
+    fixed Hermiticity tolerance for nearly pure states, so it is
+    symmetrized without a re-check.
     """
     rho = hermitize(rho)
     drho = hermitize(drho)
@@ -116,7 +119,8 @@ def sld(rho, drho, cutoff=DEFAULT_SLD_CUTOFF):
     den = w[:, None] + w[None, :]
     mask = den > cutoff
     L = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
-    return hermitize(V @ L @ V.conj().T)
+    X = V @ L @ V.conj().T
+    return (X + X.conj().T) / 2.0
 
 
 @dataclass(frozen=True)

@@ -252,7 +252,7 @@ def tensor_model(model, m):
 
     def derivative_fn(values):
         rho = np.asarray(model._state_fn(values), dtype=complex)
-        base = _inner_derivatives(model, values)
+        base = model.derivatives_at(values)
         derivs = []
         for d in base:
             total = None
@@ -269,16 +269,3 @@ def tensor_model(model, m):
                             derivative_fn=derivative_fn,
                             domain_fn=model._domain_fn, fd_step=model.fd_step)
 
-
-def _inner_derivatives(model, values):
-    if model._derivative_fn is not None:
-        return [np.asarray(d, dtype=complex) for d in model._derivative_fn(values)]
-    h = model.fd_step
-    out = []
-    for j in range(model.n_params):
-        up, dn = values.copy(), values.copy()
-        up[j] += h
-        dn[j] -= h
-        out.append((np.asarray(model._state_fn(up), dtype=complex)
-                    - np.asarray(model._state_fn(dn), dtype=complex)) / (2.0 * h))
-    return out

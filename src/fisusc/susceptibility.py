@@ -6,35 +6,36 @@ changes the Fisher matrix at first order in eps.  This module computes:
 * the matrix susceptibility  Xi[M, N] = I + F^-1 G[N]  and its scalar
   trace  X[M, N] = P + tr[F^-1 G[N]],
 * the single-parameter worst-case susceptibility sigma[M] (closed form),
-* lower/upper bounds Sigma_L <= Sigma[M] = max_N X[M, N] <= Sigma_U in
-  the reparametrization that diagonalizes the Fisher matrix,
+* lower/upper bounds Sigma_L <= Sigma[M] = max_N X[M, N] <= Sigma_U,
 * a sampled search over noise POVMs that certifies the bounds.
 
-The operator kernel is ``A_{a;jk} = l_{a,j} l_{a,k} rho - l_{a,j} d_k rho
-- l_{a,k} d_j rho`` with ``G[N]_{jk} = sum_a Tr[A_{a;jk} N_a]``.
+Every scalar quantity comes from one kernel, the contraction with F^-1
+of the paper's ``A_{a;jk} = l_{a,j} l_{a,k} rho - l_{a,j} d_k rho -
+l_{a,k} d_j rho`` (``G[N]_{jk} = sum_a Tr[A_{a;jk} N_a]``):
 
-Lower-bound convention
-----------------------
-For a pair of outcomes (a', a'') the best two-outcome noise supported on
-those slots gives exactly
+    K_a = |L_a|^2 rho - 2 sum_k (F^-1 l_a)_k d_k rho,   X[M, N] = P + sum_a Tr[K_a N_a],
 
-    X* = P + (|L_a'|^2 + |L_a''|^2)/2 + ||sum_j (A~_{a';jj} - A~_{a'';jj}) / F~_jj||_1 / 2,
+with ``|L_a|^2 = l_a . F^-1 l_a = Tr K_a``.  The best two-outcome noise
+on a pair (a, b) puts the projector onto the positive part of K_a - K_b
+on a and gives ``X* = P + (Tr K_a + Tr K_b + ||K_a - K_b||_1) / 2``;
+`sigma_lower` maximizes X* over pairs.  It is attained by an explicit
+noise POVM, so it is a certified lower bound, and it needs no choice of
+parametrization.
 
-with the trace norm of the *summed* operator.  `sigma_lower` maximizes
-X* over all outcome pairs; this value is attained by an explicit noise
-POVM, so it is a certified lower bound on Sigma[M].  The variant that
-sums per-parameter trace norms instead (moving the sum outside the
-norm) is not a lower bound - it can exceed the exact maximum, which the
-sampled search exposes - and is reported only as a diagnostic
-(``sigma_lower_split``).
+Only ``Sigma_U = sum_j sigma_j`` depends on a frame: it sums
+single-parameter worst cases in the parametrization that diagonalizes F
+(`diagonalize_frame`).  Taking the pair bound's trace norm per parameter
+in that frame (``sigma_lower_split``) is not a lower bound - it can
+exceed the exact maximum, which the sampled search exposes - and is
+reported only as a diagnostic.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import (FisherBundle, SingularFisherError, _checked_inverse,
-                     fisher_bundle)
+from .fisher import (DEFAULT_P_CUTOFF, FisherBundle, SingularFisherError,
+                     _checked_inverse, fisher_bundle)
 from .linalg import trace_norm
 from .model import Povm, mix_povm
 
@@ -74,7 +75,7 @@ def a_tensor(bundle: FisherBundle) -> ATensor:
                    n_outcomes=len(bundle.probabilities), dim=rho.shape[0])
 
 
-def _aligned_noise_elements(atensor, noise):
+def _aligned_noise_elements(noise, kept_outcomes, dim):
     """Noise elements aligned to the kept outcome slots of the target.
 
     The noise POVM is padded with zero elements when shorter than the
@@ -82,9 +83,9 @@ def _aligned_noise_elements(atensor, noise):
     drops (or does not have) lies outside the first-order model, so any
     such element with non-negligible norm is an error.
     """
-    if noise.dim != atensor.dim:
-        raise ValueError(f"noise dimension {noise.dim} != target dimension {atensor.dim}")
-    kept = set(atensor.kept_outcomes)
+    if noise.dim != dim:
+        raise ValueError(f"noise dimension {noise.dim} != target dimension {dim}")
+    kept = set(kept_outcomes)
     aligned = []
     for a, element in enumerate(noise.elements):
         if a in kept:
@@ -102,7 +103,8 @@ def g_matrix(atensor: ATensor, noise: Povm):
     P = atensor.n_params
     G = np.zeros((P, P))
     index_of = {a: i for i, a in enumerate(atensor.kept_outcomes)}
-    for a, element in _aligned_noise_elements(atensor, noise):
+    for a, element in _aligned_noise_elements(noise, atensor.kept_outcomes,
+                                               atensor.dim):
         G += np.real(np.einsum("jkxy,yx->jk", atensor.operators[index_of[a]], element))
     return (G + G.T) / 2.0
 
@@ -119,21 +121,20 @@ def x_scalar(F, G, n_params):
     return float(n_params) + float(np.einsum("ij,ji->", Finv, G))
 
 
-def x_finite_mix(model, theta, target, noise, eps, p_cutoff=None):
+def x_finite_mix(model, theta, target, noise, eps, p_cutoff=DEFAULT_P_CUTOFF):
     """Finite-eps determinant quotient (det F - det F_eps) / (eps det F).
 
     Converges linearly in eps to x_scalar; used as an independent check
     of the first-order formula.
     """
-    kwargs = {} if p_cutoff is None else {"p_cutoff": p_cutoff}
-    F0 = fisher_bundle(model, theta, target, **kwargs).fisher
+    F0 = fisher_bundle(model, theta, target, p_cutoff).fisher
     mixed = mix_povm(target, noise, eps)
-    Fe = fisher_bundle(model, theta, mixed, **kwargs).fisher
+    Fe = fisher_bundle(model, theta, mixed, p_cutoff).fisher
     d0 = np.linalg.det(F0)
     return float((d0 - np.linalg.det(Fe)) / (eps * d0))
 
 
-def sigma_single(model, theta, povm, p_cutoff=None):
+def sigma_single(model, theta, povm, p_cutoff=DEFAULT_P_CUTOFF):
     """Single-parameter worst-case susceptibility sigma[M].
 
     sigma = 1 + (l_n^2 + l_m^2 + ||A_n - A_m||_1) / (2 F) with n, m the
@@ -142,8 +143,7 @@ def sigma_single(model, theta, povm, p_cutoff=None):
     if model.n_params != 1:
         raise ValueError(
             f"sigma_single needs a single-parameter model, got P = {model.n_params}")
-    kwargs = {} if p_cutoff is None else {"p_cutoff": p_cutoff}
-    bundle = fisher_bundle(model, theta, povm, **kwargs)
+    bundle = fisher_bundle(model, theta, povm, p_cutoff)
     F = float(bundle.fisher[0, 0])
     if F <= 0.0:
         raise SingularFisherError(
@@ -157,6 +157,53 @@ def sigma_single(model, theta, povm, p_cutoff=None):
 
 
 # ---------------------------------------------------------------------------
+# K operators and the pair bound
+# ---------------------------------------------------------------------------
+
+def _k_operators(bundle):
+    """K_a = sum_jk (F^-1)_jk A_{a;jk} = |L_a|^2 rho - 2 sum_k (F^-1 l_a)_k d_k rho.
+
+    Then X[M, N] = P + sum_a Tr[K_a N_a] and Tr K_a = |L_a|^2.
+    """
+    Finv = _checked_inverse(bundle.fisher)
+    w = bundle.scores @ Finv                          # (E, P): F^-1 l_a
+    norms = np.einsum("aj,aj->a", w, bundle.scores)   # |L_a|^2
+    return (norms[:, None, None] * bundle.rho
+            - 2.0 * np.einsum("ak,kxy->axy", w, np.stack(bundle.derivatives)))
+
+
+def _best_pair(K):
+    """Best outcome pair (i, j), i < j, and its value without the P term.
+
+    The value (Tr K_i + Tr K_j + ||K_i - K_j||_1) / 2 is sum_a Tr[K_a N_a]
+    for the best noise on that pair.  All pair trace norms come from one
+    batched eigvalsh over the stacked differences; ties go to the lowest
+    pair.
+    """
+    E = K.shape[0]
+    if E < 2:
+        raise SingularFisherError("sigma_lower needs at least two kept outcomes")
+    i, j = np.triu_indices(E, 1)
+    traces = np.real(np.einsum("aii->a", K))
+    norms = np.sum(np.abs(np.linalg.eigvalsh(K[i] - K[j])), axis=1)
+    values = 0.5 * (traces[i] + traces[j] + norms)
+    p = int(np.argmax(values))
+    return (int(i[p]), int(j[p])), float(values[p])
+
+
+def sigma_lower(model, theta, povm, p_cutoff=DEFAULT_P_CUTOFF):
+    """Certified lower bound on Sigma[M], maximized over outcome pairs.
+
+    Returns ``(Sigma_L, best_pair)`` with outcome indices of the
+    maximizing pair (ties broken toward the lowest indices).
+    """
+    bundle = fisher_bundle(model, theta, povm, p_cutoff)
+    (i, j), value = _best_pair(_k_operators(bundle))
+    kept = bundle.kept_outcomes
+    return bundle.n_params + value, (kept[i], kept[j])
+
+
+# ---------------------------------------------------------------------------
 # Fisher-diagonalizing frame
 # ---------------------------------------------------------------------------
 
@@ -165,16 +212,15 @@ class DiagonalizedFrame:
     """Quantities in the parametrization that diagonalizes F.
 
     ``jacobian`` J is orthogonal with F~ = J F J^T diagonal; rows are the
-    new parameter directions.  Scores, derivatives and the A tensor are
-    transformed accordingly; ``L_vectors[a, j] = l~_{a,j} / sqrt(F~_jj)``.
+    new parameter directions.  ``tilde_a_diag[a, k]`` is the diagonal
+    kernel A~_{a;kk} = l~_{a,k}^2 rho - 2 l~_{a,k} d~_k rho, the part of
+    the transformed A tensor the per-parameter bounds use.
     """
 
     jacobian: np.ndarray           # (P, P)
     tilde_fisher: np.ndarray       # (P,) diagonal entries, descending
-    tilde_derivatives: tuple       # P operators
     tilde_scores: np.ndarray       # (E_kept, P)
-    tilde_a: np.ndarray            # (E_kept, P, P, dim, dim)
-    L_vectors: np.ndarray          # (E_kept, P)
+    tilde_a_diag: np.ndarray       # (E_kept, P, dim, dim)
     kept_outcomes: tuple
 
 
@@ -216,8 +262,7 @@ def _canonical_diagonalizer(F, cluster_rtol=CLUSTER_RTOL):
     return J, np.diag(J @ F @ J.T).copy()
 
 
-def diagonalize_frame(bundle: FisherBundle, atensor: ATensor = None,
-                      jacobian=None) -> DiagonalizedFrame:
+def diagonalize_frame(bundle: FisherBundle, jacobian=None) -> DiagonalizedFrame:
     """Transform a Fisher bundle into the F-diagonalizing parametrization.
 
     ``jacobian`` overrides the canonical choice (it must still
@@ -225,8 +270,6 @@ def diagonalize_frame(bundle: FisherBundle, atensor: ATensor = None,
     probed directly.
     """
     _checked_inverse(bundle.fisher)      # fail early when F is singular
-    if atensor is None:
-        atensor = a_tensor(bundle)
     if jacobian is None:
         J, fdiag = _canonical_diagonalizer(bundle.fisher)
     else:
@@ -236,47 +279,13 @@ def diagonalize_frame(bundle: FisherBundle, atensor: ATensor = None,
         if float(np.max(np.abs(off))) > 1e-9 * max(1.0, float(np.max(np.abs(Ft)))):
             raise ValueError("supplied jacobian does not diagonalize the Fisher matrix")
         fdiag = np.diag(Ft).copy()
-    derivs = np.stack(bundle.derivatives)
-    tilde_derivs = tuple(np.einsum("k,kxy->xy", J[i], derivs)
-                         for i in range(J.shape[0]))
+    tilde_derivs = np.einsum("jk,kxy->jxy", J, np.stack(bundle.derivatives))
     tilde_scores = bundle.scores @ J.T
-    tilde_a = np.einsum("ik,jl,aklxy->aijxy", J, J, atensor.operators)
-    L_vectors = tilde_scores / np.sqrt(fdiag)[None, :]
+    l = tilde_scores[:, :, None, None]
+    tilde_a_diag = l ** 2 * bundle.rho - 2.0 * l * tilde_derivs
     return DiagonalizedFrame(jacobian=J, tilde_fisher=fdiag,
-                             tilde_derivatives=tilde_derivs,
-                             tilde_scores=tilde_scores, tilde_a=tilde_a,
-                             L_vectors=L_vectors,
+                             tilde_scores=tilde_scores, tilde_a_diag=tilde_a_diag,
                              kept_outcomes=bundle.kept_outcomes)
-
-
-def _pair_bound_terms(frame, i, j):
-    """Certified two-outcome bound and its split (diagnostic) variant."""
-    P = frame.tilde_fisher.size
-    La, Lb = frame.L_vectors[i], frame.L_vectors[j]
-    base = P + 0.5 * (La @ La + Lb @ Lb)
-    diff_jj = [frame.tilde_a[i, k, k] - frame.tilde_a[j, k, k] for k in range(P)]
-    combined = sum(d / f for d, f in zip(diff_jj, frame.tilde_fisher))
-    certified = base + 0.5 * trace_norm(combined)
-    split = base + sum(trace_norm(d) / (2.0 * f)
-                       for d, f in zip(diff_jj, frame.tilde_fisher))
-    return certified, split
-
-
-def _sigma_lower_from_frame(frame):
-    E = len(frame.kept_outcomes)
-    if E < 2:
-        raise SingularFisherError(
-            "sigma_lower needs at least two kept outcomes")
-    best, best_split, best_pair = -np.inf, -np.inf, None
-    for i in range(E):
-        for j in range(i + 1, E):
-            certified, split = _pair_bound_terms(frame, i, j)
-            if certified > best:
-                best = certified
-                best_pair = (frame.kept_outcomes[i], frame.kept_outcomes[j])
-            if split > best_split:
-                best_split = split
-    return float(best), best_pair, float(best_split)
 
 
 def _sigma_upper_from_frame(frame):
@@ -285,70 +294,56 @@ def _sigma_upper_from_frame(frame):
     for k in range(P):
         scores_k = frame.tilde_scores[:, k]
         n, m = int(np.argmax(scores_k)), int(np.argmin(scores_k))
-        tn = trace_norm(frame.tilde_a[n, k, k] - frame.tilde_a[m, k, k])
+        tn = trace_norm(frame.tilde_a_diag[n, k] - frame.tilde_a_diag[m, k])
         sigmas.append(1.0 + (scores_k[n] ** 2 + scores_k[m] ** 2 + tn)
                       / (2.0 * frame.tilde_fisher[k]))
     return float(np.sum(sigmas)), tuple(float(s) for s in sigmas)
 
 
-def sigma_lower(model, theta, povm, p_cutoff=None):
-    """Certified lower bound on Sigma[M], maximized over outcome pairs.
+def _sigma_lower_split(frame):
+    """Pair bound with the trace norm taken per parameter (diagnostic only)."""
+    f = frame.tilde_fisher
+    i, j = np.triu_indices(len(frame.kept_outcomes), 1)
+    L2 = np.sum(frame.tilde_scores ** 2 / f, axis=1)
+    norms = np.sum(np.abs(np.linalg.eigvalsh(
+        frame.tilde_a_diag[i] - frame.tilde_a_diag[j])), axis=-1)    # (pairs, P)
+    split = f.size + 0.5 * (L2[i] + L2[j]) + np.sum(norms / (2.0 * f), axis=1)
+    return float(np.max(split))
 
-    Returns ``(Sigma_L, best_pair)`` with outcome indices of the
-    maximizing pair (ties broken toward the lowest indices).
-    """
-    frame = _frame_for(model, theta, povm, p_cutoff)
-    value, pair, _ = _sigma_lower_from_frame(frame)
-    return value, pair
 
-
-def sigma_upper(model, theta, povm, p_cutoff=None):
+def sigma_upper(model, theta, povm, p_cutoff=DEFAULT_P_CUTOFF):
     """Upper bound Sigma_U = sum_j sigma_j and the per-parameter terms."""
-    frame = _frame_for(model, theta, povm, p_cutoff)
-    return _sigma_upper_from_frame(frame)
-
-
-def _frame_for(model, theta, povm, p_cutoff=None):
-    kwargs = {} if p_cutoff is None else {"p_cutoff": p_cutoff}
-    bundle = fisher_bundle(model, theta, povm, **kwargs)
-    return diagonalize_frame(bundle)
+    bundle = fisher_bundle(model, theta, povm, p_cutoff)
+    return _sigma_upper_from_frame(diagonalize_frame(bundle))
 
 
 def x_from_extremal_sum(bundle: FisherBundle, frame: DiagonalizedFrame, noise: Povm):
     """X[M, N] assembled from the convex per-outcome functions f_a.
 
     With c_a = Tr[rho N_a], delta_{a,j} = 2 Tr[d~_j rho N_a] / sqrt(F~_jj)
-    and L_a the normalized score vectors, X = P + sum_a f_a(L_a) where
-    f_a(x) = c_a |x|^2 - x . delta_a.  This is a third independent route
-    to the scalar susceptibility, used as an internal identity check.
+    and L_{a,j} = l~_{a,j} / sqrt(F~_jj) the normalized score vectors,
+    X = P + sum_a f_a(L_a) where f_a(x) = c_a |x|^2 - x . delta_a.  This
+    is a third independent route to the scalar susceptibility, used as
+    an internal identity check.
     """
-    P = frame.tilde_fisher.size
-    atensor_like = ATensor(operators=frame.tilde_a,
-                           kept_outcomes=frame.kept_outcomes,
-                           n_outcomes=len(bundle.probabilities),
-                           dim=bundle.rho.shape[0])
+    sqrt_f = np.sqrt(frame.tilde_fisher)
+    L = frame.tilde_scores / sqrt_f
+    derivs = np.stack(bundle.derivatives)
     index_of = {a: i for i, a in enumerate(frame.kept_outcomes)}
     total = 0.0
-    sqrt_f = np.sqrt(frame.tilde_fisher)
-    for a, element in _aligned_noise_elements(atensor_like, noise):
-        i = index_of[a]
+    for a, element in _aligned_noise_elements(noise, frame.kept_outcomes,
+                                               bundle.rho.shape[0]):
         c = float(np.real(np.trace(bundle.rho @ element)))
-        delta = np.array([2.0 * float(np.real(np.trace(frame.tilde_derivatives[j] @ element)))
-                          / sqrt_f[j] for j in range(P)])
-        L = frame.L_vectors[i]
-        total += c * float(L @ L) - float(L @ delta)
-    return float(P) + total
+        numerators = np.real(np.einsum("kxy,yx->k", derivs, element))
+        delta = 2.0 * (frame.jacobian @ numerators) / sqrt_f
+        La = L[index_of[a]]
+        total += c * float(La @ La) - float(La @ delta)
+    return float(frame.tilde_fisher.size) + total
 
 
 # ---------------------------------------------------------------------------
 # Sampled search over noise POVMs
 # ---------------------------------------------------------------------------
-
-def _k_operators(bundle, atensor):
-    """K_a = sum_{jk} (F^-1)_{jk} A_{a;jk}; then X = P + sum_a Tr[K_a N_a]."""
-    Finv = _checked_inverse(bundle.fisher)
-    return np.einsum("jk,ajkxy->axy", Finv, atensor.operators)
-
 
 def _haar_unitaries(rng, n, dim):
     z = (rng.standard_normal((n, dim, dim))
@@ -366,15 +361,15 @@ def _materialize_noise(n_outcomes, dim, assignments):
     return Povm(elements, labels=[f"n{i}" for i in range(n_outcomes)])
 
 
-def noise_search_oracle(model, theta, povm, n_samples, seed, p_cutoff=None):
+def noise_search_oracle(model, theta, povm, n_samples, seed, p_cutoff=DEFAULT_P_CUTOFF):
     """Sampled maximization of X[M, N] over noise POVMs.
 
     Candidates:
 
-    (a) structured two-outcome noise on every ordered pair of kept
-        outcomes, with the first element the projector onto the positive
-        part of K_a - K_b (these attain the certified pair bounds, so
-        ``best_X >= Sigma_L`` always), and
+    (a) the structured two-outcome noise on the best outcome pair of
+        `sigma_lower`, with the first element the projector onto the
+        positive part of K_a - K_b (it attains the certified pair bound,
+        so ``best_X >= Sigma_L`` always), and
     (b) ``n_samples`` random two-outcome POVMs {B, I - B} with
         B = U diag(u) U^dag for Haar-random U and uniform u in [0, 1],
         placed on a random pair of kept outcomes.
@@ -388,36 +383,30 @@ def noise_search_oracle(model, theta, povm, n_samples, seed, p_cutoff=None):
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
-    kwargs = {} if p_cutoff is None else {"p_cutoff": p_cutoff}
-    bundle = fisher_bundle(model, theta, povm, **kwargs)
-    atensor = a_tensor(bundle)
-    K = _k_operators(bundle, atensor)
+    bundle = fisher_bundle(model, theta, povm, p_cutoff)
+    return _noise_search(bundle, _k_operators(bundle), n_samples, seed)
+
+
+def _noise_search(bundle, K, n_samples, seed):
+    """Body of `noise_search_oracle` on a bundle and its K operators."""
     kept = bundle.kept_outcomes
     if len(kept) < 2:
         raise SingularFisherError("the noise search needs at least two kept outcomes")
     E, dim = len(kept), bundle.rho.shape[0]
     P = bundle.n_params
-    n_out = len(bundle.probabilities)
     traces = np.real(np.einsum("aii->a", K))
     eye = np.eye(dim, dtype=complex)
 
-    best_x = -np.inf
-    best_assign = None
-    # (a) structured candidates
-    for a in range(E):
-        for b in range(E):
-            if a == b:
-                continue
-            w, V = np.linalg.eigh(K[a] - K[b])
-            pos = V[:, w > 0]
-            B = pos @ pos.conj().T
-            x = P + traces[b] + float(np.sum(w[w > 0]))
-            if x > best_x:
-                best_x = x
-                best_assign = [(kept[a], B), (kept[b], eye - B)]
+    # (a) structured candidate
+    (a, b), value = _best_pair(K)
+    w, V = np.linalg.eigh(K[a] - K[b])
+    pos = V[:, w > 0]
+    B = pos @ pos.conj().T
+    best_x = P + value
+    best_assign = [(kept[a], B), (kept[b], eye - B)]
 
     # (b) random two-outcome samples, deterministic by seed-striding
-    if n_samples > 0 and E >= 2:
+    if n_samples > 0:
         stripes = np.array_split(np.arange(n_samples), ORACLE_STRIPES)
         children = np.random.SeedSequence(seed).spawn(ORACLE_STRIPES)
         for stripe, child in zip(stripes, children):
@@ -437,7 +426,7 @@ def noise_search_oracle(model, theta, povm, n_samples, seed, p_cutoff=None):
                 a, b = pairs[i]
                 best_assign = [(kept[a], B[i]), (kept[b], eye - B[i])]
 
-    return float(best_x), _materialize_noise(n_out, dim, best_assign)
+    return float(best_x), _materialize_noise(len(bundle.probabilities), dim, best_assign)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +447,7 @@ class SusceptibilityReport:
 
 
 def susceptibility_report(model, theta, povm, oracle_samples=0, seed=0,
-                          p_cutoff=None):
+                          p_cutoff=DEFAULT_P_CUTOFF):
     """Full susceptibility analysis: bounds, frame, optional sampled search.
 
     Diagnostics include ``sigma_lower_split`` (the per-parameter
@@ -466,12 +455,12 @@ def susceptibility_report(model, theta, povm, oracle_samples=0, seed=0,
     variant exceeds the sampled maximum - evidence that it is not a
     lower bound on Sigma for this instance.
     """
-    kwargs = {} if p_cutoff is None else {"p_cutoff": p_cutoff}
-    bundle = fisher_bundle(model, theta, povm, **kwargs)
-    atensor = a_tensor(bundle)
-    frame = diagonalize_frame(bundle, atensor)
-    lower, pair, lower_split = _sigma_lower_from_frame(frame)
+    bundle = fisher_bundle(model, theta, povm, p_cutoff)
+    K = _k_operators(bundle)
+    (i, j), value = _best_pair(K)
+    frame = diagonalize_frame(bundle)
     upper, sigmas = _sigma_upper_from_frame(frame)
+    lower_split = _sigma_lower_split(frame)
     diagnostics = {
         "sigma_lower_split": lower_split,
         "condition_number_fisher": float(np.linalg.cond(bundle.fisher)),
@@ -479,11 +468,12 @@ def susceptibility_report(model, theta, povm, oracle_samples=0, seed=0,
     }
     oracle_best = None
     if oracle_samples > 0:
-        oracle_best, _ = noise_search_oracle(model, theta, povm,
-                                             oracle_samples, seed, p_cutoff)
+        oracle_best, _ = _noise_search(bundle, K, oracle_samples, seed)
         diagnostics["split_exceeds_oracle"] = bool(
             lower_split > oracle_best + 1e-9 * max(1.0, abs(oracle_best)))
-    return SusceptibilityReport(sigma_lower=lower, sigma_upper=upper,
-                                per_parameter_sigmas=sigmas, best_pair=pair,
+    kept = bundle.kept_outcomes
+    return SusceptibilityReport(sigma_lower=bundle.n_params + value, sigma_upper=upper,
+                                per_parameter_sigmas=sigmas,
+                                best_pair=(kept[i], kept[j]),
                                 frame=frame, oracle_best=oracle_best,
                                 diagnostics=diagnostics)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import SingularFisherError, fisher_bundle, qfi_matrix, r_metric
+from .fisher import (SingularFisherError, fisher_bundle, qfi_matrix, r_metric,
+                     r_nuisance)
 from .model import tensor_model
 from .models import (PointSourceConfig, bell_povm, optimal_povm_point_sources,
                      point_source_model, qubit_phase_dephasing,
@@ -51,23 +52,7 @@ class SweepSpec:
     n_max: int = 20
 
     def validate(self):
-        if self.model not in MODELS:
-            raise SweepSpecError(f"unknown model {self.model!r}; choose from {MODELS}")
-        if self.measurement not in MEASUREMENTS:
-            raise SweepSpecError(
-                f"unknown measurement {self.measurement!r}; choose from {MEASUREMENTS}")
-        if self.measurement not in _MEASUREMENT_FOR_MODEL[self.model]:
-            raise SweepSpecError(
-                f"measurement {self.measurement!r} does not apply to model {self.model!r}")
-        names = _param_names(self.model)
-        if self.sweep_name not in names:
-            raise SweepSpecError(f"sweep parameter {self.sweep_name!r} not in {names}")
-        missing = [n for n in names if n != self.sweep_name and n not in self.fixed]
-        if missing:
-            raise SweepSpecError(f"missing fixed values for {missing}")
-        unknown = [n for n in self.fixed if n not in names or n == self.sweep_name]
-        if unknown:
-            raise SweepSpecError(f"fixed parameters {unknown} are not sweepable names")
+        check_model_spec(self.model, self.measurement, self.fixed, self.sweep_name)
         if self.count < 2:
             raise SweepSpecError("count must be >= 2")
         if self.scale not in ("linear", "log"):
@@ -92,6 +77,34 @@ class SweepSpec:
 
 def _param_names(model_id):
     return ("phi", "delta") if model_id == "phase-dephasing" else ("x_c", "dx", "q")
+
+
+def check_model_spec(model, measurement, fixed, swept=None):
+    """Check a model/measurement choice and the names of its fixed values.
+
+    Every model parameter except ``swept`` needs a fixed value, and only
+    those may have one.  Returns the model's parameter names; raises
+    :class:`SweepSpecError`.
+    """
+    if model not in MODELS:
+        raise SweepSpecError(f"unknown model {model!r}; choose from {MODELS}")
+    if measurement not in MEASUREMENTS:
+        raise SweepSpecError(
+            f"unknown measurement {measurement!r}; choose from {MEASUREMENTS}")
+    if measurement not in _MEASUREMENT_FOR_MODEL[model]:
+        raise SweepSpecError(
+            f"measurement {measurement!r} does not apply to model {model!r}")
+    names = _param_names(model)
+    if swept is not None and swept not in names:
+        raise SweepSpecError(f"sweep parameter {swept!r} not in {names}")
+    fixable = [n for n in names if n != swept]
+    missing = [n for n in fixable if n not in fixed]
+    if missing:
+        raise SweepSpecError(f"missing fixed values for {missing}")
+    unknown = [n for n in fixed if n not in fixable]
+    if unknown:
+        raise SweepSpecError(f"cannot fix {unknown}; fixable parameters are {fixable}")
+    return names
 
 
 def _theta_for(spec, sweep_value):
@@ -167,9 +180,8 @@ def evaluate_point(spec, index, sweep_value):
             row["r_multi"] = r_metric(F, q_single, m=copies)
         else:
             row["r_multi"] = r_metric(F, Q, m=1)
-        Finv, Qinv = np.linalg.inv(F), np.linalg.inv(Q)
         for j, n in enumerate(names):
-            row[f"r_nuisance_{n}"] = float(Finv[j, j] / Qinv[j, j])
+            row[f"r_nuisance_{n}"] = r_nuisance(F, Q, j)
         report = susceptibility_report(model, theta, povm,
                                        oracle_samples=spec.oracle_samples,
                                        seed=spec.seed + index)
@@ -179,7 +191,7 @@ def evaluate_point(spec, index, sweep_value):
             row[f"sigma_{n}"] = s
         if spec.oracle_samples > 0:
             row["oracle_best_X"] = report.oracle_best
-        row["condition_number_F"] = float(np.linalg.cond(F))
+        row["condition_number_F"] = report.diagnostics["condition_number_fisher"]
     except (SingularFisherError, ValueError) as err:
         row["error"] = str(err)
     return row

@@ -205,7 +205,7 @@ def check_trace_identity(seed):
         G = g_matrix(at, noise)
         x = x_scalar(bundle.fisher, G, model.n_params)
         worst_tr = max(worst_tr, abs(x - float(np.trace(xi_matrix(bundle.fisher, G)))))
-        frame = diagonalize_frame(bundle, at)
+        frame = diagonalize_frame(bundle)
         worst_cx = max(worst_cx, abs(x - x_from_extremal_sum(bundle, frame, noise)))
     return worst_tr <= 1e-10 and worst_cx <= 1e-9, \
         f"max |tr Xi - X| = {worst_tr:.3e}; max |convex-sum - X| = {worst_cx:.3e}"

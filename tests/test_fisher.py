@@ -176,6 +176,28 @@ def test_qfi_qubit_values():
     np.testing.assert_allclose(qfi.qfi, np.diag([u, u / (1 - u)]), atol=1e-10)
 
 
+def test_small_dephasing_bell_row_succeeds():
+    # nearly pure two-copy state: the SLD entries carry rounding of order
+    # 1 / (l_i + l_j), which must not be mistaken for non-Hermiticity
+    from fisusc.sweep import SweepSpec, evaluate_point
+    delta = 1e-3
+    spec = SweepSpec(model="phase-dephasing", measurement="bell",
+                     fixed={"phi": np.pi / 4}, sweep_name="delta",
+                     start=delta, stop=1.0, count=2)
+    row = evaluate_point(spec, 0, delta)
+    assert row["error"] == ""
+    u = np.exp(-2 * delta)
+    assert row["Q_phi_phi"] == pytest.approx(2 * u, rel=1e-9)
+    assert row["Q_delta_delta"] == pytest.approx(2 * u / (1 - u), rel=1e-9)
+    assert abs(row["Q_phi_delta"]) <= 1e-9
+    double = tensor_model(qubit_phase_dephasing(), 2)
+    theta = [np.pi / 4, delta]
+    rho = double.state_at(theta)
+    for drho in double.derivatives_at(theta):
+        L = sld(rho, drho)
+        assert np.max(np.abs(2 * drho - L @ rho - rho @ L)) <= 1e-8
+
+
 def test_qfi_two_copy_additivity():
     model = qubit_phase_dephasing()
     theta = [0.7, 0.3]

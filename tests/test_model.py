@@ -161,6 +161,21 @@ def test_tensor_model_product_rule_vs_fd():
         assert np.max(np.abs(derivs[j] - fd)) <= 1e-8
 
 
+def test_tensor_model_of_finite_difference_model():
+    # a model without analytic derivatives tensors through its own
+    # central differences, which stay inside the domain or refuse
+    analytic = qubit_phase_dephasing()
+    fd_only = StatisticalModel(2, analytic.param_names, analytic._state_fn,
+                               domain_fn=analytic._domain_fn)
+    theta = np.array([0.4, 0.2])
+    expected = tensor_model(analytic, 2).derivatives_at(theta)
+    got = tensor_model(fd_only, 2).derivatives_at(theta)
+    for d_fd, d_exact in zip(got, expected):
+        assert np.max(np.abs(d_fd - d_exact)) <= 1e-9
+    with pytest.raises(DomainError):
+        tensor_model(fd_only, 2).derivatives_at([0.4, 1e-6])
+
+
 def test_tensor_povm_completeness():
     prod = tensor_povm(separable_povm(), separable_povm())
     assert len(prod) == 16

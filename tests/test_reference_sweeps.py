@@ -1,0 +1,40 @@
+"""The README sweeps against the recorded reference values.
+
+Runs the three README sweeps through the command line and applies the
+benchmark's correctness gate (`bench/gate.py`): the F_*, Q_*, r_* and
+sigma_* columns must match `bench/reference.json` within relative 1e-9,
+and every error-free row must satisfy the bound-order invariants.
+"""
+
+import contextlib
+import csv
+import importlib.util
+import io
+from pathlib import Path
+
+import pytest
+
+from fisusc.cli import main
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_gate", Path(__file__).resolve().parent.parent / "bench" / "gate.py")
+gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gate)
+
+REFERENCE = gate.load_reference()
+
+
+def _csv_rows_as_values(path):
+    """CSV rows as evaluate_point-style dicts: floats, '' for empty cells."""
+    with open(path, newline="") as fh:
+        return [{k: v if k == "error" or v == "" else float(v) for k, v in row.items()}
+                for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("name", sorted(gate.README_SWEEPS))
+def test_readme_sweep_matches_reference(name, tmp_path):
+    out = str(tmp_path / f"{name}.csv")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(gate.README_SWEEPS[name]) + ["--out", out]) == 0
+    assert gate.compare_to_reference(name, gate.read_csv_rows(out), REFERENCE) == []
+    assert gate.row_violations(_csv_rows_as_values(out)) == []

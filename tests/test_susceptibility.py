@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from fisusc.model import Povm, StatisticalModel, tensor_model
 from fisusc.models import (PointSourceConfig, bell_povm,
                            optimal_povm_point_sources, point_source_model,
                            qubit_phase_dephasing, separable_povm, x_opt)
-from fisusc.susceptibility import (a_tensor, diagonalize_frame, g_matrix,
+from fisusc.susceptibility import (_best_pair, _k_operators,
+                                   _sigma_upper_from_frame, a_tensor,
+                                   diagonalize_frame, g_matrix,
                                    noise_search_oracle, sigma_lower,
                                    sigma_single, sigma_upper,
                                    susceptibility_report, x_finite_mix,
@@ -32,6 +36,46 @@ def qubit_bundle(theta=(np.pi / 4, 0.3)):
     model = qubit_phase_dephasing()
     return model, np.asarray(theta, dtype=float), fisher_bundle(
         model, np.asarray(theta, dtype=float), separable_povm())
+
+
+def reparametrized_bundle(bundle, J):
+    """The bundle in new parameters u = J theta (J orthogonal or invertible)."""
+    Jinv_T = np.linalg.inv(J).T
+    derivs = np.einsum("jk,kxy->jxy", Jinv_T, np.stack(bundle.derivatives))
+    return dataclasses.replace(bundle, scores=bundle.scores @ Jinv_T.T,
+                               fisher=Jinv_T @ bundle.fisher @ Jinv_T.T,
+                               derivatives=tuple(derivs))
+
+
+def reparametrized_model(model, T):
+    """Wrapping model in the parameters u = T theta."""
+    Tinv = np.linalg.inv(T)
+
+    def derivative_fn(u):
+        derivs = np.stack(model.derivatives_at(Tinv @ u))
+        return list(np.einsum("kj,kxy->jxy", Tinv, derivs))
+
+    return StatisticalModel(model.dim, tuple(f"u{j}" for j in range(len(T))),
+                            lambda u: model.state_at(Tinv @ u),
+                            derivative_fn=derivative_fn,
+                            domain_fn=lambda u: model.in_domain(Tinv @ u))
+
+
+def instances(seed, n):
+    """n random points of each shipped (model, theta, measurement) triple."""
+    rng = np.random.default_rng(seed)
+    qubit = qubit_phase_dephasing()
+    double = tensor_model(qubit, 2)
+    out = []
+    for _ in range(n):
+        theta = np.array([rng.uniform(0, 2 * np.pi), rng.uniform(0.05, 1.5)])
+        out.append((qubit, theta, separable_povm()))
+        out.append((double, theta, bell_povm()))
+        theta = np.array([rng.uniform(-0.3, 0.3), rng.uniform(0.05, 1.0),
+                          rng.uniform(0.1, 0.9)])
+        cfg = PointSourceConfig(n_max=20, x_m=x_opt(*theta))
+        out.append((point_source_model(cfg), theta, optimal_povm_point_sources(cfg)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +274,7 @@ def test_x_zero_padding_invariance():
 def test_x_convexity_identity_third_path():
     model, theta, bundle = qubit_bundle((1.0, 0.35))
     at = a_tensor(bundle)
-    frame = diagonalize_frame(bundle, at)
+    frame = diagonalize_frame(bundle)
     G = g_matrix(at, IDENTITY_NOISE)
     x_direct = x_scalar(bundle.fisher, G, 2)
     x_convex = x_from_extremal_sum(bundle, frame, IDENTITY_NOISE)
@@ -331,7 +375,7 @@ def test_frame_degenerate_fisher_is_identity_aligned():
 def test_frame_trace_identity_random_instance():
     _, _, bundle = qubit_bundle((0.8, 0.45))
     at = a_tensor(bundle)
-    frame = diagonalize_frame(bundle, at)
+    frame = diagonalize_frame(bundle)
     F, J = bundle.fisher, frame.jacobian
     Ft = J @ F @ J.T
     off = Ft - np.diag(np.diag(Ft))
@@ -346,7 +390,7 @@ def test_frame_trace_identity_random_instance():
 def test_frame_x_invariance():
     _, _, bundle = qubit_bundle((0.8, 0.45))
     at = a_tensor(bundle)
-    frame = diagonalize_frame(bundle, at)
+    frame = diagonalize_frame(bundle)
     J = frame.jacobian
     G = g_matrix(at, IDENTITY_NOISE)
     x_orig = x_scalar(bundle.fisher, G, 2)
@@ -449,17 +493,16 @@ def test_sigma_lower_invariant_under_degenerate_rotation():
     # the certified pair bound is reparametrization invariant, so rotating
     # the degenerate eigenbasis must not change it; the per-parameter upper
     # bound is frame dependent but stays a valid upper bound
+    # (the lower bound is evaluated on the bundle transformed into each frame)
     model, theta, bundle = qubit_bundle((np.pi / 4, 0.1))
-    at = a_tensor(bundle)
     th = 0.7
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    frame0 = diagonalize_frame(bundle, at)
-    frame1 = diagonalize_frame(bundle, at, jacobian=R @ frame0.jacobian)
-    from fisusc.susceptibility import (_sigma_lower_from_frame,
-                                       _sigma_upper_from_frame)
-    lo0, _, _ = _sigma_lower_from_frame(frame0)
-    lo1, _, _ = _sigma_lower_from_frame(frame1)
-    assert lo1 == pytest.approx(lo0, abs=1e-9)
+    frame0 = diagonalize_frame(bundle)
+    frame1 = diagonalize_frame(bundle, jacobian=R @ frame0.jacobian)
+    lo = sigma_lower(model, theta, separable_povm())[0]
+    for J in (frame0.jacobian, frame1.jacobian):
+        _, value = _best_pair(_k_operators(reparametrized_bundle(bundle, J)))
+        assert 2 + value == pytest.approx(lo, abs=1e-9)
     up0, _ = _sigma_upper_from_frame(frame0)
     up1, _ = _sigma_upper_from_frame(frame1)
     best, _ = noise_search_oracle(model, theta, separable_povm(),
@@ -504,3 +547,49 @@ def test_report_qubit_instance_no_flag():
     assert not report.diagnostics["split_exceeds_oracle"]
     assert report.best_pair == (1, 3)
     assert report.oracle_best == pytest.approx(report.sigma_lower, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# K operators
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("model, theta, povm", instances(11, 2))
+def test_k_operators_contract_the_a_tensor(model, theta, povm):
+    bundle = fisher_bundle(model, theta, povm)
+    Finv = np.linalg.inv(bundle.fisher)
+    K = _k_operators(bundle)
+    expected = np.einsum("jk,ajkxy->axy", Finv, a_tensor(bundle).operators)
+    scale = np.max(np.abs(expected))
+    np.testing.assert_allclose(K, expected, rtol=0, atol=1e-12 * scale)
+    L2 = np.einsum("aj,jk,ak->a", bundle.scores, Finv, bundle.scores)
+    np.testing.assert_allclose(np.real(np.einsum("aii->a", K)), L2,
+                               rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("model, theta, povm", instances(12, 3))
+def test_sigma_lower_attained_by_explicit_pair_noise(model, theta, povm):
+    # the best-pair noise N*, built from the A tensor alone, gives
+    # X[M, N*] = Sigma_L through the G-matrix route
+    lo, (a, b) = sigma_lower(model, theta, povm)
+    bundle = fisher_bundle(model, theta, povm)
+    at = a_tensor(bundle)
+    K = np.einsum("jk,ajkxy->axy", np.linalg.inv(bundle.fisher), at.operators)
+    index_of = {o: i for i, o in enumerate(bundle.kept_outcomes)}
+    w, V = np.linalg.eigh(K[index_of[a]] - K[index_of[b]])
+    pos = V[:, w > 0]
+    B = pos @ pos.conj().T
+    elements = [np.zeros((povm.dim, povm.dim), dtype=complex) for _ in range(len(povm))]
+    elements[a], elements[b] = B, np.eye(povm.dim) - B
+    x = x_scalar(bundle.fisher, g_matrix(at, Povm(elements)), model.n_params)
+    assert x == pytest.approx(lo, rel=1e-9)
+
+
+@pytest.mark.parametrize("model, theta, povm", instances(13, 1))
+def test_sigma_lower_invariant_under_badly_scaled_reparametrization(model, theta, povm):
+    P = model.n_params
+    T = np.diag(np.geomspace(1e2, 1e-2, P)) @ (np.eye(P) + 0.5 * np.eye(P, k=1))
+    wrapped = reparametrized_model(model, T)
+    lo0, pair0 = sigma_lower(model, theta, povm)
+    lo1, pair1 = sigma_lower(wrapped, T @ theta, povm)
+    assert lo1 == pytest.approx(lo0, rel=1e-9)
+    assert pair1 == pair0

@@ -149,6 +149,15 @@ def test_cli_show_model(tmp_path, capsys):
                  "separable", "--fix", f"phi={PHI}"]) == 2
 
 
+def test_cli_show_model_spec_errors():
+    # the same model/measurement/parameter checks as a sweep specification
+    assert main(["show-model", "--model", "point-sources", "--measurement", "bell",
+                 "--fix", "x_c=0", "--fix", "dx=0.1", "--fix", "q=0.3"]) == 2
+    assert main(["show-model", "--model", "phase-dephasing", "--measurement",
+                 "separable", "--fix", f"phi={PHI}", "--fix", "delta=0.3",
+                 "--fix", "gamma=1"]) == 2
+
+
 def test_verify_report_and_seeds(tmp_path):
     report = run_verify(seed=0)
     assert report.all_passed, [r for r in report.results if not r.passed]
