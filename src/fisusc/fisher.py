@@ -12,9 +12,14 @@ quantum Fisher matrix is built from the symmetric logarithmic
 derivatives L_j solving ``2 d_j rho = L_j rho + rho L_j``:
 
     Q_{jk} = Tr[rho (L_j L_k + L_k L_j)] / 2.
+
+All SLDs of a point share one eigendecomposition ``rho = V diag(w) V^dag``:
+in that eigenbasis ``L'_j = V^dag L_j V`` and
+``Q_{jk} = Re sum_mn w_m L'_{j,mn} L'_{k,nm}``.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +53,9 @@ class FisherBundle:
     kept_outcomes : tuple of int
         Indices of outcomes with probability above the cutoff.
     rho, derivatives : operators the bundle was built from (needed by the
-        susceptibility machinery).
+        susceptibility machinery and the SLDs).
+    fisher_inverse : (P, P) array
+        F^-1, checked and computed once per bundle on first use.
     """
 
     probabilities: np.ndarray
@@ -65,6 +72,19 @@ class FisherBundle:
     def n_params(self):
         return len(self.param_names)
 
+    @cached_property
+    def _checked_fisher(self):
+        return _checked_inverse(self.fisher)
+
+    @property
+    def fisher_inverse(self):
+        return self._checked_fisher[0]
+
+    @property
+    def fisher_condition(self):
+        """Condition number of F, from the check that guards F^-1."""
+        return self._checked_fisher[1]
+
 
 def fisher_bundle(model, theta, povm, p_cutoff=DEFAULT_P_CUTOFF):
     """Evaluate probabilities, scores and the Fisher matrix.
@@ -79,9 +99,8 @@ def fisher_bundle(model, theta, povm, p_cutoff=DEFAULT_P_CUTOFF):
     rho = model.state_at(theta)
     derivs = tuple(model.derivatives_at(theta))
     P = len(derivs)
-    probs = np.array([float(np.real(np.trace(rho @ E))) for E in povm.elements])
-    numerators = np.array([[float(np.real(np.trace(d @ E))) for d in derivs]
-                           for E in povm.elements])
+    probs = np.real(np.einsum("xy,ayx->a", rho, povm.elements))
+    numerators = np.real(np.einsum("jxy,ayx->aj", np.stack(derivs), povm.elements))
     kept, scores = [], []
     for a in range(len(povm)):
         if probs[a] >= p_cutoff:
@@ -102,25 +121,37 @@ def fisher_bundle(model, theta, povm, p_cutoff=DEFAULT_P_CUTOFF):
                         param_names=model.param_names, p_cutoff=float(p_cutoff))
 
 
+def _slds(rho, derivs, cutoff=DEFAULT_SLD_CUTOFF):
+    """All SLDs of one state and the quantum Fisher matrix, from one eigh(rho).
+
+    In the eigenbasis of rho, L'_{j,mn} = 2 <m|d_j rho|n> / (w_m + w_n)
+    wherever ``w_m + w_n > cutoff``; the kernel-kernel block is set to
+    zero (Moore-Penrose-style convention).  Then
+    ``Q_jk = Re sum_mn w_m L'_{j,mn} L'_{k,nm}``, with no operator
+    products per (j, k).  Returns ``(L, Q)`` with L a (P, d, d) stack.
+    The inputs are not validated, and the SLDs are symmetrized without a
+    re-check: their rounding scales with 1 / (w_m + w_n), far above any
+    fixed Hermiticity tolerance for nearly pure states.
+    """
+    w, V = np.linalg.eigh(rho)
+    Vh = V.conj().T
+    num = 2.0 * (Vh @ np.stack(derivs) @ V)
+    den = w[:, None] + w[None, :]
+    mask = den > cutoff
+    Lp = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
+    Lp = (Lp + Lp.conj().swapaxes(-1, -2)) / 2.0
+    P = Lp.shape[0]
+    Q = np.real((Lp * w[:, None]).reshape(P, -1) @ Lp.swapaxes(-1, -2).reshape(P, -1).T)
+    X = V @ Lp @ Vh
+    return (X + X.conj().swapaxes(-1, -2)) / 2.0, (Q + Q.T) / 2.0
+
+
 def sld(rho, drho, cutoff=DEFAULT_SLD_CUTOFF):
     """Symmetric logarithmic derivative solving 2 drho = L rho + rho L.
 
-    Computed in the eigenbasis of rho as L_ij = 2 <i|drho|j> / (l_i + l_j)
-    wherever ``l_i + l_j > cutoff``; the kernel-kernel block is set to
-    zero (Moore-Penrose-style convention).  Only the inputs are validated:
-    the rounding of the result scales with 1 / (l_i + l_j), far above any
-    fixed Hermiticity tolerance for nearly pure states, so it is
-    symmetrized without a re-check.
+    Validates its inputs and evaluates `_slds` for one derivative.
     """
-    rho = hermitize(rho)
-    drho = hermitize(drho)
-    w, V = np.linalg.eigh(rho)
-    num = 2.0 * (V.conj().T @ drho @ V)
-    den = w[:, None] + w[None, :]
-    mask = den > cutoff
-    L = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
-    X = V @ L @ V.conj().T
-    return (X + X.conj().T) / 2.0
+    return _slds(hermitize(rho), [hermitize(drho)], cutoff)[0][0]
 
 
 @dataclass(frozen=True)
@@ -134,16 +165,8 @@ class QfiBundle:
 
 def qfi_matrix(model, theta, cutoff=DEFAULT_SLD_CUTOFF):
     """Quantum Fisher information matrix via SLD operators."""
-    rho = model.state_at(theta)
-    derivs = model.derivatives_at(theta)
-    slds = tuple(sld(rho, d, cutoff) for d in derivs)
-    P = len(slds)
-    Q = np.zeros((P, P))
-    for j in range(P):
-        for k in range(j, P):
-            anti = slds[j] @ slds[k] + slds[k] @ slds[j]
-            Q[j, k] = Q[k, j] = 0.5 * float(np.real(np.trace(rho @ anti)))
-    return QfiBundle(slds=slds, qfi=symmetrize_real(Q), eigen_cutoff=float(cutoff))
+    L, Q = _slds(model.state_at(theta), model.derivatives_at(theta), cutoff)
+    return QfiBundle(slds=tuple(L), qfi=Q, eigen_cutoff=float(cutoff))
 
 
 def weak_commutativity(rho, L_j, L_k):
@@ -157,13 +180,24 @@ def weak_commutativity(rho, L_j, L_k):
 
 
 def _checked_inverse(F, what="Fisher matrix"):
+    """``(F^-1, cond F)``; refuses singular or ill-conditioned matrices."""
     F = np.asarray(F, dtype=float)
     cond = float(np.linalg.cond(F))
     if not np.isfinite(cond) or cond > MAX_FISHER_CONDITION:
         raise SingularFisherError(
             f"{what} is singular or ill-conditioned (condition number {cond:.3e}, "
             f"limit {MAX_FISHER_CONDITION:.1e}); refusing to invert")
-    return np.linalg.inv(F)
+    return np.linalg.inv(F), cond
+
+
+def _qfi_inverse(Q):
+    return _checked_inverse(Q, what="quantum Fisher matrix")[0]
+
+
+def _ratios(Finv, Qinv, m=1):
+    """``(m tr(F^-1) / tr(Q^-1), (F^-1)_jj / (Q^-1)_jj for every j)``."""
+    return (float(m) * float(np.trace(Finv)) / float(np.trace(Qinv)),
+            np.diag(Finv) / np.diag(Qinv))
 
 
 def r_metric(F, Q, m=1):
@@ -175,9 +209,7 @@ def r_metric(F, Q, m=1):
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    Finv = _checked_inverse(F)
-    Qinv = _checked_inverse(Q, what="quantum Fisher matrix")
-    return float(m) * float(np.trace(Finv)) / float(np.trace(Qinv))
+    return _ratios(_checked_inverse(F)[0], _qfi_inverse(Q), m)[0]
 
 
 def r_nuisance(F, Q, index):
@@ -186,6 +218,4 @@ def r_nuisance(F, Q, index):
     Quantifies how well parameter ``index`` is estimated when all other
     parameters are unknown nuisance parameters.
     """
-    Finv = _checked_inverse(F)
-    Qinv = _checked_inverse(Q, what="quantum Fisher matrix")
-    return float(Finv[index, index]) / float(Qinv[index, index])
+    return float(_ratios(_checked_inverse(F)[0], _qfi_inverse(Q))[1][index])

@@ -80,7 +80,16 @@ def eig_hermitian(H):
 def trace_norm(H):
     """Trace norm ``sum_i |lambda_i|`` of a Hermitian operator."""
     _require_hermitian(H)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(np.asarray(H, dtype=complex)))))
+    return float(_trace_norms(np.asarray(H, dtype=complex)))
+
+
+def _trace_norms(H):
+    """Trace norms of a (..., d, d) stack of Hermitian operators.
+
+    One batched ``eigvalsh``, without the Hermiticity check: for operators
+    the package built itself from validated inputs.
+    """
+    return np.sum(np.abs(np.linalg.eigvalsh(H)), axis=-1)
 
 
 def tensor(A, B):

@@ -165,16 +165,21 @@ class PovmValidation:
 
 
 class Povm:
-    """Ordered POVM: positive operators summing to the identity."""
+    """Ordered POVM: positive operators summing to the identity.
+
+    ``elements`` is one read-only (E, dim, dim) complex array of the
+    validated elements; ``elements[a]`` is the a-th operator.
+    """
 
     def __init__(self, elements, labels=None):
-        elems = tuple(hermitize(E) for E in elements)
+        elems = [hermitize(E) for E in elements]
         if not elems:
             raise ValueError("a POVM needs at least one element")
         dim = elems[0].shape[0]
         if any(E.shape[0] != dim for E in elems):
             raise ValueError("POVM elements must share one Hilbert dimension")
-        self.elements = elems
+        self.elements = np.stack(elems)
+        self.elements.setflags(write=False)
         self.dim = dim
         self.labels = tuple(labels) if labels is not None else tuple(
             str(i) for i in range(len(elems)))

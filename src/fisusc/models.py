@@ -21,7 +21,6 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import eval_hermite, factorial
 
-from .linalg import min_eigenvalue
 from .model import DomainError, Povm, StatisticalModel
 
 TRUNCATION_LEAKAGE_TOL = 1e-8
@@ -121,18 +120,22 @@ def hg_overlap_closed_form(n, x0, x_m=0.0):
     """Closed form of the same overlap: a displaced Gaussian is a coherent
     state of the mode family, so the coefficient is
     e^{-d^2/8} (d/2)^n / sqrt(n!) with d = x0 - x_m."""
+    n = np.asarray(n)
+    return _hg_overlap(n, x0, x_m, np.sqrt(factorial(n)))
+
+
+def _hg_overlap(n, x0, x_m, sqrt_factorial):
+    # hg_overlap_closed_form with sqrt(n!) supplied by the caller
     d = x0 - x_m
-    n = np.asarray(n)
-    return np.exp(-d * d / 8.0) * (d / 2.0) ** n / np.sqrt(factorial(n))
+    return np.exp(-d * d / 8.0) * (d / 2.0) ** n / sqrt_factorial
 
 
-def _overlap_derivative(n, d):
+def _overlap_derivative(n, d, sqrt_factorial):
     # d/dd of hg_overlap_closed_form at displacement d
-    n = np.asarray(n)
     powers = np.where(n > 0, (d / 2.0) ** np.maximum(n - 1, 0), 0.0)
     return (np.exp(-d * d / 8.0)
             * ((n / 2.0) * powers - (d / 4.0) * (d / 2.0) ** n)
-            / np.sqrt(factorial(n)))
+            / sqrt_factorial)
 
 
 def x_opt(x_c, dx, q):
@@ -178,13 +181,14 @@ def point_source_model(cfg: PointSourceConfig):
     """
     x_m = cfg.alignment()
     modes = np.arange(cfg.n_max + 1)
+    sqrt_factorial = np.sqrt(factorial(modes))
 
     def coefficients(values):
         x_c, dx, q = values
         d_plus = x_c + dx / 2.0 - x_m
         d_minus = x_c - dx / 2.0 - x_m
-        c_plus = hg_overlap_closed_form(modes, x_m + d_plus, x_m)
-        c_minus = hg_overlap_closed_form(modes, x_m + d_minus, x_m)
+        c_plus = _hg_overlap(modes, x_m + d_plus, x_m, sqrt_factorial)
+        c_minus = _hg_overlap(modes, x_m + d_minus, x_m, sqrt_factorial)
         for name, c in (("psi+", c_plus), ("psi-", c_minus)):
             leakage = 1.0 - float(c @ c)
             if leakage > TRUNCATION_LEAKAGE_TOL:
@@ -201,8 +205,8 @@ def point_source_model(cfg: PointSourceConfig):
     def derivative_fn(values):
         _, _, q = values
         c_plus, c_minus, d_plus, d_minus = coefficients(values)
-        g_plus = _overlap_derivative(modes, d_plus)
-        g_minus = _overlap_derivative(modes, d_minus)
+        g_plus = _overlap_derivative(modes, d_plus, sqrt_factorial)
+        g_minus = _overlap_derivative(modes, d_minus, sqrt_factorial)
         sym_plus = np.outer(g_plus, c_plus) + np.outer(c_plus, g_plus)
         sym_minus = np.outer(g_minus, c_minus) + np.outer(c_minus, g_minus)
         d_xc = q * sym_plus + (1.0 - q) * sym_minus
@@ -244,7 +248,9 @@ def optimal_povm_point_sources(cfg: PointSourceConfig, weights=None):
         v[:4] = w[j]
         elements.append(np.outer(v, v).astype(complex))
     remainder = np.eye(dim, dtype=complex) - sum(elements)
-    if min_eigenvalue((remainder + remainder.conj().T) / 2.0) < -1e-9:
+    # the remainder is I - W^T W on the first four modes and I above them
+    W = w[:4]
+    if np.linalg.eigvalsh(np.eye(4) - W.T @ W)[0] < -1e-9:
         raise ValueError("remainder element is not positive; weight rows must be "
                          "orthonormal over the first four modes")
     elements.append(remainder)

@@ -25,18 +25,19 @@ parametrization.
 Only ``Sigma_U = sum_j sigma_j`` depends on a frame: it sums
 single-parameter worst cases in the parametrization that diagonalizes F
 (`diagonalize_frame`).  Taking the pair bound's trace norm per parameter
-in that frame (``sigma_lower_split``) is not a lower bound - it can
+in that frame (``report.sigma_lower_split``) is not a lower bound - it can
 exceed the exact maximum, which the sampled search exposes - and is
-reported only as a diagnostic.
+computed only as a diagnostic, when it is read.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .fisher import (DEFAULT_P_CUTOFF, FisherBundle, SingularFisherError,
                      _checked_inverse, fisher_bundle)
-from .linalg import trace_norm
+from .linalg import _trace_norms
 from .model import Povm, mix_povm
 
 CLUSTER_RTOL = 1e-8
@@ -111,13 +112,13 @@ def g_matrix(atensor: ATensor, noise: Povm):
 
 def xi_matrix(F, G):
     """Matrix susceptibility Xi = I + F^-1 G."""
-    Finv = _checked_inverse(F)
+    Finv = _checked_inverse(F)[0]
     return np.eye(F.shape[0]) + Finv @ G
 
 
 def x_scalar(F, G, n_params):
     """Scalar susceptibility X = P + tr[F^-1 G] (equals tr Xi)."""
-    Finv = _checked_inverse(F)
+    Finv = _checked_inverse(F)[0]
     return float(n_params) + float(np.einsum("ij,ji->", Finv, G))
 
 
@@ -153,7 +154,7 @@ def sigma_single(model, theta, povm, p_cutoff=DEFAULT_P_CUTOFF):
     rho, drho = bundle.rho, bundle.derivatives[0]
     A_n = l[n] ** 2 * rho - 2.0 * l[n] * drho
     A_m = l[m] ** 2 * rho - 2.0 * l[m] * drho
-    return 1.0 + (l[n] ** 2 + l[m] ** 2 + trace_norm(A_n - A_m)) / (2.0 * F)
+    return 1.0 + (l[n] ** 2 + l[m] ** 2 + float(_trace_norms(A_n - A_m))) / (2.0 * F)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +166,7 @@ def _k_operators(bundle):
 
     Then X[M, N] = P + sum_a Tr[K_a N_a] and Tr K_a = |L_a|^2.
     """
-    Finv = _checked_inverse(bundle.fisher)
-    w = bundle.scores @ Finv                          # (E, P): F^-1 l_a
+    w = bundle.scores @ bundle.fisher_inverse         # (E, P): F^-1 l_a
     norms = np.einsum("aj,aj->a", w, bundle.scores)   # |L_a|^2
     return (norms[:, None, None] * bundle.rho
             - 2.0 * np.einsum("ak,kxy->axy", w, np.stack(bundle.derivatives)))
@@ -185,7 +185,7 @@ def _best_pair(K):
         raise SingularFisherError("sigma_lower needs at least two kept outcomes")
     i, j = np.triu_indices(E, 1)
     traces = np.real(np.einsum("aii->a", K))
-    norms = np.sum(np.abs(np.linalg.eigvalsh(K[i] - K[j])), axis=1)
+    norms = _trace_norms(K[i] - K[j])
     values = 0.5 * (traces[i] + traces[j] + norms)
     p = int(np.argmax(values))
     return (int(i[p]), int(j[p])), float(values[p])
@@ -269,7 +269,7 @@ def diagonalize_frame(bundle: FisherBundle, jacobian=None) -> DiagonalizedFrame:
     diagonalize F); this hook exists so that frame-dependence can be
     probed directly.
     """
-    _checked_inverse(bundle.fisher)      # fail early when F is singular
+    bundle.fisher_inverse                # fail early when F is singular
     if jacobian is None:
         J, fdiag = _canonical_diagonalizer(bundle.fisher)
     else:
@@ -289,15 +289,13 @@ def diagonalize_frame(bundle: FisherBundle, jacobian=None) -> DiagonalizedFrame:
 
 
 def _sigma_upper_from_frame(frame):
-    P = frame.tilde_fisher.size
-    sigmas = []
-    for k in range(P):
-        scores_k = frame.tilde_scores[:, k]
-        n, m = int(np.argmax(scores_k)), int(np.argmin(scores_k))
-        tn = trace_norm(frame.tilde_a_diag[n, k] - frame.tilde_a_diag[m, k])
-        sigmas.append(1.0 + (scores_k[n] ** 2 + scores_k[m] ** 2 + tn)
-                      / (2.0 * frame.tilde_fisher[k]))
-    return float(np.sum(sigmas)), tuple(float(s) for s in sigmas)
+    """Sigma_U and the per-parameter sigma_k; one batched eigvalsh for all k."""
+    s = frame.tilde_scores
+    k = np.arange(s.shape[1])
+    n, m = np.argmax(s, axis=0), np.argmin(s, axis=0)
+    tn = _trace_norms(frame.tilde_a_diag[n, k] - frame.tilde_a_diag[m, k])
+    sigmas = 1.0 + (s[n, k] ** 2 + s[m, k] ** 2 + tn) / (2.0 * frame.tilde_fisher)
+    return float(np.sum(sigmas)), tuple(float(x) for x in sigmas)
 
 
 def _sigma_lower_split(frame):
@@ -305,8 +303,7 @@ def _sigma_lower_split(frame):
     f = frame.tilde_fisher
     i, j = np.triu_indices(len(frame.kept_outcomes), 1)
     L2 = np.sum(frame.tilde_scores ** 2 / f, axis=1)
-    norms = np.sum(np.abs(np.linalg.eigvalsh(
-        frame.tilde_a_diag[i] - frame.tilde_a_diag[j])), axis=-1)    # (pairs, P)
+    norms = _trace_norms(frame.tilde_a_diag[i] - frame.tilde_a_diag[j])    # (pairs, P)
     split = f.size + 0.5 * (L2[i] + L2[j]) + np.sum(norms / (2.0 * f), axis=1)
     return float(np.max(split))
 
@@ -417,7 +414,7 @@ def _noise_search(bundle, K, n_samples, seed):
             pairs = np.array([rng.choice(E, size=2, replace=False) for _ in range(n)])
             U = _haar_unitaries(rng, n, dim)
             u = rng.uniform(0.0, 1.0, size=(n, dim))
-            B = np.einsum("nij,nj,nkj->nik", U, u, U.conj())
+            B = (U * u[:, None, :]) @ U.conj().swapaxes(-1, -2)
             D = K[pairs[:, 0]] - K[pairs[:, 1]]
             xs = P + traces[pairs[:, 1]] + np.real(np.einsum("nij,nji->n", D, B))
             i = int(np.argmax(xs))
@@ -435,7 +432,11 @@ def _noise_search(bundle, K, n_samples, seed):
 
 @dataclass(frozen=True)
 class SusceptibilityReport:
-    """Bounds on the measurement-noise susceptibility at one (model, theta, M)."""
+    """Bounds on the measurement-noise susceptibility at one (model, theta, M).
+
+    ``sigma_lower_split`` (the per-parameter trace-norm variant of the
+    pair bound, not a lower bound) is computed from ``frame`` when read.
+    """
 
     sigma_lower: float
     sigma_upper: float
@@ -445,35 +446,42 @@ class SusceptibilityReport:
     oracle_best: float = None
     diagnostics: dict = None
 
+    @cached_property
+    def sigma_lower_split(self):
+        return _sigma_lower_split(self.frame)
+
 
 def susceptibility_report(model, theta, povm, oracle_samples=0, seed=0,
                           p_cutoff=DEFAULT_P_CUTOFF):
     """Full susceptibility analysis: bounds, frame, optional sampled search.
 
-    Diagnostics include ``sigma_lower_split`` (the per-parameter
-    trace-norm variant of the pair bound) together with a flag when that
-    variant exceeds the sampled maximum - evidence that it is not a
-    lower bound on Sigma for this instance.
+    When the search runs, ``diagnostics["split_exceeds_oracle"]`` flags a
+    ``report.sigma_lower_split`` above the sampled maximum - evidence that
+    the per-parameter variant is not a lower bound on Sigma for this
+    instance.
     """
-    bundle = fisher_bundle(model, theta, povm, p_cutoff)
+    return _report(fisher_bundle(model, theta, povm, p_cutoff), oracle_samples, seed)
+
+
+def _report(bundle, oracle_samples, seed):
+    """Body of `susceptibility_report` on a Fisher bundle."""
     K = _k_operators(bundle)
     (i, j), value = _best_pair(K)
     frame = diagonalize_frame(bundle)
     upper, sigmas = _sigma_upper_from_frame(frame)
-    lower_split = _sigma_lower_split(frame)
     diagnostics = {
-        "sigma_lower_split": lower_split,
-        "condition_number_fisher": float(np.linalg.cond(bundle.fisher)),
+        "condition_number_fisher": bundle.fisher_condition,
         "kept_outcomes": bundle.kept_outcomes,
     }
     oracle_best = None
     if oracle_samples > 0:
         oracle_best, _ = _noise_search(bundle, K, oracle_samples, seed)
-        diagnostics["split_exceeds_oracle"] = bool(
-            lower_split > oracle_best + 1e-9 * max(1.0, abs(oracle_best)))
     kept = bundle.kept_outcomes
-    return SusceptibilityReport(sigma_lower=bundle.n_params + value, sigma_upper=upper,
-                                per_parameter_sigmas=sigmas,
-                                best_pair=(kept[i], kept[j]),
-                                frame=frame, oracle_best=oracle_best,
-                                diagnostics=diagnostics)
+    report = SusceptibilityReport(sigma_lower=bundle.n_params + value, sigma_upper=upper,
+                                  per_parameter_sigmas=sigmas,
+                                  best_pair=(kept[i], kept[j]), frame=frame,
+                                  oracle_best=oracle_best, diagnostics=diagnostics)
+    if oracle_best is not None:
+        diagnostics["split_exceeds_oracle"] = bool(
+            report.sigma_lower_split > oracle_best + 1e-9 * max(1.0, abs(oracle_best)))
+    return report

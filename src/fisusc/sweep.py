@@ -13,16 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import (SingularFisherError, fisher_bundle, qfi_matrix, r_metric,
-                     r_nuisance)
-from .model import tensor_model
+from .fisher import (SingularFisherError, SingularScoreError, _qfi_inverse,
+                     _ratios, _slds, fisher_bundle, qfi_matrix)
+from .linalg import HermiticityError
+from .model import DomainError, tensor_model
 from .models import (PointSourceConfig, bell_povm, optimal_povm_point_sources,
                      point_source_model, qubit_phase_dephasing,
                      separable_povm, x_opt)
-from .susceptibility import susceptibility_report
+from .susceptibility import _report
 
 MODELS = ("phase-dephasing", "point-sources")
 MEASUREMENTS = ("separable", "bell", "optimal-hg")
+# failures of the numerics at a point; any other exception is a bug and
+# propagates out of the sweep
+NUMERICAL_ERRORS = (SingularFisherError, SingularScoreError, DomainError,
+                    HermiticityError, np.linalg.LinAlgError)
 _MEASUREMENT_FOR_MODEL = {
     "phase-dephasing": ("separable", "bell"),
     "point-sources": ("optimal-hg",),
@@ -157,7 +162,12 @@ def sweep_columns(spec):
 
 
 def evaluate_point(spec, index, sweep_value):
-    """One sweep row as a dict; numerical failures land in 'error'."""
+    """One sweep row as a dict; numerical failures land in 'error'.
+
+    State, derivatives, F and Q are evaluated once; every column reads
+    them from the point's Fisher bundle.  The two-copy Bell row also
+    evaluates the single-copy Q_1 that r_multi compares against.
+    """
     names = _param_names(spec.model)
     row = {c: "" for c in sweep_columns(spec)}
     row["sweep_value"] = float(sweep_value)
@@ -165,26 +175,17 @@ def evaluate_point(spec, index, sweep_value):
         model, povm, copies, single_copy = _build_model(spec, sweep_value)
         theta = _theta_for(spec, sweep_value)
         bundle = fisher_bundle(model, theta, povm)
-        qfi = qfi_matrix(model, theta)
-        F, Q = bundle.fisher, qfi.qfi
-        for key, value in zip([f"F_{names[i]}_{names[j]}"
-                               for i in range(len(names))
-                               for j in range(i, len(names))], _upper_triangle(F)):
-            row[key] = value
-        for key, value in zip([f"Q_{names[i]}_{names[j]}"
-                               for i in range(len(names))
-                               for j in range(i, len(names))], _upper_triangle(Q)):
-            row[key] = value
-        if copies > 1:
-            q_single = qfi_matrix(single_copy, theta).qfi
-            row["r_multi"] = r_metric(F, q_single, m=copies)
-        else:
-            row["r_multi"] = r_metric(F, Q, m=1)
-        for j, n in enumerate(names):
-            row[f"r_nuisance_{n}"] = r_nuisance(F, Q, j)
-        report = susceptibility_report(model, theta, povm,
-                                       oracle_samples=spec.oracle_samples,
-                                       seed=spec.seed + index)
+        F, Q = bundle.fisher, _slds(bundle.rho, bundle.derivatives)[1]
+        pairs = [f"{names[i]}_{names[j]}" for i in range(len(names))
+                 for j in range(i, len(names))]
+        for key, f, q in zip(pairs, _upper_triangle(F), _upper_triangle(Q)):
+            row[f"F_{key}"], row[f"Q_{key}"] = f, q
+        Finv, Qinv = bundle.fisher_inverse, _qfi_inverse(Q)
+        Q1inv = Qinv if copies == 1 else _qfi_inverse(qfi_matrix(single_copy, theta).qfi)
+        row["r_multi"] = _ratios(Finv, Q1inv, copies)[0]
+        for n, r in zip(names, _ratios(Finv, Qinv)[1]):
+            row[f"r_nuisance_{n}"] = float(r)
+        report = _report(bundle, spec.oracle_samples, spec.seed + index)
         row["sigma_lower"] = report.sigma_lower
         row["sigma_upper"] = report.sigma_upper
         for n, s in zip(names, report.per_parameter_sigmas):
@@ -192,7 +193,7 @@ def evaluate_point(spec, index, sweep_value):
         if spec.oracle_samples > 0:
             row["oracle_best_X"] = report.oracle_best
         row["condition_number_F"] = report.diagnostics["condition_number_fisher"]
-    except (SingularFisherError, ValueError) as err:
+    except NUMERICAL_ERRORS as err:
         row["error"] = str(err)
     return row
 

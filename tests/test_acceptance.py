@@ -220,7 +220,7 @@ def point_source_grid():
             model, theta, povm = _point_source_setup(q, dx)
             rep = susceptibility_report(model, theta, povm)
             rows[(q, float(dx))] = (rep.sigma_lower, rep.sigma_upper,
-                                    rep.diagnostics["sigma_lower_split"])
+                                    rep.sigma_lower_split)
     elapsed = time.perf_counter() - start
     return rows, elapsed
 

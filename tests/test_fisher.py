@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_sylvester
 
-from fisusc.fisher import (SingularFisherError, SingularScoreError,
+from fisusc.fisher import (SingularFisherError, SingularScoreError, _slds,
                            fisher_bundle, qfi_matrix, r_metric, r_nuisance,
                            sld, weak_commutativity)
 from fisusc.model import Povm, StatisticalModel, tensor_model
@@ -193,9 +194,49 @@ def test_small_dephasing_bell_row_succeeds():
     double = tensor_model(qubit_phase_dephasing(), 2)
     theta = [np.pi / 4, delta]
     rho = double.state_at(theta)
-    for drho in double.derivatives_at(theta):
-        L = sld(rho, drho)
-        assert np.max(np.abs(2 * drho - L @ rho - rho @ L)) <= 1e-8
+    derivs = double.derivatives_at(theta)
+    L, Q = _slds(rho, derivs)
+    for drho, Lj in zip(derivs, L):
+        assert np.max(np.abs(2 * drho - Lj @ rho - rho @ Lj)) <= 1e-10
+    Q1 = qfi_matrix(qubit_phase_dephasing(), theta).qfi
+    np.testing.assert_allclose(Q, 2.0 * Q1, rtol=1e-10, atol=1e-12 * np.max(np.abs(Q)))
+
+
+def _random_state_and_derivatives(rng, dim, rank, n_params):
+    """Random rank-`rank` state and derivatives of a unitary-plus-weight family."""
+    kets = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    U, _ = np.linalg.qr(kets)
+    w = rng.uniform(0.2, 1.0, rank)
+    w /= w.sum()
+    rho = (U * w) @ U.conj().T
+    derivs = []
+    for _ in range(n_params):
+        H = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        H = H + H.conj().T
+        dw = rng.standard_normal(rank)
+        dw -= dw.mean()
+        derivs.append(-1j * (H @ rho - rho @ H) + (U * dw) @ U.conj().T)
+    return (rho + rho.conj().T) / 2.0, [(d + d.conj().T) / 2.0 for d in derivs]
+
+
+@pytest.mark.parametrize("rank", [5, 2])
+def test_batched_slds_match_per_operator_formula(rank):
+    rng = np.random.default_rng(17 + rank)
+    for _ in range(5):
+        rho, derivs = _random_state_and_derivatives(rng, 5, rank, 3)
+        L, Q = _slds(rho, derivs)
+        for d, Lj in zip(derivs, L):
+            assert np.max(np.abs(2 * d - Lj @ rho - rho @ Lj)) <= 1e-10
+            np.testing.assert_allclose(Lj, sld(rho, d), atol=1e-12)
+        expected = np.array([[0.5 * np.real(np.trace(rho @ (Lj @ Lk + Lk @ Lj)))
+                              for Lk in L] for Lj in L])
+        np.testing.assert_allclose(Q, expected, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(expected)))
+        if rank == 5:
+            # full rank: the Lyapunov solution is unique
+            for d, Lj in zip(derivs, L):
+                np.testing.assert_allclose(Lj, solve_sylvester(rho, rho, 2 * d),
+                                           atol=1e-9 * np.max(np.abs(Lj)))
 
 
 def test_qfi_two_copy_additivity():

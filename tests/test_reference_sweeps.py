@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from fisusc.cli import main
+from fisusc.sweep import SweepSpec, run_sweep
 
 _spec = importlib.util.spec_from_file_location(
     "bench_gate", Path(__file__).resolve().parent.parent / "bench" / "gate.py")
@@ -38,3 +39,13 @@ def test_readme_sweep_matches_reference(name, tmp_path):
         assert main(list(gate.README_SWEEPS[name]) + ["--out", out]) == 0
     assert gate.compare_to_reference(name, gate.read_csv_rows(out), REFERENCE) == []
     assert gate.row_violations(_csv_rows_as_values(out)) == []
+
+
+def test_n_max_48_point_source_sweep_rows_hold_the_invariants(tmp_path):
+    # d = 49: the largest dimension a shipped sweep configuration runs
+    spec = SweepSpec(model="point-sources", measurement="optimal-hg",
+                     fixed={"x_c": 0.0, "q": 0.3}, sweep_name="dx", start=0.01,
+                     stop=1.0, count=50, n_max=48, out=str(tmp_path / "n48.csv"))
+    rows = run_sweep(spec)
+    assert not any(row["error"] for row in rows)
+    assert gate.row_violations(rows) == []

@@ -535,9 +535,41 @@ def test_report_flags_split_variant_on_bell_instance():
     report = susceptibility_report(model, theta, bell_povm(),
                                    oracle_samples=4000, seed=2)
     d = report.diagnostics
-    assert d["sigma_lower_split"] > report.sigma_lower + 1.0
+    assert report.sigma_lower_split > report.sigma_lower + 1.0
     assert d["split_exceeds_oracle"]
     assert report.sigma_lower - 1e-9 <= report.oracle_best <= report.sigma_upper + 1e-9
+
+
+def test_split_diagnostic_is_computed_when_read():
+    model = tensor_model(qubit_phase_dephasing(), 2)
+    report = susceptibility_report(model, [np.pi / 4, 0.1], bell_povm())
+    assert "sigma_lower_split" not in vars(report)
+    assert "split_exceeds_oracle" not in report.diagnostics
+    assert report.sigma_lower_split == pytest.approx(26.80416466489899, rel=1e-9)
+
+
+def test_noise_search_pinned_for_fixed_seed():
+    # no random sample beats the structured candidate, so the search
+    # returns the best-pair projector noise; value and noise are pinned
+    best, noise = noise_search_oracle(qubit_phase_dephasing(), [0.7, 0.3],
+                                      separable_povm(), n_samples=500, seed=4)
+    assert best == pytest.approx(12.852474617660665, rel=1e-12)
+    B = np.array([[0.5, 0.4057525380811081 + 0.2921726849668511j],
+                  [0.4057525380811081 - 0.2921726849668511j, 0.5]])
+    expected = [np.zeros((2, 2)), B, np.zeros((2, 2)), np.eye(2) - B]
+    np.testing.assert_allclose(noise.elements, expected, rtol=0, atol=1e-12)
+    theta = [0.1, 0.2, 0.3]
+    cfg = PointSourceConfig(n_max=20, x_m=x_opt(*theta))
+    best, noise = noise_search_oracle(point_source_model(cfg), theta,
+                                      optimal_povm_point_sources(cfg),
+                                      n_samples=300, seed=9)
+    assert best == pytest.approx(1049533.2673416492, rel=1e-9)
+    # the noise sits on outcomes (1, 4); the projector's rank is not pinned,
+    # since K_1 - K_4 has rank <= 4 and the rest of its spectrum is rounding
+    assert [float(np.max(np.abs(E))) > 0 for E in noise.elements] == [
+        False, True, False, False, True]
+    np.testing.assert_allclose(noise.elements[1] + noise.elements[4],
+                               np.eye(cfg.n_max + 1), atol=1e-12)
 
 
 def test_report_qubit_instance_no_flag():

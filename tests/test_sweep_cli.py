@@ -1,12 +1,17 @@
 import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 import yaml
 
+import fisusc.fisher as fisher
+import fisusc.sweep as sweep
 from fisusc.cli import main
-from fisusc.sweep import SweepSpec, SweepSpecError, run_sweep, sweep_columns
+from fisusc.model import StatisticalModel
+from fisusc.sweep import (SweepSpec, SweepSpecError, evaluate_point, run_sweep,
+                          sweep_columns)
 from fisusc.verify import check_hg_orthonormality, run_verify
 
 PHI = float(np.pi / 4)
@@ -77,7 +82,7 @@ def test_sweep_error_rows_continue(tmp_path):
                       fixed={"x_c": 0.0, "q": 0.5}, sweep_name="dx",
                       start=0.0, stop=0.4, count=3, scale="linear")
     rows = run_sweep(spec)
-    assert rows[0]["error"] != ""
+    assert "singular or ill-conditioned" in rows[0]["error"]
     assert rows[1]["error"] == "" and rows[2]["error"] == ""
 
 
@@ -183,3 +188,61 @@ def test_cli_verify_exit_code(tmp_path):
     assert main(["verify", "--seed", "0", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["all_passed"]
+
+
+def test_non_numerical_error_in_a_point_propagates(tmp_path, monkeypatch):
+    # only the package's numerical errors become error rows; anything else
+    # is a bug and must stop the sweep
+    def broken(*args):
+        raise ValueError("not a numerical failure")
+
+    monkeypatch.setattr(sweep, "_report", broken)
+    with pytest.raises(ValueError, match="not a numerical failure"):
+        run_sweep(small_spec(tmp_path))
+
+
+def _count_evaluations(monkeypatch):
+    """Count outermost state/derivative evaluations per model and every
+    checked inverse; nested calls (tensor_model's product rule) are not
+    separate evaluations."""
+    calls, inverted, depth = Counter(), [], [0]
+    for name in ("state_at", "derivatives_at"):
+        original = getattr(StatisticalModel, name)
+
+        def counted(self, theta, _original=original, _name=name):
+            if depth[0] == 0:
+                calls[(self, _name)] += 1
+            depth[0] += 1
+            try:
+                return _original(self, theta)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(StatisticalModel, name, counted)
+    checked = fisher._checked_inverse
+
+    def recording(F, what="Fisher matrix"):
+        inverted.append(np.array(F, dtype=float))
+        return checked(F, what)
+
+    monkeypatch.setattr(fisher, "_checked_inverse", recording)
+    return calls, inverted
+
+
+@pytest.mark.parametrize("model, measurement, fixed, swept, value, n_models, n_matrices", [
+    ("point-sources", "optimal-hg", {"x_c": 0.1, "q": 0.3}, "dx", 0.2, 1, 2),
+    ("phase-dephasing", "bell", {"phi": PHI}, "delta", 0.1, 2, 3),
+])
+def test_point_evaluates_each_model_once(tmp_path, monkeypatch, model, measurement,
+                                         fixed, swept, value, n_models, n_matrices):
+    spec = small_spec(tmp_path, model=model, measurement=measurement, fixed=fixed,
+                      sweep_name=swept, start=value, stop=1.0, oracle_samples=50)
+    calls, inverted = _count_evaluations(monkeypatch)
+    row = evaluate_point(spec, 0, value)
+    assert row["error"] == ""
+    assert len({m for m, _ in calls}) == n_models
+    assert set(calls.values()) == {1} and len(calls) == 2 * n_models
+    # one checked inverse per distinct matrix: F, Q (and Q_1 on Bell)
+    assert len(inverted) == n_matrices
+    assert all(not np.array_equal(a, b) for i, a in enumerate(inverted)
+               for b in inverted[i + 1:])
