@@ -28,6 +28,14 @@ single-parameter worst cases in the parametrization that diagonalizes F
 in that frame (``report.sigma_lower_split``) is not a lower bound - it can
 exceed the exact maximum, which the sampled search exposes - and is
 computed only as a diagnostic, when it is read.
+
+`susceptibility_report`, `sigma_lower`, `sigma_upper` and
+`noise_search_oracle` work on the bundle restricted to the joint range of
+rho and its derivatives (`FisherBundle.on_support`), which holds every K_a
+and every A~ operator: trace norms, bounds and X are unchanged, and the
+operators are r x r instead of d x d.  So ``report.frame`` holds its
+operators in that support basis (``report.diagnostics["support_rank"]`` is
+r); the returned noise POVMs act on the full space.
 """
 
 from dataclasses import dataclass
@@ -41,6 +49,7 @@ from .linalg import _trace_norms
 from .model import Povm, mix_povm
 
 CLUSTER_RTOL = 1e-8
+POSITIVE_PART_RTOL = 1e-12
 NOISE_ON_DROPPED_TOL = 1e-12
 ORACLE_STRIPES = 16
 
@@ -112,13 +121,13 @@ def g_matrix(atensor: ATensor, noise: Povm):
 
 def xi_matrix(F, G):
     """Matrix susceptibility Xi = I + F^-1 G."""
-    Finv = _checked_inverse(F)[0]
+    Finv = _checked_inverse(F)
     return np.eye(F.shape[0]) + Finv @ G
 
 
 def x_scalar(F, G, n_params):
     """Scalar susceptibility X = P + tr[F^-1 G] (equals tr Xi)."""
-    Finv = _checked_inverse(F)[0]
+    Finv = _checked_inverse(F)
     return float(n_params) + float(np.einsum("ij,ji->", Finv, G))
 
 
@@ -197,10 +206,10 @@ def sigma_lower(model, theta, povm, p_cutoff=DEFAULT_P_CUTOFF):
     Returns ``(Sigma_L, best_pair)`` with outcome indices of the
     maximizing pair (ties broken toward the lowest indices).
     """
-    bundle = fisher_bundle(model, theta, povm, p_cutoff)
-    (i, j), value = _best_pair(_k_operators(bundle))
-    kept = bundle.kept_outcomes
-    return bundle.n_params + value, (kept[i], kept[j])
+    reduced = fisher_bundle(model, theta, povm, p_cutoff).on_support[1]
+    (i, j), value = _best_pair(_k_operators(reduced))
+    kept = reduced.kept_outcomes
+    return reduced.n_params + value, (kept[i], kept[j])
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +319,8 @@ def _sigma_lower_split(frame):
 
 def sigma_upper(model, theta, povm, p_cutoff=DEFAULT_P_CUTOFF):
     """Upper bound Sigma_U = sum_j sigma_j and the per-parameter terms."""
-    bundle = fisher_bundle(model, theta, povm, p_cutoff)
-    return _sigma_upper_from_frame(diagonalize_frame(bundle))
+    reduced = fisher_bundle(model, theta, povm, p_cutoff).on_support[1]
+    return _sigma_upper_from_frame(diagonalize_frame(reduced))
 
 
 def x_from_extremal_sum(bundle: FisherBundle, frame: DiagonalizedFrame, noise: Povm):
@@ -380,24 +389,38 @@ def noise_search_oracle(model, theta, povm, n_samples, seed, p_cutoff=DEFAULT_P_
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
-    bundle = fisher_bundle(model, theta, povm, p_cutoff)
-    return _noise_search(bundle, _k_operators(bundle), n_samples, seed)
+    V, reduced = fisher_bundle(model, theta, povm, p_cutoff).on_support
+    K = _k_operators(reduced)
+    best_x, assignments = _noise_search(reduced, V, K, _best_pair(K), n_samples, seed)
+    return best_x, _materialize_noise(len(reduced.probabilities), povm.dim, assignments)
 
 
-def _noise_search(bundle, K, n_samples, seed):
-    """Body of `noise_search_oracle` on a bundle and its K operators."""
+def _noise_search(bundle, V, K, best, n_samples, seed):
+    """Body of `noise_search_oracle` on a bundle restricted to its support.
+
+    ``bundle`` and ``K`` are in the support basis ``V`` (None for the whole
+    space) and ``best`` is `_best_pair(K)`.  Returns ``(best_X,
+    assignments)``: the winning noise as (outcome, d x d element) pairs,
+    lifted to the full space.  A random sample B = U diag(u) U^dag is
+    scored as ``sum_k u_k w_k^dag D w_k`` with ``W = V^dag U``, so only a
+    winning sample's B is built.
+    """
     kept = bundle.kept_outcomes
     if len(kept) < 2:
         raise SingularFisherError("the noise search needs at least two kept outcomes")
-    E, dim = len(kept), bundle.rho.shape[0]
+    E = len(kept)
+    dim = bundle.rho.shape[0] if V is None else V.shape[0]
     P = bundle.n_params
     traces = np.real(np.einsum("aii->a", K))
     eye = np.eye(dim, dtype=complex)
 
-    # (a) structured candidate
-    (a, b), value = _best_pair(K)
-    w, V = np.linalg.eigh(K[a] - K[b])
-    pos = V[:, w > 0]
+    # (a) structured candidate: the projector onto the positive part of
+    # K_a - K_b; eigenvalues at rounding level are not part of it
+    (a, b), value = best
+    w, vecs = np.linalg.eigh(K[a] - K[b])
+    pos = vecs[:, w > POSITIVE_PART_RTOL * np.max(np.abs(w))]
+    if V is not None:
+        pos = V @ pos
     B = pos @ pos.conj().T
     best_x = P + value
     best_assign = [(kept[a], B), (kept[b], eye - B)]
@@ -414,16 +437,18 @@ def _noise_search(bundle, K, n_samples, seed):
             pairs = np.array([rng.choice(E, size=2, replace=False) for _ in range(n)])
             U = _haar_unitaries(rng, n, dim)
             u = rng.uniform(0.0, 1.0, size=(n, dim))
-            B = (U * u[:, None, :]) @ U.conj().swapaxes(-1, -2)
+            W = U if V is None else V.conj().T @ U
             D = K[pairs[:, 0]] - K[pairs[:, 1]]
-            xs = P + traces[pairs[:, 1]] + np.real(np.einsum("nij,nji->n", D, B))
+            xs = (P + traces[pairs[:, 1]]
+                  + np.real(np.einsum("nk,nik,nik->n", u, W.conj(), D @ W)))
             i = int(np.argmax(xs))
             if xs[i] > best_x:
                 best_x = float(xs[i])
                 a, b = pairs[i]
-                best_assign = [(kept[a], B[i]), (kept[b], eye - B[i])]
+                B = (U[i] * u[i]) @ U[i].conj().T
+                best_assign = [(kept[a], B), (kept[b], eye - B)]
 
-    return float(best_x), _materialize_noise(len(bundle.probabilities), dim, best_assign)
+    return float(best_x), best_assign
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +461,8 @@ class SusceptibilityReport:
 
     ``sigma_lower_split`` (the per-parameter trace-norm variant of the
     pair bound, not a lower bound) is computed from ``frame`` when read.
+    ``frame`` holds its operators in the support basis of the point
+    (``diagnostics["support_rank"]`` = r).
     """
 
     sigma_lower: float
@@ -464,20 +491,26 @@ def susceptibility_report(model, theta, povm, oracle_samples=0, seed=0,
 
 
 def _report(bundle, oracle_samples, seed):
-    """Body of `susceptibility_report` on a Fisher bundle."""
-    K = _k_operators(bundle)
-    (i, j), value = _best_pair(K)
-    frame = diagonalize_frame(bundle)
+    """Body of `susceptibility_report` on a Fisher bundle.
+
+    Everything is evaluated on the bundle restricted to its support.
+    """
+    V, reduced = bundle.on_support
+    K = _k_operators(reduced)
+    best = _best_pair(K)
+    (i, j), value = best
+    frame = diagonalize_frame(reduced)
     upper, sigmas = _sigma_upper_from_frame(frame)
     diagnostics = {
-        "condition_number_fisher": bundle.fisher_condition,
-        "kept_outcomes": bundle.kept_outcomes,
+        "condition_number_fisher": reduced.fisher_condition,
+        "kept_outcomes": reduced.kept_outcomes,
+        "support_rank": reduced.rho.shape[0],
     }
     oracle_best = None
     if oracle_samples > 0:
-        oracle_best, _ = _noise_search(bundle, K, oracle_samples, seed)
-    kept = bundle.kept_outcomes
-    report = SusceptibilityReport(sigma_lower=bundle.n_params + value, sigma_upper=upper,
+        oracle_best = _noise_search(reduced, V, K, best, oracle_samples, seed)[0]
+    kept = reduced.kept_outcomes
+    report = SusceptibilityReport(sigma_lower=reduced.n_params + value, sigma_upper=upper,
                                   per_parameter_sigmas=sigmas,
                                   best_pair=(kept[i], kept[j]), frame=frame,
                                   oracle_best=oracle_best, diagnostics=diagnostics)

@@ -10,6 +10,7 @@ sweep continues.
 import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,19 +122,32 @@ def _theta_for(spec, sweep_value):
 def build_model_povm(model_id, measurement, theta, n_max=20):
     """Model, measurement POVM and copy count at one parameter point.
 
-    The Hermite-Gauss measurement is re-aligned to the intensity
-    centroid of the supplied point, mirroring how the optimal
-    measurement is defined; within a point the apparatus is fixed.
+    The Hermite-Gauss modes are re-aligned to the intensity centroid of
+    the supplied point, mirroring how the optimal measurement is defined;
+    within a point the apparatus is fixed.  The POVM itself, in the
+    aligned basis, depends on ``n_max`` alone and is built once per
+    process (`_measurement_povm`).
     Returns ``(model, povm, copies, single_copy_model)``.
     """
+    povm = _measurement_povm(measurement, n_max)
     if model_id == "phase-dephasing":
         base = qubit_phase_dephasing()
         if measurement == "bell":
-            return tensor_model(base, 2), bell_povm(), 2, base
-        return base, separable_povm(), 1, base
-    cfg = PointSourceConfig(n_max=n_max, x_m=x_opt(*theta))
-    model = point_source_model(cfg)
-    return model, optimal_povm_point_sources(cfg), 1, model
+            return tensor_model(base, 2), povm, 2, base
+        return base, povm, 1, base
+    model = point_source_model(PointSourceConfig(n_max=n_max, x_m=x_opt(*theta)))
+    return model, povm, 1, model
+
+
+@lru_cache(maxsize=32)
+def _measurement_povm(measurement, n_max):
+    """The validated POVM of a measurement; shared, its elements are read-only."""
+    if measurement == "bell":
+        return bell_povm()
+    if measurement == "separable":
+        return separable_povm()
+    # the elements do not depend on the alignment point x_m
+    return optimal_povm_point_sources(PointSourceConfig(n_max=n_max, x_m=0.0))
 
 
 def _build_model(spec, sweep_value):
@@ -165,8 +179,10 @@ def evaluate_point(spec, index, sweep_value):
     """One sweep row as a dict; numerical failures land in 'error'.
 
     State, derivatives, F and Q are evaluated once; every column reads
-    them from the point's Fisher bundle.  The two-copy Bell row also
-    evaluates the single-copy Q_1 that r_multi compares against.
+    them from the point's Fisher bundle, and Q and the bounds are computed
+    on its restriction to the joint support of rho and its derivatives.
+    The two-copy Bell row also evaluates the single-copy Q_1 that r_multi
+    compares against.
     """
     names = _param_names(spec.model)
     row = {c: "" for c in sweep_columns(spec)}
@@ -175,7 +191,8 @@ def evaluate_point(spec, index, sweep_value):
         model, povm, copies, single_copy = _build_model(spec, sweep_value)
         theta = _theta_for(spec, sweep_value)
         bundle = fisher_bundle(model, theta, povm)
-        F, Q = bundle.fisher, _slds(bundle.rho, bundle.derivatives)[1]
+        reduced = bundle.on_support[1]
+        F, Q = bundle.fisher, _slds(reduced.rho, reduced.derivatives)[1]
         pairs = [f"{names[i]}_{names[j]}" for i in range(len(names))
                  for j in range(i, len(names))]
         for key, f, q in zip(pairs, _upper_triangle(F), _upper_triangle(Q)):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_sylvester
 
-from fisusc.fisher import (SingularFisherError, SingularScoreError, _slds,
-                           fisher_bundle, qfi_matrix, r_metric, r_nuisance,
-                           sld, weak_commutativity)
+from fisusc.fisher import (SingularFisherError, SingularScoreError,
+                           _checked_inverse, _slds, fisher_bundle, qfi_matrix,
+                           r_metric, r_nuisance, sld, weak_commutativity)
 from fisusc.model import Povm, StatisticalModel, tensor_model
 from fisusc.models import (PointSourceConfig, bell_povm,
                            optimal_povm_point_sources, point_source_model,
@@ -297,6 +297,22 @@ def test_r_metric_identity_case_and_errors():
     assert "condition number" in str(err.value)
     with pytest.raises(ValueError):
         r_metric(Q, Q, m=0)
+
+
+def test_fisher_refusal_is_independent_of_parameter_units():
+    F = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.5]])
+    S = np.diag([1e7, 1.0, 1e-7])      # theta_0 in units 1e7 larger, ...
+    assert np.linalg.cond(S @ F @ S) > 1e20
+    Finv = _checked_inverse(S @ F @ S)
+    np.testing.assert_allclose(S @ Finv @ S, np.linalg.inv(F), rtol=1e-6)
+    # a nearly dependent pair is refused in any units
+    G = np.array([[1.0, 1.0 - 1e-14], [1.0 - 1e-14, 1.0]])
+    for scale in (np.eye(2), np.diag([1e5, 1e-5])):
+        with pytest.raises(SingularFisherError, match="singular or ill-conditioned"):
+            _checked_inverse(scale @ G @ scale)
+    # a parameter the measurement does not see at all
+    with pytest.raises(SingularFisherError):
+        _checked_inverse(np.diag([1.0, 0.0]))
 
 
 def test_r_nuisance_identity_and_bounds():

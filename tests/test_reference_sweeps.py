@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import fisusc.sweep as sweep
 from fisusc.cli import main
 from fisusc.sweep import SweepSpec, run_sweep
 
@@ -49,3 +50,25 @@ def test_n_max_48_point_source_sweep_rows_hold_the_invariants(tmp_path):
     rows = run_sweep(spec)
     assert not any(row["error"] for row in rows)
     assert gate.row_violations(rows) == []
+
+
+@pytest.mark.parametrize("n_max", [20, 48])
+def test_point_source_sweep_points_reduce_to_rank_four(tmp_path, monkeypatch, n_max):
+    # the README point-source sweep (n_max = 20) and its d = 49 version: every
+    # point has a 4-dimensional joint support of rho and its derivatives,
+    # dx = 0.01 included, where the 4th singular value of the operator stack
+    # is 2.6e-8 of the largest
+    ranks, report = [], sweep._report
+
+    def recording(*args):
+        out = report(*args)
+        ranks.append(out.diagnostics["support_rank"])
+        return out
+
+    monkeypatch.setattr(sweep, "_report", recording)
+    spec = SweepSpec(model="point-sources", measurement="optimal-hg",
+                     fixed={"x_c": 0.0, "q": 0.3}, sweep_name="dx", start=0.01,
+                     stop=1.0, count=50, n_max=n_max, out=str(tmp_path / "ps.csv"))
+    rows = run_sweep(spec)
+    assert not any(row["error"] for row in rows)
+    assert ranks == [4] * 50

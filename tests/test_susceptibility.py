@@ -2,14 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fisusc.fisher import SingularFisherError, fisher_bundle
+from fisusc.fisher import SingularFisherError, _slds, fisher_bundle
 from fisusc.linalg import trace_norm
 from fisusc.model import Povm, StatisticalModel, tensor_model
 from fisusc.models import (PointSourceConfig, bell_povm,
                            optimal_povm_point_sources, point_source_model,
                            qubit_phase_dephasing, separable_povm, x_opt)
 from fisusc.susceptibility import (_best_pair, _k_operators,
+                                   _materialize_noise, _noise_search, _report,
+                                   _sigma_lower_split,
                                    _sigma_upper_from_frame, a_tensor,
                                    diagonalize_frame, g_matrix,
                                    noise_search_oracle, sigma_lower,
@@ -564,12 +568,15 @@ def test_noise_search_pinned_for_fixed_seed():
                                       optimal_povm_point_sources(cfg),
                                       n_samples=300, seed=9)
     assert best == pytest.approx(1049533.2673416492, rel=1e-9)
-    # the noise sits on outcomes (1, 4); the projector's rank is not pinned,
-    # since K_1 - K_4 has rank <= 4 and the rest of its spectrum is rounding
+    # the noise sits on outcomes (1, 4): the projector onto the positive
+    # part of K_1 - K_4 (rank <= 4), which has rank 2, and its complement
     assert [float(np.max(np.abs(E))) > 0 for E in noise.elements] == [
         False, True, False, False, True]
     np.testing.assert_allclose(noise.elements[1] + noise.elements[4],
                                np.eye(cfg.n_max + 1), atol=1e-12)
+    w = np.linalg.eigvalsh(noise.elements[1])
+    assert np.sum(w > 0.5) == 2
+    np.testing.assert_allclose(w, np.round(w), atol=1e-12)
 
 
 def test_report_qubit_instance_no_flag():
@@ -625,3 +632,117 @@ def test_sigma_lower_invariant_under_badly_scaled_reparametrization(model, theta
     lo1, pair1 = sigma_lower(wrapped, T @ theta, povm)
     assert lo1 == pytest.approx(lo0, rel=1e-9)
     assert pair1 == pair0
+
+
+# ---------------------------------------------------------------------------
+# Restriction to the joint support of rho and its derivatives
+# ---------------------------------------------------------------------------
+
+def embedded_family(rng, k, m, d, P):
+    """Rank-m family V sigma(theta) V^dag in d dimensions, V a random (d, k)
+    isometry.
+
+    sigma = A A^dag / Tr[A A^dag] with the k x m matrix A = A_0 + sum_j theta_j A_j
+    has rank m for every theta near 0, and sigma and its derivatives have a
+    joint range of dimension min(k, m (P + 1)).  Derivatives are analytic.
+    """
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    A0 = np.eye(k, m) + 0.3 * cplx(k, m)
+    As = 0.5 * cplx(P, k, m)
+    V = np.linalg.qr(cplx(d, k))[0]
+
+    def parts(theta):
+        A = A0 + np.einsum("j,jxy->xy", theta, As)
+        M = A @ A.conj().T
+        t = np.real(np.trace(M))
+        dM = As @ A.conj().T + A @ As.conj().swapaxes(-1, -2)
+        dt = np.real(np.einsum("jxx->j", dM))
+        return M / t, dM / t - np.einsum("j,xy->jxy", dt, M) / t ** 2
+
+    model = StatisticalModel(
+        d, tuple(f"t{j}" for j in range(P)),
+        lambda theta: V @ parts(theta)[0] @ V.conj().T,
+        derivative_fn=lambda theta: list(V @ parts(theta)[1] @ V.conj().T))
+    return model, np.zeros(P)
+
+
+def random_povm(rng, d, n_outcomes):
+    G = [B @ B.conj().T for B in (rng.standard_normal((n_outcomes, d, d))
+                                  + 1j * rng.standard_normal((n_outcomes, d, d)))]
+    w, U = np.linalg.eigh(sum(G))
+    S = (U / np.sqrt(w)) @ U.conj().T
+    return Povm([S @ g @ S for g in G])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(2, 5), rank=st.integers(1, 5),
+       extra=st.integers(1, 4), P=st.integers(1, 3), more_outcomes=st.integers(0, 2))
+def test_support_reduction_matches_full_dimension(seed, k, rank, extra, P, more_outcomes):
+    # the state has rank m <= k; its derivatives fill the rest of the
+    # embedded k dimensions when m (P + 1) >= k
+    m = min(rank, k)
+    assume(m * (P + 1) >= k)
+    rng = np.random.default_rng(seed)
+    d = k + extra
+    model, theta = embedded_family(rng, k, m, d, P)
+    povm = random_povm(rng, d, P + 2 + more_outcomes)
+    bundle = fisher_bundle(model, theta, povm)
+    assume(np.linalg.cond(bundle.fisher) < 1e6)
+    V, reduced = bundle.on_support
+    assert V.shape == (d, k)
+    np.testing.assert_allclose(V.conj().T @ V, np.eye(k), atol=1e-12)
+    report = _report(bundle, 0, 0)
+    assert report.diagnostics["support_rank"] == k
+    # full-dimensional evaluation of the same quantities
+    Q_full = _slds(bundle.rho, bundle.derivatives)[1]
+    Q_red = _slds(reduced.rho, reduced.derivatives)[1]
+    np.testing.assert_allclose(Q_red, Q_full, rtol=0, atol=1e-10 * np.max(np.abs(Q_full)))
+    frame = diagonalize_frame(bundle)
+    lower = bundle.n_params + _best_pair(_k_operators(bundle))[1]
+    upper, sigmas = _sigma_upper_from_frame(frame)
+    assert report.sigma_lower == pytest.approx(lower, rel=1e-10)
+    assert report.sigma_upper == pytest.approx(upper, rel=1e-10)
+    np.testing.assert_allclose(report.per_parameter_sigmas, sigmas, rtol=1e-10)
+    assert report.sigma_lower_split == pytest.approx(_sigma_lower_split(frame), rel=1e-10)
+
+
+@pytest.mark.parametrize("model, theta, povm", instances(12, 1))
+def test_sampled_noise_score_is_its_susceptibility(model, theta, povm):
+    # with the structured candidate's value pushed below every sample, the
+    # best random sample wins; its score, taken in the support basis, must
+    # be X of the full-space noise it returns
+    bundle = fisher_bundle(model, theta, povm)
+    V, reduced = bundle.on_support
+    K = _k_operators(reduced)
+    (pair, _) = _best_pair(K)
+    best_x, assignments = _noise_search(reduced, V, K, (pair, -np.inf), 40, seed=5)
+    noise = _materialize_noise(len(povm), povm.dim, assignments)
+    x = x_scalar(bundle.fisher, g_matrix(a_tensor(bundle), noise), bundle.n_params)
+    assert best_x == pytest.approx(x, rel=1e-9, abs=1e-9)
+    assert best_x < bundle.n_params + _best_pair(K)[1]
+
+
+def test_full_rank_bundle_is_its_own_support():
+    _, _, bundle = qubit_bundle()
+    V, reduced = bundle.on_support
+    assert V is None and reduced is bundle
+    report = susceptibility_report(qubit_phase_dephasing(), [np.pi / 4, 0.3],
+                                   separable_povm())
+    assert report.diagnostics["support_rank"] == 2
+
+
+def test_reduced_bundle_shares_the_checked_fisher_inverse():
+    theta = [0.1, 0.2, 0.3]
+    cfg = PointSourceConfig(n_max=20, x_m=x_opt(*theta))
+    bundle = fisher_bundle(point_source_model(cfg), theta, optimal_povm_point_sources(cfg))
+    V, reduced = bundle.on_support
+    assert V.shape == (21, 4)
+    assert reduced.fisher is bundle.fisher and reduced.scores is bundle.scores
+    assert reduced.fisher_inverse is bundle.fisher_inverse
+    # the lifted operators reproduce the full ones
+    for X, Xr in zip((bundle.rho,) + bundle.derivatives,
+                     (reduced.rho,) + reduced.derivatives):
+        np.testing.assert_allclose(V @ Xr @ V.conj().T, X, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(X)))

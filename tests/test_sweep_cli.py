@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 from collections import Counter
 
 import numpy as np
@@ -10,8 +11,10 @@ import fisusc.fisher as fisher
 import fisusc.sweep as sweep
 from fisusc.cli import main
 from fisusc.model import StatisticalModel
-from fisusc.sweep import (SweepSpec, SweepSpecError, evaluate_point, run_sweep,
-                          sweep_columns)
+from fisusc.models import (PointSourceConfig, bell_povm,
+                           optimal_povm_point_sources, separable_povm, x_opt)
+from fisusc.sweep import (SweepSpec, SweepSpecError, build_model_povm,
+                          evaluate_point, run_sweep, sweep_columns)
 from fisusc.verify import check_hg_orthonormality, run_verify
 
 PHI = float(np.pi / 4)
@@ -57,6 +60,40 @@ def test_sweep_csv_byte_identical_and_worker_independent(tmp_path):
     assert b"\r\n" in b1    # RFC-4180 line endings
 
 
+def test_point_source_search_csv_worker_independent(tmp_path):
+    # the pool threads share the cached POVM; the sampled search runs in the
+    # support basis of each point
+    spec = dict(model="point-sources", measurement="optimal-hg",
+                fixed={"x_c": 0.2, "q": 0.4}, sweep_name="dx", start=0.05, stop=0.8,
+                count=6, oracle_samples=100)
+    outs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            outs.append(str(tmp_path / f"w{workers}.csv"))
+            rows = run_sweep(small_spec(tmp_path, workers=workers, **spec), out_path=outs[-1])
+            assert not any(row["error"] for row in rows)
+    finally:
+        sys.setswitchinterval(interval)
+    b1, b2, b3 = (open(p, "rb").read() for p in outs)
+    assert b1 == b2 == b3
+
+
+def test_measurement_povm_is_built_once():
+    theta_a, theta_b = [0.1, 0.2, 0.3], [-0.4, 0.7, 0.6]
+    povm = build_model_povm("point-sources", "optimal-hg", theta_a, 20)[1]
+    assert build_model_povm("point-sources", "optimal-hg", theta_b, 20)[1] is povm
+    fresh = optimal_povm_point_sources(PointSourceConfig(n_max=20, x_m=x_opt(*theta_b)))
+    np.testing.assert_array_equal(povm.elements, fresh.elements)
+    assert povm.labels == fresh.labels and not povm.elements.flags.writeable
+    assert build_model_povm("point-sources", "optimal-hg", theta_a, 21)[1].dim == 22
+    for measurement, build in (("separable", separable_povm), ("bell", bell_povm)):
+        povm = build_model_povm("phase-dephasing", measurement, [0.3, 0.1])[1]
+        assert build_model_povm("phase-dephasing", measurement, [1.1, 0.5])[1] is povm
+        np.testing.assert_array_equal(povm.elements, build().elements)
+
+
 def test_sweep_bell_rows_match_closed_form(tmp_path):
     spec = small_spec(tmp_path, measurement="bell", count=3, start=0.05, stop=0.3)
     rows = run_sweep(spec)
@@ -84,6 +121,19 @@ def test_sweep_error_rows_continue(tmp_path):
     rows = run_sweep(spec)
     assert "singular or ill-conditioned" in rows[0]["error"]
     assert rows[1]["error"] == "" and rows[2]["error"] == ""
+
+
+def test_small_separation_row_is_not_refused_for_its_units(tmp_path):
+    # at dx = 1e-3 the raw condition number of F is ~5e12, but only because
+    # dx is barely visible in these units; unit-scaled it is ~3e7
+    spec = small_spec(tmp_path, model="point-sources", measurement="optimal-hg",
+                      fixed={"x_c": 0.0, "q": 0.3}, sweep_name="dx")
+    row = evaluate_point(spec, 0, 1e-3)
+    assert row["error"] == ""
+    assert row["condition_number_F"] > 1e12
+    assert row["sigma_lower"] <= row["sigma_upper"]
+    assert row["r_multi"] >= 1.0
+    assert all(row[f"r_nuisance_{n}"] >= 1.0 for n in ("x_c", "dx", "q"))
 
 
 def test_sweep_spec_validation_errors(tmp_path):
