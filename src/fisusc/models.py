@@ -16,6 +16,7 @@ profile has unit variance.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -138,6 +139,14 @@ def _overlap_derivative(n, d, sqrt_factorial):
             / sqrt_factorial)
 
 
+@lru_cache(maxsize=32)
+def _sqrt_factorials(n_max):
+    """sqrt(n!) for n = 0..n_max; shared by every model of that n_max, read-only."""
+    values = np.sqrt(factorial(np.arange(n_max + 1)))
+    values.flags.writeable = False
+    return values
+
+
 def x_opt(x_c, dx, q):
     """Optimal measurement alignment point: the intensity centroid."""
     return x_c + (q - 0.5) * dx
@@ -181,7 +190,7 @@ def point_source_model(cfg: PointSourceConfig):
     """
     x_m = cfg.alignment()
     modes = np.arange(cfg.n_max + 1)
-    sqrt_factorial = np.sqrt(factorial(modes))
+    sqrt_factorial = _sqrt_factorials(cfg.n_max)
 
     def coefficients(values):
         x_c, dx, q = values

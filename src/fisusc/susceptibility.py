@@ -35,7 +35,13 @@ rho and its derivatives (`FisherBundle.on_support`), which holds every K_a
 and every A~ operator: trace norms, bounds and X are unchanged, and the
 operators are r x r instead of d x d.  So ``report.frame`` holds its
 operators in that support basis (``report.diagnostics["support_rank"]`` is
-r); the returned noise POVMs act on the full space.
+r); the returned noise POVMs act on the full space.  The sampled search
+draws each Haar sample U only as the block V^dag U (r x d, r = 4 for point
+sources, Gram-Schmidt of r Gaussian columns) and returns a winning noise
+as its compression onto the support, which has the same X.  No sample
+beats the pair bound, since Tr[(K_a - K_b) B] <= Tr[(K_a - K_b)_+] for
+0 <= B <= I, so the search returns Sigma_L unless that inequality fails
+numerically.
 """
 
 from dataclasses import dataclass
@@ -351,13 +357,26 @@ def x_from_extremal_sum(bundle: FisherBundle, frame: DiagonalizedFrame, noise: P
 # Sampled search over noise POVMs
 # ---------------------------------------------------------------------------
 
-def _haar_unitaries(rng, n, dim):
-    z = (rng.standard_normal((n, dim, dim))
-         + 1j * rng.standard_normal((n, dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    phases = np.einsum("nii->ni", r).copy()
-    phases /= np.abs(phases)
-    return q * phases[:, None, :]
+def _two_outcome_samples(rng, n, n_outcomes, dim, r):
+    """Draw n random two-outcome noises, each given by its support block.
+
+    Returns ``(a, b, W, u)``: ordered outcome pairs a != b, uniform over
+    the ``n_outcomes (n_outcomes - 1)`` choices; W (n, r, dim) with
+    orthonormal rows; u (n, dim) uniform in [0, 1].  For a Haar-random
+    d x d unitary U and an isometry V (d, r), ``V^dag U`` has the law of
+    W, so ``W diag(u) W^dag`` is ``V^dag B V`` for B = U diag(u) U^dag.
+    W is the transposed Q factor of a complex Gaussian (dim, r) matrix,
+    with the phases of R's diagonal moved into Q (Mezzadri, Notices AMS
+    54, 592, 2007); at r = dim it is a Haar unitary.
+    """
+    a = rng.integers(n_outcomes, size=n)
+    b = rng.integers(n_outcomes - 1, size=n)
+    b += b >= a
+    z = rng.standard_normal((n, dim, r)) + 1j * rng.standard_normal((n, dim, r))
+    q, R = np.linalg.qr(z)
+    phases = np.einsum("nii->ni", R)
+    W = (q * (phases / np.abs(phases))[:, None, :]).transpose(0, 2, 1)
+    return a, b, W, rng.uniform(0.0, 1.0, size=(n, dim))
 
 
 def _materialize_noise(n_outcomes, dim, assignments):
@@ -378,7 +397,12 @@ def noise_search_oracle(model, theta, povm, n_samples, seed, p_cutoff=DEFAULT_P_
         so ``best_X >= Sigma_L`` always), and
     (b) ``n_samples`` random two-outcome POVMs {B, I - B} with
         B = U diag(u) U^dag for Haar-random U and uniform u in [0, 1],
-        placed on a random pair of kept outcomes.
+        placed on a random ordered pair of kept outcomes.  X reads B only
+        through its compression onto the support V of the point, so only
+        the r x d block W = V^dag U is drawn; a winning sample is returned
+        as that compression, B = V W diag(u) W^dag V^dag, a valid element
+        (0 <= B <= I) with the same X, and the Haar sample itself at full
+        rank.  No sample can beat (a): Tr[(K_a - K_b) B] <= Tr[(K_a - K_b)_+].
 
     The sample budget is split over fixed stripes with independently
     seeded generators, so the result is deterministic for a given seed
@@ -401,9 +425,9 @@ def _noise_search(bundle, V, K, best, n_samples, seed):
     ``bundle`` and ``K`` are in the support basis ``V`` (None for the whole
     space) and ``best`` is `_best_pair(K)`.  Returns ``(best_X,
     assignments)``: the winning noise as (outcome, d x d element) pairs,
-    lifted to the full space.  A random sample B = U diag(u) U^dag is
-    scored as ``sum_k u_k w_k^dag D w_k`` with ``W = V^dag U``, so only a
-    winning sample's B is built.
+    lifted to the full space.  A random sample is drawn as its support
+    block ``W = V^dag U`` (`_two_outcome_samples`) and scored as
+    ``sum_k u_k w_k^dag D w_k``, so only a winning sample's B is built.
     """
     kept = bundle.kept_outcomes
     if len(kept) < 2:
@@ -433,20 +457,18 @@ def _noise_search(bundle, V, K, best, n_samples, seed):
             n = len(stripe)
             if n == 0:
                 continue
-            rng = np.random.default_rng(child)
-            pairs = np.array([rng.choice(E, size=2, replace=False) for _ in range(n)])
-            U = _haar_unitaries(rng, n, dim)
-            u = rng.uniform(0.0, 1.0, size=(n, dim))
-            W = U if V is None else V.conj().T @ U
-            D = K[pairs[:, 0]] - K[pairs[:, 1]]
-            xs = (P + traces[pairs[:, 1]]
+            a, b, W, u = _two_outcome_samples(np.random.default_rng(child), n, E,
+                                              dim, K.shape[1])
+            D = K[a] - K[b]
+            xs = (P + traces[b]
                   + np.real(np.einsum("nk,nik,nik->n", u, W.conj(), D @ W)))
             i = int(np.argmax(xs))
             if xs[i] > best_x:
                 best_x = float(xs[i])
-                a, b = pairs[i]
-                B = (U[i] * u[i]) @ U[i].conj().T
-                best_assign = [(kept[a], B), (kept[b], eye - B)]
+                B = (W[i] * u[i]) @ W[i].conj().T
+                if V is not None:
+                    B = V @ B @ V.conj().T
+                best_assign = [(kept[a[i]], B), (kept[b[i]], eye - B)]
 
     return float(best_x), best_assign
 

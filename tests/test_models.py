@@ -7,7 +7,7 @@ from fisusc.models import (POINT_SOURCE_WEIGHTS, PhaseDephasingConfig,
                            PointSourceConfig, bell_povm, hg_overlap,
                            hg_overlap_closed_form, optimal_povm_point_sources,
                            point_source_model, qubit_phase_dephasing,
-                           separable_povm, x_opt)
+                           separable_povm, x_opt, _sqrt_factorials)
 
 
 def test_qubit_off_diagonal_value():
@@ -122,6 +122,22 @@ def test_point_source_trace_and_leakage():
     with pytest.raises(DomainError) as err:
         tight.state_at([3.0, 0.1, 0.5])
     assert "n_max" in str(err.value)
+
+
+def test_point_source_state_is_built_from_the_closed_form():
+    # sqrt(n!) is computed once per n_max and shared by every model of it;
+    # the state is bit-identical to the closed-form coefficients
+    x_c, dx, q = 0.1, 0.3, 0.4
+    cfg = PointSourceConfig(n_max=20, x_m=0.02)
+    modes = np.arange(21)
+    c_plus = hg_overlap_closed_form(modes, 0.02 + (x_c + dx / 2 - 0.02), 0.02)
+    c_minus = hg_overlap_closed_form(modes, 0.02 + (x_c - dx / 2 - 0.02), 0.02)
+    expected = q * np.outer(c_plus, c_plus) + (1 - q) * np.outer(c_minus, c_minus)
+    for _ in range(2):
+        np.testing.assert_array_equal(point_source_model(cfg).state_at([x_c, dx, q]),
+                                      expected)
+    assert _sqrt_factorials(20) is _sqrt_factorials(20)
+    assert not _sqrt_factorials(20).flags.writeable
 
 
 def test_point_source_parity_blocks_at_balanced_intensity():

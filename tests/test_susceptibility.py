@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from fisusc.fisher import SingularFisherError, _slds, fisher_bundle
 from fisusc.linalg import trace_norm
-from fisusc.model import Povm, StatisticalModel, tensor_model
+from fisusc.model import Povm, StatisticalModel, tensor_model, validate_povm
 from fisusc.models import (PointSourceConfig, bell_povm,
                            optimal_povm_point_sources, point_source_model,
                            qubit_phase_dephasing, separable_povm, x_opt)
 from fisusc.susceptibility import (_best_pair, _k_operators,
                                    _materialize_noise, _noise_search, _report,
                                    _sigma_lower_split,
-                                   _sigma_upper_from_frame, a_tensor,
+                                   _sigma_upper_from_frame,
+                                   _two_outcome_samples, a_tensor,
                                    diagonalize_frame, g_matrix,
                                    noise_search_oracle, sigma_lower,
                                    sigma_single, sigma_upper,
@@ -719,9 +720,46 @@ def test_sampled_noise_score_is_its_susceptibility(model, theta, povm):
     (pair, _) = _best_pair(K)
     best_x, assignments = _noise_search(reduced, V, K, (pair, -np.inf), 40, seed=5)
     noise = _materialize_noise(len(povm), povm.dim, assignments)
+    # the returned element is the sample's compression onto the support
+    assert validate_povm(noise, 1e-9).passed
     x = x_scalar(bundle.fisher, g_matrix(a_tensor(bundle), noise), bundle.n_params)
     assert best_x == pytest.approx(x, rel=1e-9, abs=1e-9)
     assert best_x < bundle.n_params + _best_pair(K)[1]
+
+
+@pytest.mark.parametrize("model, theta, povm", instances(13, 2))
+def test_no_sample_beats_the_pair_bound(model, theta, povm):
+    # Tr[(K_a - K_b) B] <= Tr[(K_a - K_b)_+] for 0 <= B <= I: with the
+    # structured candidate pushed to -inf, the best of many samples still
+    # stays at or below Sigma_L, so a searched sweep reports Sigma_L itself
+    bundle = fisher_bundle(model, theta, povm)
+    V, reduced = bundle.on_support
+    K = _k_operators(reduced)
+    pair, value = _best_pair(K)
+    best_x, _ = _noise_search(reduced, V, K, (pair, -np.inf), 2000, seed=11)
+    lower = bundle.n_params + value
+    assert best_x <= lower * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("dim, r", [(21, 4), (4, 4)])
+def test_two_outcome_samples_follow_the_haar_block_law(dim, r):
+    n, n_outcomes = 4000, 5
+    a, b, W, u = _two_outcome_samples(np.random.default_rng(17), n, n_outcomes, dim, r)
+    assert W.shape == (n, r, dim) and u.shape == (n, dim)
+    eye = np.broadcast_to(np.eye(r), (n, r, r))
+    np.testing.assert_allclose(W @ W.conj().transpose(0, 2, 1), eye, rtol=0, atol=1e-12)
+    w = np.linalg.eigvalsh((W * u[:, None, :]) @ W.conj().transpose(0, 2, 1))
+    assert w.min() >= -1e-12 and w.max() <= 1.0 + 1e-12
+    # every entry of a Haar unitary has E|U_ij|^2 = 1/dim and mean 0
+    np.testing.assert_allclose(np.mean(np.abs(W) ** 2, axis=0), 1.0 / dim, rtol=0.1)
+    assert np.max(np.abs(np.mean(W, axis=0))) < 5.0 / np.sqrt(n * dim)
+    # ordered pairs a != b, each about equally often
+    assert not np.any(a == b)
+    counts = np.zeros((n_outcomes, n_outcomes), dtype=int)
+    np.add.at(counts, (a, b), 1)
+    expected = n / (n_outcomes * (n_outcomes - 1))
+    off = counts[~np.eye(n_outcomes, dtype=bool)]
+    assert np.all(off > 0.75 * expected) and np.all(off < 1.25 * expected)
 
 
 def test_full_rank_bundle_is_its_own_support():

@@ -78,6 +78,10 @@ def test_point_source_search_csv_worker_independent(tmp_path):
         sys.setswitchinterval(interval)
     b1, b2, b3 = (open(p, "rb").read() for p in outs)
     assert b1 == b2 == b3
+    # no random sample beats the pair bound: the searched value is Sigma_L
+    rows = list(csv.DictReader(b1.decode().splitlines()))
+    assert len(rows) == 6
+    assert all(row["oracle_best_X"] == row["sigma_lower"] for row in rows)
 
 
 def test_measurement_povm_is_built_once():
