@@ -15,18 +15,16 @@ width: the amplitude point-spread function is
 profile has unit variance.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import eval_hermite, factorial
+from numpy.polynomial.hermite import hermgauss, hermval
 
 from .model import DomainError, Povm, StatisticalModel
 
 TRUNCATION_LEAKAGE_TOL = 1e-8
-QUADRATURE_WINDOW = 12.0
-QUADRATURE_ABS_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -94,27 +92,40 @@ def _psf_amplitude(x, x0):
     return (2.0 * np.pi) ** -0.25 * np.exp(-((x - x0) ** 2) / 4.0)
 
 
+def _sqrt_factorial(n):
+    # math.factorial is exact, so each n! is rounded to float once, correctly
+    return np.sqrt(np.vectorize(math.factorial, otypes=[float])(n))
+
+
 def _hg_mode(n, x, x_m):
     # normalized mode: g(x, x_m) H_n((x - x_m)/sqrt(2)) has norm sqrt(2^n n!)
-    return (_psf_amplitude(x, x_m) * eval_hermite(n, (x - x_m) / np.sqrt(2.0))
-            / np.sqrt(2.0 ** n * factorial(n)))
+    return (_psf_amplitude(x, x_m) * hermval((x - x_m) / np.sqrt(2.0), [0] * n + [1])
+            / np.sqrt(2.0 ** n * math.factorial(n)))
+
+
+def _gauss_hermite(f, center, degree):
+    """Integral of f over the real line by Gauss-Hermite quadrature.
+
+    Exact when f(x) is exp(-(x - center)^2 / 2) times a polynomial of
+    degree <= ``degree``: with x = center + sqrt(2) y the integrand is
+    exp(-y^2) times a polynomial in y, and ``degree // 2 + 1`` nodes
+    integrate that exactly.
+    """
+    y, w = hermgauss(degree // 2 + 1)
+    return np.sqrt(2.0) * float(np.sum(w * np.exp(y * y) * f(center + np.sqrt(2.0) * y)))
 
 
 def hg_overlap(n, x0, x_m=0.0):
     """Overlap of the n-th Hermite-Gauss mode at x_m with a PSF at x0.
 
-    Computed by adaptive quadrature over a window where the Gaussian
-    tails are negligible; cross-validated against the closed form
-    :func:`hg_overlap_closed_form`.
+    Computed by exact Gauss-Hermite quadrature of the mode times the PSF
+    (a Gaussian centered at (x0 + x_m)/2 times a degree-n polynomial);
+    cross-validated against the closed form :func:`hg_overlap_closed_form`.
     """
     if n < 0:
         raise ValueError("mode index must be >= 0")
-    value, err = quad(lambda x: _hg_mode(n, x, x_m) * _psf_amplitude(x, x0),
-                      x_m - QUADRATURE_WINDOW, x_m + QUADRATURE_WINDOW,
-                      epsabs=QUADRATURE_ABS_TOL, limit=200)
-    if err > 1e-8:
-        raise RuntimeError(f"quadrature did not converge (error estimate {err:.2e})")
-    return float(value)
+    return _gauss_hermite(lambda x: _hg_mode(n, x, x_m) * _psf_amplitude(x, x0),
+                          (x0 + x_m) / 2.0, n)
 
 
 def hg_overlap_closed_form(n, x0, x_m=0.0):
@@ -122,7 +133,7 @@ def hg_overlap_closed_form(n, x0, x_m=0.0):
     state of the mode family, so the coefficient is
     e^{-d^2/8} (d/2)^n / sqrt(n!) with d = x0 - x_m."""
     n = np.asarray(n)
-    return _hg_overlap(n, x0, x_m, np.sqrt(factorial(n)))
+    return _hg_overlap(n, x0, x_m, _sqrt_factorial(n))
 
 
 def _hg_overlap(n, x0, x_m, sqrt_factorial):
@@ -142,7 +153,7 @@ def _overlap_derivative(n, d, sqrt_factorial):
 @lru_cache(maxsize=32)
 def _sqrt_factorials(n_max):
     """sqrt(n!) for n = 0..n_max; shared by every model of that n_max, read-only."""
-    values = np.sqrt(factorial(np.arange(n_max + 1)))
+    values = _sqrt_factorial(np.arange(n_max + 1))
     values.flags.writeable = False
     return values
 

@@ -26,8 +26,8 @@ Only ``Sigma_U = sum_j sigma_j`` depends on a frame: it sums
 single-parameter worst cases in the parametrization that diagonalizes F
 (`diagonalize_frame`).  Taking the pair bound's trace norm per parameter
 in that frame (``report.sigma_lower_split``) is not a lower bound - it can
-exceed the exact maximum, which the sampled search exposes - and is
-computed only as a diagnostic, when it is read.
+exceed the exact maximum - and is computed only as a diagnostic, when it
+is read.
 
 `susceptibility_report`, `sigma_lower`, `sigma_upper` and
 `noise_search_oracle` work on the bundle restricted to the joint range of
@@ -277,23 +277,10 @@ def _canonical_diagonalizer(F, cluster_rtol=CLUSTER_RTOL):
     return J, np.diag(J @ F @ J.T).copy()
 
 
-def diagonalize_frame(bundle: FisherBundle, jacobian=None) -> DiagonalizedFrame:
-    """Transform a Fisher bundle into the F-diagonalizing parametrization.
-
-    ``jacobian`` overrides the canonical choice (it must still
-    diagonalize F); this hook exists so that frame-dependence can be
-    probed directly.
-    """
+def diagonalize_frame(bundle: FisherBundle) -> DiagonalizedFrame:
+    """Transform a Fisher bundle into the F-diagonalizing parametrization."""
     bundle.fisher_inverse                # fail early when F is singular
-    if jacobian is None:
-        J, fdiag = _canonical_diagonalizer(bundle.fisher)
-    else:
-        J = np.asarray(jacobian, dtype=float)
-        Ft = J @ bundle.fisher @ J.T
-        off = Ft - np.diag(np.diag(Ft))
-        if float(np.max(np.abs(off))) > 1e-9 * max(1.0, float(np.max(np.abs(Ft)))):
-            raise ValueError("supplied jacobian does not diagonalize the Fisher matrix")
-        fdiag = np.diag(Ft).copy()
+    J, fdiag = _canonical_diagonalizer(bundle.fisher)
     tilde_derivs = np.einsum("jk,kxy->jxy", J, np.stack(bundle.derivatives))
     tilde_scores = bundle.scores @ J.T
     l = tilde_scores[:, :, None, None]
@@ -502,13 +489,7 @@ class SusceptibilityReport:
 
 def susceptibility_report(model, theta, povm, oracle_samples=0, seed=0,
                           p_cutoff=DEFAULT_P_CUTOFF):
-    """Full susceptibility analysis: bounds, frame, optional sampled search.
-
-    When the search runs, ``diagnostics["split_exceeds_oracle"]`` flags a
-    ``report.sigma_lower_split`` above the sampled maximum - evidence that
-    the per-parameter variant is not a lower bound on Sigma for this
-    instance.
-    """
+    """Full susceptibility analysis: bounds, frame, optional sampled search."""
     return _report(fisher_bundle(model, theta, povm, p_cutoff), oracle_samples, seed)
 
 
@@ -532,11 +513,7 @@ def _report(bundle, oracle_samples, seed):
     if oracle_samples > 0:
         oracle_best = _noise_search(reduced, V, K, best, oracle_samples, seed)[0]
     kept = reduced.kept_outcomes
-    report = SusceptibilityReport(sigma_lower=reduced.n_params + value, sigma_upper=upper,
-                                  per_parameter_sigmas=sigmas,
-                                  best_pair=(kept[i], kept[j]), frame=frame,
-                                  oracle_best=oracle_best, diagnostics=diagnostics)
-    if oracle_best is not None:
-        diagnostics["split_exceeds_oracle"] = bool(
-            report.sigma_lower_split > oracle_best + 1e-9 * max(1.0, abs(oracle_best)))
-    return report
+    return SusceptibilityReport(sigma_lower=reduced.n_params + value, sigma_upper=upper,
+                                per_parameter_sigmas=sigmas,
+                                best_pair=(kept[i], kept[j]), frame=frame,
+                                oracle_best=oracle_best, diagnostics=diagnostics)

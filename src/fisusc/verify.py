@@ -321,13 +321,11 @@ def check_hg_orthonormality(seed, weights=None):
     gram_err = float(np.max(np.abs(w @ w.T - np.eye(4))))
     if gram_err > 1e-12:
         return False, f"weight rows not orthonormal: max|w w^T - I| = {gram_err:.2e}"
-    from scipy.integrate import quad
     worst = 0.0
     for n in range(5):
         for m in range(n, 5):
-            val, _ = quad(lambda x, n=n, m=m: models._hg_mode(n, x, 0.3)
-                          * models._hg_mode(m, x, 0.3), -12.3, 12.9,
-                          epsabs=1e-12, limit=200)
+            val = models._gauss_hermite(lambda x, n=n, m=m: models._hg_mode(n, x, 0.3)
+                                        * models._hg_mode(m, x, 0.3), 0.3, n + m)
             worst = max(worst, abs(val - (1.0 if n == m else 0.0)))
     passed = worst <= 1e-10
     return passed, f"max|w w^T - I| = {gram_err:.2e}; mode Gram error {worst:.2e}"

@@ -1,12 +1,16 @@
 import csv
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import fisusc.cli
 import fisusc.fisher as fisher
 import fisusc.sweep as sweep
 from fisusc.cli import main
@@ -242,6 +246,20 @@ def test_cli_verify_exit_code(tmp_path):
     assert main(["verify", "--seed", "0", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["all_passed"]
+
+
+def test_cli_runtime_imports_no_scipy(tmp_path):
+    # the runtime needs numpy and PyYAML only; scipy is a test dependency
+    out = tmp_path / "verify.json"
+    code = ("import sys, fisusc.cli\n"
+            f"rc = fisusc.cli.main(['verify', '--seed', '0', '--out', {str(out)!r}])\n"
+            "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    src = str(Path(fisusc.cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]"]
+    assert json.loads(out.read_text())["all_passed"]
 
 
 def test_non_numerical_error_in_a_point_propagates(tmp_path, monkeypatch):
