@@ -57,7 +57,7 @@ from .model import Povm, mix_povm
 CLUSTER_RTOL = 1e-8
 POSITIVE_PART_RTOL = 1e-12
 NOISE_ON_DROPPED_TOL = 1e-12
-ORACLE_STRIPES = 16
+SAMPLE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -352,14 +352,15 @@ def _two_outcome_samples(rng, n, n_outcomes, dim, r):
     orthonormal rows; u (n, dim) uniform in [0, 1].  For a Haar-random
     d x d unitary U and an isometry V (d, r), ``V^dag U`` has the law of
     W, so ``W diag(u) W^dag`` is ``V^dag B V`` for B = U diag(u) U^dag.
-    W is the transposed Q factor of a complex Gaussian (dim, r) matrix,
-    with the phases of R's diagonal moved into Q (Mezzadri, Notices AMS
-    54, 592, 2007); at r = dim it is a Haar unitary.
+    W is the transposed Q factor of a complex Gaussian (dim, r) matrix
+    (real and imaginary parts from one standard normal draw), with the
+    phases of R's diagonal moved into Q (Mezzadri, Notices AMS 54, 592,
+    2007); at r = dim it is a Haar unitary.
     """
     a = rng.integers(n_outcomes, size=n)
     b = rng.integers(n_outcomes - 1, size=n)
     b += b >= a
-    z = rng.standard_normal((n, dim, r)) + 1j * rng.standard_normal((n, dim, r))
+    z = rng.standard_normal((n, dim, 2 * r)).view(complex)
     q, R = np.linalg.qr(z)
     phases = np.einsum("nii->ni", R)
     W = (q * (phases / np.abs(phases))[:, None, :]).transpose(0, 2, 1)
@@ -391,9 +392,9 @@ def noise_search_oracle(model, theta, povm, n_samples, seed, p_cutoff=DEFAULT_P_
         (0 <= B <= I) with the same X, and the Haar sample itself at full
         rank.  No sample can beat (a): Tr[(K_a - K_b) B] <= Tr[(K_a - K_b)_+].
 
-    The sample budget is split over fixed stripes with independently
-    seeded generators, so the result is deterministic for a given seed
-    regardless of evaluation order.
+    The samples come from one generator, ``np.random.default_rng(seed)``,
+    drawn in chunks of ``SAMPLE_CHUNK``, so the result is fixed by the seed;
+    the random stream also depends on ``SAMPLE_CHUNK``, a fixed constant.
 
     Returns ``(best_X, best_noise)`` where ``best_noise`` is a Povm
     aligned with the target's outcomes (zero elsewhere).
@@ -436,26 +437,20 @@ def _noise_search(bundle, V, K, best, n_samples, seed):
     best_x = P + value
     best_assign = [(kept[a], B), (kept[b], eye - B)]
 
-    # (b) random two-outcome samples, deterministic by seed-striding
-    if n_samples > 0:
-        stripes = np.array_split(np.arange(n_samples), ORACLE_STRIPES)
-        children = np.random.SeedSequence(seed).spawn(ORACLE_STRIPES)
-        for stripe, child in zip(stripes, children):
-            n = len(stripe)
-            if n == 0:
-                continue
-            a, b, W, u = _two_outcome_samples(np.random.default_rng(child), n, E,
-                                              dim, K.shape[1])
-            D = K[a] - K[b]
-            xs = (P + traces[b]
-                  + np.real(np.einsum("nk,nik,nik->n", u, W.conj(), D @ W)))
-            i = int(np.argmax(xs))
-            if xs[i] > best_x:
-                best_x = float(xs[i])
-                B = (W[i] * u[i]) @ W[i].conj().T
-                if V is not None:
-                    B = V @ B @ V.conj().T
-                best_assign = [(kept[a[i]], B), (kept[b[i]], eye - B)]
+    # (b) random two-outcome samples from one generator, SAMPLE_CHUNK at a time
+    rng = np.random.default_rng(seed)
+    for start in range(0, n_samples, SAMPLE_CHUNK):
+        a, b, W, u = _two_outcome_samples(rng, min(SAMPLE_CHUNK, n_samples - start),
+                                          E, dim, K.shape[1])
+        D = K[a] - K[b]
+        xs = P + traces[b] + np.real(np.einsum("nk,nik,nik->n", u, W.conj(), D @ W))
+        i = int(np.argmax(xs))
+        if xs[i] > best_x:
+            best_x = float(xs[i])
+            B = (W[i] * u[i]) @ W[i].conj().T
+            if V is not None:
+                B = V @ B @ V.conj().T
+            best_assign = [(kept[a[i]], B), (kept[b[i]], eye - B)]
 
     return float(best_x), best_assign
 

@@ -341,9 +341,11 @@ def check_hg_quadrature_vs_closed_form(seed):
 
 
 def check_truncation_convergence(seed):
-    theta = np.array([0.0, 0.4, 0.3])
+    # n_max = 8 leaks 5.9e-12 of the psi+ weight here, and the rest outcome holds
+    # little more than that tail: the bounds move by 1.4e-7 (4.2e-6 without mode 8)
+    theta = np.array([0.0, 1.4, 0.3])
     values = {}
-    for n_max in (20, 30):
+    for n_max in (8, 16):
         cfg = PointSourceConfig(n_max=n_max, x_m=x_opt(*theta))
         model = point_source_model(cfg)
         povm = optimal_povm_point_sources(cfg)
@@ -351,12 +353,12 @@ def check_truncation_convergence(seed):
         lo, _ = sigma_lower(model, theta, povm)
         up, _ = sigma_upper(model, theta, povm)
         values[n_max] = (F, lo, up)
-    dF = float(np.max(np.abs(values[20][0] - values[30][0]))
-               / np.max(np.abs(values[30][0])))
-    dlo = abs(values[20][1] - values[30][1]) / values[30][1]
-    dup = abs(values[20][2] - values[30][2]) / values[30][2]
+    dF = float(np.max(np.abs(values[8][0] - values[16][0]))
+               / np.max(np.abs(values[16][0])))
+    dlo = abs(values[8][1] - values[16][1]) / values[16][1]
+    dup = abs(values[8][2] - values[16][2]) / values[16][2]
     worst = max(dF, dlo, dup)
-    return worst < 1e-6, f"relative change n_max 20 -> 30: {worst:.2e}"
+    return worst < 1e-6, f"relative change n_max 8 -> 16: {worst:.2e}"
 
 
 def check_two_copy_consistency(seed):

@@ -11,7 +11,7 @@ from fisusc.model import Povm, StatisticalModel, tensor_model, validate_povm
 from fisusc.models import (PointSourceConfig, bell_povm,
                            optimal_povm_point_sources, point_source_model,
                            qubit_phase_dephasing, separable_povm, x_opt)
-from fisusc.susceptibility import (_best_pair, _k_operators,
+from fisusc.susceptibility import (SAMPLE_CHUNK, _best_pair, _k_operators,
                                    _materialize_noise, _noise_search, _report,
                                    _sigma_lower_split,
                                    _sigma_upper_from_frame,
@@ -738,6 +738,69 @@ def test_no_sample_beats_the_pair_bound(model, theta, povm):
     best_x, _ = _noise_search(reduced, V, K, (pair, -np.inf), 2000, seed=11)
     lower = bundle.n_params + value
     assert best_x <= lower * (1.0 + 1e-12)
+
+
+def searched_points():
+    """A point-source point (support r = 4 of d = 21) and a full-rank qubit point."""
+    theta = np.array([0.1, 0.4, 0.3])
+    cfg = PointSourceConfig(n_max=20, x_m=x_opt(*theta))
+    out = []
+    for model, theta, povm in ((point_source_model(cfg), theta,
+                                optimal_povm_point_sources(cfg)),
+                               (qubit_phase_dephasing(), [0.7, 0.3], separable_povm())):
+        V, reduced = fisher_bundle(model, theta, povm).on_support
+        out.append((V, reduced, _k_operators(reduced)))
+    return out
+
+
+@pytest.mark.parametrize("point", [0, 1])
+@pytest.mark.parametrize("n_samples", [1, 63, 64, 65, 250])
+def test_chunked_search_returns_the_best_of_every_draw(point, n_samples):
+    # replay the one generator chunk by chunk and score every draw on its
+    # own; with the structured candidate at -inf the search must return the
+    # best of them, so the running maximum holds across chunk boundaries
+    V, reduced, K = searched_points()[point]
+    best_x, assignments = _noise_search(reduced, V, K, (_best_pair(K)[0], -np.inf),
+                                        n_samples, seed=23)
+    rng = np.random.default_rng(23)
+    E, r = K.shape[:2]
+    dim = r if V is None else V.shape[0]
+    draws = []
+    for start in range(0, n_samples, SAMPLE_CHUNK):
+        n = min(SAMPLE_CHUNK, n_samples - start)
+        for a, b, W, u in zip(*_two_outcome_samples(rng, n, E, dim, r)):
+            B = (W * u) @ W.conj().T
+            x = reduced.n_params + np.real(np.trace(K[b]) + np.trace((K[a] - K[b]) @ B))
+            draws.append((x, a, b, B))
+    assert len(draws) == n_samples
+    x, a, b, B = max(draws, key=lambda draw: draw[0])
+    assert best_x == pytest.approx(x, rel=1e-10)
+    kept = reduced.kept_outcomes
+    assert [slot for slot, _ in assignments] == [kept[a], kept[b]]
+    if V is not None:
+        B = V @ B @ V.conj().T
+    np.testing.assert_allclose(assignments[0][1], B, rtol=0, atol=1e-12)
+
+
+def test_search_draws_from_one_generator_in_chunks(monkeypatch):
+    calls = {"qr": 0, "generators": 0}
+    qr, default_rng = np.linalg.qr, np.random.default_rng
+
+    def counting_qr(*args, **kwargs):
+        calls["qr"] += 1
+        return qr(*args, **kwargs)
+
+    def counting_rng(*args, **kwargs):
+        calls["generators"] += 1
+        return default_rng(*args, **kwargs)
+
+    V, reduced, K = searched_points()[0]
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    _noise_search(reduced, V, K, _best_pair(K), 250, seed=3)
+    # ceil(250 / SAMPLE_CHUNK) = 4 batched QRs, one per chunk
+    assert SAMPLE_CHUNK == 64
+    assert calls == {"qr": 4, "generators": 1}
 
 
 @pytest.mark.parametrize("dim, r", [(21, 4), (4, 4)])

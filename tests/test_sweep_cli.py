@@ -12,6 +12,7 @@ import yaml
 
 import fisusc.cli
 import fisusc.fisher as fisher
+import fisusc.models as models
 import fisusc.sweep as sweep
 from fisusc.cli import main
 from fisusc.model import StatisticalModel
@@ -19,7 +20,8 @@ from fisusc.models import (PointSourceConfig, bell_povm,
                            optimal_povm_point_sources, separable_povm, x_opt)
 from fisusc.sweep import (SweepSpec, SweepSpecError, build_model_povm,
                           evaluate_point, run_sweep, sweep_columns)
-from fisusc.verify import check_hg_orthonormality, run_verify
+from fisusc.verify import (check_hg_orthonormality, check_truncation_convergence,
+                           run_verify)
 
 PHI = float(np.pi / 4)
 
@@ -239,6 +241,23 @@ def test_verify_negative_control_corrupted_weights():
     passed, detail = check_hg_orthonormality(0, weights=corrupted)
     assert not passed
     assert "orthonormal" in detail
+
+
+def test_truncation_check_sees_a_dropped_mode(monkeypatch):
+    # the check's point leaks visibly at the smaller n_max: the change reads
+    # non-zero on working code, and losing the last retained mode fails it
+    passed, detail = check_truncation_convergence(0)
+    assert passed and 1e-9 < float(detail.rsplit(" ", 1)[1]) < 1e-6
+    sqrt_factorials = models._sqrt_factorials
+
+    def drop_last_mode(n_max):
+        values = sqrt_factorials(n_max).copy()
+        values[-1] = np.inf          # zero coefficient and derivative
+        return values
+
+    monkeypatch.setattr(models, "_sqrt_factorials", drop_last_mode)
+    passed, detail = check_truncation_convergence(0)
+    assert not passed, detail
 
 
 def test_cli_verify_exit_code(tmp_path):
