@@ -14,15 +14,15 @@ from .model import (DomainError, ParamPoint, Povm, PovmValidation,
 from .fisher import (FisherBundle, QfiBundle, SingularFisherError,
                      SingularScoreError, fisher_bundle, qfi_matrix, r_metric,
                      r_nuisance, sld, weak_commutativity)
-from .susceptibility import (ATensor, DiagonalizedFrame, SusceptibilityReport,
-                             a_tensor, diagonalize_frame, g_matrix,
-                             noise_search_oracle, sigma_lower, sigma_single,
-                             sigma_upper, susceptibility_report, x_finite_mix,
-                             x_from_extremal_sum, x_scalar, xi_matrix)
-from .models import (PhaseDephasingConfig, PointSourceConfig, bell_povm,
-                     hg_overlap, hg_overlap_closed_form,
-                     optimal_povm_point_sources, point_source_model,
-                     qubit_phase_dephasing, separable_povm, x_opt)
+from .susceptibility import (DiagonalizedFrame, SusceptibilityReport,
+                             diagonalize_frame, g_matrix, noise_search_oracle,
+                             sigma_lower, sigma_single, sigma_upper,
+                             susceptibility_report, x_finite_mix, x_scalar,
+                             xi_matrix)
+from .models import (PointSourceConfig, bell_povm, hg_overlap,
+                     hg_overlap_closed_form, optimal_povm_point_sources,
+                     point_source_model, qubit_phase_dephasing,
+                     separable_povm, x_opt)
 
 __version__ = "0.1.0"
 
@@ -34,11 +34,11 @@ __all__ = [
     "FisherBundle", "QfiBundle", "SingularFisherError", "SingularScoreError",
     "fisher_bundle", "qfi_matrix", "r_metric", "r_nuisance", "sld",
     "weak_commutativity",
-    "ATensor", "DiagonalizedFrame", "SusceptibilityReport", "a_tensor",
-    "diagonalize_frame", "g_matrix", "noise_search_oracle", "sigma_lower",
-    "sigma_single", "sigma_upper", "susceptibility_report", "x_finite_mix",
-    "x_from_extremal_sum", "x_scalar", "xi_matrix",
-    "PhaseDephasingConfig", "PointSourceConfig", "bell_povm", "hg_overlap",
+    "DiagonalizedFrame", "SusceptibilityReport", "diagonalize_frame",
+    "g_matrix", "noise_search_oracle", "sigma_lower", "sigma_single",
+    "sigma_upper", "susceptibility_report", "x_finite_mix", "x_scalar",
+    "xi_matrix",
+    "PointSourceConfig", "bell_povm", "hg_overlap",
     "hg_overlap_closed_form", "optimal_povm_point_sources",
     "point_source_model", "qubit_phase_dephasing", "separable_povm", "x_opt",
 ]

@@ -46,7 +46,10 @@ def _parse_sweep(text):
     if len(parts) not in (4, 5):
         raise SweepSpecError(
             f"--sweep expects name:start:stop:count[:log|:linear], got {text!r}")
-    name, start, stop, count = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
+    try:
+        name, start, stop, count = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
+    except ValueError as err:
+        raise SweepSpecError(f"--sweep {text!r}: {err}")
     scale = parts[4] if len(parts) == 5 else None
     if scale is not None and scale not in ("log", "linear"):
         raise SweepSpecError(f"unknown sweep scale {scale!r}")
@@ -87,18 +90,21 @@ def _spec_from_args(args):
         if flag is not None:
             return flag
         return cfg.get(key, default)
-    spec = SweepSpec(
-        model=pick(args.model, "model", None) or "",
-        measurement=pick(args.measurement, "measurement", None) or "",
-        fixed={k: float(v) for k, v in fixed.items()},
-        sweep_name=name, start=float(start), stop=float(stop), count=int(count),
-        scale=scale,
-        oracle_samples=int(pick(args.oracle_samples, "oracle_samples", 0)),
-        seed=int(pick(args.seed, "seed", 0)),
-        out=str(pick(args.out, "out", "sweep.csv")),
-        workers=int(pick(args.workers, "workers", 1)),
-        n_max=int(cfg.get("n_max", 20)),
-    )
+    try:
+        spec = SweepSpec(
+            model=pick(args.model, "model", None) or "",
+            measurement=pick(args.measurement, "measurement", None) or "",
+            fixed={k: float(v) for k, v in fixed.items()},
+            sweep_name=name, start=float(start), stop=float(stop), count=int(count),
+            scale=scale,
+            oracle_samples=int(pick(args.oracle_samples, "oracle_samples", 0)),
+            seed=int(pick(args.seed, "seed", 0)),
+            out=str(pick(args.out, "out", "sweep.csv")),
+            workers=int(pick(args.workers, "workers", 1)),
+            n_max=int(cfg.get("n_max", 20)),
+        )
+    except (TypeError, ValueError) as err:
+        raise SweepSpecError(f"malformed value in the sweep specification: {err}")
     spec.validate()
     return spec
 

@@ -166,6 +166,16 @@ def _support_basis(ops):
     return None if r == d else V[:, :r]
 
 
+def _outcome_traces(rho, derivs, elements):
+    """``(Tr[rho E_a], Tr[d_j rho E_a])`` for a (E, d, d) stack of elements.
+
+    The probabilities and score numerators of a POVM; for a noise POVM, the
+    ``c_a`` and ``n_{a,j}`` its susceptibility is built from.
+    """
+    return (np.real(np.einsum("xy,ayx->a", rho, elements)),
+            np.real(np.einsum("jxy,ayx->aj", np.stack(derivs), elements)))
+
+
 def fisher_bundle(model, theta, povm, p_cutoff=DEFAULT_P_CUTOFF):
     """Evaluate probabilities, scores and the Fisher matrix.
 
@@ -179,8 +189,7 @@ def fisher_bundle(model, theta, povm, p_cutoff=DEFAULT_P_CUTOFF):
     rho = model.state_at(theta)
     derivs = tuple(model.derivatives_at(theta))
     P = len(derivs)
-    probs = np.real(np.einsum("xy,ayx->a", rho, povm.elements))
-    numerators = np.real(np.einsum("jxy,ayx->aj", np.stack(derivs), povm.elements))
+    probs, numerators = _outcome_traces(rho, derivs, povm.elements)
     kept, scores = [], []
     for a in range(len(povm)):
         if probs[a] >= p_cutoff:

@@ -31,17 +31,6 @@ TRUNCATION_LEAKAGE_TOL = 1e-8
 # Qubit phase / dephasing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PhaseDephasingConfig:
-    """Configuration for the qubit model; ``copies`` selects rho or rho x rho."""
-
-    copies: int = 1
-
-    def __post_init__(self):
-        if self.copies not in (1, 2):
-            raise ValueError("copies must be 1 or 2")
-
-
 def qubit_phase_dephasing():
     """Qubit model rho = 1/2 [[1, e^{-i phi - delta}], [e^{i phi - delta}, 1]].
 
@@ -167,27 +156,18 @@ def x_opt(x_c, dx, q):
 class PointSourceConfig:
     """Configuration of the two-point-source model.
 
-    ``n_max`` is the highest retained Hermite-Gauss mode (basis dimension
-    n_max + 1).  ``x_m`` fixes where the measurement modes sit; when
-    None it defaults to the intensity centroid :func:`x_opt` evaluated at
-    ``nominal`` = (x_c, dx, q).  The apparatus stays fixed while the
-    parameters vary.
+    ``x_m`` fixes where the measurement modes sit (the sweeps use the
+    intensity centroid :func:`x_opt` of the point); the apparatus stays
+    fixed while the parameters vary.  ``n_max`` is the highest retained
+    Hermite-Gauss mode (basis dimension n_max + 1).
     """
 
+    x_m: float
     n_max: int = 20
-    x_m: float = None
-    nominal: tuple = None
 
     def __post_init__(self):
         if self.n_max < 3:
             raise ValueError("need n_max >= 3")
-        if self.x_m is None and self.nominal is None:
-            raise ValueError("provide x_m or a nominal (x_c, dx, q) point")
-
-    def alignment(self):
-        if self.x_m is not None:
-            return float(self.x_m)
-        return float(x_opt(*self.nominal))
 
 
 def point_source_model(cfg: PointSourceConfig):
@@ -199,7 +179,7 @@ def point_source_model(cfg: PointSourceConfig):
     derivatives are analytic.  Evaluation raises when the truncation
     leaks more than 1e-8 of either source's weight.
     """
-    x_m = cfg.alignment()
+    x_m = float(cfg.x_m)
     modes = np.arange(cfg.n_max + 1)
     sqrt_factorial = _sqrt_factorials(cfg.n_max)
 

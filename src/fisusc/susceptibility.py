@@ -3,15 +3,19 @@
 Mixing a target POVM M with a noise POVM N as (1 - eps) M + eps N
 changes the Fisher matrix at first order in eps.  This module computes:
 
-* the matrix susceptibility  Xi[M, N] = I + F^-1 G[N]  and its scalar
-  trace  X[M, N] = P + tr[F^-1 G[N]],
+* the response to a fixed noise, read from the point's `FisherBundle`:
+  the matrix susceptibility  Xi[M, N] = I + F^-1 G[N]  (`xi_matrix`) and
+  its scalar trace  X[M, N] = P + tr[F^-1 G[N]]  (`x_scalar`),
 * the single-parameter worst-case susceptibility sigma[M] (closed form),
 * lower/upper bounds Sigma_L <= Sigma[M] = max_N X[M, N] <= Sigma_U,
-* a sampled search over noise POVMs that certifies the bounds.
+* a sampled search over two-outcome noise POVMs.
 
-Every scalar quantity comes from one kernel, the contraction with F^-1
-of the paper's ``A_{a;jk} = l_{a,j} l_{a,k} rho - l_{a,j} d_k rho -
-l_{a,k} d_j rho`` (``G[N]_{jk} = sum_a Tr[A_{a;jk} N_a]``):
+The paper writes ``G[N]_{jk} = sum_a Tr[A_{a;jk} N_a]`` with
+``A_{a;jk} = l_{a,j} l_{a,k} rho - l_{a,j} d_k rho - l_{a,k} d_j rho``.
+`g_matrix` never forms A: with ``c_a = Tr[rho N_a]`` and
+``n_{a,j} = Tr[d_j rho N_a]`` it is ``sum_a c_a l_a l_a^T - l_a n_a^T -
+n_a l_a^T``.  Every scalar quantity comes from one kernel, the
+contraction of A with F^-1:
 
     K_a = |L_a|^2 rho - 2 sum_k (F^-1 l_a)_k d_k rho,   X[M, N] = P + sum_a Tr[K_a N_a],
 
@@ -41,7 +45,9 @@ sources, Gram-Schmidt of r Gaussian columns) and returns a winning noise
 as its compression onto the support, which has the same X.  No sample
 beats the pair bound, since Tr[(K_a - K_b) B] <= Tr[(K_a - K_b)_+] for
 0 <= B <= I, so the search returns Sigma_L unless that inequality fails
-numerically.
+numerically.  The fixed-noise functions `g_matrix`, `xi_matrix` and
+`x_scalar` take the bundle of `fisher_bundle` and a noise POVM on the same
+space, and use the bundle's checked F^-1.
 """
 
 from dataclasses import dataclass
@@ -50,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from .fisher import (DEFAULT_P_CUTOFF, FisherBundle, SingularFisherError,
-                     _checked_inverse, fisher_bundle)
+                     _outcome_traces, fisher_bundle)
 from .linalg import _trace_norms
 from .model import Povm, mix_povm
 
@@ -60,81 +66,55 @@ NOISE_ON_DROPPED_TOL = 1e-12
 SAMPLE_CHUNK = 64
 
 
-@dataclass(frozen=True)
-class ATensor:
-    """Operators A_{a;jk} for the kept outcomes of a Fisher bundle.
+def _aligned_noise_elements(bundle, noise):
+    """``(slots, elements)``: the noise elements on the kept outcomes.
 
-    ``operators[i, j, k]`` is the (dim, dim) Hermitian operator for the
-    i-th kept outcome and parameter pair (j, k); symmetric in (j, k).
+    ``elements[m]`` is the noise element on kept outcome
+    ``bundle.kept_outcomes[slots[m]]``.  The noise POVM is padded with zero
+    elements when shorter than the target (mix_povm convention).  Noise
+    weight on outcomes the target drops (or does not have) lies outside the
+    first-order model, so any such element with non-negligible norm is an
+    error.
     """
-
-    operators: np.ndarray          # (E_kept, P, P, dim, dim) complex
-    kept_outcomes: tuple
-    n_outcomes: int
-    dim: int
-
-    @property
-    def n_params(self):
-        return self.operators.shape[1]
-
-
-def a_tensor(bundle: FisherBundle) -> ATensor:
-    """Build A_{a;jk} = l_j l_k rho - l_j d_k rho - l_k d_j rho."""
-    rho = np.asarray(bundle.rho)
-    derivs = np.stack(bundle.derivatives)            # (P, d, d)
-    l = bundle.scores                                # (E, P)
-    ll = np.einsum("aj,ak->ajk", l, l)
-    ops = (np.einsum("ajk,xy->ajkxy", ll, rho)
-           - np.einsum("aj,kxy->ajkxy", l, derivs)
-           - np.einsum("ak,jxy->ajkxy", l, derivs))
-    return ATensor(operators=ops, kept_outcomes=bundle.kept_outcomes,
-                   n_outcomes=len(bundle.probabilities), dim=rho.shape[0])
-
-
-def _aligned_noise_elements(noise, kept_outcomes, dim):
-    """Noise elements aligned to the kept outcome slots of the target.
-
-    The noise POVM is padded with zero elements when shorter than the
-    target (mix_povm convention).  Noise weight on outcomes the target
-    drops (or does not have) lies outside the first-order model, so any
-    such element with non-negligible norm is an error.
-    """
+    dim = bundle.rho.shape[0]
     if noise.dim != dim:
         raise ValueError(f"noise dimension {noise.dim} != target dimension {dim}")
-    kept = set(kept_outcomes)
-    aligned = []
+    slot_of = {a: i for i, a in enumerate(bundle.kept_outcomes)}
+    on_kept = []
     for a, element in enumerate(noise.elements):
-        if a in kept:
-            aligned.append((a, element))
+        if a in slot_of:
+            on_kept.append(a)
         elif float(np.max(np.abs(element))) > NOISE_ON_DROPPED_TOL:
             raise ValueError(
                 f"noise element {a} acts on an outcome the target measurement "
                 f"assigns vanishing probability; the first-order susceptibility "
                 f"is undefined there")
-    return aligned
+    return np.array([slot_of[a] for a in on_kept], dtype=int), noise.elements[on_kept]
 
 
-def g_matrix(atensor: ATensor, noise: Povm):
-    """G[N]_{jk} = sum_a Tr[A_{a;jk} N_a] over the kept outcomes."""
-    P = atensor.n_params
-    G = np.zeros((P, P))
-    index_of = {a: i for i, a in enumerate(atensor.kept_outcomes)}
-    for a, element in _aligned_noise_elements(noise, atensor.kept_outcomes,
-                                               atensor.dim):
-        G += np.real(np.einsum("jkxy,yx->jk", atensor.operators[index_of[a]], element))
-    return (G + G.T) / 2.0
+def g_matrix(bundle: FisherBundle, noise: Povm):
+    """G[N]_{jk} = sum_a Tr[A_{a;jk} N_a] over the kept outcomes.
+
+    With c_a = Tr[rho N_a] and n_{a,j} = Tr[d_j rho N_a] this is
+    sum_a c_a l_a l_a^T - l_a n_a^T - n_a l_a^T.
+    """
+    slots, elements = _aligned_noise_elements(bundle, noise)
+    c, n = _outcome_traces(bundle.rho, bundle.derivatives, elements)
+    l = bundle.scores[slots]
+    half = l.T @ (0.5 * c[:, None] * l - n)
+    return half + half.T
 
 
-def xi_matrix(F, G):
-    """Matrix susceptibility Xi = I + F^-1 G."""
-    Finv = _checked_inverse(F)
-    return np.eye(F.shape[0]) + Finv @ G
+def xi_matrix(bundle: FisherBundle, noise: Povm):
+    """Matrix susceptibility Xi[M, N] = I + F^-1 G[N]."""
+    return np.eye(bundle.n_params) + bundle.fisher_inverse @ g_matrix(bundle, noise)
 
 
-def x_scalar(F, G, n_params):
-    """Scalar susceptibility X = P + tr[F^-1 G] (equals tr Xi)."""
-    Finv = _checked_inverse(F)
-    return float(n_params) + float(np.einsum("ij,ji->", Finv, G))
+def x_scalar(bundle: FisherBundle, noise: Povm):
+    """Scalar susceptibility X[M, N] = P + sum_a Tr[K_a N_a] (equals tr Xi)."""
+    slots, elements = _aligned_noise_elements(bundle, noise)
+    K = _k_operators(bundle)[slots]
+    return bundle.n_params + float(np.real(np.einsum("axy,ayx->", K, elements)))
 
 
 def x_finite_mix(model, theta, target, noise, eps, p_cutoff=DEFAULT_P_CUTOFF):
@@ -314,30 +294,6 @@ def sigma_upper(model, theta, povm, p_cutoff=DEFAULT_P_CUTOFF):
     """Upper bound Sigma_U = sum_j sigma_j and the per-parameter terms."""
     reduced = fisher_bundle(model, theta, povm, p_cutoff).on_support[1]
     return _sigma_upper_from_frame(diagonalize_frame(reduced))
-
-
-def x_from_extremal_sum(bundle: FisherBundle, frame: DiagonalizedFrame, noise: Povm):
-    """X[M, N] assembled from the convex per-outcome functions f_a.
-
-    With c_a = Tr[rho N_a], delta_{a,j} = 2 Tr[d~_j rho N_a] / sqrt(F~_jj)
-    and L_{a,j} = l~_{a,j} / sqrt(F~_jj) the normalized score vectors,
-    X = P + sum_a f_a(L_a) where f_a(x) = c_a |x|^2 - x . delta_a.  This
-    is a third independent route to the scalar susceptibility, used as
-    an internal identity check.
-    """
-    sqrt_f = np.sqrt(frame.tilde_fisher)
-    L = frame.tilde_scores / sqrt_f
-    derivs = np.stack(bundle.derivatives)
-    index_of = {a: i for i, a in enumerate(frame.kept_outcomes)}
-    total = 0.0
-    for a, element in _aligned_noise_elements(noise, frame.kept_outcomes,
-                                               bundle.rho.shape[0]):
-        c = float(np.real(np.trace(bundle.rho @ element)))
-        numerators = np.real(np.einsum("kxy,yx->k", derivs, element))
-        delta = 2.0 * (frame.jacobian @ numerators) / sqrt_f
-        La = L[index_of[a]]
-        total += c * float(La @ La) - float(La @ delta)
-    return float(frame.tilde_fisher.size) + total
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,10 @@ class SweepSpec:
 
     def validate(self):
         check_model_spec(self.model, self.measurement, self.fixed, self.sweep_name)
+        if not np.all(np.isfinite([self.start, self.stop, *self.fixed.values()])):
+            raise SweepSpecError("fixed values and sweep limits must be finite")
+        if self.n_max < 3:
+            raise SweepSpecError("n_max must be >= 3")
         if self.count < 2:
             raise SweepSpecError("count must be >= 2")
         if self.scale not in ("linear", "log"):

@@ -21,10 +21,11 @@ from fisusc.model import Povm, StatisticalModel, tensor_model, tensor_povm
 from fisusc.models import (POINT_SOURCE_WEIGHTS, PointSourceConfig, bell_povm,
                            optimal_povm_point_sources, point_source_model,
                            qubit_phase_dephasing, separable_povm, x_opt)
-from fisusc.susceptibility import (a_tensor, g_matrix, noise_search_oracle,
-                                   sigma_lower, sigma_single, sigma_upper,
+from fisusc.susceptibility import (noise_search_oracle, sigma_lower,
+                                   sigma_single, sigma_upper,
                                    susceptibility_report, x_finite_mix,
                                    x_scalar, xi_matrix)
+from fisusc.verify import _reparametrized_bundle
 
 PHI = float(np.pi / 4)
 DELTA_GRID = np.geomspace(1e-3, 1.0, 50)
@@ -316,28 +317,22 @@ def test_c8_property_suite():
     theta = np.array([PHI, 0.3])
     sep = separable_povm()
     bundle = fisher_bundle(qubit, theta, sep)
-    at = a_tensor(bundle)
 
-    x_self = x_scalar(bundle.fisher, g_matrix(at, sep), 2)
+    x_self = x_scalar(bundle, sep)
     checks.append(("X[M,M] = 0 (1e-9)", abs(x_self) <= 1e-9, f"{x_self:.2e}"))
 
     noise = Povm([np.eye(2) / 4.0] * 4)
-    G = g_matrix(at, noise)
-    tr_gap = abs(x_scalar(bundle.fisher, G, 2)
-                 - float(np.trace(xi_matrix(bundle.fisher, G))))
+    x0 = x_scalar(bundle, noise)
+    tr_gap = abs(x0 - float(np.trace(xi_matrix(bundle, noise))))
     checks.append(("tr Xi = X (1e-10)", tr_gap <= 1e-10, f"{tr_gap:.2e}"))
 
     rng = np.random.default_rng(99)
-    x0 = x_scalar(bundle.fisher, G, 2)
     worst_reparam = 0.0
     for _ in range(5):
-        R = rng.standard_normal((2, 2))
-        while abs(np.linalg.det(R)) < 0.2:
-            R = rng.standard_normal((2, 2))
-        ops = np.einsum("ik,jl,aklxy->aijxy", R, R, at.operators)
-        at_r = type(at)(operators=ops, kept_outcomes=at.kept_outcomes,
-                        n_outcomes=at.n_outcomes, dim=at.dim)
-        x1 = x_scalar(R @ bundle.fisher @ R.T, g_matrix(at_r, noise), 2)
+        J = rng.standard_normal((2, 2))
+        while abs(np.linalg.det(J)) < 0.2:
+            J = rng.standard_normal((2, 2))
+        x1 = x_scalar(_reparametrized_bundle(bundle, J), noise)
         worst_reparam = max(worst_reparam, abs(x1 - x0))
     checks.append(("X reparametrization invariant (1e-8)",
                    worst_reparam <= 1e-8, f"{worst_reparam:.2e}"))
@@ -351,8 +346,7 @@ def test_c8_property_suite():
     wc = weak_commutativity(bundle.rho, qfi.slds[0], qfi.slds[1])
     checks.append(("qubit weak commutativity (1e-9)", wc <= 1e-9, f"{wc:.2e}"))
 
-    x_ref = x_scalar(bundle.fisher, G, 2)
-    errors = [abs(x_finite_mix(qubit, theta, sep, noise, eps) - x_ref)
+    errors = [abs(x_finite_mix(qubit, theta, sep, noise, eps) - x0)
               for eps in (1e-2, 1e-3, 1e-4)]
     ratios = [e / eps for e, eps in zip(errors, (1e-2, 1e-3, 1e-4))]
     linear = errors[0] > errors[1] > errors[2] and max(ratios) / min(ratios) < 1.5

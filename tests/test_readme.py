@@ -1,0 +1,20 @@
+"""The README's Python quick start runs against the current API."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_quick_start_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], str(README), "exec"), namespace)
+    # the values its comments quote
+    assert namespace["r"] == pytest.approx(2.0, abs=1e-12)
+    assert namespace["x"] == pytest.approx(5.513, abs=5e-4)
+    assert float(np.trace(namespace["xi"])) == pytest.approx(namespace["x"], abs=1e-12)

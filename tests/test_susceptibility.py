@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,12 +13,13 @@ from fisusc.susceptibility import (SAMPLE_CHUNK, _best_pair, _k_operators,
                                    _materialize_noise, _noise_search, _report,
                                    _sigma_lower_split,
                                    _sigma_upper_from_frame,
-                                   _two_outcome_samples, a_tensor,
-                                   diagonalize_frame, g_matrix,
-                                   noise_search_oracle, sigma_lower,
+                                   _two_outcome_samples, diagonalize_frame,
+                                   g_matrix, noise_search_oracle, sigma_lower,
                                    sigma_single, sigma_upper,
                                    susceptibility_report, x_finite_mix,
-                                   x_from_extremal_sum, x_scalar, xi_matrix)
+                                   x_scalar, xi_matrix)
+from fisusc.verify import _reparametrized_bundle as reparametrized_bundle
+from fisusc.verify import x_from_extremal_sum
 
 IDENTITY_NOISE = Povm([np.eye(2) / 4.0] * 4)
 
@@ -43,13 +42,37 @@ def qubit_bundle(theta=(np.pi / 4, 0.3)):
         model, np.asarray(theta, dtype=float), separable_povm())
 
 
-def reparametrized_bundle(bundle, J):
-    """The bundle in new parameters u = J theta (J orthogonal or invertible)."""
-    Jinv_T = np.linalg.inv(J).T
-    derivs = np.einsum("jk,kxy->jxy", Jinv_T, np.stack(bundle.derivatives))
-    return dataclasses.replace(bundle, scores=bundle.scores @ Jinv_T.T,
-                               fisher=Jinv_T @ bundle.fisher @ Jinv_T.T,
-                               derivatives=tuple(derivs))
+def a_tensor(bundle):
+    """The paper's A_{a;jk} = l_j l_k rho - l_j d_k rho - l_k d_j rho.
+
+    A (E_kept, P, P, d, d) reference array: the package never forms it.
+    """
+    l = bundle.scores
+    derivs = np.stack(bundle.derivatives)
+    return (np.einsum("aj,ak,xy->ajkxy", l, l, bundle.rho)
+            - np.einsum("aj,kxy->ajkxy", l, derivs)
+            - np.einsum("ak,jxy->ajkxy", l, derivs))
+
+
+def g_from_a_tensor(bundle, noise):
+    """G[N]_{jk} = sum_a Tr[A_{a;jk} N_a], for noise on the kept outcomes only."""
+    elements = noise.elements[list(bundle.kept_outcomes)]
+    return np.real(np.einsum("ajkxy,ayx->jk", a_tensor(bundle), elements))
+
+
+def random_noise(rng, povm, kept):
+    """Random full-rank noise POVM on the ``kept`` outcomes of ``povm``, zero elsewhere."""
+    dim = povm.dim
+    raws = []
+    for _ in kept:
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        raws.append(z @ z.conj().T)
+    w, V = np.linalg.eigh(sum(raws))
+    inv_sqrt = (V / np.sqrt(w)) @ V.conj().T
+    elements = [np.zeros((dim, dim), dtype=complex) for _ in range(len(povm))]
+    for a, R in zip(kept, raws):
+        elements[a] = inv_sqrt @ R @ inv_sqrt
+    return Povm(elements)
 
 
 def reparametrized_model(model, T):
@@ -95,14 +118,13 @@ def test_a_tensor_single_parameter_form():
     rho, drho = bundle.rho, bundle.derivatives[0]
     for i, _ in enumerate(bundle.kept_outcomes):
         l = bundle.scores[i, 0]
-        np.testing.assert_allclose(at.operators[i, 0, 0],
+        np.testing.assert_allclose(at[i, 0, 0],
                                    l * l * rho - 2.0 * l * drho, atol=1e-14)
 
 
 def test_a_tensor_symmetry_and_hermiticity():
     _, _, bundle = qubit_bundle()
-    at = a_tensor(bundle)
-    ops = at.operators
+    ops = a_tensor(bundle)
     np.testing.assert_allclose(ops, ops.transpose(0, 2, 1, 3, 4), atol=1e-14)
     np.testing.assert_allclose(ops, ops.conj().transpose(0, 1, 2, 4, 3), atol=1e-14)
 
@@ -115,7 +137,7 @@ def test_a_tensor_zero_for_zero_scores():
     bundle = fisher_bundle(model, [0.6, 0.4], povm)
     at = a_tensor(bundle)
     assert np.max(np.abs(bundle.scores[0])) <= 1e-12
-    np.testing.assert_allclose(at.operators[0], 0.0, atol=1e-12)
+    np.testing.assert_allclose(at[0], 0.0, atol=1e-12)
 
 
 def test_a_tensor_contraction_identity():
@@ -125,14 +147,14 @@ def test_a_tensor_contraction_identity():
     P = bundle.n_params
     total = np.zeros((P, P))
     for i, a in enumerate(bundle.kept_outcomes):
-        total += np.real(np.einsum("jkxy,yx->jk", at.operators[i],
+        total += np.real(np.einsum("jkxy,yx->jk", at[i],
                                    bundle.povm.elements[a]))
     np.testing.assert_allclose(total, -bundle.fisher, atol=1e-10)
 
 
 def test_g_matrix_self_noise_is_minus_fisher():
     _, _, bundle = qubit_bundle()
-    G = g_matrix(a_tensor(bundle), separable_povm())
+    G = g_matrix(bundle, separable_povm())
     np.testing.assert_allclose(G, -bundle.fisher, atol=1e-12)
 
 
@@ -140,7 +162,7 @@ def test_g_matrix_identity_noise_expansion():
     # for N_a = c_a I the derivative terms drop (traceless) and
     # G_{jk} = sum_a c_a l_{a,j} l_{a,k}
     _, _, bundle = qubit_bundle()
-    G = g_matrix(a_tensor(bundle), IDENTITY_NOISE)
+    G = g_matrix(bundle, IDENTITY_NOISE)
     expected = np.zeros((2, 2))
     for i in range(len(bundle.kept_outcomes)):
         # c_a = Tr[rho N_a] = 1/4 for every outcome
@@ -156,7 +178,7 @@ def test_g_matrix_p1_two_outcome_matches_scalar():
     target = Povm([np.outer(k, k.conj()) for k in kets])
     noise = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     bundle = fisher_bundle(model, theta, target)
-    G = g_matrix(a_tensor(bundle), noise)
+    G = g_matrix(bundle, noise)
     rho, drho = bundle.rho, bundle.derivatives[0]
     scalar = 0.0
     for i, a in enumerate(bundle.kept_outcomes):
@@ -176,9 +198,26 @@ def test_g_matrix_rejects_noise_on_dropped_outcome():
     model = StatisticalModel(2, ("t",), state_fn, derivative_fn=deriv_fn)
     target = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     bundle = fisher_bundle(model, [0.0], target)
-    at = a_tensor(bundle)
-    with pytest.raises(ValueError):
-        g_matrix(at, Povm([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])]))
+    noise = Povm([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])])
+    for response in (g_matrix, xi_matrix, x_scalar):
+        with pytest.raises(ValueError):
+            response(bundle, noise)
+
+
+@pytest.mark.parametrize("model, theta, povm", instances(14, 1))
+def test_g_matrix_contracts_the_a_tensor(model, theta, povm):
+    # G, Xi and X of a random noise POVM against the literal A tensor
+    bundle = fisher_bundle(model, theta, povm)
+    noise = random_noise(np.random.default_rng(14), povm, bundle.kept_outcomes)
+    expected = g_from_a_tensor(bundle, noise)
+    scale = np.max(np.abs(expected))
+    G = g_matrix(bundle, noise)
+    np.testing.assert_allclose(G, expected, rtol=0, atol=1e-12 * scale)
+    assert np.array_equal(G, G.T)
+    Finv = np.linalg.inv(bundle.fisher)
+    xi = np.eye(bundle.n_params) + Finv @ expected
+    np.testing.assert_allclose(xi_matrix(bundle, noise), xi, rtol=1e-10, atol=1e-10)
+    assert x_scalar(bundle, noise) == pytest.approx(float(np.trace(xi)), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -187,31 +226,28 @@ def test_g_matrix_rejects_noise_on_dropped_outcome():
 
 def test_xi_matrix_cases():
     _, _, bundle = qubit_bundle()
-    at = a_tensor(bundle)
-    Xi_self = xi_matrix(bundle.fisher, g_matrix(at, separable_povm()))
+    Xi_self = xi_matrix(bundle, separable_povm())
     np.testing.assert_allclose(Xi_self, np.zeros((2, 2)), atol=1e-12)
-    np.testing.assert_allclose(xi_matrix(bundle.fisher, np.zeros((2, 2))),
-                               np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(xi_matrix(bundle, IDENTITY_NOISE),
+                               np.eye(2) + np.linalg.inv(bundle.fisher)
+                               @ g_matrix(bundle, IDENTITY_NOISE), atol=1e-14)
 
 
 def test_x_scalar_equals_trace_of_xi():
     _, _, bundle = qubit_bundle()
-    G = g_matrix(a_tensor(bundle), IDENTITY_NOISE)
-    x = x_scalar(bundle.fisher, G, 2)
-    assert x == pytest.approx(float(np.trace(xi_matrix(bundle.fisher, G))),
+    x = x_scalar(bundle, IDENTITY_NOISE)
+    assert x == pytest.approx(float(np.trace(xi_matrix(bundle, IDENTITY_NOISE))),
                               abs=1e-10)
 
 
 def test_x_scalar_self_noise_zero():
     _, _, bundle = qubit_bundle()
-    G = g_matrix(a_tensor(bundle), separable_povm())
-    assert abs(x_scalar(bundle.fisher, G, 2)) <= 1e-9
+    assert abs(x_scalar(bundle, separable_povm())) <= 1e-9
 
 
 def test_x_scalar_finite_eps_oracle():
     model, theta, bundle = qubit_bundle((np.pi / 4, 0.2))
-    G = g_matrix(a_tensor(bundle), IDENTITY_NOISE)
-    x = x_scalar(bundle.fisher, G, 2)
+    x = x_scalar(bundle, IDENTITY_NOISE)
     errors = []
     for eps in (1e-2, 1e-3, 1e-4):
         x_eps = x_finite_mix(model, theta, separable_povm(), IDENTITY_NOISE, eps)
@@ -227,25 +263,20 @@ def test_x_scalar_p1_equals_chi():
     theta = np.array([0.9])
     bundle = fisher_bundle(model, theta, separable_povm())
     noise = IDENTITY_NOISE
-    G = g_matrix(a_tensor(bundle), noise)
+    G = g_matrix(bundle, noise)
     chi = 1.0 + G[0, 0] / bundle.fisher[0, 0]
-    assert x_scalar(bundle.fisher, G, 1) == pytest.approx(chi, abs=1e-12)
+    assert x_scalar(bundle, noise) == pytest.approx(chi, abs=1e-12)
 
 
 def test_x_reparametrization_invariance():
     _, _, bundle = qubit_bundle((0.9, 0.4))
-    at = a_tensor(bundle)
-    x0 = x_scalar(bundle.fisher, g_matrix(at, IDENTITY_NOISE), 2)
+    x0 = x_scalar(bundle, IDENTITY_NOISE)
     rng = np.random.default_rng(4)
     for _ in range(5):
-        R = rng.standard_normal((2, 2))
-        while abs(np.linalg.det(R)) < 0.2:
-            R = rng.standard_normal((2, 2))
-        F_new = R @ bundle.fisher @ R.T
-        ops = np.einsum("ik,jl,aklxy->aijxy", R, R, at.operators)
-        at_new = type(at)(operators=ops, kept_outcomes=at.kept_outcomes,
-                          n_outcomes=at.n_outcomes, dim=at.dim)
-        x1 = x_scalar(F_new, g_matrix(at_new, IDENTITY_NOISE), 2)
+        J = rng.standard_normal((2, 2))
+        while abs(np.linalg.det(J)) < 0.2:
+            J = rng.standard_normal((2, 2))
+        x1 = x_scalar(reparametrized_bundle(bundle, J), IDENTITY_NOISE)
         assert x1 == pytest.approx(x0, abs=1e-8)
 
 
@@ -258,8 +289,8 @@ def test_x_outcome_permutation_invariance():
     noise_p = Povm([noise.elements[i] for i in perm])
     b0 = fisher_bundle(model, theta, target)
     b1 = fisher_bundle(model, theta, target_p)
-    x0 = x_scalar(b0.fisher, g_matrix(a_tensor(b0), noise), 2)
-    x1 = x_scalar(b1.fisher, g_matrix(a_tensor(b1), noise_p), 2)
+    x0 = x_scalar(b0, noise)
+    x1 = x_scalar(b1, noise_p)
     assert x1 == pytest.approx(x0, abs=1e-10)
     assert sigma_lower(model, theta, target)[0] == pytest.approx(
         sigma_lower(model, theta, target_p)[0], abs=1e-9)
@@ -269,19 +300,16 @@ def test_x_outcome_permutation_invariance():
 
 def test_x_zero_padding_invariance():
     _, _, bundle = qubit_bundle((0.6, 0.25))
-    at = a_tensor(bundle)
     padded = Povm(list(IDENTITY_NOISE.elements) + [np.zeros((2, 2))] * 3)
-    x0 = x_scalar(bundle.fisher, g_matrix(at, IDENTITY_NOISE), 2)
-    x1 = x_scalar(bundle.fisher, g_matrix(at, padded), 2)
+    x0 = x_scalar(bundle, IDENTITY_NOISE)
+    x1 = x_scalar(bundle, padded)
     assert x0 == x1
 
 
 def test_x_convexity_identity_third_path():
     model, theta, bundle = qubit_bundle((1.0, 0.35))
-    at = a_tensor(bundle)
     frame = diagonalize_frame(bundle)
-    G = g_matrix(at, IDENTITY_NOISE)
-    x_direct = x_scalar(bundle.fisher, G, 2)
+    x_direct = x_scalar(bundle, IDENTITY_NOISE)
     x_convex = x_from_extremal_sum(bundle, frame, IDENTITY_NOISE)
     assert x_convex == pytest.approx(x_direct, abs=1e-9)
 
@@ -346,8 +374,7 @@ def test_sigma_single_monte_carlo_cross_check():
     from fisusc.model import validate_povm
     assert validate_povm(best_noise, 1e-9).passed
     bundle = fisher_bundle(model, theta, povm)
-    G = g_matrix(a_tensor(bundle), best_noise)
-    assert x_scalar(bundle.fisher, G, 1) == pytest.approx(best, abs=1e-9)
+    assert x_scalar(bundle, best_noise) == pytest.approx(best, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +406,12 @@ def test_frame_degenerate_fisher_is_identity_aligned():
 
 def test_frame_trace_identity_random_instance():
     _, _, bundle = qubit_bundle((0.8, 0.45))
-    at = a_tensor(bundle)
     frame = diagonalize_frame(bundle)
     F, J = bundle.fisher, frame.jacobian
     Ft = J @ F @ J.T
     off = Ft - np.diag(np.diag(Ft))
     assert np.max(np.abs(off)) <= 1e-9
-    G = g_matrix(at, IDENTITY_NOISE)
+    G = g_matrix(bundle, IDENTITY_NOISE)
     Gt = J @ G @ J.T
     lhs = float(np.trace(np.linalg.inv(F) @ G))
     rhs = float(np.sum(np.diag(Gt) / frame.tilde_fisher))
@@ -394,12 +420,9 @@ def test_frame_trace_identity_random_instance():
 
 def test_frame_x_invariance():
     _, _, bundle = qubit_bundle((0.8, 0.45))
-    at = a_tensor(bundle)
     frame = diagonalize_frame(bundle)
-    J = frame.jacobian
-    G = g_matrix(at, IDENTITY_NOISE)
-    x_orig = x_scalar(bundle.fisher, G, 2)
-    x_tilde = x_scalar(J @ bundle.fisher @ J.T, J @ G @ J.T, 2)
+    x_orig = x_scalar(bundle, IDENTITY_NOISE)
+    x_tilde = x_scalar(reparametrized_bundle(bundle, frame.jacobian), IDENTITY_NOISE)
     assert x_tilde == pytest.approx(x_orig, abs=1e-9)
 
 
@@ -529,10 +552,8 @@ def test_oracle_superset_and_determinism():
     best2, _ = noise_search_oracle(model, theta, povm, n_samples=3000, seed=42)
     assert best1 == best2
     # max over a superset dominates any fixed member
-    G = g_matrix(a_tensor(bundle), IDENTITY_NOISE)
-    assert best1 >= x_scalar(bundle.fisher, G, 2) - 1e-12
-    G_best = g_matrix(a_tensor(bundle), noise1)
-    assert x_scalar(bundle.fisher, G_best, 2) == pytest.approx(best1, abs=1e-9)
+    assert best1 >= x_scalar(bundle, IDENTITY_NOISE) - 1e-12
+    assert x_scalar(bundle, noise1) == pytest.approx(best1, abs=1e-9)
 
 
 def test_report_flags_split_variant_on_bell_instance():
@@ -597,7 +618,7 @@ def test_k_operators_contract_the_a_tensor(model, theta, povm):
     bundle = fisher_bundle(model, theta, povm)
     Finv = np.linalg.inv(bundle.fisher)
     K = _k_operators(bundle)
-    expected = np.einsum("jk,ajkxy->axy", Finv, a_tensor(bundle).operators)
+    expected = np.einsum("jk,ajkxy->axy", Finv, a_tensor(bundle))
     scale = np.max(np.abs(expected))
     np.testing.assert_allclose(K, expected, rtol=0, atol=1e-12 * scale)
     L2 = np.einsum("aj,jk,ak->a", bundle.scores, Finv, bundle.scores)
@@ -611,16 +632,18 @@ def test_sigma_lower_attained_by_explicit_pair_noise(model, theta, povm):
     # X[M, N*] = Sigma_L through the G-matrix route
     lo, (a, b) = sigma_lower(model, theta, povm)
     bundle = fisher_bundle(model, theta, povm)
-    at = a_tensor(bundle)
-    K = np.einsum("jk,ajkxy->axy", np.linalg.inv(bundle.fisher), at.operators)
+    Finv = np.linalg.inv(bundle.fisher)
+    K = np.einsum("jk,ajkxy->axy", Finv, a_tensor(bundle))
     index_of = {o: i for i, o in enumerate(bundle.kept_outcomes)}
     w, V = np.linalg.eigh(K[index_of[a]] - K[index_of[b]])
     pos = V[:, w > 0]
     B = pos @ pos.conj().T
     elements = [np.zeros((povm.dim, povm.dim), dtype=complex) for _ in range(len(povm))]
     elements[a], elements[b] = B, np.eye(povm.dim) - B
-    x = x_scalar(bundle.fisher, g_matrix(at, Povm(elements)), model.n_params)
+    noise = Povm(elements)
+    x = model.n_params + float(np.trace(Finv @ g_from_a_tensor(bundle, noise)))
     assert x == pytest.approx(lo, rel=1e-9)
+    assert x_scalar(bundle, noise) == pytest.approx(lo, rel=1e-9)
 
 
 @pytest.mark.parametrize("model, theta, povm", instances(13, 1))
@@ -721,7 +744,7 @@ def test_sampled_noise_score_is_its_susceptibility(model, theta, povm):
     noise = _materialize_noise(len(povm), povm.dim, assignments)
     # the returned element is the sample's compression onto the support
     assert validate_povm(noise, 1e-9).passed
-    x = x_scalar(bundle.fisher, g_matrix(a_tensor(bundle), noise), bundle.n_params)
+    x = x_scalar(bundle, noise)
     assert best_x == pytest.approx(x, rel=1e-9, abs=1e-9)
     assert best_x < bundle.n_params + _best_pair(K)[1]
 

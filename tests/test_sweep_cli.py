@@ -195,6 +195,35 @@ def test_cli_invalid_spec_exit_code(tmp_path):
                  "--sweep", "delta:0.01:1:3:log"]) == 2
 
 
+POINT_SOURCE_CONFIG = {"model": "point-sources", "measurement": "optimal-hg",
+                       "fix": {"x_c": 0.0, "q": 0.3},
+                       "sweep": {"name": "dx", "start": 0.01, "stop": 1.0, "count": 3}}
+
+
+@pytest.mark.parametrize("entry", [{"n_max": 2}, {"n_max": "abc"}, {"workers": "two"}],
+                         ids=["n_max-below-3", "n_max-not-a-number", "workers-not-a-number"])
+def test_cli_malformed_config_value_exit_code(tmp_path, capsys, entry):
+    cfg_path = tmp_path / "sweep.yaml"
+    cfg_path.write_text(yaml.safe_dump({**POINT_SOURCE_CONFIG, **entry}))
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "invalid sweep specification" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fix, sweep_arg", [
+    ("phi=0.7", "delta:0.001:1:1.5"),
+    ("phi=nan", "delta:0.001:1:5"),
+    ("phi=0.7", "delta:0.001:inf:5"),
+], ids=["fractional-count", "nan-fixed-value", "infinite-sweep-limit"])
+def test_cli_malformed_flag_value_exit_code(tmp_path, capsys, fix, sweep_arg):
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--model", "phase-dephasing", "--measurement", "separable",
+                 "--fix", fix, "--sweep", sweep_arg, "--out", str(out)]) == 2
+    assert "invalid sweep specification" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_numerical_failure_exit_code(tmp_path):
     # every point at dx = 0 fails: exit code 3
     out = str(tmp_path / "fail.csv")
