@@ -8,9 +8,8 @@ bounds and optimality diagnostics.
 
 from .linalg import (HermiticityError, eig_hermitian, hermitize, psd_check,
                      tensor, trace_norm)
-from .model import (DomainError, ParamPoint, Povm, PovmValidation,
-                    StatisticalModel, mix_povm, tensor_model, tensor_povm,
-                    validate_povm)
+from .model import (DomainError, Povm, PovmValidation, StatisticalModel,
+                    mix_povm, tensor_model, tensor_povm, validate_povm)
 from .fisher import (FisherBundle, QfiBundle, SingularFisherError,
                      SingularScoreError, fisher_bundle, qfi_matrix, r_metric,
                      r_nuisance, sld, weak_commutativity)
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "HermiticityError", "eig_hermitian", "hermitize", "psd_check", "tensor",
     "trace_norm",
-    "DomainError", "ParamPoint", "Povm", "PovmValidation", "StatisticalModel",
+    "DomainError", "Povm", "PovmValidation", "StatisticalModel",
     "mix_povm", "tensor_model", "tensor_povm", "validate_povm",
     "FisherBundle", "QfiBundle", "SingularFisherError", "SingularScoreError",
     "fisher_bundle", "qfi_matrix", "r_metric", "r_nuisance", "sld",

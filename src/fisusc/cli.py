@@ -19,7 +19,8 @@ import yaml
 
 from .fisher import fisher_bundle, qfi_matrix
 from .sweep import (MEASUREMENTS, MODELS, SweepSpec, SweepSpecError,
-                    build_model_povm, check_model_spec, run_sweep)
+                    build_model_povm, check_in_domain, check_model_spec,
+                    run_sweep)
 from .verify import run_verify
 
 EXIT_OK = 0
@@ -54,6 +55,13 @@ def _parse_sweep(text):
     if scale is not None and scale not in ("log", "linear"):
         raise SweepSpecError(f"unknown sweep scale {scale!r}")
     return name, start, stop, count, scale
+
+
+def _integer(value, key):
+    """``value`` as an int; a number with a fractional part is refused, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise SweepSpecError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _load_config(path):
@@ -95,13 +103,14 @@ def _spec_from_args(args):
             model=pick(args.model, "model", None) or "",
             measurement=pick(args.measurement, "measurement", None) or "",
             fixed={k: float(v) for k, v in fixed.items()},
-            sweep_name=name, start=float(start), stop=float(stop), count=int(count),
-            scale=scale,
-            oracle_samples=int(pick(args.oracle_samples, "oracle_samples", 0)),
-            seed=int(pick(args.seed, "seed", 0)),
+            sweep_name=name, start=float(start), stop=float(stop),
+            count=_integer(count, "count"), scale=scale,
+            oracle_samples=_integer(pick(args.oracle_samples, "oracle_samples", 0),
+                                    "oracle_samples"),
+            seed=_integer(pick(args.seed, "seed", 0), "seed"),
             out=str(pick(args.out, "out", "sweep.csv")),
-            workers=int(pick(args.workers, "workers", 1)),
-            n_max=int(cfg.get("n_max", 20)),
+            workers=_integer(pick(args.workers, "workers", 1), "workers"),
+            n_max=_integer(cfg.get("n_max", 20), "n_max"),
         )
     except (TypeError, ValueError) as err:
         raise SweepSpecError(f"malformed value in the sweep specification: {err}")
@@ -146,24 +155,23 @@ def _cmd_show_model(args):
         names = check_model_spec(model_id, measurement, fixed)
         theta = np.array([fixed[n] for n in names])
         model, povm, copies, _ = build_model_povm(model_id, measurement, theta)
+        check_in_domain(model, theta, f"point {fixed}")
     except SweepSpecError as err:
         print(f"invalid specification: {err}", file=sys.stderr)
         return EXIT_INVALID_SPEC
-    np.set_printoptions(precision=10, suppress=False, linewidth=140)
-    rho = model.state_at(theta)
-    print(f"model = {model_id}, measurement = {measurement}, copies = {copies}")
-    print(f"theta = {dict(zip(names, theta))}")
-    print("rho =")
-    print(np.array2string(rho))
     try:
-        bundle = fisher_bundle(model, theta, povm)
-        print("F =")
-        print(np.array2string(bundle.fisher))
-        print("Q =")
-        print(np.array2string(qfi_matrix(model, theta).qfi))
+        rho = model.state_at(theta)
+        F = fisher_bundle(model, theta, povm).fisher
+        Q = qfi_matrix(model, theta).qfi
     except ValueError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
+    np.set_printoptions(precision=10, suppress=False, linewidth=140)
+    print(f"model = {model_id}, measurement = {measurement}, copies = {copies}")
+    print(f"theta = {dict(zip(names, theta))}")
+    for name, value in (("rho", rho), ("F", F), ("Q", Q)):
+        print(f"{name} =")
+        print(np.array2string(value))
     return EXIT_OK
 
 

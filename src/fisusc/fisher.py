@@ -7,7 +7,12 @@ are ``p_a = Tr[rho M_a]`` and the scores are
 
     l_{a,j} = Tr[d_j rho M_a] / p_a,
 
-giving the Fisher matrix ``F_{jk} = sum_a p_a l_{a,j} l_{a,k}``.  The
+giving the Fisher matrix ``F_{jk} = sum_a p_a l_{a,j} l_{a,k}``.
+`fisher_bundle` evaluates a point once, as a `FisherBundle`, and every
+susceptibility quantity is read from that bundle.  It drops an outcome
+with ``p_a < P_CUTOFF`` whose numerators are at most ``sqrt(P_CUTOFF)``
+times the largest entry of their ``d_j rho``, a test that does not depend
+on the units of the parameters.  The cutoffs are fixed constants.  The
 quantum Fisher matrix is built from the symmetric logarithmic
 derivatives L_j solving ``2 d_j rho = L_j rho + rho L_j``:
 
@@ -34,8 +39,8 @@ import numpy as np
 
 from .linalg import hermitize, symmetrize_real
 
-DEFAULT_P_CUTOFF = 1e-12
-DEFAULT_SLD_CUTOFF = 1e-10
+P_CUTOFF = 1e-12
+SLD_CUTOFF = 1e-10
 MAX_FISHER_CONDITION = 1e12
 SUPPORT_RTOL = 1e-13
 
@@ -50,7 +55,9 @@ class SingularFisherError(ValueError):
 
 @dataclass(frozen=True)
 class FisherBundle:
-    """Per-(model, theta, POVM) cache of Fisher-information quantities.
+    """Fisher-information quantities of one point (model, theta, POVM).
+
+    Every susceptibility function takes the point's bundle.
 
     Attributes
     ----------
@@ -76,9 +83,7 @@ class FisherBundle:
     kept_outcomes: tuple
     rho: np.ndarray
     derivatives: tuple
-    povm: object
     param_names: tuple
-    p_cutoff: float
 
     @property
     def n_params(self):
@@ -176,13 +181,15 @@ def _outcome_traces(rho, derivs, elements):
             np.real(np.einsum("jxy,ayx->aj", np.stack(derivs), elements)))
 
 
-def fisher_bundle(model, theta, povm, p_cutoff=DEFAULT_P_CUTOFF):
+def fisher_bundle(model, theta, povm):
     """Evaluate probabilities, scores and the Fisher matrix.
 
-    Outcomes with ``p_a < p_cutoff`` are dropped when all their numerators
-    ``Tr[d_j rho M_a]`` are below ``sqrt(p_cutoff)`` (their contribution
-    vanishes in the p -> 0 limit); otherwise the Fisher contribution is
-    genuinely divergent and a :class:`SingularScoreError` is raised.
+    Outcomes with ``p_a < P_CUTOFF`` are dropped when every numerator
+    ``Tr[d_j rho M_a]`` is below ``sqrt(P_CUTOFF) max|d_j rho|`` (their
+    contribution vanishes in the p -> 0 limit); otherwise the Fisher
+    contribution is genuinely divergent and a :class:`SingularScoreError`
+    is raised.  Measuring each numerator in units of its derivative's
+    largest entry makes the choice independent of the parameters' units.
     """
     if model.dim != povm.dim:
         raise ValueError(f"model dim {model.dim} != POVM dim {povm.dim}")
@@ -192,29 +199,30 @@ def fisher_bundle(model, theta, povm, p_cutoff=DEFAULT_P_CUTOFF):
     probs, numerators = _outcome_traces(rho, derivs, povm.elements)
     kept, scores = [], []
     for a in range(len(povm)):
-        if probs[a] >= p_cutoff:
+        if probs[a] >= P_CUTOFF:
             kept.append(a)
             scores.append(numerators[a] / probs[a])
-        elif np.max(np.abs(numerators[a])) > np.sqrt(p_cutoff):
+            continue
+        limits = np.sqrt(P_CUTOFF) * np.max(np.abs(np.stack(derivs)), axis=(1, 2))
+        if np.any(np.abs(numerators[a]) > limits):
             raise SingularScoreError(
-                f"outcome {povm.labels[a]} has p = {probs[a]:.3e} below cutoff "
-                f"but score numerator {np.max(np.abs(numerators[a])):.3e}; "
-                f"its Fisher contribution diverges")
+                f"outcome {povm.labels[a]} has p = {probs[a]:.3e} below cutoff but "
+                f"a score numerator above sqrt(cutoff) max|d_j rho| (largest "
+                f"{np.max(np.abs(numerators[a])):.3e}); its Fisher contribution diverges")
     scores = np.array(scores).reshape(len(kept), P)
     F = np.zeros((P, P))
     for i, a in enumerate(kept):
         F += probs[a] * np.outer(scores[i], scores[i])
     return FisherBundle(probabilities=probs, scores=scores,
                         fisher=symmetrize_real(F), kept_outcomes=tuple(kept),
-                        rho=rho, derivatives=derivs, povm=povm,
-                        param_names=model.param_names, p_cutoff=float(p_cutoff))
+                        rho=rho, derivatives=derivs, param_names=model.param_names)
 
 
-def _slds(rho, derivs, cutoff=DEFAULT_SLD_CUTOFF):
+def _slds(rho, derivs):
     """All SLDs of one state and the quantum Fisher matrix, from one eigh(rho).
 
     In the eigenbasis of rho, L'_{j,mn} = 2 <m|d_j rho|n> / (w_m + w_n)
-    wherever ``w_m + w_n > cutoff``; the kernel-kernel block is set to
+    wherever ``w_m + w_n > SLD_CUTOFF``; the kernel-kernel block is set to
     zero (Moore-Penrose-style convention).  Then
     ``Q_jk = Re sum_mn w_m L'_{j,mn} L'_{k,nm}``, with no operator
     products per (j, k).  Returns ``(L, Q)`` with L a (P, d, d) stack.
@@ -226,7 +234,7 @@ def _slds(rho, derivs, cutoff=DEFAULT_SLD_CUTOFF):
     Vh = V.conj().T
     num = 2.0 * (Vh @ np.stack(derivs) @ V)
     den = w[:, None] + w[None, :]
-    mask = den > cutoff
+    mask = den > SLD_CUTOFF
     Lp = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
     Lp = (Lp + Lp.conj().swapaxes(-1, -2)) / 2.0
     P = Lp.shape[0]
@@ -235,12 +243,12 @@ def _slds(rho, derivs, cutoff=DEFAULT_SLD_CUTOFF):
     return (X + X.conj().swapaxes(-1, -2)) / 2.0, (Q + Q.T) / 2.0
 
 
-def sld(rho, drho, cutoff=DEFAULT_SLD_CUTOFF):
+def sld(rho, drho):
     """Symmetric logarithmic derivative solving 2 drho = L rho + rho L.
 
     Validates its inputs and evaluates `_slds` for one derivative.
     """
-    return _slds(hermitize(rho), [hermitize(drho)], cutoff)[0][0]
+    return _slds(hermitize(rho), [hermitize(drho)])[0][0]
 
 
 @dataclass(frozen=True)
@@ -249,13 +257,12 @@ class QfiBundle:
 
     slds: tuple
     qfi: np.ndarray
-    eigen_cutoff: float
 
 
-def qfi_matrix(model, theta, cutoff=DEFAULT_SLD_CUTOFF):
+def qfi_matrix(model, theta):
     """Quantum Fisher information matrix via SLD operators."""
-    L, Q = _slds(model.state_at(theta), model.derivatives_at(theta), cutoff)
-    return QfiBundle(slds=tuple(L), qfi=Q, eigen_cutoff=float(cutoff))
+    L, Q = _slds(model.state_at(theta), model.derivatives_at(theta))
+    return QfiBundle(slds=tuple(L), qfi=Q)
 
 
 def weak_commutativity(rho, L_j, L_k):

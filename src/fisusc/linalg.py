@@ -15,20 +15,18 @@ class HermiticityError(ValueError):
     """Input matrix is not Hermitian within tolerance."""
 
 
-def hermitize(entries, tol=HERMITICITY_TOL):
+def hermitize(entries):
     """Validate and return a Hermitian operator.
 
     The matrix is symmetrized as (H + H†)/2, which absorbs round-off
-    drift without masking real asymmetry: if the drift exceeds ``tol``
-    (relative to the largest entry, with an absolute floor) the input is
-    rejected instead.
+    drift without masking real asymmetry: if the drift ``max|H - H†|``
+    exceeds ``HERMITICITY_TOL`` (relative to the largest entry, with an
+    absolute floor) the input is rejected instead.
 
     Parameters
     ----------
     entries : array_like
         Square complex matrix.
-    tol : float
-        Maximum allowed asymmetry ``max|H - H†|``.
 
     Returns
     -------
@@ -40,21 +38,21 @@ def hermitize(entries, tol=HERMITICITY_TOL):
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     scale = max(1.0, float(np.max(np.abs(H)))) if H.size else 1.0
     asym = float(np.max(np.abs(H - H.conj().T)))
-    if asym > tol * scale:
+    if asym > HERMITICITY_TOL * scale:
         raise HermiticityError(
             f"matrix is not Hermitian: max|H - H^dag| = {asym:.3e} "
-            f"(tol {tol:.1e}, scale {scale:.3e})")
+            f"(tol {HERMITICITY_TOL:.1e}, scale {scale:.3e})")
     out = (H + H.conj().T) / 2.0
     out.setflags(write=False)
     return out
 
 
-def is_hermitian(H, tol=HERMITICITY_TOL):
+def is_hermitian(H):
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         return False
     scale = max(1.0, float(np.max(np.abs(H)))) if H.size else 1.0
-    return float(np.max(np.abs(H - H.conj().T))) <= tol * scale
+    return float(np.max(np.abs(H - H.conj().T))) <= HERMITICITY_TOL * scale
 
 
 def _require_hermitian(H, what="operator"):
@@ -109,12 +107,12 @@ def min_eigenvalue(H):
     return float(np.linalg.eigvalsh(np.asarray(H, dtype=complex))[0])
 
 
-def symmetrize_real(M, tol=HERMITICITY_TOL):
+def symmetrize_real(M):
     """Validate and symmetrize a real symmetric matrix (e.g. a Fisher matrix)."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     scale = max(1.0, float(np.max(np.abs(M)))) if M.size else 1.0
-    if float(np.max(np.abs(M - M.T))) > tol * scale:
+    if float(np.max(np.abs(M - M.T))) > HERMITICITY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return (M + M.T) / 2.0

@@ -12,39 +12,11 @@ import numpy as np
 
 from .linalg import hermitize, min_eigenvalue
 
-DEFAULT_FD_STEP = 1e-5
+FD_STEP = 1e-5
 
 
 class DomainError(ValueError):
     """Parameter point outside the model's declared domain."""
-
-
-@dataclass(frozen=True)
-class ParamPoint:
-    """Named parameter vector theta."""
-
-    names: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "names", tuple(self.names))
-        if len(self.names) != values.size or values.size < 1:
-            raise ValueError("names and values must have equal positive length")
-
-    @property
-    def n_params(self):
-        return len(self.names)
-
-    def replace(self, index, value):
-        v = self.values.copy()
-        v[index] = value
-        return ParamPoint(self.names, v)
-
-    def as_dict(self):
-        return dict(zip(self.names, self.values))
 
 
 class StatisticalModel:
@@ -60,21 +32,18 @@ class StatisticalModel:
     derivative_fn : callable, optional
         ``theta values -> list of d rho / d theta_j``.  When omitted,
         derivatives fall back to central finite differences with step
-        ``fd_step``.
+        ``FD_STEP``.
     domain_fn : callable, optional
         ``theta values -> bool``; False means out of domain.
-    fd_step : float
-        Central-difference step for the finite-difference fallback.
     """
 
     def __init__(self, dim, param_names, state_fn, derivative_fn=None,
-                 domain_fn=None, fd_step=DEFAULT_FD_STEP):
+                 domain_fn=None):
         self.dim = int(dim)
         self.param_names = tuple(param_names)
         self._state_fn = state_fn
         self._derivative_fn = derivative_fn
         self._domain_fn = domain_fn
-        self.fd_step = float(fd_step)
         if self.dim < 1 or not self.param_names:
             raise ValueError("need dim >= 1 and at least one parameter")
 
@@ -82,35 +51,11 @@ class StatisticalModel:
     def n_params(self):
         return len(self.param_names)
 
-    @property
-    def derivative_mode(self):
-        return "analytic" if self._derivative_fn is not None else "finite-difference"
-
-    def point(self, *values, **named):
-        """Build a ParamPoint from positional or keyword parameter values."""
-        if values and named:
-            raise ValueError("pass either positional or named values, not both")
-        if named:
-            try:
-                values = [named.pop(n) for n in self.param_names]
-            except KeyError as err:
-                raise ValueError(f"missing parameter {err}") from None
-            if named:
-                raise ValueError(f"unknown parameters {sorted(named)}")
-        if len(values) != self.n_params:
-            raise ValueError(f"expected {self.n_params} values, got {len(values)}")
-        return ParamPoint(self.param_names, np.asarray(values, dtype=float))
-
     def in_domain(self, theta):
         values = self._theta_values(theta)
         return bool(self._domain_fn(values)) if self._domain_fn is not None else True
 
     def _theta_values(self, theta):
-        if isinstance(theta, ParamPoint):
-            if theta.names != self.param_names:
-                raise ValueError(
-                    f"parameter names {theta.names} do not match model {self.param_names}")
-            return theta.values
         values = np.asarray(theta, dtype=float)
         if values.size != self.n_params:
             raise ValueError(f"expected {self.n_params} parameter values")
@@ -133,7 +78,7 @@ class StatisticalModel:
         self._check_domain(values)
         if self._derivative_fn is not None:
             return [hermitize(d) for d in self._derivative_fn(values)]
-        h = self.fd_step
+        h = FD_STEP
         derivs = []
         for j in range(self.n_params):
             up, dn = values.copy(), values.copy()
@@ -272,5 +217,5 @@ def tensor_model(model, m):
 
     return StatisticalModel(model.dim ** m, model.param_names, state_fn,
                             derivative_fn=derivative_fn,
-                            domain_fn=model._domain_fn, fd_step=model.fd_step)
+                            domain_fn=model._domain_fn)
 

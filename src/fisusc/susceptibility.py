@@ -33,6 +33,9 @@ in that frame (``report.sigma_lower_split``) is not a lower bound - it can
 exceed the exact maximum - and is computed only as a diagnostic, when it
 is read.
 
+Every function takes the point's `FisherBundle` (`fisher_bundle`), so one
+evaluation of state, derivatives and F serves them all; only
+`x_finite_mix` takes the model, because it must evaluate the mixed POVM.
 `susceptibility_report`, `sigma_lower`, `sigma_upper` and
 `noise_search_oracle` work on the bundle restricted to the joint range of
 rho and its derivatives (`FisherBundle.on_support`), which holds every K_a
@@ -46,8 +49,8 @@ as its compression onto the support, which has the same X.  No sample
 beats the pair bound, since Tr[(K_a - K_b) B] <= Tr[(K_a - K_b)_+] for
 0 <= B <= I, so the search returns Sigma_L unless that inequality fails
 numerically.  The fixed-noise functions `g_matrix`, `xi_matrix` and
-`x_scalar` take the bundle of `fisher_bundle` and a noise POVM on the same
-space, and use the bundle's checked F^-1.
+`x_scalar` take a noise POVM on the bundle's space, and use the bundle's
+checked F^-1.
 """
 
 from dataclasses import dataclass
@@ -55,8 +58,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .fisher import (DEFAULT_P_CUTOFF, FisherBundle, SingularFisherError,
-                     _outcome_traces, fisher_bundle)
+from .fisher import (FisherBundle, SingularFisherError, _outcome_traces,
+                     fisher_bundle)
 from .linalg import _trace_norms
 from .model import Povm, mix_povm
 
@@ -117,29 +120,27 @@ def x_scalar(bundle: FisherBundle, noise: Povm):
     return bundle.n_params + float(np.real(np.einsum("axy,ayx->", K, elements)))
 
 
-def x_finite_mix(model, theta, target, noise, eps, p_cutoff=DEFAULT_P_CUTOFF):
+def x_finite_mix(model, theta, target, noise, eps):
     """Finite-eps determinant quotient (det F - det F_eps) / (eps det F).
 
     Converges linearly in eps to x_scalar; used as an independent check
     of the first-order formula.
     """
-    F0 = fisher_bundle(model, theta, target, p_cutoff).fisher
-    mixed = mix_povm(target, noise, eps)
-    Fe = fisher_bundle(model, theta, mixed, p_cutoff).fisher
+    F0 = fisher_bundle(model, theta, target).fisher
+    Fe = fisher_bundle(model, theta, mix_povm(target, noise, eps)).fisher
     d0 = np.linalg.det(F0)
     return float((d0 - np.linalg.det(Fe)) / (eps * d0))
 
 
-def sigma_single(model, theta, povm, p_cutoff=DEFAULT_P_CUTOFF):
+def sigma_single(bundle: FisherBundle):
     """Single-parameter worst-case susceptibility sigma[M].
 
     sigma = 1 + (l_n^2 + l_m^2 + ||A_n - A_m||_1) / (2 F) with n, m the
     outcomes of maximal and minimal score.
     """
-    if model.n_params != 1:
+    if bundle.n_params != 1:
         raise ValueError(
-            f"sigma_single needs a single-parameter model, got P = {model.n_params}")
-    bundle = fisher_bundle(model, theta, povm, p_cutoff)
+            f"sigma_single needs a single-parameter model, got P = {bundle.n_params}")
     F = float(bundle.fisher[0, 0])
     if F <= 0.0:
         raise SingularFisherError(
@@ -186,13 +187,13 @@ def _best_pair(K):
     return (int(i[p]), int(j[p])), float(values[p])
 
 
-def sigma_lower(model, theta, povm, p_cutoff=DEFAULT_P_CUTOFF):
+def sigma_lower(bundle: FisherBundle):
     """Certified lower bound on Sigma[M], maximized over outcome pairs.
 
     Returns ``(Sigma_L, best_pair)`` with outcome indices of the
     maximizing pair (ties broken toward the lowest indices).
     """
-    reduced = fisher_bundle(model, theta, povm, p_cutoff).on_support[1]
+    reduced = bundle.on_support[1]
     (i, j), value = _best_pair(_k_operators(reduced))
     kept = reduced.kept_outcomes
     return reduced.n_params + value, (kept[i], kept[j])
@@ -219,7 +220,7 @@ class DiagonalizedFrame:
     kept_outcomes: tuple
 
 
-def _canonical_diagonalizer(F, cluster_rtol=CLUSTER_RTOL):
+def _canonical_diagonalizer(F):
     """Deterministic orthogonal J with J F J^T diagonal (descending).
 
     Within clusters of (nearly) degenerate eigenvalues the eigenbasis
@@ -235,7 +236,7 @@ def _canonical_diagonalizer(F, cluster_rtol=CLUSTER_RTOL):
     scale = max(float(np.max(np.abs(w))), 1e-300)
     clusters, start = [], 0
     for i in range(1, len(w)):
-        if abs(w[i] - w[i - 1]) > cluster_rtol * scale:
+        if abs(w[i] - w[i - 1]) > CLUSTER_RTOL * scale:
             clusters.append(range(start, i))
             start = i
     clusters.append(range(start, len(w)))
@@ -290,10 +291,9 @@ def _sigma_lower_split(frame):
     return float(np.max(split))
 
 
-def sigma_upper(model, theta, povm, p_cutoff=DEFAULT_P_CUTOFF):
+def sigma_upper(bundle: FisherBundle):
     """Upper bound Sigma_U = sum_j sigma_j and the per-parameter terms."""
-    reduced = fisher_bundle(model, theta, povm, p_cutoff).on_support[1]
-    return _sigma_upper_from_frame(diagonalize_frame(reduced))
+    return _sigma_upper_from_frame(diagonalize_frame(bundle.on_support[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +330,7 @@ def _materialize_noise(n_outcomes, dim, assignments):
     return Povm(elements, labels=[f"n{i}" for i in range(n_outcomes)])
 
 
-def noise_search_oracle(model, theta, povm, n_samples, seed, p_cutoff=DEFAULT_P_CUTOFF):
+def noise_search_oracle(bundle: FisherBundle, n_samples, seed):
     """Sampled maximization of X[M, N] over noise POVMs.
 
     Candidates:
@@ -357,10 +357,11 @@ def noise_search_oracle(model, theta, povm, n_samples, seed, p_cutoff=DEFAULT_P_
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
-    V, reduced = fisher_bundle(model, theta, povm, p_cutoff).on_support
+    V, reduced = bundle.on_support
     K = _k_operators(reduced)
     best_x, assignments = _noise_search(reduced, V, K, _best_pair(K), n_samples, seed)
-    return best_x, _materialize_noise(len(reduced.probabilities), povm.dim, assignments)
+    return best_x, _materialize_noise(len(bundle.probabilities), bundle.rho.shape[0],
+                                      assignments)
 
 
 def _noise_search(bundle, V, K, best, n_samples, seed):
@@ -417,7 +418,7 @@ def _noise_search(bundle, V, K, best, n_samples, seed):
 
 @dataclass(frozen=True)
 class SusceptibilityReport:
-    """Bounds on the measurement-noise susceptibility at one (model, theta, M).
+    """Bounds on the measurement-noise susceptibility at one point (rho(theta), M).
 
     ``sigma_lower_split`` (the per-parameter trace-norm variant of the
     pair bound, not a lower bound) is computed from ``frame`` when read.
@@ -438,16 +439,11 @@ class SusceptibilityReport:
         return _sigma_lower_split(self.frame)
 
 
-def susceptibility_report(model, theta, povm, oracle_samples=0, seed=0,
-                          p_cutoff=DEFAULT_P_CUTOFF):
-    """Full susceptibility analysis: bounds, frame, optional sampled search."""
-    return _report(fisher_bundle(model, theta, povm, p_cutoff), oracle_samples, seed)
+def susceptibility_report(bundle: FisherBundle, oracle_samples=0, seed=0):
+    """Full susceptibility analysis: bounds, frame, optional sampled search.
 
-
-def _report(bundle, oracle_samples, seed):
-    """Body of `susceptibility_report` on a Fisher bundle.
-
-    Everything is evaluated on the bundle restricted to its support.
+    Everything is evaluated on the bundle restricted to its support; the
+    search shares the K operators and best pair of the lower bound.
     """
     V, reduced = bundle.on_support
     K = _k_operators(reduced)

@@ -21,7 +21,7 @@ from .model import DomainError, tensor_model
 from .models import (PointSourceConfig, bell_povm, optimal_povm_point_sources,
                      point_source_model, qubit_phase_dephasing,
                      separable_povm, x_opt)
-from .susceptibility import _report
+from .susceptibility import susceptibility_report
 
 MODELS = ("phase-dephasing", "point-sources")
 MEASUREMENTS = ("separable", "bell", "optimal-hg")
@@ -59,8 +59,8 @@ class SweepSpec:
 
     def validate(self):
         check_model_spec(self.model, self.measurement, self.fixed, self.sweep_name)
-        if not np.all(np.isfinite([self.start, self.stop, *self.fixed.values()])):
-            raise SweepSpecError("fixed values and sweep limits must be finite")
+        if not np.all(np.isfinite([self.start, self.stop])):
+            raise SweepSpecError("sweep limits must be finite")
         if self.n_max < 3:
             raise SweepSpecError("n_max must be >= 3")
         if self.count < 2:
@@ -73,11 +73,8 @@ class SweepSpec:
             raise SweepSpecError("oracle_samples must be >= 0 and workers >= 1")
         grid = self.grid()
         for value in (grid[0], grid[-1]):
-            theta = _theta_for(self, value)
-            model = _build_model(self, value)[0]
-            if not model.in_domain(theta):
-                raise SweepSpecError(
-                    f"sweep endpoint {self.sweep_name} = {value} leaves the model domain")
+            check_in_domain(_build_model(self, value)[0], _theta_for(self, value),
+                            f"sweep endpoint {self.sweep_name} = {value}")
 
     def grid(self):
         if self.scale == "log":
@@ -90,10 +87,10 @@ def _param_names(model_id):
 
 
 def check_model_spec(model, measurement, fixed, swept=None):
-    """Check a model/measurement choice and the names of its fixed values.
+    """Check a model/measurement choice and its fixed values.
 
-    Every model parameter except ``swept`` needs a fixed value, and only
-    those may have one.  Returns the model's parameter names; raises
+    Every model parameter except ``swept`` needs a finite fixed value, and
+    only those may have one.  Returns the model's parameter names; raises
     :class:`SweepSpecError`.
     """
     if model not in MODELS:
@@ -114,7 +111,15 @@ def check_model_spec(model, measurement, fixed, swept=None):
     unknown = [n for n in fixed if n not in fixable]
     if unknown:
         raise SweepSpecError(f"cannot fix {unknown}; fixable parameters are {fixable}")
+    if not np.all(np.isfinite(list(fixed.values()))):
+        raise SweepSpecError("fixed values must be finite")
     return names
+
+
+def check_in_domain(model, theta, where):
+    """Raise :class:`SweepSpecError` when ``theta`` is outside the model domain."""
+    if not model.in_domain(theta):
+        raise SweepSpecError(f"{where} leaves the model domain")
 
 
 def _theta_for(spec, sweep_value):
@@ -206,7 +211,7 @@ def evaluate_point(spec, index, sweep_value):
         row["r_multi"] = _ratios(Finv, Q1inv, copies)[0]
         for n, r in zip(names, _ratios(Finv, Qinv)[1]):
             row[f"r_nuisance_{n}"] = float(r)
-        report = _report(bundle, spec.oracle_samples, spec.seed + index)
+        report = susceptibility_report(bundle, spec.oracle_samples, spec.seed + index)
         row["sigma_lower"] = report.sigma_lower
         row["sigma_upper"] = report.sigma_upper
         for n, s in zip(names, report.per_parameter_sigmas):

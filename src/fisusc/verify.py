@@ -273,7 +273,7 @@ def check_bound_order_and_oracle(seed):
     ok, details = True, []
     for delta in (0.1, 0.4):
         theta = np.array([np.pi / 4, delta])
-        report = susceptibility_report(model, theta, separable_povm(),
+        report = susceptibility_report(fisher_bundle(model, theta, separable_povm()),
                                        oracle_samples=2000, seed=seed)
         ok &= report.sigma_lower <= report.sigma_upper + 1e-8
         ok &= report.sigma_lower - 1e-9 <= report.oracle_best <= report.sigma_upper + 1e-9
@@ -295,10 +295,10 @@ def check_p1_collapse(seed):
         return [0.5 * np.array([[0.0, -1j * e], [np.conj(-1j * e), 0.0]])]
 
     model = StatisticalModel(2, ("phi",), state_fn, derivative_fn=deriv_fn)
-    theta = np.array([1.1])
-    lo, _ = sigma_lower(model, theta, separable_povm())
-    up, _ = sigma_upper(model, theta, separable_povm())
-    sig = sigma_single(model, theta, separable_povm())
+    bundle = fisher_bundle(model, np.array([1.1]), separable_povm())
+    lo, _ = sigma_lower(bundle)
+    up, _ = sigma_upper(bundle)
+    sig = sigma_single(bundle)
     worst = max(abs(lo - sig), abs(up - sig))
     return worst <= 1e-10, f"|Sigma_L - sigma| = {abs(lo-sig):.2e}, |Sigma_U - sigma| = {abs(up-sig):.2e}"
 
@@ -312,12 +312,10 @@ def check_outcome_permutation_invariance(seed):
     perm = rng.permutation(4)
     target_p = Povm([target.elements[i] for i in perm])
     noise_p = Povm([noise.elements[i] for i in perm])
-    x0 = x_scalar(fisher_bundle(model, theta, target), noise)
-    x1 = x_scalar(fisher_bundle(model, theta, target_p), noise_p)
-    lo0, _ = sigma_lower(model, theta, target)
-    lo1, _ = sigma_lower(model, theta, target_p)
-    up0, _ = sigma_upper(model, theta, target)
-    up1, _ = sigma_upper(model, theta, target_p)
+    b0, b1 = fisher_bundle(model, theta, target), fisher_bundle(model, theta, target_p)
+    x0, x1 = x_scalar(b0, noise), x_scalar(b1, noise_p)
+    (lo0, _), (lo1, _) = sigma_lower(b0), sigma_lower(b1)
+    (up0, _), (up1, _) = sigma_upper(b0), sigma_upper(b1)
     worst = max(abs(x0 - x1), abs(lo0 - lo1), abs(up0 - up1))
     return worst <= 1e-9, f"max change under relabeling {worst:.2e}"
 
@@ -366,11 +364,8 @@ def check_truncation_convergence(seed):
     for n_max in (8, 16):
         cfg = PointSourceConfig(n_max=n_max, x_m=x_opt(*theta))
         model = point_source_model(cfg)
-        povm = optimal_povm_point_sources(cfg)
-        F = fisher_bundle(model, theta, povm).fisher
-        lo, _ = sigma_lower(model, theta, povm)
-        up, _ = sigma_upper(model, theta, povm)
-        values[n_max] = (F, lo, up)
+        bundle = fisher_bundle(model, theta, optimal_povm_point_sources(cfg))
+        values[n_max] = (bundle.fisher, sigma_lower(bundle)[0], sigma_upper(bundle)[0])
     dF = float(np.max(np.abs(values[8][0] - values[16][0]))
                / np.max(np.abs(values[16][0])))
     dlo = abs(values[8][1] - values[16][1]) / values[16][1]

@@ -77,9 +77,8 @@ def test_c3_r_bell_saturates_at_small_dephasing():
 
 
 def _sigma_bounds(model, theta, povm):
-    lo, _ = sigma_lower(model, theta, povm)
-    up, _ = sigma_upper(model, theta, povm)
-    return lo, up
+    bundle = fisher_bundle(model, theta, povm)
+    return sigma_lower(bundle)[0], sigma_upper(bundle)[0]
 
 
 def test_c4_susceptibility_divergence_vs_finite_limit():
@@ -219,7 +218,7 @@ def point_source_grid():
     for q in (0.5, 0.3, 0.1):
         for dx in np.geomspace(0.01, 0.5, 10):
             model, theta, povm = _point_source_setup(q, dx)
-            rep = susceptibility_report(model, theta, povm)
+            rep = susceptibility_report(fisher_bundle(model, theta, povm))
             rows[(q, float(dx))] = (rep.sigma_lower, rep.sigma_upper,
                                     rep.sigma_lower_split)
     elapsed = time.perf_counter() - start
@@ -257,8 +256,9 @@ def test_c7_certified_bound_is_attained(point_source_grid):
     worst = 0.0
     for q, dx in ((0.5, 0.2), (0.3, 0.1), (0.1, 0.06)):
         model, theta, povm = _point_source_setup(q, dx)
-        lo, _ = sigma_lower(model, theta, povm)
-        best, _ = noise_search_oracle(model, theta, povm, n_samples=2000, seed=5)
+        bundle = fisher_bundle(model, theta, povm)
+        lo, _ = sigma_lower(bundle)
+        best, _ = noise_search_oracle(bundle, n_samples=2000, seed=5)
         worst = max(worst, abs(best - lo) / lo)
     report("7 (attainment companion)", worst <= 1e-9,
            f"max |oracle_best - Sigma_L|/Sigma_L = {worst:.2e}")
@@ -358,13 +358,14 @@ def test_c8_property_suite():
     for k in range(20):
         model, th, povm = _random_instance(rng)
         try:
-            lo, _ = sigma_lower(model, th, povm)
+            bundle = fisher_bundle(model, th, povm)
+            lo, _ = sigma_lower(bundle)
         except ValueError:
             model, th, povm = _random_instance(rng)
-            lo, _ = sigma_lower(model, th, povm)
-        up, _ = sigma_upper(model, th, povm)
-        best, _ = noise_search_oracle(model, th, povm, n_samples=10000,
-                                      seed=1000 + k)
+            bundle = fisher_bundle(model, th, povm)
+            lo, _ = sigma_lower(bundle)
+        up, _ = sigma_upper(bundle)
+        best, _ = noise_search_oracle(bundle, n_samples=10000, seed=1000 + k)
         sandwich_ok &= (lo - 1e-9 <= best <= up + 1e-9)
         worst_margin = min(worst_margin, best - lo, up - best)
     checks.append(("Sigma_L <= oracle best X <= Sigma_U on 20 random "
@@ -380,10 +381,10 @@ def test_c8_property_suite():
         return [0.5 * np.array([[0.0, -1j * e], [np.conj(-1j * e), 0.0]])]
 
     p1 = StatisticalModel(2, ("phi",), phase_only, derivative_fn=phase_only_d)
-    th1 = np.array([1.1])
-    sg = sigma_single(p1, th1, sep)
-    lo1, _ = sigma_lower(p1, th1, sep)
-    up1, _ = sigma_upper(p1, th1, sep)
+    bundle = fisher_bundle(p1, np.array([1.1]), sep)
+    sg = sigma_single(bundle)
+    lo1, _ = sigma_lower(bundle)
+    up1, _ = sigma_upper(bundle)
     collapse = max(abs(lo1 - sg), abs(up1 - sg))
     checks.append(("P=1 collapse Sigma_L = Sigma_U = sigma (1e-10)",
                    collapse <= 1e-10, f"{collapse:.2e}"))

@@ -126,6 +126,24 @@ def test_singular_score_error():
         fisher_bundle(model, [0.0], povm)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_dropped_outcomes_do_not_depend_on_parameter_units(scale):
+    # the rest outcome has p = 8.3e-13 and a dx numerator of 3.1e-11; in the
+    # parameter u = 1e-6 dx that numerator reads 3.1e-5, above any absolute
+    # sqrt(1e-12), but relative to max|d_u rho| it is as small as before
+    theta = np.array([0.0, 0.1526, 0.3])
+    cfg = PointSourceConfig(n_max=20, x_m=x_opt(*theta))
+    model, povm = point_source_model(cfg), optimal_povm_point_sources(cfg)
+    s = np.array([1.0, scale, 1.0])
+    rescaled = StatisticalModel(
+        model.dim, ("x_c", "u", "q"), lambda u: model.state_at(u / s),
+        derivative_fn=lambda u: [d / k for d, k in zip(model.derivatives_at(u / s), s)])
+    bundle = fisher_bundle(model, theta, povm)
+    assert bundle.probabilities[4] < 1e-12
+    assert bundle.kept_outcomes == (0, 1, 2, 3)
+    assert fisher_bundle(rescaled, s * theta, povm).kept_outcomes == (0, 1, 2, 3)
+
+
 def test_dropped_outcome_is_silent_when_numerator_vanishes():
     def state_fn(v):
         return np.diag([1.0, 0.0])

@@ -1,20 +1,10 @@
 import numpy as np
 import pytest
 
-from fisusc.model import (DomainError, ParamPoint, Povm, StatisticalModel,
-                          mix_povm, tensor_model, tensor_povm, validate_povm)
+from fisusc.model import (DomainError, Povm, StatisticalModel, mix_povm,
+                          tensor_model, tensor_povm, validate_povm)
 from fisusc.models import (PointSourceConfig, point_source_model,
                            qubit_phase_dephasing, separable_povm)
-
-
-def test_param_point_basics():
-    p = ParamPoint(("a", "b"), [1.0, 2.0])
-    assert p.n_params == 2
-    assert p.as_dict() == {"a": 1.0, "b": 2.0}
-    q = p.replace(1, 5.0)
-    assert q.values[1] == 5.0 and p.values[1] == 2.0
-    with pytest.raises(ValueError):
-        ParamPoint(("a",), [1.0, 2.0])
 
 
 def test_qubit_state_plus_limit():
@@ -82,9 +72,7 @@ def test_finite_difference_mode_and_stencil_domain_error():
         return np.array([[1.0 - x, 0.0], [0.0, x]])
 
     model = StatisticalModel(2, ("x",), state_fn,
-                             domain_fn=lambda v: 0.0 <= v[0] <= 1.0,
-                             fd_step=1e-5)
-    assert model.derivative_mode == "finite-difference"
+                             domain_fn=lambda v: 0.0 <= v[0] <= 1.0)
     d = model.derivatives_at([0.5])[0]
     np.testing.assert_allclose(d, np.diag([-1.0, 1.0]), atol=1e-9)
     with pytest.raises(DomainError):

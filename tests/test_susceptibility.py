@@ -10,7 +10,7 @@ from fisusc.models import (PointSourceConfig, bell_povm,
                            optimal_povm_point_sources, point_source_model,
                            qubit_phase_dephasing, separable_povm, x_opt)
 from fisusc.susceptibility import (SAMPLE_CHUNK, _best_pair, _k_operators,
-                                   _materialize_noise, _noise_search, _report,
+                                   _materialize_noise, _noise_search,
                                    _sigma_lower_split,
                                    _sigma_upper_from_frame,
                                    _two_outcome_samples, diagonalize_frame,
@@ -148,7 +148,7 @@ def test_a_tensor_contraction_identity():
     total = np.zeros((P, P))
     for i, a in enumerate(bundle.kept_outcomes):
         total += np.real(np.einsum("jkxy,yx->jk", at[i],
-                                   bundle.povm.elements[a]))
+                                   separable_povm().elements[a]))
     np.testing.assert_allclose(total, -bundle.fisher, atol=1e-10)
 
 
@@ -292,10 +292,8 @@ def test_x_outcome_permutation_invariance():
     x0 = x_scalar(b0, noise)
     x1 = x_scalar(b1, noise_p)
     assert x1 == pytest.approx(x0, abs=1e-10)
-    assert sigma_lower(model, theta, target)[0] == pytest.approx(
-        sigma_lower(model, theta, target_p)[0], abs=1e-9)
-    assert sigma_upper(model, theta, target)[0] == pytest.approx(
-        sigma_upper(model, theta, target_p)[0], abs=1e-9)
+    assert sigma_lower(b0)[0] == pytest.approx(sigma_lower(b1)[0], abs=1e-9)
+    assert sigma_upper(b0)[0] == pytest.approx(sigma_upper(b1)[0], abs=1e-9)
 
 
 def test_x_zero_padding_invariance():
@@ -339,7 +337,7 @@ def test_sigma_single_symmetric_two_outcome():
     assert l[0] == pytest.approx(-l[1], abs=1e-14)
     F = bundle.fisher[0, 0]
     expected = 1.0 + (l[0] ** 2 + 2 * abs(l[0]) * trace_norm(bundle.derivatives[0])) / F
-    sig = sigma_single(model, theta, povm)
+    sig = sigma_single(bundle)
     assert sig == pytest.approx(expected, abs=1e-12)
     assert sig == pytest.approx(4.0, abs=1e-12)
 
@@ -347,14 +345,14 @@ def test_sigma_single_symmetric_two_outcome():
 def test_sigma_single_requires_single_parameter():
     model = qubit_phase_dephasing()
     with pytest.raises(ValueError):
-        sigma_single(model, [0.3, 0.2], separable_povm())
+        sigma_single(fisher_bundle(model, [0.3, 0.2], separable_povm()))
 
 
 def test_sigma_single_zero_information_errors():
     model = phase_only_model(0.3)
     povm = Povm([np.eye(2) / 2.0, np.eye(2) / 2.0])
     with pytest.raises(SingularFisherError):
-        sigma_single(model, [0.7], povm)
+        sigma_single(fisher_bundle(model, [0.7], povm))
 
 
 def test_sigma_single_monte_carlo_cross_check():
@@ -365,15 +363,13 @@ def test_sigma_single_monte_carlo_cross_check():
     s2 = np.sqrt(2.0)
     kets = [np.array([1.0, 1.0]) / s2, np.array([1.0, -1.0]) / s2]
     povm = Povm([np.outer(k, k.conj()) for k in kets])
-    sig = sigma_single(model, theta, povm)
-    best, best_noise = noise_search_oracle(model, theta, povm,
-                                           n_samples=10000, seed=12)
+    bundle = fisher_bundle(model, theta, povm)
+    sig = sigma_single(bundle)
+    best, best_noise = noise_search_oracle(bundle, n_samples=10000, seed=12)
     assert best <= sig + 1e-9
     assert (sig - best) / sig < 0.02
     # the returned noise is a valid POVM achieving the reported value
-    from fisusc.model import validate_povm
     assert validate_povm(best_noise, 1e-9).passed
-    bundle = fisher_bundle(model, theta, povm)
     assert x_scalar(bundle, best_noise) == pytest.approx(best, abs=1e-9)
 
 
@@ -442,11 +438,10 @@ def test_frame_requires_invertible_fisher():
 
 def test_p1_collapse():
     model = phase_only_model(0.3)
-    theta = np.array([1.1])
-    povm = separable_povm()
-    sig = sigma_single(model, theta, povm)
-    lo, _ = sigma_lower(model, theta, povm)
-    up, sigmas = sigma_upper(model, theta, povm)
+    bundle = fisher_bundle(model, np.array([1.1]), separable_povm())
+    sig = sigma_single(bundle)
+    lo, _ = sigma_lower(bundle)
+    up, sigmas = sigma_upper(bundle)
     assert lo == pytest.approx(sig, abs=1e-10)
     assert up == pytest.approx(sig, abs=1e-10)
     assert len(sigmas) == 1
@@ -456,25 +451,22 @@ def test_sigma_lower_tie_break_deterministic():
     # duplicated elements make pairs (0, 2) and (1, 2) exactly equivalent;
     # the lowest-index pair must win
     model = phase_only_model(0.25)
-    theta = np.array([0.7])
     plus = 0.5 * (np.eye(2) + np.array([[0.0, 1.0], [1.0, 0.0]]))
     minus = np.eye(2) - plus
-    povm = Povm([plus / 2.0, plus / 2.0, minus])
-    lo, pair = sigma_lower(model, theta, povm)
+    bundle = fisher_bundle(model, np.array([0.7]), Povm([plus / 2.0, plus / 2.0, minus]))
+    lo, pair = sigma_lower(bundle)
     assert pair == (0, 2)
-    sig = sigma_single(model, theta, povm)
+    sig = sigma_single(bundle)
     assert lo == pytest.approx(sig, abs=1e-12)
 
 
 def test_bounds_order_and_oracle_sandwich_qubit():
-    model = qubit_phase_dephasing()
-    theta = [np.pi / 4, 0.3]
-    povm = separable_povm()
-    lo, pair = sigma_lower(model, theta, povm)
-    up, sigmas = sigma_upper(model, theta, povm)
+    _, _, bundle = qubit_bundle((np.pi / 4, 0.3))
+    lo, pair = sigma_lower(bundle)
+    up, sigmas = sigma_upper(bundle)
     assert lo <= up + 1e-8
     assert up == pytest.approx(sum(sigmas), abs=1e-12)
-    best, _ = noise_search_oracle(model, theta, povm, n_samples=10000, seed=5)
+    best, _ = noise_search_oracle(bundle, n_samples=10000, seed=5)
     assert lo - 1e-9 <= best <= up + 1e-9
     assert pair == (1, 3)
 
@@ -482,16 +474,15 @@ def test_bounds_order_and_oracle_sandwich_qubit():
 def test_sigma_lower_needs_two_outcomes():
     model = qubit_phase_dephasing()
     with pytest.raises((SingularFisherError, ValueError)):
-        sigma_lower(model, [0.4, 0.3], Povm([np.eye(2)]))
+        sigma_lower(fisher_bundle(model, [0.4, 0.3], Povm([np.eye(2)])))
 
 
 def test_sigma_upper_point_source_gap_small_at_q03():
     theta = np.array([0.0, 0.2, 0.3])
     cfg = PointSourceConfig(n_max=20, x_m=x_opt(*theta))
-    model = point_source_model(cfg)
-    povm = optimal_povm_point_sources(cfg)
-    lo, _ = sigma_lower(model, theta, povm)
-    up, _ = sigma_upper(model, theta, povm)
+    bundle = fisher_bundle(point_source_model(cfg), theta, optimal_povm_point_sources(cfg))
+    lo, _ = sigma_lower(bundle)
+    up, _ = sigma_upper(bundle)
     assert (up - lo) / up < 0.01
 
 
@@ -506,14 +497,14 @@ def test_per_parameter_sigmas_at_least_one():
     instances.append((point_source_model(cfg), theta,
                       optimal_povm_point_sources(cfg)))
     for mod, th, povm in instances:
-        _, sigmas = sigma_upper(mod, th, povm)
+        _, sigmas = sigma_upper(fisher_bundle(mod, th, povm))
         assert all(s >= 1.0 - 1e-9 for s in sigmas)
 
 
 def test_sigma_upper_bell_diverges_toward_zero_dephasing():
     model = tensor_model(qubit_phase_dephasing(), 2)
-    up_002, _ = sigma_upper(model, [np.pi / 4, 0.02], bell_povm())
-    up_010, _ = sigma_upper(model, [np.pi / 4, 0.10], bell_povm())
+    up_002, _ = sigma_upper(fisher_bundle(model, [np.pi / 4, 0.02], bell_povm()))
+    up_010, _ = sigma_upper(fisher_bundle(model, [np.pi / 4, 0.10], bell_povm()))
     assert up_002 > up_010
 
 
@@ -522,7 +513,7 @@ def test_sigma_lower_invariant_under_degenerate_rotation():
     # the degenerate eigenbasis must not change it; the per-parameter upper
     # bound is frame dependent but stays a valid upper bound
     # (the lower bound is evaluated on the bundle transformed into each frame)
-    model, theta, bundle = qubit_bundle((np.pi / 4, 0.1))
+    _, _, bundle = qubit_bundle((np.pi / 4, 0.1))
     th = 0.7
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     frame0 = diagonalize_frame(bundle)
@@ -530,14 +521,13 @@ def test_sigma_lower_invariant_under_degenerate_rotation():
     # F is proportional to I here, so the canonical frame of the rotated
     # bundle is the rotated frame
     frame1 = diagonalize_frame(reparametrized_bundle(bundle, J1))
-    lo = sigma_lower(model, theta, separable_povm())[0]
+    lo = sigma_lower(bundle)[0]
     for J in (frame0.jacobian, J1):
         _, value = _best_pair(_k_operators(reparametrized_bundle(bundle, J)))
         assert 2 + value == pytest.approx(lo, abs=1e-9)
     up0, _ = _sigma_upper_from_frame(frame0)
     up1, _ = _sigma_upper_from_frame(frame1)
-    best, _ = noise_search_oracle(model, theta, separable_povm(),
-                                  n_samples=2000, seed=8)
+    best, _ = noise_search_oracle(bundle, n_samples=2000, seed=8)
     assert up0 >= best - 1e-9
     assert up1 >= best - 1e-9
     # frame dependence of the upper bound is real; the canonical frame is
@@ -547,9 +537,9 @@ def test_sigma_lower_invariant_under_degenerate_rotation():
 
 def test_oracle_superset_and_determinism():
     model, theta, bundle = qubit_bundle((0.9, 0.35))
-    povm = separable_povm()
-    best1, noise1 = noise_search_oracle(model, theta, povm, n_samples=3000, seed=42)
-    best2, _ = noise_search_oracle(model, theta, povm, n_samples=3000, seed=42)
+    best1, noise1 = noise_search_oracle(bundle, n_samples=3000, seed=42)
+    best2, _ = noise_search_oracle(fisher_bundle(model, theta, separable_povm()),
+                                   n_samples=3000, seed=42)
     assert best1 == best2
     # max over a superset dominates any fixed member
     assert best1 >= x_scalar(bundle, IDENTITY_NOISE) - 1e-12
@@ -561,7 +551,7 @@ def test_report_flags_split_variant_on_bell_instance():
     # the Bell instance, while the sampled search stays between the bounds
     model = tensor_model(qubit_phase_dephasing(), 2)
     theta = [np.pi / 4, 0.1]
-    report = susceptibility_report(model, theta, bell_povm(),
+    report = susceptibility_report(fisher_bundle(model, theta, bell_povm()),
                                    oracle_samples=4000, seed=2)
     assert report.sigma_lower_split > report.sigma_lower + 1.0
     assert report.sigma_lower - 1e-9 <= report.oracle_best <= report.sigma_upper + 1e-9
@@ -569,7 +559,7 @@ def test_report_flags_split_variant_on_bell_instance():
 
 def test_split_diagnostic_is_computed_when_read():
     model = tensor_model(qubit_phase_dephasing(), 2)
-    report = susceptibility_report(model, [np.pi / 4, 0.1], bell_povm())
+    report = susceptibility_report(fisher_bundle(model, [np.pi / 4, 0.1], bell_povm()))
     assert "sigma_lower_split" not in vars(report)
     assert report.sigma_lower_split == pytest.approx(26.80416466489899, rel=1e-9)
 
@@ -577,8 +567,8 @@ def test_split_diagnostic_is_computed_when_read():
 def test_noise_search_pinned_for_fixed_seed():
     # no random sample beats the structured candidate, so the search
     # returns the best-pair projector noise; value and noise are pinned
-    best, noise = noise_search_oracle(qubit_phase_dephasing(), [0.7, 0.3],
-                                      separable_povm(), n_samples=500, seed=4)
+    _, _, bundle = qubit_bundle((0.7, 0.3))
+    best, noise = noise_search_oracle(bundle, n_samples=500, seed=4)
     assert best == pytest.approx(12.852474617660665, rel=1e-12)
     B = np.array([[0.5, 0.4057525380811081 + 0.2921726849668511j],
                   [0.4057525380811081 - 0.2921726849668511j, 0.5]])
@@ -586,9 +576,8 @@ def test_noise_search_pinned_for_fixed_seed():
     np.testing.assert_allclose(noise.elements, expected, rtol=0, atol=1e-12)
     theta = [0.1, 0.2, 0.3]
     cfg = PointSourceConfig(n_max=20, x_m=x_opt(*theta))
-    best, noise = noise_search_oracle(point_source_model(cfg), theta,
-                                      optimal_povm_point_sources(cfg),
-                                      n_samples=300, seed=9)
+    bundle = fisher_bundle(point_source_model(cfg), theta, optimal_povm_point_sources(cfg))
+    best, noise = noise_search_oracle(bundle, n_samples=300, seed=9)
     assert best == pytest.approx(1049533.2673416492, rel=1e-9)
     # the noise sits on outcomes (1, 4): the projector onto the positive
     # part of K_1 - K_4 (rank <= 4), which has rank 2, and its complement
@@ -602,9 +591,7 @@ def test_noise_search_pinned_for_fixed_seed():
 
 
 def test_report_qubit_instance_no_flag():
-    model = qubit_phase_dephasing()
-    report = susceptibility_report(model, [np.pi / 4, 0.3], separable_povm(),
-                                   oracle_samples=2000, seed=3)
+    report = susceptibility_report(qubit_bundle()[2], oracle_samples=2000, seed=3)
     assert report.best_pair == (1, 3)
     assert report.oracle_best == pytest.approx(report.sigma_lower, abs=1e-9)
 
@@ -630,8 +617,8 @@ def test_k_operators_contract_the_a_tensor(model, theta, povm):
 def test_sigma_lower_attained_by_explicit_pair_noise(model, theta, povm):
     # the best-pair noise N*, built from the A tensor alone, gives
     # X[M, N*] = Sigma_L through the G-matrix route
-    lo, (a, b) = sigma_lower(model, theta, povm)
     bundle = fisher_bundle(model, theta, povm)
+    lo, (a, b) = sigma_lower(bundle)
     Finv = np.linalg.inv(bundle.fisher)
     K = np.einsum("jk,ajkxy->axy", Finv, a_tensor(bundle))
     index_of = {o: i for i, o in enumerate(bundle.kept_outcomes)}
@@ -651,8 +638,8 @@ def test_sigma_lower_invariant_under_badly_scaled_reparametrization(model, theta
     P = model.n_params
     T = np.diag(np.geomspace(1e2, 1e-2, P)) @ (np.eye(P) + 0.5 * np.eye(P, k=1))
     wrapped = reparametrized_model(model, T)
-    lo0, pair0 = sigma_lower(model, theta, povm)
-    lo1, pair1 = sigma_lower(wrapped, T @ theta, povm)
+    lo0, pair0 = sigma_lower(fisher_bundle(model, theta, povm))
+    lo1, pair1 = sigma_lower(fisher_bundle(wrapped, T @ theta, povm))
     assert lo1 == pytest.approx(lo0, rel=1e-9)
     assert pair1 == pair0
 
@@ -716,7 +703,7 @@ def test_support_reduction_matches_full_dimension(seed, k, rank, extra, P, more_
     V, reduced = bundle.on_support
     assert V.shape == (d, k)
     np.testing.assert_allclose(V.conj().T @ V, np.eye(k), atol=1e-12)
-    report = _report(bundle, 0, 0)
+    report = susceptibility_report(bundle)
     assert report.diagnostics["support_rank"] == k
     # full-dimensional evaluation of the same quantities
     Q_full = _slds(bundle.rho, bundle.derivatives)[1]
@@ -851,9 +838,7 @@ def test_full_rank_bundle_is_its_own_support():
     _, _, bundle = qubit_bundle()
     V, reduced = bundle.on_support
     assert V is None and reduced is bundle
-    report = susceptibility_report(qubit_phase_dephasing(), [np.pi / 4, 0.3],
-                                   separable_povm())
-    assert report.diagnostics["support_rank"] == 2
+    assert susceptibility_report(bundle).diagnostics["support_rank"] == 2
 
 
 def test_reduced_bundle_shares_the_checked_fisher_inverse():

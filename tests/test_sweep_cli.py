@@ -61,7 +61,7 @@ def test_sweep_csv_byte_identical_and_worker_independent(tmp_path):
     run_sweep(small_spec(tmp_path, oracle_samples=200), out_path=out1)
     run_sweep(small_spec(tmp_path, oracle_samples=200), out_path=out2)
     run_sweep(small_spec(tmp_path, oracle_samples=200, workers=3), out_path=out3)
-    b1, b2, b3 = (open(p, "rb").read() for p in (out1, out2, out3))
+    b1, b2, b3 = (Path(p).read_bytes() for p in (out1, out2, out3))
     assert b1 == b2 == b3
     assert b"\r\n" in b1    # RFC-4180 line endings
 
@@ -82,7 +82,7 @@ def test_point_source_search_csv_worker_independent(tmp_path):
             assert not any(row["error"] for row in rows)
     finally:
         sys.setswitchinterval(interval)
-    b1, b2, b3 = (open(p, "rb").read() for p in outs)
+    b1, b2, b3 = (Path(p).read_bytes() for p in outs)
     assert b1 == b2 == b3
     # no random sample beats the pair bound: the searched value is Sigma_L
     rows = list(csv.DictReader(b1.decode().splitlines()))
@@ -200,8 +200,13 @@ POINT_SOURCE_CONFIG = {"model": "point-sources", "measurement": "optimal-hg",
                        "sweep": {"name": "dx", "start": 0.01, "stop": 1.0, "count": 3}}
 
 
-@pytest.mark.parametrize("entry", [{"n_max": 2}, {"n_max": "abc"}, {"workers": "two"}],
-                         ids=["n_max-below-3", "n_max-not-a-number", "workers-not-a-number"])
+@pytest.mark.parametrize("entry", [
+    {"n_max": 2}, {"n_max": "abc"}, {"workers": "two"},
+    {"sweep": {**POINT_SOURCE_CONFIG["sweep"], "count": 3.9}}, {"n_max": 20.7},
+    {"seed": 1.5}, {"workers": 1.5}, {"oracle_samples": 2.5}, {"seed": float("nan")},
+], ids=["n_max-below-3", "n_max-not-a-number", "workers-not-a-number",
+        "fractional-count", "fractional-n_max", "fractional-seed", "fractional-workers",
+        "fractional-oracle_samples", "nan-seed"])
 def test_cli_malformed_config_value_exit_code(tmp_path, capsys, entry):
     cfg_path = tmp_path / "sweep.yaml"
     cfg_path.write_text(yaml.safe_dump({**POINT_SOURCE_CONFIG, **entry}))
@@ -209,6 +214,17 @@ def test_cli_malformed_config_value_exit_code(tmp_path, capsys, entry):
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "invalid sweep specification" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_integral_float_config_values_are_accepted(tmp_path):
+    # YAML reads 3.0 as a float; a whole number is taken as it is
+    cfg_path = tmp_path / "sweep.yaml"
+    cfg_path.write_text(yaml.safe_dump({
+        **POINT_SOURCE_CONFIG, "sweep": {**POINT_SOURCE_CONFIG["sweep"], "count": 3.0},
+        "n_max": 20.0, "seed": 2.0, "workers": 1.0, "oracle_samples": 0.0}))
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 4
 
 
 @pytest.mark.parametrize("fix, sweep_arg", [
@@ -250,6 +266,21 @@ def test_cli_show_model_spec_errors():
     assert main(["show-model", "--model", "phase-dephasing", "--measurement",
                  "separable", "--fix", f"phi={PHI}", "--fix", "delta=0.3",
                  "--fix", "gamma=1"]) == 2
+
+
+@pytest.mark.parametrize("fixes, message", [
+    (["phi=nan", "delta=0.3"], "must be finite"),
+    (["phi=0.7", "delta=inf"], "must be finite"),
+    (["phi=0.7", "delta=-1"], "leaves the model domain"),
+    (["phi=0.7", "delta=0"], "leaves the model domain"),
+], ids=["nan-phi", "infinite-delta", "negative-delta", "zero-delta"])
+def test_cli_show_model_refuses_invalid_points(capsys, fixes, message):
+    argv = ["show-model", "--model", "phase-dephasing", "--measurement", "separable"]
+    for fix in fixes:
+        argv += ["--fix", fix]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
 
 
 def test_verify_report_and_seeds(tmp_path):
@@ -316,7 +347,7 @@ def test_non_numerical_error_in_a_point_propagates(tmp_path, monkeypatch):
     def broken(*args):
         raise ValueError("not a numerical failure")
 
-    monkeypatch.setattr(sweep, "_report", broken)
+    monkeypatch.setattr(sweep, "susceptibility_report", broken)
     with pytest.raises(ValueError, match="not a numerical failure"):
         run_sweep(small_spec(tmp_path))
 
