@@ -166,12 +166,12 @@ def _cmd_show_model(args):
     except ValueError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
-    np.set_printoptions(precision=10, suppress=False, linewidth=140)
     print(f"model = {model_id}, measurement = {measurement}, copies = {copies}")
-    print(f"theta = {dict(zip(names, theta))}")
-    for name, value in (("rho", rho), ("F", F), ("Q", Q)):
-        print(f"{name} =")
-        print(np.array2string(value))
+    print(f"theta = { {n: float(t) for n, t in zip(names, theta)} }")
+    with np.printoptions(precision=10, suppress=False, linewidth=140):
+        for name, value in (("rho", rho), ("F", F), ("Q", Q)):
+            print(f"{name} =")
+            print(np.array2string(value))
     return EXIT_OK
 
 

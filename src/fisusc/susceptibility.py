@@ -308,18 +308,19 @@ def _two_outcome_samples(rng, n, n_outcomes, dim, r):
     orthonormal rows; u (n, dim) uniform in [0, 1].  For a Haar-random
     d x d unitary U and an isometry V (d, r), ``V^dag U`` has the law of
     W, so ``W diag(u) W^dag`` is ``V^dag B V`` for B = U diag(u) U^dag.
-    W is the transposed Q factor of a complex Gaussian (dim, r) matrix
-    (real and imaginary parts from one standard normal draw), with the
-    phases of R's diagonal moved into Q (Mezzadri, Notices AMS 54, 592,
-    2007); at r = dim it is a Haar unitary.
+    Its rows are the r columns of a complex Gaussian (dim, r) matrix (one
+    standard normal draw) after modified Gram-Schmidt: the Q factor whose R
+    has a positive diagonal, which is Haar (Mezzadri, Notices AMS 54, 592,
+    2007); at r = dim W is a Haar unitary.
     """
     a = rng.integers(n_outcomes, size=n)
     b = rng.integers(n_outcomes - 1, size=n)
     b += b >= a
-    z = rng.standard_normal((n, dim, 2 * r)).view(complex)
-    q, R = np.linalg.qr(z)
-    phases = np.einsum("nii->ni", R)
-    W = (q * (phases / np.abs(phases))[:, None, :]).transpose(0, 2, 1)
+    W = rng.standard_normal((n, dim, 2 * r)).view(complex).transpose(0, 2, 1).copy()
+    for k in range(r):
+        w = W[:, k:k + 1]
+        w /= np.sqrt(np.sum(w.real ** 2 + w.imag ** 2, axis=2, keepdims=True))
+        W[:, k + 1:] -= (W[:, k + 1:] @ w.conj().transpose(0, 2, 1)) * w
     return a, b, W, rng.uniform(0.0, 1.0, size=(n, dim))
 
 
@@ -372,7 +373,8 @@ def _noise_search(bundle, V, K, best, n_samples, seed):
     assignments)``: the winning noise as (outcome, d x d element) pairs,
     lifted to the full space.  A random sample is drawn as its support
     block ``W = V^dag U`` (`_two_outcome_samples`) and scored as
-    ``sum_k u_k w_k^dag D w_k``, so only a winning sample's B is built.
+    ``Re Tr[D M]`` with ``D = K_a - K_b`` and the r x r compression
+    ``M = W diag(u) W^dag = V^dag B V``; only a winning sample is lifted.
     """
     kept = bundle.kept_outcomes
     if len(kept) < 2:
@@ -399,14 +401,12 @@ def _noise_search(bundle, V, K, best, n_samples, seed):
     for start in range(0, n_samples, SAMPLE_CHUNK):
         a, b, W, u = _two_outcome_samples(rng, min(SAMPLE_CHUNK, n_samples - start),
                                           E, dim, K.shape[1])
-        D = K[a] - K[b]
-        xs = P + traces[b] + np.real(np.einsum("nk,nik,nik->n", u, W.conj(), D @ W))
+        M = (W * u[:, None, :]) @ W.conj().transpose(0, 2, 1)     # V^dag B V, r x r
+        xs = P + traces[b] + np.real(np.einsum("nij,nji->n", K[a] - K[b], M))
         i = int(np.argmax(xs))
         if xs[i] > best_x:
             best_x = float(xs[i])
-            B = (W[i] * u[i]) @ W[i].conj().T
-            if V is not None:
-                B = V @ B @ V.conj().T
+            B = M[i] if V is None else V @ M[i] @ V.conj().T
             best_assign = [(kept[a[i]], B), (kept[b[i]], eye - B)]
 
     return float(best_x), best_assign

@@ -8,7 +8,6 @@ sweep continues.
 """
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,7 +40,12 @@ class SweepSpecError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Declarative description of one sweep."""
+    """Declarative description of one sweep.
+
+    ``workers`` is validated (>= 1) but does not change how points run:
+    `run_sweep` evaluates them in order on the calling thread, since threads
+    only pass the interpreter lock between a point's small numpy calls.
+    """
 
     model: str
     measurement: str
@@ -233,17 +237,11 @@ def _format_cell(value):
 def run_sweep(spec, out_path=None):
     """Run the sweep and write a CSV; returns the list of row dicts.
 
-    Rows are ordered by sweep index regardless of worker scheduling and
-    the output is byte-identical for identical (spec, seed).
+    Points run in grid order on the calling thread, whatever ``spec.workers``
+    says; the output is byte-identical for identical (spec, seed).
     """
     spec.validate()
-    grid = spec.grid()
-    if spec.workers > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            rows = list(pool.map(lambda iv: evaluate_point(spec, iv[0], iv[1]),
-                                 enumerate(grid)))
-    else:
-        rows = [evaluate_point(spec, i, v) for i, v in enumerate(grid)]
+    rows = [evaluate_point(spec, i, v) for i, v in enumerate(spec.grid())]
     path = out_path or spec.out
     cols = sweep_columns(spec)
     with open(path, "w", newline="") as fh:

@@ -808,9 +808,52 @@ def test_search_draws_from_one_generator_in_chunks(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     _noise_search(reduced, V, K, _best_pair(K), 250, seed=3)
-    # ceil(250 / SAMPLE_CHUNK) = 4 batched QRs, one per chunk
+    # ceil(250 / SAMPLE_CHUNK) = 4 chunks from one generator, orthonormalized
+    # by Gram-Schmidt without a QR
     assert SAMPLE_CHUNK == 64
-    assert calls == {"qr": 4, "generators": 1}
+    assert calls == {"qr": 0, "generators": 1}
+
+
+def qr_two_outcome_samples(rng, n, n_outcomes, dim, r):
+    """Reference: the support blocks from a batched QR with the phases of R's
+    diagonal moved into Q (Mezzadri 2007), on the same generator calls."""
+    a = rng.integers(n_outcomes, size=n)
+    b = rng.integers(n_outcomes - 1, size=n)
+    b += b >= a
+    q, R = np.linalg.qr(rng.standard_normal((n, dim, 2 * r)).view(complex))
+    phases = np.einsum("nii->ni", R)
+    W = (q * (phases / np.abs(phases))[:, None, :]).transpose(0, 2, 1)
+    return a, b, W, rng.uniform(0.0, 1.0, size=(n, dim))
+
+
+@pytest.mark.parametrize("dim, r", [(21, 4), (4, 4), (2, 2)])
+def test_gram_schmidt_samples_match_the_phase_fixed_qr(dim, r):
+    # Gram-Schmidt gives the Q factor whose R has a positive diagonal, the
+    # one the phase-fixed QR gives, from the same generator calls; the
+    # chunk scores X = P + Tr K_b + Re Tr[D M] equal the per-column sums
+    # u_k w_k^dag D w_k.  Points: point sources (support 4 of 21), the
+    # two-copy Bell point and the separable qubit point
+    if dim == 4:
+        bundle = fisher_bundle(tensor_model(qubit_phase_dephasing(), 2), [0.7, 0.3],
+                               bell_povm())
+        K, P = _k_operators(bundle), bundle.n_params
+    else:
+        _, reduced, K = searched_points()[0 if dim == 21 else 1]
+        P = reduced.n_params
+    assert K.shape[1] == r
+    traces = np.real(np.einsum("aii->a", K))
+    new_rng, ref_rng = np.random.default_rng(29), np.random.default_rng(29)
+    for n in (SAMPLE_CHUNK, SAMPLE_CHUNK, 7):
+        a, b, W, u = _two_outcome_samples(new_rng, n, len(K), dim, r)
+        ra, rb, rW, ru = qr_two_outcome_samples(ref_rng, n, len(K), dim, r)
+        assert np.array_equal(a, ra) and np.array_equal(b, rb) and np.array_equal(u, ru)
+        np.testing.assert_allclose(W, rW, rtol=0, atol=1e-12)
+        D = K[a] - K[b]
+        M = (W * u[:, None, :]) @ W.conj().transpose(0, 2, 1)
+        scores = P + traces[b] + np.real(np.einsum("nij,nji->n", D, M))
+        reference = P + traces[b] + np.real(np.einsum("nk,nik,nik->n", ru, rW.conj(),
+                                                       D @ rW))
+        np.testing.assert_allclose(scores, reference, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("dim, r", [(21, 4), (4, 4)])

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -88,6 +89,21 @@ def test_point_source_search_csv_worker_independent(tmp_path):
     rows = list(csv.DictReader(b1.decode().splitlines()))
     assert len(rows) == 6
     assert all(row["oracle_best_X"] == row["sigma_lower"] for row in rows)
+
+
+def test_sweep_points_run_on_the_calling_thread(tmp_path, monkeypatch):
+    # workers is accepted but every point is evaluated in grid order on the
+    # thread that called run_sweep
+    seen = []
+
+    def recording(spec, index, value):
+        seen.append((index, threading.get_ident()))
+        return evaluate_point(spec, index, value)
+
+    monkeypatch.setattr(sweep, "evaluate_point", recording)
+    rows = run_sweep(small_spec(tmp_path, count=5, oracle_samples=20, workers=3))
+    assert len(rows) == 5
+    assert seen == [(i, threading.get_ident()) for i in range(5)]
 
 
 def test_measurement_povm_is_built_once():
@@ -257,6 +273,18 @@ def test_cli_show_model(tmp_path, capsys):
     assert "rho =" in out and "F =" in out and "Q =" in out
     assert main(["show-model", "--model", "phase-dephasing", "--measurement",
                  "separable", "--fix", f"phi={PHI}"]) == 2
+
+
+def test_cli_show_model_keeps_print_options_and_prints_plain_floats(capsys):
+    before = np.get_printoptions()
+    assert main(["show-model", "--model", "phase-dephasing", "--measurement",
+                 "separable", "--fix", "phi=0.7", "--fix", "delta=0.3"]) == 0
+    assert np.get_printoptions() == before
+    out = capsys.readouterr().out
+    assert "theta = {'phi': 0.7, 'delta': 0.3}" in out
+    assert "np.float64" not in out
+    # the matrices are still printed with 10 digits
+    assert "0.2833045141" in out
 
 
 def test_cli_show_model_spec_errors():
