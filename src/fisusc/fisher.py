@@ -28,8 +28,7 @@ range S.  `FisherBundle.on_support` restricts a bundle to S once: with an
 orthonormal basis V of S, the reduced operators are ``V^dag X V``.  Trace
 norms, spectra and the quantum Fisher matrix are unchanged by the
 restriction; a rank-2 point-source state in d = 49 reduces to r = 4.
-Sweeps and `susceptibility_report` evaluate on the reduced bundle, so the
-operators of ``report.frame`` live in that support basis.
+Sweeps and `susceptibility_report` evaluate on the reduced bundle.
 """
 
 from dataclasses import dataclass, replace

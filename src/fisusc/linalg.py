@@ -90,17 +90,6 @@ def _trace_norms(H):
     return np.sum(np.abs(np.linalg.eigvalsh(H)), axis=-1)
 
 
-def tensor(A, B):
-    """Kronecker product of two operators."""
-    return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
-
-
-def psd_check(H, tol):
-    """True iff the smallest eigenvalue of Hermitian ``H`` is >= -tol."""
-    _require_hermitian(H)
-    return bool(np.linalg.eigvalsh(np.asarray(H, dtype=complex))[0] >= -tol)
-
-
 def min_eigenvalue(H):
     """Smallest eigenvalue of a Hermitian operator."""
     _require_hermitian(H)

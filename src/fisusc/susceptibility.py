@@ -26,12 +26,9 @@ on a and gives ``X* = P + (Tr K_a + Tr K_b + ||K_a - K_b||_1) / 2``;
 noise POVM, so it is a certified lower bound, and it needs no choice of
 parametrization.
 
-Only ``Sigma_U = sum_j sigma_j`` depends on a frame: it sums
+Only ``Sigma_U = sum_k sigma_k`` depends on a frame: it sums
 single-parameter worst cases in the parametrization that diagonalizes F
-(`diagonalize_frame`).  Taking the pair bound's trace norm per parameter
-in that frame (``report.sigma_lower_split``) is not a lower bound - it can
-exceed the exact maximum - and is computed only as a diagnostic, when it
-is read.
+(`diagonalize_frame`), and `sigma_upper` is the frame's only consumer.
 
 Every function takes the point's `FisherBundle` (`fisher_bundle`), so one
 evaluation of state, derivatives and F serves them all; only
@@ -40,9 +37,8 @@ evaluation of state, derivatives and F serves them all; only
 `noise_search_oracle` work on the bundle restricted to the joint range of
 rho and its derivatives (`FisherBundle.on_support`), which holds every K_a
 and every A~ operator: trace norms, bounds and X are unchanged, and the
-operators are r x r instead of d x d.  So ``report.frame`` holds its
-operators in that support basis (``report.diagnostics["support_rank"]`` is
-r); the returned noise POVMs act on the full space.  The sampled search
+operators are r x r instead of d x d (``report.diagnostics["support_rank"]``
+is r); the returned noise POVMs act on the full space.  The sampled search
 draws each Haar sample U only as the block V^dag U (r x d, r = 4 for point
 sources, Gram-Schmidt of r Gaussian columns) and returns a winning noise
 as its compression onto the support, which has the same X.  No sample
@@ -54,7 +50,6 @@ checked F^-1.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -205,19 +200,16 @@ def sigma_lower(bundle: FisherBundle):
 
 @dataclass(frozen=True)
 class DiagonalizedFrame:
-    """Quantities in the parametrization that diagonalizes F.
+    """The parametrization that diagonalizes F.
 
     ``jacobian`` J is orthogonal with F~ = J F J^T diagonal; rows are the
-    new parameter directions.  ``tilde_a_diag[a, k]`` is the diagonal
-    kernel A~_{a;kk} = l~_{a,k}^2 rho - 2 l~_{a,k} d~_k rho, the part of
-    the transformed A tensor the per-parameter bounds use.
+    new parameter directions, so the scores are l~_a = J l_a and the
+    derivatives d~_k rho = sum_j J_kj d_j rho.
     """
 
     jacobian: np.ndarray           # (P, P)
     tilde_fisher: np.ndarray       # (P,) diagonal entries, descending
     tilde_scores: np.ndarray       # (E_kept, P)
-    tilde_a_diag: np.ndarray       # (E_kept, P, dim, dim)
-    kept_outcomes: tuple
 
 
 def _canonical_diagonalizer(F):
@@ -262,38 +254,28 @@ def diagonalize_frame(bundle: FisherBundle) -> DiagonalizedFrame:
     """Transform a Fisher bundle into the F-diagonalizing parametrization."""
     bundle.fisher_inverse                # fail early when F is singular
     J, fdiag = _canonical_diagonalizer(bundle.fisher)
-    tilde_derivs = np.einsum("jk,kxy->jxy", J, np.stack(bundle.derivatives))
-    tilde_scores = bundle.scores @ J.T
-    l = tilde_scores[:, :, None, None]
-    tilde_a_diag = l ** 2 * bundle.rho - 2.0 * l * tilde_derivs
-    return DiagonalizedFrame(jacobian=J, tilde_fisher=fdiag,
-                             tilde_scores=tilde_scores, tilde_a_diag=tilde_a_diag,
-                             kept_outcomes=bundle.kept_outcomes)
-
-
-def _sigma_upper_from_frame(frame):
-    """Sigma_U and the per-parameter sigma_k; one batched eigvalsh for all k."""
-    s = frame.tilde_scores
-    k = np.arange(s.shape[1])
-    n, m = np.argmax(s, axis=0), np.argmin(s, axis=0)
-    tn = _trace_norms(frame.tilde_a_diag[n, k] - frame.tilde_a_diag[m, k])
-    sigmas = 1.0 + (s[n, k] ** 2 + s[m, k] ** 2 + tn) / (2.0 * frame.tilde_fisher)
-    return float(np.sum(sigmas)), tuple(float(x) for x in sigmas)
-
-
-def _sigma_lower_split(frame):
-    """Pair bound with the trace norm taken per parameter (diagnostic only)."""
-    f = frame.tilde_fisher
-    i, j = np.triu_indices(len(frame.kept_outcomes), 1)
-    L2 = np.sum(frame.tilde_scores ** 2 / f, axis=1)
-    norms = _trace_norms(frame.tilde_a_diag[i] - frame.tilde_a_diag[j])    # (pairs, P)
-    split = f.size + 0.5 * (L2[i] + L2[j]) + np.sum(norms / (2.0 * f), axis=1)
-    return float(np.max(split))
+    return DiagonalizedFrame(jacobian=J, tilde_fisher=fdiag, tilde_scores=bundle.scores @ J.T)
 
 
 def sigma_upper(bundle: FisherBundle):
-    """Upper bound Sigma_U = sum_j sigma_j and the per-parameter terms."""
-    return _sigma_upper_from_frame(diagonalize_frame(bundle.on_support[1]))
+    """Upper bound Sigma_U = sum_k sigma_k and the per-parameter terms.
+
+    sigma_k is `sigma_single` of parameter k in the frame that diagonalizes
+    F, so only the extremal operators A~_{n_k;kk} and A~_{m_k;kk} are
+    formed, with n_k, m_k the outcomes of maximal and minimal score l~_k;
+    one batched eigvalsh serves all k.
+    """
+    reduced = bundle.on_support[1]
+    frame = diagonalize_frame(reduced)
+    s = frame.tilde_scores
+    k = np.arange(s.shape[1])
+    n, m = np.argmax(s, axis=0), np.argmin(s, axis=0)
+    tilde_derivs = np.einsum("jk,kxy->jxy", frame.jacobian, np.stack(reduced.derivatives))
+    l = np.stack([s[n, k], s[m, k]])[:, :, None, None]
+    A = l ** 2 * reduced.rho - 2.0 * l * tilde_derivs    # A~_{n_k;kk}, A~_{m_k;kk}
+    tn = _trace_norms(A[0] - A[1])
+    sigmas = 1.0 + (s[n, k] ** 2 + s[m, k] ** 2 + tn) / (2.0 * frame.tilde_fisher)
+    return float(np.sum(sigmas)), tuple(float(x) for x in sigmas)
 
 
 # ---------------------------------------------------------------------------
@@ -418,29 +400,18 @@ def _noise_search(bundle, V, K, best, n_samples, seed):
 
 @dataclass(frozen=True)
 class SusceptibilityReport:
-    """Bounds on the measurement-noise susceptibility at one point (rho(theta), M).
-
-    ``sigma_lower_split`` (the per-parameter trace-norm variant of the
-    pair bound, not a lower bound) is computed from ``frame`` when read.
-    ``frame`` holds its operators in the support basis of the point
-    (``diagnostics["support_rank"]`` = r).
-    """
+    """Bounds on the measurement-noise susceptibility at one point (rho(theta), M)."""
 
     sigma_lower: float
     sigma_upper: float
     per_parameter_sigmas: tuple
     best_pair: tuple
-    frame: DiagonalizedFrame
     oracle_best: float = None
     diagnostics: dict = None
 
-    @cached_property
-    def sigma_lower_split(self):
-        return _sigma_lower_split(self.frame)
-
 
 def susceptibility_report(bundle: FisherBundle, oracle_samples=0, seed=0):
-    """Full susceptibility analysis: bounds, frame, optional sampled search.
+    """Full susceptibility analysis: both bounds and the optional sampled search.
 
     Everything is evaluated on the bundle restricted to its support; the
     search shares the K operators and best pair of the lower bound.
@@ -449,8 +420,7 @@ def susceptibility_report(bundle: FisherBundle, oracle_samples=0, seed=0):
     K = _k_operators(reduced)
     best = _best_pair(K)
     (i, j), value = best
-    frame = diagonalize_frame(reduced)
-    upper, sigmas = _sigma_upper_from_frame(frame)
+    upper, sigmas = sigma_upper(bundle)
     diagnostics = {
         "condition_number_fisher": reduced.fisher_condition,
         "kept_outcomes": reduced.kept_outcomes,
@@ -462,5 +432,5 @@ def susceptibility_report(bundle: FisherBundle, oracle_samples=0, seed=0):
     kept = reduced.kept_outcomes
     return SusceptibilityReport(sigma_lower=reduced.n_params + value, sigma_upper=upper,
                                 per_parameter_sigmas=sigmas,
-                                best_pair=(kept[i], kept[j]), frame=frame,
+                                best_pair=(kept[i], kept[j]),
                                 oracle_best=oracle_best, diagnostics=diagnostics)

@@ -14,8 +14,8 @@ import numpy as np
 from . import models
 from .fisher import (_outcome_traces, fisher_bundle, qfi_matrix, r_metric,
                      r_nuisance, sld)
-from .linalg import eig_hermitian, hermitize, tensor, trace_norm
-from .model import Povm, mix_povm, tensor_model, validate_povm
+from .linalg import eig_hermitian, hermitize, trace_norm
+from .model import Povm, mix_povm, tensor_model, tensor_povm, validate_povm
 from .models import (POINT_SOURCE_WEIGHTS, PointSourceConfig, bell_povm,
                      hg_overlap, hg_overlap_closed_form,
                      optimal_povm_point_sources, point_source_model,
@@ -86,8 +86,9 @@ def check_trace_norm_bound(seed):
 
 def check_tensor_associativity(seed):
     rng = np.random.default_rng(seed)
-    A, B, C = (_random_hermitian(rng, d) for d in (2, 3, 2))
-    err = float(np.max(np.abs(tensor(tensor(A, B), C) - tensor(A, tensor(B, C)))))
+    A, B, C = (Povm([_random_hermitian(rng, d)]) for d in (2, 3, 2))
+    lhs = tensor_povm(tensor_povm(A, B), C).elements
+    err = float(np.max(np.abs(lhs - tensor_povm(A, tensor_povm(B, C)).elements)))
     # scalar products regroup, so equality holds to rounding only
     return err <= 1e-14, f"max deviation {err:.1e}"
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fisusc.linalg import (HermiticityError, eig_hermitian, hermitize,
-                           min_eigenvalue, psd_check, tensor, trace_norm)
+                           min_eigenvalue, trace_norm)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1j], [1j, 0.0]])
@@ -74,36 +74,17 @@ def test_trace_norm_dominates_trace():
         assert trace_norm(H) >= abs(np.real(np.trace(H))) - 1e-12
 
 
-def test_tensor_identity_and_trace():
-    np.testing.assert_allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-    rng = np.random.default_rng(2)
-    rho = random_hermitian(rng, 3)
-    rho = rho @ rho.conj().T
-    rho /= np.trace(rho)
-    prod = tensor(rho, rho)
-    assert np.trace(prod) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_tensor_pauli_spectrum():
-    w, _ = eig_hermitian(tensor(SX, SZ))
+    w, _ = eig_hermitian(np.kron(SX, SZ))
     np.testing.assert_allclose(w, [1.0, 1.0, -1.0, -1.0], atol=1e-14)
 
 
-def test_tensor_associativity():
-    rng = np.random.default_rng(3)
-    A, B, C = (random_hermitian(rng, d) for d in (2, 3, 2))
-    lhs = tensor(tensor(A, B), C)
-    rhs = tensor(A, tensor(B, C))
-    assert np.max(np.abs(lhs - rhs)) <= 1e-14
-
-
-def test_psd_check():
-    assert psd_check(np.eye(3), 1e-12)
-    assert not psd_check(-np.eye(3), 1e-12)
+def test_min_eigenvalue_of_projector():
+    assert min_eigenvalue(np.eye(3)) == pytest.approx(1.0, abs=1e-14)
+    assert min_eigenvalue(-np.eye(3)) == pytest.approx(-1.0, abs=1e-14)
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     proj = np.outer(plus, plus)
     # eigenvalues {1, 0}
-    assert psd_check(proj, 1e-12)
     assert min_eigenvalue(proj) == pytest.approx(0.0, abs=1e-14)
 
 

@@ -11,8 +11,6 @@ from fisusc.models import (PointSourceConfig, bell_povm,
                            qubit_phase_dephasing, separable_povm, x_opt)
 from fisusc.susceptibility import (SAMPLE_CHUNK, _best_pair, _k_operators,
                                    _materialize_noise, _noise_search,
-                                   _sigma_lower_split,
-                                   _sigma_upper_from_frame,
                                    _two_outcome_samples, diagonalize_frame,
                                    g_matrix, noise_search_oracle, sigma_lower,
                                    sigma_single, sigma_upper,
@@ -58,6 +56,45 @@ def g_from_a_tensor(bundle, noise):
     """G[N]_{jk} = sum_a Tr[A_{a;jk} N_a], for noise on the kept outcomes only."""
     elements = noise.elements[list(bundle.kept_outcomes)]
     return np.real(np.einsum("ajkxy,ayx->jk", a_tensor(bundle), elements))
+
+
+def tilde_a_diag(bundle):
+    """The frame and its diagonal kernels A~_{a;kk} = l~_{a,k}^2 rho - 2 l~_{a,k} d~_k rho.
+
+    An (E_kept, P, d, d) reference stack: `sigma_upper` forms only the two
+    extremal outcomes of each k.
+    """
+    frame = diagonalize_frame(bundle)
+    tilde_derivs = np.einsum("jk,kxy->jxy", frame.jacobian, np.stack(bundle.derivatives))
+    l = frame.tilde_scores[:, :, None, None]
+    return frame, l ** 2 * bundle.rho - 2.0 * l * tilde_derivs
+
+
+def sigma_upper_reference(bundle):
+    """Sigma_U and the sigma_k, one `trace_norm` per parameter of the full stack."""
+    frame, A = tilde_a_diag(bundle)
+    s, f = frame.tilde_scores, frame.tilde_fisher
+    sigmas = []
+    for k in range(len(f)):
+        n, m = np.argmax(s[:, k]), np.argmin(s[:, k])
+        tn = trace_norm(A[n, k] - A[m, k])
+        sigmas.append(1.0 + (s[n, k] ** 2 + s[m, k] ** 2 + tn) / (2.0 * f[k]))
+    return sum(sigmas), sigmas
+
+
+def split_variant(bundle):
+    """The pair bound with its trace norm taken per parameter in the F-diagonal frame.
+
+    The max over pairs of P + (|L_a|^2 + |L_b|^2) / 2 plus
+    sum_k ||A~_{a;kk} - A~_{b;kk}||_1 / (2 F~_kk); the pair bound takes one
+    trace norm of the sum over k, ||K_a - K_b||_1 / 2.
+    """
+    frame, A = tilde_a_diag(bundle)
+    f = frame.tilde_fisher
+    i, j = np.triu_indices(len(A), 1)
+    L2 = np.sum(frame.tilde_scores ** 2 / f, axis=1)
+    norms = np.sum(np.abs(np.linalg.eigvalsh(A[i] - A[j])), axis=-1)   # (pairs, P)
+    return float(np.max(f.size + 0.5 * (L2[i] + L2[j]) + np.sum(norms / (2.0 * f), axis=1)))
 
 
 def random_noise(rng, povm, kept):
@@ -516,17 +553,16 @@ def test_sigma_lower_invariant_under_degenerate_rotation():
     _, _, bundle = qubit_bundle((np.pi / 4, 0.1))
     th = 0.7
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    frame0 = diagonalize_frame(bundle)
-    J1 = R @ frame0.jacobian
-    # F is proportional to I here, so the canonical frame of the rotated
-    # bundle is the rotated frame
-    frame1 = diagonalize_frame(reparametrized_bundle(bundle, J1))
+    J0 = diagonalize_frame(bundle).jacobian
+    J1 = R @ J0
     lo = sigma_lower(bundle)[0]
-    for J in (frame0.jacobian, J1):
+    for J in (J0, J1):
         _, value = _best_pair(_k_operators(reparametrized_bundle(bundle, J)))
         assert 2 + value == pytest.approx(lo, abs=1e-9)
-    up0, _ = _sigma_upper_from_frame(frame0)
-    up1, _ = _sigma_upper_from_frame(frame1)
+    # F is proportional to I here, so the canonical frame of the rotated
+    # bundle is the rotated frame
+    up0, _ = sigma_upper(bundle)
+    up1, _ = sigma_upper(reparametrized_bundle(bundle, J1))
     best, _ = noise_search_oracle(bundle, n_samples=2000, seed=8)
     assert up0 >= best - 1e-9
     assert up1 >= best - 1e-9
@@ -546,22 +582,28 @@ def test_oracle_superset_and_determinism():
     assert x_scalar(bundle, noise1) == pytest.approx(best1, abs=1e-9)
 
 
-def test_report_flags_split_variant_on_bell_instance():
-    # the per-parameter trace-norm variant sits more than 1 above Sigma_L on
-    # the Bell instance, while the sampled search stays between the bounds
+def test_split_variant_exceeds_the_worst_case_on_bell_instance():
+    # moving the parameter sum of the pair bound outside the trace norm
+    # overshoots: on the two-copy Bell instance the split variant exceeds a
+    # dual bound on every X[M, N], so it is not a lower bound
     model = tensor_model(qubit_phase_dephasing(), 2)
-    theta = [np.pi / 4, 0.1]
-    report = susceptibility_report(fisher_bundle(model, theta, bell_povm()),
-                                   oracle_samples=4000, seed=2)
-    assert report.sigma_lower_split > report.sigma_lower + 1.0
-    assert report.sigma_lower - 1e-9 <= report.oracle_best <= report.sigma_upper + 1e-9
-
-
-def test_split_diagnostic_is_computed_when_read():
-    model = tensor_model(qubit_phase_dephasing(), 2)
-    report = susceptibility_report(fisher_bundle(model, [np.pi / 4, 0.1], bell_povm()))
-    assert "sigma_lower_split" not in vars(report)
-    assert report.sigma_lower_split == pytest.approx(26.80416466489899, rel=1e-9)
+    bundle = fisher_bundle(model, [np.pi / 4, 0.1], bell_povm())
+    reduced = bundle.on_support[1]
+    split = split_variant(reduced)
+    assert split == pytest.approx(26.80416466489899, rel=1e-9)
+    # X[M, N] <= P + Tr Y whenever Y >= K_c for every kept c: take the pair
+    # certificate Y = K_b + (K_a - K_b)_+ of the best pair, shifted by its
+    # largest violation
+    K = _k_operators(reduced)
+    (a, b), _ = _best_pair(K)
+    w, U = np.linalg.eigh(K[a] - K[b])
+    Y = K[b] + (U * np.maximum(w, 0.0)) @ U.conj().T
+    shift = max(np.linalg.eigvalsh(Kc - Y)[-1] for Kc in K)
+    dual = reduced.n_params + np.trace(Y).real + len(Y) * shift      # 24.72
+    report = susceptibility_report(bundle, oracle_samples=4000, seed=2)
+    assert report.sigma_lower - 1e-9 <= report.oracle_best <= dual
+    assert report.sigma_lower + 2.0 < split < report.sigma_upper
+    assert split > dual + 2.0
 
 
 def test_noise_search_pinned_for_fixed_seed():
@@ -709,13 +751,11 @@ def test_support_reduction_matches_full_dimension(seed, k, rank, extra, P, more_
     Q_full = _slds(bundle.rho, bundle.derivatives)[1]
     Q_red = _slds(reduced.rho, reduced.derivatives)[1]
     np.testing.assert_allclose(Q_red, Q_full, rtol=0, atol=1e-10 * np.max(np.abs(Q_full)))
-    frame = diagonalize_frame(bundle)
     lower = bundle.n_params + _best_pair(_k_operators(bundle))[1]
-    upper, sigmas = _sigma_upper_from_frame(frame)
+    upper, sigmas = sigma_upper_reference(bundle)
     assert report.sigma_lower == pytest.approx(lower, rel=1e-10)
     assert report.sigma_upper == pytest.approx(upper, rel=1e-10)
     np.testing.assert_allclose(report.per_parameter_sigmas, sigmas, rtol=1e-10)
-    assert report.sigma_lower_split == pytest.approx(_sigma_lower_split(frame), rel=1e-10)
 
 
 @pytest.mark.parametrize("model, theta, povm", instances(12, 1))

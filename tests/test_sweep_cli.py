@@ -15,14 +15,15 @@ import fisusc.cli
 import fisusc.fisher as fisher
 import fisusc.models as models
 import fisusc.sweep as sweep
+import fisusc.verify as verify
 from fisusc.cli import main
-from fisusc.model import StatisticalModel
+from fisusc.model import Povm, StatisticalModel
 from fisusc.models import (PointSourceConfig, bell_povm,
                            optimal_povm_point_sources, separable_povm, x_opt)
 from fisusc.sweep import (SweepSpec, SweepSpecError, build_model_povm,
                           evaluate_point, run_sweep, sweep_columns)
-from fisusc.verify import (check_hg_orthonormality, check_truncation_convergence,
-                           run_verify)
+from fisusc.verify import (check_hg_orthonormality, check_tensor_associativity,
+                           check_truncation_convergence, run_verify)
 
 PHI = float(np.pi / 4)
 
@@ -68,21 +69,15 @@ def test_sweep_csv_byte_identical_and_worker_independent(tmp_path):
 
 
 def test_point_source_search_csv_worker_independent(tmp_path):
-    # the pool threads share the cached POVM; the sampled search runs in the
-    # support basis of each point
+    # the sampled search runs in the support basis of each point
     spec = dict(model="point-sources", measurement="optimal-hg",
                 fixed={"x_c": 0.2, "q": 0.4}, sweep_name="dx", start=0.05, stop=0.8,
                 count=6, oracle_samples=100)
     outs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for workers in (1, 2, 3):
-            outs.append(str(tmp_path / f"w{workers}.csv"))
-            rows = run_sweep(small_spec(tmp_path, workers=workers, **spec), out_path=outs[-1])
-            assert not any(row["error"] for row in rows)
-    finally:
-        sys.setswitchinterval(interval)
+    for workers in (1, 2, 3):
+        outs.append(str(tmp_path / f"w{workers}.csv"))
+        rows = run_sweep(small_spec(tmp_path, workers=workers, **spec), out_path=outs[-1])
+        assert not any(row["error"] for row in rows)
     b1, b2, b3 = (Path(p).read_bytes() for p in outs)
     assert b1 == b2 == b3
     # no random sample beats the pair bound: the searched value is Sigma_L
@@ -329,6 +324,16 @@ def test_verify_negative_control_corrupted_weights():
     passed, detail = check_hg_orthonormality(0, weights=corrupted)
     assert not passed
     assert "orthonormal" in detail
+
+
+def test_tensor_associativity_check_sees_a_transposed_factor(monkeypatch):
+    # the check passes on tensor_povm and fails on a product that transposes
+    # its second factor, which is not associative for complex Hermitians
+    assert check_tensor_associativity(0)[0]
+    monkeypatch.setattr(verify, "tensor_povm", lambda a, b: Povm(
+        [np.kron(x, y.T) for x in a.elements for y in b.elements]))
+    passed, detail = check_tensor_associativity(0)
+    assert not passed, detail
 
 
 def test_truncation_check_sees_a_dropped_mode(monkeypatch):
