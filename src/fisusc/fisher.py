@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import hermitize, symmetrize_real
+from .linalg import hermitize
 
 P_CUTOFF = 1e-12
 SLD_CUTOFF = 1e-10
@@ -209,11 +209,12 @@ def fisher_bundle(model, theta, povm):
                 f"a score numerator above sqrt(cutoff) max|d_j rho| (largest "
                 f"{np.max(np.abs(numerators[a])):.3e}); its Fisher contribution diverges")
     scores = np.array(scores).reshape(len(kept), P)
+    # symmetric bit for bit: entries (j, k) and (k, j) sum the same products
     F = np.zeros((P, P))
     for i, a in enumerate(kept):
         F += probs[a] * np.outer(scores[i], scores[i])
     return FisherBundle(probabilities=probs, scores=scores,
-                        fisher=symmetrize_real(F), kept_outcomes=tuple(kept),
+                        fisher=F, kept_outcomes=tuple(kept),
                         rho=rho, derivatives=derivs, param_names=model.param_names)
 
 

@@ -94,14 +94,3 @@ def min_eigenvalue(H):
     """Smallest eigenvalue of a Hermitian operator."""
     _require_hermitian(H)
     return float(np.linalg.eigvalsh(np.asarray(H, dtype=complex))[0])
-
-
-def symmetrize_real(M):
-    """Validate and symmetrize a real symmetric matrix (e.g. a Fisher matrix)."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    scale = max(1.0, float(np.max(np.abs(M)))) if M.size else 1.0
-    if float(np.max(np.abs(M - M.T))) > HERMITICITY_TOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    return (M + M.T) / 2.0

@@ -8,7 +8,7 @@ changes the Fisher matrix at first order in eps.  This module computes:
   its scalar trace  X[M, N] = P + tr[F^-1 G[N]]  (`x_scalar`),
 * the single-parameter worst-case susceptibility sigma[M] (closed form),
 * lower/upper bounds Sigma_L <= Sigma[M] = max_N X[M, N] <= Sigma_U,
-* a sampled search over two-outcome noise POVMs.
+* Sigma[M] itself, with a duality certificate (`sigma_exact`).
 
 The paper writes ``G[N]_{jk} = sum_a Tr[A_{a;jk} N_a]`` with
 ``A_{a;jk} = l_{a,j} l_{a,k} rho - l_{a,j} d_k rho - l_{a,k} d_j rho``.
@@ -30,23 +30,23 @@ Only ``Sigma_U = sum_k sigma_k`` depends on a frame: it sums
 single-parameter worst cases in the parametrization that diagonalizes F
 (`diagonalize_frame`), and `sigma_upper` is the frame's only consumer.
 
+Sigma[M] is an SDP in the K_a, with dual min Tr Y over Y >= K_a.
+`sigma_exact` settles it by the pair certificate Y = K_b + (K_a - K_b)_+
+where that dominates every K_c, and otherwise by a primal-dual
+interior-point method, and reports exactly feasible primal and dual
+points: ``value <= Sigma <= value + exact_gap``.
+
 Every function takes the point's `FisherBundle` (`fisher_bundle`), so one
 evaluation of state, derivatives and F serves them all; only
 `x_finite_mix` takes the model, because it must evaluate the mixed POVM.
-`susceptibility_report`, `sigma_lower`, `sigma_upper` and
-`noise_search_oracle` work on the bundle restricted to the joint range of
-rho and its derivatives (`FisherBundle.on_support`), which holds every K_a
-and every A~ operator: trace norms, bounds and X are unchanged, and the
-operators are r x r instead of d x d (``report.diagnostics["support_rank"]``
-is r); the returned noise POVMs act on the full space.  The sampled search
-draws each Haar sample U only as the block V^dag U (r x d, r = 4 for point
-sources, Gram-Schmidt of r Gaussian columns) and returns a winning noise
-as its compression onto the support, which has the same X.  No sample
-beats the pair bound, since Tr[(K_a - K_b) B] <= Tr[(K_a - K_b)_+] for
-0 <= B <= I, so the search returns Sigma_L unless that inequality fails
-numerically.  The fixed-noise functions `g_matrix`, `xi_matrix` and
-`x_scalar` take a noise POVM on the bundle's space, and use the bundle's
-checked F^-1.
+`susceptibility_report`, `sigma_lower`, `sigma_upper` and `sigma_exact`
+work on the bundle restricted to the joint range of rho and its
+derivatives (`FisherBundle.on_support`), which holds every K_a and every
+A~ operator: trace norms, bounds and X are unchanged, and the operators
+are r x r instead of d x d (``report.diagnostics["support_rank"]`` is r);
+the returned noise POVMs act on the full space.  The fixed-noise
+functions `g_matrix`, `xi_matrix` and `x_scalar` take a noise POVM on the
+bundle's space, and use the bundle's checked F^-1.
 """
 
 from dataclasses import dataclass
@@ -61,7 +61,10 @@ from .model import Povm, mix_povm
 CLUSTER_RTOL = 1e-8
 POSITIVE_PART_RTOL = 1e-12
 NOISE_ON_DROPPED_TOL = 1e-12
-SAMPLE_CHUNK = 64
+CERTIFICATE_RTOL = 1e-12
+EXACT_RTOL = 1e-9
+STEP_FRACTION = 0.98
+MAX_ITERATIONS = 50
 
 
 def _aligned_noise_elements(bundle, noise):
@@ -279,119 +282,122 @@ def sigma_upper(bundle: FisherBundle):
 
 
 # ---------------------------------------------------------------------------
-# Sampled search over noise POVMs
+# Exact worst case
 # ---------------------------------------------------------------------------
 
-def _two_outcome_samples(rng, n, n_outcomes, dim, r):
-    """Draw n random two-outcome noises, each given by its support block.
+@dataclass(frozen=True)
+class ExactWorstCase:
+    """Sigma[M] = max_N X[M, N] with a duality certificate.
 
-    Returns ``(a, b, W, u)``: ordered outcome pairs a != b, uniform over
-    the ``n_outcomes (n_outcomes - 1)`` choices; W (n, r, dim) with
-    orthonormal rows; u (n, dim) uniform in [0, 1].  For a Haar-random
-    d x d unitary U and an isometry V (d, r), ``V^dag U`` has the law of
-    W, so ``W diag(u) W^dag`` is ``V^dag B V`` for B = U diag(u) U^dag.
-    Its rows are the r columns of a complex Gaussian (dim, r) matrix (one
-    standard normal draw) after modified Gram-Schmidt: the Q factor whose R
-    has a positive diagonal, which is Haar (Mezzadri, Notices AMS 54, 592,
-    2007); at r = dim W is a Haar unitary.
+    ``value`` is X[M, noise] of the explicit noise POVM ``noise``, and
+    ``value + exact_gap`` is P + Tr Y for a Y >= K_a (every kept a), which
+    bounds X of every noise.  ``iterations`` counts interior-point steps.
     """
-    a = rng.integers(n_outcomes, size=n)
-    b = rng.integers(n_outcomes - 1, size=n)
-    b += b >= a
-    W = rng.standard_normal((n, dim, 2 * r)).view(complex).transpose(0, 2, 1).copy()
-    for k in range(r):
-        w = W[:, k:k + 1]
-        w /= np.sqrt(np.sum(w.real ** 2 + w.imag ** 2, axis=2, keepdims=True))
-        W[:, k + 1:] -= (W[:, k + 1:] @ w.conj().transpose(0, 2, 1)) * w
-    return a, b, W, rng.uniform(0.0, 1.0, size=(n, dim))
+
+    value: float
+    exact_gap: float
+    iterations: int
+    pair_certified: bool
+    noise: Povm
 
 
-def _materialize_noise(n_outcomes, dim, assignments):
-    elements = [np.zeros((dim, dim), dtype=complex) for _ in range(n_outcomes)]
-    for slot, op in assignments:
-        elements[slot] = elements[slot] + op
-    return Povm(elements, labels=[f"n{i}" for i in range(n_outcomes)])
+def _sym(X):
+    return 0.5 * (X + X.conj().swapaxes(-1, -2))
 
 
-def noise_search_oracle(bundle: FisherBundle, n_samples, seed):
-    """Sampled maximization of X[M, N] over noise POVMs.
+def _max_step(X, dX):
+    """Largest alpha <= 1 keeping the (E, r, r) stack X + alpha dX PSD."""
+    Li = np.linalg.inv(np.linalg.cholesky(X))
+    low = float(np.min(np.linalg.eigvalsh(Li @ dX @ Li.conj().swapaxes(-1, -2))))
+    return 1.0 if low >= -1.0 else -1.0 / low
 
-    Candidates:
 
-    (a) the structured two-outcome noise on the best outcome pair of
-        `sigma_lower`, with the first element the projector onto the
-        positive part of K_a - K_b (it attains the certified pair bound,
-        so ``best_X >= Sigma_L`` always), and
-    (b) ``n_samples`` random two-outcome POVMs {B, I - B} with
-        B = U diag(u) U^dag for Haar-random U and uniform u in [0, 1],
-        placed on a random ordered pair of kept outcomes.  X reads B only
-        through its compression onto the support V of the point, so only
-        the r x d block W = V^dag U is drawn; a winning sample is returned
-        as that compression, B = V W diag(u) W^dag V^dag, a valid element
-        (0 <= B <= I) with the same X, and the Haar sample itself at full
-        rank.  No sample can beat (a): Tr[(K_a - K_b) B] <= Tr[(K_a - K_b)_+].
+def _exact_sdp(K, lam):
+    """Interior-point solve of max sum_a Tr[K_a N_a] over POVMs N.
 
-    The samples come from one generator, ``np.random.default_rng(seed)``,
-    drawn in chunks of ``SAMPLE_CHUNK``, so the result is fixed by the seed;
-    the random stream also depends on ``SAMPLE_CHUNK``, a fixed constant.
-
-    Returns ``(best_X, best_noise)`` where ``best_noise`` is a Povm
-    aligned with the target's outcomes (zero elsewhere).
+    HKM direction, Mehrotra predictor-corrector (Todd, Toh & Tutuncu, SIAM
+    J. Optim. 8, 769, 1998), from the feasible N_a = I/E and
+    Y = (max lambda(K) + max(1, max|lambda(K)|)) I, with S_a = Y - K_a.  dY
+    solves sum_a sym(N_a dY S_a^-1) = rhs in Kronecker form (r^2 x r^2).
+    Stops at a relative gap of EXACT_RTOL or on a stall: a step that does
+    not move, or a failed Cholesky or solve.  Returns ``(N, Y, iterations)``.
     """
-    if n_samples < 0:
-        raise ValueError("n_samples must be >= 0")
+    E, r = K.shape[:2]
+    eye = np.eye(r)
+    N = np.repeat(eye[None] / E, E, axis=0)
+    Y = (np.max(lam) + max(1.0, np.max(np.abs(lam)))) * eye
+    for it in range(MAX_ITERATIONS):
+        S = Y - K
+        gap = float(np.einsum("axy,ayx->", N, S).real)
+        if gap <= EXACT_RTOL * abs(float(np.trace(Y).real)):
+            return N, Y, it
+        try:
+            Si = _sym(np.linalg.inv(S))
+            H = np.einsum("aij,alk->ikjl", N, Si) + np.einsum("aij,alk->ikjl", Si, N)
+            H = H.reshape(r * r, r * r)      # twice the map dY -> sum_a sym(N_a dY S_a^-1)
+
+            def newton(target, C):
+                rhs = target * np.sum(Si, axis=0) - eye - np.sum(_sym(C), axis=0)
+                dY = _sym(np.linalg.solve(H, 2.0 * rhs.reshape(-1)).reshape(r, r))
+                dN = _sym(target * Si - N - N @ dY @ Si - C)
+                return dN, dY, _max_step(N, dN), _max_step(S, dY)
+
+            dN, dY, ap, ad = newton(0.0, np.zeros_like(N))
+            mu_aff = np.einsum("axy,ayx->", N + ap * dN, S + ad * dY).real
+            dN, dY, ap, ad = newton((mu_aff / gap) ** 3 * gap / (E * r), dN @ dY @ Si)
+        except np.linalg.LinAlgError:
+            return N, Y, it
+        N_next, Y_next = N + STEP_FRACTION * ap * dN, Y + STEP_FRACTION * ad * dY
+        if np.array_equal(N_next, N) and np.array_equal(Y_next, Y):
+            return N, Y, it
+        N, Y = N_next, Y_next
+    return N, Y, MAX_ITERATIONS
+
+
+def sigma_exact(bundle: FisherBundle) -> ExactWorstCase:
+    """The worst case Sigma[M] = P + max_N sum_a Tr[K_a N_a], certified.
+
+    A minimum-error-discrimination SDP on the support (Eldar, Megretski &
+    Verghese, IEEE TIT 49, 1007, 2003).  The pair certificate holds when no
+    K_c exceeds its Y by more than CERTIFICATE_RTOL max|lambda(K)|; else
+    `_exact_sdp` runs, its N is clipped to PSD and mapped to R^-1/2 N R^-1/2
+    (R = sum N), and the value is the larger of that primal and Sigma_L.
+    The noise is V N_a V^dag, plus I - V V^dag on b.  Raises
+    `SingularFisherError` below two kept outcomes.
+    """
     V, reduced = bundle.on_support
     K = _k_operators(reduced)
-    best_x, assignments = _noise_search(reduced, V, K, _best_pair(K), n_samples, seed)
-    return best_x, _materialize_noise(len(bundle.probabilities), bundle.rho.shape[0],
-                                      assignments)
-
-
-def _noise_search(bundle, V, K, best, n_samples, seed):
-    """Body of `noise_search_oracle` on a bundle restricted to its support.
-
-    ``bundle`` and ``K`` are in the support basis ``V`` (None for the whole
-    space) and ``best`` is `_best_pair(K)`.  Returns ``(best_X,
-    assignments)``: the winning noise as (outcome, d x d element) pairs,
-    lifted to the full space.  A random sample is drawn as its support
-    block ``W = V^dag U`` (`_two_outcome_samples`) and scored as
-    ``Re Tr[D M]`` with ``D = K_a - K_b`` and the r x r compression
-    ``M = W diag(u) W^dag = V^dag B V``; only a winning sample is lifted.
-    """
-    kept = bundle.kept_outcomes
-    if len(kept) < 2:
-        raise SingularFisherError("the noise search needs at least two kept outcomes")
-    E = len(kept)
-    dim = bundle.rho.shape[0] if V is None else V.shape[0]
-    P = bundle.n_params
-    traces = np.real(np.einsum("aii->a", K))
-    eye = np.eye(dim, dtype=complex)
-
-    # (a) structured candidate: the projector onto the positive part of
-    # K_a - K_b; eigenvalues at rounding level are not part of it
-    (a, b), value = best
-    w, vecs = np.linalg.eigh(K[a] - K[b])
-    pos = vecs[:, w > POSITIVE_PART_RTOL * np.max(np.abs(w))]
+    (a, b), pair_value = _best_pair(K)
+    P, r = reduced.n_params, K.shape[1]
+    w, U = np.linalg.eigh(K[a] - K[b])
+    pos = U[:, w > POSITIVE_PART_RTOL * np.max(np.abs(w))]
+    N = np.zeros_like(K)
+    N[a] = pos @ pos.conj().T
+    N[b] = np.eye(r) - N[a]
+    Y = K[b] + (U * np.maximum(w, 0.0)) @ U.conj().T
+    lam = np.linalg.eigvalsh(K)
+    shift = np.max(np.linalg.eigvalsh(K - Y)[:, -1])
+    value, iterations = P + pair_value, 0
+    certified = bool(shift <= CERTIFICATE_RTOL * np.max(np.abs(lam)))
+    if not certified:
+        M, Y, iterations = _exact_sdp(K, lam)
+        w, U = np.linalg.eigh(M)
+        M = (U * np.maximum(w, 0.0)[:, None, :]) @ U.conj().swapaxes(-1, -2)
+        w, U = np.linalg.eigh(np.sum(M, axis=0))
+        R = (U / np.sqrt(w)) @ U.conj().T
+        M = R @ M @ R
+        primal = P + float(np.einsum("axy,ayx->", K, M).real)
+        if primal > value:
+            N, value = M, primal
+        shift = np.max(np.linalg.eigvalsh(K - Y)[:, -1])
+    dual = P + float(np.trace(Y).real + r * shift)
+    kept, dim = list(reduced.kept_outcomes), bundle.rho.shape[0]
+    elements = np.zeros((len(bundle.probabilities), dim, dim), dtype=complex)
+    elements[kept] = N if V is None else V @ N @ V.conj().T
     if V is not None:
-        pos = V @ pos
-    B = pos @ pos.conj().T
-    best_x = P + value
-    best_assign = [(kept[a], B), (kept[b], eye - B)]
-
-    # (b) random two-outcome samples from one generator, SAMPLE_CHUNK at a time
-    rng = np.random.default_rng(seed)
-    for start in range(0, n_samples, SAMPLE_CHUNK):
-        a, b, W, u = _two_outcome_samples(rng, min(SAMPLE_CHUNK, n_samples - start),
-                                          E, dim, K.shape[1])
-        M = (W * u[:, None, :]) @ W.conj().transpose(0, 2, 1)     # V^dag B V, r x r
-        xs = P + traces[b] + np.real(np.einsum("nij,nji->n", K[a] - K[b], M))
-        i = int(np.argmax(xs))
-        if xs[i] > best_x:
-            best_x = float(xs[i])
-            B = M[i] if V is None else V @ M[i] @ V.conj().T
-            best_assign = [(kept[a[i]], B), (kept[b[i]], eye - B)]
-
-    return float(best_x), best_assign
+        elements[kept[b]] += np.eye(dim) - V @ V.conj().T
+    return ExactWorstCase(value=value, exact_gap=dual - value, iterations=iterations,
+                          pair_certified=certified, noise=Povm(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -406,31 +412,19 @@ class SusceptibilityReport:
     sigma_upper: float
     per_parameter_sigmas: tuple
     best_pair: tuple
-    oracle_best: float = None
     diagnostics: dict = None
 
 
-def susceptibility_report(bundle: FisherBundle, oracle_samples=0, seed=0):
-    """Full susceptibility analysis: both bounds and the optional sampled search.
-
-    Everything is evaluated on the bundle restricted to its support; the
-    search shares the K operators and best pair of the lower bound.
-    """
-    V, reduced = bundle.on_support
-    K = _k_operators(reduced)
-    best = _best_pair(K)
-    (i, j), value = best
+def susceptibility_report(bundle: FisherBundle):
+    """Both bounds, evaluated on the bundle restricted to its support."""
+    reduced = bundle.on_support[1]
+    lower, pair = sigma_lower(bundle)
     upper, sigmas = sigma_upper(bundle)
     diagnostics = {
         "condition_number_fisher": reduced.fisher_condition,
         "kept_outcomes": reduced.kept_outcomes,
         "support_rank": reduced.rho.shape[0],
     }
-    oracle_best = None
-    if oracle_samples > 0:
-        oracle_best = _noise_search(reduced, V, K, best, oracle_samples, seed)[0]
-    kept = reduced.kept_outcomes
-    return SusceptibilityReport(sigma_lower=reduced.n_params + value, sigma_upper=upper,
-                                per_parameter_sigmas=sigmas,
-                                best_pair=(kept[i], kept[j]),
-                                oracle_best=oracle_best, diagnostics=diagnostics)
+    return SusceptibilityReport(sigma_lower=lower, sigma_upper=upper,
+                                per_parameter_sigmas=sigmas, best_pair=pair,
+                                diagnostics=diagnostics)

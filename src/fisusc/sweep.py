@@ -20,7 +20,7 @@ from .model import DomainError, tensor_model
 from .models import (PointSourceConfig, bell_povm, optimal_povm_point_sources,
                      point_source_model, qubit_phase_dephasing,
                      separable_povm, x_opt)
-from .susceptibility import susceptibility_report
+from .susceptibility import sigma_exact, susceptibility_report
 
 MODELS = ("phase-dephasing", "point-sources")
 MEASUREMENTS = ("separable", "bell", "optimal-hg")
@@ -42,9 +42,11 @@ class SweepSpecError(ValueError):
 class SweepSpec:
     """Declarative description of one sweep.
 
-    ``workers`` is validated (>= 1) but does not change how points run:
-    `run_sweep` evaluates them in order on the calling thread, since threads
-    only pass the interpreter lock between a point's small numpy calls.
+    Any ``oracle_samples`` > 0 fills ``oracle_best_X`` with `sigma_exact`;
+    neither its magnitude nor ``seed`` changes a result.  ``workers`` is
+    validated (>= 1) but does not change how points run: `run_sweep`
+    evaluates them in order on the calling thread, since threads only pass
+    the interpreter lock between a point's small numpy calls.
     """
 
     model: str
@@ -192,10 +194,12 @@ def evaluate_point(spec, index, sweep_value):
     """One sweep row as a dict; numerical failures land in 'error'.
 
     State, derivatives, F and Q are evaluated once; every column reads
-    them from the point's Fisher bundle, and Q and the bounds are computed
-    on its restriction to the joint support of rho and its derivatives.
-    The two-copy Bell row also evaluates the single-copy Q_1 that r_multi
-    compares against.
+    them from the point's Fisher bundle, and Q, the bounds and, when
+    ``spec.oracle_samples`` > 0, the exact worst case are computed on its
+    restriction to the joint support of rho and its derivatives.  The
+    two-copy Bell row also evaluates the single-copy Q_1 that r_multi
+    compares against.  The row does not depend on ``index``, the point's
+    grid position.
     """
     names = _param_names(spec.model)
     row = {c: "" for c in sweep_columns(spec)}
@@ -215,13 +219,13 @@ def evaluate_point(spec, index, sweep_value):
         row["r_multi"] = _ratios(Finv, Q1inv, copies)[0]
         for n, r in zip(names, _ratios(Finv, Qinv)[1]):
             row[f"r_nuisance_{n}"] = float(r)
-        report = susceptibility_report(bundle, spec.oracle_samples, spec.seed + index)
+        report = susceptibility_report(bundle)
         row["sigma_lower"] = report.sigma_lower
         row["sigma_upper"] = report.sigma_upper
         for n, s in zip(names, report.per_parameter_sigmas):
             row[f"sigma_{n}"] = s
         if spec.oracle_samples > 0:
-            row["oracle_best_X"] = report.oracle_best
+            row["oracle_best_X"] = sigma_exact(bundle).value
         row["condition_number_F"] = report.diagnostics["condition_number_fisher"]
     except NUMERICAL_ERRORS as err:
         row["error"] = str(err)
@@ -238,7 +242,7 @@ def run_sweep(spec, out_path=None):
     """Run the sweep and write a CSV; returns the list of row dicts.
 
     Points run in grid order on the calling thread, whatever ``spec.workers``
-    says; the output is byte-identical for identical (spec, seed).
+    says; the output is byte-identical for an identical spec.
     """
     spec.validate()
     rows = [evaluate_point(spec, i, v) for i, v in enumerate(spec.grid())]

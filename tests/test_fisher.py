@@ -81,6 +81,22 @@ def test_fisher_qubit_separable_matrix():
             expected, rel=1e-3)
 
 
+@pytest.mark.parametrize("measurement", ["separable", "bell", "optimal-hg"])
+def test_fisher_matrix_is_exactly_symmetric_on_readme_sweeps(measurement):
+    # F is accumulated from p_a * outer(l_a, l_a), whose (j, k) and (k, j)
+    # entries are the same IEEE products summed in the same order, so no
+    # symmetrization is needed
+    from fisusc.sweep import build_model_povm
+    if measurement == "optimal-hg":
+        points = [("point-sources", [0.0, dx, 0.3]) for dx in np.geomspace(0.01, 1, 50)]
+    else:
+        points = [("phase-dephasing", [np.pi / 4, d]) for d in np.geomspace(1e-3, 1, 50)]
+    for model_id, theta in points:
+        model, povm = build_model_povm(model_id, measurement, theta)[:2]
+        F = fisher_bundle(model, theta, povm).fisher
+        assert np.array_equal(F, F.T)
+
+
 def test_fisher_trivial_povm_is_zero():
     model = qubit_phase_dephasing()
     bundle = fisher_bundle(model, [0.3, 0.4], Povm([np.eye(2)]))

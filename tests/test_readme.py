@@ -18,3 +18,6 @@ def test_readme_quick_start_runs():
     assert namespace["r"] == pytest.approx(2.0, abs=1e-12)
     assert namespace["x"] == pytest.approx(5.513, abs=5e-4)
     assert float(np.trace(namespace["xi"])) == pytest.approx(namespace["x"], abs=1e-12)
+    exact, report = namespace["exact"], namespace["report"]
+    assert exact.value == pytest.approx(12.711, abs=5e-4)
+    assert exact.pair_certified and exact.value == report.sigma_lower

@@ -3,17 +3,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fisusc.susceptibility as susceptibility
 from fisusc.fisher import SingularFisherError, _slds, fisher_bundle
 from fisusc.linalg import trace_norm
 from fisusc.model import Povm, StatisticalModel, tensor_model, validate_povm
 from fisusc.models import (PointSourceConfig, bell_povm,
                            optimal_povm_point_sources, point_source_model,
                            qubit_phase_dephasing, separable_povm, x_opt)
-from fisusc.susceptibility import (SAMPLE_CHUNK, _best_pair, _k_operators,
-                                   _materialize_noise, _noise_search,
-                                   _two_outcome_samples, diagonalize_frame,
-                                   g_matrix, noise_search_oracle, sigma_lower,
-                                   sigma_single, sigma_upper,
+from fisusc.susceptibility import (_best_pair, _exact_sdp, _k_operators,
+                                   diagonalize_frame, g_matrix, sigma_exact,
+                                   sigma_lower, sigma_single, sigma_upper,
                                    susceptibility_report, x_finite_mix,
                                    x_scalar, xi_matrix)
 from fisusc.verify import _reparametrized_bundle as reparametrized_bundle
@@ -392,22 +391,24 @@ def test_sigma_single_zero_information_errors():
         sigma_single(fisher_bundle(model, [0.7], povm))
 
 
-def test_sigma_single_monte_carlo_cross_check():
-    # sampled noise never beats the closed form; the structured candidates
-    # in the search attain it exactly
-    model = phase_only_model(0.3)
-    theta = np.array([np.pi / 2 - 0.05])
+def test_sigma_exact_equals_sigma_single_at_one_parameter():
+    # the closed form is the worst case at P = 1, so the certified value
+    # matches it within the gap, on the target measurement of the former
+    # cross-check and on random single-parameter qubit points
+    rng = np.random.default_rng(12)
     s2 = np.sqrt(2.0)
     kets = [np.array([1.0, 1.0]) / s2, np.array([1.0, -1.0]) / s2]
-    povm = Povm([np.outer(k, k.conj()) for k in kets])
-    bundle = fisher_bundle(model, theta, povm)
-    sig = sigma_single(bundle)
-    best, best_noise = noise_search_oracle(bundle, n_samples=10000, seed=12)
-    assert best <= sig + 1e-9
-    assert (sig - best) / sig < 0.02
-    # the returned noise is a valid POVM achieving the reported value
-    assert validate_povm(best_noise, 1e-9).passed
-    assert x_scalar(bundle, best_noise) == pytest.approx(best, abs=1e-9)
+    points = [(phase_only_model(0.3), np.pi / 2 - 0.05,
+               Povm([np.outer(k, k.conj()) for k in kets]))]
+    points += [(phase_only_model(rng.uniform(0.05, 1.5)), rng.uniform(0, 2 * np.pi),
+                random_povm(rng, 2, int(rng.integers(2, 6)))) for _ in range(30)]
+    for model, phi, povm in points:
+        bundle = fisher_bundle(model, np.array([phi]), povm)
+        sig, exact = sigma_single(bundle), sigma_exact(bundle)
+        assert abs(exact.value - sig) <= exact.exact_gap + 1e-12 * sig
+        assert exact.exact_gap <= 1e-8 * exact.value
+        assert validate_povm(exact.noise, 1e-12).passed
+        assert x_scalar(bundle, exact.noise) == pytest.approx(exact.value, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -503,15 +504,17 @@ def test_bounds_order_and_oracle_sandwich_qubit():
     up, sigmas = sigma_upper(bundle)
     assert lo <= up + 1e-8
     assert up == pytest.approx(sum(sigmas), abs=1e-12)
-    best, _ = noise_search_oracle(bundle, n_samples=10000, seed=5)
-    assert lo - 1e-9 <= best <= up + 1e-9
+    exact = sigma_exact(bundle)
+    assert lo <= exact.value <= up + exact.exact_gap
+    assert exact.exact_gap <= 1e-8 * exact.value
     assert pair == (1, 3)
 
 
 def test_sigma_lower_needs_two_outcomes():
     model = qubit_phase_dephasing()
-    with pytest.raises((SingularFisherError, ValueError)):
-        sigma_lower(fisher_bundle(model, [0.4, 0.3], Povm([np.eye(2)])))
+    for worst_case in (sigma_lower, sigma_exact):
+        with pytest.raises(SingularFisherError):
+            worst_case(fisher_bundle(model, [0.4, 0.3], Povm([np.eye(2)])))
 
 
 def test_sigma_upper_point_source_gap_small_at_q03():
@@ -563,23 +566,27 @@ def test_sigma_lower_invariant_under_degenerate_rotation():
     # bundle is the rotated frame
     up0, _ = sigma_upper(bundle)
     up1, _ = sigma_upper(reparametrized_bundle(bundle, J1))
-    best, _ = noise_search_oracle(bundle, n_samples=2000, seed=8)
-    assert up0 >= best - 1e-9
-    assert up1 >= best - 1e-9
+    exact = sigma_exact(bundle)
+    assert up0 >= exact.value
+    assert up1 >= exact.value
     # frame dependence of the upper bound is real; the canonical frame is
     # the deterministic choice (here it is tighter)
     assert up1 > up0 + 1.0
 
 
 def test_oracle_superset_and_determinism():
+    # the exact worst case dominates every fixed noise, is attained by its
+    # own noise, and repeats bit for bit on a fresh bundle
     model, theta, bundle = qubit_bundle((0.9, 0.35))
-    best1, noise1 = noise_search_oracle(bundle, n_samples=3000, seed=42)
-    best2, _ = noise_search_oracle(fisher_bundle(model, theta, separable_povm()),
-                                   n_samples=3000, seed=42)
-    assert best1 == best2
-    # max over a superset dominates any fixed member
-    assert best1 >= x_scalar(bundle, IDENTITY_NOISE) - 1e-12
-    assert x_scalar(bundle, noise1) == pytest.approx(best1, abs=1e-9)
+    first = sigma_exact(bundle)
+    again = sigma_exact(fisher_bundle(model, theta, separable_povm()))
+    assert first.value == again.value and first.exact_gap == again.exact_gap
+    assert np.array_equal(first.noise.elements, again.noise.elements)
+    rng = np.random.default_rng(42)
+    for noise in [IDENTITY_NOISE] + [random_noise(rng, separable_povm(), range(4))
+                                     for _ in range(20)]:
+        assert first.value >= x_scalar(bundle, noise)
+    assert x_scalar(bundle, first.noise) == pytest.approx(first.value, rel=1e-12)
 
 
 def _bell_instance():
@@ -589,9 +596,8 @@ def _bell_instance():
 
 def test_report_flags_split_variant_on_bell_instance():
     # moving the parameter sum of the pair bound outside the trace norm
-    # overshoots: on the two-copy Bell instance the split variant exceeds a
-    # dual bound on every X[M, N], so it is not a lower bound, while the
-    # sampled search stays between Sigma_L and that dual bound
+    # overshoots: on the two-copy Bell instance the split variant (26.804)
+    # exceeds the certified worst case (24.574), so it is not a lower bound
     bundle = _bell_instance()
     reduced = bundle.on_support[1]
     split = split_variant(reduced)
@@ -604,10 +610,12 @@ def test_report_flags_split_variant_on_bell_instance():
     Y = K[b] + (U * np.maximum(w, 0.0)) @ U.conj().T
     shift = max(np.linalg.eigvalsh(Kc - Y)[-1] for Kc in K)
     dual = reduced.n_params + np.trace(Y).real + len(Y) * shift      # 24.72
-    report = susceptibility_report(bundle, oracle_samples=4000, seed=2)
-    assert report.sigma_lower - 1e-9 <= report.oracle_best <= dual
+    report = susceptibility_report(bundle)
+    exact = sigma_exact(bundle)
+    assert report.sigma_lower < exact.value <= exact.value + exact.exact_gap <= dual
+    assert exact.value == pytest.approx(24.573798, rel=1e-6)
     assert report.sigma_lower + 2.0 < split < report.sigma_upper
-    assert split > dual + 2.0
+    assert split > exact.value + exact.exact_gap + 2.0
 
 
 def test_split_diagnostic_is_computed_when_read():
@@ -619,23 +627,49 @@ def test_split_diagnostic_is_computed_when_read():
     assert split_variant(bundle.on_support[1]) == pytest.approx(26.80416466489899, rel=1e-9)
 
 
-def test_noise_search_pinned_for_fixed_seed():
-    # no random sample beats the structured candidate, so the search
-    # returns the best-pair projector noise; value and noise are pinned
-    _, _, bundle = qubit_bundle((0.7, 0.3))
-    best, noise = noise_search_oracle(bundle, n_samples=500, seed=4)
-    assert best == pytest.approx(12.852474617660665, rel=1e-12)
-    B = np.array([[0.5, 0.4057525380811081 + 0.2921726849668511j],
-                  [0.4057525380811081 - 0.2921726849668511j, 0.5]])
-    expected = [np.zeros((2, 2)), B, np.zeros((2, 2)), np.eye(2) - B]
-    np.testing.assert_allclose(noise.elements, expected, rtol=0, atol=1e-12)
+@pytest.mark.parametrize("model, delta, expected", [
+    (qubit_phase_dephasing(), 0.1, 15.749135),
+    (tensor_model(qubit_phase_dephasing(), 2), 0.1, 24.573798),
+    (tensor_model(qubit_phase_dephasing(), 2), 0.5, 11.054079),
+])
+def test_exact_worst_case_pinned_on_qubit_rows(model, delta, expected):
+    # all three lie strictly above the pair bound (Sigma_L = 15.743558,
+    # 24.431321 and 10.417846), so the interior-point path sets them
+    povm = separable_povm() if model.dim == 2 else bell_povm()
+    bundle = fisher_bundle(model, [np.pi / 4, delta], povm)
+    exact = sigma_exact(bundle)
+    assert exact.value == pytest.approx(expected, rel=1e-6)
+    assert not exact.pair_certified and exact.iterations > 0
+    assert exact.value > sigma_lower(bundle)[0] * (1.0 + 1e-4)
+    assert exact.exact_gap <= 1e-8 * exact.value
+
+
+@pytest.mark.parametrize("dx, excess", [(0.3, 1.07e-6), (0.5, 7.9e-6), (1.0, 1.2e-4)])
+def test_exact_excess_over_pair_bound_at_balanced_intensity(dx, excess):
+    # at q = 1/2 the pair certificate fails and Sigma exceeds Sigma_L by a
+    # small, certified margin
+    theta = np.array([0.0, dx, 0.5])
+    cfg = PointSourceConfig(n_max=20, x_m=x_opt(*theta))
+    bundle = fisher_bundle(point_source_model(cfg), theta, optimal_povm_point_sources(cfg))
+    lower, exact = sigma_lower(bundle)[0], sigma_exact(bundle)
+    assert (exact.value - lower) / lower == pytest.approx(excess, rel=0.02)
+    assert exact.exact_gap <= 1e-3 * (exact.value - lower)
+
+
+def test_pair_certified_noise_pinned():
+    # the pair certificate settles this point: the value is Sigma_L bit for
+    # bit and the noise is the best-pair projector noise, pinned
     theta = [0.1, 0.2, 0.3]
     cfg = PointSourceConfig(n_max=20, x_m=x_opt(*theta))
     bundle = fisher_bundle(point_source_model(cfg), theta, optimal_povm_point_sources(cfg))
-    best, noise = noise_search_oracle(bundle, n_samples=300, seed=9)
-    assert best == pytest.approx(1049533.2673416492, rel=1e-9)
+    exact = sigma_exact(bundle)
+    assert exact.pair_certified and exact.iterations == 0
+    assert exact.value == sigma_lower(bundle)[0]
+    assert exact.value == pytest.approx(1049533.2673416492, rel=1e-9)
+    assert 0.0 <= exact.exact_gap <= 1e-12 * exact.value
     # the noise sits on outcomes (1, 4): the projector onto the positive
     # part of K_1 - K_4 (rank <= 4), which has rank 2, and its complement
+    noise = exact.noise
     assert [float(np.max(np.abs(E))) > 0 for E in noise.elements] == [
         False, True, False, False, True]
     np.testing.assert_allclose(noise.elements[1] + noise.elements[4],
@@ -646,9 +680,11 @@ def test_noise_search_pinned_for_fixed_seed():
 
 
 def test_report_qubit_instance_no_flag():
-    report = susceptibility_report(qubit_bundle()[2], oracle_samples=2000, seed=3)
+    bundle = qubit_bundle()[2]
+    report = susceptibility_report(bundle)
     assert report.best_pair == (1, 3)
-    assert report.oracle_best == pytest.approx(report.sigma_lower, abs=1e-9)
+    assert not hasattr(report, "oracle_best")
+    assert sigma_exact(bundle).value == report.sigma_lower     # pair-certified
 
 
 # ---------------------------------------------------------------------------
@@ -772,162 +808,85 @@ def test_support_reduction_matches_full_dimension(seed, k, rank, extra, P, more_
 
 
 @pytest.mark.parametrize("model, theta, povm", instances(12, 1))
-def test_sampled_noise_score_is_its_susceptibility(model, theta, povm):
-    # with the structured candidate's value pushed below every sample, the
-    # best random sample wins; its score, taken in the support basis, must
-    # be X of the full-space noise it returns
+def test_exact_noise_attains_its_value(model, theta, povm):
+    # the noise is lifted from the support to the full space; X of that
+    # full-space POVM is the reported value
     bundle = fisher_bundle(model, theta, povm)
-    V, reduced = bundle.on_support
-    K = _k_operators(reduced)
-    (pair, _) = _best_pair(K)
-    best_x, assignments = _noise_search(reduced, V, K, (pair, -np.inf), 40, seed=5)
-    noise = _materialize_noise(len(povm), povm.dim, assignments)
-    # the returned element is the sample's compression onto the support
-    assert validate_povm(noise, 1e-9).passed
-    x = x_scalar(bundle, noise)
-    assert best_x == pytest.approx(x, rel=1e-9, abs=1e-9)
-    assert best_x < bundle.n_params + _best_pair(K)[1]
+    exact = sigma_exact(bundle)
+    assert exact.noise.dim == povm.dim and len(exact.noise) == len(povm)
+    assert validate_povm(exact.noise, 1e-12).passed
+    assert x_scalar(bundle, exact.noise) == pytest.approx(exact.value, rel=1e-10)
+    assert sigma_lower(bundle)[0] <= exact.value <= sigma_upper(bundle)[0] + exact.exact_gap
 
 
 @pytest.mark.parametrize("model, theta, povm", instances(13, 2))
 def test_no_sample_beats_the_pair_bound(model, theta, povm):
-    # Tr[(K_a - K_b) B] <= Tr[(K_a - K_b)_+] for 0 <= B <= I: with the
-    # structured candidate pushed to -inf, the best of many samples still
-    # stays at or below Sigma_L, so a searched sweep reports Sigma_L itself
+    # Tr[(K_a - K_b) B] <= Tr[(K_a - K_b)_+] for 0 <= B <= I: on every pair
+    # the exact two-outcome optimum, bounded from above by a feasible dual
+    # point of the two-outcome SDP, stays at or below Sigma_L
     bundle = fisher_bundle(model, theta, povm)
-    V, reduced = bundle.on_support
-    K = _k_operators(reduced)
-    pair, value = _best_pair(K)
-    best_x, _ = _noise_search(reduced, V, K, (pair, -np.inf), 2000, seed=11)
-    lower = bundle.n_params + value
-    assert best_x <= lower * (1.0 + 1e-12)
+    K = _k_operators(bundle.on_support[1])
+    lower = bundle.n_params + _best_pair(K)[1]
+    for a, b in zip(*np.triu_indices(len(K), 1)):
+        pair = K[[a, b]]
+        _, Y, _ = _exact_sdp(pair, np.linalg.eigvalsh(pair))
+        Y = Y + np.max(np.linalg.eigvalsh(pair - Y)[:, -1]) * np.eye(len(Y))
+        assert bundle.n_params + np.trace(Y).real <= lower * (1.0 + 1e-8)
+    assert sigma_exact(bundle).value >= lower
 
 
-def searched_points():
-    """A point-source point (support r = 4 of d = 21) and a full-rank qubit point."""
-    theta = np.array([0.1, 0.4, 0.3])
-    cfg = PointSourceConfig(n_max=20, x_m=x_opt(*theta))
-    out = []
-    for model, theta, povm in ((point_source_model(cfg), theta,
-                                optimal_povm_point_sources(cfg)),
-                               (qubit_phase_dephasing(), [0.7, 0.3], separable_povm())):
-        V, reduced = fisher_bundle(model, theta, povm).on_support
-        out.append((V, reduced, _k_operators(reduced)))
-    return out
-
-
-@pytest.mark.parametrize("point", [0, 1])
-@pytest.mark.parametrize("n_samples", [1, 63, 64, 65, 250])
-def test_chunked_search_returns_the_best_of_every_draw(point, n_samples):
-    # replay the one generator chunk by chunk and score every draw on its
-    # own; with the structured candidate at -inf the search must return the
-    # best of them, so the running maximum holds across chunk boundaries
-    V, reduced, K = searched_points()[point]
-    best_x, assignments = _noise_search(reduced, V, K, (_best_pair(K)[0], -np.inf),
-                                        n_samples, seed=23)
-    rng = np.random.default_rng(23)
-    E, r = K.shape[:2]
-    dim = r if V is None else V.shape[0]
-    draws = []
-    for start in range(0, n_samples, SAMPLE_CHUNK):
-        n = min(SAMPLE_CHUNK, n_samples - start)
-        for a, b, W, u in zip(*_two_outcome_samples(rng, n, E, dim, r)):
-            B = (W * u) @ W.conj().T
-            x = reduced.n_params + np.real(np.trace(K[b]) + np.trace((K[a] - K[b]) @ B))
-            draws.append((x, a, b, B))
-    assert len(draws) == n_samples
-    x, a, b, B = max(draws, key=lambda draw: draw[0])
-    assert best_x == pytest.approx(x, rel=1e-10)
-    kept = reduced.kept_outcomes
-    assert [slot for slot, _ in assignments] == [kept[a], kept[b]]
-    if V is not None:
-        B = V @ B @ V.conj().T
-    np.testing.assert_allclose(assignments[0][1], B, rtol=0, atol=1e-12)
-
-
-def test_search_draws_from_one_generator_in_chunks(monkeypatch):
-    calls = {"qr": 0, "generators": 0}
-    qr, default_rng = np.linalg.qr, np.random.default_rng
-
-    def counting_qr(*args, **kwargs):
-        calls["qr"] += 1
-        return qr(*args, **kwargs)
-
-    def counting_rng(*args, **kwargs):
-        calls["generators"] += 1
-        return default_rng(*args, **kwargs)
-
-    V, reduced, K = searched_points()[0]
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
-    monkeypatch.setattr(np.random, "default_rng", counting_rng)
-    _noise_search(reduced, V, K, _best_pair(K), 250, seed=3)
-    # ceil(250 / SAMPLE_CHUNK) = 4 chunks from one generator, orthonormalized
-    # by Gram-Schmidt without a QR
-    assert SAMPLE_CHUNK == 64
-    assert calls == {"qr": 0, "generators": 1}
-
-
-def qr_two_outcome_samples(rng, n, n_outcomes, dim, r):
-    """Reference: the support blocks from a batched QR with the phases of R's
-    diagonal moved into Q (Mezzadri 2007), on the same generator calls."""
-    a = rng.integers(n_outcomes, size=n)
-    b = rng.integers(n_outcomes - 1, size=n)
-    b += b >= a
-    q, R = np.linalg.qr(rng.standard_normal((n, dim, 2 * r)).view(complex))
-    phases = np.einsum("nii->ni", R)
-    W = (q * (phases / np.abs(phases))[:, None, :]).transpose(0, 2, 1)
-    return a, b, W, rng.uniform(0.0, 1.0, size=(n, dim))
-
-
-@pytest.mark.parametrize("dim, r", [(21, 4), (4, 4), (2, 2)])
-def test_gram_schmidt_samples_match_the_phase_fixed_qr(dim, r):
-    # Gram-Schmidt gives the Q factor whose R has a positive diagonal, the
-    # one the phase-fixed QR gives, from the same generator calls; the
-    # chunk scores X = P + Tr K_b + Re Tr[D M] equal the per-column sums
-    # u_k w_k^dag D w_k.  Points: point sources (support 4 of 21), the
-    # two-copy Bell point and the separable qubit point
-    if dim == 4:
-        bundle = fisher_bundle(tensor_model(qubit_phase_dephasing(), 2), [0.7, 0.3],
-                               bell_povm())
-        K, P = _k_operators(bundle), bundle.n_params
+@pytest.mark.parametrize("model, theta, povm", instances(15, 2))
+def test_exact_certificates_are_feasible(model, theta, povm):
+    # primal: the noise is a POVM to 1e-12; dual: the shifted interior-point
+    # Y dominates every K_a to 1e-12 and gives the reported upper end
+    bundle = fisher_bundle(model, theta, povm)
+    K = _k_operators(bundle.on_support[1])
+    exact = sigma_exact(bundle)
+    assert validate_povm(exact.noise, 1e-12).passed
+    lam = np.linalg.eigvalsh(K)
+    scale = np.max(np.abs(lam))
+    if exact.pair_certified:
+        (a, b), _ = _best_pair(K)
+        w, U = np.linalg.eigh(K[a] - K[b])
+        Y = K[b] + (U * np.maximum(w, 0.0)) @ U.conj().T
     else:
-        _, reduced, K = searched_points()[0 if dim == 21 else 1]
-        P = reduced.n_params
-    assert K.shape[1] == r
-    traces = np.real(np.einsum("aii->a", K))
-    new_rng, ref_rng = np.random.default_rng(29), np.random.default_rng(29)
-    for n in (SAMPLE_CHUNK, SAMPLE_CHUNK, 7):
-        a, b, W, u = _two_outcome_samples(new_rng, n, len(K), dim, r)
-        ra, rb, rW, ru = qr_two_outcome_samples(ref_rng, n, len(K), dim, r)
-        assert np.array_equal(a, ra) and np.array_equal(b, rb) and np.array_equal(u, ru)
-        np.testing.assert_allclose(W, rW, rtol=0, atol=1e-12)
-        D = K[a] - K[b]
-        M = (W * u[:, None, :]) @ W.conj().transpose(0, 2, 1)
-        scores = P + traces[b] + np.real(np.einsum("nij,nji->n", D, M))
-        reference = P + traces[b] + np.real(np.einsum("nk,nik,nik->n", ru, rW.conj(),
-                                                       D @ rW))
-        np.testing.assert_allclose(scores, reference, rtol=1e-12, atol=0)
+        Y = _exact_sdp(K, lam)[1]
+    Y = Y + np.max(np.linalg.eigvalsh(K - Y)[:, -1]) * np.eye(len(Y))
+    assert np.min(np.linalg.eigvalsh(Y - K)) >= -1e-12 * scale
+    dual = bundle.n_params + np.trace(Y).real
+    assert dual == pytest.approx(exact.value + exact.exact_gap, rel=1e-12)
+    assert 0.0 <= exact.exact_gap <= 1e-8 * exact.value
 
 
-@pytest.mark.parametrize("dim, r", [(21, 4), (4, 4)])
-def test_two_outcome_samples_follow_the_haar_block_law(dim, r):
-    n, n_outcomes = 4000, 5
-    a, b, W, u = _two_outcome_samples(np.random.default_rng(17), n, n_outcomes, dim, r)
-    assert W.shape == (n, r, dim) and u.shape == (n, dim)
-    eye = np.broadcast_to(np.eye(r), (n, r, r))
-    np.testing.assert_allclose(W @ W.conj().transpose(0, 2, 1), eye, rtol=0, atol=1e-12)
-    w = np.linalg.eigvalsh((W * u[:, None, :]) @ W.conj().transpose(0, 2, 1))
-    assert w.min() >= -1e-12 and w.max() <= 1.0 + 1e-12
-    # every entry of a Haar unitary has E|U_ij|^2 = 1/dim and mean 0
-    np.testing.assert_allclose(np.mean(np.abs(W) ** 2, axis=0), 1.0 / dim, rtol=0.1)
-    assert np.max(np.abs(np.mean(W, axis=0))) < 5.0 / np.sqrt(n * dim)
-    # ordered pairs a != b, each about equally often
-    assert not np.any(a == b)
-    counts = np.zeros((n_outcomes, n_outcomes), dtype=int)
-    np.add.at(counts, (a, b), 1)
-    expected = n / (n_outcomes * (n_outcomes - 1))
-    off = counts[~np.eye(n_outcomes, dtype=bool)]
-    assert np.all(off > 0.75 * expected) and np.all(off < 1.25 * expected)
+def certified_points():
+    """Pair-certified points: point sources off and near balance, the
+    separable qubit at delta = 0.4, and the certified random instances."""
+    points = []
+    for x_c, dx, q in ((0.0, 0.1, 0.3), (0.0, 0.06, 0.1), (0.0, 0.6, 0.49),
+                       (0.0, 0.2, 0.499), (0.2, 0.5, 0.4)):
+        theta = np.array([x_c, dx, q])
+        cfg = PointSourceConfig(n_max=20, x_m=x_opt(*theta))
+        points.append((point_source_model(cfg), theta, optimal_povm_point_sources(cfg)))
+    points.append((qubit_phase_dephasing(), np.array([np.pi / 4, 0.4]), separable_povm()))
+    return points + instances(16, 3)
+
+
+def test_pair_certificate_never_claims_exactness_where_the_sdp_finds_more(monkeypatch):
+    # where the pair certificate holds, the interior-point method run on
+    # the same point finds nothing above Sigma_L
+    certified = []
+    for model, theta, povm in certified_points():
+        bundle = fisher_bundle(model, theta, povm)
+        exact = sigma_exact(bundle)
+        if exact.pair_certified:
+            certified.append((bundle, exact.value))
+    assert len(certified) >= 8
+    monkeypatch.setattr(susceptibility, "CERTIFICATE_RTOL", -np.inf)
+    for bundle, value in certified:
+        solved = sigma_exact(bundle)
+        assert not solved.pair_certified and solved.iterations > 0
+        assert value <= solved.value <= value * (1.0 + 1e-9)
+        assert solved.value + solved.exact_gap >= value
 
 
 def test_full_rank_bundle_is_its_own_support():

@@ -17,9 +17,12 @@ import fisusc.models as models
 import fisusc.sweep as sweep
 import fisusc.verify as verify
 from fisusc.cli import main
+from fisusc.fisher import fisher_bundle
 from fisusc.model import Povm, StatisticalModel
 from fisusc.models import (PointSourceConfig, bell_povm,
-                           optimal_povm_point_sources, separable_povm, x_opt)
+                           optimal_povm_point_sources, qubit_phase_dephasing,
+                           separable_povm, x_opt)
+from fisusc.susceptibility import sigma_exact
 from fisusc.sweep import (SweepSpec, SweepSpecError, build_model_povm,
                           evaluate_point, run_sweep, sweep_columns)
 from fisusc.verify import (check_hg_orthonormality, check_tensor_associativity,
@@ -59,31 +62,27 @@ def test_sweep_runs_and_r_is_two(tmp_path):
 
 
 def test_sweep_csv_byte_identical_and_worker_independent(tmp_path):
-    out1, out2, out3 = (str(tmp_path / f"{n}.csv") for n in "abc")
-    run_sweep(small_spec(tmp_path, oracle_samples=200), out_path=out1)
-    run_sweep(small_spec(tmp_path, oracle_samples=200), out_path=out2)
-    run_sweep(small_spec(tmp_path, oracle_samples=200, workers=3), out_path=out3)
-    b1, b2, b3 = (Path(p).read_bytes() for p in (out1, out2, out3))
-    assert b1 == b2 == b3
-    assert b"\r\n" in b1    # RFC-4180 line endings
-
-
-def test_point_source_search_csv_worker_independent(tmp_path):
-    # the sampled search runs in the support basis of each point
+    # one spec reaches both paths of the exact worst case: at q = 1/2 the
+    # rows with dx >= 0.2 need the interior-point method, and the pair
+    # certificate settles the smaller separations
     spec = dict(model="point-sources", measurement="optimal-hg",
-                fixed={"x_c": 0.2, "q": 0.4}, sweep_name="dx", start=0.05, stop=0.8,
-                count=6, oracle_samples=100)
-    outs = []
-    for workers in (1, 2, 3):
-        outs.append(str(tmp_path / f"w{workers}.csv"))
-        rows = run_sweep(small_spec(tmp_path, workers=workers, **spec), out_path=outs[-1])
+                fixed={"x_c": 0.0, "q": 0.5}, sweep_name="dx", start=0.05, stop=0.8,
+                count=6, oracle_samples=1)
+    outs = [str(tmp_path / f"{n}.csv") for n in "abc"]
+    for out, workers in zip(outs, (1, 1, 3)):
+        rows = run_sweep(small_spec(tmp_path, workers=workers, **spec), out_path=out)
         assert not any(row["error"] for row in rows)
     b1, b2, b3 = (Path(p).read_bytes() for p in outs)
     assert b1 == b2 == b3
-    # no random sample beats the pair bound: the searched value is Sigma_L
+    assert b"\r\n" in b1    # RFC-4180 line endings
     rows = list(csv.DictReader(b1.decode().splitlines()))
-    assert len(rows) == 6
-    assert all(row["oracle_best_X"] == row["sigma_lower"] for row in rows)
+    interior = [float(row["sweep_value"]) >= 0.2 for row in rows]
+    assert interior == [False] * 3 + [True] * 3
+    for row, solved in zip(rows, interior):
+        if solved:
+            assert float(row["oracle_best_X"]) > float(row["sigma_lower"])
+        else:
+            assert row["oracle_best_X"] == row["sigma_lower"]
 
 
 def test_sweep_points_run_on_the_calling_thread(tmp_path, monkeypatch):
@@ -128,9 +127,15 @@ def test_sweep_bell_rows_match_closed_form(tmp_path):
 
 
 def test_sweep_oracle_column_filled_when_sampling(tmp_path):
-    rows = run_sweep(small_spec(tmp_path, count=2, oracle_samples=300))
+    # any oracle_samples > 0 fills the column with the exact worst case;
+    # neither its magnitude nor the seed changes a row
+    rows = run_sweep(small_spec(tmp_path, count=3, oracle_samples=300))
     for row in rows:
-        assert row["sigma_lower"] - 1e-9 <= row["oracle_best_X"] <= row["sigma_upper"] + 1e-9
+        bundle = fisher_bundle(qubit_phase_dephasing(), [PHI, row["sweep_value"]],
+                               separable_povm())
+        assert row["oracle_best_X"] == sigma_exact(bundle).value
+        assert row["sigma_lower"] <= row["oracle_best_X"] <= row["sigma_upper"]
+    assert run_sweep(small_spec(tmp_path, count=3, oracle_samples=1, seed=8)) == rows
 
 
 def test_sweep_error_rows_continue(tmp_path):
