@@ -62,20 +62,31 @@ def test_sweep_runs_and_r_is_two(tmp_path):
 
 
 def test_sweep_csv_byte_identical_and_worker_independent(tmp_path):
+    out1, out2, out3 = (str(tmp_path / f"{n}.csv") for n in "abc")
+    run_sweep(small_spec(tmp_path, oracle_samples=200), out_path=out1)
+    run_sweep(small_spec(tmp_path, oracle_samples=200), out_path=out2)
+    run_sweep(small_spec(tmp_path, oracle_samples=200, workers=3), out_path=out3)
+    b1, b2, b3 = (Path(p).read_bytes() for p in (out1, out2, out3))
+    assert b1 == b2 == b3
+    assert b"\r\n" in b1    # RFC-4180 line endings
+
+
+def test_point_source_search_csv_worker_independent(tmp_path):
     # one spec reaches both paths of the exact worst case: at q = 1/2 the
     # rows with dx >= 0.2 need the interior-point method, and the pair
     # certificate settles the smaller separations
     spec = dict(model="point-sources", measurement="optimal-hg",
                 fixed={"x_c": 0.0, "q": 0.5}, sweep_name="dx", start=0.05, stop=0.8,
                 count=6, oracle_samples=1)
-    outs = [str(tmp_path / f"{n}.csv") for n in "abc"]
-    for out, workers in zip(outs, (1, 1, 3)):
-        rows = run_sweep(small_spec(tmp_path, workers=workers, **spec), out_path=out)
+    outs = []
+    for workers in (1, 2, 3):
+        outs.append(str(tmp_path / f"w{workers}.csv"))
+        rows = run_sweep(small_spec(tmp_path, workers=workers, **spec), out_path=outs[-1])
         assert not any(row["error"] for row in rows)
     b1, b2, b3 = (Path(p).read_bytes() for p in outs)
     assert b1 == b2 == b3
-    assert b"\r\n" in b1    # RFC-4180 line endings
     rows = list(csv.DictReader(b1.decode().splitlines()))
+    assert len(rows) == 6
     interior = [float(row["sweep_value"]) >= 0.2 for row in rows]
     assert interior == [False] * 3 + [True] * 3
     for row, solved in zip(rows, interior):
