@@ -6,12 +6,13 @@ Verbs:
 * ``verify``     - run the invariant suite, JSON report, exit 0/1,
 * ``show-model`` - print rho, F and Q at one parameter point.
 
-Sweeps can be described in a YAML config file; command-line flags
-override config values.  Exit codes: 0 success, 1 invariant failure,
-2 invalid specification, 3 numerical failure at every sweep point.
+Sweeps can be described in a YAML config file; command-line flags override
+config values.  Exit codes: 0 success, 1 invariant failure, 2 invalid
+specification or unwritable output, 3 numerical failure at every sweep point.
 """
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -121,10 +122,10 @@ def _spec_from_args(args):
 def _cmd_sweep(args):
     try:
         spec = _spec_from_args(args)
+        rows = run_sweep(spec)       # opens spec.out before the first point
     except (SweepSpecError, OSError, yaml.YAMLError) as err:
         print(f"invalid sweep specification: {err}", file=sys.stderr)
         return EXIT_INVALID_SPEC
-    rows = run_sweep(spec)
     n_failed = sum(1 for r in rows if r["error"])
     print(f"wrote {len(rows)} rows to {spec.out} ({n_failed} with errors)")
     if n_failed == len(rows):
@@ -134,13 +135,13 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify(args):
-    report = run_verify(seed=args.seed if args.seed is not None else 0)
-    text = report.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    try:      # an unwritable --out fails before the suite runs
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+            report = run_verify(seed=args.seed if args.seed is not None else 0)
+            print(report.to_json(), file=fh)
+    except OSError as err:
+        print(f"cannot write the verify report: {err}", file=sys.stderr)
+        return EXIT_INVALID_SPEC
     for r in report.results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.name}: {r.detail}", file=sys.stderr)

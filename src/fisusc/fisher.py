@@ -74,6 +74,7 @@ class FisherBundle:
         F^-1, checked and computed once per bundle on first use.
     on_support : (V, reduced)
         The bundle restricted to the joint range of rho and its derivatives.
+    k_operators, best_pair : K_a and ``((i, j), value)`` (`susceptibility`).
     """
 
     probabilities: np.ndarray
@@ -96,6 +97,16 @@ class FisherBundle:
     def fisher_condition(self):
         """Condition number of F itself (the refusal tests the unit-scaled F)."""
         return float(np.linalg.cond(self.fisher))
+
+    @cached_property
+    def k_operators(self):
+        from .susceptibility import _k_operators
+        return _k_operators(self)
+
+    @cached_property
+    def best_pair(self):
+        from .susceptibility import _best_pair
+        return _best_pair(self.k_operators)
 
     @cached_property
     def on_support(self):

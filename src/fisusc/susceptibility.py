@@ -37,19 +37,20 @@ interior-point method, and reports exactly feasible primal and dual
 points: ``value <= Sigma <= value + exact_gap``.
 
 Every function takes the point's `FisherBundle` (`fisher_bundle`), so one
-evaluation of state, derivatives and F serves them all; only
-`x_finite_mix` takes the model, because it must evaluate the mixed POVM.
+evaluation of state, derivatives, F, K and its best pair serves them all;
+only `x_finite_mix` takes the model, because it must evaluate the mixed POVM.
 `susceptibility_report`, `sigma_lower`, `sigma_upper` and `sigma_exact`
 work on the bundle restricted to the joint range of rho and its
 derivatives (`FisherBundle.on_support`), which holds every K_a and every
 A~ operator: trace norms, bounds and X are unchanged, and the operators
 are r x r instead of d x d (``report.diagnostics["support_rank"]`` is r);
-the returned noise POVMs act on the full space.  The fixed-noise
-functions `g_matrix`, `xi_matrix` and `x_scalar` take a noise POVM on the
-bundle's space, and use the bundle's checked F^-1.
+the noise of `sigma_exact` is lifted to the full space when first read.
+The fixed-noise functions `g_matrix`, `xi_matrix` and `x_scalar` take a
+noise POVM on the bundle's space, and use the bundle's checked F^-1.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -114,7 +115,7 @@ def xi_matrix(bundle: FisherBundle, noise: Povm):
 def x_scalar(bundle: FisherBundle, noise: Povm):
     """Scalar susceptibility X[M, N] = P + sum_a Tr[K_a N_a] (equals tr Xi)."""
     slots, elements = _aligned_noise_elements(bundle, noise)
-    K = _k_operators(bundle)[slots]
+    K = bundle.k_operators[slots]
     return bundle.n_params + float(np.real(np.einsum("axy,ayx->", K, elements)))
 
 
@@ -192,7 +193,7 @@ def sigma_lower(bundle: FisherBundle):
     maximizing pair (ties broken toward the lowest indices).
     """
     reduced = bundle.on_support[1]
-    (i, j), value = _best_pair(_k_operators(reduced))
+    (i, j), value = reduced.best_pair
     kept = reduced.kept_outcomes
     return reduced.n_params + value, (kept[i], kept[j])
 
@@ -298,7 +299,17 @@ class ExactWorstCase:
     exact_gap: float
     iterations: int
     pair_certified: bool
-    noise: Povm
+    _lift: tuple = field(repr=False, compare=False)    # (N, V, kept, b, shape)
+
+    @cached_property
+    def noise(self):
+        """V N_a V^dag on kept outcome a, plus I - V V^dag on b; built on first read."""
+        N, V, kept, b, shape = self._lift
+        elements = np.zeros(shape, dtype=complex)
+        elements[kept] = N if V is None else V @ N @ V.conj().T
+        if V is not None:
+            elements[kept[b]] += np.eye(shape[1]) - V @ V.conj().T
+        return Povm(elements)
 
 
 def _sym(X):
@@ -362,12 +373,12 @@ def sigma_exact(bundle: FisherBundle) -> ExactWorstCase:
     K_c exceeds its Y by more than CERTIFICATE_RTOL max|lambda(K)|; else
     `_exact_sdp` runs, its N is clipped to PSD and mapped to R^-1/2 N R^-1/2
     (R = sum N), and the value is the larger of that primal and Sigma_L.
-    The noise is V N_a V^dag, plus I - V V^dag on b.  Raises
-    `SingularFisherError` below two kept outcomes.
+    The noise, V N_a V^dag plus I - V V^dag on b, is lifted when first
+    read.  Raises `SingularFisherError` below two kept outcomes.
     """
     V, reduced = bundle.on_support
-    K = _k_operators(reduced)
-    (a, b), pair_value = _best_pair(K)
+    K = reduced.k_operators
+    (a, b), pair_value = reduced.best_pair
     P, r = reduced.n_params, K.shape[1]
     w, U = np.linalg.eigh(K[a] - K[b])
     pos = U[:, w > POSITIVE_PART_RTOL * np.max(np.abs(w))]
@@ -391,13 +402,10 @@ def sigma_exact(bundle: FisherBundle) -> ExactWorstCase:
             N, value = M, primal
         shift = np.max(np.linalg.eigvalsh(K - Y)[:, -1])
     dual = P + float(np.trace(Y).real + r * shift)
-    kept, dim = list(reduced.kept_outcomes), bundle.rho.shape[0]
-    elements = np.zeros((len(bundle.probabilities), dim, dim), dtype=complex)
-    elements[kept] = N if V is None else V @ N @ V.conj().T
-    if V is not None:
-        elements[kept[b]] += np.eye(dim) - V @ V.conj().T
+    shape = bundle.probabilities.shape + bundle.rho.shape
     return ExactWorstCase(value=value, exact_gap=dual - value, iterations=iterations,
-                          pair_certified=certified, noise=Povm(elements))
+                          pair_certified=certified,
+                          _lift=(N, V, list(reduced.kept_outcomes), b, shape))
 
 
 # ---------------------------------------------------------------------------

@@ -196,10 +196,11 @@ def evaluate_point(spec, index, sweep_value):
     State, derivatives, F and Q are evaluated once; every column reads
     them from the point's Fisher bundle, and Q, the bounds and, when
     ``spec.oracle_samples`` > 0, the exact worst case are computed on its
-    restriction to the joint support of rho and its derivatives.  The
-    two-copy Bell row also evaluates the single-copy Q_1 that r_multi
-    compares against.  The row does not depend on ``index``, the point's
-    grid position.
+    restriction to the joint support of rho and its derivatives, from one
+    K and best pair; the worst case's noise is never lifted, since the row
+    reads only its value.  The two-copy Bell row also evaluates the
+    single-copy Q_1 that r_multi compares against.  The row does not
+    depend on ``index``, the point's grid position.
     """
     names = _param_names(spec.model)
     row = {c: "" for c in sweep_columns(spec)}
@@ -242,15 +243,14 @@ def run_sweep(spec, out_path=None):
     """Run the sweep and write a CSV; returns the list of row dicts.
 
     Points run in grid order on the calling thread, whatever ``spec.workers``
-    says; the output is byte-identical for an identical spec.
+    says; the output, opened before the first point, is byte-identical
+    for an identical spec.
     """
     spec.validate()
-    rows = [evaluate_point(spec, i, v) for i, v in enumerate(spec.grid())]
-    path = out_path or spec.out
     cols = sweep_columns(spec)
-    with open(path, "w", newline="") as fh:
+    with open(out_path or spec.out, "w", newline="") as fh:
+        rows = [evaluate_point(spec, i, v) for i, v in enumerate(spec.grid())]
         writer = csv.writer(fh)
         writer.writerow(cols)
-        for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in cols])
+        writer.writerows([_format_cell(row[c]) for c in cols] for row in rows)
     return rows

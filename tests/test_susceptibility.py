@@ -679,6 +679,48 @@ def test_pair_certified_noise_pinned():
     np.testing.assert_allclose(w, np.round(w), atol=1e-12)
 
 
+def _cache_instances():
+    theta = [0.1, 0.2, 0.3]
+    cfg = PointSourceConfig(n_max=20, x_m=x_opt(*theta))
+    model = tensor_model(qubit_phase_dephasing(), 2)
+    return [
+        lambda: fisher_bundle(point_source_model(cfg), theta,
+                              optimal_povm_point_sources(cfg)),     # pair-certified
+        lambda: fisher_bundle(model, [np.pi / 4, 0.1], bell_povm()),   # interior point
+    ]
+
+
+@pytest.mark.parametrize("fresh_bundle", _cache_instances(),
+                         ids=["pair-certified", "interior-point"])
+def test_shared_kernel_and_lazy_noise_change_no_value(fresh_bundle):
+    # Sigma_L and the exact worst case read one cached K and best pair;
+    # either order of evaluation gives the same bits
+    first = fresh_bundle()
+    exact_first, report_first = sigma_exact(first), susceptibility_report(first)
+    second = fresh_bundle()
+    report_second, exact_second = susceptibility_report(second), sigma_exact(second)
+    assert exact_first.value == exact_second.value
+    assert exact_first.exact_gap == exact_second.exact_gap
+    assert report_first.sigma_lower == report_second.sigma_lower
+    reduced = first.on_support[1]
+    assert reduced.k_operators is reduced.k_operators
+    np.testing.assert_array_equal(reduced.k_operators, _k_operators(reduced))
+    assert reduced.best_pair == _best_pair(_k_operators(reduced))
+    # the noise is lifted when first read, once
+    assert "noise" not in vars(exact_first)
+    noise = exact_first.noise
+    assert exact_first.noise is noise
+    N, V, kept, b, _ = exact_first._lift
+    assert b == reduced.best_pair[0][1]
+    dim = first.rho.shape[0]
+    eager = np.zeros((len(first.probabilities), dim, dim), dtype=complex)
+    eager[kept] = N if V is None else V @ N @ V.conj().T
+    if V is not None:
+        eager[kept[b]] += np.eye(dim) - V @ V.conj().T
+    np.testing.assert_array_equal(noise.elements, Povm(eager).elements)
+    assert x_scalar(first, noise) == pytest.approx(exact_first.value, rel=1e-9)
+
+
 def test_report_qubit_instance_no_flag():
     bundle = qubit_bundle()[2]
     report = susceptibility_report(bundle)

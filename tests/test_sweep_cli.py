@@ -14,6 +14,7 @@ import yaml
 import fisusc.cli
 import fisusc.fisher as fisher
 import fisusc.models as models
+import fisusc.susceptibility as susceptibility
 import fisusc.sweep as sweep
 import fisusc.verify as verify
 from fisusc.cli import main
@@ -222,6 +223,33 @@ def test_cli_invalid_spec_exit_code(tmp_path):
                  "--sweep", "delta:0.01:1:3:log"]) == 2
 
 
+def _unwritable(tmp_path):
+    return str(tmp_path / "missing" / "out.csv")
+
+
+def test_cli_sweep_unwritable_out_fails_before_any_point(tmp_path, monkeypatch, capsys):
+    # the output is opened first: no point is evaluated, and the refusal is
+    # one line with the invalid-specification exit code
+    evaluated = []
+    monkeypatch.setattr(sweep, "evaluate_point", lambda *args: evaluated.append(args))
+    code = main(["sweep", "--model", "phase-dephasing", "--measurement", "separable",
+                 "--fix", f"phi={PHI}", "--sweep", "delta:0.01:1:3:log",
+                 "--oracle-samples", "1", "--out", _unwritable(tmp_path)])
+    assert code == 2 and evaluated == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "missing" in err
+
+
+def test_cli_verify_unwritable_out_fails_before_the_suite(tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(fisusc.cli, "run_verify", lambda seed: ran.append(seed))
+    assert main(["verify", "--seed", "0", "--out", _unwritable(tmp_path)]) == 2
+    assert ran == []
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "missing" in captured.err
+    assert captured.out == ""
+
+
 POINT_SOURCE_CONFIG = {"model": "point-sources", "measurement": "optimal-hg",
                        "fix": {"x_c": 0.0, "q": 0.3},
                        "sweep": {"name": "dx", "start": 0.01, "stop": 1.0, "count": 3}}
@@ -427,6 +455,35 @@ def _count_evaluations(monkeypatch):
 
     monkeypatch.setattr(fisher, "_checked_inverse", recording)
     return calls, inverted
+
+
+@pytest.mark.parametrize("model, measurement, fixed, swept, value", [
+    ("point-sources", "optimal-hg", {"x_c": 0.1, "q": 0.3}, "dx", 0.2),   # pair-certified
+    ("phase-dephasing", "bell", {"phi": PHI}, "delta", 0.1),             # interior point
+])
+def test_point_builds_one_kernel_and_no_noise_povm(tmp_path, monkeypatch, model,
+                                                   measurement, fixed, swept, value):
+    # Sigma_L and the exact worst case read one K and one best pair, and the
+    # row never reads the worst-case noise, so no POVM is built once the
+    # measurement POVM is cached
+    spec = small_spec(tmp_path, model=model, measurement=measurement, fixed=fixed,
+                      sweep_name=swept, start=value, stop=1.0, oracle_samples=1)
+    assert evaluate_point(spec, 0, value)["error"] == ""      # warms _measurement_povm
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("_k_operators", "_best_pair"):
+        monkeypatch.setattr(susceptibility, name, counted(name, getattr(susceptibility, name)))
+    monkeypatch.setattr(Povm, "__init__", counted("Povm", Povm.__init__))
+    row = evaluate_point(spec, 0, value)
+    assert row["error"] == "" and row["oracle_best_X"] != ""
+    assert calls["_k_operators"] == 1 and calls["_best_pair"] == 1
+    assert calls["Povm"] == 0
 
 
 @pytest.mark.parametrize("model, measurement, fixed, swept, value, n_models, n_matrices", [
