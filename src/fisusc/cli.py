@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import yaml
 
-from .fisher import fisher_bundle, qfi_matrix
+from .fisher import _slds, fisher_bundle
 from .sweep import (MEASUREMENTS, MODELS, SweepSpec, SweepSpecError,
                     build_model_povm, check_in_domain, check_model_spec,
                     run_sweep)
@@ -161,9 +161,9 @@ def _cmd_show_model(args):
         print(f"invalid specification: {err}", file=sys.stderr)
         return EXIT_INVALID_SPEC
     try:
-        rho = model.state_at(theta)
-        F = fisher_bundle(model, theta, povm).fisher
-        Q = qfi_matrix(model, theta).qfi
+        bundle = fisher_bundle(model, theta, povm)
+        rho, F = bundle.rho, bundle.fisher
+        Q = _slds(bundle.rho, bundle.derivatives)[1]
     except ValueError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE

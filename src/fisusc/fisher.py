@@ -148,8 +148,8 @@ def _support_basis(ops):
     way: it squares the singular values of the stack, and for point
     sources at dx = 0.01 the 4th one (2.6e-8 of the largest, unscaled)
     would drop to rounding level.
-    When every operator is real (point sources), the search runs in real
-    arithmetic (about a third of the time at d = 49) and the basis is real.
+    The basis has the operators' dtype: real for point sources, whose
+    search then runs in real arithmetic (about a third of the time at d = 49).
     """
     rho = ops[0]
     try:
@@ -160,8 +160,6 @@ def _support_basis(ops):
         pass
     d = rho.shape[0]
     R = np.concatenate(ops, axis=1)
-    if not np.any(R.imag):
-        R = np.ascontiguousarray(R.real)
     scales = np.max(np.abs(R.reshape(d, len(ops), d)), axis=(0, 2))
     R /= np.repeat(np.where(scales > 0, scales, 1.0), d)
     sq = np.real(np.einsum("ij,ij->j", R.conj(), R))   # squared column norms

@@ -1,9 +1,10 @@
-"""Dense complex-Hermitian linear algebra primitives.
+"""Dense Hermitian linear algebra primitives.
 
-Operators are plain complex ``numpy`` arrays.  :func:`hermitize` is the
+Operators are plain ``numpy`` arrays whose dtype follows the input: real
+symmetric stays float64, complex stays complex128.  :func:`hermitize` is the
 canonical constructor: it validates Hermiticity, symmetrizes away
-floating-point drift and returns a read-only array.  Dimensions in this
-package stay small (a few tens), so everything is dense.
+floating-point drift and returns a read-only array; the public functions
+validate their input with it.  Dimensions stay small, so everything is dense.
 """
 
 import numpy as np
@@ -16,48 +17,40 @@ class HermiticityError(ValueError):
 
 
 def hermitize(entries):
-    """Validate and return a Hermitian operator.
+    """Validate and return a Hermitian operator, or a stack of them.
 
-    The matrix is symmetrized as (H + H†)/2, which absorbs round-off
+    Each matrix is symmetrized as (H + H†)/2, which absorbs round-off
     drift without masking real asymmetry: if the drift ``max|H - H†|``
-    exceeds ``HERMITICITY_TOL`` (relative to the largest entry, with an
-    absolute floor) the input is rejected instead.
+    exceeds ``HERMITICITY_TOL`` (relative to the matrix's largest entry,
+    with an absolute floor) the input is rejected instead.
 
     Parameters
     ----------
     entries : array_like
-        Square complex matrix.
+        Square matrix, or a (..., d, d) stack checked matrix by matrix.
 
     Returns
     -------
     numpy.ndarray
-        Read-only complex Hermitian matrix.
+        Read-only Hermitian matrix (or stack) of the input's dtype: real
+        input stays real (float64 for integers), complex stays complex.
     """
-    H = np.asarray(entries, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] < 1:
+    H = np.asarray(entries)
+    if H.ndim < 2 or H.shape[-1] != H.shape[-2] or H.shape[-1] < 1:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    scale = max(1.0, float(np.max(np.abs(H)))) if H.size else 1.0
-    asym = float(np.max(np.abs(H - H.conj().T)))
-    if asym > HERMITICITY_TOL * scale:
+    Hh = H.conj().swapaxes(-1, -2)
+    asym = np.max(np.abs(H - Hh), axis=(-2, -1))
+    scale = np.maximum(1.0, np.max(np.abs(H), axis=(-2, -1)))
+    bad = np.flatnonzero(asym > HERMITICITY_TOL * scale)
+    if bad.size:
+        k = bad[0]
+        member = "" if H.ndim == 2 else f" (stack member {k})"
         raise HermiticityError(
-            f"matrix is not Hermitian: max|H - H^dag| = {asym:.3e} "
-            f"(tol {HERMITICITY_TOL:.1e}, scale {scale:.3e})")
-    out = (H + H.conj().T) / 2.0
+            f"matrix is not Hermitian{member}: max|H - H^dag| = {asym.flat[k]:.3e} "
+            f"(tol {HERMITICITY_TOL:.1e}, scale {scale.flat[k]:.3e})")
+    out = (H + Hh) / 2.0
     out.setflags(write=False)
     return out
-
-
-def is_hermitian(H):
-    H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        return False
-    scale = max(1.0, float(np.max(np.abs(H)))) if H.size else 1.0
-    return float(np.max(np.abs(H - H.conj().T))) <= HERMITICITY_TOL * scale
-
-
-def _require_hermitian(H, what="operator"):
-    if not is_hermitian(H):
-        raise HermiticityError(f"{what} is not Hermitian within tolerance")
 
 
 def eig_hermitian(H):
@@ -70,15 +63,13 @@ def eig_hermitian(H):
         unitary matrix of column eigenvectors, so that
         ``H = V @ diag(w) @ V.conj().T``.
     """
-    _require_hermitian(H)
-    w, V = np.linalg.eigh(np.asarray(H, dtype=complex))
+    w, V = np.linalg.eigh(hermitize(H))
     return w[::-1].copy(), V[:, ::-1].copy()
 
 
 def trace_norm(H):
     """Trace norm ``sum_i |lambda_i|`` of a Hermitian operator."""
-    _require_hermitian(H)
-    return float(_trace_norms(np.asarray(H, dtype=complex)))
+    return float(_trace_norms(hermitize(H)))
 
 
 def _trace_norms(H):
@@ -92,5 +83,4 @@ def _trace_norms(H):
 
 def min_eigenvalue(H):
     """Smallest eigenvalue of a Hermitian operator."""
-    _require_hermitian(H)
-    return float(np.linalg.eigvalsh(np.asarray(H, dtype=complex))[0])
+    return float(np.linalg.eigvalsh(hermitize(H))[0])

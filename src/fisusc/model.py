@@ -77,7 +77,7 @@ class StatisticalModel:
         values = self._theta_values(theta)
         self._check_domain(values)
         if self._derivative_fn is not None:
-            return [hermitize(d) for d in self._derivative_fn(values)]
+            return list(hermitize(np.stack(self._derivative_fn(values))))
         h = FD_STEP
         derivs = []
         for j in range(self.n_params):
@@ -89,10 +89,9 @@ class StatisticalModel:
                     raise DomainError(
                         f"central stencil for {self.param_names[j]} leaves the domain "
                         f"at {dict(zip(self.param_names, values))} (step {h})")
-            derivs.append(hermitize(
-                (np.asarray(self._state_fn(up), dtype=complex)
-                 - np.asarray(self._state_fn(dn), dtype=complex)) / (2.0 * h)))
-        return derivs
+            derivs.append((np.asarray(self._state_fn(up))
+                           - np.asarray(self._state_fn(dn))) / (2.0 * h))
+        return list(hermitize(np.stack(derivs)))
 
 
 @dataclass(frozen=True)
@@ -112,20 +111,18 @@ class PovmValidation:
 class Povm:
     """Ordered POVM: positive operators summing to the identity.
 
-    ``elements`` is one read-only (E, dim, dim) complex array of the
-    validated elements; ``elements[a]`` is the a-th operator.
+    ``elements`` is one read-only (E, dim, dim) array of the validated
+    elements (real when all are real); ``elements[a]`` is the a-th operator.
     """
 
     def __init__(self, elements, labels=None):
-        elems = [hermitize(E) for E in elements]
+        elems = [np.asarray(E) for E in elements]
         if not elems:
             raise ValueError("a POVM needs at least one element")
-        dim = elems[0].shape[0]
-        if any(E.shape[0] != dim for E in elems):
-            raise ValueError("POVM elements must share one Hilbert dimension")
-        self.elements = np.stack(elems)
-        self.elements.setflags(write=False)
-        self.dim = dim
+        if elems[0].ndim != 2 or any(E.shape != elems[0].shape for E in elems):
+            raise ValueError("POVM elements must be matrices of one Hilbert dimension")
+        self.elements = hermitize(np.stack(elems))
+        self.dim = self.elements.shape[-1]
         self.labels = tuple(labels) if labels is not None else tuple(
             str(i) for i in range(len(elems)))
         if len(self.labels) != len(elems):
@@ -153,7 +150,7 @@ def validate_povm(povm, tol):
 
 
 def _pad_elements(povm, n_outcomes):
-    zeros = np.zeros((povm.dim, povm.dim), dtype=complex)
+    zeros = np.zeros((povm.dim, povm.dim), dtype=povm.elements.dtype)
     elems = list(povm.elements) + [zeros] * (n_outcomes - len(povm))
     labels = list(povm.labels) + [f"pad{i}" for i in range(len(povm), n_outcomes)]
     return elems, labels
@@ -194,14 +191,14 @@ def tensor_model(model, m):
         return model
 
     def state_fn(values):
-        rho = np.asarray(model._state_fn(values), dtype=complex)
+        rho = np.asarray(model._state_fn(values))
         out = rho
         for _ in range(m - 1):
             out = np.kron(out, rho)
         return out
 
     def derivative_fn(values):
-        rho = np.asarray(model._state_fn(values), dtype=complex)
+        rho = np.asarray(model._state_fn(values))
         base = model.derivatives_at(values)
         derivs = []
         for d in base:

@@ -246,8 +246,8 @@ def optimal_povm_point_sources(cfg: PointSourceConfig, weights=None):
     for j in range(4):
         v = np.zeros(dim)
         v[:4] = w[j]
-        elements.append(np.outer(v, v).astype(complex))
-    remainder = np.eye(dim, dtype=complex) - sum(elements)
+        elements.append(np.outer(v, v))
+    remainder = np.eye(dim) - sum(elements)
     # the remainder is I - W^T W on the first four modes and I above them
     W = w[:4]
     if np.linalg.eigvalsh(np.eye(4) - W.T @ W)[0] < -1e-9:

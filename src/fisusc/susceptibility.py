@@ -50,7 +50,7 @@ noise POVM on the bundle's space, and use the bundle's checked F^-1.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -167,6 +167,14 @@ def _k_operators(bundle):
             - 2.0 * np.einsum("ak,kxy->axy", w, np.stack(bundle.derivatives)))
 
 
+@lru_cache(maxsize=32)
+def _pair_indices(E):
+    """``np.triu_indices(E, 1)`` as one read-only (2, E(E-1)/2) array, built once per E."""
+    pairs = np.array(np.triu_indices(E, 1))
+    pairs.setflags(write=False)
+    return pairs
+
+
 def _best_pair(K):
     """Best outcome pair (i, j), i < j, and its value without the P term.
 
@@ -178,7 +186,7 @@ def _best_pair(K):
     E = K.shape[0]
     if E < 2:
         raise SingularFisherError("sigma_lower needs at least two kept outcomes")
-    i, j = np.triu_indices(E, 1)
+    i, j = _pair_indices(E)
     traces = np.real(np.einsum("aii->a", K))
     norms = _trace_norms(K[i] - K[j])
     values = 0.5 * (traces[i] + traces[j] + norms)
@@ -305,7 +313,7 @@ class ExactWorstCase:
     def noise(self):
         """V N_a V^dag on kept outcome a, plus I - V V^dag on b; built on first read."""
         N, V, kept, b, shape = self._lift
-        elements = np.zeros(shape, dtype=complex)
+        elements = np.zeros(shape, dtype=N.dtype)
         elements[kept] = N if V is None else V @ N @ V.conj().T
         if V is not None:
             elements[kept[b]] += np.eye(shape[1]) - V @ V.conj().T
@@ -403,7 +411,8 @@ def sigma_exact(bundle: FisherBundle) -> ExactWorstCase:
         shift = np.max(np.linalg.eigvalsh(K - Y)[:, -1])
     dual = P + float(np.trace(Y).real + r * shift)
     shape = bundle.probabilities.shape + bundle.rho.shape
-    return ExactWorstCase(value=value, exact_gap=dual - value, iterations=iterations,
+    # a pair-certified dual equals the value up to rounding, either side of it
+    return ExactWorstCase(value=value, exact_gap=max(dual - value, 0.0), iterations=iterations,
                           pair_certified=certified,
                           _lift=(N, V, list(reduced.kept_outcomes), b, shape))
 

@@ -100,3 +100,37 @@ def test_hermitize_rejects_asymmetry():
         hermitize(SX + 1e-6 * np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         hermitize(np.zeros((2, 3)))
+
+
+def test_hermitize_keeps_the_input_dtype():
+    real = hermitize(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    assert real.dtype == np.float64
+    assert hermitize(np.eye(2, dtype=int)).dtype == np.float64
+    assert hermitize(SY).dtype == np.complex128
+    assert hermitize(SX).dtype == np.complex128
+
+
+def test_stacked_hermitize_checks_each_member_at_the_2d_tolerance():
+    # member 1 drifts just above the tolerance at its own scale (10), member 0
+    # is 100 times larger, so a tolerance on the whole stack would accept it
+    rng = np.random.default_rng(3)
+    bump = np.array([[0.0, 1.0], [0.0, 0.0]])
+    big = 1000.0 * SZ.real
+    small = 10.0 * SX.real
+    ok = small + 0.5e-12 * 10.0 * bump
+    bad = small + 2e-12 * 10.0 * bump
+    hermitize(ok)
+    with pytest.raises(HermiticityError):
+        hermitize(bad)
+    with pytest.raises(HermiticityError, match="stack member 1"):
+        hermitize(np.stack([big, bad]))
+    stack = np.stack([big, ok, random_hermitian(rng, 2)])
+    out = hermitize(stack)
+    assert out.shape == (3, 2, 2) and out.dtype == np.complex128
+    for k, member in enumerate(out):
+        np.testing.assert_array_equal(member, hermitize(stack[k]))
+        assert not member.flags.writeable and member.base is not None
+    with pytest.raises(ValueError):
+        hermitize(np.zeros((3, 2, 3)))
+    with pytest.raises(ValueError):
+        hermitize(np.zeros(3))

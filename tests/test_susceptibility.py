@@ -900,6 +900,57 @@ def test_exact_certificates_are_feasible(model, theta, povm):
     assert 0.0 <= exact.exact_gap <= 1e-8 * exact.value
 
 
+def test_pair_certified_gap_is_rounding_and_never_negative():
+    # on the pair-certified path the dual P + Tr Y + r shift and the value
+    # P + Sigma_L are one number up to rounding; the reported gap clamps the
+    # difference at 0 (instance 5 of this set lands one ulp below)
+    certified = 0
+    for model, theta, povm in instances(15, 2):
+        bundle = fisher_bundle(model, theta, povm)
+        exact = sigma_exact(bundle)
+        if not exact.pair_certified:
+            continue
+        certified += 1
+        reduced = bundle.on_support[1]
+        K = reduced.k_operators
+        (a, b), _ = reduced.best_pair
+        w, U = np.linalg.eigh(K[a] - K[b])
+        Y = K[b] + (U * np.maximum(w, 0.0)) @ U.conj().T
+        shift = np.max(np.linalg.eigvalsh(K - Y)[:, -1])
+        dual = reduced.n_params + float(np.trace(Y).real + len(Y) * shift)
+        assert abs(dual - exact.value) <= 1e-14 * exact.value
+        assert exact.exact_gap == max(dual - exact.value, 0.0)
+    assert certified >= 2
+
+
+def test_point_source_pipeline_stays_real_and_qubits_stay_complex():
+    theta = [0.1, 0.2, 0.3]
+    cfg = PointSourceConfig(n_max=20, x_m=x_opt(*theta))
+    povm = optimal_povm_point_sources(cfg)
+    points = [(point_source_model(cfg), theta, povm, np.float64),
+              (qubit_phase_dephasing(), [np.pi / 4, 0.3], separable_povm(), np.complex128),
+              (tensor_model(qubit_phase_dephasing(), 2), [np.pi / 4, 0.3], bell_povm(),
+               np.complex128)]
+    for model, th, measurement, dtype in points:
+        bundle = fisher_bundle(model, th, measurement)
+        reduced = bundle.on_support[1]
+        operators = [bundle.rho, *bundle.derivatives, reduced.rho, *reduced.derivatives,
+                     reduced.k_operators, sigma_exact(bundle).noise.elements]
+        assert [X.dtype for X in operators] == [dtype] * len(operators)
+    assert povm.elements.dtype == np.float64
+    # the Bell projectors are real; the separable ones (y axis) are not
+    assert bell_povm().elements.dtype == np.float64
+    assert separable_povm().elements.dtype == np.complex128
+
+
+def test_pair_indices_are_built_once_per_outcome_count():
+    pairs = susceptibility._pair_indices(5)
+    assert susceptibility._pair_indices(5) is pairs
+    np.testing.assert_array_equal(pairs, np.triu_indices(5, 1))
+    i, j = pairs
+    assert not i.flags.writeable and not j.flags.writeable
+
+
 def certified_points():
     """Pair-certified points: point sources off and near balance, the
     separable qubit at delta = 0.4, and the certified random instances."""

@@ -324,6 +324,18 @@ def test_cli_show_model_keeps_print_options_and_prints_plain_floats(capsys):
     assert "np.float64" not in out
     # the matrices are still printed with 10 digits
     assert "0.2833045141" in out
+    # a point-source point is real throughout: rho prints without imaginary
+    # parts, and Q is the model's quantum Fisher matrix
+    theta = [0.0, 0.5, 0.3]
+    assert main(["show-model", "--model", "point-sources", "--measurement",
+                 "optimal-hg", "--fix", "x_c=0", "--fix", "dx=0.5", "--fix", "q=0.3"]) == 0
+    assert np.get_printoptions() == before
+    out = capsys.readouterr().out
+    assert "theta = {'x_c': 0.0, 'dx': 0.5, 'q': 0.3}" in out
+    assert "np.float64" not in out and "j" not in out.split("rho =")[1]
+    model, _, _, _ = build_model_povm("point-sources", "optimal-hg", np.array(theta))
+    with np.printoptions(precision=10, suppress=False, linewidth=140):
+        assert np.array2string(fisher.qfi_matrix(model, theta).qfi) in out
 
 
 def test_cli_show_model_spec_errors():
