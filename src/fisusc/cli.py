@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import yaml
 
-from .fisher import _slds, fisher_bundle
+from .fisher import _eigen_slds, fisher_bundle
 from .sweep import (MEASUREMENTS, MODELS, SweepSpec, SweepSpecError,
                     build_model_povm, check_in_domain, check_model_spec,
                     run_sweep)
@@ -163,7 +163,7 @@ def _cmd_show_model(args):
     try:
         bundle = fisher_bundle(model, theta, povm)
         rho, F = bundle.rho, bundle.fisher
-        Q = _slds(bundle.rho, bundle.derivatives)[1]
+        Q = _eigen_slds(bundle.rho, bundle.derivatives)[2]
     except ValueError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE

@@ -186,7 +186,7 @@ def _outcome_traces(rho, derivs, elements):
     ``c_a`` and ``n_{a,j}`` its susceptibility is built from.
     """
     return (np.real(np.einsum("xy,ayx->a", rho, elements)),
-            np.real(np.einsum("jxy,ayx->aj", np.stack(derivs), elements)))
+            np.real(np.einsum("jxy,ayx->aj", np.asarray(derivs), elements)))
 
 
 def fisher_bundle(model, theta, povm):
@@ -227,29 +227,34 @@ def fisher_bundle(model, theta, povm):
                         rho=rho, derivatives=derivs, param_names=model.param_names)
 
 
-def _slds(rho, derivs):
-    """All SLDs of one state and the quantum Fisher matrix, from one eigh(rho).
+def _eigen_slds(rho, derivs):
+    """All SLDs of one state in its eigenbasis, and Q, from one eigh(rho).
 
     In the eigenbasis of rho, L'_{j,mn} = 2 <m|d_j rho|n> / (w_m + w_n)
     wherever ``w_m + w_n > SLD_CUTOFF``; the kernel-kernel block is set to
     zero (Moore-Penrose-style convention).  Then
     ``Q_jk = Re sum_mn w_m L'_{j,mn} L'_{k,nm}``, with no operator
-    products per (j, k).  Returns ``(L, Q)`` with L a (P, d, d) stack.
+    products per (j, k).  Returns ``(V, L', Q)`` with L' a (P, d, d) stack.
     The inputs are not validated, and the SLDs are symmetrized without a
     re-check: their rounding scales with 1 / (w_m + w_n), far above any
     fixed Hermiticity tolerance for nearly pure states.
     """
     w, V = np.linalg.eigh(rho)
-    Vh = V.conj().T
-    num = 2.0 * (Vh @ np.stack(derivs) @ V)
+    num = 2.0 * (V.conj().T @ np.asarray(derivs) @ V)
     den = w[:, None] + w[None, :]
     mask = den > SLD_CUTOFF
     Lp = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
     Lp = (Lp + Lp.conj().swapaxes(-1, -2)) / 2.0
     P = Lp.shape[0]
     Q = np.real((Lp * w[:, None]).reshape(P, -1) @ Lp.swapaxes(-1, -2).reshape(P, -1).T)
-    X = V @ Lp @ Vh
-    return (X + X.conj().swapaxes(-1, -2)) / 2.0, (Q + Q.T) / 2.0
+    return V, Lp, (Q + Q.T) / 2.0
+
+
+def _slds(rho, derivs):
+    """``(L, Q)``: the SLDs of `_eigen_slds` mapped back to the full basis."""
+    V, Lp, Q = _eigen_slds(rho, derivs)
+    X = V @ Lp @ V.conj().T
+    return (X + X.conj().swapaxes(-1, -2)) / 2.0, Q
 
 
 def sld(rho, drho):

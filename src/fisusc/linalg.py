@@ -39,15 +39,17 @@ def hermitize(entries):
     if H.ndim < 2 or H.shape[-1] != H.shape[-2] or H.shape[-1] < 1:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     Hh = H.conj().swapaxes(-1, -2)
-    asym = np.max(np.abs(H - Hh), axis=(-2, -1))
-    scale = np.maximum(1.0, np.max(np.abs(H), axis=(-2, -1)))
-    bad = np.flatnonzero(asym > HERMITICITY_TOL * scale)
-    if bad.size:
-        k = bad[0]
-        member = "" if H.ndim == 2 else f" (stack member {k})"
-        raise HermiticityError(
-            f"matrix is not Hermitian{member}: max|H - H^dag| = {asym.flat[k]:.3e} "
-            f"(tol {HERMITICITY_TOL:.1e}, scale {scale.flat[k]:.3e})")
+    drift = np.abs(H - Hh)
+    if np.max(drift) > HERMITICITY_TOL:  # no member's tolerance is lower
+        asym = np.max(drift, axis=(-2, -1))
+        scale = np.maximum(1.0, np.max(np.abs(H), axis=(-2, -1)))
+        bad = np.flatnonzero(asym > HERMITICITY_TOL * scale)
+        if bad.size:
+            k = bad[0]
+            member = "" if H.ndim == 2 else f" (stack member {k})"
+            raise HermiticityError(
+                f"matrix is not Hermitian{member}: max|H - H^dag| = {asym.flat[k]:.3e} "
+                f"(tol {HERMITICITY_TOL:.1e}, scale {scale.flat[k]:.3e})")
     out = (H + Hh) / 2.0
     out.setflags(write=False)
     return out

@@ -7,6 +7,7 @@ list of positive operators summing to the identity.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -35,6 +36,9 @@ class StatisticalModel:
         ``FD_STEP``.
     domain_fn : callable, optional
         ``theta values -> bool``; False means out of domain.
+
+    `state_at` and `derivatives_at` keep their last result, keyed on the
+    bytes of theta, and return its read-only arrays at a repeated point.
     """
 
     def __init__(self, dim, param_names, state_fn, derivative_fn=None,
@@ -44,6 +48,7 @@ class StatisticalModel:
         self._state_fn = state_fn
         self._derivative_fn = derivative_fn
         self._domain_fn = domain_fn
+        self._last = {}
         if self.dim < 1 or not self.param_names:
             raise ValueError("need dim >= 1 and at least one parameter")
 
@@ -66,18 +71,26 @@ class StatisticalModel:
             raise DomainError(
                 f"theta = {dict(zip(self.param_names, values))} outside the model domain")
 
+    def _memo(self, what, theta, evaluate):
+        values = self._theta_values(theta)
+        key = values.tobytes()
+        last = self._last.get(what)
+        if last is None or last[0] != key:
+            self._check_domain(values)
+            last = self._last[what] = (key, evaluate(values))
+        return last[1]
+
     def state_at(self, theta):
         """Density matrix at theta (unit trace, PSD)."""
-        values = self._theta_values(theta)
-        self._check_domain(values)
-        return hermitize(self._state_fn(values))
+        return self._memo("state", theta, lambda v: hermitize(self._state_fn(v)))
 
     def derivatives_at(self, theta):
         """List of Hermitian traceless operators d rho / d theta_j."""
-        values = self._theta_values(theta)
-        self._check_domain(values)
+        return list(self._memo("derivatives", theta, self._derivative_stack))
+
+    def _derivative_stack(self, values):
         if self._derivative_fn is not None:
-            return list(hermitize(np.stack(self._derivative_fn(values))))
+            return hermitize(self._derivative_fn(values))
         h = FD_STEP
         derivs = []
         for j in range(self.n_params):
@@ -91,7 +104,7 @@ class StatisticalModel:
                         f"at {dict(zip(self.param_names, values))} (step {h})")
             derivs.append((np.asarray(self._state_fn(up))
                            - np.asarray(self._state_fn(dn))) / (2.0 * h))
-        return list(hermitize(np.stack(derivs)))
+        return hermitize(derivs)
 
 
 @dataclass(frozen=True)
@@ -182,8 +195,17 @@ def tensor_povm(a, b):
     return Povm(elements, labels=labels)
 
 
+def _kron(a, b):
+    """``np.kron`` of the last two axes, broadcast over the leading ones."""
+    n, k = a.shape[-1], b.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (n * k, n * k))
+
+
 def tensor_model(model, m):
-    """m-fold tensor power of a model, with product-rule derivatives."""
+    """m-fold tensor power of a model, with product-rule derivatives: bit for
+    bit the in-order sums of left-to-right ``np.kron`` chains of its checked
+    state and derivatives."""
     m = int(m)
     if m < 1:
         raise ValueError("need m >= 1")
@@ -191,28 +213,13 @@ def tensor_model(model, m):
         return model
 
     def state_fn(values):
-        rho = np.asarray(model._state_fn(values))
-        out = rho
-        for _ in range(m - 1):
-            out = np.kron(out, rho)
-        return out
+        return reduce(_kron, [model.state_at(values)] * m)
 
     def derivative_fn(values):
-        rho = np.asarray(model._state_fn(values))
-        base = model.derivatives_at(values)
-        derivs = []
-        for d in base:
-            total = None
-            for pos in range(m):
-                factors = [d if k == pos else rho for k in range(m)]
-                term = factors[0]
-                for f in factors[1:]:
-                    term = np.kron(term, f)
-                total = term if total is None else total + term
-            derivs.append(total)
-        return derivs
+        rho, D = model.state_at(values), np.asarray(model.derivatives_at(values))
+        return reduce(np.add, (reduce(_kron, [D if k == pos else rho for k in range(m)])
+                               for pos in range(m)))
 
     return StatisticalModel(model.dim ** m, model.param_names, state_fn,
                             derivative_fn=derivative_fn,
                             domain_fn=model._domain_fn)
-

@@ -164,7 +164,7 @@ def _k_operators(bundle):
     w = bundle.scores @ bundle.fisher_inverse         # (E, P): F^-1 l_a
     norms = np.einsum("aj,aj->a", w, bundle.scores)   # |L_a|^2
     return (norms[:, None, None] * bundle.rho
-            - 2.0 * np.einsum("ak,kxy->axy", w, np.stack(bundle.derivatives)))
+            - 2.0 * np.einsum("ak,kxy->axy", w, np.asarray(bundle.derivatives)))
 
 
 @lru_cache(maxsize=32)
@@ -282,7 +282,7 @@ def sigma_upper(bundle: FisherBundle):
     s = frame.tilde_scores
     k = np.arange(s.shape[1])
     n, m = np.argmax(s, axis=0), np.argmin(s, axis=0)
-    tilde_derivs = np.einsum("jk,kxy->jxy", frame.jacobian, np.stack(reduced.derivatives))
+    tilde_derivs = np.einsum("jk,kxy->jxy", frame.jacobian, np.asarray(reduced.derivatives))
     l = np.stack([s[n, k], s[m, k]])[:, :, None, None]
     A = l ** 2 * reduced.rho - 2.0 * l * tilde_derivs    # A~_{n_k;kk}, A~_{m_k;kk}
     tn = _trace_norms(A[0] - A[1])

@@ -13,8 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fisher import (SingularFisherError, SingularScoreError, _qfi_inverse,
-                     _ratios, _slds, fisher_bundle, qfi_matrix)
+from .fisher import (SingularFisherError, SingularScoreError, _eigen_slds,
+                     _qfi_inverse, _ratios, fisher_bundle)
 from .linalg import HermiticityError
 from .model import DomainError, tensor_model
 from .models import (PointSourceConfig, bell_povm, optimal_povm_point_sources,
@@ -176,7 +176,12 @@ def _upper_triangle(M):
 
 
 def sweep_columns(spec):
-    names = _param_names(spec.model)
+    return list(_columns(spec.model))
+
+
+@lru_cache(maxsize=None)
+def _columns(model_id):
+    names = _param_names(model_id)
     cols = ["sweep_value"]
     cols += [f"F_{names[i]}_{names[j]}" for i in range(len(names))
              for j in range(i, len(names))]
@@ -187,7 +192,7 @@ def sweep_columns(spec):
     cols += ["sigma_lower", "sigma_upper"]
     cols += [f"sigma_{n}" for n in names]
     cols += ["oracle_best_X", "condition_number_F", "error"]
-    return cols
+    return tuple(cols)
 
 
 def evaluate_point(spec, index, sweep_value):
@@ -198,25 +203,26 @@ def evaluate_point(spec, index, sweep_value):
     ``spec.oracle_samples`` > 0, the exact worst case are computed on its
     restriction to the joint support of rho and its derivatives, from one
     K and best pair; the worst case's noise is never lifted, since the row
-    reads only its value.  The two-copy Bell row also evaluates the
-    single-copy Q_1 that r_multi compares against.  The row does not
-    depend on ``index``, the point's grid position.
+    reads only its value, and Q only the eigenbasis SLDs.  The two-copy
+    Bell row and its single-copy Q_1 (for r_multi) share one single-copy
+    evaluation.  The row does not depend on ``index``, its grid position.
     """
     names = _param_names(spec.model)
-    row = {c: "" for c in sweep_columns(spec)}
+    row = dict.fromkeys(_columns(spec.model), "")
     row["sweep_value"] = float(sweep_value)
     try:
         model, povm, copies, single_copy = _build_model(spec, sweep_value)
         theta = _theta_for(spec, sweep_value)
         bundle = fisher_bundle(model, theta, povm)
         reduced = bundle.on_support[1]
-        F, Q = bundle.fisher, _slds(reduced.rho, reduced.derivatives)[1]
+        F, Q = bundle.fisher, _eigen_slds(reduced.rho, reduced.derivatives)[2]
         pairs = [f"{names[i]}_{names[j]}" for i in range(len(names))
                  for j in range(i, len(names))]
         for key, f, q in zip(pairs, _upper_triangle(F), _upper_triangle(Q)):
             row[f"F_{key}"], row[f"Q_{key}"] = f, q
         Finv, Qinv = bundle.fisher_inverse, _qfi_inverse(Q)
-        Q1inv = Qinv if copies == 1 else _qfi_inverse(qfi_matrix(single_copy, theta).qfi)
+        Q1inv = Qinv if copies == 1 else _qfi_inverse(_eigen_slds(
+            single_copy.state_at(theta), single_copy.derivatives_at(theta))[2])
         row["r_multi"] = _ratios(Finv, Q1inv, copies)[0]
         for n, r in zip(names, _ratios(Finv, Qinv)[1]):
             row[f"r_nuisance_{n}"] = float(r)

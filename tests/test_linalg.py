@@ -110,6 +110,31 @@ def test_hermitize_keeps_the_input_dtype():
     assert hermitize(SX).dtype == np.complex128
 
 
+def test_hermitize_fast_path_keeps_the_per_member_rule_at_its_edges():
+    # the whole-stack test against the absolute floor only decides when it
+    # passes; above the floor each member is held to its own tolerance
+    bump = np.array([[0.0, 1.0], [0.0, 0.0]])
+    big = 10.0 * SX.real
+    between = big + 5e-12 * bump       # 1e-12 < drift < 1e-12 * max|H| = 1e-11
+    out = hermitize(np.stack([SZ.real, between]))
+    np.testing.assert_array_equal(out[1], hermitize(between))
+    assert np.max(np.abs(out[1] - out[1].T)) == 0.0
+    over = big + 2e-11 * bump          # drift 2e-11 above its own tolerance 1e-11
+    drift = np.max(np.abs(over - over.T))
+    message = (f"matrix is not Hermitian (stack member 1): max|H - H^dag| = "
+               f"{drift:.3e} (tol 1.0e-12, scale 1.000e+01)")
+    with pytest.raises(HermiticityError) as err:
+        hermitize(np.stack([SZ.real, over, between]))
+    assert str(err.value) == message
+    with pytest.raises(HermiticityError) as err:
+        hermitize(over)
+    assert str(err.value) == (f"matrix is not Hermitian: max|H - H^dag| = "
+                              f"{drift:.3e} (tol 1.0e-12, scale 1.000e+01)")
+    small = 0.5 * SX.real + 2e-12 * bump   # scale 1: the absolute floor decides
+    with pytest.raises(HermiticityError, match="stack member 0"):
+        hermitize(np.stack([small, between]))
+
+
 def test_stacked_hermitize_checks_each_member_at_the_2d_tolerance():
     # member 1 drifts just above the tolerance at its own scale (10), member 0
     # is 100 times larger, so a tolerance on the whole stack would accept it

@@ -164,6 +164,64 @@ def test_tensor_model_of_finite_difference_model():
         tensor_model(fd_only, 2).derivatives_at([0.4, 1e-6])
 
 
+def _kron_chain(factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.kron(out, f)
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("analytic", [True, False])
+def test_tensor_model_is_the_kron_chain_bit_for_bit(m, analytic):
+    # the broadcast products take the factors left to right and sum the
+    # product-rule terms in order, so every entry is the np.kron chain's
+    base = qubit_phase_dephasing()
+    if not analytic:
+        base = StatisticalModel(2, base.param_names, base._state_fn,
+                                domain_fn=base._domain_fn)
+    power = tensor_model(base, m)
+    for theta in ([0.4, 0.2], [2.3, 0.01], [-1.1, 1.7]):
+        rho, derivs = base.state_at(theta), base.derivatives_at(theta)
+        assert np.array_equal(power.state_at(theta), _kron_chain([rho] * m))
+        got = power.derivatives_at(theta)
+        assert len(got) == len(derivs)
+        for d_power, d in zip(got, derivs):
+            terms = [_kron_chain([d if k == pos else rho for k in range(m)])
+                     for pos in range(m)]
+            total = terms[0]
+            for term in terms[1:]:
+                total = total + term
+            assert np.array_equal(d_power, total)
+
+
+def test_repeated_point_reuses_the_checked_arrays():
+    calls = []
+    base = qubit_phase_dephasing()
+
+    def state_fn(values):
+        calls.append(tuple(values))
+        return base._state_fn(values)
+
+    model = StatisticalModel(2, base.param_names, state_fn, domain_fn=base._domain_fn)
+    rho = model.state_at([0.4, 0.2])
+    derivs = model.derivatives_at([0.4, 0.2])      # central differences: 4 states
+    assert len(calls) == 5
+    assert model.state_at(np.array([0.4, 0.2])) is rho
+    again = model.derivatives_at((0.4, 0.2))
+    assert again is not derivs and len(again) == len(derivs)
+    assert all(a.base is b.base and a.base is not None for a, b in zip(again, derivs))
+    assert len(calls) == 5 and not rho.flags.writeable
+    assert not any(d.flags.writeable for d in derivs)
+    other = model.state_at([0.4, 0.3])              # a new point is evaluated
+    assert len(calls) == 6 and not np.array_equal(other, rho)
+    with pytest.raises(DomainError):                # and checked on every miss
+        model.state_at([0.4, -0.1])
+    with pytest.raises(DomainError):
+        model.state_at([0.4, -0.1])
+    assert len(calls) == 6
+
+
 def test_tensor_povm_completeness():
     prod = tensor_povm(separable_povm(), separable_povm())
     assert len(prod) == 16

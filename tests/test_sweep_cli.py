@@ -442,9 +442,11 @@ def test_non_numerical_error_in_a_point_propagates(tmp_path, monkeypatch):
 
 
 def _count_evaluations(monkeypatch):
-    """Count outermost state/derivative evaluations per model and every
-    checked inverse; nested calls (tensor_model's product rule) are not
-    separate evaluations."""
+    """Count the outermost state_at/derivatives_at calls per model and every
+    checked inverse.  Calls made inside another (tensor_model reading its
+    base model) are not counted; how often a model's own state and
+    derivative functions run is counted by
+    test_bell_point_runs_the_single_copy_functions_once."""
     calls, inverted, depth = Counter(), [], [0]
     for name in ("state_at", "derivatives_at"):
         original = getattr(StatisticalModel, name)
@@ -496,6 +498,27 @@ def test_point_builds_one_kernel_and_no_noise_povm(tmp_path, monkeypatch, model,
     assert row["error"] == "" and row["oracle_best_X"] != ""
     assert calls["_k_operators"] == 1 and calls["_best_pair"] == 1
     assert calls["Povm"] == 0
+
+
+def test_bell_point_runs_the_single_copy_functions_once(tmp_path, monkeypatch):
+    # the two-copy state, its product-rule derivatives and the single-copy
+    # Q_1 of r_multi all read one evaluation of the single-copy model
+    calls = Counter()
+
+    def counted_qubit():
+        model = qubit_phase_dephasing()
+        for name in ("_state_fn", "_derivative_fn"):
+            def wrapper(values, _name=name, _original=getattr(model, name)):
+                calls[_name] += 1
+                return _original(values)
+            setattr(model, name, wrapper)
+        return model
+
+    monkeypatch.setattr(sweep, "qubit_phase_dephasing", counted_qubit)
+    spec = small_spec(tmp_path, measurement="bell", oracle_samples=1)
+    row = evaluate_point(spec, 0, 0.1)
+    assert row["error"] == "" and row["oracle_best_X"] != ""
+    assert calls == {"_state_fn": 1, "_derivative_fn": 1}
 
 
 @pytest.mark.parametrize("model, measurement, fixed, swept, value, n_models, n_matrices", [
