@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import yaml
 
-from .fisher import _eigen_slds, fisher_bundle
+from .fisher import fisher_bundle, qfi_matrix
 from .sweep import (MEASUREMENTS, MODELS, SweepSpec, SweepSpecError,
                     build_model_povm, check_in_domain, check_model_spec,
                     run_sweep)
@@ -163,7 +163,7 @@ def _cmd_show_model(args):
     try:
         bundle = fisher_bundle(model, theta, povm)
         rho, F = bundle.rho, bundle.fisher
-        Q = _eigen_slds(bundle.rho, bundle.derivatives)[2]
+        Q = qfi_matrix(model, theta).qfi     # the Q of a sweep row, bit for bit
     except ValueError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE

@@ -22,21 +22,29 @@ All SLDs of a point share one eigendecomposition ``rho = V diag(w) V^dag``:
 in that eigenbasis ``L'_j = V^dag L_j V`` and
 ``Q_{jk} = Re sum_mn w_m L'_{j,mn} L'_{k,nm}``.
 
+A point is evaluated once, to the model's frame B (the identity, None,
+for a dense model) and r x r cores S with ``rho = B S_0 B^dag`` and
+``d_j rho = B S_j B^dag`` (`StatisticalModel.frame_at`), so probabilities
+and score numerators are ``Tr[S B^dag M_a B]``.
+
 Every operator the SLDs and the susceptibility bounds use is a linear
 combination of ``rho`` and its derivatives, so it lives in their joint
 range S.  `FisherBundle.on_support` restricts a bundle to S once: with an
 orthonormal basis V of S, the reduced operators are ``V^dag X V``.  Trace
 norms, spectra and the quantum Fisher matrix are unchanged by the
-restriction; a rank-2 point-source state in d = 49 reduces to r = 4.
-Sweeps and `susceptibility_report` evaluate on the reduced bundle.
+restriction; the rank-4 point-source frame in d = 49 gives r = 4 from a
+search over 4 x 4 cores (`_support`).  Sweeps and `susceptibility_report`
+evaluate on the support, and so does `qfi_matrix` for a model with a
+frame.
 """
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .linalg import hermitize
+from .linalg import _lift, hermitize
 
 P_CUTOFF = 1e-12
 SLD_CUTOFF = 1e-10
@@ -68,10 +76,14 @@ class FisherBundle:
         Classical Fisher information matrix.
     kept_outcomes : tuple of int
         Indices of outcomes with probability above the cutoff.
-    rho, derivatives : operators the bundle was built from (needed by the
-        susceptibility machinery and the SLDs).
+    frame : (B, rho, derivatives)
+        The model's frame and cores (`StatisticalModel.frame_at`).
+    rho, derivatives : the full-space operators ``B X B^dag``, built when
+        first read (needed by the susceptibility machinery and the SLDs).
     fisher_inverse : (P, P) array
         F^-1, checked and computed once per bundle on first use.
+    fisher_eigh : ``(w, U)``, one eigh(F) for the frame of `sigma_upper` and
+        `fisher_condition`.
     on_support : (V, reduced)
         The bundle restricted to the joint range of rho and its derivatives.
     k_operators, best_pair : K_a and ``((i, j), value)`` (`susceptibility`).
@@ -81,22 +93,45 @@ class FisherBundle:
     scores: np.ndarray
     fisher: np.ndarray
     kept_outcomes: tuple
-    rho: np.ndarray
-    derivatives: tuple
+    frame: tuple
     param_names: tuple
 
     @property
     def n_params(self):
         return len(self.param_names)
 
+    @property
+    def dim(self):
+        B, rho, _ = self.frame
+        return (rho if B is None else B).shape[0]
+
+    @cached_property
+    def rho(self):
+        B, rho, _ = self.frame
+        return rho if B is None else _lift(B, rho)
+
+    @cached_property
+    def derivatives(self):
+        B, _, derivs = self.frame
+        return derivs if B is None else tuple(_lift(B, np.asarray(derivs)))
+
     @cached_property
     def fisher_inverse(self):
         return _checked_inverse(self.fisher)
 
     @cached_property
+    def fisher_eigh(self):
+        w, U = np.linalg.eigh(self.fisher)
+        w.setflags(write=False)
+        U.setflags(write=False)
+        return w, U
+
+    @cached_property
     def fisher_condition(self):
-        """Condition number of F itself (the refusal tests the unit-scaled F)."""
-        return float(np.linalg.cond(self.fisher))
+        """Condition number of F itself (the refusal tests the unit-scaled F),
+        from the eigenvalues of symmetric F."""
+        w = np.abs(self.fisher_eigh[0])
+        return float(np.max(w) / np.min(w))
 
     @cached_property
     def k_operators(self):
@@ -112,21 +147,48 @@ class FisherBundle:
     def on_support(self):
         """``(V, reduced)``: the bundle on the joint range of rho and d_j rho.
 
-        ``V`` is an orthonormal (d, r) basis of that range and ``reduced``
-        the bundle with ``rho``/``derivatives`` replaced by ``V^dag X V``;
-        it shares probabilities, scores, F and the checked F^-1 (so reading
+        ``V`` is an orthonormal (d, r) basis of that range (`_support`) and
+        ``reduced`` the frameless bundle of the ``V^dag X V``; it shares
+        probabilities, scores, F, the checked F^-1 and eigh(F) (so reading
         it checks F, raising `SingularFisherError` like `fisher_inverse`).
-        ``V`` is None, and ``reduced`` the bundle itself, when the range is
-        the whole space.
+        ``V`` is None, and ``reduced`` the bundle itself, when the bundle
+        has no frame and the range is the whole space.
         """
-        V = _support_basis((self.rho,) + self.derivatives)
+        V, rho, derivs = _support(*self.frame)
         if V is None:
             return None, self
-        Vh = V.conj().T
-        reduced = replace(self, rho=Vh @ self.rho @ V,
-                          derivatives=tuple(Vh @ X @ V for X in self.derivatives))
+        reduced = replace(self, frame=(None, rho, derivs))
         reduced.__dict__["fisher_inverse"] = self.fisher_inverse
+        reduced.__dict__["fisher_eigh"] = self.fisher_eigh
         return V, reduced
+
+
+def _support(B, rho, derivs):
+    """``(V, rho', derivs')``: the operators ``B X B^dag`` on their joint range.
+
+    ``X' = V^dag B X B^dag V`` for an orthonormal (d, r) basis V of the range.
+    Without a frame (B None), V is `_support_basis` of the d x d operators
+    (None, with the operators returned as they are, for the whole space).
+    With one, ``B = W T`` (reduced QR) and `_support_basis` U of the cores
+    ``T X T^dag`` gives ``V = W U`` (V = W when U is None).
+    """
+    ops = (rho,) + derivs
+    if B is not None:
+        W, T = np.linalg.qr(B)
+        ops = T @ np.asarray(ops) @ T.conj().T
+    U = _support_basis(ops)
+    if U is not None:
+        ops = U.conj().T @ np.asarray(ops) @ U
+    elif B is None:
+        return None, rho, derivs
+    V = U if B is None else (W if U is None else W @ U)
+    return V, ops[0], tuple(ops[1:])
+
+
+def _q_operators(B, rho, derivs):
+    """``(V, rho', derivs')`` that Q is read from: a dense model's own
+    operators on the full space (V None), a frame's on their support."""
+    return (None, rho, derivs) if B is None else _support(B, rho, derivs)
 
 
 def _support_basis(ops):
@@ -148,13 +210,13 @@ def _support_basis(ops):
     way: it squares the singular values of the stack, and for point
     sources at dx = 0.01 the 4th one (2.6e-8 of the largest, unscaled)
     would drop to rounding level.
-    The basis has the operators' dtype: real for point sources, whose
-    search then runs in real arithmetic (about a third of the time at d = 49).
+    The basis has the operators' dtype: real for the point-source cores,
+    whose search then runs in real arithmetic.
     """
     rho = ops[0]
     try:
-        pivots = np.real(np.diagonal(np.linalg.cholesky(rho)))
-        if np.min(pivots) ** 2 > SUPPORT_RTOL * np.max(np.real(np.diagonal(rho))):
+        pivots = np.linalg.cholesky(rho).diagonal().real
+        if pivots.min() ** 2 > SUPPORT_RTOL * rho.diagonal().real.max():
             return None
     except np.linalg.LinAlgError:
         pass
@@ -162,19 +224,20 @@ def _support_basis(ops):
     R = np.concatenate(ops, axis=1)
     scales = np.max(np.abs(R.reshape(d, len(ops), d)), axis=(0, 2))
     R /= np.repeat(np.where(scales > 0, scales, 1.0), d)
-    sq = np.real(np.einsum("ij,ij->j", R.conj(), R))   # squared column norms
-    stop = SUPPORT_RTOL ** 2 * np.max(sq)
+    sq = np.einsum("ij,ij->j", R.conj(), R).real     # squared column norms
+    stop = SUPPORT_RTOL ** 2 * sq.max()
     V = np.empty((d, d), dtype=R.dtype)
     r = 0
     while r < d:
-        k = int(np.argmax(sq))
+        k = sq.argmax()
         if sq[k] <= stop:
             break
-        q = R[:, k] / np.sqrt(sq[k])
+        q = R[:, k] / math.sqrt(sq[k])
         q -= V[:, :r] @ (V[:, :r].conj().T @ q)
-        V[:, r] = q / np.sqrt(np.real(np.vdot(q, q)))
-        R -= V[:, r, None] * (V[:, r].conj() @ R)
-        sq = np.real(np.einsum("ij,ij->j", R.conj(), R))
+        q /= math.sqrt(np.vdot(q, q).real)
+        V[:, r] = q
+        R -= np.outer(q, q.conj() @ R)
+        sq = np.einsum("ij,ij->j", R.conj(), R).real
         r += 1
     return None if r == d else V[:, :r]
 
@@ -192,7 +255,8 @@ def _outcome_traces(rho, derivs, elements):
 def fisher_bundle(model, theta, povm):
     """Evaluate probabilities, scores and the Fisher matrix.
 
-    Outcomes with ``p_a < P_CUTOFF`` are dropped when every numerator
+    The traces are taken over the cores of the model's frame.  Outcomes
+    with ``p_a < P_CUTOFF`` are dropped when every numerator
     ``Tr[d_j rho M_a]`` is below ``sqrt(P_CUTOFF) max|d_j rho|`` (their
     contribution vanishes in the p -> 0 limit); otherwise the Fisher
     contribution is genuinely divergent and a :class:`SingularScoreError`
@@ -201,17 +265,20 @@ def fisher_bundle(model, theta, povm):
     """
     if model.dim != povm.dim:
         raise ValueError(f"model dim {model.dim} != POVM dim {povm.dim}")
-    rho = model.state_at(theta)
-    derivs = tuple(model.derivatives_at(theta))
+    frame = model.frame_at(theta)
+    B, rho, derivs = frame
+    elements = povm.elements if B is None else B.conj().T @ povm.elements @ B
     P = len(derivs)
-    probs, numerators = _outcome_traces(rho, derivs, povm.elements)
-    kept, scores = [], []
+    probs, numerators = _outcome_traces(rho, derivs, elements)
+    kept, scores, limits = [], [], None
     for a in range(len(povm)):
         if probs[a] >= P_CUTOFF:
             kept.append(a)
             scores.append(numerators[a] / probs[a])
             continue
-        limits = np.sqrt(P_CUTOFF) * np.max(np.abs(np.stack(derivs)), axis=(1, 2))
+        if limits is None:
+            full = np.asarray(derivs) if B is None else _lift(B, np.asarray(derivs))
+            limits = np.sqrt(P_CUTOFF) * np.max(np.abs(full), axis=(1, 2))
         if np.any(np.abs(numerators[a]) > limits):
             raise SingularScoreError(
                 f"outcome {povm.labels[a]} has p = {probs[a]:.3e} below cutoff but "
@@ -224,7 +291,7 @@ def fisher_bundle(model, theta, povm):
         F += probs[a] * np.outer(scores[i], scores[i])
     return FisherBundle(probabilities=probs, scores=scores,
                         fisher=F, kept_outcomes=tuple(kept),
-                        rho=rho, derivatives=derivs, param_names=model.param_names)
+                        frame=frame, param_names=model.param_names)
 
 
 def _eigen_slds(rho, derivs):
@@ -250,10 +317,13 @@ def _eigen_slds(rho, derivs):
     return V, Lp, (Q + Q.T) / 2.0
 
 
-def _slds(rho, derivs):
-    """``(L, Q)``: the SLDs of `_eigen_slds` mapped back to the full basis."""
-    V, Lp, Q = _eigen_slds(rho, derivs)
-    X = V @ Lp @ V.conj().T
+def _slds(rho, derivs, V=None):
+    """``(L, Q)``: the SLDs of `_eigen_slds` mapped back to the full basis,
+    through V when the operators are the ``V^dag X V`` of `_support`."""
+    U, Lp, Q = _eigen_slds(rho, derivs)
+    if V is not None:
+        U = V @ U
+    X = U @ Lp @ U.conj().T
     return (X + X.conj().swapaxes(-1, -2)) / 2.0, Q
 
 
@@ -274,8 +344,10 @@ class QfiBundle:
 
 
 def qfi_matrix(model, theta):
-    """Quantum Fisher information matrix via SLD operators."""
-    L, Q = _slds(model.state_at(theta), model.derivatives_at(theta))
+    """Quantum Fisher information matrix via SLD operators, from the
+    operators of `_q_operators` like a sweep row's Q."""
+    V, rho, derivs = _q_operators(*model.frame_at(theta))
+    L, Q = _slds(rho, derivs, V)
     return QfiBundle(slds=tuple(L), qfi=Q)
 
 

@@ -55,6 +55,18 @@ def hermitize(entries):
     return out
 
 
+def _lift(B, S):
+    """``B S B^dag`` for a (..., r, r) stack of Hermitian cores S and a (d, r) B.
+
+    Symmetrized and read-only, without the Hermiticity check: the cores
+    are validated where they are built.
+    """
+    X = B @ S @ B.conj().T
+    out = (X + X.conj().swapaxes(-1, -2)) / 2.0
+    out.setflags(write=False)
+    return out
+
+
 def eig_hermitian(H):
     """Eigendecomposition of a Hermitian operator.
 

@@ -2,8 +2,10 @@
 
 A :class:`StatisticalModel` maps a parameter point to a density matrix
 and its parameter derivatives (analytic when available, otherwise
-second-order central finite differences).  A :class:`Povm` is an ordered
-list of positive operators summing to the identity.
+second-order central finite differences), or to a frame: a (d, r) matrix
+B and Hermitian r x r cores with ``rho = B S_0 B^dag`` and
+``d_j rho = B S_j B^dag``.  A :class:`Povm` is an ordered list of
+positive operators summing to the identity.
 """
 
 from dataclasses import dataclass
@@ -11,7 +13,7 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import hermitize, min_eigenvalue
+from .linalg import _lift, hermitize, min_eigenvalue
 
 FD_STEP = 1e-5
 
@@ -36,18 +38,24 @@ class StatisticalModel:
         ``FD_STEP``.
     domain_fn : callable, optional
         ``theta values -> bool``; False means out of domain.
+    frame_fn : callable, optional
+        ``theta values -> (B, S)``: a (dim, r) matrix and a (1 + P, r, r)
+        stack of cores, ``rho = B S[0] B^dag`` and ``d_j rho = B S[j+1] B^dag``;
+        the derivatives then come from the frame, not ``derivative_fn``.
 
-    `state_at` and `derivatives_at` keep their last result, keyed on the
-    bytes of theta, and return its read-only arrays at a repeated point.
+    `state_at`, `derivatives_at` and `frame_at` keep their last result,
+    keyed on the bytes of theta, and return its read-only arrays at a
+    repeated point.
     """
 
     def __init__(self, dim, param_names, state_fn, derivative_fn=None,
-                 domain_fn=None):
+                 domain_fn=None, frame_fn=None):
         self.dim = int(dim)
         self.param_names = tuple(param_names)
         self._state_fn = state_fn
         self._derivative_fn = derivative_fn
         self._domain_fn = domain_fn
+        self._frame_fn = frame_fn
         self._last = {}
         if self.dim < 1 or not self.param_names:
             raise ValueError("need dim >= 1 and at least one parameter")
@@ -88,7 +96,29 @@ class StatisticalModel:
         """List of Hermitian traceless operators d rho / d theta_j."""
         return list(self._memo("derivatives", theta, self._derivative_stack))
 
+    def frame_at(self, theta):
+        """``(B, rho, derivatives)``: the state is ``B rho B^dag`` and d_j rho
+        is ``B derivatives[j] B^dag``.
+
+        Without a ``frame_fn`` B is None (the identity) and the operators
+        are `state_at` and `derivatives_at`; with one, they are the r x r
+        cores, validated by one `hermitize` of the stack.
+        """
+        if self._frame_fn is None:
+            return None, self.state_at(theta), tuple(self.derivatives_at(theta))
+        B, cores = self._memo("frame", theta, self._frame)
+        return B, cores[0], tuple(cores[1:])
+
+    def _frame(self, values):
+        B, cores = self._frame_fn(values)
+        B = np.array(B)
+        B.setflags(write=False)
+        return B, hermitize(cores)
+
     def _derivative_stack(self, values):
+        if self._frame_fn is not None:
+            B, cores = self._memo("frame", values, self._frame)
+            return _lift(B, cores[1:])
         if self._derivative_fn is not None:
             return hermitize(self._derivative_fn(values))
         h = FD_STEP

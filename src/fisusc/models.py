@@ -12,7 +12,10 @@ Two families:
 Lengths in the point-source family are expressed in units of the PSF
 width: the amplitude point-spread function is
 ``g(x, x0) = (2 pi)^(-1/4) exp(-(x - x0)^2 / 4)``, whose intensity
-profile has unit variance.
+profile has unit variance.  The point-source model evaluates to its
+rank-4 frame (`StatisticalModel.frame_at`): the two sources' coefficient
+vectors and their displacement derivatives, with 4 x 4 cores, so no
+d x d derivative is built per point.
 """
 
 import math
@@ -131,14 +134,6 @@ def _hg_overlap(n, x0, x_m, sqrt_factorial):
     return np.exp(-d * d / 8.0) * (d / 2.0) ** n / sqrt_factorial
 
 
-def _overlap_derivative(n, d, sqrt_factorial):
-    # d/dd of hg_overlap_closed_form at displacement d
-    powers = np.where(n > 0, (d / 2.0) ** np.maximum(n - 1, 0), 0.0)
-    return (np.exp(-d * d / 8.0)
-            * ((n / 2.0) * powers - (d / 4.0) * (d / 2.0) ** n)
-            / sqrt_factorial)
-
-
 @lru_cache(maxsize=32)
 def _sqrt_factorials(n_max):
     """sqrt(n!) for n = 0..n_max; shared by every model of that n_max, read-only."""
@@ -178,48 +173,57 @@ def point_source_model(cfg: PointSourceConfig):
     Parameters are (x_c, dx, q) with dx >= 0 and q in (0, 1); all three
     derivatives are analytic.  Evaluation raises when the truncation
     leaks more than 1e-8 of either source's weight.
+
+    The state and its derivatives lie in the span of the coefficient
+    vectors c+- and their displacement derivatives g+-, so the model
+    evaluates to the frame ``B = [c+, c-, g+, g-]`` (d x 4) with 4 x 4
+    cores; `state_at` is the closed form ``q c+ c+^T + (1-q) c- c-^T``.
     """
     x_m = float(cfg.x_m)
     modes = np.arange(cfg.n_max + 1)
     sqrt_factorial = _sqrt_factorials(cfg.n_max)
+    # d c_n / dd = (n / 2) (sqrt((n-1)!) / sqrt(n!)) c_{n-1} - (d / 4) c_n
+    lower = 0.5 * modes[1:] * sqrt_factorial[:-1] / sqrt_factorial[1:]
 
     def coefficients(values):
-        x_c, dx, q = values
-        d_plus = x_c + dx / 2.0 - x_m
-        d_minus = x_c - dx / 2.0 - x_m
-        c_plus = _hg_overlap(modes, x_m + d_plus, x_m, sqrt_factorial)
-        c_minus = _hg_overlap(modes, x_m + d_minus, x_m, sqrt_factorial)
-        for name, c in (("psi+", c_plus), ("psi-", c_minus)):
-            leakage = 1.0 - float(c @ c)
+        """Rows c+ and c- of a (2, d) array, and their displacements from x_m."""
+        x_c, dx, _ = values
+        disp = np.array([x_c + dx / 2.0 - x_m, x_c - dx / 2.0 - x_m])
+        c = _hg_overlap(modes, x_m + disp[:, None], x_m, sqrt_factorial)
+        for name, leakage in zip(("psi+", "psi-"), 1.0 - np.einsum("ij,ij->i", c, c)):
             if leakage > TRUNCATION_LEAKAGE_TOL:
                 raise DomainError(
                     f"truncation leakage {leakage:.2e} for {name} exceeds "
                     f"{TRUNCATION_LEAKAGE_TOL:.0e}; increase n_max (= {cfg.n_max})")
-        return c_plus, c_minus, d_plus, d_minus
+        return c, disp
 
     def state_fn(values):
-        _, _, q = values
-        c_plus, c_minus, _, _ = coefficients(values)
-        return q * np.outer(c_plus, c_plus) + (1.0 - q) * np.outer(c_minus, c_minus)
+        q = values[2]
+        c, _ = coefficients(values)
+        return q * np.outer(c[0], c[0]) + (1.0 - q) * np.outer(c[1], c[1])
 
-    def derivative_fn(values):
-        _, _, q = values
-        c_plus, c_minus, d_plus, d_minus = coefficients(values)
-        g_plus = _overlap_derivative(modes, d_plus, sqrt_factorial)
-        g_minus = _overlap_derivative(modes, d_minus, sqrt_factorial)
-        sym_plus = np.outer(g_plus, c_plus) + np.outer(c_plus, g_plus)
-        sym_minus = np.outer(g_minus, c_minus) + np.outer(c_minus, g_minus)
-        d_xc = q * sym_plus + (1.0 - q) * sym_minus
-        d_dx = 0.5 * (q * sym_plus - (1.0 - q) * sym_minus)
-        d_q = np.outer(c_plus, c_plus) - np.outer(c_minus, c_minus)
-        return [d_xc, d_dx, d_q]
+    def frame_fn(values):
+        q = values[2]
+        c, disp = coefficients(values)
+        g = -0.25 * disp[:, None] * c
+        g[:, 1:] += lower * c[:, :-1]
+        # cores in the frame [c+, c-, g+, g-]: g c^T + c g^T of one source
+        # is the symmetric pair of entries (0, 2) for psi+, (1, 3) for psi-
+        S = np.zeros((4, 4, 4))
+        S[0, 0, 0], S[0, 1, 1] = q, 1.0 - q                       # rho
+        S[1, 0, 2] = S[1, 2, 0] = q                               # d x_c
+        S[1, 1, 3] = S[1, 3, 1] = 1.0 - q
+        S[2, 0, 2] = S[2, 2, 0] = 0.5 * q                         # d dx
+        S[2, 1, 3] = S[2, 3, 1] = -0.5 * (1.0 - q)
+        S[3, 0, 0], S[3, 1, 1] = 1.0, -1.0                        # d q
+        return np.concatenate([c, g]).T, S
 
     def domain_fn(values):
         _, dx, q = values
         return dx >= 0.0 and 0.0 < q < 1.0
 
     return StatisticalModel(cfg.n_max + 1, ("x_c", "dx", "q"), state_fn,
-                            derivative_fn=derivative_fn, domain_fn=domain_fn)
+                            domain_fn=domain_fn, frame_fn=frame_fn)
 
 
 # weight matrix of the 5-outcome measurement: rows are the coefficient

@@ -78,7 +78,7 @@ def _aligned_noise_elements(bundle, noise):
     first-order model, so any such element with non-negligible norm is an
     error.
     """
-    dim = bundle.rho.shape[0]
+    dim = bundle.dim
     if noise.dim != dim:
         raise ValueError(f"noise dimension {noise.dim} != target dimension {dim}")
     slot_of = {a: i for i, a in enumerate(bundle.kept_outcomes)}
@@ -224,8 +224,10 @@ class DiagonalizedFrame:
     tilde_scores: np.ndarray       # (E_kept, P)
 
 
-def _canonical_diagonalizer(F):
+def _canonical_diagonalizer(bundle):
     """Deterministic orthogonal J with J F J^T diagonal (descending).
+
+    Built from the bundle's one eigh(F) (`FisherBundle.fisher_eigh`).
 
     Within clusters of (nearly) degenerate eigenvalues the eigenbasis
     returned by ``eigh`` is arbitrary and unstable; each cluster basis is
@@ -235,7 +237,8 @@ def _canonical_diagonalizer(F):
     to it.  Column signs are fixed by making the largest component
     positive.
     """
-    w, V = np.linalg.eigh(np.asarray(F, dtype=float))
+    F = bundle.fisher
+    w, V = bundle.fisher_eigh
     w, V = w[::-1].copy(), V[:, ::-1].copy()
     scale = max(float(np.max(np.abs(w))), 1e-300)
     clusters, start = [], 0
@@ -265,7 +268,7 @@ def _canonical_diagonalizer(F):
 def diagonalize_frame(bundle: FisherBundle) -> DiagonalizedFrame:
     """Transform a Fisher bundle into the F-diagonalizing parametrization."""
     bundle.fisher_inverse                # fail early when F is singular
-    J, fdiag = _canonical_diagonalizer(bundle.fisher)
+    J, fdiag = _canonical_diagonalizer(bundle)
     return DiagonalizedFrame(jacobian=J, tilde_fisher=fdiag, tilde_scores=bundle.scores @ J.T)
 
 
@@ -410,7 +413,7 @@ def sigma_exact(bundle: FisherBundle) -> ExactWorstCase:
             N, value = M, primal
         shift = np.max(np.linalg.eigvalsh(K - Y)[:, -1])
     dual = P + float(np.trace(Y).real + r * shift)
-    shape = bundle.probabilities.shape + bundle.rho.shape
+    shape = bundle.probabilities.shape + (bundle.dim, bundle.dim)
     # a pair-certified dual equals the value up to rounding, either side of it
     return ExactWorstCase(value=value, exact_gap=max(dual - value, 0.0), iterations=iterations,
                           pair_certified=certified,
@@ -440,7 +443,7 @@ def susceptibility_report(bundle: FisherBundle):
     diagnostics = {
         "condition_number_fisher": reduced.fisher_condition,
         "kept_outcomes": reduced.kept_outcomes,
-        "support_rank": reduced.rho.shape[0],
+        "support_rank": reduced.dim,
     }
     return SusceptibilityReport(sigma_lower=lower, sigma_upper=upper,
                                 per_parameter_sigmas=sigmas, best_pair=pair,

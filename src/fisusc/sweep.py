@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fisher import (SingularFisherError, SingularScoreError, _eigen_slds,
-                     _qfi_inverse, _ratios, fisher_bundle)
+                     _q_operators, _qfi_inverse, _ratios, fisher_bundle)
 from .linalg import HermiticityError
 from .model import DomainError, tensor_model
 from .models import (PointSourceConfig, bell_povm, optimal_povm_point_sources,
@@ -222,7 +222,7 @@ def evaluate_point(spec, index, sweep_value):
             row[f"F_{key}"], row[f"Q_{key}"] = f, q
         Finv, Qinv = bundle.fisher_inverse, _qfi_inverse(Q)
         Q1inv = Qinv if copies == 1 else _qfi_inverse(_eigen_slds(
-            single_copy.state_at(theta), single_copy.derivatives_at(theta))[2])
+            *_q_operators(*single_copy.frame_at(theta))[1:])[2])
         row["r_multi"] = _ratios(Finv, Q1inv, copies)[0]
         for n, r in zip(names, _ratios(Finv, Qinv)[1]):
             row[f"r_nuisance_{n}"] = float(r)

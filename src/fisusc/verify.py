@@ -232,10 +232,11 @@ def _reparametrized_bundle(bundle, J):
     J^-T F J^-1; the bundle's cached F^-1 is not carried over.
     """
     Jinv_T = np.linalg.inv(J).T
-    derivs = np.einsum("jk,kxy->jxy", Jinv_T, np.stack(bundle.derivatives))
+    B, rho, derivs = bundle.frame
+    derivs = np.einsum("jk,kxy->jxy", Jinv_T, np.stack(derivs))
     return replace(bundle, scores=bundle.scores @ Jinv_T.T,
                    fisher=Jinv_T @ bundle.fisher @ Jinv_T.T,
-                   derivatives=tuple(derivs))
+                   frame=(B, rho, tuple(derivs)))
 
 
 def check_reparametrization_invariance(seed):

@@ -442,13 +442,14 @@ def test_non_numerical_error_in_a_point_propagates(tmp_path, monkeypatch):
 
 
 def _count_evaluations(monkeypatch):
-    """Count the outermost state_at/derivatives_at calls per model and every
-    checked inverse.  Calls made inside another (tensor_model reading its
-    base model) are not counted; how often a model's own state and
-    derivative functions run is counted by
+    """Count the outermost frame_at/state_at/derivatives_at calls per model
+    and every checked inverse.  Calls made inside another (frame_at reading
+    a dense model's state and derivatives, tensor_model reading its base
+    model) are not counted; how often a model's own state and derivative
+    functions run is counted by
     test_bell_point_runs_the_single_copy_functions_once."""
     calls, inverted, depth = Counter(), [], [0]
-    for name in ("state_at", "derivatives_at"):
+    for name in ("frame_at", "state_at", "derivatives_at"):
         original = getattr(StatisticalModel, name)
 
         def counted(self, theta, _original=original, _name=name):
@@ -532,8 +533,11 @@ def test_point_evaluates_each_model_once(tmp_path, monkeypatch, model, measureme
     calls, inverted = _count_evaluations(monkeypatch)
     row = evaluate_point(spec, 0, value)
     assert row["error"] == ""
+    # each model is evaluated once, to its frame; a point-source point
+    # builds no dense state or derivatives
     assert len({m for m, _ in calls}) == n_models
-    assert set(calls.values()) == {1} and len(calls) == 2 * n_models
+    assert set(calls.values()) == {1} and len(calls) == n_models
+    assert {name for _, name in calls} == {"frame_at"}
     # one checked inverse per distinct matrix: F, Q (and Q_1 on Bell)
     assert len(inverted) == n_matrices
     assert all(not np.array_equal(a, b) for i, a in enumerate(inverted)
