@@ -32,13 +32,13 @@ combination of ``rho`` and its derivatives, so it lives in their joint
 range S.  `FisherBundle.on_support` restricts a bundle to S once: with an
 orthonormal basis V of S, the reduced operators are ``V^dag X V``.  Trace
 norms, spectra and the quantum Fisher matrix are unchanged by the
-restriction; the rank-4 point-source frame in d = 49 gives r = 4 from a
-search over 4 x 4 cores (`_support`).  Sweeps and `susceptibility_report`
+restriction; the rank-4 point-source frame in d = 49 gives r = 4 from one
+SVD of its 4 x 4 cores, and a full-rank dense state keeps the whole space
+after one Cholesky (`_support`).  Sweeps and `susceptibility_report`
 evaluate on the support, and so does `qfi_matrix` for a model with a
 frame.
 """
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -167,13 +167,24 @@ def _support(B, rho, derivs):
     """``(V, rho', derivs')``: the operators ``B X B^dag`` on their joint range.
 
     ``X' = V^dag B X B^dag V`` for an orthonormal (d, r) basis V of the range.
-    Without a frame (B None), V is `_support_basis` of the d x d operators
-    (None, with the operators returned as they are, for the whole space).
-    With one, ``B = W T`` (reduced QR) and `_support_basis` U of the cores
-    ``T X T^dag`` gives ``V = W U`` (V = W when U is None).
+    Without a frame (B None) the range is the whole space, and V None with
+    the operators returned as they are, when the Cholesky factor of rho has
+    every squared pivot above ``SUPPORT_RTOL`` times its largest diagonal
+    entry; otherwise V is `_support_basis` of the d x d operators.  With a
+    frame, ``B = W T`` (reduced QR) and `_support_basis` U of the cores
+    ``T X T^dag`` gives ``V = W U`` (V = W when U is None).  The Cholesky
+    test is for dense models only: a frame's state core has rank 2 for the
+    point sources, so it would fail on every point.
     """
     ops = (rho,) + derivs
-    if B is not None:
+    if B is None:
+        try:
+            pivots = np.linalg.cholesky(rho).diagonal().real
+            if pivots.min() ** 2 > SUPPORT_RTOL * rho.diagonal().real.max():
+                return None, rho, derivs
+        except np.linalg.LinAlgError:
+            pass
+    else:
         W, T = np.linalg.qr(B)
         ops = T @ np.asarray(ops) @ T.conj().T
     U = _support_basis(ops)
@@ -194,52 +205,24 @@ def _q_operators(B, rho, derivs):
 def _support_basis(ops):
     """Orthonormal (d, r) basis of the joint range of Hermitian ``ops``.
 
-    ``ops[0]`` is the state.  Returns None when the range is the whole
-    space: at once when its Cholesky factor has every squared pivot above
-    ``SUPPORT_RTOL`` times its largest diagonal entry, and otherwise when
-    the search below finds d directions.
-
-    Pivoted modified Gram-Schmidt, with one re-orthogonalization of each
-    new direction, runs over the columns of all operators, each scaled to
-    unit max entry, and stops when the largest residual column norm is at
-    most ``SUPPORT_RTOL`` times the largest column norm.  The residual
-    norms are recomputed from the residuals at every step: a downdated
-    squared norm carries rounding of order eps times the column's squared
-    norm, so it cannot resolve a residual below about 1e-8 of the column,
-    let alone test the stop.  The Gram matrix ``sum X^2`` fails the same
-    way: it squares the singular values of the stack, and for point
-    sources at dx = 0.01 the 4th one (2.6e-8 of the largest, unscaled)
-    would drop to rounding level.
-    The basis has the operators' dtype: real for the point-source cores,
-    whose search then runs in real arithmetic.
+    One SVD of the operators side by side, each scaled to unit max entry:
+    r counts the singular values above ``SUPPORT_RTOL`` times the largest,
+    and the basis is the first r left singular vectors (None when r = d,
+    the whole space).  The SVD's absolute error is about eps times the
+    largest singular value, so it resolves a relative 1e-13 cut; the Gram
+    matrix ``sum X^2`` would not, since it squares the singular values, and
+    for point sources at dx = 0.01 the 4th one (2.6e-8 of the largest,
+    unscaled) would drop to rounding level.  The basis has the operators'
+    dtype: real for the point-source cores.
     """
-    rho = ops[0]
-    try:
-        pivots = np.linalg.cholesky(rho).diagonal().real
-        if pivots.min() ** 2 > SUPPORT_RTOL * rho.diagonal().real.max():
-            return None
-    except np.linalg.LinAlgError:
-        pass
-    d = rho.shape[0]
-    R = np.concatenate(ops, axis=1)
-    scales = np.max(np.abs(R.reshape(d, len(ops), d)), axis=(0, 2))
-    R /= np.repeat(np.where(scales > 0, scales, 1.0), d)
-    sq = np.einsum("ij,ij->j", R.conj(), R).real     # squared column norms
-    stop = SUPPORT_RTOL ** 2 * sq.max()
-    V = np.empty((d, d), dtype=R.dtype)
-    r = 0
-    while r < d:
-        k = sq.argmax()
-        if sq[k] <= stop:
-            break
-        q = R[:, k] / math.sqrt(sq[k])
-        q -= V[:, :r] @ (V[:, :r].conj().T @ q)
-        q /= math.sqrt(np.vdot(q, q).real)
-        V[:, r] = q
-        R -= np.outer(q, q.conj() @ R)
-        sq = np.einsum("ij,ij->j", R.conj(), R).real
-        r += 1
-    return None if r == d else V[:, :r]
+    ops = np.asarray(ops)
+    n, d = ops.shape[:2]
+    scales = np.abs(ops).max(axis=(1, 2))
+    scales[scales == 0.0] = 1.0
+    R = (ops / scales[:, None, None]).transpose(1, 0, 2).reshape(d, n * d)
+    U, s, _ = np.linalg.svd(R, full_matrices=False)
+    r = int((s > SUPPORT_RTOL * s[0]).sum())
+    return None if r == d else U[:, :r]
 
 
 def _outcome_traces(rho, derivs, elements):
@@ -268,29 +251,24 @@ def fisher_bundle(model, theta, povm):
     frame = model.frame_at(theta)
     B, rho, derivs = frame
     elements = povm.elements if B is None else B.conj().T @ povm.elements @ B
-    P = len(derivs)
     probs, numerators = _outcome_traces(rho, derivs, elements)
-    kept, scores, limits = [], [], None
-    for a in range(len(povm)):
-        if probs[a] >= P_CUTOFF:
-            kept.append(a)
-            scores.append(numerators[a] / probs[a])
-            continue
-        if limits is None:
-            full = np.asarray(derivs) if B is None else _lift(B, np.asarray(derivs))
-            limits = np.sqrt(P_CUTOFF) * np.max(np.abs(full), axis=(1, 2))
-        if np.any(np.abs(numerators[a]) > limits):
+    keep = probs >= P_CUTOFF
+    if not keep.all():
+        full = np.asarray(derivs) if B is None else _lift(B, np.asarray(derivs))
+        limits = np.sqrt(P_CUTOFF) * np.max(np.abs(full), axis=(1, 2))
+        bad = np.flatnonzero(~keep & np.any(np.abs(numerators) > limits, axis=1))
+        if bad.size:
+            a = bad[0]
             raise SingularScoreError(
                 f"outcome {povm.labels[a]} has p = {probs[a]:.3e} below cutoff but "
                 f"a score numerator above sqrt(cutoff) max|d_j rho| (largest "
                 f"{np.max(np.abs(numerators[a])):.3e}); its Fisher contribution diverges")
-    scores = np.array(scores).reshape(len(kept), P)
-    # symmetric bit for bit: entries (j, k) and (k, j) sum the same products
-    F = np.zeros((P, P))
-    for i, a in enumerate(kept):
-        F += probs[a] * np.outer(scores[i], scores[i])
+    kept = np.flatnonzero(keep)
+    scores = numerators[kept] / probs[kept, None]
+    # p_a (l_a l_a^T) summed over kept outcomes in index order: symmetric bit for bit
+    F = np.sum(probs[kept, None, None] * (scores[:, :, None] * scores[:, None, :]), axis=0)
     return FisherBundle(probabilities=probs, scores=scores,
-                        fisher=F, kept_outcomes=tuple(kept),
+                        fisher=F, kept_outcomes=tuple(kept.tolist()),
                         frame=frame, param_names=model.param_names)
 
 

@@ -381,7 +381,8 @@ def sigma_exact(bundle: FisherBundle) -> ExactWorstCase:
 
     A minimum-error-discrimination SDP on the support (Eldar, Megretski &
     Verghese, IEEE TIT 49, 1007, 2003).  The pair certificate holds when no
-    K_c exceeds its Y by more than CERTIFICATE_RTOL max|lambda(K)|; else
+    K_c exceeds its Y by more than CERTIFICATE_RTOL max|lambda(K)| (tested
+    first against the smaller max|K_xy|, which needs no eigvalsh(K)); else
     `_exact_sdp` runs, its N is clipped to PSD and mapped to R^-1/2 N R^-1/2
     (R = sum N), and the value is the larger of that primal and Sigma_L.
     The noise, V N_a V^dag plus I - V V^dag on b, is lifted when first
@@ -397,10 +398,13 @@ def sigma_exact(bundle: FisherBundle) -> ExactWorstCase:
     N[a] = pos @ pos.conj().T
     N[b] = np.eye(r) - N[a]
     Y = K[b] + (U * np.maximum(w, 0.0)) @ U.conj().T
-    lam = np.linalg.eigvalsh(K)
     shift = np.max(np.linalg.eigvalsh(K - Y)[:, -1])
     value, iterations = P + pair_value, 0
-    certified = bool(shift <= CERTIFICATE_RTOL * np.max(np.abs(lam)))
+    # max|K_xy| <= max|lambda(K)|: the entry test certifies a subset of the rows
+    certified = bool(shift <= CERTIFICATE_RTOL * np.max(np.abs(K)))
+    if not certified:
+        lam = np.linalg.eigvalsh(K)
+        certified = bool(shift <= CERTIFICATE_RTOL * np.max(np.abs(lam)))
     if not certified:
         M, Y, iterations = _exact_sdp(K, lam)
         w, U = np.linalg.eigh(M)

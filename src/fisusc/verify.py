@@ -128,10 +128,11 @@ def check_fd_consistency(seed):
 
 
 def check_povm_validity(seed):
-    reports = [validate_povm(p, 1e-9) for p in (separable_povm(), bell_povm())]
+    separable = separable_povm()
+    reports = [validate_povm(p, 1e-9) for p in (separable, bell_povm())]
     cfg = PointSourceConfig(n_max=20, x_m=0.1)
     reports.append(validate_povm(optimal_povm_point_sources(cfg), 1e-9))
-    mixed = mix_povm(separable_povm(), Povm([np.eye(2) / 4.0] * 4), 0.3)
+    mixed = mix_povm(separable, Povm([np.eye(2) / 4.0] * 4), 0.3)
     reports.append(validate_povm(mixed, 1e-9))
     ok = all(r.passed for r in reports)
     return ok, "; ".join(f"min_eig={r.min_eigenvalue:.1e},res={r.completeness_residual:.1e}"
@@ -141,8 +142,9 @@ def check_povm_validity(seed):
 def check_qfi_dominates_fisher(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
+    povm = separable_povm()
     for model, theta in _qubit_instances(rng, 8):
-        F = fisher_bundle(model, theta, separable_povm()).fisher
+        F = fisher_bundle(model, theta, povm).fisher
         Q = qfi_matrix(model, theta).qfi
         worst = min(worst, float(np.linalg.eigvalsh(Q - F)[0]))
     return worst >= -1e-8, f"min eig(Q - F) = {worst:.3e}"
@@ -151,12 +153,12 @@ def check_qfi_dominates_fisher(seed):
 def check_probability_sums(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
+    povm = separable_povm()
     for model, theta in _qubit_instances(rng, 8):
-        bundle = fisher_bundle(model, theta, separable_povm())
+        bundle = fisher_bundle(model, theta, povm)
         worst = max(worst, abs(float(np.sum(bundle.probabilities)) - 1.0))
         for d in bundle.derivatives:
-            total = sum(float(np.real(np.trace(d @ E)))
-                        for E in separable_povm().elements)
+            total = sum(float(np.real(np.trace(d @ E))) for E in povm.elements)
             worst = max(worst, abs(total))
     return worst <= 1e-10, f"worst residual {worst:.3e}"
 
@@ -175,8 +177,9 @@ def check_sld_residual(seed):
 def check_r_bounds(seed):
     rng = np.random.default_rng(seed)
     ok, values = True, []
+    povm = separable_povm()
     for model, theta in _qubit_instances(rng, 6):
-        F = fisher_bundle(model, theta, separable_povm()).fisher
+        F = fisher_bundle(model, theta, povm).fisher
         Q = qfi_matrix(model, theta).qfi
         r = r_metric(F, Q, m=1)
         rn = r_nuisance(F, Q, 0)
@@ -188,9 +191,10 @@ def check_r_bounds(seed):
 def check_self_noise_nullity(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
+    povm = separable_povm()
     for model, theta in _qubit_instances(rng, 6):
-        bundle = fisher_bundle(model, theta, separable_povm())
-        worst = max(worst, abs(x_scalar(bundle, separable_povm())))
+        bundle = fisher_bundle(model, theta, povm)
+        worst = max(worst, abs(x_scalar(bundle, povm)))
     return worst <= 1e-9, f"max |X[M,M]| = {worst:.3e}"
 
 
@@ -215,8 +219,9 @@ def check_trace_identity(seed):
     rng = np.random.default_rng(seed)
     worst_tr, worst_cx = 0.0, 0.0
     noise = Povm([np.eye(2) / 4.0] * 4)
+    povm = separable_povm()
     for model, theta in _qubit_instances(rng, 6):
-        bundle = fisher_bundle(model, theta, separable_povm())
+        bundle = fisher_bundle(model, theta, povm)
         x = x_scalar(bundle, noise)
         worst_tr = max(worst_tr, abs(x - float(np.trace(xi_matrix(bundle, noise)))))
         frame = diagonalize_frame(bundle)
@@ -272,9 +277,10 @@ def check_finite_eps_convergence(seed):
 def check_bound_order_and_exact(seed):
     # delta = 0.4 is pair-certified; delta = 0.1 needs the interior-point solve
     model = qubit_phase_dephasing()
+    povm = separable_povm()
     ok, details = True, []
     for delta in (0.1, 0.4):
-        bundle = fisher_bundle(model, np.array([np.pi / 4, delta]), separable_povm())
+        bundle = fisher_bundle(model, np.array([np.pi / 4, delta]), povm)
         lower, upper = sigma_lower(bundle)[0], sigma_upper(bundle)[0]
         exact = sigma_exact(bundle)
         ok &= lower <= exact.value <= upper + exact.exact_gap

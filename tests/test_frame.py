@@ -11,13 +11,13 @@ import pytest
 
 import fisusc.fisher as fisher
 import fisusc.sweep as sweep
-from fisusc.fisher import (SingularFisherError, SingularScoreError, _support,
-                           fisher_bundle, qfi_matrix)
+from fisusc.fisher import (SUPPORT_RTOL, SingularFisherError, SingularScoreError,
+                           _support, _support_basis, fisher_bundle, qfi_matrix)
 from fisusc.linalg import _lift
 from fisusc.model import DomainError, StatisticalModel
 from fisusc.models import (PointSourceConfig, optimal_povm_point_sources,
                            point_source_model, x_opt)
-from fisusc.susceptibility import susceptibility_report
+from fisusc.susceptibility import sigma_exact, susceptibility_report
 from fisusc.sweep import SweepSpec, evaluate_point
 
 README_FIXED = {"x_c": 0.0, "q": 0.3}
@@ -143,6 +143,74 @@ def test_support_search_never_sees_a_dense_point_source_operator(monkeypatch):
     for v in spec.grid()[::10]:
         assert evaluate_point(spec, 0, v)["error"] == ""
     assert seen and set(seen) == {(4, 4, 4)}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("ratio, rank", [(1e-12, 4), (1e-14, 3)])
+def test_support_basis_cuts_singular_values_at_the_relative_tolerance(ratio, rank, dtype):
+    # a state and a derivative diagonal in one random basis of a 5-space,
+    # with a null direction and a 4th direction only the state reaches: the
+    # 4th singular value of the scaled stack sits at `ratio` of the largest
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal((5, 5))
+    if dtype is np.complex128:
+        z = z + 1j * rng.standard_normal((5, 5))
+    basis = np.linalg.qr(z)[0]
+
+    def op(diagonal):
+        return (basis * diagonal) @ basis.conj().T
+
+    lam, mu = np.array([1.0, 0.5, 0.25, 0.0, 0.0]), np.array([0.3, -0.6, 0.2, 0.0, 0.0])
+    a, b = np.max(np.abs(op(lam))), np.max(np.abs(op(mu)))
+    lam[3] = ratio * a * np.sqrt(np.max(lam ** 2 / a ** 2 + mu ** 2 / b ** 2))
+    ops = (op(lam), op(mu))
+    sv = np.sqrt(lam ** 2 / np.max(np.abs(ops[0])) ** 2 + mu ** 2 / np.max(np.abs(ops[1])) ** 2)
+    assert sv[3] / sv.max() == pytest.approx(ratio, rel=1e-3)
+    assert ratio / 10 >= SUPPORT_RTOL or ratio * 10 <= SUPPORT_RTOL
+    U = _support_basis(ops)
+    assert U.shape == (5, rank) and U.dtype == dtype
+    np.testing.assert_allclose(U.conj().T @ U, np.eye(rank), atol=1e-12)
+    # the three well-separated directions lie in the range to rounding (the
+    # 4th is resolved only to about eps / ratio from the null direction)
+    leak = basis[:, :3] - U @ (U.conj().T @ basis[:, :3])
+    assert np.max(np.abs(leak)) <= 1e-12
+
+
+def test_point_source_points_make_no_cholesky_call(monkeypatch):
+    # a frame's state core has rank 2, so the dense full-rank test is not tried
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+    for n_max in (20, 48):
+        spec = dx_spec(README_FIXED, n_max, oracle_samples=1)
+        for v in spec.grid()[::7]:
+            assert evaluate_point(spec, 0, v)["error"] == ""
+    assert calls == []
+    # the dense qubit points still take the full-rank test
+    qubit = SweepSpec(model="phase-dephasing", measurement="separable",
+                      fixed={"phi": 0.7853981633974483}, sweep_name="delta",
+                      start=0.001, stop=1.0, count=5)
+    assert evaluate_point(qubit, 0, 0.3)["error"] == "" and calls
+
+
+@pytest.mark.parametrize("n_max", [20, 48])
+def test_pair_certified_worst_case_needs_no_spectrum_of_k(monkeypatch, n_max):
+    # max|K_xy| <= max|lambda(K)| decides every pair-certified row of the
+    # q = 0.5 sweep; eigvalsh(K) runs only where the interior-point method does
+    stacks, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a) or eigvalsh(a))
+    spec = dx_spec({"x_c": 0.0, "q": 0.5}, n_max)
+    certified = 0
+    for v in spec.grid():
+        theta = sweep._theta_for(spec, v)
+        model, povm = point(theta, n_max)
+        bundle = fisher_bundle(model, theta, povm)
+        K = bundle.on_support[1].k_operators
+        stacks.clear()
+        exact = sigma_exact(bundle)
+        assert any(a is K for a in stacks) == (not exact.pair_certified)
+        certified += exact.pair_certified
+    assert certified == 32
 
 
 @pytest.mark.parametrize("fixed, value", [(README_FIXED, 0.5), ({"x_c": 0.2, "q": 0.7}, 0.03)])
