@@ -28,6 +28,10 @@ EXIT_OK = 0
 EXIT_INVARIANT_FAILURE = 1
 EXIT_INVALID_SPEC = 2
 EXIT_NUMERICAL_FAILURE = 3
+# the keys a YAML config may hold, at the top level and under 'sweep:'
+CONFIG_KEYS = ("model", "measurement", "fix", "sweep", "oracle_samples", "seed", "out",
+               "workers", "n_max")
+SWEEP_KEYS = ("name", "start", "stop", "count", "scale")
 
 
 def _parse_fix(items):
@@ -65,22 +69,31 @@ def _integer(value, key):
     return int(value)
 
 
+def _mapping(value, what, keys=None):
+    """A config mapping (None reads as empty); refuses another type or a key not in ``keys``."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise SweepSpecError(f"{what} must be a mapping, got {type(value).__name__}")
+    unknown = [str(k) for k in value if keys is not None and k not in keys]
+    if unknown:
+        raise SweepSpecError(f"unknown {what} key(s) {unknown}; allowed: {', '.join(keys)}")
+    return value
+
+
 def _load_config(path):
     if path is None:
         return {}
     with open(path) as fh:
-        data = yaml.safe_load(fh) or {}
-    if not isinstance(data, dict):
-        raise SweepSpecError("config file must contain a mapping")
-    return data
+        return _mapping(yaml.safe_load(fh), "config", CONFIG_KEYS)
 
 
 def _spec_from_args(args):
     """Merge config file and flags (flags win) into a SweepSpec."""
     cfg = _load_config(args.config)
-    fixed = dict(cfg.get("fix") or {})
+    fixed = dict(_mapping(cfg.get("fix"), "config 'fix:'"))
     fixed.update(_parse_fix(args.fix))
-    sweep_cfg = cfg.get("sweep") or {}
+    sweep_cfg = _mapping(cfg.get("sweep"), "config 'sweep:'", SWEEP_KEYS)
     name = sweep_cfg.get("name")
     start, stop = sweep_cfg.get("start"), sweep_cfg.get("stop")
     count, scale = sweep_cfg.get("count"), sweep_cfg.get("scale")
@@ -135,9 +148,13 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify(args):
+    seed = args.seed if args.seed is not None else 0
+    if seed < 0:     # numpy refuses a negative seed in most checks
+        print(f"invalid verify seed {seed}: must be >= 0", file=sys.stderr)
+        return EXIT_INVALID_SPEC
     try:      # an unwritable --out fails before the suite runs
         with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-            report = run_verify(seed=args.seed if args.seed is not None else 0)
+            report = run_verify(seed=seed)
             print(report.to_json(), file=fh)
     except OSError as err:
         print(f"cannot write the verify report: {err}", file=sys.stderr)

@@ -29,17 +29,17 @@ and score numerators are ``Tr[S B^dag M_a B]``.
 
 Every operator the SLDs and the susceptibility bounds use is a linear
 combination of ``rho`` and its derivatives, so it lives in their joint
-range S.  `FisherBundle.on_support` restricts a bundle to S once: with an
-orthonormal basis V of S, the reduced operators are ``V^dag X V``.  Trace
-norms, spectra and the quantum Fisher matrix are unchanged by the
-restriction; the rank-4 point-source frame in d = 49 gives r = 4 from one
-SVD of its 4 x 4 cores, and a full-rank dense state keeps the whole space
-after one Cholesky (`_support`).  Sweeps and `susceptibility_report`
-evaluate on the support, and so does `qfi_matrix` for a model with a
-frame.
+range S.  `fisher_bundle` restricts the point to S once (`_support`) and
+keeps only the restriction, ``FisherBundle.support = (V, rho', d_j rho')``
+with ``X' = V^dag X V`` for an orthonormal basis V of S, or V None when S
+is the whole space.  Trace norms, spectra and the quantum Fisher matrix
+are unchanged by the restriction.  The rank-4 point-source frame in
+d = 49 gives r = 4 from one SVD of its 4 x 4 cores, and a full-rank dense
+state keeps the whole space after one Cholesky.  The same rule gives the
+operators of `qfi_matrix`, so every model's Q comes from its support.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -64,7 +64,7 @@ class SingularFisherError(ValueError):
 class FisherBundle:
     """Fisher-information quantities of one point (model, theta, POVM).
 
-    Every susceptibility function takes the point's bundle.
+    Every susceptibility function takes the point's bundle and works on its support.
 
     Attributes
     ----------
@@ -76,24 +76,25 @@ class FisherBundle:
         Classical Fisher information matrix.
     kept_outcomes : tuple of int
         Indices of outcomes with probability above the cutoff.
-    frame : (B, rho, derivatives)
-        The model's frame and cores (`StatisticalModel.frame_at`).
-    rho, derivatives : the full-space operators ``B X B^dag``, built when
-        first read (needed by the susceptibility machinery and the SLDs).
+    support : (V, rho, derivatives)
+        rho and its derivatives on their joint range (`_support`): V is an
+        orthonormal (d, r) basis of it, or None for the whole space, and
+        the operators are the r x r ``V^dag X V``.
+    rho, derivatives : the full-space operators ``V X V^dag``, built when
+        first read.
     fisher_inverse : (P, P) array
         F^-1, checked and computed once per bundle on first use.
     fisher_eigh : ``(w, U)``, one eigh(F) for the frame of `sigma_upper` and
         `fisher_condition`.
-    on_support : (V, reduced)
-        The bundle restricted to the joint range of rho and its derivatives.
-    k_operators, best_pair : K_a and ``((i, j), value)`` (`susceptibility`).
+    k_operators, best_pair : K_a on the support and ``((i, j), value)``
+        (`susceptibility`).
     """
 
     probabilities: np.ndarray
     scores: np.ndarray
     fisher: np.ndarray
     kept_outcomes: tuple
-    frame: tuple
+    support: tuple
     param_names: tuple
 
     @property
@@ -102,18 +103,18 @@ class FisherBundle:
 
     @property
     def dim(self):
-        B, rho, _ = self.frame
-        return (rho if B is None else B).shape[0]
+        V, rho, _ = self.support
+        return (rho if V is None else V).shape[0]
 
     @cached_property
     def rho(self):
-        B, rho, _ = self.frame
-        return rho if B is None else _lift(B, rho)
+        V, rho, _ = self.support
+        return rho if V is None else _lift(V, rho)
 
     @cached_property
     def derivatives(self):
-        B, _, derivs = self.frame
-        return derivs if B is None else tuple(_lift(B, np.asarray(derivs)))
+        V, _, derivs = self.support
+        return derivs if V is None else tuple(_lift(V, np.asarray(derivs)))
 
     @cached_property
     def fisher_inverse(self):
@@ -142,25 +143,6 @@ class FisherBundle:
     def best_pair(self):
         from .susceptibility import _best_pair
         return _best_pair(self.k_operators)
-
-    @cached_property
-    def on_support(self):
-        """``(V, reduced)``: the bundle on the joint range of rho and d_j rho.
-
-        ``V`` is an orthonormal (d, r) basis of that range (`_support`) and
-        ``reduced`` the frameless bundle of the ``V^dag X V``; it shares
-        probabilities, scores, F, the checked F^-1 and eigh(F) (so reading
-        it checks F, raising `SingularFisherError` like `fisher_inverse`).
-        ``V`` is None, and ``reduced`` the bundle itself, when the bundle
-        has no frame and the range is the whole space.
-        """
-        V, rho, derivs = _support(*self.frame)
-        if V is None:
-            return None, self
-        reduced = replace(self, frame=(None, rho, derivs))
-        reduced.__dict__["fisher_inverse"] = self.fisher_inverse
-        reduced.__dict__["fisher_eigh"] = self.fisher_eigh
-        return V, reduced
 
 
 def _support(B, rho, derivs):
@@ -194,12 +176,6 @@ def _support(B, rho, derivs):
         return None, rho, derivs
     V = U if B is None else (W if U is None else W @ U)
     return V, ops[0], tuple(ops[1:])
-
-
-def _q_operators(B, rho, derivs):
-    """``(V, rho', derivs')`` that Q is read from: a dense model's own
-    operators on the full space (V None), a frame's on their support."""
-    return (None, rho, derivs) if B is None else _support(B, rho, derivs)
 
 
 def _support_basis(ops):
@@ -238,7 +214,8 @@ def _outcome_traces(rho, derivs, elements):
 def fisher_bundle(model, theta, povm):
     """Evaluate probabilities, scores and the Fisher matrix.
 
-    The traces are taken over the cores of the model's frame.  Outcomes
+    The traces are taken over the cores of the model's frame; the bundle
+    keeps the operators on their joint support (`_support`).  Outcomes
     with ``p_a < P_CUTOFF`` are dropped when every numerator
     ``Tr[d_j rho M_a]`` is below ``sqrt(P_CUTOFF) max|d_j rho|`` (their
     contribution vanishes in the p -> 0 limit); otherwise the Fisher
@@ -248,8 +225,7 @@ def fisher_bundle(model, theta, povm):
     """
     if model.dim != povm.dim:
         raise ValueError(f"model dim {model.dim} != POVM dim {povm.dim}")
-    frame = model.frame_at(theta)
-    B, rho, derivs = frame
+    B, rho, derivs = model.frame_at(theta)
     elements = povm.elements if B is None else B.conj().T @ povm.elements @ B
     probs, numerators = _outcome_traces(rho, derivs, elements)
     keep = probs >= P_CUTOFF
@@ -269,7 +245,7 @@ def fisher_bundle(model, theta, povm):
     F = np.sum(probs[kept, None, None] * (scores[:, :, None] * scores[:, None, :]), axis=0)
     return FisherBundle(probabilities=probs, scores=scores,
                         fisher=F, kept_outcomes=tuple(kept.tolist()),
-                        frame=frame, param_names=model.param_names)
+                        support=_support(B, rho, derivs), param_names=model.param_names)
 
 
 def _eigen_slds(rho, derivs):
@@ -323,8 +299,8 @@ class QfiBundle:
 
 def qfi_matrix(model, theta):
     """Quantum Fisher information matrix via SLD operators, from the
-    operators of `_q_operators` like a sweep row's Q."""
-    V, rho, derivs = _q_operators(*model.frame_at(theta))
+    operators on the support (`_support`) like a sweep row's Q."""
+    V, rho, derivs = _support(*model.frame_at(theta))
     L, Q = _slds(rho, derivs, V)
     return QfiBundle(slds=tuple(L), qfi=Q)
 

@@ -28,6 +28,7 @@ from numpy.polynomial.hermite import hermgauss, hermval
 from .model import DomainError, Povm, StatisticalModel
 
 TRUNCATION_LEAKAGE_TOL = 1e-8
+N_MAX_LIMIT = 170        # the largest n whose n! is a finite double
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +155,15 @@ class PointSourceConfig:
     ``x_m`` fixes where the measurement modes sit (the sweeps use the
     intensity centroid :func:`x_opt` of the point); the apparatus stays
     fixed while the parameters vary.  ``n_max`` is the highest retained
-    Hermite-Gauss mode (basis dimension n_max + 1).
+    Hermite-Gauss mode (basis dimension n_max + 1), at most ``N_MAX_LIMIT``.
     """
 
     x_m: float
     n_max: int = 20
 
     def __post_init__(self):
-        if self.n_max < 3:
-            raise ValueError("need n_max >= 3")
+        if not 3 <= self.n_max <= N_MAX_LIMIT:
+            raise ValueError(f"need 3 <= n_max <= {N_MAX_LIMIT}, got {self.n_max}")
 
 
 def point_source_model(cfg: PointSourceConfig):

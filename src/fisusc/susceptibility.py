@@ -39,14 +39,14 @@ points: ``value <= Sigma <= value + exact_gap``.
 Every function takes the point's `FisherBundle` (`fisher_bundle`), so one
 evaluation of state, derivatives, F, K and its best pair serves them all;
 only `x_finite_mix` takes the model, because it must evaluate the mixed POVM.
-`susceptibility_report`, `sigma_lower`, `sigma_upper` and `sigma_exact`
-work on the bundle restricted to the joint range of rho and its
-derivatives (`FisherBundle.on_support`), which holds every K_a and every
-A~ operator: trace norms, bounds and X are unchanged, and the operators
-are r x r instead of d x d (``report.diagnostics["support_rank"]`` is r);
-the noise of `sigma_exact` is lifted to the full space when first read.
-The fixed-noise functions `g_matrix`, `xi_matrix` and `x_scalar` take a
-noise POVM on the bundle's space, and use the bundle's checked F^-1.
+The bundle holds rho and its derivatives on their joint range
+(`FisherBundle.support`), which holds every K_a and every A~ operator:
+trace norms, bounds and X are unchanged, and the operators are r x r
+instead of d x d (``report.diagnostics["support_rank"]`` is r).  The
+fixed-noise functions `g_matrix`, `xi_matrix` and `x_scalar` take a noise
+POVM on the full space and restrict its elements to the support, so they
+read the same K as the bounds; the noise of `sigma_exact` is lifted to the
+full space when first read.
 """
 
 from dataclasses import dataclass, field
@@ -72,7 +72,8 @@ def _aligned_noise_elements(bundle, noise):
     """``(slots, elements)``: the noise elements on the kept outcomes.
 
     ``elements[m]`` is the noise element on kept outcome
-    ``bundle.kept_outcomes[slots[m]]``.  The noise POVM is padded with zero
+    ``bundle.kept_outcomes[slots[m]]``, restricted to the bundle's support
+    (``V^dag N_a V``).  The noise POVM is padded with zero
     elements when shorter than the target (mix_povm convention).  Noise
     weight on outcomes the target drops (or does not have) lies outside the
     first-order model, so any such element with non-negligible norm is an
@@ -91,7 +92,10 @@ def _aligned_noise_elements(bundle, noise):
                 f"noise element {a} acts on an outcome the target measurement "
                 f"assigns vanishing probability; the first-order susceptibility "
                 f"is undefined there")
-    return np.array([slot_of[a] for a in on_kept], dtype=int), noise.elements[on_kept]
+    V, elements = bundle.support[0], noise.elements[on_kept]
+    if V is not None:
+        elements = V.conj().T @ elements @ V
+    return np.array([slot_of[a] for a in on_kept], dtype=int), elements
 
 
 def g_matrix(bundle: FisherBundle, noise: Povm):
@@ -101,7 +105,7 @@ def g_matrix(bundle: FisherBundle, noise: Povm):
     sum_a c_a l_a l_a^T - l_a n_a^T - n_a l_a^T.
     """
     slots, elements = _aligned_noise_elements(bundle, noise)
-    c, n = _outcome_traces(bundle.rho, bundle.derivatives, elements)
+    c, n = _outcome_traces(*bundle.support[1:], elements)
     l = bundle.scores[slots]
     half = l.T @ (0.5 * c[:, None] * l - n)
     return half + half.T
@@ -146,7 +150,7 @@ def sigma_single(bundle: FisherBundle):
             "measurement carries no information about the parameter (F = 0)")
     l = bundle.scores[:, 0]
     n, m = int(np.argmax(l)), int(np.argmin(l))
-    rho, drho = bundle.rho, bundle.derivatives[0]
+    _, rho, (drho,) = bundle.support
     A_n = l[n] ** 2 * rho - 2.0 * l[n] * drho
     A_m = l[m] ** 2 * rho - 2.0 * l[m] * drho
     return 1.0 + (l[n] ** 2 + l[m] ** 2 + float(_trace_norms(A_n - A_m))) / (2.0 * F)
@@ -159,12 +163,13 @@ def sigma_single(bundle: FisherBundle):
 def _k_operators(bundle):
     """K_a = sum_jk (F^-1)_jk A_{a;jk} = |L_a|^2 rho - 2 sum_k (F^-1 l_a)_k d_k rho.
 
-    Then X[M, N] = P + sum_a Tr[K_a N_a] and Tr K_a = |L_a|^2.
+    Then X[M, N] = P + sum_a Tr[K_a N_a] and Tr K_a = |L_a|^2.  The K_a are
+    r x r, on the bundle's support.
     """
+    _, rho, derivs = bundle.support
     w = bundle.scores @ bundle.fisher_inverse         # (E, P): F^-1 l_a
     norms = np.einsum("aj,aj->a", w, bundle.scores)   # |L_a|^2
-    return (norms[:, None, None] * bundle.rho
-            - 2.0 * np.einsum("ak,kxy->axy", w, np.asarray(bundle.derivatives)))
+    return norms[:, None, None] * rho - 2.0 * np.einsum("ak,kxy->axy", w, np.asarray(derivs))
 
 
 @lru_cache(maxsize=32)
@@ -200,10 +205,9 @@ def sigma_lower(bundle: FisherBundle):
     Returns ``(Sigma_L, best_pair)`` with outcome indices of the
     maximizing pair (ties broken toward the lowest indices).
     """
-    reduced = bundle.on_support[1]
-    (i, j), value = reduced.best_pair
-    kept = reduced.kept_outcomes
-    return reduced.n_params + value, (kept[i], kept[j])
+    (i, j), value = bundle.best_pair
+    kept = bundle.kept_outcomes
+    return bundle.n_params + value, (kept[i], kept[j])
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +284,14 @@ def sigma_upper(bundle: FisherBundle):
     formed, with n_k, m_k the outcomes of maximal and minimal score l~_k;
     one batched eigvalsh serves all k.
     """
-    reduced = bundle.on_support[1]
-    frame = diagonalize_frame(reduced)
+    _, rho, derivs = bundle.support
+    frame = diagonalize_frame(bundle)
     s = frame.tilde_scores
     k = np.arange(s.shape[1])
     n, m = np.argmax(s, axis=0), np.argmin(s, axis=0)
-    tilde_derivs = np.einsum("jk,kxy->jxy", frame.jacobian, np.asarray(reduced.derivatives))
+    tilde_derivs = np.einsum("jk,kxy->jxy", frame.jacobian, np.asarray(derivs))
     l = np.stack([s[n, k], s[m, k]])[:, :, None, None]
-    A = l ** 2 * reduced.rho - 2.0 * l * tilde_derivs    # A~_{n_k;kk}, A~_{m_k;kk}
+    A = l ** 2 * rho - 2.0 * l * tilde_derivs    # A~_{n_k;kk}, A~_{m_k;kk}
     tn = _trace_norms(A[0] - A[1])
     sigmas = 1.0 + (s[n, k] ** 2 + s[m, k] ** 2 + tn) / (2.0 * frame.tilde_fisher)
     return float(np.sum(sigmas)), tuple(float(x) for x in sigmas)
@@ -388,10 +392,9 @@ def sigma_exact(bundle: FisherBundle) -> ExactWorstCase:
     The noise, V N_a V^dag plus I - V V^dag on b, is lifted when first
     read.  Raises `SingularFisherError` below two kept outcomes.
     """
-    V, reduced = bundle.on_support
-    K = reduced.k_operators
-    (a, b), pair_value = reduced.best_pair
-    P, r = reduced.n_params, K.shape[1]
+    K = bundle.k_operators
+    (a, b), pair_value = bundle.best_pair
+    P, r = bundle.n_params, K.shape[1]
     w, U = np.linalg.eigh(K[a] - K[b])
     pos = U[:, w > POSITIVE_PART_RTOL * np.max(np.abs(w))]
     N = np.zeros_like(K)
@@ -421,7 +424,7 @@ def sigma_exact(bundle: FisherBundle) -> ExactWorstCase:
     # a pair-certified dual equals the value up to rounding, either side of it
     return ExactWorstCase(value=value, exact_gap=max(dual - value, 0.0), iterations=iterations,
                           pair_certified=certified,
-                          _lift=(N, V, list(reduced.kept_outcomes), b, shape))
+                          _lift=(N, bundle.support[0], list(bundle.kept_outcomes), b, shape))
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +443,13 @@ class SusceptibilityReport:
 
 
 def susceptibility_report(bundle: FisherBundle):
-    """Both bounds, evaluated on the bundle restricted to its support."""
-    reduced = bundle.on_support[1]
+    """Both bounds, evaluated on the bundle's support."""
     lower, pair = sigma_lower(bundle)
     upper, sigmas = sigma_upper(bundle)
     diagnostics = {
-        "condition_number_fisher": reduced.fisher_condition,
-        "kept_outcomes": reduced.kept_outcomes,
-        "support_rank": reduced.dim,
+        "condition_number_fisher": bundle.fisher_condition,
+        "kept_outcomes": bundle.kept_outcomes,
+        "support_rank": bundle.support[1].shape[0],
     }
     return SusceptibilityReport(sigma_lower=lower, sigma_upper=upper,
                                 per_parameter_sigmas=sigmas, best_pair=pair,

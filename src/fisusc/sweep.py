@@ -14,12 +14,12 @@ from functools import lru_cache
 import numpy as np
 
 from .fisher import (SingularFisherError, SingularScoreError, _eigen_slds,
-                     _q_operators, _qfi_inverse, _ratios, fisher_bundle)
+                     _qfi_inverse, _ratios, _support, fisher_bundle)
 from .linalg import HermiticityError
 from .model import DomainError, tensor_model
-from .models import (PointSourceConfig, bell_povm, optimal_povm_point_sources,
-                     point_source_model, qubit_phase_dephasing,
-                     separable_povm, x_opt)
+from .models import (N_MAX_LIMIT, PointSourceConfig, bell_povm,
+                     optimal_povm_point_sources, point_source_model,
+                     qubit_phase_dephasing, separable_povm, x_opt)
 from .susceptibility import sigma_exact, susceptibility_report
 
 MODELS = ("phase-dephasing", "point-sources")
@@ -67,8 +67,8 @@ class SweepSpec:
         check_model_spec(self.model, self.measurement, self.fixed, self.sweep_name)
         if not np.all(np.isfinite([self.start, self.stop])):
             raise SweepSpecError("sweep limits must be finite")
-        if self.n_max < 3:
-            raise SweepSpecError("n_max must be >= 3")
+        if not 3 <= self.n_max <= N_MAX_LIMIT:
+            raise SweepSpecError(f"n_max must be between 3 and {N_MAX_LIMIT}")
         if self.count < 2:
             raise SweepSpecError("count must be >= 2")
         if self.scale not in ("linear", "log"):
@@ -199,13 +199,14 @@ def evaluate_point(spec, index, sweep_value):
     """One sweep row as a dict; numerical failures land in 'error'.
 
     State, derivatives, F and Q are evaluated once; every column reads
-    them from the point's Fisher bundle, and Q, the bounds and, when
-    ``spec.oracle_samples`` > 0, the exact worst case are computed on its
-    restriction to the joint support of rho and its derivatives, from one
-    K and best pair; the worst case's noise is never lifted, since the row
-    reads only its value, and Q only the eigenbasis SLDs.  The two-copy
-    Bell row and its single-copy Q_1 (for r_multi) share one single-copy
-    evaluation.  The row does not depend on ``index``, its grid position.
+    them from the point's Fisher bundle, which holds rho and its
+    derivatives on their joint support.  Q, the bounds and, when
+    ``spec.oracle_samples`` > 0, the exact worst case (one K and best pair)
+    come from those operators; the worst case's noise is never lifted, and
+    Q reads only the eigenbasis SLDs.  F and Q are written before F^-1, so
+    a row it refuses still carries them.  The two-copy Bell row and its
+    single-copy Q_1 (for r_multi) share one single-copy evaluation.  The
+    row does not depend on ``index``, its grid position.
     """
     names = _param_names(spec.model)
     row = dict.fromkeys(_columns(spec.model), "")
@@ -214,15 +215,14 @@ def evaluate_point(spec, index, sweep_value):
         model, povm, copies, single_copy = _build_model(spec, sweep_value)
         theta = _theta_for(spec, sweep_value)
         bundle = fisher_bundle(model, theta, povm)
-        reduced = bundle.on_support[1]
-        F, Q = bundle.fisher, _eigen_slds(reduced.rho, reduced.derivatives)[2]
+        F, Q = bundle.fisher, _eigen_slds(*bundle.support[1:])[2]
         pairs = [f"{names[i]}_{names[j]}" for i in range(len(names))
                  for j in range(i, len(names))]
         for key, f, q in zip(pairs, _upper_triangle(F), _upper_triangle(Q)):
             row[f"F_{key}"], row[f"Q_{key}"] = f, q
         Finv, Qinv = bundle.fisher_inverse, _qfi_inverse(Q)
         Q1inv = Qinv if copies == 1 else _qfi_inverse(_eigen_slds(
-            *_q_operators(*single_copy.frame_at(theta))[1:])[2])
+            *_support(*single_copy.frame_at(theta))[1:])[2])
         row["r_multi"] = _ratios(Finv, Q1inv, copies)[0]
         for n, r in zip(names, _ratios(Finv, Qinv)[1]):
             row[f"r_nuisance_{n}"] = float(r)

@@ -208,7 +208,7 @@ def x_from_extremal_sum(bundle, frame, noise):
     """
     sqrt_f = np.sqrt(frame.tilde_fisher)
     slots, elements = _aligned_noise_elements(bundle, noise)
-    c, n = _outcome_traces(bundle.rho, bundle.derivatives, elements)
+    c, n = _outcome_traces(*bundle.support[1:], elements)
     L = frame.tilde_scores[slots] / sqrt_f
     delta = 2.0 * (n @ frame.jacobian.T) / sqrt_f
     return float(frame.tilde_fisher.size + c @ np.sum(L * L, axis=1)
@@ -234,14 +234,14 @@ def _reparametrized_bundle(bundle, J):
     """The bundle in the parameters u = J theta (J invertible).
 
     Derivatives and scores become J^-T d rho and J^-T l, and F becomes
-    J^-T F J^-1; the bundle's cached F^-1 is not carried over.
+    J^-T F J^-1; the bundle's cached F^-1 and K are not carried over.
     """
     Jinv_T = np.linalg.inv(J).T
-    B, rho, derivs = bundle.frame
+    V, rho, derivs = bundle.support
     derivs = np.einsum("jk,kxy->jxy", Jinv_T, np.stack(derivs))
     return replace(bundle, scores=bundle.scores @ Jinv_T.T,
                    fisher=Jinv_T @ bundle.fisher @ Jinv_T.T,
-                   frame=(B, rho, tuple(derivs)))
+                   support=(V, rho, tuple(derivs)))
 
 
 def check_reparametrization_invariance(seed):

@@ -295,7 +295,7 @@ def test_c7_pair_dual_certificate_holds_off_balance():
     violation = {}
     for q, dx in ((0.5, 0.2), (0.3, 0.1), (0.1, 0.06)):
         model, theta, povm = _point_source_setup(q, dx)
-        K = _k_operators(fisher_bundle(model, theta, povm).on_support[1])
+        K = _k_operators(fisher_bundle(model, theta, povm))
         (a, b), _ = _best_pair(K)
         w, U = np.linalg.eigh(K[a] - K[b])
         Y = K[b] + (U * np.maximum(w, 0.0)) @ U.conj().T

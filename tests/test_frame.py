@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fisusc.fisher as fisher
+import fisusc.susceptibility as susceptibility
 import fisusc.sweep as sweep
 from fisusc.fisher import (SUPPORT_RTOL, SingularFisherError, SingularScoreError,
                            _support, _support_basis, fisher_bundle, qfi_matrix)
@@ -17,7 +18,8 @@ from fisusc.linalg import _lift
 from fisusc.model import DomainError, StatisticalModel
 from fisusc.models import (PointSourceConfig, optimal_povm_point_sources,
                            point_source_model, x_opt)
-from fisusc.susceptibility import sigma_exact, susceptibility_report
+from fisusc.susceptibility import (g_matrix, sigma_exact, sigma_lower,
+                                   susceptibility_report, x_scalar)
 from fisusc.sweep import SweepSpec, evaluate_point
 
 README_FIXED = {"x_c": 0.0, "q": 0.3}
@@ -109,11 +111,11 @@ def test_frame_path_agrees_with_a_dense_twin(monkeypatch, fixed, n_max):
 
 def refusal(model, theta, povm):
     with pytest.raises((SingularFisherError, SingularScoreError)) as err:
-        fisher_bundle(model, theta, povm).on_support
+        fisher_bundle(model, theta, povm).fisher_inverse
     return type(err.value), str(err.value)
 
 
-def test_frame_path_refuses_like_the_dense_twin():
+def test_frame_path_refuses_like_the_dense_twin(monkeypatch):
     # dx = 0: both sources coincide, the frame has rank 2 and F is singular
     theta = np.array([0.0, 0.0, 0.3])
     model, povm = point(theta, 20)
@@ -122,6 +124,22 @@ def test_frame_path_refuses_like_the_dense_twin():
     assert _support(*twin.frame_at(theta))[0].shape == (21, 2)
     kind, text = refusal(model, theta, povm)
     assert kind is SingularFisherError and (kind, text) == refusal(twin, theta, povm)
+    # the sweep row writes F and Q before F^-1 refuses, on both paths
+    spec = SweepSpec(model="point-sources", measurement="optimal-hg", fixed=README_FIXED,
+                     sweep_name="dx", start=0.0, stop=1.0, count=2, scale="linear",
+                     oracle_samples=1)
+    rows = [evaluate_point(spec, 0, 0.0)]
+    monkeypatch.setattr(sweep, "point_source_model",
+                        lambda cfg: dense_twin(point_source_model(cfg)))
+    rows.append(evaluate_point(spec, 0, 0.0))
+    matrix_keys = [k for k in rows[0] if k.startswith(MATRIX_COLUMNS)]
+    for row in rows:
+        assert row["error"] == text
+        assert [k for k, v in row.items() if v != "" and k != "error"] == [
+            "sweep_value"] + matrix_keys
+    scale = max(abs(rows[1][k]) for k in matrix_keys)
+    for k in matrix_keys:
+        assert abs(rows[0][k] - rows[1][k]) <= 1e-10 * scale, k
     # q = 1e-6 on the README grid: the rest outcome's score diverges
     grid = dx_spec(README_FIXED, 20).grid()
     theta = np.array([0.0, grid[np.argmin(np.abs(grid - 0.4715))], 1e-6])
@@ -205,7 +223,7 @@ def test_pair_certified_worst_case_needs_no_spectrum_of_k(monkeypatch, n_max):
         theta = sweep._theta_for(spec, v)
         model, povm = point(theta, n_max)
         bundle = fisher_bundle(model, theta, povm)
-        K = bundle.on_support[1].k_operators
+        K = bundle.k_operators
         stacks.clear()
         exact = sigma_exact(bundle)
         assert any(a is K for a in stacks) == (not exact.pair_certified)
@@ -214,14 +232,41 @@ def test_pair_certified_worst_case_needs_no_spectrum_of_k(monkeypatch, n_max):
 
 
 @pytest.mark.parametrize("fixed, value", [(README_FIXED, 0.5), ({"x_c": 0.2, "q": 0.7}, 0.03)])
-def test_q_is_one_evaluation_on_every_route(fixed, value):
+def test_q_is_one_evaluation_on_every_route(monkeypatch, fixed, value):
     # a sweep row, qfi_matrix and show-model read Q off the same support of
-    # the same frame, so analytic zeros come out as the same rounding
+    # the same frame, so analytic zeros come out as the same rounding; the
+    # dense twin (rank-4 support in d = 21) follows the same rule
     spec = dx_spec(fixed, 20)
-    row = evaluate_point(spec, 0, value)
     theta = sweep._theta_for(spec, value)
-    Q = qfi_matrix(point(theta, 20)[0], theta).qfi
+    model = point(theta, 20)[0]
+    twin = dense_twin(model)
+    assert _support(*twin.frame_at(theta))[0].shape == (21, 4)
+    rows = [evaluate_point(spec, 0, value)]
+    monkeypatch.setattr(sweep, "point_source_model",
+                        lambda cfg: dense_twin(point_source_model(cfg)))
+    rows.append(evaluate_point(spec, 0, value))
     names = ("x_c", "dx", "q")
-    for i in range(3):
-        for j in range(i, 3):
-            assert row[f"Q_{names[i]}_{names[j]}"] == Q[i, j]
+    for row, m in zip(rows, (model, twin)):
+        Q = qfi_matrix(m, theta).qfi
+        for i in range(3):
+            for j in range(i, 3):
+                assert row[f"Q_{names[i]}_{names[j]}"] == Q[i, j]
+
+
+def test_one_kernel_serves_every_susceptibility_of_a_point(monkeypatch):
+    # x_scalar, g_matrix, Sigma_L and the exact worst case of a point-source
+    # point all read the one 4 x 4 K of its bundle
+    theta = np.array([0.0, 0.3, 0.3])
+    model, povm = point(theta, 20)
+    bundle = fisher_bundle(model, theta, povm)
+    calls, kernel = [], susceptibility._k_operators
+    monkeypatch.setattr(susceptibility, "_k_operators",
+                        lambda b: calls.append(1) or kernel(b))
+    exact = sigma_exact(bundle)
+    x = x_scalar(bundle, exact.noise)
+    g_matrix(bundle, exact.noise)
+    lower = sigma_lower(bundle)[0]
+    assert len(calls) == 1
+    assert bundle.k_operators.shape == (5, 4, 4)
+    assert exact.noise.dim == 21 and lower <= exact.value
+    assert x == pytest.approx(exact.value, rel=1e-10)

@@ -100,6 +100,16 @@ def test_point_source_config():
         PointSourceConfig(n_max=2, x_m=0.0)
 
 
+def test_point_source_n_max_stops_where_factorials_stay_finite():
+    # 170! is the largest factorial below the double range
+    cfg = PointSourceConfig(n_max=170, x_m=0.0)
+    B, rho, derivs = point_source_model(cfg).frame_at([0.0, 0.5, 0.3])
+    assert B.shape == (171, 4) and np.all(np.isfinite(B))
+    assert abs(np.trace(B @ rho @ B.T) - 1.0) <= 1e-12
+    with pytest.raises(ValueError, match="170"):
+        PointSourceConfig(n_max=171, x_m=0.0)
+
+
 def test_x_opt_centroid():
     assert x_opt(0.3, 0.8, 0.5) == pytest.approx(0.3)
     assert x_opt(0.0, 1.0, 0.75) == pytest.approx(0.25)

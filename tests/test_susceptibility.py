@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -37,6 +39,13 @@ def qubit_bundle(theta=(np.pi / 4, 0.3)):
     model = qubit_phase_dephasing()
     return model, np.asarray(theta, dtype=float), fisher_bundle(
         model, np.asarray(theta, dtype=float), separable_povm())
+
+
+def dense_bundle(bundle, model, theta):
+    """The bundle on the model's own d x d operators in place of its support:
+    the full-space reference that the support-restricted values must match."""
+    return replace(bundle, support=(None, model.state_at(theta),
+                                    tuple(model.derivatives_at(theta))))
 
 
 def a_tensor(bundle):
@@ -245,7 +254,7 @@ def test_g_matrix_contracts_the_a_tensor(model, theta, povm):
     # G, Xi and X of a random noise POVM against the literal A tensor
     bundle = fisher_bundle(model, theta, povm)
     noise = random_noise(np.random.default_rng(14), povm, bundle.kept_outcomes)
-    expected = g_from_a_tensor(bundle, noise)
+    expected = g_from_a_tensor(dense_bundle(bundle, model, theta), noise)
     scale = np.max(np.abs(expected))
     G = g_matrix(bundle, noise)
     np.testing.assert_allclose(G, expected, rtol=0, atol=1e-12 * scale)
@@ -599,17 +608,16 @@ def test_report_flags_split_variant_on_bell_instance():
     # overshoots: on the two-copy Bell instance the split variant (26.804)
     # exceeds the certified worst case (24.574), so it is not a lower bound
     bundle = _bell_instance()
-    reduced = bundle.on_support[1]
-    split = split_variant(reduced)
+    split = split_variant(bundle)
     # X[M, N] <= P + Tr Y whenever Y >= K_c for every kept c: take the pair
     # certificate Y = K_b + (K_a - K_b)_+ of the best pair, shifted by its
     # largest violation
-    K = _k_operators(reduced)
+    K = _k_operators(bundle)
     (a, b), _ = _best_pair(K)
     w, U = np.linalg.eigh(K[a] - K[b])
     Y = K[b] + (U * np.maximum(w, 0.0)) @ U.conj().T
     shift = max(np.linalg.eigvalsh(Kc - Y)[-1] for Kc in K)
-    dual = reduced.n_params + np.trace(Y).real + len(Y) * shift      # 24.72
+    dual = bundle.n_params + np.trace(Y).real + len(Y) * shift      # 24.72
     report = susceptibility_report(bundle)
     exact = sigma_exact(bundle)
     assert report.sigma_lower < exact.value <= exact.value + exact.exact_gap <= dual
@@ -620,11 +628,11 @@ def test_report_flags_split_variant_on_bell_instance():
 
 def test_split_diagnostic_is_computed_when_read():
     # the report no longer carries the split variant; it is computed only
-    # when asked for, from the frame of the reduced bundle
+    # when asked for, from the frame of the bundle
     bundle = _bell_instance()
     report = susceptibility_report(bundle)
     assert not hasattr(report, "sigma_lower_split")
-    assert split_variant(bundle.on_support[1]) == pytest.approx(26.80416466489899, rel=1e-9)
+    assert split_variant(bundle) == pytest.approx(26.80416466489899, rel=1e-9)
 
 
 @pytest.mark.parametrize("model, delta, expected", [
@@ -702,16 +710,15 @@ def test_shared_kernel_and_lazy_noise_change_no_value(fresh_bundle):
     assert exact_first.value == exact_second.value
     assert exact_first.exact_gap == exact_second.exact_gap
     assert report_first.sigma_lower == report_second.sigma_lower
-    reduced = first.on_support[1]
-    assert reduced.k_operators is reduced.k_operators
-    np.testing.assert_array_equal(reduced.k_operators, _k_operators(reduced))
-    assert reduced.best_pair == _best_pair(_k_operators(reduced))
+    assert first.k_operators is first.k_operators
+    np.testing.assert_array_equal(first.k_operators, _k_operators(first))
+    assert first.best_pair == _best_pair(_k_operators(first))
     # the noise is lifted when first read, once
     assert "noise" not in vars(exact_first)
     noise = exact_first.noise
     assert exact_first.noise is noise
     N, V, kept, b, _ = exact_first._lift
-    assert b == reduced.best_pair[0][1]
+    assert b == first.best_pair[0][1]
     dim = first.rho.shape[0]
     eager = np.zeros((len(first.probabilities), dim, dim), dtype=complex)
     eager[kept] = N if V is None else V @ N @ V.conj().T
@@ -735,12 +742,16 @@ def test_report_qubit_instance_no_flag():
 
 @pytest.mark.parametrize("model, theta, povm", instances(11, 2))
 def test_k_operators_contract_the_a_tensor(model, theta, povm):
+    # K lives on the support: V K V^dag is the contraction of the full-space A
     bundle = fisher_bundle(model, theta, povm)
     Finv = np.linalg.inv(bundle.fisher)
     K = _k_operators(bundle)
-    expected = np.einsum("jk,ajkxy->axy", Finv, a_tensor(bundle))
+    V = bundle.support[0]
+    assert K.shape[1] == (bundle.dim if V is None else V.shape[1])
+    expected = np.einsum("jk,ajkxy->axy", Finv, a_tensor(dense_bundle(bundle, model, theta)))
     scale = np.max(np.abs(expected))
-    np.testing.assert_allclose(K, expected, rtol=0, atol=1e-12 * scale)
+    lifted = K if V is None else V @ K @ V.conj().T
+    np.testing.assert_allclose(lifted, expected, rtol=0, atol=1e-12 * scale)
     L2 = np.einsum("aj,jk,ak->a", bundle.scores, Finv, bundle.scores)
     np.testing.assert_allclose(np.real(np.einsum("aii->a", K)), L2,
                                rtol=1e-12, atol=1e-12 * scale)
@@ -751,9 +762,10 @@ def test_sigma_lower_attained_by_explicit_pair_noise(model, theta, povm):
     # the best-pair noise N*, built from the A tensor alone, gives
     # X[M, N*] = Sigma_L through the G-matrix route
     bundle = fisher_bundle(model, theta, povm)
+    dense = dense_bundle(bundle, model, theta)
     lo, (a, b) = sigma_lower(bundle)
     Finv = np.linalg.inv(bundle.fisher)
-    K = np.einsum("jk,ajkxy->axy", Finv, a_tensor(bundle))
+    K = np.einsum("jk,ajkxy->axy", Finv, a_tensor(dense))
     index_of = {o: i for i, o in enumerate(bundle.kept_outcomes)}
     w, V = np.linalg.eigh(K[index_of[a]] - K[index_of[b]])
     pos = V[:, w > 0]
@@ -761,7 +773,7 @@ def test_sigma_lower_attained_by_explicit_pair_noise(model, theta, povm):
     elements = [np.zeros((povm.dim, povm.dim), dtype=complex) for _ in range(len(povm))]
     elements[a], elements[b] = B, np.eye(povm.dim) - B
     noise = Povm(elements)
-    x = model.n_params + float(np.trace(Finv @ g_from_a_tensor(bundle, noise)))
+    x = model.n_params + float(np.trace(Finv @ g_from_a_tensor(dense, noise)))
     assert x == pytest.approx(lo, rel=1e-9)
     assert x_scalar(bundle, noise) == pytest.approx(lo, rel=1e-9)
 
@@ -833,17 +845,18 @@ def test_support_reduction_matches_full_dimension(seed, k, rank, extra, P, more_
     povm = random_povm(rng, d, P + 2 + more_outcomes)
     bundle = fisher_bundle(model, theta, povm)
     assume(np.linalg.cond(bundle.fisher) < 1e6)
-    V, reduced = bundle.on_support
+    V, rho, derivs = bundle.support
     assert V.shape == (d, k)
     np.testing.assert_allclose(V.conj().T @ V, np.eye(k), atol=1e-12)
     report = susceptibility_report(bundle)
     assert report.diagnostics["support_rank"] == k
     # full-dimensional evaluation of the same quantities
-    Q_full = _slds(bundle.rho, bundle.derivatives)[1]
-    Q_red = _slds(reduced.rho, reduced.derivatives)[1]
+    dense = dense_bundle(bundle, model, theta)
+    Q_full = _slds(dense.rho, dense.derivatives)[1]
+    Q_red = _slds(rho, derivs)[1]
     np.testing.assert_allclose(Q_red, Q_full, rtol=0, atol=1e-10 * np.max(np.abs(Q_full)))
-    lower = bundle.n_params + _best_pair(_k_operators(bundle))[1]
-    upper, sigmas = sigma_upper_reference(bundle)
+    lower = bundle.n_params + _best_pair(_k_operators(dense))[1]
+    upper, sigmas = sigma_upper_reference(dense)
     assert report.sigma_lower == pytest.approx(lower, rel=1e-10)
     assert report.sigma_upper == pytest.approx(upper, rel=1e-10)
     np.testing.assert_allclose(report.per_parameter_sigmas, sigmas, rtol=1e-10)
@@ -867,7 +880,7 @@ def test_no_sample_beats_the_pair_bound(model, theta, povm):
     # the exact two-outcome optimum, bounded from above by a feasible dual
     # point of the two-outcome SDP, stays at or below Sigma_L
     bundle = fisher_bundle(model, theta, povm)
-    K = _k_operators(bundle.on_support[1])
+    K = _k_operators(bundle)
     lower = bundle.n_params + _best_pair(K)[1]
     for a, b in zip(*np.triu_indices(len(K), 1)):
         pair = K[[a, b]]
@@ -882,7 +895,7 @@ def test_exact_certificates_are_feasible(model, theta, povm):
     # primal: the noise is a POVM to 1e-12; dual: the shifted interior-point
     # Y dominates every K_a to 1e-12 and gives the reported upper end
     bundle = fisher_bundle(model, theta, povm)
-    K = _k_operators(bundle.on_support[1])
+    K = _k_operators(bundle)
     exact = sigma_exact(bundle)
     assert validate_povm(exact.noise, 1e-12).passed
     lam = np.linalg.eigvalsh(K)
@@ -911,13 +924,12 @@ def test_pair_certified_gap_is_rounding_and_never_negative():
         if not exact.pair_certified:
             continue
         certified += 1
-        reduced = bundle.on_support[1]
-        K = reduced.k_operators
-        (a, b), _ = reduced.best_pair
+        K = bundle.k_operators
+        (a, b), _ = bundle.best_pair
         w, U = np.linalg.eigh(K[a] - K[b])
         Y = K[b] + (U * np.maximum(w, 0.0)) @ U.conj().T
         shift = np.max(np.linalg.eigvalsh(K - Y)[:, -1])
-        dual = reduced.n_params + float(np.trace(Y).real + len(Y) * shift)
+        dual = bundle.n_params + float(np.trace(Y).real + len(Y) * shift)
         assert abs(dual - exact.value) <= 1e-14 * exact.value
         assert exact.exact_gap == max(dual - exact.value, 0.0)
     assert certified >= 2
@@ -933,9 +945,9 @@ def test_point_source_pipeline_stays_real_and_qubits_stay_complex():
                np.complex128)]
     for model, th, measurement, dtype in points:
         bundle = fisher_bundle(model, th, measurement)
-        reduced = bundle.on_support[1]
-        operators = [bundle.rho, *bundle.derivatives, reduced.rho, *reduced.derivatives,
-                     reduced.k_operators, sigma_exact(bundle).noise.elements]
+        _, rho, derivs = bundle.support
+        operators = [bundle.rho, *bundle.derivatives, rho, *derivs,
+                     bundle.k_operators, sigma_exact(bundle).noise.elements]
         assert [X.dtype for X in operators] == [dtype] * len(operators)
     assert povm.elements.dtype == np.float64
     # the Bell projectors are real; the separable ones (y axis) are not
@@ -983,22 +995,24 @@ def test_pair_certificate_never_claims_exactness_where_the_sdp_finds_more(monkey
 
 
 def test_full_rank_bundle_is_its_own_support():
-    _, _, bundle = qubit_bundle()
-    V, reduced = bundle.on_support
-    assert V is None and reduced is bundle
+    model, theta, bundle = qubit_bundle()
+    V, rho, derivs = bundle.support
+    assert V is None and rho is model.state_at(theta)
+    assert bundle.rho is rho and bundle.derivatives is derivs
     assert susceptibility_report(bundle).diagnostics["support_rank"] == 2
 
 
-def test_reduced_bundle_shares_the_checked_fisher_inverse():
+def test_point_source_bundle_holds_its_rank_four_support():
     theta = [0.1, 0.2, 0.3]
     cfg = PointSourceConfig(n_max=20, x_m=x_opt(*theta))
-    bundle = fisher_bundle(point_source_model(cfg), theta, optimal_povm_point_sources(cfg))
-    V, reduced = bundle.on_support
-    assert V.shape == (21, 4)
-    assert reduced.fisher is bundle.fisher and reduced.scores is bundle.scores
-    assert reduced.fisher_inverse is bundle.fisher_inverse
-    # the lifted operators reproduce the full ones
-    for X, Xr in zip((bundle.rho,) + bundle.derivatives,
-                     (reduced.rho,) + reduced.derivatives):
-        np.testing.assert_allclose(V @ Xr @ V.conj().T, X, rtol=0,
-                                   atol=1e-14 * np.max(np.abs(X)))
+    model = point_source_model(cfg)
+    bundle = fisher_bundle(model, theta, optimal_povm_point_sources(cfg))
+    V, rho, derivs = bundle.support
+    assert V.shape == (21, 4) and rho.shape == (4, 4) and len(derivs) == 3
+    assert bundle.dim == 21 and not hasattr(bundle, "frame")
+    # the lifted operators reproduce the model's dense ones
+    dense = (model.state_at(theta), *model.derivatives_at(theta))
+    for X, Xr, lifted in zip(dense, (rho,) + derivs, (bundle.rho,) + bundle.derivatives):
+        atol = 1e-14 * np.max(np.abs(X))
+        np.testing.assert_allclose(V @ Xr @ V.conj().T, X, rtol=0, atol=atol)
+        np.testing.assert_allclose(lifted, X, rtol=0, atol=atol)

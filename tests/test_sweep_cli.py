@@ -250,6 +250,18 @@ def test_cli_verify_unwritable_out_fails_before_the_suite(tmp_path, monkeypatch,
     assert captured.out == ""
 
 
+def test_cli_verify_negative_seed_fails_before_the_suite(tmp_path, monkeypatch, capsys):
+    # numpy refuses a negative seed: the suite would report raised checks
+    ran = []
+    monkeypatch.setattr(fisusc.cli, "run_verify", lambda seed: ran.append(seed))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--seed", "-1", "--out", str(out)]) == 2
+    assert ran == [] and not out.exists()
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "-1" in captured.err
+    assert captured.out == ""
+
+
 POINT_SOURCE_CONFIG = {"model": "point-sources", "measurement": "optimal-hg",
                        "fix": {"x_c": 0.0, "q": 0.3},
                        "sweep": {"name": "dx", "start": 0.01, "stop": 1.0, "count": 3}}
@@ -259,15 +271,19 @@ POINT_SOURCE_CONFIG = {"model": "point-sources", "measurement": "optimal-hg",
     {"n_max": 2}, {"n_max": "abc"}, {"workers": "two"},
     {"sweep": {**POINT_SOURCE_CONFIG["sweep"], "count": 3.9}}, {"n_max": 20.7},
     {"seed": 1.5}, {"workers": 1.5}, {"oracle_samples": 2.5}, {"seed": float("nan")},
+    {"n_mx": 48}, {"sweep": {**POINT_SOURCE_CONFIG["sweep"], "sacle": "log"}},
+    {"fix": ["x_c=0", "q=0.3"]}, {"sweep": ["dx", 0.01, 1, 5]}, {"n_max": 171},
 ], ids=["n_max-below-3", "n_max-not-a-number", "workers-not-a-number",
         "fractional-count", "fractional-n_max", "fractional-seed", "fractional-workers",
-        "fractional-oracle_samples", "nan-seed"])
+        "fractional-oracle_samples", "nan-seed", "unknown-key", "unknown-sweep-key",
+        "fix-not-a-mapping", "sweep-not-a-mapping", "n_max-above-170"])
 def test_cli_malformed_config_value_exit_code(tmp_path, capsys, entry):
     cfg_path = tmp_path / "sweep.yaml"
     cfg_path.write_text(yaml.safe_dump({**POINT_SOURCE_CONFIG, **entry}))
     out = tmp_path / "out.csv"
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
-    assert "invalid sweep specification" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid sweep specification" in err and err.count("\n") == 1
     assert not out.exists()
 
 
