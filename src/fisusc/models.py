@@ -19,11 +19,12 @@ d x d derivative is built per point.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss, hermval
+from numpy.polynomial.hermite import hermgauss
 
 from .model import DomainError, Povm, StatisticalModel
 
@@ -91,9 +92,13 @@ def _sqrt_factorial(n):
 
 
 def _hg_mode(n, x, x_m):
-    # normalized mode: g(x, x_m) H_n((x - x_m)/sqrt(2)) has norm sqrt(2^n n!)
-    return (_psf_amplitude(x, x_m) * hermval((x - x_m) / np.sqrt(2.0), [0] * n + [1])
-            / np.sqrt(2.0 ** n * math.factorial(n)))
+    # normalized mode g(x, x_m) h_n(y), y = (x - x_m)/sqrt(2), h_n = H_n(y) / sqrt(2^n n!)
+    # by its three-term recurrence, so no 2^n n! overflows for large n
+    y = (x - x_m) / np.sqrt(2.0)
+    h_prev, h = 0.0, 1.0
+    for k in range(1, n + 1):
+        h_prev, h = h, np.sqrt(2.0 / k) * y * h - np.sqrt((k - 1) / k) * h_prev
+    return _psf_amplitude(x, x_m) * h
 
 
 def _gauss_hermite(f, center, degree):
@@ -155,13 +160,18 @@ class PointSourceConfig:
     ``x_m`` fixes where the measurement modes sit (the sweeps use the
     intensity centroid :func:`x_opt` of the point); the apparatus stays
     fixed while the parameters vary.  ``n_max`` is the highest retained
-    Hermite-Gauss mode (basis dimension n_max + 1), at most ``N_MAX_LIMIT``.
+    Hermite-Gauss mode (basis dimension n_max + 1), an integer at most
+    ``N_MAX_LIMIT``; ``x_m`` must be finite.
     """
 
     x_m: float
     n_max: int = 20
 
     def __post_init__(self):
+        if not math.isfinite(self.x_m):
+            raise ValueError(f"x_m must be finite, got {self.x_m}")
+        if not isinstance(self.n_max, numbers.Integral):
+            raise ValueError(f"n_max must be an integer, got {self.n_max!r}")
         if not 3 <= self.n_max <= N_MAX_LIMIT:
             raise ValueError(f"need 3 <= n_max <= {N_MAX_LIMIT}, got {self.n_max}")
 
@@ -192,7 +202,7 @@ def point_source_model(cfg: PointSourceConfig):
         disp = np.array([x_c + dx / 2.0 - x_m, x_c - dx / 2.0 - x_m])
         c = _hg_overlap(modes, x_m + disp[:, None], x_m, sqrt_factorial)
         for name, leakage in zip(("psi+", "psi-"), 1.0 - np.einsum("ij,ij->i", c, c)):
-            if leakage > TRUNCATION_LEAKAGE_TOL:
+            if not leakage <= TRUNCATION_LEAKAGE_TOL:     # NaN coefficients fail too
                 raise DomainError(
                     f"truncation leakage {leakage:.2e} for {name} exceeds "
                     f"{TRUNCATION_LEAKAGE_TOL:.0e}; increase n_max (= {cfg.n_max})")

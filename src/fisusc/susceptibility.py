@@ -14,21 +14,23 @@ The paper writes ``G[N]_{jk} = sum_a Tr[A_{a;jk} N_a]`` with
 ``A_{a;jk} = l_{a,j} l_{a,k} rho - l_{a,j} d_k rho - l_{a,k} d_j rho``.
 `g_matrix` never forms A: with ``c_a = Tr[rho N_a]`` and
 ``n_{a,j} = Tr[d_j rho N_a]`` it is ``sum_a c_a l_a l_a^T - l_a n_a^T -
-n_a l_a^T``.  Every scalar quantity comes from one kernel, the
-contraction of A with F^-1:
+n_a l_a^T``.  Every scalar quantity comes from one kernel
+(`_k_operators`), the contraction of A with a symmetric P x P matrix C:
 
-    K_a = |L_a|^2 rho - 2 sum_k (F^-1 l_a)_k d_k rho,   X[M, N] = P + sum_a Tr[K_a N_a],
+    K_a(C) = sum_jk C_jk A_{a;jk} = (l_a . C l_a) rho - 2 sum_k (C l_a)_k d_k rho.
 
-with ``|L_a|^2 = l_a . F^-1 l_a = Tr K_a``.  The best two-outcome noise
-on a pair (a, b) puts the projector onto the positive part of K_a - K_b
-on a and gives ``X* = P + (Tr K_a + Tr K_b + ||K_a - K_b||_1) / 2``;
-`sigma_lower` maximizes X* over pairs.  It is attained by an explicit
+At C = F^-1 it is the K of ``X[M, N] = P + sum_a Tr[K_a N_a]``, with
+``|L_a|^2 = l_a . F^-1 l_a = Tr K_a``.  The best two-outcome noise on a
+pair (a, b) puts the projector onto the positive part of K_a - K_b on a
+and adds the pair value ``(Tr K_a + Tr K_b + ||K_a - K_b||_1) / 2`` to P;
+`sigma_lower` maximizes it over pairs.  It is attained by an explicit
 noise POVM, so it is a certified lower bound, and it needs no choice of
 parametrization.
 
-Only ``Sigma_U = sum_k sigma_k`` depends on a frame: it sums
-single-parameter worst cases in the parametrization that diagonalizes F
-(`diagonalize_frame`), and `sigma_upper` is the frame's only consumer.
+Only ``Sigma_U = sum_k sigma_k`` depends on a frame (`diagonalize_frame`,
+read by `sigma_upper` alone): sigma_k is 1 plus the pair value of
+``K(C_k)``, ``C_k = J_k J_k^T / F~_kk``, and the C_k sum to F^-1, so
+``sum_k K(C_k) = K(F^-1)``.  `sigma_single` reads ``K(1/F)``.
 
 Sigma[M] is an SDP in the K_a, with dual min Tr Y over Y >= K_a.
 `sigma_exact` settles it by the pair certificate Y = K_b + (K_a - K_b)_+
@@ -37,10 +39,10 @@ interior-point method, and reports exactly feasible primal and dual
 points: ``value <= Sigma <= value + exact_gap``.
 
 Every function takes the point's `FisherBundle` (`fisher_bundle`), so one
-evaluation of state, derivatives, F, K and its best pair serves them all;
+evaluation of state, derivatives, F, K = K(F^-1) and its best pair serves them all;
 only `x_finite_mix` takes the model, because it must evaluate the mixed POVM.
 The bundle holds rho and its derivatives on their joint range
-(`FisherBundle.support`), which holds every K_a and every A~ operator:
+(`FisherBundle.support`), which holds every K_a(C):
 trace norms, bounds and X are unchanged, and the operators are r x r
 instead of d x d (``report.diagnostics["support_rank"]`` is r).  The
 fixed-noise functions `g_matrix`, `xi_matrix` and `x_scalar` take a noise
@@ -127,8 +129,10 @@ def x_finite_mix(model, theta, target, noise, eps):
     """Finite-eps determinant quotient (det F - det F_eps) / (eps det F).
 
     Converges linearly in eps to x_scalar; used as an independent check
-    of the first-order formula.
+    of the first-order formula.  Needs eps > 0.
     """
+    if not eps > 0.0:
+        raise ValueError(f"x_finite_mix needs eps > 0, got {eps}")
     F0 = fisher_bundle(model, theta, target).fisher
     Fe = fisher_bundle(model, theta, mix_povm(target, noise, eps)).fisher
     d0 = np.linalg.det(F0)
@@ -138,38 +142,38 @@ def x_finite_mix(model, theta, target, noise, eps):
 def sigma_single(bundle: FisherBundle):
     """Single-parameter worst-case susceptibility sigma[M].
 
-    sigma = 1 + (l_n^2 + l_m^2 + ||A_n - A_m||_1) / (2 F) with n, m the
-    outcomes of maximal and minimal score.
+    sigma = 1 + (Tr K_n + Tr K_m + ||K_n - K_m||_1) / 2 on the outcomes n, m of
+    maximal and minimal score, with the bundle's K at C = F^-1 = 1/F.
     """
     if bundle.n_params != 1:
         raise ValueError(
             f"sigma_single needs a single-parameter model, got P = {bundle.n_params}")
-    F = float(bundle.fisher[0, 0])
-    if F <= 0.0:
-        raise SingularFisherError(
-            "measurement carries no information about the parameter (F = 0)")
-    l = bundle.scores[:, 0]
-    n, m = int(np.argmax(l)), int(np.argmin(l))
-    _, rho, (drho,) = bundle.support
-    A_n = l[n] ** 2 * rho - 2.0 * l[n] * drho
-    A_m = l[m] ** 2 * rho - 2.0 * l[m] * drho
-    return 1.0 + (l[n] ** 2 + l[m] ** 2 + float(_trace_norms(A_n - A_m))) / (2.0 * F)
+    l, K = bundle.scores[:, 0], bundle.k_operators
+    return 1.0 + float(_pair_values(K, np.argmax(l), np.argmin(l)))
 
 
 # ---------------------------------------------------------------------------
 # K operators and the pair bound
 # ---------------------------------------------------------------------------
 
-def _k_operators(bundle):
-    """K_a = sum_jk (F^-1)_jk A_{a;jk} = |L_a|^2 rho - 2 sum_k (F^-1 l_a)_k d_k rho.
+def _k_operators(bundle, C=None):
+    """K_a(C) = sum_jk C_jk A_{a;jk} = (l_a . C l_a) rho - 2 sum_k (C l_a)_k d_k rho.
 
-    Then X[M, N] = P + sum_a Tr[K_a N_a] and Tr K_a = |L_a|^2.  The K_a are
-    r x r, on the bundle's support.
+    C is a symmetric (P, P) matrix or a (..., P, P) stack; K is (..., E_kept,
+    r, r) on the support, and linear in C, so sum_k K(C_k) = K(sum_k C_k).
+    The default C = F^-1 is the K that `FisherBundle.k_operators` caches.
     """
     _, rho, derivs = bundle.support
-    w = bundle.scores @ bundle.fisher_inverse         # (E, P): F^-1 l_a
-    norms = np.einsum("aj,aj->a", w, bundle.scores)   # |L_a|^2
-    return norms[:, None, None] * rho - 2.0 * np.einsum("ak,kxy->axy", w, np.asarray(derivs))
+    w = bundle.scores @ (bundle.fisher_inverse if C is None else C)   # (..., E, P): C l_a
+    norms = np.einsum("...aj,aj->...a", w, bundle.scores)              # l_a . C l_a
+    return norms[..., None, None] * rho - 2.0 * np.einsum("...ak,kxy->...axy", w, derivs)
+
+
+def _pair_values(K, i, j):
+    """(Tr K_i + Tr K_j + ||K_i - K_j||_1) / 2, sum_a Tr[K_a N_a] of the best noise
+    on the pair (i, j); i and j index the leading axes of the (..., r, r) stack K."""
+    traces = np.real(np.einsum("...xx->...", K))
+    return 0.5 * (traces[i] + traces[j] + _trace_norms(K[i] - K[j]))
 
 
 @lru_cache(maxsize=32)
@@ -183,18 +187,14 @@ def _pair_indices(E):
 def _best_pair(K):
     """Best outcome pair (i, j), i < j, and its value without the P term.
 
-    The value (Tr K_i + Tr K_j + ||K_i - K_j||_1) / 2 is sum_a Tr[K_a N_a]
-    for the best noise on that pair.  All pair trace norms come from one
-    batched eigvalsh over the stacked differences; ties go to the lowest
-    pair.
+    The value `_pair_values` is sum_a Tr[K_a N_a] for the best noise on
+    that pair, taken over all pairs at once; ties go to the lowest pair.
     """
     E = K.shape[0]
     if E < 2:
         raise SingularFisherError("sigma_lower needs at least two kept outcomes")
     i, j = _pair_indices(E)
-    traces = np.real(np.einsum("aii->a", K))
-    norms = _trace_norms(K[i] - K[j])
-    values = 0.5 * (traces[i] + traces[j] + norms)
+    values = _pair_values(K, i, j)
     p = int(np.argmax(values))
     return (int(i[p]), int(j[p])), float(values[p])
 
@@ -279,21 +279,18 @@ def diagonalize_frame(bundle: FisherBundle) -> DiagonalizedFrame:
 def sigma_upper(bundle: FisherBundle):
     """Upper bound Sigma_U = sum_k sigma_k and the per-parameter terms.
 
-    sigma_k is `sigma_single` of parameter k in the frame that diagonalizes
-    F, so only the extremal operators A~_{n_k;kk} and A~_{m_k;kk} are
-    formed, with n_k, m_k the outcomes of maximal and minimal score l~_k;
-    one batched eigvalsh serves all k.
+    sigma_k is `sigma_single` of direction J_k of the frame that diagonalizes
+    F: 1 plus the pair value of K(C_k), C_k = J_k J_k^T / F~_kk, on the
+    outcomes n_k, m_k of maximal and minimal l~_k; one kernel call serves
+    the stack of C_k.  They sum to F^-1, so sum_k K(C_k) = K(F^-1), and as
+    the pair value is subadditive in K and maximal for C_k at (n_k, m_k),
+    Sigma_L <= Sigma_U.
     """
-    _, rho, derivs = bundle.support
     frame = diagonalize_frame(bundle)
-    s = frame.tilde_scores
+    J, s = frame.jacobian, frame.tilde_scores
+    K = _k_operators(bundle, J[:, :, None] * J[:, None, :] / frame.tilde_fisher[:, None, None])
     k = np.arange(s.shape[1])
-    n, m = np.argmax(s, axis=0), np.argmin(s, axis=0)
-    tilde_derivs = np.einsum("jk,kxy->jxy", frame.jacobian, np.asarray(derivs))
-    l = np.stack([s[n, k], s[m, k]])[:, :, None, None]
-    A = l ** 2 * rho - 2.0 * l * tilde_derivs    # A~_{n_k;kk}, A~_{m_k;kk}
-    tn = _trace_norms(A[0] - A[1])
-    sigmas = 1.0 + (s[n, k] ** 2 + s[m, k] ** 2 + tn) / (2.0 * frame.tilde_fisher)
+    sigmas = 1.0 + _pair_values(K, (k, np.argmax(s, axis=0)), (k, np.argmin(s, axis=0)))
     return float(np.sum(sigmas)), tuple(float(x) for x in sigmas)
 
 

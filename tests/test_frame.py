@@ -18,7 +18,7 @@ from fisusc.linalg import _lift
 from fisusc.model import DomainError, StatisticalModel
 from fisusc.models import (PointSourceConfig, optimal_povm_point_sources,
                            point_source_model, x_opt)
-from fisusc.susceptibility import (g_matrix, sigma_exact, sigma_lower,
+from fisusc.susceptibility import (g_matrix, sigma_exact, sigma_lower, sigma_upper,
                                    susceptibility_report, x_scalar)
 from fisusc.sweep import SweepSpec, evaluate_point
 
@@ -255,18 +255,21 @@ def test_q_is_one_evaluation_on_every_route(monkeypatch, fixed, value):
 
 def test_one_kernel_serves_every_susceptibility_of_a_point(monkeypatch):
     # x_scalar, g_matrix, Sigma_L and the exact worst case of a point-source
-    # point all read the one 4 x 4 K of its bundle
+    # point all read the one 4 x 4 K of its bundle; Sigma_U runs the same
+    # kernel once, on the stack of its three frame contractions
     theta = np.array([0.0, 0.3, 0.3])
     model, povm = point(theta, 20)
     bundle = fisher_bundle(model, theta, povm)
     calls, kernel = [], susceptibility._k_operators
     monkeypatch.setattr(susceptibility, "_k_operators",
-                        lambda b: calls.append(1) or kernel(b))
+                        lambda b, C=None: calls.append(None if C is None else C.shape)
+                        or kernel(b, C))
     exact = sigma_exact(bundle)
     x = x_scalar(bundle, exact.noise)
     g_matrix(bundle, exact.noise)
     lower = sigma_lower(bundle)[0]
-    assert len(calls) == 1
+    upper = sigma_upper(bundle)[0]
+    assert calls == [None, (3, 3, 3)]
     assert bundle.k_operators.shape == (5, 4, 4)
-    assert exact.noise.dim == 21 and lower <= exact.value
+    assert exact.noise.dim == 21 and lower <= exact.value <= upper
     assert x == pytest.approx(exact.value, rel=1e-10)

@@ -92,12 +92,41 @@ def test_hg_overlap_quadrature_vs_closed_form():
             assert abs(quad_value - closed) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [154, 160, 170])
+def test_hg_overlap_stays_finite_up_to_the_largest_n_max(n):
+    # the mode's recurrence has no 2^n n! to overflow, which had made the
+    # quadrature read 0.0 from n = 154 on
+    for x0 in (-3.0, 0.4, 2.1, 10.0, 30.0):
+        closed = float(hg_overlap_closed_form(n, x0))
+        assert hg_overlap(n, x0) == pytest.approx(closed, rel=1e-10, abs=1e-14)
+    assert hg_overlap(n, 30.0) > 1e-4
+
+
 def test_point_source_config():
     assert PointSourceConfig(n_max=20, x_m=0.2).x_m == 0.2
     with pytest.raises(TypeError):
         PointSourceConfig(n_max=20)
     with pytest.raises(ValueError):
         PointSourceConfig(n_max=2, x_m=0.0)
+
+
+@pytest.mark.parametrize("x_m", [np.nan, np.inf])
+def test_point_source_config_refuses_a_non_finite_alignment(x_m):
+    with pytest.raises(ValueError, match="x_m must be finite"):
+        PointSourceConfig(n_max=20, x_m=x_m)
+
+
+def test_point_source_config_refuses_a_non_integral_n_max():
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        PointSourceConfig(n_max=20.5, x_m=0.0)
+    assert PointSourceConfig(n_max=np.int64(20), x_m=0.0).n_max == 20
+
+
+def test_point_source_nan_point_is_a_domain_error():
+    # NaN coefficients fail the truncation test instead of reaching an SVD
+    model = point_source_model(PointSourceConfig(n_max=20, x_m=0.0))
+    with pytest.raises(DomainError, match="truncation leakage nan"):
+        model.frame_at([np.nan, 0.5, 0.3])
 
 
 def test_point_source_n_max_stops_where_factorials_stay_finite():

@@ -69,8 +69,8 @@ def g_from_a_tensor(bundle, noise):
 def tilde_a_diag(bundle):
     """The frame and its diagonal kernels A~_{a;kk} = l~_{a,k}^2 rho - 2 l~_{a,k} d~_k rho.
 
-    An (E_kept, P, d, d) reference stack: `sigma_upper` forms only the two
-    extremal outcomes of each k.
+    An (E_kept, P, d, d) reference stack on the full space; `sigma_upper`
+    reads the kernel at C_k = J_k J_k^T / F~_kk instead, K_a(C_k) = A~_{a;kk} / F~_kk.
     """
     frame = diagonalize_frame(bundle)
     tilde_derivs = np.einsum("jk,kxy->jxy", frame.jacobian, np.stack(bundle.derivatives))
@@ -301,6 +301,15 @@ def test_x_scalar_finite_eps_oracle():
     ratios = [e / eps for e, eps in zip(errors, (1e-2, 1e-3, 1e-4))]
     assert max(ratios) / min(ratios) < 1.5
     assert errors[2] < errors[1] < errors[0]
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3])
+def test_x_finite_mix_refuses_a_non_positive_eps(eps, monkeypatch):
+    # the quotient divides by eps; it is refused before any bundle is built
+    monkeypatch.setattr(susceptibility, "fisher_bundle", None)
+    with pytest.raises(ValueError, match="eps > 0"):
+        x_finite_mix(qubit_phase_dephasing(), np.array([0.7, 0.3]), separable_povm(),
+                     IDENTITY_NOISE, eps)
 
 
 def test_x_scalar_p1_equals_chi():
@@ -755,6 +764,38 @@ def test_k_operators_contract_the_a_tensor(model, theta, povm):
     L2 = np.einsum("aj,jk,ak->a", bundle.scores, Finv, bundle.scores)
     np.testing.assert_allclose(np.real(np.einsum("aii->a", K)), L2,
                                rtol=1e-12, atol=1e-12 * scale)
+
+
+def frame_instances():
+    """Separable, Bell and point-source points (n_max 20 and 48)."""
+    qubit = qubit_phase_dephasing()
+    out = [(qubit, np.array(t), separable_povm()) for t in ((np.pi / 4, 0.3), (1.1, 0.05))]
+    out += [(tensor_model(qubit, 2), np.array(t), bell_povm())
+            for t in ((np.pi / 4, 0.1), (0.3, 0.7))]
+    for theta, n_max in (((0.0, 0.3, 0.3), 20), ((0.1, 0.05, 0.15), 20),
+                         ((0.0, 0.5, 0.5), 48), ((0.0, 1.0, 0.7), 48)):
+        cfg = PointSourceConfig(n_max=n_max, x_m=x_opt(*theta))
+        out.append((point_source_model(cfg), np.array(theta), optimal_povm_point_sources(cfg)))
+    return out
+
+
+@pytest.mark.parametrize("model, theta, povm", frame_instances())
+def test_frame_kernels_sum_to_the_cached_kernel(model, theta, povm):
+    # the frame terms C_k = J_k J_k^T / F~_kk of Sigma_U sum to F^-1 and K is
+    # linear in C, so sum_k K(C_k) is the cached K; Sigma_U read from the
+    # K(C_k) equals the reference built from the full-space A~ operators
+    bundle = fisher_bundle(model, theta, povm)
+    frame = diagonalize_frame(bundle)
+    J = frame.jacobian
+    C = J[:, :, None] * J[:, None, :] / frame.tilde_fisher[:, None, None]
+    K = bundle.k_operators
+    np.testing.assert_allclose(np.sum(_k_operators(bundle, C), axis=0), K,
+                               rtol=0, atol=1e-10 * np.max(np.abs(K)))
+    upper, sigmas = sigma_upper(bundle)
+    reference, reference_sigmas = sigma_upper_reference(bundle)
+    assert upper == pytest.approx(reference, rel=1e-12)
+    np.testing.assert_allclose(sigmas, reference_sigmas, rtol=1e-12)
+    assert sigma_lower(bundle)[0] <= upper
 
 
 @pytest.mark.parametrize("model, theta, povm", instances(12, 3))

@@ -494,7 +494,8 @@ def _count_evaluations(monkeypatch):
 ])
 def test_point_builds_one_kernel_and_no_noise_povm(tmp_path, monkeypatch, model,
                                                    measurement, fixed, swept, value):
-    # Sigma_L and the exact worst case read one K and one best pair, and the
+    # Sigma_L and the exact worst case read one K (C = F^-1) and one best
+    # pair, Sigma_U one kernel on the stack of its frame terms C_k, and the
     # row never reads the worst-case noise, so no POVM is built once the
     # measurement POVM is cached
     spec = small_spec(tmp_path, model=model, measurement=measurement, fixed=fixed,
@@ -508,12 +509,16 @@ def test_point_builds_one_kernel_and_no_noise_povm(tmp_path, monkeypatch, model,
             return original(*args, **kwargs)
         return wrapper
 
-    for name in ("_k_operators", "_best_pair"):
-        monkeypatch.setattr(susceptibility, name, counted(name, getattr(susceptibility, name)))
+    kernels, kernel = [], susceptibility._k_operators
+    monkeypatch.setattr(susceptibility, "_k_operators", lambda bundle, C=None: kernels.append(
+        None if C is None else np.shape(C)) or kernel(bundle, C))
+    monkeypatch.setattr(susceptibility, "_best_pair",
+                        counted("_best_pair", susceptibility._best_pair))
     monkeypatch.setattr(Povm, "__init__", counted("Povm", Povm.__init__))
     row = evaluate_point(spec, 0, value)
     assert row["error"] == "" and row["oracle_best_X"] != ""
-    assert calls["_k_operators"] == 1 and calls["_best_pair"] == 1
+    P = len(fixed) + 1
+    assert sorted(kernels, key=str) == [(P, P, P), None] and calls["_best_pair"] == 1
     assert calls["Povm"] == 0
 
 
