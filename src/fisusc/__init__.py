@@ -12,11 +12,9 @@ from .model import (DomainError, Povm, PovmValidation, StatisticalModel,
 from .fisher import (FisherBundle, QfiBundle, SingularFisherError,
                      SingularScoreError, fisher_bundle, qfi_matrix, r_metric,
                      r_nuisance, sld, weak_commutativity)
-from .susceptibility import (DiagonalizedFrame, ExactWorstCase,
-                             SusceptibilityReport, diagonalize_frame, g_matrix,
-                             sigma_exact, sigma_lower, sigma_single,
-                             sigma_upper, susceptibility_report, x_finite_mix,
-                             x_scalar, xi_matrix)
+from .susceptibility import (ExactWorstCase, g_matrix, sigma_exact,
+                             sigma_lower, sigma_single, sigma_upper,
+                             x_finite_mix, x_scalar, xi_matrix)
 from .models import (PointSourceConfig, bell_povm, hg_overlap,
                      hg_overlap_closed_form, optimal_povm_point_sources,
                      point_source_model, qubit_phase_dephasing,
@@ -31,10 +29,8 @@ __all__ = [
     "FisherBundle", "QfiBundle", "SingularFisherError", "SingularScoreError",
     "fisher_bundle", "qfi_matrix", "r_metric", "r_nuisance", "sld",
     "weak_commutativity",
-    "DiagonalizedFrame", "ExactWorstCase", "SusceptibilityReport",
-    "diagonalize_frame", "g_matrix", "sigma_exact", "sigma_lower", "sigma_single",
-    "sigma_upper", "susceptibility_report", "x_finite_mix", "x_scalar",
-    "xi_matrix",
+    "ExactWorstCase", "g_matrix", "sigma_exact", "sigma_lower", "sigma_single",
+    "sigma_upper", "x_finite_mix", "x_scalar", "xi_matrix",
     "PointSourceConfig", "bell_povm", "hg_overlap",
     "hg_overlap_closed_form", "optimal_povm_point_sources",
     "point_source_model", "qubit_phase_dephasing", "separable_povm", "x_opt",

@@ -8,6 +8,7 @@ B and Hermitian r x r cores with ``rho = B S_0 B^dag`` and
 positive operators summing to the identity.
 """
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -37,7 +38,8 @@ class StatisticalModel:
         derivatives fall back to central finite differences with step
         ``FD_STEP``.
     domain_fn : callable, optional
-        ``theta values -> bool``; False means out of domain.
+        ``theta values -> bool``; False means out of domain.  A point with a
+        non-finite value is out of every model's domain.
     frame_fn : callable, optional
         ``theta values -> (B, S)``: a (dim, r) matrix and a (1 + P, r, r)
         stack of cores, ``rho = B S[0] B^dag`` and ``d_j rho = B S[j+1] B^dag``;
@@ -65,8 +67,10 @@ class StatisticalModel:
         return len(self.param_names)
 
     def in_domain(self, theta):
+        """False for a non-finite point or one ``domain_fn`` rejects."""
         values = self._theta_values(theta)
-        return bool(self._domain_fn(values)) if self._domain_fn is not None else True
+        return all(map(math.isfinite, values.tolist())) and (
+            self._domain_fn is None or bool(self._domain_fn(values)))
 
     def _theta_values(self, theta):
         values = np.asarray(theta, dtype=float)
@@ -75,7 +79,7 @@ class StatisticalModel:
         return values
 
     def _check_domain(self, values):
-        if self._domain_fn is not None and not self._domain_fn(values):
+        if not self.in_domain(values):
             raise DomainError(
                 f"theta = {dict(zip(self.param_names, values))} outside the model domain")
 

@@ -27,10 +27,11 @@ and adds the pair value ``(Tr K_a + Tr K_b + ||K_a - K_b||_1) / 2`` to P;
 noise POVM, so it is a certified lower bound, and it needs no choice of
 parametrization.
 
-Only ``Sigma_U = sum_k sigma_k`` depends on a frame (`diagonalize_frame`,
-read by `sigma_upper` alone): sigma_k is 1 plus the pair value of
-``K(C_k)``, ``C_k = J_k J_k^T / F~_kk``, and the C_k sum to F^-1, so
-``sum_k K(C_k) = K(F^-1)``.  `sigma_single` reads ``K(1/F)``.
+Only ``Sigma_U = sum_k sigma_k`` depends on a frame, the J that
+diagonalizes F (``F~ = J F J^T``), and only `sigma_upper` builds it:
+sigma_k is 1 plus the pair value of ``K(C_k)``, ``C_k = J_k J_k^T / F~_kk``,
+and the C_k sum to F^-1, so ``sum_k K(C_k) = K(F^-1)``.  `sigma_single`
+reads ``K(1/F)``.
 
 Sigma[M] is an SDP in the K_a, with dual min Tr Y over Y >= K_a.
 `sigma_exact` settles it by the pair certificate Y = K_b + (K_a - K_b)_+
@@ -44,7 +45,7 @@ only `x_finite_mix` takes the model, because it must evaluate the mixed POVM.
 The bundle holds rho and its derivatives on their joint range
 (`FisherBundle.support`), which holds every K_a(C):
 trace norms, bounds and X are unchanged, and the operators are r x r
-instead of d x d (``report.diagnostics["support_rank"]`` is r).  The
+instead of d x d (``bundle.support[1].shape[0]`` is r).  The
 fixed-noise functions `g_matrix`, `xi_matrix` and `x_scalar` take a noise
 POVM on the full space and restrict its elements to the support, so they
 read the same K as the bounds; the noise of `sigma_exact` is lifted to the
@@ -214,20 +215,6 @@ def sigma_lower(bundle: FisherBundle):
 # Fisher-diagonalizing frame
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiagonalizedFrame:
-    """The parametrization that diagonalizes F.
-
-    ``jacobian`` J is orthogonal with F~ = J F J^T diagonal; rows are the
-    new parameter directions, so the scores are l~_a = J l_a and the
-    derivatives d~_k rho = sum_j J_kj d_j rho.
-    """
-
-    jacobian: np.ndarray           # (P, P)
-    tilde_fisher: np.ndarray       # (P,) diagonal entries, descending
-    tilde_scores: np.ndarray       # (E_kept, P)
-
-
 def _canonical_diagonalizer(bundle):
     """Deterministic orthogonal J with J F J^T diagonal (descending).
 
@@ -239,8 +226,9 @@ def _canonical_diagonalizer(bundle):
     coordinate axes, which is deterministic, stable under tiny
     perturbations, and reduces to the identity when F is proportional
     to it.  Column signs are fixed by making the largest component
-    positive.
+    positive.  Raises `SingularFisherError` when F is singular.
     """
+    bundle.fisher_inverse                # refuse a singular F
     F = bundle.fisher
     w, V = bundle.fisher_eigh
     w, V = w[::-1].copy(), V[:, ::-1].copy()
@@ -269,13 +257,6 @@ def _canonical_diagonalizer(bundle):
     return J, np.diag(J @ F @ J.T).copy()
 
 
-def diagonalize_frame(bundle: FisherBundle) -> DiagonalizedFrame:
-    """Transform a Fisher bundle into the F-diagonalizing parametrization."""
-    bundle.fisher_inverse                # fail early when F is singular
-    J, fdiag = _canonical_diagonalizer(bundle)
-    return DiagonalizedFrame(jacobian=J, tilde_fisher=fdiag, tilde_scores=bundle.scores @ J.T)
-
-
 def sigma_upper(bundle: FisherBundle):
     """Upper bound Sigma_U = sum_k sigma_k and the per-parameter terms.
 
@@ -286,9 +267,9 @@ def sigma_upper(bundle: FisherBundle):
     the pair value is subadditive in K and maximal for C_k at (n_k, m_k),
     Sigma_L <= Sigma_U.
     """
-    frame = diagonalize_frame(bundle)
-    J, s = frame.jacobian, frame.tilde_scores
-    K = _k_operators(bundle, J[:, :, None] * J[:, None, :] / frame.tilde_fisher[:, None, None])
+    J, f = _canonical_diagonalizer(bundle)
+    s = bundle.scores @ J.T                                   # l~_a = J l_a
+    K = _k_operators(bundle, J[:, :, None] * J[:, None, :] / f[:, None, None])
     k = np.arange(s.shape[1])
     sigmas = 1.0 + _pair_values(K, (k, np.argmax(s, axis=0)), (k, np.argmin(s, axis=0)))
     return float(np.sum(sigmas)), tuple(float(x) for x in sigmas)
@@ -422,32 +403,3 @@ def sigma_exact(bundle: FisherBundle) -> ExactWorstCase:
     return ExactWorstCase(value=value, exact_gap=max(dual - value, 0.0), iterations=iterations,
                           pair_certified=certified,
                           _lift=(N, bundle.support[0], list(bundle.kept_outcomes), b, shape))
-
-
-# ---------------------------------------------------------------------------
-# Report
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SusceptibilityReport:
-    """Bounds on the measurement-noise susceptibility at one point (rho(theta), M)."""
-
-    sigma_lower: float
-    sigma_upper: float
-    per_parameter_sigmas: tuple
-    best_pair: tuple
-    diagnostics: dict = None
-
-
-def susceptibility_report(bundle: FisherBundle):
-    """Both bounds, evaluated on the bundle's support."""
-    lower, pair = sigma_lower(bundle)
-    upper, sigmas = sigma_upper(bundle)
-    diagnostics = {
-        "condition_number_fisher": bundle.fisher_condition,
-        "kept_outcomes": bundle.kept_outcomes,
-        "support_rank": bundle.support[1].shape[0],
-    }
-    return SusceptibilityReport(sigma_lower=lower, sigma_upper=upper,
-                                per_parameter_sigmas=sigmas, best_pair=pair,
-                                diagnostics=diagnostics)

@@ -20,7 +20,7 @@ from .model import DomainError, tensor_model
 from .models import (N_MAX_LIMIT, PointSourceConfig, bell_povm,
                      optimal_povm_point_sources, point_source_model,
                      qubit_phase_dephasing, separable_povm, x_opt)
-from .susceptibility import sigma_exact, susceptibility_report
+from .susceptibility import sigma_exact, sigma_lower, sigma_upper
 
 MODELS = ("phase-dephasing", "point-sources")
 MEASUREMENTS = ("separable", "bell", "optimal-hg")
@@ -200,13 +200,15 @@ def evaluate_point(spec, index, sweep_value):
 
     State, derivatives, F and Q are evaluated once; every column reads
     them from the point's Fisher bundle, which holds rho and its
-    derivatives on their joint support.  Q, the bounds and, when
-    ``spec.oracle_samples`` > 0, the exact worst case (one K and best pair)
-    come from those operators; the worst case's noise is never lifted, and
-    Q reads only the eigenbasis SLDs.  F and Q are written before F^-1, so
-    a row it refuses still carries them.  The two-copy Bell row and its
-    single-copy Q_1 (for r_multi) share one single-copy evaluation.  The
-    row does not depend on ``index``, its grid position.
+    derivatives on their joint support.  Q, `sigma_lower`, `sigma_upper`
+    (its total and terms) and, when ``spec.oracle_samples`` > 0, the exact
+    worst case (one K and best pair) come from those operators, and the
+    condition number from the bundle's eigh(F); the worst case's noise is
+    never lifted, and Q reads only the eigenbasis SLDs.  F and Q are
+    written before F^-1, so a row it refuses still carries them.  The
+    two-copy Bell row and its single-copy Q_1 (for r_multi) share one
+    single-copy evaluation.  The row does not depend on ``index``, its grid
+    position.
     """
     names = _param_names(spec.model)
     row = dict.fromkeys(_columns(spec.model), "")
@@ -226,14 +228,13 @@ def evaluate_point(spec, index, sweep_value):
         row["r_multi"] = _ratios(Finv, Q1inv, copies)[0]
         for n, r in zip(names, _ratios(Finv, Qinv)[1]):
             row[f"r_nuisance_{n}"] = float(r)
-        report = susceptibility_report(bundle)
-        row["sigma_lower"] = report.sigma_lower
-        row["sigma_upper"] = report.sigma_upper
-        for n, s in zip(names, report.per_parameter_sigmas):
+        row["sigma_lower"] = sigma_lower(bundle)[0]
+        row["sigma_upper"], sigmas = sigma_upper(bundle)
+        for n, s in zip(names, sigmas):
             row[f"sigma_{n}"] = s
         if spec.oracle_samples > 0:
             row["oracle_best_X"] = sigma_exact(bundle).value
-        row["condition_number_F"] = report.diagnostics["condition_number_fisher"]
+        row["condition_number_F"] = bundle.fisher_condition
     except NUMERICAL_ERRORS as err:
         row["error"] = str(err)
     return row

@@ -15,14 +15,15 @@ from . import models
 from .fisher import (_outcome_traces, fisher_bundle, qfi_matrix, r_metric,
                      r_nuisance, sld)
 from .linalg import eig_hermitian, hermitize, trace_norm
-from .model import Povm, mix_povm, tensor_model, tensor_povm, validate_povm
+from .model import (Povm, StatisticalModel, mix_povm, tensor_model,
+                    tensor_povm, validate_povm)
 from .models import (POINT_SOURCE_WEIGHTS, PointSourceConfig, bell_povm,
                      hg_overlap, hg_overlap_closed_form,
                      optimal_povm_point_sources, point_source_model,
                      qubit_phase_dephasing, separable_povm, x_opt)
-from .susceptibility import (_aligned_noise_elements, diagonalize_frame,
-                             sigma_exact, sigma_lower, sigma_single,
-                             sigma_upper, x_finite_mix, x_scalar, xi_matrix)
+from .susceptibility import (_aligned_noise_elements, sigma_exact,
+                             sigma_lower, sigma_single, sigma_upper,
+                             x_finite_mix, x_scalar, xi_matrix)
 
 
 @dataclass(frozen=True)
@@ -198,21 +199,23 @@ def check_self_noise_nullity(seed):
     return worst <= 1e-9, f"max |X[M,M]| = {worst:.3e}"
 
 
-def x_from_extremal_sum(bundle, frame, noise):
+def x_from_extremal_sum(bundle, noise):
     """X[M, N] assembled from the convex per-outcome functions f_a.
 
+    In the eigenframe of F, ``eigh(F) = (w, U)``, ``J = U^T`` and F~ = w.
     With c_a = Tr[rho N_a], delta_{a,j} = 2 Tr[d~_j rho N_a] / sqrt(F~_jj)
     and L_{a,j} = l~_{a,j} / sqrt(F~_jj) the normalized score vectors,
-    X = P + sum_a f_a(L_a) where f_a(x) = c_a |x|^2 - x . delta_a.  This
-    is a third route to the scalar susceptibility, through the frame.
+    X = P + sum_a f_a(L_a) where f_a(x) = c_a |x|^2 - x . delta_a.  The
+    identity holds in any frame that diagonalizes F; this third route to
+    the scalar susceptibility shares no frame with `sigma_upper`.
     """
-    sqrt_f = np.sqrt(frame.tilde_fisher)
+    w, U = bundle.fisher_eigh
+    sqrt_f = np.sqrt(w)
     slots, elements = _aligned_noise_elements(bundle, noise)
     c, n = _outcome_traces(*bundle.support[1:], elements)
-    L = frame.tilde_scores[slots] / sqrt_f
-    delta = 2.0 * (n @ frame.jacobian.T) / sqrt_f
-    return float(frame.tilde_fisher.size + c @ np.sum(L * L, axis=1)
-                 - np.sum(L * delta))
+    L = bundle.scores[slots] @ U / sqrt_f
+    delta = 2.0 * (n @ U) / sqrt_f
+    return float(w.size + c @ np.sum(L * L, axis=1) - np.sum(L * delta))
 
 
 def check_trace_identity(seed):
@@ -224,8 +227,7 @@ def check_trace_identity(seed):
         bundle = fisher_bundle(model, theta, povm)
         x = x_scalar(bundle, noise)
         worst_tr = max(worst_tr, abs(x - float(np.trace(xi_matrix(bundle, noise)))))
-        frame = diagonalize_frame(bundle)
-        worst_cx = max(worst_cx, abs(x - x_from_extremal_sum(bundle, frame, noise)))
+        worst_cx = max(worst_cx, abs(x - x_from_extremal_sum(bundle, noise)))
     return worst_tr <= 1e-10 and worst_cx <= 1e-9, \
         f"max |tr Xi - X| = {worst_tr:.3e}; max |convex-sum - X| = {worst_cx:.3e}"
 
@@ -291,24 +293,28 @@ def check_bound_order_and_exact(seed):
 
 
 def check_p1_collapse(seed):
-    from .model import StatisticalModel
-    delta = 0.3
-
-    def state_fn(v):
-        e = np.exp(-1j * v[0] - delta)
-        return 0.5 * np.array([[1.0, e], [np.conj(e), 1.0]])
-
-    def deriv_fn(v):
-        e = np.exp(-1j * v[0] - delta)
-        return [0.5 * np.array([[0.0, -1j * e], [np.conj(-1j * e), 0.0]])]
-
-    model = StatisticalModel(2, ("phi",), state_fn, derivative_fn=deriv_fn)
-    bundle = fisher_bundle(model, np.array([1.1]), separable_povm())
-    lo, _ = sigma_lower(bundle)
-    up, _ = sigma_upper(bundle)
-    sig = sigma_single(bundle)
-    worst = max(abs(lo - sig), abs(up - sig))
-    return worst <= 1e-10, f"|Sigma_L - sigma| = {abs(lo-sig):.2e}, |Sigma_U - sigma| = {abs(up-sig):.2e}"
+    # at P = 1, sigma_single, Sigma_L and Sigma_U equal the closed form
+    # sigma = 1 + (l_n^2 + l_m^2 + ||(l_n - l_m)(l_n + l_m) rho - 2 (l_n - l_m) d rho||_1) / (2F),
+    # taken here from the full-space state and direct traces, with no bundle
+    base, povm = qubit_phase_dephasing(), separable_povm()
+    errors = dict.fromkeys(("sigma", "Sigma_L", "Sigma_U"), 0.0)
+    for delta, phi in ((0.3, 1.1), (0.05, 2.0), (1.2, 0.3)):
+        model = StatisticalModel(
+            2, ("phi",), lambda v, d=delta: base.state_at([v[0], d]),
+            derivative_fn=lambda v, d=delta: base.derivatives_at([v[0], d])[:1])
+        theta = np.array([phi])
+        bundle = fisher_bundle(model, theta, povm)
+        rho, drho = model.state_at(theta), model.derivatives_at(theta)[0]
+        p = np.array([np.trace(rho @ E).real for E in povm.elements])
+        l = np.array([np.trace(drho @ E).real for E in povm.elements]) / p
+        F, ln, lm = float(p @ l ** 2), np.max(l), np.min(l)
+        sig = 1.0 + (ln ** 2 + lm ** 2 + trace_norm((ln - lm) * (ln + lm) * rho
+                                                      - 2.0 * (ln - lm) * drho)) / (2.0 * F)
+        values = (sigma_single(bundle), sigma_lower(bundle)[0], sigma_upper(bundle)[0])
+        for name, value in zip(errors, values):
+            errors[name] = max(errors[name], abs(value - sig))
+    return max(errors.values()) <= 1e-10, ", ".join(
+        f"|{name} - closed form| = {err:.2e}" for name, err in errors.items())
 
 
 def check_outcome_permutation_invariance(seed):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from fisusc.fisher import fisher_bundle
 from fisusc.model import (DomainError, Povm, StatisticalModel, mix_povm,
                           tensor_model, tensor_povm, validate_povm)
-from fisusc.models import (PointSourceConfig, point_source_model,
+from fisusc.models import (PointSourceConfig, bell_povm,
+                           optimal_povm_point_sources, point_source_model,
                            qubit_phase_dephasing, separable_povm)
 
 
@@ -77,6 +79,35 @@ def test_finite_difference_mode_and_stencil_domain_error():
     np.testing.assert_allclose(d, np.diag([-1.0, 1.0]), atol=1e-9)
     with pytest.raises(DomainError):
         model.derivatives_at([1e-7])
+
+
+def _non_finite_cases():
+    qubit = qubit_phase_dephasing()
+    # finite differences and no domain_fn: the state function itself takes NaN
+    phase_only = StatisticalModel(
+        2, ("phi",), lambda v: 0.5 * np.array([[1.0, np.exp(-1j * v[0] - 0.3)],
+                                               [np.exp(1j * v[0] - 0.3), 1.0]]))
+    cfg = PointSourceConfig(n_max=20, x_m=0.0)
+    return [pytest.param(qubit, [0.7, 0.3], separable_povm(), id="qubit"),
+            pytest.param(tensor_model(qubit, 2), [0.7, 0.3], bell_povm(), id="two-copy"),
+            pytest.param(phase_only, [0.7], separable_povm(), id="finite-difference"),
+            pytest.param(point_source_model(cfg), [0.0, 0.3, 0.3],
+                         optimal_povm_point_sources(cfg), id="point-sources")]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("model, theta, povm", _non_finite_cases())
+def test_non_finite_point_is_a_domain_error_for_every_model(model, theta, povm, bad):
+    # refused before any state, derivative or frame function runs, so
+    # nothing warns and no SVD is reached
+    for j in range(len(theta)):
+        point = list(theta)
+        point[j] = bad
+        assert not model.in_domain(point)
+        with pytest.raises(DomainError, match="outside the model domain"):
+            fisher_bundle(model, point, povm)
+    assert model.in_domain(theta)
 
 
 def test_validate_povm_separable():

@@ -123,10 +123,14 @@ def test_point_source_config_refuses_a_non_integral_n_max():
 
 
 def test_point_source_nan_point_is_a_domain_error():
-    # NaN coefficients fail the truncation test instead of reaching an SVD
+    # the model refuses the non-finite point before its frame function runs;
+    # that function's truncation test still fails NaN coefficients by itself,
+    # instead of letting them reach an SVD
     model = point_source_model(PointSourceConfig(n_max=20, x_m=0.0))
-    with pytest.raises(DomainError, match="truncation leakage nan"):
+    with pytest.raises(DomainError, match="outside the model domain"):
         model.frame_at([np.nan, 0.5, 0.3])
+    with pytest.raises(DomainError, match="truncation leakage nan"):
+        model._frame_fn(np.array([np.nan, 0.5, 0.3]))
 
 
 def test_point_source_n_max_stops_where_factorials_stay_finite():

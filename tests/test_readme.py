@@ -18,6 +18,8 @@ def test_readme_quick_start_runs():
     assert namespace["r"] == pytest.approx(2.0, abs=1e-12)
     assert namespace["x"] == pytest.approx(5.513, abs=5e-4)
     assert float(np.trace(namespace["xi"])) == pytest.approx(namespace["x"], abs=1e-12)
-    exact, report = namespace["exact"], namespace["report"]
+    exact, lower = namespace["exact"], namespace["lower"]
     assert exact.value == pytest.approx(12.711, abs=5e-4)
-    assert exact.pair_certified and exact.value == report.sigma_lower
+    assert exact.pair_certified and exact.value == lower
+    assert namespace["pair"] == (1, 3)
+    assert lower <= namespace["upper"] == pytest.approx(sum(namespace["sigmas"]), rel=1e-15)

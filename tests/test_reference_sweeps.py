@@ -58,14 +58,14 @@ def test_point_source_sweep_points_reduce_to_rank_four(tmp_path, monkeypatch, n_
     # point has a 4-dimensional joint support of rho and its derivatives,
     # dx = 0.01 included, where the 4th singular value of the operator stack
     # is 2.6e-8 of the largest
-    ranks, report = [], sweep.susceptibility_report
+    ranks, build = [], sweep.fisher_bundle
 
     def recording(*args):
-        out = report(*args)
-        ranks.append(out.diagnostics["support_rank"])
-        return out
+        bundle = build(*args)
+        ranks.append(bundle.support[1].shape[0])
+        return bundle
 
-    monkeypatch.setattr(sweep, "susceptibility_report", recording)
+    monkeypatch.setattr(sweep, "fisher_bundle", recording)
     spec = SweepSpec(model="point-sources", measurement="optimal-hg",
                      fixed={"x_c": 0.0, "q": 0.3}, sweep_name="dx", start=0.01,
                      stop=1.0, count=50, n_max=n_max, out=str(tmp_path / "ps.csv"))

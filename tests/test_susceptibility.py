@@ -12,11 +12,11 @@ from fisusc.model import Povm, StatisticalModel, tensor_model, validate_povm
 from fisusc.models import (PointSourceConfig, bell_povm,
                            optimal_povm_point_sources, point_source_model,
                            qubit_phase_dephasing, separable_povm, x_opt)
-from fisusc.susceptibility import (_best_pair, _exact_sdp, _k_operators,
-                                   diagonalize_frame, g_matrix, sigma_exact,
-                                   sigma_lower, sigma_single, sigma_upper,
-                                   susceptibility_report, x_finite_mix,
-                                   x_scalar, xi_matrix)
+from fisusc.susceptibility import (_best_pair, _canonical_diagonalizer,
+                                   _exact_sdp, _k_operators, g_matrix,
+                                   sigma_exact, sigma_lower, sigma_single,
+                                   sigma_upper, x_finite_mix, x_scalar,
+                                   xi_matrix)
 from fisusc.verify import _reparametrized_bundle as reparametrized_bundle
 from fisusc.verify import x_from_extremal_sum
 
@@ -67,21 +67,21 @@ def g_from_a_tensor(bundle, noise):
 
 
 def tilde_a_diag(bundle):
-    """The frame and its diagonal kernels A~_{a;kk} = l~_{a,k}^2 rho - 2 l~_{a,k} d~_k rho.
+    """F~, l~ = J l and the diagonal kernels A~_{a;kk} = l~_{a,k}^2 rho - 2 l~_{a,k} d~_k rho.
 
     An (E_kept, P, d, d) reference stack on the full space; `sigma_upper`
     reads the kernel at C_k = J_k J_k^T / F~_kk instead, K_a(C_k) = A~_{a;kk} / F~_kk.
     """
-    frame = diagonalize_frame(bundle)
-    tilde_derivs = np.einsum("jk,kxy->jxy", frame.jacobian, np.stack(bundle.derivatives))
-    l = frame.tilde_scores[:, :, None, None]
-    return frame, l ** 2 * bundle.rho - 2.0 * l * tilde_derivs
+    J, f = _canonical_diagonalizer(bundle)
+    s = bundle.scores @ J.T
+    tilde_derivs = np.einsum("jk,kxy->jxy", J, np.stack(bundle.derivatives))
+    l = s[:, :, None, None]
+    return f, s, l ** 2 * bundle.rho - 2.0 * l * tilde_derivs
 
 
 def sigma_upper_reference(bundle):
     """Sigma_U and the sigma_k, one `trace_norm` per parameter of the full stack."""
-    frame, A = tilde_a_diag(bundle)
-    s, f = frame.tilde_scores, frame.tilde_fisher
+    f, s, A = tilde_a_diag(bundle)
     sigmas = []
     for k in range(len(f)):
         n, m = np.argmax(s[:, k]), np.argmin(s[:, k])
@@ -97,10 +97,9 @@ def split_variant(bundle):
     sum_k ||A~_{a;kk} - A~_{b;kk}||_1 / (2 F~_kk); the pair bound takes one
     trace norm of the sum over k, ||K_a - K_b||_1 / 2.
     """
-    frame, A = tilde_a_diag(bundle)
-    f = frame.tilde_fisher
+    f, s, A = tilde_a_diag(bundle)
     i, j = np.triu_indices(len(A), 1)
-    L2 = np.sum(frame.tilde_scores ** 2 / f, axis=1)
+    L2 = np.sum(s ** 2 / f, axis=1)
     norms = np.sum(np.abs(np.linalg.eigvalsh(A[i] - A[j])), axis=-1)   # (pairs, P)
     return float(np.max(f.size + 0.5 * (L2[i] + L2[j]) + np.sum(norms / (2.0 * f), axis=1)))
 
@@ -359,11 +358,14 @@ def test_x_zero_padding_invariance():
 
 
 def test_x_convexity_identity_third_path():
-    model, theta, bundle = qubit_bundle((1.0, 0.35))
-    frame = diagonalize_frame(bundle)
-    x_direct = x_scalar(bundle, IDENTITY_NOISE)
-    x_convex = x_from_extremal_sum(bundle, frame, IDENTITY_NOISE)
-    assert x_convex == pytest.approx(x_direct, abs=1e-9)
+    # the route holds in any frame that diagonalizes F, so also at the
+    # degenerate F of (pi/4, 0.1), where eigh's basis is arbitrary; white
+    # noise has Tr[d rho N_a] = 0, so a random noise exercises delta_a
+    noise = random_noise(np.random.default_rng(3), separable_povm(), range(4))
+    for theta in ((1.0, 0.35), (np.pi / 4, 0.1)):
+        bundle = qubit_bundle(theta)[2]
+        for n in (IDENTITY_NOISE, noise):
+            assert x_from_extremal_sum(bundle, n) == pytest.approx(x_scalar(bundle, n), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +442,10 @@ def test_frame_diagonal_fisher_gives_signed_permutation():
     bundle = fisher_bundle(double, theta, bell_povm())
     # F is diagonal and non-degenerate here
     assert abs(bundle.fisher[0, 1]) <= 1e-12
-    frame = diagonalize_frame(bundle)
-    J = frame.jacobian
+    J, f = _canonical_diagonalizer(bundle)
     np.testing.assert_allclose(np.abs(J) @ np.abs(J).T, np.eye(2), atol=1e-10)
     assert np.all(np.isin(np.round(np.abs(J), 6), [0.0, 1.0]))
-    np.testing.assert_allclose(np.sort(frame.tilde_fisher),
+    np.testing.assert_allclose(np.sort(f),
                                np.sort(np.diag(bundle.fisher)), atol=1e-12)
 
 
@@ -452,29 +453,29 @@ def test_frame_degenerate_fisher_is_identity_aligned():
     # at phi = pi/4 the separable-POVM Fisher matrix is proportional to the
     # identity; the canonical frame must resolve the degeneracy to J = I
     _, _, bundle = qubit_bundle((np.pi / 4, 0.1))
-    frame = diagonalize_frame(bundle)
-    np.testing.assert_allclose(frame.jacobian, np.eye(2), atol=1e-10)
+    J, _ = _canonical_diagonalizer(bundle)
+    np.testing.assert_allclose(J, np.eye(2), atol=1e-10)
 
 
 def test_frame_trace_identity_random_instance():
     _, _, bundle = qubit_bundle((0.8, 0.45))
-    frame = diagonalize_frame(bundle)
-    F, J = bundle.fisher, frame.jacobian
+    J, f = _canonical_diagonalizer(bundle)
+    F = bundle.fisher
     Ft = J @ F @ J.T
     off = Ft - np.diag(np.diag(Ft))
     assert np.max(np.abs(off)) <= 1e-9
     G = g_matrix(bundle, IDENTITY_NOISE)
     Gt = J @ G @ J.T
     lhs = float(np.trace(np.linalg.inv(F) @ G))
-    rhs = float(np.sum(np.diag(Gt) / frame.tilde_fisher))
+    rhs = float(np.sum(np.diag(Gt) / f))
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
 def test_frame_x_invariance():
     _, _, bundle = qubit_bundle((0.8, 0.45))
-    frame = diagonalize_frame(bundle)
+    J, _ = _canonical_diagonalizer(bundle)
     x_orig = x_scalar(bundle, IDENTITY_NOISE)
-    x_tilde = x_scalar(reparametrized_bundle(bundle, frame.jacobian), IDENTITY_NOISE)
+    x_tilde = x_scalar(reparametrized_bundle(bundle, J), IDENTITY_NOISE)
     assert x_tilde == pytest.approx(x_orig, abs=1e-9)
 
 
@@ -485,7 +486,7 @@ def test_frame_requires_invertible_fisher():
     model = point_source_model(cfg)
     bundle = fisher_bundle(model, theta, optimal_povm_point_sources(cfg))
     with pytest.raises(SingularFisherError):
-        diagonalize_frame(bundle)
+        sigma_upper(bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +575,7 @@ def test_sigma_lower_invariant_under_degenerate_rotation():
     _, _, bundle = qubit_bundle((np.pi / 4, 0.1))
     th = 0.7
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    J0 = diagonalize_frame(bundle).jacobian
+    J0 = _canonical_diagonalizer(bundle)[0]
     J1 = R @ J0
     lo = sigma_lower(bundle)[0]
     for J in (J0, J1):
@@ -627,20 +628,19 @@ def test_report_flags_split_variant_on_bell_instance():
     Y = K[b] + (U * np.maximum(w, 0.0)) @ U.conj().T
     shift = max(np.linalg.eigvalsh(Kc - Y)[-1] for Kc in K)
     dual = bundle.n_params + np.trace(Y).real + len(Y) * shift      # 24.72
-    report = susceptibility_report(bundle)
+    lower, upper = sigma_lower(bundle)[0], sigma_upper(bundle)[0]
     exact = sigma_exact(bundle)
-    assert report.sigma_lower < exact.value <= exact.value + exact.exact_gap <= dual
+    assert lower < exact.value <= exact.value + exact.exact_gap <= dual
     assert exact.value == pytest.approx(24.573798, rel=1e-6)
-    assert report.sigma_lower + 2.0 < split < report.sigma_upper
+    assert lower + 2.0 < split < upper
     assert split > exact.value + exact.exact_gap + 2.0
 
 
 def test_split_diagnostic_is_computed_when_read():
-    # the report no longer carries the split variant; it is computed only
+    # no bound or bundle carries the split variant; it is computed only
     # when asked for, from the frame of the bundle
     bundle = _bell_instance()
-    report = susceptibility_report(bundle)
-    assert not hasattr(report, "sigma_lower_split")
+    assert not hasattr(bundle, "sigma_lower_split")
     assert split_variant(bundle) == pytest.approx(26.80416466489899, rel=1e-9)
 
 
@@ -713,12 +713,12 @@ def test_shared_kernel_and_lazy_noise_change_no_value(fresh_bundle):
     # Sigma_L and the exact worst case read one cached K and best pair;
     # either order of evaluation gives the same bits
     first = fresh_bundle()
-    exact_first, report_first = sigma_exact(first), susceptibility_report(first)
+    exact_first, bounds_first = sigma_exact(first), (sigma_lower(first), sigma_upper(first))
     second = fresh_bundle()
-    report_second, exact_second = susceptibility_report(second), sigma_exact(second)
+    bounds_second, exact_second = (sigma_lower(second), sigma_upper(second)), sigma_exact(second)
     assert exact_first.value == exact_second.value
     assert exact_first.exact_gap == exact_second.exact_gap
-    assert report_first.sigma_lower == report_second.sigma_lower
+    assert bounds_first == bounds_second
     assert first.k_operators is first.k_operators
     np.testing.assert_array_equal(first.k_operators, _k_operators(first))
     assert first.best_pair == _best_pair(_k_operators(first))
@@ -739,10 +739,9 @@ def test_shared_kernel_and_lazy_noise_change_no_value(fresh_bundle):
 
 def test_report_qubit_instance_no_flag():
     bundle = qubit_bundle()[2]
-    report = susceptibility_report(bundle)
-    assert report.best_pair == (1, 3)
-    assert not hasattr(report, "oracle_best")
-    assert sigma_exact(bundle).value == report.sigma_lower     # pair-certified
+    lower, pair = sigma_lower(bundle)
+    assert pair == (1, 3)
+    assert sigma_exact(bundle).value == lower     # pair-certified
 
 
 # ---------------------------------------------------------------------------
@@ -785,9 +784,8 @@ def test_frame_kernels_sum_to_the_cached_kernel(model, theta, povm):
     # linear in C, so sum_k K(C_k) is the cached K; Sigma_U read from the
     # K(C_k) equals the reference built from the full-space A~ operators
     bundle = fisher_bundle(model, theta, povm)
-    frame = diagonalize_frame(bundle)
-    J = frame.jacobian
-    C = J[:, :, None] * J[:, None, :] / frame.tilde_fisher[:, None, None]
+    J, f = _canonical_diagonalizer(bundle)
+    C = J[:, :, None] * J[:, None, :] / f[:, None, None]
     K = bundle.k_operators
     np.testing.assert_allclose(np.sum(_k_operators(bundle, C), axis=0), K,
                                rtol=0, atol=1e-10 * np.max(np.abs(K)))
@@ -889,8 +887,7 @@ def test_support_reduction_matches_full_dimension(seed, k, rank, extra, P, more_
     V, rho, derivs = bundle.support
     assert V.shape == (d, k)
     np.testing.assert_allclose(V.conj().T @ V, np.eye(k), atol=1e-12)
-    report = susceptibility_report(bundle)
-    assert report.diagnostics["support_rank"] == k
+    assert bundle.support[1].shape[0] == k
     # full-dimensional evaluation of the same quantities
     dense = dense_bundle(bundle, model, theta)
     Q_full = _slds(dense.rho, dense.derivatives)[1]
@@ -898,9 +895,9 @@ def test_support_reduction_matches_full_dimension(seed, k, rank, extra, P, more_
     np.testing.assert_allclose(Q_red, Q_full, rtol=0, atol=1e-10 * np.max(np.abs(Q_full)))
     lower = bundle.n_params + _best_pair(_k_operators(dense))[1]
     upper, sigmas = sigma_upper_reference(dense)
-    assert report.sigma_lower == pytest.approx(lower, rel=1e-10)
-    assert report.sigma_upper == pytest.approx(upper, rel=1e-10)
-    np.testing.assert_allclose(report.per_parameter_sigmas, sigmas, rtol=1e-10)
+    assert sigma_lower(bundle)[0] == pytest.approx(lower, rel=1e-10)
+    assert sigma_upper(bundle)[0] == pytest.approx(upper, rel=1e-10)
+    np.testing.assert_allclose(sigma_upper(bundle)[1], sigmas, rtol=1e-10)
 
 
 @pytest.mark.parametrize("model, theta, povm", instances(12, 1))
@@ -1040,7 +1037,7 @@ def test_full_rank_bundle_is_its_own_support():
     V, rho, derivs = bundle.support
     assert V is None and rho is model.state_at(theta)
     assert bundle.rho is rho and bundle.derivatives is derivs
-    assert susceptibility_report(bundle).diagnostics["support_rank"] == 2
+    assert bundle.support[1].shape[0] == 2
 
 
 def test_point_source_bundle_holds_its_rank_four_support():

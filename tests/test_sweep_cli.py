@@ -26,7 +26,8 @@ from fisusc.models import (PointSourceConfig, bell_povm,
 from fisusc.susceptibility import sigma_exact
 from fisusc.sweep import (SweepSpec, SweepSpecError, build_model_povm,
                           evaluate_point, run_sweep, sweep_columns)
-from fisusc.verify import (check_hg_orthonormality, check_tensor_associativity,
+from fisusc.verify import (check_hg_orthonormality, check_p1_collapse,
+                           check_tensor_associativity,
                            check_truncation_convergence, run_verify)
 
 PHI = float(np.pi / 4)
@@ -408,6 +409,18 @@ def test_tensor_associativity_check_sees_a_transposed_factor(monkeypatch):
     assert not passed, detail
 
 
+def test_p1_collapse_check_sees_an_error_the_bounds_share(monkeypatch):
+    # sigma_single, Sigma_L and Sigma_U all take the pair value of one K;
+    # the check's closed form does not, so an error in it fails the check
+    passed, detail = check_p1_collapse(0)
+    assert passed and max(float(x.rsplit(" ", 1)[1]) for x in detail.split(", ")) > 0.0
+    pair_values = susceptibility._pair_values
+    monkeypatch.setattr(susceptibility, "_pair_values",
+                        lambda K, i, j: pair_values(K, i, j) + 1e-6)
+    passed, detail = check_p1_collapse(0)
+    assert not passed, detail
+
+
 def test_truncation_check_sees_a_dropped_mode(monkeypatch):
     # the check's point leaks visibly at the smaller n_max: the change reads
     # non-zero on working code, and losing the last retained mode fails it
@@ -452,7 +465,7 @@ def test_non_numerical_error_in_a_point_propagates(tmp_path, monkeypatch):
     def broken(*args):
         raise ValueError("not a numerical failure")
 
-    monkeypatch.setattr(sweep, "susceptibility_report", broken)
+    monkeypatch.setattr(sweep, "sigma_upper", broken)
     with pytest.raises(ValueError, match="not a numerical failure"):
         run_sweep(small_spec(tmp_path))
 
