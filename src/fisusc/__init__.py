@@ -9,9 +9,9 @@ bounds and optimality diagnostics.
 from .linalg import HermiticityError, eig_hermitian, hermitize, trace_norm
 from .model import (DomainError, Povm, PovmValidation, StatisticalModel,
                     mix_povm, tensor_model, tensor_povm, validate_povm)
-from .fisher import (FisherBundle, QfiBundle, SingularFisherError,
-                     SingularScoreError, fisher_bundle, qfi_matrix, r_metric,
-                     r_nuisance, sld, weak_commutativity)
+from .fisher import (FisherBundle, SingularFisherError, SingularScoreError,
+                     fisher_bundle, qfi_matrix, r_metric, r_nuisance, sld,
+                     weak_commutativity)
 from .susceptibility import (ExactWorstCase, g_matrix, sigma_exact,
                              sigma_lower, sigma_single, sigma_upper,
                              x_finite_mix, x_scalar, xi_matrix)
@@ -26,7 +26,7 @@ __all__ = [
     "HermiticityError", "eig_hermitian", "hermitize", "trace_norm",
     "DomainError", "Povm", "PovmValidation", "StatisticalModel",
     "mix_povm", "tensor_model", "tensor_povm", "validate_povm",
-    "FisherBundle", "QfiBundle", "SingularFisherError", "SingularScoreError",
+    "FisherBundle", "SingularFisherError", "SingularScoreError",
     "fisher_bundle", "qfi_matrix", "r_metric", "r_nuisance", "sld",
     "weak_commutativity",
     "ExactWorstCase", "g_matrix", "sigma_exact", "sigma_lower", "sigma_single",

@@ -89,7 +89,7 @@ def _load_config(path):
 
 
 def _spec_from_args(args):
-    """Merge config file and flags (flags win) into a SweepSpec."""
+    """Merge config file and flags (flags win) into a SweepSpec (`run_sweep` validates)."""
     cfg = _load_config(args.config)
     fixed = dict(_mapping(cfg.get("fix"), "config 'fix:'"))
     fixed.update(_parse_fix(args.fix))
@@ -128,7 +128,6 @@ def _spec_from_args(args):
         )
     except (TypeError, ValueError) as err:
         raise SweepSpecError(f"malformed value in the sweep specification: {err}")
-    spec.validate()
     return spec
 
 
@@ -180,7 +179,7 @@ def _cmd_show_model(args):
     try:
         bundle = fisher_bundle(model, theta, povm)
         rho, F = bundle.rho, bundle.fisher
-        Q = qfi_matrix(model, theta).qfi     # the Q of a sweep row, bit for bit
+        Q = qfi_matrix(model, theta)     # the Q of a sweep row, bit for bit
     except ValueError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE

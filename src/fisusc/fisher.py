@@ -31,12 +31,13 @@ Every operator the SLDs and the susceptibility bounds use is a linear
 combination of ``rho`` and its derivatives, so it lives in their joint
 range S.  `fisher_bundle` restricts the point to S once (`_support`) and
 keeps only the restriction, ``FisherBundle.support = (V, rho', d_j rho')``
-with ``X' = V^dag X V`` for an orthonormal basis V of S, or V None when S
-is the whole space.  Trace norms, spectra and the quantum Fisher matrix
-are unchanged by the restriction.  The rank-4 point-source frame in
-d = 49 gives r = 4 from one SVD of its 4 x 4 cores, and a full-rank dense
-state keeps the whole space after one Cholesky.  The same rule gives the
-operators of `qfi_matrix`, so every model's Q comes from its support.
+with ``X' = V^dag X V`` for an orthonormal (d, r) basis V of S; V is the
+identity when S is the whole space.  An operator on the support maps
+back as ``V X' V^dag``.  Trace norms, spectra and the quantum Fisher
+matrix are unchanged by the restriction.  The rank-4 point-source frame
+in d = 49 gives r = 4 from one SVD of its 4 x 4 cores, and a full-rank
+dense state keeps the whole space after one Cholesky.  `qfi_matrix`
+takes Q from the same support, so every model's Q is a sweep row's Q.
 """
 
 from dataclasses import dataclass
@@ -78,8 +79,8 @@ class FisherBundle:
         Indices of outcomes with probability above the cutoff.
     support : (V, rho, derivatives)
         rho and its derivatives on their joint range (`_support`): V is an
-        orthonormal (d, r) basis of it, or None for the whole space, and
-        the operators are the r x r ``V^dag X V``.
+        orthonormal (d, r) basis of it (the identity for the whole space),
+        and the operators are the r x r ``V^dag X V``.
     rho, derivatives : the full-space operators ``V X V^dag``, built when
         first read.
     fisher_inverse : (P, P) array
@@ -103,18 +104,17 @@ class FisherBundle:
 
     @property
     def dim(self):
-        V, rho, _ = self.support
-        return (rho if V is None else V).shape[0]
+        return self.support[0].shape[0]
 
     @cached_property
     def rho(self):
         V, rho, _ = self.support
-        return rho if V is None else _lift(V, rho)
+        return _lift(V, rho)
 
     @cached_property
     def derivatives(self):
         V, _, derivs = self.support
-        return derivs if V is None else tuple(_lift(V, np.asarray(derivs)))
+        return tuple(_lift(V, np.asarray(derivs)))
 
     @cached_property
     def fisher_inverse(self):
@@ -149,21 +149,21 @@ def _support(B, rho, derivs):
     """``(V, rho', derivs')``: the operators ``B X B^dag`` on their joint range.
 
     ``X' = V^dag B X B^dag V`` for an orthonormal (d, r) basis V of the range.
-    Without a frame (B None) the range is the whole space, and V None with
-    the operators returned as they are, when the Cholesky factor of rho has
-    every squared pivot above ``SUPPORT_RTOL`` times its largest diagonal
-    entry; otherwise V is `_support_basis` of the d x d operators.  With a
-    frame, ``B = W T`` (reduced QR) and `_support_basis` U of the cores
-    ``T X T^dag`` gives ``V = W U`` (V = W when U is None).  The Cholesky
-    test is for dense models only: a frame's state core has rank 2 for the
-    point sources, so it would fail on every point.
+    Without a frame (B None) the range is the whole space, and V the
+    identity with the operators returned as they are, when the Cholesky
+    factor of rho has every squared pivot above ``SUPPORT_RTOL`` times its
+    largest diagonal entry; otherwise V is `_support_basis` of the d x d
+    operators.  With a frame, ``B = W T`` (reduced QR) and `_support_basis`
+    U of the cores ``T X T^dag`` gives ``V = W U`` (V = W when U is None).
+    The Cholesky test is for dense models only: a frame's state core has
+    rank 2 for the point sources, so it would fail on every point.
     """
     ops = (rho,) + derivs
     if B is None:
         try:
             pivots = np.linalg.cholesky(rho).diagonal().real
             if pivots.min() ** 2 > SUPPORT_RTOL * rho.diagonal().real.max():
-                return None, rho, derivs
+                return np.eye(rho.shape[0]), rho, derivs
         except np.linalg.LinAlgError:
             pass
     else:
@@ -173,7 +173,7 @@ def _support(B, rho, derivs):
     if U is not None:
         ops = U.conj().T @ np.asarray(ops) @ U
     elif B is None:
-        return None, rho, derivs
+        return np.eye(rho.shape[0]), rho, derivs
     V = U if B is None else (W if U is None else W @ U)
     return V, ops[0], tuple(ops[1:])
 
@@ -271,38 +271,20 @@ def _eigen_slds(rho, derivs):
     return V, Lp, (Q + Q.T) / 2.0
 
 
-def _slds(rho, derivs, V=None):
-    """``(L, Q)``: the SLDs of `_eigen_slds` mapped back to the full basis,
-    through V when the operators are the ``V^dag X V`` of `_support`."""
-    U, Lp, Q = _eigen_slds(rho, derivs)
-    if V is not None:
-        U = V @ U
-    X = U @ Lp @ U.conj().T
-    return (X + X.conj().swapaxes(-1, -2)) / 2.0, Q
-
-
 def sld(rho, drho):
     """Symmetric logarithmic derivative solving 2 drho = L rho + rho L.
 
-    Validates its inputs and evaluates `_slds` for one derivative.
+    Validates its inputs and maps the one operator of `_eigen_slds` back
+    through rho's eigenbasis.
     """
-    return _slds(hermitize(rho), [hermitize(drho)])[0][0]
-
-
-@dataclass(frozen=True)
-class QfiBundle:
-    """Symmetric logarithmic derivatives and the quantum Fisher matrix."""
-
-    slds: tuple
-    qfi: np.ndarray
+    U, Lp, _ = _eigen_slds(hermitize(rho), [hermitize(drho)])
+    return _lift(U, Lp)[0]
 
 
 def qfi_matrix(model, theta):
-    """Quantum Fisher information matrix via SLD operators, from the
-    operators on the support (`_support`) like a sweep row's Q."""
-    V, rho, derivs = _support(*model.frame_at(theta))
-    L, Q = _slds(rho, derivs, V)
-    return QfiBundle(slds=tuple(L), qfi=Q)
+    """Quantum Fisher matrix Q via SLD operators, from the operators on the
+    support (`_support`), like a sweep row's Q."""
+    return _eigen_slds(*_support(*model.frame_at(theta))[1:])[2]
 
 
 def weak_commutativity(rho, L_j, L_k):

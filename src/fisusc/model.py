@@ -80,8 +80,8 @@ class StatisticalModel:
 
     def _check_domain(self, values):
         if not self.in_domain(values):
-            raise DomainError(
-                f"theta = {dict(zip(self.param_names, values))} outside the model domain")
+            raise DomainError(f"theta = {dict(zip(self.param_names, map(float, values)))} "
+                              f"outside the model domain")
 
     def _memo(self, what, theta, evaluate):
         values = self._theta_values(theta)
@@ -135,7 +135,7 @@ class StatisticalModel:
                 if self._domain_fn is not None and not self._domain_fn(stencil):
                     raise DomainError(
                         f"central stencil for {self.param_names[j]} leaves the domain "
-                        f"at {dict(zip(self.param_names, values))} (step {h})")
+                        f"at {dict(zip(self.param_names, map(float, values)))} (step {h})")
             derivs.append((np.asarray(self._state_fn(up))
                            - np.asarray(self._state_fn(dn))) / (2.0 * h))
         return hermitize(derivs)

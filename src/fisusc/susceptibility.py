@@ -95,10 +95,9 @@ def _aligned_noise_elements(bundle, noise):
                 f"noise element {a} acts on an outcome the target measurement "
                 f"assigns vanishing probability; the first-order susceptibility "
                 f"is undefined there")
-    V, elements = bundle.support[0], noise.elements[on_kept]
-    if V is not None:
-        elements = V.conj().T @ elements @ V
-    return np.array([slot_of[a] for a in on_kept], dtype=int), elements
+    V = bundle.support[0]
+    return (np.array([slot_of[a] for a in on_kept], dtype=int),
+            V.conj().T @ noise.elements[on_kept] @ V)
 
 
 def g_matrix(bundle: FisherBundle, noise: Povm):
@@ -299,9 +298,8 @@ class ExactWorstCase:
         """V N_a V^dag on kept outcome a, plus I - V V^dag on b; built on first read."""
         N, V, kept, b, shape = self._lift
         elements = np.zeros(shape, dtype=N.dtype)
-        elements[kept] = N if V is None else V @ N @ V.conj().T
-        if V is not None:
-            elements[kept[b]] += np.eye(shape[1]) - V @ V.conj().T
+        elements[kept] = V @ N @ V.conj().T
+        elements[kept[b]] += np.eye(shape[1]) - V @ V.conj().T
         return Povm(elements)
 
 

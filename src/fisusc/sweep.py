@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fisher import (SingularFisherError, SingularScoreError, _eigen_slds,
-                     _qfi_inverse, _ratios, _support, fisher_bundle)
+                     _qfi_inverse, _ratios, fisher_bundle, qfi_matrix)
 from .linalg import HermiticityError
 from .model import DomainError, tensor_model
 from .models import (N_MAX_LIMIT, PointSourceConfig, bell_povm,
@@ -223,8 +223,7 @@ def evaluate_point(spec, index, sweep_value):
         for key, f, q in zip(pairs, _upper_triangle(F), _upper_triangle(Q)):
             row[f"F_{key}"], row[f"Q_{key}"] = f, q
         Finv, Qinv = bundle.fisher_inverse, _qfi_inverse(Q)
-        Q1inv = Qinv if copies == 1 else _qfi_inverse(_eigen_slds(
-            *_support(*single_copy.frame_at(theta))[1:])[2])
+        Q1inv = Qinv if copies == 1 else _qfi_inverse(qfi_matrix(single_copy, theta))
         row["r_multi"] = _ratios(Finv, Q1inv, copies)[0]
         for n, r in zip(names, _ratios(Finv, Qinv)[1]):
             row[f"r_nuisance_{n}"] = float(r)

@@ -56,6 +56,16 @@ def _random_hermitian(rng, dim):
     return hermitize((z + z.conj().T) / 2.0)
 
 
+def _random_qubit_noise(rng):
+    """Qubit noise ``S^-1/2 A_a S^-1/2``, ``A_a = G_a G_a^dag`` (G_a complex Gaussian,
+    4 outcomes, S = sum A_a): unlike white noise, it gives X non-zero n_a terms."""
+    G = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+    A = G @ G.conj().swapaxes(-1, -2)
+    w, U = np.linalg.eigh(np.sum(A, axis=0))
+    R = (U / np.sqrt(w)) @ U.conj().T
+    return Povm(R @ A @ R)
+
+
 def _qubit_instances(rng, n):
     model = qubit_phase_dephasing()
     for _ in range(n):
@@ -146,7 +156,7 @@ def check_qfi_dominates_fisher(seed):
     povm = separable_povm()
     for model, theta in _qubit_instances(rng, 8):
         F = fisher_bundle(model, theta, povm).fisher
-        Q = qfi_matrix(model, theta).qfi
+        Q = qfi_matrix(model, theta)
         worst = min(worst, float(np.linalg.eigvalsh(Q - F)[0]))
     return worst >= -1e-8, f"min eig(Q - F) = {worst:.3e}"
 
@@ -181,7 +191,7 @@ def check_r_bounds(seed):
     povm = separable_povm()
     for model, theta in _qubit_instances(rng, 6):
         F = fisher_bundle(model, theta, povm).fisher
-        Q = qfi_matrix(model, theta).qfi
+        Q = qfi_matrix(model, theta)
         r = r_metric(F, Q, m=1)
         rn = r_nuisance(F, Q, 0)
         values += [r, rn]
@@ -221,9 +231,9 @@ def x_from_extremal_sum(bundle, noise):
 def check_trace_identity(seed):
     rng = np.random.default_rng(seed)
     worst_tr, worst_cx = 0.0, 0.0
-    noise = Povm([np.eye(2) / 4.0] * 4)
     povm = separable_povm()
     for model, theta in _qubit_instances(rng, 6):
+        noise = _random_qubit_noise(rng)
         bundle = fisher_bundle(model, theta, povm)
         x = x_scalar(bundle, noise)
         worst_tr = max(worst_tr, abs(x - float(np.trace(xi_matrix(bundle, noise)))))
@@ -250,7 +260,7 @@ def check_reparametrization_invariance(seed):
     rng = np.random.default_rng(seed)
     model = qubit_phase_dephasing()
     theta = np.array([0.9, 0.4])
-    noise = Povm([np.eye(2) / 4.0] * 4)
+    noise = _random_qubit_noise(rng)
     bundle = fisher_bundle(model, theta, separable_povm())
     x0 = x_scalar(bundle, noise)
     worst = 0.0
@@ -322,7 +332,7 @@ def check_outcome_permutation_invariance(seed):
     model = qubit_phase_dephasing()
     theta = np.array([0.6, 0.25])
     target = separable_povm()
-    noise = Povm([np.eye(2) / 4.0] * 4)
+    noise = _random_qubit_noise(rng)
     perm = rng.permutation(4)
     target_p = Povm([target.elements[i] for i in perm])
     noise_p = Povm([noise.elements[i] for i in perm])
@@ -338,7 +348,7 @@ def check_zero_padding_invariance(seed):
     model = qubit_phase_dephasing()
     theta = np.array([0.6, 0.25])
     target = separable_povm()
-    noise = Povm([np.eye(2) / 4.0] * 4)
+    noise = _random_qubit_noise(np.random.default_rng(seed))
     padded = Povm(list(noise.elements) + [np.zeros((2, 2))] * 2)
     bundle = fisher_bundle(model, theta, target)
     x0 = x_scalar(bundle, noise)
@@ -394,8 +404,8 @@ def check_two_copy_consistency(seed):
     double = tensor_model(model, 2)
     rho2 = double.state_at(theta)
     ok = abs(float(np.real(np.trace(rho2))) - 1.0) <= 1e-10
-    Q1 = qfi_matrix(model, theta).qfi
-    Q2 = qfi_matrix(double, theta).qfi
+    Q1 = qfi_matrix(model, theta)
+    Q2 = qfi_matrix(double, theta)
     add_err = float(np.max(np.abs(Q2 - 2 * Q1)))
     h = 1e-5
     up, dn = theta.copy(), theta.copy()

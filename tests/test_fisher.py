@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import solve_sylvester
 
 from fisusc.fisher import (SingularFisherError, SingularScoreError,
-                           _checked_inverse, _slds, fisher_bundle, qfi_matrix,
+                           _checked_inverse, _eigen_slds, fisher_bundle, qfi_matrix,
                            r_metric, r_nuisance, sld, weak_commutativity)
 from fisusc.model import Povm, StatisticalModel, tensor_model
 from fisusc.models import (PointSourceConfig, bell_povm,
@@ -206,9 +206,9 @@ def test_qfi_qubit_values():
     # residual is asserted separately, so this freezes the symbolic result
     model = qubit_phase_dephasing()
     delta = 0.3
-    qfi = qfi_matrix(model, [np.pi / 4, delta])
+    Q = qfi_matrix(model, [np.pi / 4, delta])
     u = np.exp(-2 * delta)
-    np.testing.assert_allclose(qfi.qfi, np.diag([u, u / (1 - u)]), atol=1e-10)
+    np.testing.assert_allclose(Q, np.diag([u, u / (1 - u)]), atol=1e-10)
 
 
 def test_small_dephasing_bell_row_succeeds():
@@ -229,10 +229,11 @@ def test_small_dephasing_bell_row_succeeds():
     theta = [np.pi / 4, delta]
     rho = double.state_at(theta)
     derivs = double.derivatives_at(theta)
-    L, Q = _slds(rho, derivs)
-    for drho, Lj in zip(derivs, L):
+    Q = _eigen_slds(rho, derivs)[2]
+    for drho in derivs:
+        Lj = sld(rho, drho)
         assert np.max(np.abs(2 * drho - Lj @ rho - rho @ Lj)) <= 1e-10
-    Q1 = qfi_matrix(qubit_phase_dephasing(), theta).qfi
+    Q1 = qfi_matrix(qubit_phase_dephasing(), theta)
     np.testing.assert_allclose(Q, 2.0 * Q1, rtol=1e-10, atol=1e-12 * np.max(np.abs(Q)))
 
 
@@ -258,10 +259,12 @@ def test_batched_slds_match_per_operator_formula(rank):
     rng = np.random.default_rng(17 + rank)
     for _ in range(5):
         rho, derivs = _random_state_and_derivatives(rng, 5, rank, 3)
-        L, Q = _slds(rho, derivs)
-        for d, Lj in zip(derivs, L):
+        # the shared-eigh batch, mapped back, is the per-operator sld
+        U, Lp, Q = _eigen_slds(rho, derivs)
+        L = [sld(rho, d) for d in derivs]
+        for d, Lj, Lpj in zip(derivs, L, Lp):
             assert np.max(np.abs(2 * d - Lj @ rho - rho @ Lj)) <= 1e-10
-            np.testing.assert_allclose(Lj, sld(rho, d), atol=1e-12)
+            np.testing.assert_allclose(U @ Lpj @ U.conj().T, Lj, atol=1e-12)
         expected = np.array([[0.5 * np.real(np.trace(rho @ (Lj @ Lk + Lk @ Lj)))
                               for Lk in L] for Lj in L])
         np.testing.assert_allclose(Q, expected, rtol=0,
@@ -276,8 +279,8 @@ def test_batched_slds_match_per_operator_formula(rank):
 def test_qfi_two_copy_additivity():
     model = qubit_phase_dephasing()
     theta = [0.7, 0.3]
-    Q1 = qfi_matrix(model, theta).qfi
-    Q2 = qfi_matrix(tensor_model(model, 2), theta).qfi
+    Q1 = qfi_matrix(model, theta)
+    Q2 = qfi_matrix(tensor_model(model, 2), theta)
     np.testing.assert_allclose(Q2, 2.0 * Q1, atol=1e-9)
 
 
@@ -285,9 +288,9 @@ def test_weak_commutativity_qubit_vanishes():
     model = qubit_phase_dephasing()
     theta = [np.pi / 4, 0.3]
     rho = model.state_at(theta)
-    qfi = qfi_matrix(model, theta)
-    assert weak_commutativity(rho, qfi.slds[0], qfi.slds[1]) <= 1e-9
-    assert weak_commutativity(rho, qfi.slds[0], qfi.slds[0]) == 0.0
+    L = [sld(rho, d) for d in model.derivatives_at(theta)]
+    assert weak_commutativity(rho, L[0], L[1]) <= 1e-9
+    assert weak_commutativity(rho, L[0], L[0]) == 0.0
 
 
 def test_weak_commutativity_point_sources_reported():
@@ -295,8 +298,8 @@ def test_weak_commutativity_point_sources_reported():
     model = point_source_model(cfg)
     theta = [0.0, 0.5, 0.3]
     rho = model.state_at(theta)
-    qfi = qfi_matrix(model, theta)
-    value = weak_commutativity(rho, qfi.slds[0], qfi.slds[1])
+    L = [sld(rho, d) for d in model.derivatives_at(theta)]
+    value = weak_commutativity(rho, L[0], L[1])
     assert np.isfinite(value)   # reported, no claim made on its size
 
 
@@ -307,7 +310,7 @@ def test_r_metric_separable_is_two_on_grid():
     for phi in np.linspace(0.1, 2 * np.pi, 7):
         for delta in (0.05, 0.3, 1.0):
             F = fisher_bundle(model, [phi, delta], povm).fisher
-            Q = qfi_matrix(model, [phi, delta]).qfi
+            Q = qfi_matrix(model, [phi, delta])
             assert r_metric(F, Q, m=1) == pytest.approx(2.0, abs=1e-9)
 
 
@@ -317,7 +320,7 @@ def test_r_metric_bell_closed_form():
     theta = [np.pi / 4, delta]
     double = tensor_model(model, 2)
     F = fisher_bundle(double, theta, bell_povm()).fisher
-    Q1 = qfi_matrix(model, theta).qfi
+    Q1 = qfi_matrix(model, theta)
     closed = (1 - 2 * np.exp(4 * delta)) / (1 - 2 * np.exp(2 * delta))
     assert r_metric(F, Q1, m=2) == pytest.approx(closed, abs=1e-10)
     assert closed == pytest.approx(1.376, abs=2e-3)
@@ -354,7 +357,7 @@ def test_r_nuisance_identity_and_bounds():
     assert r_nuisance(Q, Q, 0) == pytest.approx(1.0, abs=1e-14)
     model = qubit_phase_dephasing()
     F = fisher_bundle(model, [0.9, 0.4], separable_povm()).fisher
-    Qq = qfi_matrix(model, [0.9, 0.4]).qfi
+    Qq = qfi_matrix(model, [0.9, 0.4])
     for j in range(2):
         assert r_nuisance(F, Qq, j) >= 1.0 - 1e-9
 
@@ -365,7 +368,7 @@ def _point_source_r(q, dx):
     model = point_source_model(cfg)
     povm = optimal_povm_point_sources(cfg)
     F = fisher_bundle(model, theta, povm).fisher
-    Q = qfi_matrix(model, theta).qfi
+    Q = qfi_matrix(model, theta)
     Finv, Qinv = np.linalg.inv(F), np.linalg.inv(Q)
     return (float(Finv[1, 1] / Qinv[1, 1]),
             float(np.trace(Finv) / np.trace(Qinv)))
@@ -396,11 +399,11 @@ def test_qfi_dominates_fisher_matrix_bound():
     for _ in range(6):
         theta = [rng.uniform(0, 2 * np.pi), rng.uniform(0.05, 1.2)]
         F = fisher_bundle(model, theta, separable_povm()).fisher
-        Q = qfi_matrix(model, theta).qfi
+        Q = qfi_matrix(model, theta)
         assert np.linalg.eigvalsh(Q - F)[0] >= -1e-8
     theta = np.array([0.0, 0.4, 0.3])
     cfg = PointSourceConfig(n_max=20, x_m=x_opt(*theta))
     ps = point_source_model(cfg)
     F = fisher_bundle(ps, theta, optimal_povm_point_sources(cfg)).fisher
-    Q = qfi_matrix(ps, theta).qfi
+    Q = qfi_matrix(ps, theta)
     assert np.linalg.eigvalsh(Q - F)[0] >= -1e-8

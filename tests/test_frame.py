@@ -245,7 +245,7 @@ def test_q_is_one_evaluation_on_every_route(monkeypatch, fixed, value):
     rows.append(evaluate_point(spec, 0, value))
     names = ("x_c", "dx", "q")
     for row, m in zip(rows, (model, twin)):
-        Q = qfi_matrix(m, theta).qfi
+        Q = qfi_matrix(m, theta)
         for i in range(3):
             for j in range(i, 3):
                 assert row[f"Q_{names[i]}_{names[j]}"] == Q[i, j]

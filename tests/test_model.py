@@ -81,6 +81,21 @@ def test_finite_difference_mode_and_stencil_domain_error():
         model.derivatives_at([1e-7])
 
 
+def test_domain_errors_print_plain_floats():
+    # the theta of both messages reads {'phi': nan, ...}, not np.float64(nan)
+    qubit = qubit_phase_dephasing()
+    finite_difference = StatisticalModel(2, ("phi", "delta"), qubit.state_at,
+                                         domain_fn=lambda v: v[1] > 0.0)
+    with pytest.raises(DomainError, match="outside the model domain") as outside:
+        fisher_bundle(qubit, [np.nan, 0.3], separable_povm())
+    with pytest.raises(DomainError, match="central stencil") as stencil:
+        finite_difference.derivatives_at([0.1, 5e-6])
+    assert "{'phi': nan, 'delta': 0.3}" in str(outside.value)
+    assert "{'phi': 0.1, 'delta': 5e-06} (step 1e-05)" in str(stencil.value)
+    for err in (outside, stencil):
+        assert "np.float64" not in str(err.value)
+
+
 def _non_finite_cases():
     qubit = qubit_phase_dephasing()
     # finite differences and no domain_fn: the state function itself takes NaN

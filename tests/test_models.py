@@ -64,7 +64,7 @@ def test_bell_r_metric_limit():
     delta = 1e-4
     theta = [np.pi / 4, delta]
     F = fisher_bundle(double, theta, bell_povm()).fisher
-    Q1 = qfi_matrix(model, theta).qfi
+    Q1 = qfi_matrix(model, theta)
     assert r_metric(F, Q1, m=2) == pytest.approx(1.0, abs=1e-3)
 
 

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fisusc.susceptibility as susceptibility
-from fisusc.fisher import SingularFisherError, _slds, fisher_bundle
+from fisusc.fisher import SingularFisherError, _eigen_slds, fisher_bundle
 from fisusc.linalg import trace_norm
 from fisusc.model import Povm, StatisticalModel, tensor_model, validate_povm
 from fisusc.models import (PointSourceConfig, bell_povm,
@@ -44,7 +44,7 @@ def qubit_bundle(theta=(np.pi / 4, 0.3)):
 def dense_bundle(bundle, model, theta):
     """The bundle on the model's own d x d operators in place of its support:
     the full-space reference that the support-restricted values must match."""
-    return replace(bundle, support=(None, model.state_at(theta),
+    return replace(bundle, support=(np.eye(model.dim), model.state_at(theta),
                                     tuple(model.derivatives_at(theta))))
 
 
@@ -730,9 +730,8 @@ def test_shared_kernel_and_lazy_noise_change_no_value(fresh_bundle):
     assert b == first.best_pair[0][1]
     dim = first.rho.shape[0]
     eager = np.zeros((len(first.probabilities), dim, dim), dtype=complex)
-    eager[kept] = N if V is None else V @ N @ V.conj().T
-    if V is not None:
-        eager[kept[b]] += np.eye(dim) - V @ V.conj().T
+    eager[kept] = V @ N @ V.conj().T
+    eager[kept[b]] += np.eye(dim) - V @ V.conj().T
     np.testing.assert_array_equal(noise.elements, Povm(eager).elements)
     assert x_scalar(first, noise) == pytest.approx(exact_first.value, rel=1e-9)
 
@@ -755,10 +754,10 @@ def test_k_operators_contract_the_a_tensor(model, theta, povm):
     Finv = np.linalg.inv(bundle.fisher)
     K = _k_operators(bundle)
     V = bundle.support[0]
-    assert K.shape[1] == (bundle.dim if V is None else V.shape[1])
+    assert K.shape[1] == V.shape[1]
     expected = np.einsum("jk,ajkxy->axy", Finv, a_tensor(dense_bundle(bundle, model, theta)))
     scale = np.max(np.abs(expected))
-    lifted = K if V is None else V @ K @ V.conj().T
+    lifted = V @ K @ V.conj().T
     np.testing.assert_allclose(lifted, expected, rtol=0, atol=1e-12 * scale)
     L2 = np.einsum("aj,jk,ak->a", bundle.scores, Finv, bundle.scores)
     np.testing.assert_allclose(np.real(np.einsum("aii->a", K)), L2,
@@ -890,8 +889,8 @@ def test_support_reduction_matches_full_dimension(seed, k, rank, extra, P, more_
     assert bundle.support[1].shape[0] == k
     # full-dimensional evaluation of the same quantities
     dense = dense_bundle(bundle, model, theta)
-    Q_full = _slds(dense.rho, dense.derivatives)[1]
-    Q_red = _slds(rho, derivs)[1]
+    Q_full = _eigen_slds(dense.rho, dense.derivatives)[2]
+    Q_red = _eigen_slds(rho, derivs)[2]
     np.testing.assert_allclose(Q_red, Q_full, rtol=0, atol=1e-10 * np.max(np.abs(Q_full)))
     lower = bundle.n_params + _best_pair(_k_operators(dense))[1]
     upper, sigmas = sigma_upper_reference(dense)
@@ -1035,8 +1034,10 @@ def test_pair_certificate_never_claims_exactness_where_the_sdp_finds_more(monkey
 def test_full_rank_bundle_is_its_own_support():
     model, theta, bundle = qubit_bundle()
     V, rho, derivs = bundle.support
-    assert V is None and rho is model.state_at(theta)
-    assert bundle.rho is rho and bundle.derivatives is derivs
+    assert np.array_equal(V, np.eye(2)) and bundle.support[1] is model.state_at(theta)
+    # lifting through the exact identity changes no bit
+    assert np.array_equal(bundle.rho, rho)
+    assert np.array_equal(np.stack(bundle.derivatives), np.stack(derivs))
     assert bundle.support[1].shape[0] == 2
 
 

@@ -27,7 +27,7 @@ from fisusc.susceptibility import sigma_exact
 from fisusc.sweep import (SweepSpec, SweepSpecError, build_model_povm,
                           evaluate_point, run_sweep, sweep_columns)
 from fisusc.verify import (check_hg_orthonormality, check_p1_collapse,
-                           check_tensor_associativity,
+                           check_tensor_associativity, check_trace_identity,
                            check_truncation_convergence, run_verify)
 
 PHI = float(np.pi / 4)
@@ -288,6 +288,24 @@ def test_cli_malformed_config_value_exit_code(tmp_path, capsys, entry):
     assert not out.exists()
 
 
+def test_cli_sweep_validates_its_spec_once(tmp_path, monkeypatch, capsys):
+    # each validation builds both endpoint models: run_sweep's is the only one,
+    # and it still refuses a bad config before the CSV is opened
+    calls = []
+    validate = SweepSpec.validate
+    monkeypatch.setattr(SweepSpec, "validate",
+                        lambda spec: calls.append(spec) or validate(spec))
+    cfg_path, out = tmp_path / "sweep.yaml", tmp_path / "out.csv"
+    cfg_path.write_text(yaml.safe_dump(POINT_SOURCE_CONFIG))
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert len(calls) == 1 and out.exists()
+    cfg_path.write_text(yaml.safe_dump({**POINT_SOURCE_CONFIG, "n_max": 2}))
+    bad = tmp_path / "bad.csv"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(bad)]) == 2
+    assert len(calls) == 2 and not bad.exists()
+    assert "n_max must be between" in capsys.readouterr().err
+
+
 def test_cli_integral_float_config_values_are_accepted(tmp_path):
     # YAML reads 3.0 as a float; a whole number is taken as it is
     cfg_path = tmp_path / "sweep.yaml"
@@ -352,7 +370,7 @@ def test_cli_show_model_keeps_print_options_and_prints_plain_floats(capsys):
     assert "np.float64" not in out and "j" not in out.split("rho =")[1]
     model, _, _, _ = build_model_povm("point-sources", "optimal-hg", np.array(theta))
     with np.printoptions(precision=10, suppress=False, linewidth=140):
-        assert np.array2string(fisher.qfi_matrix(model, theta).qfi) in out
+        assert np.array2string(fisher.qfi_matrix(model, theta)) in out
 
 
 def test_cli_show_model_spec_errors():
@@ -419,6 +437,25 @@ def test_p1_collapse_check_sees_an_error_the_bounds_share(monkeypatch):
                         lambda K, i, j: pair_values(K, i, j) + 1e-6)
     passed, detail = check_p1_collapse(0)
     assert not passed, detail
+
+
+def test_trace_identity_check_sees_misaligned_noise_terms(monkeypatch):
+    # the check's random noise has Tr[d_j rho N_a] != 0 (white noise has 0),
+    # so a convex-sum route that pairs delta_a with the wrong F-eigendirection
+    # fails it on every seed
+    def reversed_delta(bundle, noise):
+        w, U = bundle.fisher_eigh
+        slots, elements = susceptibility._aligned_noise_elements(bundle, noise)
+        c, n = fisher._outcome_traces(*bundle.support[1:], elements)
+        L = bundle.scores[slots] @ U / np.sqrt(w)
+        delta = (2.0 * (n @ U) / np.sqrt(w))[:, ::-1]
+        return float(w.size + c @ np.sum(L * L, axis=1) - np.sum(L * delta))
+
+    assert all(check_trace_identity(seed)[0] for seed in range(5))
+    monkeypatch.setattr(verify, "x_from_extremal_sum", reversed_delta)
+    for seed in range(5):
+        passed, detail = check_trace_identity(seed)
+        assert not passed, detail
 
 
 def test_truncation_check_sees_a_dropped_mode(monkeypatch):
