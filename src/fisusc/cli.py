@@ -14,6 +14,7 @@ specification or unwritable output, 3 numerical failure at every sweep point.
 import argparse
 import contextlib
 import sys
+from functools import lru_cache
 
 import numpy as np
 import yaml
@@ -171,7 +172,7 @@ def _cmd_show_model(args):
         measurement = args.measurement or ""
         names = check_model_spec(model_id, measurement, fixed)
         theta = np.array([fixed[n] for n in names])
-        model, povm, copies, _ = build_model_povm(model_id, measurement, theta)
+        model, povm, copies = build_model_povm(model_id, measurement, theta)
         check_in_domain(model, theta, f"point {fixed}")
     except SweepSpecError as err:
         print(f"invalid specification: {err}", file=sys.stderr)
@@ -224,8 +225,14 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """The process's one parser; `parse_args` keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -45,9 +45,14 @@ class StatisticalModel:
         stack of cores, ``rho = B S[0] B^dag`` and ``d_j rho = B S[j+1] B^dag``;
         the derivatives then come from the frame, not ``derivative_fn``.
 
-    `state_at`, `derivatives_at` and `frame_at` keep their last result,
-    keyed on the bytes of theta, and return its read-only arrays at a
-    repeated point.
+    A dense model (no ``frame_fn``) evaluates a point once: its state and
+    derivatives (central differences included) form one read-only
+    (1 + P, d, d) stack, domain-checked and validated by one `hermitize`,
+    and `state_at`, `derivatives_at` and `frame_at` return views of it
+    that are stored once.  A frame model keeps its frame, its closed-form
+    state and its lifted derivatives apart.  Each result is kept for the
+    last point, keyed on the bytes of theta; a repeated point returns the
+    same read-only arrays, and every miss is domain-checked.
     """
 
     def __init__(self, dim, param_names, state_fn, derivative_fn=None,
@@ -94,22 +99,28 @@ class StatisticalModel:
 
     def state_at(self, theta):
         """Density matrix at theta (unit trace, PSD)."""
+        if self._frame_fn is None:
+            return self.frame_at(theta)[1]
         return self._memo("state", theta, lambda v: hermitize(self._state_fn(v)))
 
     def derivatives_at(self, theta):
         """List of Hermitian traceless operators d rho / d theta_j."""
-        return list(self._memo("derivatives", theta, self._derivative_stack))
+        if self._frame_fn is None:
+            return list(self.frame_at(theta)[2])
+        B, cores = self._memo("frame", theta, self._frame)
+        return list(self._memo("derivatives", theta, lambda v: _lift(B, cores[1:])))
 
     def frame_at(self, theta):
         """``(B, rho, derivatives)``: the state is ``B rho B^dag`` and d_j rho
         is ``B derivatives[j] B^dag``.
 
         Without a ``frame_fn`` B is None (the identity) and the operators
-        are `state_at` and `derivatives_at`; with one, they are the r x r
-        cores, validated by one `hermitize` of the stack.
+        are the views of the point's checked stack of state and derivatives;
+        with one, they are the r x r cores, validated by one `hermitize` of
+        the stack.
         """
         if self._frame_fn is None:
-            return None, self.state_at(theta), tuple(self.derivatives_at(theta))
+            return self._memo("dense", theta, self._dense)
         B, cores = self._memo("frame", theta, self._frame)
         return B, cores[0], tuple(cores[1:])
 
@@ -119,12 +130,13 @@ class StatisticalModel:
         B.setflags(write=False)
         return B, hermitize(cores)
 
-    def _derivative_stack(self, values):
-        if self._frame_fn is not None:
-            B, cores = self._memo("frame", values, self._frame)
-            return _lift(B, cores[1:])
-        if self._derivative_fn is not None:
-            return hermitize(self._derivative_fn(values))
+    def _dense(self, values):
+        derivs = (self._derivative_fn(values) if self._derivative_fn is not None
+                  else self._central_differences(values))
+        stack = hermitize([self._state_fn(values), *derivs])
+        return None, stack[0], tuple(stack[1:])
+
+    def _central_differences(self, values):
         h = FD_STEP
         derivs = []
         for j in range(self.n_params):
@@ -138,7 +150,7 @@ class StatisticalModel:
                         f"at {dict(zip(self.param_names, map(float, values)))} (step {h})")
             derivs.append((np.asarray(self._state_fn(up))
                            - np.asarray(self._state_fn(dn))) / (2.0 * h))
-        return hermitize(derivs)
+        return derivs
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fisher import (SingularFisherError, SingularScoreError, _eigen_slds,
-                     _qfi_inverse, _ratios, fisher_bundle, qfi_matrix)
+                     _qfi_inverse, _ratios, fisher_bundle)
 from .linalg import HermiticityError
 from .model import DomainError, tensor_model
 from .models import (N_MAX_LIMIT, PointSourceConfig, bell_povm,
@@ -141,17 +141,18 @@ def build_model_povm(model_id, measurement, theta, n_max=20):
     the supplied point, mirroring how the optimal measurement is defined;
     within a point the apparatus is fixed.  The POVM itself, in the
     aligned basis, depends on ``n_max`` alone and is built once per
-    process (`_measurement_povm`).
-    Returns ``(model, povm, copies, single_copy_model)``.
+    process (`_measurement_povm`).  The Bell measurement acts on two
+    copies, so its model is the tensor square of the qubit model.
+    Returns ``(model, povm, copies)``.
     """
     povm = _measurement_povm(measurement, n_max)
     if model_id == "phase-dephasing":
         base = qubit_phase_dephasing()
         if measurement == "bell":
-            return tensor_model(base, 2), povm, 2, base
-        return base, povm, 1, base
+            return tensor_model(base, 2), povm, 2
+        return base, povm, 1
     model = point_source_model(PointSourceConfig(n_max=n_max, x_m=x_opt(*theta)))
-    return model, povm, 1, model
+    return model, povm, 1
 
 
 @lru_cache(maxsize=32)
@@ -171,8 +172,9 @@ def _build_model(spec, sweep_value):
 
 
 def _upper_triangle(M):
-    P = M.shape[0]
-    return [M[i, j] for i in range(P) for j in range(i, P)]
+    """The upper triangle of M, row by row, as Python floats."""
+    rows = M.tolist()
+    return [rows[i][j] for i in range(len(rows)) for j in range(i, len(rows))]
 
 
 def sweep_columns(spec):
@@ -205,16 +207,17 @@ def evaluate_point(spec, index, sweep_value):
     worst case (one K and best pair) come from those operators, and the
     condition number from the bundle's eigh(F); the worst case's noise is
     never lifted, and Q reads only the eigenbasis SLDs.  F and Q are
-    written before F^-1, so a row it refuses still carries them.  The
-    two-copy Bell row and its single-copy Q_1 (for r_multi) share one
-    single-copy evaluation.  The row does not depend on ``index``, its grid
-    position.
+    written before F^-1, so a row it refuses still carries them.  A Bell
+    row's model is the two-copy state, whose Q is 2 Q_1 for the
+    single-copy Q_1, so ``tr F^-1 / tr Q^-1`` is its two-copies-per-shot
+    ``r_multi = 2 tr F^-1 / tr Q_1^-1``; no single-copy Q is computed.
+    The row does not depend on ``index``, its grid position.
     """
     names = _param_names(spec.model)
     row = dict.fromkeys(_columns(spec.model), "")
     row["sweep_value"] = float(sweep_value)
     try:
-        model, povm, copies, single_copy = _build_model(spec, sweep_value)
+        model, povm, _ = _build_model(spec, sweep_value)
         theta = _theta_for(spec, sweep_value)
         bundle = fisher_bundle(model, theta, povm)
         F, Q = bundle.fisher, _eigen_slds(*bundle.support[1:])[2]
@@ -222,11 +225,9 @@ def evaluate_point(spec, index, sweep_value):
                  for j in range(i, len(names))]
         for key, f, q in zip(pairs, _upper_triangle(F), _upper_triangle(Q)):
             row[f"F_{key}"], row[f"Q_{key}"] = f, q
-        Finv, Qinv = bundle.fisher_inverse, _qfi_inverse(Q)
-        Q1inv = Qinv if copies == 1 else _qfi_inverse(qfi_matrix(single_copy, theta))
-        row["r_multi"] = _ratios(Finv, Q1inv, copies)[0]
-        for n, r in zip(names, _ratios(Finv, Qinv)[1]):
-            row[f"r_nuisance_{n}"] = float(r)
+        row["r_multi"], r_nuisance = _ratios(bundle.fisher_inverse, _qfi_inverse(Q))
+        for n, r in zip(names, r_nuisance.tolist()):
+            row[f"r_nuisance_{n}"] = r
         row["sigma_lower"] = sigma_lower(bundle)[0]
         row["sigma_upper"], sigmas = sigma_upper(bundle)
         for n, s in zip(names, sigmas):
@@ -239,18 +240,13 @@ def evaluate_point(spec, index, sweep_value):
     return row
 
 
-def _format_cell(value):
-    if isinstance(value, str):
-        return value
-    return f"{value:.17g}"
-
-
 def run_sweep(spec, out_path=None):
     """Run the sweep and write a CSV; returns the list of row dicts.
 
     Points run in grid order on the calling thread, whatever ``spec.workers``
     says; the output, opened before the first point, is byte-identical
-    for an identical spec.
+    for an identical spec.  Every number is written with 17 significant
+    digits, and the error text as it is.
     """
     spec.validate()
     cols = sweep_columns(spec)
@@ -258,5 +254,6 @@ def run_sweep(spec, out_path=None):
         rows = [evaluate_point(spec, i, v) for i, v in enumerate(spec.grid())]
         writer = csv.writer(fh)
         writer.writerow(cols)
-        writer.writerows([_format_cell(row[c]) for c in cols] for row in rows)
+        writer.writerows([v if isinstance(v, str) else f"{v:.17g}"
+                          for v in map(row.__getitem__, cols)] for row in rows)
     return rows

@@ -250,22 +250,29 @@ def test_repeated_point_reuses_the_checked_arrays():
         return base._state_fn(values)
 
     model = StatisticalModel(2, base.param_names, state_fn, domain_fn=base._domain_fn)
+    # the first miss evaluates the state and its central differences (4 states)
     rho = model.state_at([0.4, 0.2])
-    derivs = model.derivatives_at([0.4, 0.2])      # central differences: 4 states
+    assert len(calls) == 5
+    derivs = model.derivatives_at([0.4, 0.2])
     assert len(calls) == 5
     assert model.state_at(np.array([0.4, 0.2])) is rho
     again = model.derivatives_at((0.4, 0.2))
     assert again is not derivs and len(again) == len(derivs)
+    assert all(a is b for a, b in zip(again, derivs))
     assert all(a.base is b.base and a.base is not None for a, b in zip(again, derivs))
+    assert rho.base is derivs[0].base           # one checked stack per point
+    B, frame_rho, frame_derivs = model.frame_at([0.4, 0.2])
+    assert B is None and frame_rho is rho
+    assert all(a is b for a, b in zip(frame_derivs, derivs))
     assert len(calls) == 5 and not rho.flags.writeable
     assert not any(d.flags.writeable for d in derivs)
     other = model.state_at([0.4, 0.3])              # a new point is evaluated
-    assert len(calls) == 6 and not np.array_equal(other, rho)
+    assert len(calls) == 10 and not np.array_equal(other, rho)
     with pytest.raises(DomainError):                # and checked on every miss
         model.state_at([0.4, -0.1])
     with pytest.raises(DomainError):
         model.state_at([0.4, -0.1])
-    assert len(calls) == 6
+    assert len(calls) == 10
 
 
 def test_tensor_povm_completeness():

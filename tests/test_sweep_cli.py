@@ -13,12 +13,13 @@ import yaml
 
 import fisusc.cli
 import fisusc.fisher as fisher
+import fisusc.model
 import fisusc.models as models
 import fisusc.susceptibility as susceptibility
 import fisusc.sweep as sweep
 import fisusc.verify as verify
 from fisusc.cli import main
-from fisusc.fisher import fisher_bundle
+from fisusc.fisher import fisher_bundle, qfi_matrix, r_metric
 from fisusc.model import Povm, StatisticalModel
 from fisusc.models import (PointSourceConfig, bell_povm,
                            optimal_povm_point_sources, qubit_phase_dephasing,
@@ -368,7 +369,7 @@ def test_cli_show_model_keeps_print_options_and_prints_plain_floats(capsys):
     out = capsys.readouterr().out
     assert "theta = {'x_c': 0.0, 'dx': 0.5, 'q': 0.3}" in out
     assert "np.float64" not in out and "j" not in out.split("rho =")[1]
-    model, _, _, _ = build_model_povm("point-sources", "optimal-hg", np.array(theta))
+    model = build_model_povm("point-sources", "optimal-hg", np.array(theta))[0]
     with np.printoptions(precision=10, suppress=False, linewidth=140):
         assert np.array2string(fisher.qfi_matrix(model, theta)) in out
 
@@ -573,8 +574,8 @@ def test_point_builds_one_kernel_and_no_noise_povm(tmp_path, monkeypatch, model,
 
 
 def test_bell_point_runs_the_single_copy_functions_once(tmp_path, monkeypatch):
-    # the two-copy state, its product-rule derivatives and the single-copy
-    # Q_1 of r_multi all read one evaluation of the single-copy model
+    # the two-copy state and its product-rule derivatives read one
+    # evaluation of the single-copy model
     calls = Counter()
 
     def counted_qubit():
@@ -593,9 +594,93 @@ def test_bell_point_runs_the_single_copy_functions_once(tmp_path, monkeypatch):
     assert calls == {"_state_fn": 1, "_derivative_fn": 1}
 
 
+def test_bell_point_checks_each_model_once(tmp_path, monkeypatch):
+    # the single-copy and the two-copy model each run one domain check and
+    # one hermitize of their (1 + P, d, d) stack of state and derivatives
+    spec = small_spec(tmp_path, measurement="bell", oracle_samples=1)
+    assert evaluate_point(spec, 0, 0.2)["error"] == ""     # warms _measurement_povm
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(StatisticalModel, "_check_domain",
+                        counted("_check_domain", StatisticalModel._check_domain))
+    monkeypatch.setattr(fisusc.model, "hermitize", counted("hermitize", fisusc.model.hermitize))
+    row = evaluate_point(spec, 0, 0.1)
+    assert row["error"] == "" and row["oracle_best_X"] != ""
+    assert calls == {"_check_domain": 2, "hermitize": 2}
+
+
+def test_bell_r_multi_reads_the_two_copy_q(tmp_path):
+    # the two-copy state rho x rho has Q = 2 Q_1, so the row's
+    # tr F^-1 / tr Q^-1 is the two-copies-per-shot 2 tr F^-1 / tr Q_1^-1
+    readme = small_spec(tmp_path, measurement="bell", count=50)
+    for row in run_sweep(readme):
+        delta = row["sweep_value"]
+        closed = (1 - 2 * np.exp(4 * delta)) / (1 - 2 * np.exp(2 * delta))
+        assert row["error"] == ""
+        assert abs(row["r_multi"] - closed) <= 1e-12 * closed, delta
+    base = qubit_phase_dephasing()
+    for phi in np.random.default_rng(23).uniform(0.0, 2 * np.pi, 5).tolist():
+        spec = small_spec(tmp_path, measurement="bell", fixed={"phi": phi}, count=50)
+        for delta in spec.grid():
+            row = evaluate_point(spec, 0, delta)
+            F = np.array([[row["F_phi_phi"], row["F_phi_delta"]],
+                          [row["F_phi_delta"], row["F_delta_delta"]]])
+            Q1 = qfi_matrix(base, [phi, delta])
+            assert row["r_multi"] == pytest.approx(r_metric(F, Q1, m=2), rel=1e-13, abs=0)
+
+
+def test_cli_reused_parser_carries_no_state(tmp_path, capsys):
+    # one parser serves every call of a process; a flag sweep with --fix,
+    # a config sweep with other fixed values, show-model and verify each
+    # give the bytes of a run with a freshly built parser
+    config = {"model": "phase-dephasing", "measurement": "bell", "fix": {"phi": 1.3},
+              "sweep": {"name": "delta", "start": 0.05, "stop": 0.9, "count": 5},
+              "out": str(tmp_path / "config.csv")}
+    cfg_path = tmp_path / "sweep.yaml"
+    cfg_path.write_text(yaml.safe_dump(config))
+    flag_out = tmp_path / "flags.csv"
+    runs = [
+        ["sweep", "--model", "phase-dephasing", "--measurement", "separable",
+         "--fix", "phi=0.4", "--sweep", "delta:0.01:1:5:log", "--out", str(flag_out)],
+        ["sweep", "--config", str(cfg_path)],
+        ["show-model", "--model", "phase-dephasing", "--measurement", "bell",
+         "--fix", "phi=0.7", "--fix", "delta=0.2"],
+        ["verify", "--seed", "3"],
+    ]
+    outputs = {flag_out, tmp_path / "config.csv"}
+
+    def run_all(run):
+        results = []
+        for argv in runs:
+            code = run(list(argv))
+            printed = capsys.readouterr()
+            written = [p.read_bytes() for p in sorted(outputs) if p.exists()]
+            for p in outputs:
+                p.unlink(missing_ok=True)
+            results.append((code, printed.out, printed.err, written))
+        return results
+
+    def fresh(argv):
+        args = fisusc.cli.build_parser().parse_args(argv)
+        return args.func(args)
+
+    fisusc.cli._parser.cache_clear()
+    reused = run_all(main)
+    assert fisusc.cli._parser.cache_info()[:2] == (len(runs) - 1, 1)   # (hits, misses)
+    assert run_all(fresh) == reused
+    assert [r[0] for r in reused] == [0, 0, 0, 0]
+    assert [len(r[3]) for r in reused] == [1, 1, 0, 0]
+
+
 @pytest.mark.parametrize("model, measurement, fixed, swept, value, n_models, n_matrices", [
     ("point-sources", "optimal-hg", {"x_c": 0.1, "q": 0.3}, "dx", 0.2, 1, 2),
-    ("phase-dephasing", "bell", {"phi": PHI}, "delta", 0.1, 2, 3),
+    ("phase-dephasing", "bell", {"phi": PHI}, "delta", 0.1, 1, 2),
 ])
 def test_point_evaluates_each_model_once(tmp_path, monkeypatch, model, measurement,
                                          fixed, swept, value, n_models, n_matrices):
@@ -604,12 +689,14 @@ def test_point_evaluates_each_model_once(tmp_path, monkeypatch, model, measureme
     calls, inverted = _count_evaluations(monkeypatch)
     row = evaluate_point(spec, 0, value)
     assert row["error"] == ""
-    # each model is evaluated once, to its frame; a point-source point
+    # the row's model is evaluated once, to its frame (a Bell row's
+    # single-copy model only inside the two-copy one); a point-source point
     # builds no dense state or derivatives
     assert len({m for m, _ in calls}) == n_models
     assert set(calls.values()) == {1} and len(calls) == n_models
     assert {name for _, name in calls} == {"frame_at"}
-    # one checked inverse per distinct matrix: F, Q (and Q_1 on Bell)
+    # one checked inverse per distinct matrix, F and Q; a Bell row reads
+    # r_multi off the two-copy Q = 2 Q_1, with no single-copy Q_1
     assert len(inverted) == n_matrices
     assert all(not np.array_equal(a, b) for i, a in enumerate(inverted)
                for b in inverted[i + 1:])
