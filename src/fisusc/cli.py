@@ -9,6 +9,9 @@ Verbs:
 Sweeps can be described in a YAML config file; command-line flags override
 config values.  Exit codes: 0 success, 1 invariant failure, 2 invalid
 specification or unwritable output, 3 numerical failure at every sweep point.
+
+A process loads only what its verb runs: PyYAML is imported by a
+``--config`` sweep and the invariant suite (``fisusc.verify``) by ``verify``.
 """
 
 import argparse
@@ -17,13 +20,11 @@ import sys
 from functools import lru_cache
 
 import numpy as np
-import yaml
 
 from .fisher import fisher_bundle, qfi_matrix
 from .sweep import (MEASUREMENTS, MODELS, SweepSpec, SweepSpecError,
                     build_model_povm, check_in_domain, check_model_spec,
                     run_sweep)
-from .verify import run_verify
 
 EXIT_OK = 0
 EXIT_INVARIANT_FAILURE = 1
@@ -83,10 +84,20 @@ def _mapping(value, what, keys=None):
 
 
 def _load_config(path):
+    """The config file's mapping; YAML that cannot be read is refused in one line."""
     if path is None:
         return {}
-    with open(path) as fh:
-        return _mapping(yaml.safe_load(fh), "config", CONFIG_KEYS)
+    import yaml
+    # read as bytes, so that PyYAML detects the encoding and reports a bad
+    # byte as a YAMLError (a text-mode read raises UnicodeDecodeError); its
+    # recursive parser exhausts the stack on deeply nested brackets
+    with open(path, "rb") as fh:
+        try:
+            config = yaml.safe_load(fh)
+        except (yaml.YAMLError, RecursionError) as err:
+            raise SweepSpecError(f"config {path} is not readable YAML: "
+                                 f"{' '.join(str(err).split())}")
+    return _mapping(config, "config", CONFIG_KEYS)
 
 
 def _spec_from_args(args):
@@ -136,7 +147,7 @@ def _cmd_sweep(args):
     try:
         spec = _spec_from_args(args)
         rows = run_sweep(spec)       # opens spec.out before the first point
-    except (SweepSpecError, OSError, yaml.YAMLError) as err:
+    except (SweepSpecError, OSError) as err:
         print(f"invalid sweep specification: {err}", file=sys.stderr)
         return EXIT_INVALID_SPEC
     n_failed = sum(1 for r in rows if r["error"])
@@ -145,6 +156,12 @@ def _cmd_sweep(args):
         print("every sweep point failed numerically", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
     return EXIT_OK
+
+
+def run_verify(seed):
+    """:func:`fisusc.verify.run_verify`, the suite imported on first use."""
+    from . import verify
+    return verify.run_verify(seed=seed)
 
 
 def _cmd_verify(args):

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .model import DomainError, Povm, StatisticalModel
 
@@ -101,15 +100,27 @@ def _hg_mode(n, x, x_m):
     return _psf_amplitude(x, x_m) * h
 
 
+@lru_cache(maxsize=None)
+def _hermite_nodes(count):
+    # read-only, because every caller shares the cached arrays; the import
+    # waits for the first quadrature, which no sweep runs
+    from numpy.polynomial.hermite import hermgauss
+    nodes = hermgauss(count)
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
+
+
 def _gauss_hermite(f, center, degree):
     """Integral of f over the real line by Gauss-Hermite quadrature.
 
     Exact when f(x) is exp(-(x - center)^2 / 2) times a polynomial of
     degree <= ``degree``: with x = center + sqrt(2) y the integrand is
     exp(-y^2) times a polynomial in y, and ``degree // 2 + 1`` nodes
-    integrate that exactly.
+    integrate that exactly.  The nodes and weights of each node count are
+    computed once per process (:func:`_hermite_nodes`).
     """
-    y, w = hermgauss(degree // 2 + 1)
+    y, w = _hermite_nodes(degree // 2 + 1)
     return np.sqrt(2.0) * float(np.sum(w * np.exp(y * y) * f(center + np.sqrt(2.0) * y)))
 
 

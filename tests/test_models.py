@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 
+import fisusc.models as models
 from fisusc.fisher import fisher_bundle, qfi_matrix, r_metric
 from fisusc.model import DomainError, tensor_model, validate_povm
 from fisusc.models import (POINT_SOURCE_WEIGHTS, PointSourceConfig,
@@ -90,6 +92,21 @@ def test_hg_overlap_quadrature_vs_closed_form():
             quad_value = hg_overlap(n, 0.5 + d, 0.5)
             closed = float(hg_overlap_closed_form(n, 0.5 + d, 0.5))
             assert abs(quad_value - closed) <= 1e-14
+
+
+def test_hg_overlap_reads_cached_nodes_bit_for_bit():
+    # each node count's nodes and weights are computed once and shared
+    # read-only; the overlap equals the quadrature on fresh nodes bit for bit
+    for n in (0, 1, 5, 20, 48, 170):
+        y, w = models._hermite_nodes(n // 2 + 1)
+        assert models._hermite_nodes(n // 2 + 1)[0] is y
+        assert not y.flags.writeable and not w.flags.writeable
+        fresh_y, fresh_w = hermgauss(n // 2 + 1)
+        for x0 in (-0.7, 0.4, 2.1):
+            x = (x0 + 0.2) / 2.0 + np.sqrt(2.0) * fresh_y
+            f = models._hg_mode(n, x, 0.2) * models._psf_amplitude(x, x0)
+            fresh = np.sqrt(2.0) * float(np.sum(fresh_w * np.exp(fresh_y * fresh_y) * f))
+            assert hg_overlap(n, x0, 0.2) == fresh
 
 
 @pytest.mark.parametrize("n", [154, 160, 170])

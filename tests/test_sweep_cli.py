@@ -289,6 +289,20 @@ def test_cli_malformed_config_value_exit_code(tmp_path, capsys, entry):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content", [b"model: [point-sources\n", b"measurement: \xff\n",
+                                     b"model: " + b"[" * 5000 + b"]" * 5000 + b"\n"],
+                         ids=["unclosed-bracket", "non-utf8-byte", "nested-too-deeply"])
+def test_cli_unreadable_yaml_config_is_refused_in_one_line(tmp_path, capsys, content):
+    cfg_path = tmp_path / "sweep.yaml"
+    cfg_path.write_bytes(content)
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid sweep specification") and err.count("\n") == 1
+    assert str(cfg_path) in err
+    assert not out.exists()
+
+
 def test_cli_sweep_validates_its_spec_once(tmp_path, monkeypatch, capsys):
     # each validation builds both endpoint models: run_sweep's is the only one,
     # and it still refuses a bad config before the CSV is opened
@@ -495,6 +509,38 @@ def test_cli_runtime_imports_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "[]"]
     assert json.loads(out.read_text())["all_passed"]
+
+
+def test_cli_imports_yaml_and_the_suite_on_first_use(tmp_path):
+    # a flag-only sweep loads neither PyYAML, the invariant suite nor
+    # numpy.polynomial; a --config sweep and verify load what they run and
+    # write the bytes this process writes, which imported all three up front
+    cfg_path = tmp_path / "sweep.yaml"
+    cfg_path.write_text(yaml.safe_dump(POINT_SOURCE_CONFIG))
+    runs = {"flag.csv": ["sweep", "--model", "phase-dephasing", "--measurement",
+                         "separable", "--fix", f"phi={PHI}", "--sweep", "delta:0.001:1:5"],
+            "config.csv": ["sweep", "--config", str(cfg_path)],
+            "verify.json": ["verify", "--seed", "0"]}
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh.mkdir()
+    here.mkdir()
+    code = ("import json, sys, fisusc.cli\n"
+            "runs, out = json.loads(sys.argv[1]), sys.argv[2]\n"
+            "result = []\n"
+            "for name, argv in runs.items():\n"
+            "    rc = fisusc.cli.main(argv + ['--out', f'{out}/{name}'])\n"
+            "    result.append([rc, [m for m in ('yaml', 'fisusc.verify', 'numpy.polynomial')\n"
+            "                        if m in sys.modules]])\n"
+            "print(json.dumps(result))\n")
+    src = str(Path(fisusc.cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs), str(fresh)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        [0, []], [0, ["yaml"]], [0, ["yaml", "fisusc.verify", "numpy.polynomial"]]]
+    for name, argv in runs.items():
+        assert main(argv + ["--out", str(here / name)]) == 0
+        assert (fresh / name).read_bytes() == (here / name).read_bytes()
 
 
 def test_non_numerical_error_in_a_point_propagates(tmp_path, monkeypatch):
