@@ -22,7 +22,8 @@ def hermitize(entries):
     Each matrix is symmetrized as (H + H†)/2, which absorbs round-off
     drift without masking real asymmetry: if the drift ``max|H - H†|``
     exceeds ``HERMITICITY_TOL`` (relative to the matrix's largest entry,
-    with an absolute floor) the input is rejected instead.
+    with an absolute floor) the input is rejected instead.  A matrix with a
+    NaN or infinite entry is rejected too.
 
     Parameters
     ----------
@@ -40,13 +41,17 @@ def hermitize(entries):
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     Hh = H.conj().swapaxes(-1, -2)
     drift = np.abs(H - Hh)
-    if np.max(drift) > HERMITICITY_TOL:  # no member's tolerance is lower
+    # no member's tolerance is lower; a NaN or inf entry makes the drift NaN or inf
+    if not np.max(drift) <= HERMITICITY_TOL:
+        finite = np.all(np.isfinite(H), axis=(-2, -1))
         asym = np.max(drift, axis=(-2, -1))
         scale = np.maximum(1.0, np.max(np.abs(H), axis=(-2, -1)))
-        bad = np.flatnonzero(asym > HERMITICITY_TOL * scale)
+        bad = np.flatnonzero(~finite | (asym > HERMITICITY_TOL * scale))
         if bad.size:
             k = bad[0]
             member = "" if H.ndim == 2 else f" (stack member {k})"
+            if not finite.flat[k]:
+                raise HermiticityError(f"matrix has a non-finite entry{member}")
             raise HermiticityError(
                 f"matrix is not Hermitian{member}: max|H - H^dag| = {asym.flat[k]:.3e} "
                 f"(tol {HERMITICITY_TOL:.1e}, scale {scale.flat[k]:.3e})")

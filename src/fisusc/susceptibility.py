@@ -36,8 +36,9 @@ reads ``K(1/F)``.
 Sigma[M] is an SDP in the K_a, with dual min Tr Y over Y >= K_a.
 `sigma_exact` settles it by the pair certificate Y = K_b + (K_a - K_b)_+
 where that dominates every K_c, and otherwise by a primal-dual
-interior-point method, and reports exactly feasible primal and dual
-points: ``value <= Sigma <= value + exact_gap``.
+interior-point method (`_exact_sdp`, which factors each iterate once:
+seven LAPACK calls per step), and reports exactly feasible primal and
+dual points: ``value <= Sigma <= value + exact_gap``.
 
 Every function takes the point's `FisherBundle` (`fisher_bundle`), so one
 evaluation of state, derivatives, F, K = K(F^-1) and its best pair serves them all;
@@ -307,10 +308,10 @@ def _sym(X):
     return 0.5 * (X + X.conj().swapaxes(-1, -2))
 
 
-def _max_step(X, dX):
-    """Largest alpha <= 1 keeping the (E, r, r) stack X + alpha dX PSD."""
-    Li = np.linalg.inv(np.linalg.cholesky(X))
-    low = float(np.min(np.linalg.eigvalsh(Li @ dX @ Li.conj().swapaxes(-1, -2))))
+def _step(eigenvalues):
+    """Largest alpha <= 1 keeping the stack X + alpha dX PSD, from the eigenvalues
+    of L^-1 dX L^-H (X = L L^H) of every member."""
+    low = float(np.min(eigenvalues))
     return 1.0 if low >= -1.0 else -1.0 / low
 
 
@@ -321,6 +322,10 @@ def _exact_sdp(K, lam):
     J. Optim. 8, 769, 1998), from the feasible N_a = I/E and
     Y = (max lambda(K) + max(1, max|lambda(K)|)) I, with S_a = Y - K_a.  dY
     solves sum_a sym(N_a dY S_a^-1) = rhs in Kronecker form (r^2 x r^2).
+    Each iterate is factored once: one batched Cholesky L of the stacked
+    (2E, r, r) [N; S] and its inverse serve both Newton steps, and each step
+    reads its primal and dual step lengths off one eigvalsh of
+    L^-1 [dN; dY] L^-H, the first E members for N and the last E for S.
     Stops at a relative gap of EXACT_RTOL or on a stall: a step that does
     not move, or a failed Cholesky or solve.  Returns ``(N, Y, iterations)``.
     """
@@ -334,17 +339,27 @@ def _exact_sdp(K, lam):
         if gap <= EXACT_RTOL * abs(float(np.trace(Y).real)):
             return N, Y, it
         try:
+            Li = np.linalg.inv(np.linalg.cholesky(np.concatenate((N, S))))
+            LiH = Li.conj().swapaxes(-1, -2)
             Si = _sym(np.linalg.inv(S))
-            H = np.einsum("aij,alk->ikjl", N, Si) + np.einsum("aij,alk->ikjl", Si, N)
-            H = H.reshape(r * r, r * r)      # twice the map dY -> sum_a sym(N_a dY S_a^-1)
+            sum_Si = np.sum(Si, axis=0)
+            # twice the map dY -> sum_a sym(N_a dY S_a^-1); the (Si, N) term of the
+            # sum is the transpose of the (N, Si) term
+            H = np.einsum("aij,alk->ikjl", N, Si)
+            H = (H + H.transpose(3, 2, 1, 0)).reshape(r * r, r * r)
 
-            def newton(target, C):
-                rhs = target * np.sum(Si, axis=0) - eye - np.sum(_sym(C), axis=0)
+            def newton(target, C=None):
+                rhs = target * sum_Si - eye       # the predictor has no C: x - 0.0 is x
+                if C is not None:
+                    rhs = rhs - np.sum(_sym(C), axis=0)
                 dY = _sym(np.linalg.solve(H, 2.0 * rhs.reshape(-1)).reshape(r, r))
-                dN = _sym(target * Si - N - N @ dY @ Si - C)
-                return dN, dY, _max_step(N, dN), _max_step(S, dY)
+                dN = target * Si - N - N @ dY @ Si
+                dN = _sym(dN if C is None else dN - C)
+                dX = np.concatenate((dN, np.repeat(dY[None], E, axis=0)))
+                w = np.linalg.eigvalsh(Li @ dX @ LiH)
+                return dN, dY, _step(w[:E]), _step(w[E:])
 
-            dN, dY, ap, ad = newton(0.0, np.zeros_like(N))
+            dN, dY, ap, ad = newton(0.0)
             mu_aff = np.einsum("axy,ayx->", N + ap * dN, S + ad * dY).real
             dN, dY, ap, ad = newton((mu_aff / gap) ** 3 * gap / (E * r), dN @ dY @ Si)
         except np.linalg.LinAlgError:

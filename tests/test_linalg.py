@@ -159,3 +159,32 @@ def test_stacked_hermitize_checks_each_member_at_the_2d_tolerance():
         hermitize(np.zeros((3, 2, 3)))
     with pytest.raises(ValueError):
         hermitize(np.zeros(3))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+@pytest.mark.parametrize("entries", [
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[1.0, np.inf], [0.0, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, -np.inf], [-np.inf, 1.0]],
+], ids=["nan", "inf-one-side", "inf-diagonal", "inf-both-sides"])
+def test_hermitize_refuses_non_finite_entries(entries):
+    # a NaN fails every comparison and inf - inf is NaN, so the drift test
+    # must send these to the slow path, which refuses them
+    with pytest.raises(HermiticityError, match="^matrix has a non-finite entry$"):
+        hermitize(entries)
+    with pytest.raises(HermiticityError, match="non-finite entry"):
+        hermitize(np.asarray(entries, dtype=complex))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+def test_hermitize_names_the_non_finite_stack_member():
+    bad = np.array([[1.0, 0.0], [0.0, np.nan]])
+    over = SZ.real + 1e-6 * np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(HermiticityError, match=r"non-finite entry \(stack member 2\)"):
+        hermitize(np.stack([SX.real, SZ.real, bad, SX.real]))
+    # the first bad member is named, whichever way it is bad
+    with pytest.raises(HermiticityError, match=r"not Hermitian \(stack member 1\)"):
+        hermitize(np.stack([SX.real, over, bad]))
+    with pytest.raises(HermiticityError, match=r"non-finite entry \(stack member 0\)"):
+        hermitize(np.stack([np.full((2, 2), np.inf), over]))

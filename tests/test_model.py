@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fisusc.fisher import fisher_bundle
+from fisusc.linalg import HermiticityError
 from fisusc.model import (DomainError, Povm, StatisticalModel, mix_povm,
                           tensor_model, tensor_povm, validate_povm)
 from fisusc.models import (PointSourceConfig, bell_povm,
@@ -299,3 +300,19 @@ def test_state_validity_random_points():
         assert np.linalg.eigvalsh(rho)[0] >= -1e-10
         for d in model.derivatives_at(theta):
             assert abs(np.real(np.trace(d))) <= 1e-9
+
+
+def test_povm_refuses_a_nan_element():
+    elements = [np.eye(2) / 2.0, np.array([[0.5, np.nan], [np.nan, 0.5]])]
+    with pytest.raises(HermiticityError, match=r"non-finite entry \(stack member 1\)"):
+        Povm(elements)
+
+
+def test_nan_state_is_refused_where_it_is_built():
+    # a state function that returns NaN at a finite point is refused by the
+    # state's Hermiticity check, not later as a diverging score
+    qubit = qubit_phase_dephasing()
+    broken = StatisticalModel(2, ("phi", "delta"), lambda v: np.full((2, 2), np.nan),
+                              derivative_fn=qubit.derivatives_at)
+    with pytest.raises(HermiticityError, match="non-finite entry"):
+        fisher_bundle(broken, [0.7, 0.3], separable_povm())

@@ -661,6 +661,54 @@ def test_exact_worst_case_pinned_on_qubit_rows(model, delta, expected):
     assert exact.exact_gap <= 1e-8 * exact.value
 
 
+def _count_linalg_calls(monkeypatch, names=("cholesky", "inv", "eigvalsh", "solve")):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_interior_point_factors_each_iterate_once(monkeypatch):
+    # one Cholesky of the stacked [N; S] and its inverse serve the step
+    # lengths of both Newton steps, one inv(S) the Newton system, and each
+    # step reads both step lengths off one eigvalsh: 7 LAPACK calls per
+    # iteration, none of them repeated on an unchanged matrix
+    K = _bell_instance().k_operators
+    lam = np.linalg.eigvalsh(K)
+    calls = _count_linalg_calls(monkeypatch)
+    _, _, iterations = _exact_sdp(K, lam)
+    assert iterations >= 5
+    assert calls == {"cholesky": iterations, "inv": 2 * iterations,
+                     "eigvalsh": 2 * iterations, "solve": 2 * iterations}
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_failed_cholesky_returns_the_iterate_it_factored(monkeypatch, k):
+    # a LinAlgError from the Cholesky of iteration k is a stall: the solve
+    # returns (N_k, Y_k, k), the iterate the first k steps reached
+    K = _bell_instance().k_operators
+    lam = np.linalg.eigvalsh(K)
+    monkeypatch.setattr(susceptibility, "MAX_ITERATIONS", k)
+    N_k, Y_k, stopped = _exact_sdp(K, lam)
+    assert stopped == k
+    monkeypatch.undo()
+    real, stacks = np.linalg.cholesky, []
+
+    def failing(X):
+        stacks.append(X.shape)
+        if len(stacks) > k:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return real(X)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    N, Y, stopped = _exact_sdp(K, lam)
+    assert stopped == k and np.array_equal(N, N_k) and np.array_equal(Y, Y_k)
+    assert stacks == [(2 * len(K),) + K.shape[1:]] * (k + 1)
+
+
 @pytest.mark.parametrize("dx, excess", [(0.3, 1.07e-6), (0.5, 7.9e-6), (1.0, 1.2e-4)])
 def test_exact_excess_over_pair_bound_at_balanced_intensity(dx, excess):
     # at q = 1/2 the pair certificate fails and Sigma exceeds Sigma_L by a
