@@ -661,9 +661,9 @@ def test_exact_worst_case_pinned_on_qubit_rows(model, delta, expected):
     assert exact.exact_gap <= 1e-8 * exact.value
 
 
-def _count_linalg_calls(monkeypatch, names=("cholesky", "inv", "eigvalsh", "solve")):
-    calls = dict.fromkeys(names, 0)
-    for name in names:
+def _count_linalg_calls(monkeypatch):
+    calls = dict.fromkeys(("cholesky", "inv", "eigvalsh", "solve"), 0)
+    for name in calls:
         def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
