@@ -6,7 +6,7 @@ multi-parameter statistical models, together with certified lower/upper
 bounds and optimality diagnostics.
 """
 
-from .linalg import HermiticityError, eig_hermitian, hermitize, trace_norm
+from .linalg import HermiticityError, hermitize, trace_norm
 from .model import (DomainError, Povm, PovmValidation, StatisticalModel,
                     mix_povm, tensor_model, tensor_povm, validate_povm)
 from .fisher import (FisherBundle, SingularFisherError, SingularScoreError,
@@ -23,7 +23,7 @@ from .models import (PointSourceConfig, bell_povm, hg_overlap,
 __version__ = "0.1.0"
 
 __all__ = [
-    "HermiticityError", "eig_hermitian", "hermitize", "trace_norm",
+    "HermiticityError", "hermitize", "trace_norm",
     "DomainError", "Povm", "PovmValidation", "StatisticalModel",
     "mix_povm", "tensor_model", "tensor_povm", "validate_povm",
     "FisherBundle", "SingularFisherError", "SingularScoreError",

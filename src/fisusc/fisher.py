@@ -48,7 +48,7 @@ import numpy as np
 from .linalg import _lift, hermitize
 
 P_CUTOFF = 1e-12
-SLD_CUTOFF = 1e-10
+SLD_CUTOFF = 1e-15          # relative to the largest eigenvalue of rho
 MAX_FISHER_CONDITION = 1e12
 SUPPORT_RTOL = 1e-13
 
@@ -252,9 +252,11 @@ def _eigen_slds(rho, derivs):
     """All SLDs of one state in its eigenbasis, and Q, from one eigh(rho).
 
     In the eigenbasis of rho, L'_{j,mn} = 2 <m|d_j rho|n> / (w_m + w_n)
-    wherever ``w_m + w_n > SLD_CUTOFF``; the kernel-kernel block is set to
-    zero (Moore-Penrose-style convention).  Then
-    ``Q_jk = Re sum_mn w_m L'_{j,mn} L'_{k,nm}``, with no operator
+    wherever ``w_m + w_n > SLD_CUTOFF max(w)``; the kernel-kernel block is
+    set to zero (Moore-Penrose-style convention).  The cutoff is relative,
+    so a nearly pure state keeps the pairs of its small eigenvalues: the
+    two-copy Bell state at delta = 1e-5 has eigenvalue sums of order
+    1e-10.  Then ``Q_jk = Re sum_mn w_m L'_{j,mn} L'_{k,nm}``, with no operator
     products per (j, k).  Returns ``(V, L', Q)`` with L' a (P, d, d) stack.
     The inputs are not validated, and the SLDs are symmetrized without a
     re-check: their rounding scales with 1 / (w_m + w_n), far above any
@@ -263,7 +265,7 @@ def _eigen_slds(rho, derivs):
     w, V = np.linalg.eigh(rho)
     num = 2.0 * (V.conj().T @ np.asarray(derivs) @ V)
     den = w[:, None] + w[None, :]
-    mask = den > SLD_CUTOFF
+    mask = den > SLD_CUTOFF * w[-1]
     Lp = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
     Lp = (Lp + Lp.conj().swapaxes(-1, -2)) / 2.0
     P = Lp.shape[0]

@@ -40,7 +40,8 @@ def hermitize(entries):
     if H.ndim < 2 or H.shape[-1] != H.shape[-2] or H.shape[-1] < 1:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     Hh = H.conj().swapaxes(-1, -2)
-    drift = np.abs(H - Hh)
+    with np.errstate(invalid="ignore"):     # inf - inf is NaN, refused below
+        drift = np.abs(H - Hh)
     # no member's tolerance is lower; a NaN or inf entry makes the drift NaN or inf
     if not np.max(drift) <= HERMITICITY_TOL:
         finite = np.all(np.isfinite(H), axis=(-2, -1))
@@ -72,20 +73,6 @@ def _lift(B, S):
     return out
 
 
-def eig_hermitian(H):
-    """Eigendecomposition of a Hermitian operator.
-
-    Returns
-    -------
-    (eigenvalues, eigenvectors) : (numpy.ndarray, numpy.ndarray)
-        Real eigenvalues sorted in descending order and the matching
-        unitary matrix of column eigenvectors, so that
-        ``H = V @ diag(w) @ V.conj().T``.
-    """
-    w, V = np.linalg.eigh(hermitize(H))
-    return w[::-1].copy(), V[:, ::-1].copy()
-
-
 def trace_norm(H):
     """Trace norm ``sum_i |lambda_i|`` of a Hermitian operator."""
     return float(_trace_norms(hermitize(H)))
@@ -98,8 +85,3 @@ def _trace_norms(H):
     the package built itself from validated inputs.
     """
     return np.sum(np.abs(np.linalg.eigvalsh(H)), axis=-1)
-
-
-def min_eigenvalue(H):
-    """Smallest eigenvalue of a Hermitian operator."""
-    return float(np.linalg.eigvalsh(hermitize(H))[0])

@@ -1,8 +1,7 @@
 """Parametrized quantum statistical models and POVMs.
 
 A :class:`StatisticalModel` maps a parameter point to a density matrix
-and its parameter derivatives (analytic when available, otherwise
-second-order central finite differences), or to a frame: a (d, r) matrix
+and its analytic parameter derivatives, or to a frame: a (d, r) matrix
 B and Hermitian r x r cores with ``rho = B S_0 B^dag`` and
 ``d_j rho = B S_j B^dag``.  A :class:`Povm` is an ordered list of
 positive operators summing to the identity.
@@ -14,9 +13,7 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import _lift, hermitize, min_eigenvalue
-
-FD_STEP = 1e-5
+from .linalg import _lift, hermitize
 
 
 class DomainError(ValueError):
@@ -34,9 +31,8 @@ class StatisticalModel:
     state_fn : callable
         ``theta values -> (dim, dim) density matrix``.
     derivative_fn : callable, optional
-        ``theta values -> list of d rho / d theta_j``.  When omitted,
-        derivatives fall back to central finite differences with step
-        ``FD_STEP``.
+        ``theta values -> list of d rho / d theta_j``; a model without a
+        ``frame_fn`` needs one.
     domain_fn : callable, optional
         ``theta values -> bool``; False means out of domain.  A point with a
         non-finite value is out of every model's domain.
@@ -46,13 +42,13 @@ class StatisticalModel:
         the derivatives then come from the frame, not ``derivative_fn``.
 
     A dense model (no ``frame_fn``) evaluates a point once: its state and
-    derivatives (central differences included) form one read-only
-    (1 + P, d, d) stack, domain-checked and validated by one `hermitize`,
-    and `state_at`, `derivatives_at` and `frame_at` return views of it
-    that are stored once.  A frame model keeps its frame, its closed-form
-    state and its lifted derivatives apart.  Each result is kept for the
-    last point, keyed on the bytes of theta; a repeated point returns the
-    same read-only arrays, and every miss is domain-checked.
+    derivatives form one read-only (1 + P, d, d) stack, domain-checked and
+    validated by one `hermitize`, and `state_at`, `derivatives_at` and
+    `frame_at` return views of it that are stored once.  A frame model
+    keeps its frame, its closed-form state and its lifted derivatives
+    apart.  Each result is kept for the last point, keyed on the bytes of
+    theta; a repeated point returns the same read-only arrays, and every
+    miss is domain-checked.
     """
 
     def __init__(self, dim, param_names, state_fn, derivative_fn=None,
@@ -66,6 +62,8 @@ class StatisticalModel:
         self._last = {}
         if self.dim < 1 or not self.param_names:
             raise ValueError("need dim >= 1 and at least one parameter")
+        if derivative_fn is None and frame_fn is None:
+            raise ValueError("a model needs a derivative_fn or a frame_fn")
 
     @property
     def n_params(self):
@@ -131,26 +129,8 @@ class StatisticalModel:
         return B, hermitize(cores)
 
     def _dense(self, values):
-        derivs = (self._derivative_fn(values) if self._derivative_fn is not None
-                  else self._central_differences(values))
-        stack = hermitize([self._state_fn(values), *derivs])
+        stack = hermitize([self._state_fn(values), *self._derivative_fn(values)])
         return None, stack[0], tuple(stack[1:])
-
-    def _central_differences(self, values):
-        h = FD_STEP
-        derivs = []
-        for j in range(self.n_params):
-            up, dn = values.copy(), values.copy()
-            up[j] += h
-            dn[j] -= h
-            for stencil in (up, dn):
-                if self._domain_fn is not None and not self._domain_fn(stencil):
-                    raise DomainError(
-                        f"central stencil for {self.param_names[j]} leaves the domain "
-                        f"at {dict(zip(self.param_names, map(float, values)))} (step {h})")
-            derivs.append((np.asarray(self._state_fn(up))
-                           - np.asarray(self._state_fn(dn))) / (2.0 * h))
-        return derivs
 
 
 @dataclass(frozen=True)
@@ -201,7 +181,7 @@ def validate_povm(povm, tol):
     the smallest element eigenvalue is >= -tol and
     ``max|sum_a M_a - I|`` <= tol.
     """
-    min_eig = min(min_eigenvalue(E) for E in povm.elements)
+    min_eig = float(np.min(np.linalg.eigvalsh(povm.elements)))
     total = sum(povm.elements)
     residual = float(np.max(np.abs(total - np.eye(povm.dim))))
     return PovmValidation(min_eigenvalue=min_eig,

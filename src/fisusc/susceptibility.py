@@ -30,8 +30,8 @@ parametrization.
 Only ``Sigma_U = sum_k sigma_k`` depends on a frame, the J that
 diagonalizes F (``F~ = J F J^T``), and only `sigma_upper` builds it:
 sigma_k is 1 plus the pair value of ``K(C_k)``, ``C_k = J_k J_k^T / F~_kk``,
-and the C_k sum to F^-1, so ``sum_k K(C_k) = K(F^-1)``.  `sigma_single`
-reads ``K(1/F)``.
+and the C_k sum to F^-1, so ``sum_k K(C_k) = K(F^-1)``.  At P = 1 the
+frame is J = 1 and `sigma_single` is ``Sigma_U``.
 
 Sigma[M] is an SDP in the K_a, with dual min Tr Y over Y >= K_a.
 `sigma_exact` settles it by the pair certificate Y = K_b + (K_a - K_b)_+
@@ -144,13 +144,13 @@ def sigma_single(bundle: FisherBundle):
     """Single-parameter worst-case susceptibility sigma[M].
 
     sigma = 1 + (Tr K_n + Tr K_m + ||K_n - K_m||_1) / 2 on the outcomes n, m of
-    maximal and minimal score, with the bundle's K at C = F^-1 = 1/F.
+    maximal and minimal score, with K at C = 1/F: at P = 1 the frame is
+    J = 1, so this is `sigma_upper`'s one term.
     """
     if bundle.n_params != 1:
         raise ValueError(
             f"sigma_single needs a single-parameter model, got P = {bundle.n_params}")
-    l, K = bundle.scores[:, 0], bundle.k_operators
-    return 1.0 + float(_pair_values(K, np.argmax(l), np.argmin(l)))
+    return sigma_upper(bundle)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 from . import models
 from .fisher import (_outcome_traces, fisher_bundle, qfi_matrix, r_metric,
                      r_nuisance, sld)
-from .linalg import eig_hermitian, hermitize, trace_norm
+from .linalg import hermitize, trace_norm
 from .model import (Povm, StatisticalModel, mix_povm, tensor_model,
                     tensor_povm, validate_povm)
 from .models import (POINT_SOURCE_WEIGHTS, PointSourceConfig, bell_povm,
@@ -78,7 +78,7 @@ def check_eig_reconstruction(seed):
     for _ in range(100):
         dim = int(rng.integers(2, 17))
         H = _random_hermitian(rng, dim)
-        w, V = eig_hermitian(H)
+        w, V = np.linalg.eigh(H)
         err = float(np.max(np.abs(V @ np.diag(w) @ V.conj().T - H)))
         unit = float(np.max(np.abs(V.conj().T @ V - np.eye(dim))))
         worst = max(worst, err / (1e-10 * dim), unit / 1e-10)

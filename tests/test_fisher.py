@@ -284,6 +284,18 @@ def test_qfi_two_copy_additivity():
     np.testing.assert_allclose(Q2, 2.0 * Q1, atol=1e-9)
 
 
+@pytest.mark.parametrize("delta, tol", [(1e-5, 1e-9), (1e-7, 1e-8)])
+def test_two_copy_qfi_keeps_its_small_eigenvalue_pairs(delta, tol):
+    # the two-copy state at small delta has eigenvalue sums of order delta^2,
+    # and Q_delta_delta loses relative accuracy of order delta without them
+    model = qubit_phase_dephasing()
+    theta = [np.pi / 4, delta]
+    Q1 = qfi_matrix(model, theta)
+    Q2 = qfi_matrix(tensor_model(model, 2), theta)
+    assert abs(Q2[1, 1] / (2.0 * Q1[1, 1]) - 1.0) <= tol
+    assert abs(Q2[0, 0] / (2.0 * Q1[0, 0]) - 1.0) <= 1e-12
+
+
 def test_weak_commutativity_qubit_vanishes():
     model = qubit_phase_dephasing()
     theta = [np.pi / 4, 0.3]

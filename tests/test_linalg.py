@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fisusc.linalg import (HermiticityError, eig_hermitian, hermitize,
-                           min_eigenvalue, trace_norm)
+from fisusc.linalg import HermiticityError, hermitize, trace_norm
+from fisusc.model import Povm, validate_povm
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1j], [1j, 0.0]])
@@ -12,41 +12,6 @@ SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 def random_hermitian(rng, dim):
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (z + z.conj().T) / 2.0
-
-
-def test_eig_identity():
-    w, V = eig_hermitian(np.eye(2))
-    np.testing.assert_allclose(w, [1.0, 1.0])
-    np.testing.assert_allclose(V @ V.conj().T, np.eye(2), atol=1e-14)
-
-
-def test_eig_pauli_x():
-    w, _ = eig_hermitian(SX)
-    np.testing.assert_allclose(w, [1.0, -1.0], atol=1e-14)
-
-
-def test_eig_descending_and_reconstruction():
-    rng = np.random.default_rng(7)
-    H = random_hermitian(rng, 6)
-    w, V = eig_hermitian(H)
-    assert np.all(np.diff(w) <= 1e-14)
-    np.testing.assert_allclose(V @ np.diag(w) @ V.conj().T, H, atol=1e-12)
-
-
-def test_eig_reconstruction_property():
-    # 100 random Hermitian matrices, dims 2..16
-    rng = np.random.default_rng(123)
-    for _ in range(100):
-        dim = int(rng.integers(2, 17))
-        H = random_hermitian(rng, dim)
-        w, V = eig_hermitian(H)
-        assert np.max(np.abs(V @ np.diag(w) @ V.conj().T - H)) <= 1e-10 * dim
-        assert np.max(np.abs(V.conj().T @ V - np.eye(dim))) <= 1e-10
-
-
-def test_eig_rejects_non_hermitian():
-    with pytest.raises(HermiticityError):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_trace_norm_zero_and_pauli_z():
@@ -74,18 +39,16 @@ def test_trace_norm_dominates_trace():
         assert trace_norm(H) >= abs(np.real(np.trace(H))) - 1e-12
 
 
-def test_tensor_pauli_spectrum():
-    w, _ = eig_hermitian(np.kron(SX, SZ))
-    np.testing.assert_allclose(w, [1.0, 1.0, -1.0, -1.0], atol=1e-14)
-
-
 def test_min_eigenvalue_of_projector():
-    assert min_eigenvalue(np.eye(3)) == pytest.approx(1.0, abs=1e-14)
-    assert min_eigenvalue(-np.eye(3)) == pytest.approx(-1.0, abs=1e-14)
+    # validate_povm reports the smallest eigenvalue over all elements
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    proj = np.outer(plus, plus)
-    # eigenvalues {1, 0}
-    assert min_eigenvalue(proj) == pytest.approx(0.0, abs=1e-14)
+    proj = np.outer(plus, plus)                     # eigenvalues {1, 0}
+    report = validate_povm(Povm([proj, np.eye(2) - proj]), 1e-12)
+    assert report.min_eigenvalue == pytest.approx(0.0, abs=1e-14) and report.passed
+    assert validate_povm(Povm([np.eye(3)]), 1e-12).min_eigenvalue == 1.0
+    signed = validate_povm(Povm([2.0 * np.eye(2) - proj, proj - np.eye(2)]), 1e-12)
+    assert signed.min_eigenvalue == pytest.approx(-1.0, abs=1e-14)
+    assert not signed.passed and signed.completeness_residual == pytest.approx(0.0, abs=1e-14)
 
 
 def test_hermitize_symmetrizes_drift():
@@ -161,7 +124,6 @@ def test_stacked_hermitize_checks_each_member_at_the_2d_tolerance():
         hermitize(np.zeros(3))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 @pytest.mark.parametrize("entries", [
     [[1.0, np.nan], [np.nan, 1.0]],
     [[1.0, np.inf], [0.0, 1.0]],
@@ -177,7 +139,6 @@ def test_hermitize_refuses_non_finite_entries(entries):
         hermitize(np.asarray(entries, dtype=complex))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 def test_hermitize_names_the_non_finite_stack_member():
     bad = np.array([[1.0, 0.0], [0.0, np.nan]])
     over = SZ.real + 1e-6 * np.array([[0.0, 1.0], [0.0, 0.0]])

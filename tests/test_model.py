@@ -69,44 +69,38 @@ def test_analytic_vs_finite_difference():
         assert np.max(np.abs(analytic[j] - fd)) <= 1e-8
 
 
-def test_finite_difference_mode_and_stencil_domain_error():
-    def state_fn(v):
-        x = v[0]
-        return np.array([[1.0 - x, 0.0], [0.0, x]])
-
-    model = StatisticalModel(2, ("x",), state_fn,
-                             domain_fn=lambda v: 0.0 <= v[0] <= 1.0)
-    d = model.derivatives_at([0.5])[0]
-    np.testing.assert_allclose(d, np.diag([-1.0, 1.0]), atol=1e-9)
-    with pytest.raises(DomainError):
-        model.derivatives_at([1e-7])
+def test_model_without_derivatives_is_refused():
+    # a dense model needs its derivatives; a frame model takes them from its frame
+    qubit = qubit_phase_dephasing()
+    with pytest.raises(ValueError, match="needs a derivative_fn or a frame_fn"):
+        StatisticalModel(2, qubit.param_names, qubit._state_fn,
+                         domain_fn=qubit._domain_fn)
 
 
 def test_domain_errors_print_plain_floats():
-    # the theta of both messages reads {'phi': nan, ...}, not np.float64(nan)
+    # the theta of the message reads {'phi': nan, ...}, not np.float64(nan)
     qubit = qubit_phase_dephasing()
-    finite_difference = StatisticalModel(2, ("phi", "delta"), qubit.state_at,
-                                         domain_fn=lambda v: v[1] > 0.0)
     with pytest.raises(DomainError, match="outside the model domain") as outside:
         fisher_bundle(qubit, [np.nan, 0.3], separable_povm())
-    with pytest.raises(DomainError, match="central stencil") as stencil:
-        finite_difference.derivatives_at([0.1, 5e-6])
     assert "{'phi': nan, 'delta': 0.3}" in str(outside.value)
-    assert "{'phi': 0.1, 'delta': 5e-06} (step 1e-05)" in str(stencil.value)
-    for err in (outside, stencil):
-        assert "np.float64" not in str(err.value)
+    assert "np.float64" not in str(outside.value)
 
 
 def _non_finite_cases():
     qubit = qubit_phase_dephasing()
-    # finite differences and no domain_fn: the state function itself takes NaN
+
+    def coherence(v):
+        return 0.5 * np.exp(-1j * v[0] - 0.3)
+
+    # no domain_fn: the state and derivative functions themselves would take NaN
     phase_only = StatisticalModel(
-        2, ("phi",), lambda v: 0.5 * np.array([[1.0, np.exp(-1j * v[0] - 0.3)],
-                                               [np.exp(1j * v[0] - 0.3), 1.0]]))
+        2, ("phi",), lambda v: np.array([[0.5, coherence(v)], [np.conj(coherence(v)), 0.5]]),
+        derivative_fn=lambda v: [np.array([[0.0, -1j * coherence(v)],
+                                           [np.conj(-1j * coherence(v)), 0.0]])])
     cfg = PointSourceConfig(n_max=20, x_m=0.0)
     return [pytest.param(qubit, [0.7, 0.3], separable_povm(), id="qubit"),
             pytest.param(tensor_model(qubit, 2), [0.7, 0.3], bell_povm(), id="two-copy"),
-            pytest.param(phase_only, [0.7], separable_povm(), id="finite-difference"),
+            pytest.param(phase_only, [0.7], separable_povm(), id="no-domain-fn"),
             pytest.param(point_source_model(cfg), [0.0, 0.3, 0.3],
                          optimal_povm_point_sources(cfg), id="point-sources")]
 
@@ -196,21 +190,6 @@ def test_tensor_model_product_rule_vs_fd():
         assert np.max(np.abs(derivs[j] - fd)) <= 1e-8
 
 
-def test_tensor_model_of_finite_difference_model():
-    # a model without analytic derivatives tensors through its own
-    # central differences, which stay inside the domain or refuse
-    analytic = qubit_phase_dephasing()
-    fd_only = StatisticalModel(2, analytic.param_names, analytic._state_fn,
-                               domain_fn=analytic._domain_fn)
-    theta = np.array([0.4, 0.2])
-    expected = tensor_model(analytic, 2).derivatives_at(theta)
-    got = tensor_model(fd_only, 2).derivatives_at(theta)
-    for d_fd, d_exact in zip(got, expected):
-        assert np.max(np.abs(d_fd - d_exact)) <= 1e-9
-    with pytest.raises(DomainError):
-        tensor_model(fd_only, 2).derivatives_at([0.4, 1e-6])
-
-
 def _kron_chain(factors):
     out = factors[0]
     for f in factors[1:]:
@@ -219,14 +198,10 @@ def _kron_chain(factors):
 
 
 @pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("analytic", [True, False])
-def test_tensor_model_is_the_kron_chain_bit_for_bit(m, analytic):
+def test_tensor_model_is_the_kron_chain_bit_for_bit(m):
     # the broadcast products take the factors left to right and sum the
     # product-rule terms in order, so every entry is the np.kron chain's
     base = qubit_phase_dephasing()
-    if not analytic:
-        base = StatisticalModel(2, base.param_names, base._state_fn,
-                                domain_fn=base._domain_fn)
     power = tensor_model(base, m)
     for theta in ([0.4, 0.2], [2.3, 0.01], [-1.1, 1.7]):
         rho, derivs = base.state_at(theta), base.derivatives_at(theta)
@@ -243,19 +218,27 @@ def test_tensor_model_is_the_kron_chain_bit_for_bit(m, analytic):
 
 
 def test_repeated_point_reuses_the_checked_arrays():
-    calls = []
+    states, derivatives = [], []
     base = qubit_phase_dephasing()
 
     def state_fn(values):
-        calls.append(tuple(values))
+        states.append(tuple(values))
         return base._state_fn(values)
 
-    model = StatisticalModel(2, base.param_names, state_fn, domain_fn=base._domain_fn)
-    # the first miss evaluates the state and its central differences (4 states)
+    def derivative_fn(values):
+        derivatives.append(tuple(values))
+        return base._derivative_fn(values)
+
+    def calls():
+        return len(states), len(derivatives)
+
+    model = StatisticalModel(2, base.param_names, state_fn, derivative_fn=derivative_fn,
+                             domain_fn=base._domain_fn)
+    # the first miss evaluates the state and its derivatives once each
     rho = model.state_at([0.4, 0.2])
-    assert len(calls) == 5
+    assert calls() == (1, 1)
     derivs = model.derivatives_at([0.4, 0.2])
-    assert len(calls) == 5
+    assert calls() == (1, 1)
     assert model.state_at(np.array([0.4, 0.2])) is rho
     again = model.derivatives_at((0.4, 0.2))
     assert again is not derivs and len(again) == len(derivs)
@@ -265,15 +248,16 @@ def test_repeated_point_reuses_the_checked_arrays():
     B, frame_rho, frame_derivs = model.frame_at([0.4, 0.2])
     assert B is None and frame_rho is rho
     assert all(a is b for a, b in zip(frame_derivs, derivs))
-    assert len(calls) == 5 and not rho.flags.writeable
+    assert calls() == (1, 1) and not rho.flags.writeable
     assert not any(d.flags.writeable for d in derivs)
     other = model.state_at([0.4, 0.3])              # a new point is evaluated
-    assert len(calls) == 10 and not np.array_equal(other, rho)
+    assert calls() == (2, 2) and not np.array_equal(other, rho)
+    assert states == derivatives == [(0.4, 0.2), (0.4, 0.3)]
     with pytest.raises(DomainError):                # and checked on every miss
         model.state_at([0.4, -0.1])
     with pytest.raises(DomainError):
         model.state_at([0.4, -0.1])
-    assert len(calls) == 10
+    assert calls() == (2, 2)
 
 
 def test_tensor_povm_completeness():
