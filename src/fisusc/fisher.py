@@ -230,7 +230,7 @@ def fisher_bundle(model, theta, povm):
     probs, numerators = _outcome_traces(rho, derivs, elements)
     keep = probs >= P_CUTOFF
     if not keep.all():
-        full = np.asarray(derivs) if B is None else _lift(B, np.asarray(derivs))
+        full = np.asarray(model.derivatives_at(theta))
         limits = np.sqrt(P_CUTOFF) * np.max(np.abs(full), axis=(1, 2))
         bad = np.flatnonzero(~keep & np.any(np.abs(numerators) > limits, axis=1))
         if bad.size:

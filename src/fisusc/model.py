@@ -1,10 +1,10 @@
 """Parametrized quantum statistical models and POVMs.
 
-A :class:`StatisticalModel` maps a parameter point to a density matrix
-and its analytic parameter derivatives, or to a frame: a (d, r) matrix
-B and Hermitian r x r cores with ``rho = B S_0 B^dag`` and
-``d_j rho = B S_j B^dag``.  A :class:`Povm` is an ordered list of
-positive operators summing to the identity.
+A :class:`StatisticalModel` maps a parameter point to a frame: a (d, r)
+matrix B and Hermitian r x r cores with ``rho = B S_0 B^dag`` and
+``d_j rho = B S_j B^dag``.  A dense model's frame is B = None (the
+identity) with its state and derivatives as the cores.  A :class:`Povm`
+is an ordered list of positive operators summing to the identity.
 """
 
 import math
@@ -28,42 +28,38 @@ class StatisticalModel:
     dim : int
         Hilbert-space dimension.
     param_names : sequence of str
-    state_fn : callable
-        ``theta values -> (dim, dim) density matrix``.
-    derivative_fn : callable, optional
-        ``theta values -> list of d rho / d theta_j``; a model without a
-        ``frame_fn`` needs one.
+    state_fn, derivative_fn : callable, optional
+        ``theta values -> (dim, dim) density matrix`` and ``theta values ->
+        list of d rho / d theta_j``: a dense model, whose frame is B = None
+        with its state and derivatives as the cores.
     domain_fn : callable, optional
         ``theta values -> bool``; False means out of domain.  A point with a
         non-finite value is out of every model's domain.
     frame_fn : callable, optional
         ``theta values -> (B, S)``: a (dim, r) matrix and a (1 + P, r, r)
-        stack of cores, ``rho = B S[0] B^dag`` and ``d_j rho = B S[j+1] B^dag``;
-        the derivatives then come from the frame, not ``derivative_fn``.
+        stack of cores, ``rho = B S[0] B^dag`` and ``d_j rho = B S[j+1] B^dag``.
 
-    A dense model (no ``frame_fn``) evaluates a point once: its state and
-    derivatives form one read-only (1 + P, d, d) stack, domain-checked and
-    validated by one `hermitize`, and `state_at`, `derivatives_at` and
-    `frame_at` return views of it that are stored once.  A frame model
-    keeps its frame, its closed-form state and its lifted derivatives
-    apart.  Each result is kept for the last point, keyed on the bytes of
-    theta; a repeated point returns the same read-only arrays, and every
-    miss is domain-checked.
+    A model takes either ``state_fn`` with ``derivative_fn`` or
+    ``frame_fn``.  It evaluates a point once: one domain check, one frame,
+    and one `hermitize` of its stack of cores, kept for the last point
+    (keyed on the bytes of theta) with the lift ``B S B^dag`` built when
+    `state_at` or `derivatives_at` first reads it.  A repeated point
+    returns the same read-only arrays; a dense model's lift is its cores.
     """
 
-    def __init__(self, dim, param_names, state_fn, derivative_fn=None,
+    def __init__(self, dim, param_names, state_fn=None, derivative_fn=None,
                  domain_fn=None, frame_fn=None):
         self.dim = int(dim)
         self.param_names = tuple(param_names)
-        self._state_fn = state_fn
-        self._derivative_fn = derivative_fn
         self._domain_fn = domain_fn
-        self._frame_fn = frame_fn
-        self._last = {}
+        self._slot = None
         if self.dim < 1 or not self.param_names:
             raise ValueError("need dim >= 1 and at least one parameter")
-        if derivative_fn is None and frame_fn is None:
-            raise ValueError("a model needs a derivative_fn or a frame_fn")
+        routes = (state_fn is not None, derivative_fn is not None, frame_fn is not None)
+        if routes not in ((True, True, False), (False, False, True)):
+            raise ValueError("a model takes a state_fn with a derivative_fn, "
+                             "or a frame_fn alone")
+        self._frame_fn = frame_fn or (lambda v: (None, [state_fn(v), *derivative_fn(v)]))
 
     @property
     def n_params(self):
@@ -86,51 +82,44 @@ class StatisticalModel:
             raise DomainError(f"theta = {dict(zip(self.param_names, map(float, values)))} "
                               f"outside the model domain")
 
-    def _memo(self, what, theta, evaluate):
+    def _point(self, theta):
+        """The slot ``[key, frame, lift]`` of theta, evaluated on a miss; the
+        lift of a frame model waits for `_lifted`."""
         values = self._theta_values(theta)
         key = values.tobytes()
-        last = self._last.get(what)
-        if last is None or last[0] != key:
+        slot = self._slot
+        if slot is None or slot[0] != key:
             self._check_domain(values)
-            last = self._last[what] = (key, evaluate(values))
-        return last[1]
-
-    def state_at(self, theta):
-        """Density matrix at theta (unit trace, PSD)."""
-        if self._frame_fn is None:
-            return self.frame_at(theta)[1]
-        return self._memo("state", theta, lambda v: hermitize(self._state_fn(v)))
-
-    def derivatives_at(self, theta):
-        """List of Hermitian traceless operators d rho / d theta_j."""
-        if self._frame_fn is None:
-            return list(self.frame_at(theta)[2])
-        B, cores = self._memo("frame", theta, self._frame)
-        return list(self._memo("derivatives", theta, lambda v: _lift(B, cores[1:])))
+            B, cores = self._frame_fn(values)
+            if B is not None:
+                B = np.array(B)
+                B.setflags(write=False)
+            cores = hermitize(cores)
+            frame = (B, cores[0], tuple(cores[1:]))
+            slot = self._slot = [key, frame, frame[1:] if B is None else None]
+        return slot
 
     def frame_at(self, theta):
         """``(B, rho, derivatives)``: the state is ``B rho B^dag`` and d_j rho
-        is ``B derivatives[j] B^dag``.
+        is ``B derivatives[j] B^dag``; B is None (the identity) for a dense
+        model.  The cores are views of one checked stack."""
+        return self._point(theta)[1]
 
-        Without a ``frame_fn`` B is None (the identity) and the operators
-        are the views of the point's checked stack of state and derivatives;
-        with one, they are the r x r cores, validated by one `hermitize` of
-        the stack.
-        """
-        if self._frame_fn is None:
-            return self._memo("dense", theta, self._dense)
-        B, cores = self._memo("frame", theta, self._frame)
-        return B, cores[0], tuple(cores[1:])
+    def _lifted(self, theta):
+        slot = self._point(theta)
+        if slot[2] is None:
+            B, rho, derivs = slot[1]
+            ops = _lift(B, np.asarray((rho, *derivs)))
+            slot[2] = ops[0], tuple(ops[1:])
+        return slot[2]
 
-    def _frame(self, values):
-        B, cores = self._frame_fn(values)
-        B = np.array(B)
-        B.setflags(write=False)
-        return B, hermitize(cores)
+    def state_at(self, theta):
+        """Density matrix at theta (unit trace, PSD)."""
+        return self._lifted(theta)[0]
 
-    def _dense(self, values):
-        stack = hermitize([self._state_fn(values), *self._derivative_fn(values)])
-        return None, stack[0], tuple(stack[1:])
+    def derivatives_at(self, theta):
+        """List of Hermitian traceless operators d rho / d theta_j."""
+        return list(self._lifted(theta)[1])
 
 
 @dataclass(frozen=True)

@@ -199,7 +199,7 @@ def point_source_model(cfg: PointSourceConfig):
     The state and its derivatives lie in the span of the coefficient
     vectors c+- and their displacement derivatives g+-, so the model
     evaluates to the frame ``B = [c+, c-, g+, g-]`` (d x 4) with 4 x 4
-    cores; `state_at` is the closed form ``q c+ c+^T + (1-q) c- c-^T``.
+    cores; `state_at` is its lift, ``q c+ c+^T + (1-q) c- c-^T``.
     """
     x_m = float(cfg.x_m)
     modes = np.arange(cfg.n_max + 1)
@@ -207,9 +207,8 @@ def point_source_model(cfg: PointSourceConfig):
     # d c_n / dd = (n / 2) (sqrt((n-1)!) / sqrt(n!)) c_{n-1} - (d / 4) c_n
     lower = 0.5 * modes[1:] * sqrt_factorial[:-1] / sqrt_factorial[1:]
 
-    def coefficients(values):
-        """Rows c+ and c- of a (2, d) array, and their displacements from x_m."""
-        x_c, dx, _ = values
+    def frame_fn(values):
+        x_c, dx, q = values
         disp = np.array([x_c + dx / 2.0 - x_m, x_c - dx / 2.0 - x_m])
         c = _hg_overlap(modes, x_m + disp[:, None], x_m, sqrt_factorial)
         for name, leakage in zip(("psi+", "psi-"), 1.0 - np.einsum("ij,ij->i", c, c)):
@@ -217,16 +216,6 @@ def point_source_model(cfg: PointSourceConfig):
                 raise DomainError(
                     f"truncation leakage {leakage:.2e} for {name} exceeds "
                     f"{TRUNCATION_LEAKAGE_TOL:.0e}; increase n_max (= {cfg.n_max})")
-        return c, disp
-
-    def state_fn(values):
-        q = values[2]
-        c, _ = coefficients(values)
-        return q * np.outer(c[0], c[0]) + (1.0 - q) * np.outer(c[1], c[1])
-
-    def frame_fn(values):
-        q = values[2]
-        c, disp = coefficients(values)
         g = -0.25 * disp[:, None] * c
         g[:, 1:] += lower * c[:, :-1]
         # cores in the frame [c+, c-, g+, g-]: g c^T + c g^T of one source
@@ -244,7 +233,7 @@ def point_source_model(cfg: PointSourceConfig):
         _, dx, q = values
         return dx >= 0.0 and 0.0 < q < 1.0
 
-    return StatisticalModel(cfg.n_max + 1, ("x_c", "dx", "q"), state_fn,
+    return StatisticalModel(cfg.n_max + 1, ("x_c", "dx", "q"),
                             domain_fn=domain_fn, frame_fn=frame_fn)
 
 

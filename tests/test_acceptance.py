@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from fisusc.fisher import (fisher_bundle, qfi_matrix, r_metric, sld,
-                           weak_commutativity)
+from fisusc.fisher import (SingularScoreError, fisher_bundle, qfi_matrix, r_metric,
+                           sld, weak_commutativity)
 from fisusc.linalg import hermitize
 from fisusc.model import Povm, StatisticalModel, tensor_model, tensor_povm
 from fisusc.models import (POINT_SOURCE_WEIGHTS, PointSourceConfig, bell_povm,
@@ -237,6 +237,51 @@ def test_c6_r_multi_bound_where_it_holds():
            all(v <= 1.05 for v in small_dx) and unbalanced <= 1.1,
            f"r_multi(dx=0.01) <= {max(small_dx):.5f}; "
            f"r_multi(q=0.1, dx=0.5) = {unbalanced:.4f}")
+
+
+F_DXDX_SMALL_SEPARATION = 0.113334      # F_dxdx at (x_c, q) = (0.2, 0.8) as dx -> 0
+
+
+def _off_centre_point(dx):
+    theta = np.array([0.2, dx, 0.8])
+    cfg = PointSourceConfig(n_max=20, x_m=x_opt(*theta))
+    model, povm = point_source_model(cfg), optimal_povm_point_sources(cfg)
+    return model, theta, povm
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "below dx ~ 1.2e-5 the outcomes v0 and v1 have p < P_CUTOFF and are "
+    "dropped, although each carries a finite num^2/p ~ 0.0267 of F_dxdx = "
+    "0.1133 as p -> 0: F_dxdx falls to 0.0600 (dx = 8e-6..1e-6), and at "
+    "dx = 1.16e-5 the row is refused with SingularScoreError. ROADMAP item 14"))
+def test_c6_small_separation_fisher_expected():
+    F = fisher_bundle(*_off_centre_point(5e-6)).fisher[1, 1]
+    report("6d (small-dx F, expected)",
+           abs(F / F_DXDX_SMALL_SEPARATION - 1.0) <= 1e-4,
+           f"F_dxdx(x_c=0.2, q=0.8, dx=5e-6) = {F:.6f}")
+
+
+def test_c6_small_separation_fisher_measured():
+    # F_dxdx holds its dx -> 0 value down to dx = 1.6e-5; at 1.16e-5 the
+    # probability of v0 crosses P_CUTOFF while its numerator does not
+    # cross sqrt(P_CUTOFF) max|d_j rho|, so the row is refused; further
+    # down v0 and v1 are dropped and their share of F_dxdx is lost
+    held = [fisher_bundle(*_off_centre_point(dx)).fisher[1, 1] for dx in (1e-3, 1e-4, 1.6e-5)]
+    with pytest.raises(SingularScoreError, match="outcome v0"):
+        fisher_bundle(*_off_centre_point(1.16e-5))
+    dropped = [fisher_bundle(*_off_centre_point(dx)) for dx in (8e-6, 5e-6, 1e-6)]
+    model, theta, povm = _off_centre_point(5e-6)
+    rho, d_dx = model.state_at(theta), model.derivatives_at(theta)[1]
+    lost = [np.trace(d_dx @ E).real ** 2 / np.trace(rho @ E).real
+            for E in povm.elements[:2]]
+    ok = (all(abs(F / F_DXDX_SMALL_SEPARATION - 1.0) <= 1e-4 for F in held)
+          and all(b.kept_outcomes == (2, 3) for b in dropped)
+          and all(abs(b.fisher[1, 1] / 0.0600 - 1.0) <= 1e-5 for b in dropped)
+          and all(abs(v / 0.026667 - 1.0) <= 1e-4 for v in lost))
+    report("6d (small-dx F, companion)", ok,
+           "F_dxdx = " + ", ".join(f"{F:.6f}" for F in held) + " (dx = 1e-3..1.6e-5), "
+           + ", ".join(f"{b.fisher[1, 1]:.6f}" for b in dropped) + " (dx = 8e-6..1e-6); "
+           f"dropped v0, v1 carry num^2/p = {lost[0]:.6f}, {lost[1]:.6f}")
 
 
 @pytest.fixture(scope="module")

@@ -52,8 +52,8 @@ def test_point_source_frame_is_checked_and_memoized():
     assert B.shape == (21, 4) and rho.shape == (4, 4) and len(derivs) == 3
     assert not B.flags.writeable and not rho.flags.writeable
     assert model.frame_at(theta.copy())[0] is B and len(runs) == 1
-    # the dense operators are the frame's, the state the closed form's
-    np.testing.assert_allclose(_lift(B, rho), model.state_at(theta), rtol=0, atol=1e-15)
+    # the dense state and derivatives are the lift of the frame
+    np.testing.assert_array_equal(_lift(B, rho), model.state_at(theta))
     np.testing.assert_array_equal(np.asarray(model.derivatives_at(theta)),
                                   _lift(B, np.asarray(derivs)))
     with pytest.raises(DomainError):

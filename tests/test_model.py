@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from fisusc.fisher import fisher_bundle
-from fisusc.linalg import HermiticityError
+from fisusc.linalg import HermiticityError, _lift
 from fisusc.model import (DomainError, Povm, StatisticalModel, mix_povm,
                           tensor_model, tensor_povm, validate_povm)
 from fisusc.models import (PointSourceConfig, bell_povm,
@@ -72,9 +74,39 @@ def test_analytic_vs_finite_difference():
 def test_model_without_derivatives_is_refused():
     # a dense model needs its derivatives; a frame model takes them from its frame
     qubit = qubit_phase_dephasing()
-    with pytest.raises(ValueError, match="needs a derivative_fn or a frame_fn"):
-        StatisticalModel(2, qubit.param_names, qubit._state_fn,
+    with pytest.raises(ValueError, match="a state_fn with a derivative_fn"):
+        StatisticalModel(2, qubit.param_names, qubit.state_at,
                          domain_fn=qubit._domain_fn)
+
+
+def _qubit_routes():
+    qubit = qubit_phase_dephasing()
+    return {"state_fn": qubit.state_at, "derivative_fn": qubit.derivatives_at,
+            "frame_fn": lambda v: (np.eye(2), [qubit.state_at(v), *qubit.derivatives_at(v)])}
+
+
+@pytest.mark.parametrize("names", [("state_fn", "derivative_fn", "frame_fn"),
+                                   ("state_fn", "frame_fn"), ("derivative_fn", "frame_fn"),
+                                   ("derivative_fn",), ()],
+                         ids=lambda names: "+".join(names) or "none")
+def test_model_given_both_routes_or_neither_is_refused(names):
+    # a model is dense (state and derivatives) or a frame, never both
+    routes = _qubit_routes()
+    with pytest.raises(ValueError, match="or a frame_fn alone"):
+        StatisticalModel(2, ("phi", "delta"), **{k: routes[k] for k in names})
+
+
+def test_dense_and_frame_routes_give_one_model():
+    routes = _qubit_routes()
+    dense = StatisticalModel(2, ("phi", "delta"), routes["state_fn"],
+                             derivative_fn=routes["derivative_fn"])
+    framed = StatisticalModel(2, ("phi", "delta"), frame_fn=routes["frame_fn"])
+    theta = [0.4, 0.2]
+    assert dense.frame_at(theta)[0] is None
+    np.testing.assert_array_equal(framed.frame_at(theta)[0], np.eye(2))
+    np.testing.assert_array_equal(framed.state_at(theta), dense.state_at(theta))
+    np.testing.assert_array_equal(np.asarray(framed.derivatives_at(theta)),
+                                  np.asarray(dense.derivatives_at(theta)))
 
 
 def test_domain_errors_print_plain_floats():
@@ -223,11 +255,11 @@ def test_repeated_point_reuses_the_checked_arrays():
 
     def state_fn(values):
         states.append(tuple(values))
-        return base._state_fn(values)
+        return base.state_at(values)
 
     def derivative_fn(values):
         derivatives.append(tuple(values))
-        return base._derivative_fn(values)
+        return base.derivatives_at(values)
 
     def calls():
         return len(states), len(derivatives)
@@ -258,6 +290,32 @@ def test_repeated_point_reuses_the_checked_arrays():
     with pytest.raises(DomainError):
         model.state_at([0.4, -0.1])
     assert calls() == (2, 2)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(
+    ("state_at", "derivatives_at", "frame_at"))), ids="-".join)
+def test_point_source_point_is_evaluated_once_by_any_accessors(order):
+    # one domain check and one frame per point, whichever accessors read it
+    # and however often; the dense operators are the lift of that frame
+    model = point_source_model(PointSourceConfig(n_max=20, x_m=0.1))
+    calls = {"_check_domain": 0, "_frame_fn": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(model, name)):
+            calls[_name] += 1
+            return _original(*args)
+        setattr(model, name, counted)
+    theta = [0.1, 0.4, 0.3]
+    first = [getattr(model, name)(theta) for name in order]
+    again = [getattr(model, name)(np.array(theta)) for name in order]
+    assert calls == {"_check_domain": 1, "_frame_fn": 1}
+    for a, b in zip(first, again):
+        assert all(x is y for x, y in zip(a, b)) if isinstance(a, (list, tuple)) else a is b
+    B, rho, derivs = model.frame_at(theta)
+    np.testing.assert_array_equal(model.state_at(theta), _lift(B, rho))
+    np.testing.assert_array_equal(np.asarray(model.derivatives_at(theta)),
+                                  _lift(B, np.asarray(derivs)))
+    model.state_at([0.1, 0.5, 0.3])                     # a new point is evaluated
+    assert calls == {"_check_domain": 2, "_frame_fn": 2}
 
 
 def test_tensor_povm_completeness():

@@ -179,16 +179,20 @@ def test_point_source_trace_and_leakage():
 
 def test_point_source_state_is_built_from_the_closed_form():
     # sqrt(n!) is computed once per n_max and shared by every model of it;
-    # the state is bit-identical to the closed-form coefficients
-    x_c, dx, q = 0.1, 0.3, 0.4
-    cfg = PointSourceConfig(n_max=20, x_m=0.02)
-    modes = np.arange(21)
-    c_plus = hg_overlap_closed_form(modes, 0.02 + (x_c + dx / 2 - 0.02), 0.02)
-    c_minus = hg_overlap_closed_form(modes, 0.02 + (x_c - dx / 2 - 0.02), 0.02)
-    expected = q * np.outer(c_plus, c_plus) + (1 - q) * np.outer(c_minus, c_minus)
-    for _ in range(2):
-        np.testing.assert_array_equal(point_source_model(cfg).state_at([x_c, dx, q]),
-                                      expected)
+    # the state, the lift of the model's frame, is the closed-form mixture
+    # of the closed-form coefficients to rounding
+    rng = np.random.default_rng(7)
+    for n_max in (20, 48):
+        for _ in range(25):
+            x_c, dx, q = rng.uniform(-0.5, 0.5), rng.uniform(0.0, 1.5), rng.uniform(0.05, 0.95)
+            x_m = rng.uniform(-0.3, 0.3)
+            modes = np.arange(n_max + 1)
+            c_plus = hg_overlap_closed_form(modes, x_c + dx / 2, x_m)
+            c_minus = hg_overlap_closed_form(modes, x_c - dx / 2, x_m)
+            expected = q * np.outer(c_plus, c_plus) + (1 - q) * np.outer(c_minus, c_minus)
+            model = point_source_model(PointSourceConfig(n_max=n_max, x_m=x_m))
+            np.testing.assert_allclose(model.state_at([x_c, dx, q]), expected,
+                                       rtol=0, atol=1e-15)
     assert _sqrt_factorials(20) is _sqrt_factorials(20)
     assert not _sqrt_factorials(20).flags.writeable
 

@@ -556,10 +556,9 @@ def test_non_numerical_error_in_a_point_propagates(tmp_path, monkeypatch):
 
 def _count_evaluations(monkeypatch):
     """Count the outermost frame_at/state_at/derivatives_at calls per model
-    and every checked inverse.  Calls made inside another (frame_at reading
-    a dense model's state and derivatives, tensor_model reading its base
-    model) are not counted; how often a model's own state and derivative
-    functions run is counted by
+    and every checked inverse.  Calls made inside another (tensor_model
+    reading its base model) are not counted; how often a model's own state
+    and derivative functions run is counted by
     test_bell_point_runs_the_single_copy_functions_once."""
     calls, inverted, depth = Counter(), [], [0]
     for name in ("frame_at", "state_at", "derivatives_at"):
@@ -624,20 +623,23 @@ def test_bell_point_runs_the_single_copy_functions_once(tmp_path, monkeypatch):
     # evaluation of the single-copy model
     calls = Counter()
 
-    def counted_qubit():
-        model = qubit_phase_dephasing()
-        for name in ("_state_fn", "_derivative_fn"):
-            def wrapper(values, _name=name, _original=getattr(model, name)):
-                calls[_name] += 1
-                return _original(values)
-            setattr(model, name, wrapper)
-        return model
+    def counted(name, fn):
+        def wrapper(values):
+            calls[name] += 1
+            return fn(values)
+        return wrapper
 
-    monkeypatch.setattr(sweep, "qubit_phase_dephasing", counted_qubit)
+    class CountedModel(StatisticalModel):
+        # the dense models' constructor, with their two functions counted
+        def __init__(self, dim, param_names, state_fn=None, derivative_fn=None, **kwargs):
+            super().__init__(dim, param_names, counted("state_fn", state_fn),
+                             counted("derivative_fn", derivative_fn), **kwargs)
+
+    monkeypatch.setattr(models, "StatisticalModel", CountedModel)
     spec = small_spec(tmp_path, measurement="bell", oracle_samples=1)
     row = evaluate_point(spec, 0, 0.1)
     assert row["error"] == "" and row["oracle_best_X"] != ""
-    assert calls == {"_state_fn": 1, "_derivative_fn": 1}
+    assert calls == {"state_fn": 1, "derivative_fn": 1}
 
 
 def test_bell_point_checks_each_model_once(tmp_path, monkeypatch):
