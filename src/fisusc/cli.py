@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fisher import fisher_bundle, qfi_matrix
+from .fisher import _eigen_slds, fisher_bundle
 from .sweep import (MEASUREMENTS, MODELS, SweepSpec, SweepSpecError,
                     build_model_povm, check_in_domain, check_model_spec,
                     run_sweep)
@@ -197,7 +197,7 @@ def _cmd_show_model(args):
     try:
         bundle = fisher_bundle(model, theta, povm)
         rho, F = bundle.rho, bundle.fisher
-        Q = qfi_matrix(model, theta)     # the Q of a sweep row, bit for bit
+        Q = _eigen_slds(*bundle.support[1:])[2]     # the Q of a sweep row, bit for bit
     except ValueError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE

@@ -184,21 +184,22 @@ def _support_basis(ops):
     One SVD of the operators side by side, each scaled to unit max entry:
     r counts the singular values above ``SUPPORT_RTOL`` times the largest,
     and the basis is the first r left singular vectors (None when r = d,
-    the whole space).  The SVD's absolute error is about eps times the
-    largest singular value, so it resolves a relative 1e-13 cut; the Gram
-    matrix ``sum X^2`` would not, since it squares the singular values, and
-    for point sources at dx = 0.01 the 4th one (2.6e-8 of the largest,
-    unscaled) would drop to rounding level.  The basis has the operators'
-    dtype: real for the point-source cores.
+    the whole space), formed by a second SVD only when r < d.  The SVD's
+    absolute error is about eps times the largest singular value, so it
+    resolves a relative 1e-13 cut; the Gram matrix ``sum X^2`` would not,
+    since it squares the singular values, and for point sources at
+    dx = 0.01 the 4th one (2.6e-8 of the largest, unscaled) would drop to
+    rounding level.  The basis has the operators' dtype: real for the
+    point-source cores.
     """
     ops = np.asarray(ops)
     n, d = ops.shape[:2]
     scales = np.abs(ops).max(axis=(1, 2))
     scales[scales == 0.0] = 1.0
     R = (ops / scales[:, None, None]).transpose(1, 0, 2).reshape(d, n * d)
-    U, s, _ = np.linalg.svd(R, full_matrices=False)
+    s = np.linalg.svd(R, compute_uv=False)
     r = int((s > SUPPORT_RTOL * s[0]).sum())
-    return None if r == d else U[:, :r]
+    return None if r == d else np.linalg.svd(R, full_matrices=False)[0][:, :r]
 
 
 def _outcome_traces(rho, derivs, elements):
@@ -222,6 +223,10 @@ def fisher_bundle(model, theta, povm):
     contribution is genuinely divergent and a :class:`SingularScoreError`
     is raised.  Measuring each numerator in units of its derivative's
     largest entry makes the choice independent of the parameters' units.
+    Only a point with an outcome below the cutoff reads those entries: a
+    frame model's derivative cores are then lifted to d x d here, once
+    (``B S_j B^dag``, the model's own lift is not built), and a dense
+    model's cores are its derivatives.
     """
     if model.dim != povm.dim:
         raise ValueError(f"model dim {model.dim} != POVM dim {povm.dim}")
@@ -230,7 +235,7 @@ def fisher_bundle(model, theta, povm):
     probs, numerators = _outcome_traces(rho, derivs, elements)
     keep = probs >= P_CUTOFF
     if not keep.all():
-        full = np.asarray(model.derivatives_at(theta))
+        full = np.asarray(derivs) if B is None else _lift(B, np.asarray(derivs))
         limits = np.sqrt(P_CUTOFF) * np.max(np.abs(full), axis=(1, 2))
         bad = np.flatnonzero(~keep & np.any(np.abs(numerators) > limits, axis=1))
         if bad.size:
@@ -308,9 +313,9 @@ def _checked_inverse(F, what="Fisher matrix"):
     means F is singular).
     """
     F = np.asarray(F, dtype=float)
-    diag = np.diag(F)
+    diag = F.diagonal()
     scaled = np.inf
-    if np.all(diag > 0.0) and np.all(np.isfinite(F)):
+    if (diag > 0.0).all() and np.isfinite(F).all():
         s = 1.0 / np.sqrt(diag)
         sv = np.linalg.svd(s[:, None] * F * s, compute_uv=False)
         if sv[-1] > 0.0:

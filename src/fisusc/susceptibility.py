@@ -233,26 +233,19 @@ def _canonical_diagonalizer(bundle):
     w, V = bundle.fisher_eigh
     w, V = w[::-1].copy(), V[:, ::-1].copy()
     scale = max(float(np.max(np.abs(w))), 1e-300)
-    clusters, start = [], 0
-    for i in range(1, len(w)):
-        if abs(w[i] - w[i - 1]) > CLUSTER_RTOL * scale:
-            clusters.append(range(start, i))
-            start = i
-    clusters.append(range(start, len(w)))
-    for idx in clusters:
-        idx = list(idx)
-        if len(idx) < 2:
-            continue
-        C = V[:, idx]
-        proj = C @ C.T
-        order = np.argsort(-np.diag(proj), kind="stable")
-        axes = sorted(order[:len(idx)])
-        U, _, Wt = np.linalg.svd(proj[:, axes], full_matrices=False)
-        V[:, idx] = U @ Wt
-    for c in range(V.shape[1]):
-        lead = int(np.argmax(np.abs(V[:, c])))
-        if V[lead, c] < 0:
-            V[:, c] = -V[:, c]
+    starts = np.flatnonzero(np.abs(np.diff(w)) > CLUSTER_RTOL * scale) + 1
+    if starts.size < len(w) - 1:         # some eigenvalues share a cluster
+        for idx in np.split(np.arange(len(w)), starts):
+            if len(idx) < 2:
+                continue
+            C = V[:, idx]
+            proj = C @ C.T
+            order = np.argsort(-np.diag(proj), kind="stable")
+            axes = sorted(order[:len(idx)])
+            U, _, Wt = np.linalg.svd(proj[:, axes], full_matrices=False)
+            V[:, idx] = U @ Wt
+    lead = np.argmax(np.abs(V), axis=0)
+    V *= np.where(V[lead, np.arange(V.shape[1])] < 0, -1.0, 1.0)
     J = V.T
     return J, np.diag(J @ F @ J.T).copy()
 
@@ -265,14 +258,14 @@ def sigma_upper(bundle: FisherBundle):
     outcomes n_k, m_k of maximal and minimal l~_k; one kernel call serves
     the stack of C_k.  They sum to F^-1, so sum_k K(C_k) = K(F^-1), and as
     the pair value is subadditive in K and maximal for C_k at (n_k, m_k),
-    Sigma_L <= Sigma_U.
+    Sigma_L <= Sigma_U.  Returns ``(Sigma_U, [sigma_k])``.
     """
     J, f = _canonical_diagonalizer(bundle)
     s = bundle.scores @ J.T                                   # l~_a = J l_a
     K = _k_operators(bundle, J[:, :, None] * J[:, None, :] / f[:, None, None])
     k = np.arange(s.shape[1])
     sigmas = 1.0 + _pair_values(K, (k, np.argmax(s, axis=0)), (k, np.argmin(s, axis=0)))
-    return float(np.sum(sigmas)), tuple(float(x) for x in sigmas)
+    return float(np.sum(sigmas)), sigmas.tolist()
 
 
 # ---------------------------------------------------------------------------

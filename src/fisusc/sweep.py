@@ -79,7 +79,8 @@ class SweepSpec:
             raise SweepSpecError("oracle_samples must be >= 0 and workers >= 1")
         grid = self.grid()
         for value in (grid[0], grid[-1]):
-            check_in_domain(_build_model(self, value)[0], _theta_for(self, value),
+            theta = _theta_for(self, value)
+            check_in_domain(_build_model(self, theta)[0], theta,
                             f"sweep endpoint {self.sweep_name} = {value}")
 
     def grid(self):
@@ -166,8 +167,7 @@ def _measurement_povm(measurement, n_max):
     return optimal_povm_point_sources(PointSourceConfig(n_max=n_max, x_m=0.0))
 
 
-def _build_model(spec, sweep_value):
-    theta = _theta_for(spec, sweep_value)
+def _build_model(spec, theta):
     return build_model_povm(spec.model, spec.measurement, theta, spec.n_max)
 
 
@@ -182,19 +182,22 @@ def sweep_columns(spec):
 
 
 @lru_cache(maxsize=None)
-def _columns(model_id):
+def _keys(model_id):
+    """The per-parameter column names of a model: ``(F_*, Q_*, r_nuisance_*,
+    sigma_*)``, the matrix entries in `_upper_triangle` order."""
     names = _param_names(model_id)
-    cols = ["sweep_value"]
-    cols += [f"F_{names[i]}_{names[j]}" for i in range(len(names))
+    pairs = [f"{names[i]}_{names[j]}" for i in range(len(names))
              for j in range(i, len(names))]
-    cols += [f"Q_{names[i]}_{names[j]}" for i in range(len(names))
-             for j in range(i, len(names))]
-    cols += ["r_multi"]
-    cols += [f"r_nuisance_{n}" for n in names]
-    cols += ["sigma_lower", "sigma_upper"]
-    cols += [f"sigma_{n}" for n in names]
-    cols += ["oracle_best_X", "condition_number_F", "error"]
-    return tuple(cols)
+    return (tuple(f"F_{p}" for p in pairs), tuple(f"Q_{p}" for p in pairs),
+            tuple(f"r_nuisance_{n}" for n in names), tuple(f"sigma_{n}" for n in names))
+
+
+@lru_cache(maxsize=None)
+def _columns(model_id):
+    f_keys, q_keys, r_keys, sigma_keys = _keys(model_id)
+    return ("sweep_value", *f_keys, *q_keys, "r_multi", *r_keys,
+            "sigma_lower", "sigma_upper", *sigma_keys,
+            "oracle_best_X", "condition_number_F", "error")
 
 
 def evaluate_point(spec, index, sweep_value):
@@ -213,25 +216,21 @@ def evaluate_point(spec, index, sweep_value):
     ``r_multi = 2 tr F^-1 / tr Q_1^-1``; no single-copy Q is computed.
     The row does not depend on ``index``, its grid position.
     """
-    names = _param_names(spec.model)
+    f_keys, q_keys, r_keys, sigma_keys = _keys(spec.model)
     row = dict.fromkeys(_columns(spec.model), "")
     row["sweep_value"] = float(sweep_value)
     try:
-        model, povm, _ = _build_model(spec, sweep_value)
         theta = _theta_for(spec, sweep_value)
+        model, povm, _ = _build_model(spec, theta)
         bundle = fisher_bundle(model, theta, povm)
         F, Q = bundle.fisher, _eigen_slds(*bundle.support[1:])[2]
-        pairs = [f"{names[i]}_{names[j]}" for i in range(len(names))
-                 for j in range(i, len(names))]
-        for key, f, q in zip(pairs, _upper_triangle(F), _upper_triangle(Q)):
-            row[f"F_{key}"], row[f"Q_{key}"] = f, q
+        row.update(zip(f_keys, _upper_triangle(F)))
+        row.update(zip(q_keys, _upper_triangle(Q)))
         row["r_multi"], r_nuisance = _ratios(bundle.fisher_inverse, _qfi_inverse(Q))
-        for n, r in zip(names, r_nuisance.tolist()):
-            row[f"r_nuisance_{n}"] = r
+        row.update(zip(r_keys, r_nuisance.tolist()))
         row["sigma_lower"] = sigma_lower(bundle)[0]
         row["sigma_upper"], sigmas = sigma_upper(bundle)
-        for n, s in zip(names, sigmas):
-            row[f"sigma_{n}"] = s
+        row.update(zip(sigma_keys, sigmas))
         if spec.oracle_samples > 0:
             row["oracle_best_X"] = sigma_exact(bundle).value
         row["condition_number_F"] = bundle.fisher_condition

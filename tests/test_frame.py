@@ -12,7 +12,7 @@ import pytest
 import fisusc.fisher as fisher
 import fisusc.susceptibility as susceptibility
 import fisusc.sweep as sweep
-from fisusc.fisher import (SUPPORT_RTOL, SingularFisherError, SingularScoreError,
+from fisusc.fisher import (P_CUTOFF, SUPPORT_RTOL, SingularFisherError, SingularScoreError,
                            _support, _support_basis, fisher_bundle, qfi_matrix)
 from fisusc.linalg import _lift
 from fisusc.model import DomainError, StatisticalModel
@@ -144,6 +144,35 @@ def test_frame_path_refuses_like_the_dense_twin(monkeypatch):
     model, povm = point(theta, 48)
     kind, text = refusal(model, theta, povm)
     assert kind is SingularScoreError and (kind, text) == refusal(dense_twin(model), theta, povm)
+
+
+@pytest.mark.parametrize("n_max, values, n_dropping",
+                         [(20, dx_spec(README_FIXED, 20).grid(), 30), (48, [0.01], 1)],
+                         ids=["readme-20", "readme-48"])
+def test_score_limits_lift_the_derivative_cores_alone(monkeypatch, n_max, values, n_dropping):
+    # a point with an outcome below P_CUTOFF (30 of the 50 README rows, the
+    # rest outcome at dx <= 0.15) lifts its P derivative cores once, for the
+    # score-refusal limits, and leaves the model's lift unbuilt; each limit
+    # has the bits of the one read off the model's d x d derivatives
+    lifts, lift = [], fisher._lift
+    monkeypatch.setattr(fisher, "_lift", lambda B, S: lifts.append(lift(B, S)) or lifts[-1])
+    dropping = 0
+    for dx in values:
+        theta = np.array([0.0, dx, 0.3])
+        model, povm = point(theta, n_max)
+        lifts.clear()
+        bundle = fisher_bundle(model, theta, povm)
+        assert model._slot[2] is None
+        if bundle.probabilities.min() >= P_CUTOFF:
+            assert lifts == []
+            continue
+        dropping += 1
+        assert len(lifts) == 1 and lifts[0].shape == (3, n_max + 1, n_max + 1)
+        limits = np.sqrt(P_CUTOFF) * np.max(np.abs(lifts[0]), axis=(1, 2))
+        full = np.asarray(model.derivatives_at(theta))
+        want = np.sqrt(P_CUTOFF) * np.max(np.abs(full), axis=(1, 2))
+        assert limits.tobytes() == want.tobytes()
+    assert dropping == n_dropping
 
 
 def test_support_search_never_sees_a_dense_point_source_operator(monkeypatch):

@@ -457,6 +457,55 @@ def test_frame_degenerate_fisher_is_identity_aligned():
     np.testing.assert_allclose(J, np.eye(2), atol=1e-10)
 
 
+def loop_diagonalizer(bundle):
+    """`_canonical_diagonalizer`'s J with its clusters and column signs
+    found one index at a time: the reference for the vectorized steps."""
+    w, V = bundle.fisher_eigh
+    w, V = w[::-1].copy(), V[:, ::-1].copy()
+    scale = max(float(np.max(np.abs(w))), 1e-300)
+    clusters, start = [], 0
+    for i in range(1, len(w)):
+        if abs(w[i] - w[i - 1]) > susceptibility.CLUSTER_RTOL * scale:
+            clusters.append(list(range(start, i)))
+            start = i
+    clusters.append(list(range(start, len(w))))
+    for idx in clusters:
+        if len(idx) > 1:
+            proj = V[:, idx] @ V[:, idx].T
+            axes = sorted(np.argsort(-np.diag(proj), kind="stable")[:len(idx)])
+            U, _, Wt = np.linalg.svd(proj[:, axes], full_matrices=False)
+            V[:, idx] = U @ Wt
+    for c in range(V.shape[1]):
+        if V[int(np.argmax(np.abs(V[:, c]))), c] < 0:
+            V[:, c] = -V[:, c]
+    return V.T
+
+
+@pytest.mark.parametrize("kind, theta", [
+    ("separable", (np.pi / 4, 0.1)),             # F proportional to I: one cluster
+    ("separable", (0.8, 0.45)),
+    ("bell", (np.pi / 4, 0.2)),
+    ("bell", (0.3, 0.05)),
+    ("point-sources", (0.0, 0.05, 0.3)),
+    ("point-sources", (0.2, 0.4, 0.8)),
+    ("point-sources", (-0.5, 1.0, 0.5)),
+])
+def test_frame_matches_the_loop_reference_bit_for_bit(kind, theta):
+    theta = np.asarray(theta)
+    if kind == "point-sources":
+        cfg = PointSourceConfig(n_max=20, x_m=x_opt(*theta))
+        model, povm = point_source_model(cfg), optimal_povm_point_sources(cfg)
+    elif kind == "bell":
+        model, povm = tensor_model(qubit_phase_dephasing(), 2), bell_povm()
+    else:
+        model, povm = qubit_phase_dephasing(), separable_povm()
+    bundle = fisher_bundle(model, theta, povm)
+    J, f = _canonical_diagonalizer(bundle)
+    reference = loop_diagonalizer(bundle)
+    assert J.tobytes() == reference.tobytes()
+    assert f.tobytes() == np.diag(reference @ bundle.fisher @ reference.T).tobytes()
+
+
 def test_frame_trace_identity_random_instance():
     _, _, bundle = qubit_bundle((0.8, 0.45))
     J, f = _canonical_diagonalizer(bundle)

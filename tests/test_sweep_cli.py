@@ -388,6 +388,23 @@ def test_cli_show_model_keeps_print_options_and_prints_plain_floats(capsys):
         assert np.array2string(fisher.qfi_matrix(model, theta)) in out
 
 
+@pytest.mark.parametrize("measurement, fixes", [
+    ("separable", ["phi=0.7", "delta=0.3"]),
+    ("bell", ["phi=0.3", "delta=0.2"]),
+    ("optimal-hg", ["x_c=0.1", "dx=0.05", "q=0.3"]),
+])
+def test_cli_show_model_restricts_its_point_once(monkeypatch, capsys, measurement, fixes):
+    # F and Q are read off one support of the point: one QR and SVD of a
+    # point-source frame, one Cholesky of a dense state
+    calls, support = [], fisher._support
+    monkeypatch.setattr(fisher, "_support", lambda *ops: calls.append(1) or support(*ops))
+    model = "point-sources" if measurement == "optimal-hg" else "phase-dephasing"
+    argv = ["show-model", "--model", model, "--measurement", measurement]
+    assert main(argv + [arg for fix in fixes for arg in ("--fix", fix)]) == 0
+    assert "Q =" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_cli_show_model_spec_errors():
     # the same model/measurement/parameter checks as a sweep specification
     assert main(["show-model", "--model", "point-sources", "--measurement", "bell",
@@ -683,6 +700,18 @@ def test_bell_r_multi_reads_the_two_copy_q(tmp_path):
             assert row["r_multi"] == pytest.approx(r_metric(F, Q1, m=2), rel=1e-13, abs=0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_far_separation_is_an_error_row_under_strict_warnings(tmp_path):
+    # at dx = 1e16 the coefficients' (d/2)^n overflows: the row reports the
+    # NaN truncation leakage instead of raising the overflow warning
+    spec = small_spec(tmp_path, model="point-sources", measurement="optimal-hg",
+                      fixed={"x_c": 0.0, "q": 0.3}, sweep_name="dx", start=1.0,
+                      stop=1e16, count=3)
+    rows = run_sweep(spec)
+    assert rows[0]["error"] == ""
+    assert rows[-1]["error"].startswith("truncation leakage nan for psi+ exceeds")
+
+
 def test_cli_reused_parser_carries_no_state(tmp_path, capsys):
     # one parser serves every call of a process; a flag sweep with --fix,
     # a config sweep with other fixed values, show-model and verify each
@@ -728,6 +757,7 @@ def test_cli_reused_parser_carries_no_state(tmp_path, capsys):
 
 @pytest.mark.parametrize("model, measurement, fixed, swept, value, n_models, n_matrices", [
     ("point-sources", "optimal-hg", {"x_c": 0.1, "q": 0.3}, "dx", 0.2, 1, 2),
+    ("point-sources", "optimal-hg", {"x_c": 0.1, "q": 0.3}, "dx", 0.05, 1, 2),  # drops "rest"
     ("phase-dephasing", "bell", {"phi": PHI}, "delta", 0.1, 1, 2),
 ])
 def test_point_evaluates_each_model_once(tmp_path, monkeypatch, model, measurement,
