@@ -757,8 +757,8 @@ def test_cli_reused_parser_carries_no_state(tmp_path, capsys):
 
 @pytest.mark.parametrize("model, measurement, fixed, swept, value, n_models, n_matrices", [
     ("point-sources", "optimal-hg", {"x_c": 0.1, "q": 0.3}, "dx", 0.2, 1, 2),
-    ("point-sources", "optimal-hg", {"x_c": 0.1, "q": 0.3}, "dx", 0.05, 1, 2),  # drops "rest"
     ("phase-dephasing", "bell", {"phi": PHI}, "delta", 0.1, 1, 2),
+    ("point-sources", "optimal-hg", {"x_c": 0.1, "q": 0.3}, "dx", 0.05, 1, 2),  # drops "rest"
 ])
 def test_point_evaluates_each_model_once(tmp_path, monkeypatch, model, measurement,
                                          fixed, swept, value, n_models, n_matrices):
