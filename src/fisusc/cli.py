@@ -21,10 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fisher import _eigen_slds, fisher_bundle
-from .sweep import (MEASUREMENTS, MODELS, SweepSpec, SweepSpecError,
-                    build_model_povm, check_in_domain, check_model_spec,
-                    run_sweep)
+from .fisher import fisher_bundle
+from .sweep import (MEASUREMENTS, MODEL_TABLE, MODELS, SweepSpec,
+                    SweepSpecError, build_model_povm, check_in_domain,
+                    check_model_spec, run_sweep)
 
 EXIT_OK = 0
 EXIT_INVARIANT_FAILURE = 1
@@ -64,11 +64,14 @@ def _parse_sweep(text):
     return name, start, stop, count, scale
 
 
-def _integer(value, key):
-    """``value`` as an int; a number with a fractional part is refused, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
-        raise SweepSpecError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+def _number(value, key, kind=float):
+    """``value`` as a float, or an int for ``kind=int``; a bool (YAML reads
+    ``true`` as 1) or a fractional int is refused, not converted or truncated."""
+    if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                   and not value.is_integer()):
+        raise SweepSpecError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                             f"got {value!r}")
+    return kind(value)
 
 
 def _mapping(value, what, keys=None):
@@ -101,14 +104,25 @@ def _load_config(path):
 
 
 def _spec_from_args(args):
-    """Merge config file and flags (flags win) into a SweepSpec (`run_sweep` validates)."""
+    """Merge config file and flags (flags win) into a SweepSpec (`run_sweep`
+    validates); a malformed config value is refused even where a flag wins."""
     cfg = _load_config(args.config)
-    fixed = dict(_mapping(cfg.get("fix"), "config 'fix:'"))
-    fixed.update(_parse_fix(args.fix))
+    fix_cfg = _mapping(cfg.get("fix"), "config 'fix:'")
     sweep_cfg = _mapping(cfg.get("sweep"), "config 'sweep:'", SWEEP_KEYS)
-    name = sweep_cfg.get("name")
-    start, stop = sweep_cfg.get("start"), sweep_cfg.get("stop")
-    count, scale = sweep_cfg.get("count"), sweep_cfg.get("scale")
+    try:
+        fixed = {k: _number(v, f"fix {k}") for k, v in fix_cfg.items()}
+        start, stop, count = (None if sweep_cfg.get(k) is None else
+                              _number(sweep_cfg[k], k, int if k == "count" else float)
+                              for k in ("start", "stop", "count"))
+        settings = {k: _number(cfg.get(k, default), k, int) for k, default in
+                    (("oracle_samples", 0), ("seed", 0), ("workers", 1), ("n_max", 20))}
+        out = cfg.get("out", "sweep.csv")
+        if not isinstance(out, str):
+            raise SweepSpecError(f"out must be a string, got {out!r}")
+    except (TypeError, ValueError) as err:
+        raise SweepSpecError(f"malformed value in the sweep specification: {err}")
+    fixed.update(_parse_fix(args.fix))
+    name, scale = sweep_cfg.get("name"), sweep_cfg.get("scale")
     if args.sweep:
         name, start, stop, count, flag_scale = _parse_sweep(args.sweep)
         if flag_scale is not None:
@@ -116,31 +130,16 @@ def _spec_from_args(args):
     if name is None or start is None or stop is None or count is None:
         raise SweepSpecError("a sweep needs name, start, stop and count "
                              "(--sweep or config 'sweep:')")
+    model = args.model or cfg.get("model") or ""
     if scale is None:
-        # both limits of interest (delta -> 0, dx -> 0) sit at zero, so
-        # log spacing is the default for those axes
-        scale = "log" if name in ("delta", "dx") else "linear"
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return cfg.get(key, default)
-    try:
-        spec = SweepSpec(
-            model=pick(args.model, "model", None) or "",
-            measurement=pick(args.measurement, "measurement", None) or "",
-            fixed={k: float(v) for k, v in fixed.items()},
-            sweep_name=name, start=float(start), stop=float(stop),
-            count=_integer(count, "count"), scale=scale,
-            oracle_samples=_integer(pick(args.oracle_samples, "oracle_samples", 0),
-                                    "oracle_samples"),
-            seed=_integer(pick(args.seed, "seed", 0), "seed"),
-            out=str(pick(args.out, "out", "sweep.csv")),
-            workers=_integer(pick(args.workers, "workers", 1), "workers"),
-            n_max=_integer(cfg.get("n_max", 20), "n_max"),
-        )
-    except (TypeError, ValueError) as err:
-        raise SweepSpecError(f"malformed value in the sweep specification: {err}")
-    return spec
+        log_axes = MODEL_TABLE[model].log_axes if model in MODELS else ()
+        scale = "log" if name in log_axes else "linear"
+    settings.update((k, getattr(args, k)) for k in ("oracle_samples", "seed", "workers")
+                    if getattr(args, k) is not None)
+    measurement = args.measurement or cfg.get("measurement") or ""
+    return SweepSpec(model=model, measurement=measurement, fixed=fixed, sweep_name=name,
+                     start=start, stop=stop, count=count, scale=scale,
+                     out=out if args.out is None else args.out, **settings)
 
 
 def _cmd_sweep(args):
@@ -196,8 +195,7 @@ def _cmd_show_model(args):
         return EXIT_INVALID_SPEC
     try:
         bundle = fisher_bundle(model, theta, povm)
-        rho, F = bundle.rho, bundle.fisher
-        Q = _eigen_slds(*bundle.support[1:])[2]     # the Q of a sweep row, bit for bit
+        rho, F, Q = bundle.rho, bundle.fisher, bundle.qfi   # a sweep row's Q, bit for bit
     except ValueError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE

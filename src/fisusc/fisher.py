@@ -36,8 +36,8 @@ identity when S is the whole space.  An operator on the support maps
 back as ``V X' V^dag``.  Trace norms, spectra and the quantum Fisher
 matrix are unchanged by the restriction.  The rank-4 point-source frame
 in d = 49 gives r = 4 from one SVD of its 4 x 4 cores, and a full-rank
-dense state keeps the whole space after one Cholesky.  `qfi_matrix`
-takes Q from the same support, so every model's Q is a sweep row's Q.
+dense state keeps the whole space after one Cholesky.  `FisherBundle.qfi`
+reads Q off it, as does `qfi_matrix` for a model without a measurement.
 """
 
 from dataclasses import dataclass
@@ -83,6 +83,7 @@ class FisherBundle:
         and the operators are the r x r ``V^dag X V``.
     rho, derivatives : the full-space operators ``V X V^dag``, built when
         first read.
+    qfi : Q, from one `_eigen_slds` of the support on first use.
     fisher_inverse : (P, P) array
         F^-1, checked and computed once per bundle on first use.
     fisher_eigh : ``(w, U)``, one eigh(F) for the frame of `sigma_upper` and
@@ -96,11 +97,10 @@ class FisherBundle:
     fisher: np.ndarray
     kept_outcomes: tuple
     support: tuple
-    param_names: tuple
 
     @property
     def n_params(self):
-        return len(self.param_names)
+        return len(self.fisher)
 
     @property
     def dim(self):
@@ -115,6 +115,10 @@ class FisherBundle:
     def derivatives(self):
         V, _, derivs = self.support
         return tuple(_lift(V, np.asarray(derivs)))
+
+    @cached_property
+    def qfi(self):
+        return _eigen_slds(*self.support[1:])[2]
 
     @cached_property
     def fisher_inverse(self):
@@ -250,7 +254,7 @@ def fisher_bundle(model, theta, povm):
     F = np.sum(probs[kept, None, None] * (scores[:, :, None] * scores[:, None, :]), axis=0)
     return FisherBundle(probabilities=probs, scores=scores,
                         fisher=F, kept_outcomes=tuple(kept.tolist()),
-                        support=_support(B, rho, derivs), param_names=model.param_names)
+                        support=_support(B, rho, derivs))
 
 
 def _eigen_slds(rho, derivs):
@@ -289,8 +293,8 @@ def sld(rho, drho):
 
 
 def qfi_matrix(model, theta):
-    """Quantum Fisher matrix Q via SLD operators, from the operators on the
-    support (`_support`), like a sweep row's Q."""
+    """Q of a model at ``theta`` without a measurement, from the SLDs on the
+    support; a caller holding the point's bundle reads `FisherBundle.qfi`."""
     return _eigen_slds(*_support(*model.frame_at(theta))[1:])[2]
 
 

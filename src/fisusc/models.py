@@ -254,8 +254,9 @@ def optimal_povm_point_sources(cfg: PointSourceConfig, weights=None):
     remainder of the truncated identity.
 
     The |v_j> combine the first four Hermite-Gauss modes at the alignment
-    point with the orthogonal weight matrix ``POINT_SOURCE_WEIGHTS``;
-    the fifth element collects all higher modes.
+    point with the orthogonal weights ``POINT_SOURCE_WEIGHTS``, and the
+    fifth element collects the higher ones.  In the mode basis the elements
+    depend on ``cfg.n_max`` only, not on ``cfg.x_m``.
     """
     w = POINT_SOURCE_WEIGHTS if weights is None else np.asarray(weights, dtype=float)
     dim = cfg.n_max + 1

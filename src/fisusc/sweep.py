@@ -8,13 +8,14 @@ sweep continues.
 """
 
 import csv
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .fisher import (SingularFisherError, SingularScoreError, _eigen_slds,
-                     _qfi_inverse, _ratios, fisher_bundle)
+from .fisher import (SingularFisherError, SingularScoreError, _qfi_inverse,
+                     _ratios, fisher_bundle)
 from .linalg import HermiticityError
 from .model import DomainError, tensor_model
 from .models import (N_MAX_LIMIT, PointSourceConfig, bell_povm,
@@ -22,16 +23,20 @@ from .models import (N_MAX_LIMIT, PointSourceConfig, bell_povm,
                      qubit_phase_dephasing, separable_povm, x_opt)
 from .susceptibility import sigma_exact, sigma_lower, sigma_upper
 
-MODELS = ("phase-dephasing", "point-sources")
-MEASUREMENTS = ("separable", "bell", "optimal-hg")
+ModelEntry = namedtuple("ModelEntry", "params measurements log_axes")
+# each model's parameter names, measurements (with the copies each acts on)
+# and the axes a sweep spaces on a log grid by default: their limits of
+# interest, delta -> 0 and dx -> 0, sit at zero
+MODEL_TABLE = {
+    "phase-dephasing": ModelEntry(("phi", "delta"), {"separable": 1, "bell": 2}, ("delta",)),
+    "point-sources": ModelEntry(("x_c", "dx", "q"), {"optimal-hg": 1}, ("dx",)),
+}
+MODELS = tuple(MODEL_TABLE)
+MEASUREMENTS = tuple(m for entry in MODEL_TABLE.values() for m in entry.measurements)
 # failures of the numerics at a point; any other exception is a bug and
 # propagates out of the sweep
 NUMERICAL_ERRORS = (SingularFisherError, SingularScoreError, DomainError,
                     HermiticityError, np.linalg.LinAlgError)
-_MEASUREMENT_FOR_MODEL = {
-    "phase-dephasing": ("separable", "bell"),
-    "point-sources": ("optimal-hg",),
-}
 
 
 class SweepSpecError(ValueError):
@@ -80,17 +85,13 @@ class SweepSpec:
         grid = self.grid()
         for value in (grid[0], grid[-1]):
             theta = _theta_for(self, value)
-            check_in_domain(_build_model(self, theta)[0], theta,
-                            f"sweep endpoint {self.sweep_name} = {value}")
+            model = build_model_povm(self.model, self.measurement, theta, self.n_max)[0]
+            check_in_domain(model, theta, f"sweep endpoint {self.sweep_name} = {value}")
 
     def grid(self):
         if self.scale == "log":
             return np.geomspace(self.start, self.stop, self.count)
         return np.linspace(self.start, self.stop, self.count)
-
-
-def _param_names(model_id):
-    return ("phi", "delta") if model_id == "phase-dephasing" else ("x_c", "dx", "q")
 
 
 def check_model_spec(model, measurement, fixed, swept=None):
@@ -105,10 +106,10 @@ def check_model_spec(model, measurement, fixed, swept=None):
     if measurement not in MEASUREMENTS:
         raise SweepSpecError(
             f"unknown measurement {measurement!r}; choose from {MEASUREMENTS}")
-    if measurement not in _MEASUREMENT_FOR_MODEL[model]:
+    if measurement not in MODEL_TABLE[model].measurements:
         raise SweepSpecError(
             f"measurement {measurement!r} does not apply to model {model!r}")
-    names = _param_names(model)
+    names = MODEL_TABLE[model].params
     if swept is not None and swept not in names:
         raise SweepSpecError(f"sweep parameter {swept!r} not in {names}")
     fixable = [n for n in names if n != swept]
@@ -130,9 +131,8 @@ def check_in_domain(model, theta, where):
 
 
 def _theta_for(spec, sweep_value):
-    values = dict(spec.fixed)
-    values[spec.sweep_name] = float(sweep_value)
-    return np.array([values[n] for n in _param_names(spec.model)])
+    values = {**spec.fixed, spec.sweep_name: float(sweep_value)}
+    return np.array([values[n] for n in MODEL_TABLE[spec.model].params])
 
 
 def build_model_povm(model_id, measurement, theta, n_max=20):
@@ -142,18 +142,16 @@ def build_model_povm(model_id, measurement, theta, n_max=20):
     the supplied point, mirroring how the optimal measurement is defined;
     within a point the apparatus is fixed.  The POVM itself, in the
     aligned basis, depends on ``n_max`` alone and is built once per
-    process (`_measurement_povm`).  The Bell measurement acts on two
-    copies, so its model is the tensor square of the qubit model.
-    Returns ``(model, povm, copies)``.
+    process (`_measurement_povm`).  The model is the base model's tensor
+    power over the copies its measurement acts on (`MODEL_TABLE`: two for
+    Bell; one copy is the model itself).  Returns ``(model, povm, copies)``.
     """
-    povm = _measurement_povm(measurement, n_max)
+    copies = MODEL_TABLE[model_id].measurements[measurement]
     if model_id == "phase-dephasing":
         base = qubit_phase_dephasing()
-        if measurement == "bell":
-            return tensor_model(base, 2), povm, 2
-        return base, povm, 1
-    model = point_source_model(PointSourceConfig(n_max=n_max, x_m=x_opt(*theta)))
-    return model, povm, 1
+    else:
+        base = point_source_model(PointSourceConfig(n_max=n_max, x_m=x_opt(*theta)))
+    return tensor_model(base, copies), _measurement_povm(measurement, n_max), copies
 
 
 @lru_cache(maxsize=32)
@@ -163,12 +161,8 @@ def _measurement_povm(measurement, n_max):
         return bell_povm()
     if measurement == "separable":
         return separable_povm()
-    # the elements do not depend on the alignment point x_m
+    # the elements depend on n_max only, not on the alignment point x_m
     return optimal_povm_point_sources(PointSourceConfig(n_max=n_max, x_m=0.0))
-
-
-def _build_model(spec, theta):
-    return build_model_povm(spec.model, spec.measurement, theta, spec.n_max)
 
 
 def _upper_triangle(M):
@@ -185,7 +179,7 @@ def sweep_columns(spec):
 def _keys(model_id):
     """The per-parameter column names of a model: ``(F_*, Q_*, r_nuisance_*,
     sigma_*)``, the matrix entries in `_upper_triangle` order."""
-    names = _param_names(model_id)
+    names = MODEL_TABLE[model_id].params
     pairs = [f"{names[i]}_{names[j]}" for i in range(len(names))
              for j in range(i, len(names))]
     return (tuple(f"F_{p}" for p in pairs), tuple(f"Q_{p}" for p in pairs),
@@ -203,17 +197,18 @@ def _columns(model_id):
 def evaluate_point(spec, index, sweep_value):
     """One sweep row as a dict; numerical failures land in 'error'.
 
-    State, derivatives, F and Q are evaluated once; every column reads
-    them from the point's Fisher bundle, which holds rho and its
-    derivatives on their joint support.  Q, `sigma_lower`, `sigma_upper`
-    (its total and terms) and, when ``spec.oracle_samples`` > 0, the exact
-    worst case (one K and best pair) come from those operators, and the
-    condition number from the bundle's eigh(F); the worst case's noise is
-    never lifted, and Q reads only the eigenbasis SLDs.  F and Q are
-    written before F^-1, so a row it refuses still carries them.  A Bell
-    row's model is the two-copy state, whose Q is 2 Q_1 for the
-    single-copy Q_1, so ``tr F^-1 / tr Q^-1`` is its two-copies-per-shot
-    ``r_multi = 2 tr F^-1 / tr Q_1^-1``; no single-copy Q is computed.
+    State, derivatives, F and Q are evaluated once; every column reads them
+    from the point's Fisher bundle, which holds rho and its derivatives on
+    their joint support.  Q (the bundle's `qfi`), `sigma_lower`,
+    `sigma_upper` (its total and terms) and, when ``spec.oracle_samples``
+    > 0, the exact worst case (one K and best pair) come from those
+    operators, and the condition number from the bundle's eigh(F); the
+    worst case's noise is never lifted, and Q reads only the eigenbasis
+    SLDs.  F and Q are written before F^-1, so a row it refuses still
+    carries them.  A Bell row's model is the two-copy state, whose Q is
+    2 Q_1 for the single-copy Q_1, so ``tr F^-1 / tr Q^-1`` is its
+    two-copies-per-shot ``r_multi = 2 tr F^-1 / tr Q_1^-1``; no
+    single-copy Q is computed.
     The row does not depend on ``index``, its grid position.
     """
     f_keys, q_keys, r_keys, sigma_keys = _keys(spec.model)
@@ -221,9 +216,9 @@ def evaluate_point(spec, index, sweep_value):
     row["sweep_value"] = float(sweep_value)
     try:
         theta = _theta_for(spec, sweep_value)
-        model, povm, _ = _build_model(spec, theta)
+        model, povm, _ = build_model_povm(spec.model, spec.measurement, theta, spec.n_max)
         bundle = fisher_bundle(model, theta, povm)
-        F, Q = bundle.fisher, _eigen_slds(*bundle.support[1:])[2]
+        F, Q = bundle.fisher, bundle.qfi
         row.update(zip(f_keys, _upper_triangle(F)))
         row.update(zip(q_keys, _upper_triangle(Q)))
         row["r_multi"], r_nuisance = _ratios(bundle.fisher_inverse, _qfi_inverse(Q))

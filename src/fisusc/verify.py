@@ -155,8 +155,8 @@ def check_qfi_dominates_fisher(seed):
     worst = 0.0
     povm = separable_povm()
     for model, theta in _qubit_instances(rng, 8):
-        F = fisher_bundle(model, theta, povm).fisher
-        Q = qfi_matrix(model, theta)
+        bundle = fisher_bundle(model, theta, povm)
+        F, Q = bundle.fisher, bundle.qfi
         worst = min(worst, float(np.linalg.eigvalsh(Q - F)[0]))
     return worst >= -1e-8, f"min eig(Q - F) = {worst:.3e}"
 
@@ -190,8 +190,8 @@ def check_r_bounds(seed):
     ok, values = True, []
     povm = separable_povm()
     for model, theta in _qubit_instances(rng, 6):
-        F = fisher_bundle(model, theta, povm).fisher
-        Q = qfi_matrix(model, theta)
+        bundle = fisher_bundle(model, theta, povm)
+        F, Q = bundle.fisher, bundle.qfi
         r = r_metric(F, Q, m=1)
         rn = r_nuisance(F, Q, 0)
         values += [r, rn]

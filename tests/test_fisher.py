@@ -211,6 +211,24 @@ def test_qfi_qubit_values():
     np.testing.assert_allclose(Q, np.diag([u, u / (1 - u)]), atol=1e-10)
 
 
+@pytest.mark.parametrize("model_id, measurement, theta", [
+    ("phase-dephasing", "separable", [np.pi / 4, 0.3]),
+    ("phase-dephasing", "bell", [0.3, 1e-3]),
+    ("point-sources", "optimal-hg", [0.1, 0.5, 0.3]),
+    ("point-sources", "optimal-hg", [0.1, 0.05, 0.3]),     # drops "rest"
+    ("point-sources", "optimal-hg", [0.0, 0.0, 0.3]),      # rank-2 support
+])
+def test_bundle_qfi_is_qfi_matrix_bit_for_bit(model_id, measurement, theta):
+    # the bundle reads Q off the support it already holds; qfi_matrix builds
+    # the same support of a model that has no measurement
+    from fisusc.sweep import build_model_povm
+    model, povm, _ = build_model_povm(model_id, measurement, np.array(theta))
+    bundle = fisher_bundle(model, theta, povm)
+    Q = qfi_matrix(model, theta)
+    assert bundle.qfi.tobytes() == Q.tobytes() and bundle.qfi.dtype == Q.dtype
+    assert bundle.qfi is bundle.qfi and bundle.n_params == len(theta)
+
+
 def test_small_dephasing_bell_row_succeeds():
     # nearly pure two-copy state: the SLD entries carry rounding of order
     # 1 / (l_i + l_j), which must not be mistaken for non-Hermiticity

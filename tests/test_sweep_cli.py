@@ -114,6 +114,18 @@ def test_sweep_points_run_on_the_calling_thread(tmp_path, monkeypatch):
     assert seen == [(i, threading.get_ident()) for i in range(5)]
 
 
+@pytest.mark.parametrize("model_id, measurement", [
+    (m, meas) for m, entry in sweep.MODEL_TABLE.items() for meas in entry.measurements])
+def test_model_table_entry_builds_its_model_and_measurement(model_id, measurement):
+    # every (model, measurement) of the catalogue builds a model with the
+    # table's parameters on the space its POVM acts on
+    entry = sweep.MODEL_TABLE[model_id]
+    theta = np.array([0.3, 0.2, 0.4][:len(entry.params)])
+    model, povm, copies = build_model_povm(model_id, measurement, theta)
+    assert model.param_names == entry.params and model.dim == povm.dim
+    assert copies == entry.measurements[measurement]
+
+
 def test_measurement_povm_is_built_once():
     theta_a, theta_b = [0.1, 0.2, 0.3], [-0.4, 0.7, 0.6]
     povm = build_model_povm("point-sources", "optimal-hg", theta_a, 20)[1]
@@ -275,11 +287,17 @@ POINT_SOURCE_CONFIG = {"model": "point-sources", "measurement": "optimal-hg",
     {"seed": 1.5}, {"workers": 1.5}, {"oracle_samples": 2.5}, {"seed": float("nan")},
     {"n_mx": 48}, {"sweep": {**POINT_SOURCE_CONFIG["sweep"], "sacle": "log"}},
     {"fix": ["x_c=0", "q=0.3"]}, {"sweep": ["dx", 0.01, 1, 5]}, {"n_max": 171},
+    {"out": None}, {"out": ["a", "b"]}, {"fix": {"x_c": True, "q": 0.3}},
+    {"sweep": {**POINT_SOURCE_CONFIG["sweep"], "stop": True}}, {"oracle_samples": True},
+    {"seed": True}, {"workers": True},
 ], ids=["n_max-below-3", "n_max-not-a-number", "workers-not-a-number",
         "fractional-count", "fractional-n_max", "fractional-seed", "fractional-workers",
         "fractional-oracle_samples", "nan-seed", "unknown-key", "unknown-sweep-key",
-        "fix-not-a-mapping", "sweep-not-a-mapping", "n_max-above-170"])
+        "fix-not-a-mapping", "sweep-not-a-mapping", "n_max-above-170",
+        "out-null", "out-not-a-string", "bool-fix-value", "bool-stop",
+        "bool-oracle_samples", "bool-seed", "bool-workers"])
 def test_cli_malformed_config_value_exit_code(tmp_path, capsys, entry):
+    # a malformed config value is refused even where a flag (here --out) wins
     cfg_path = tmp_path / "sweep.yaml"
     cfg_path.write_text(yaml.safe_dump({**POINT_SOURCE_CONFIG, **entry}))
     out = tmp_path / "out.csv"
@@ -391,18 +409,21 @@ def test_cli_show_model_keeps_print_options_and_prints_plain_floats(capsys):
 @pytest.mark.parametrize("measurement, fixes", [
     ("separable", ["phi=0.7", "delta=0.3"]),
     ("bell", ["phi=0.3", "delta=0.2"]),
-    ("optimal-hg", ["x_c=0.1", "dx=0.05", "q=0.3"]),
+    ("optimal-hg", ["x_c=0.1", "dx=0.05", "q=0.3"]),      # drops "rest"
+    ("optimal-hg", ["x_c=0.1", "dx=0.2", "q=0.3"]),       # keeps every outcome
 ])
 def test_cli_show_model_restricts_its_point_once(monkeypatch, capsys, measurement, fixes):
     # F and Q are read off one support of the point: one QR and SVD of a
-    # point-source frame, one Cholesky of a dense state
-    calls, support = [], fisher._support
+    # point-source frame, one Cholesky of a dense state, and Q off one
+    # eigh of its state (the bundle's qfi)
+    calls, support, slds, eigen_slds = [], fisher._support, [], fisher._eigen_slds
     monkeypatch.setattr(fisher, "_support", lambda *ops: calls.append(1) or support(*ops))
+    monkeypatch.setattr(fisher, "_eigen_slds", lambda *ops: slds.append(1) or eigen_slds(*ops))
     model = "point-sources" if measurement == "optimal-hg" else "phase-dephasing"
     argv = ["show-model", "--model", model, "--measurement", measurement]
     assert main(argv + [arg for fix in fixes for arg in ("--fix", fix)]) == 0
     assert "Q =" in capsys.readouterr().out
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(slds) == 1
 
 
 def test_cli_show_model_spec_errors():
@@ -759,14 +780,19 @@ def test_cli_reused_parser_carries_no_state(tmp_path, capsys):
     ("point-sources", "optimal-hg", {"x_c": 0.1, "q": 0.3}, "dx", 0.2, 1, 2),
     ("phase-dephasing", "bell", {"phi": PHI}, "delta", 0.1, 1, 2),
     ("point-sources", "optimal-hg", {"x_c": 0.1, "q": 0.3}, "dx", 0.05, 1, 2),  # drops "rest"
+    ("phase-dephasing", "separable", {"phi": PHI}, "delta", 0.3, 1, 2),
 ])
 def test_point_evaluates_each_model_once(tmp_path, monkeypatch, model, measurement,
                                          fixed, swept, value, n_models, n_matrices):
     spec = small_spec(tmp_path, model=model, measurement=measurement, fixed=fixed,
                       sweep_name=swept, start=value, stop=1.0, oracle_samples=50)
     calls, inverted = _count_evaluations(monkeypatch)
+    slds, eigen_slds = [], fisher._eigen_slds
+    monkeypatch.setattr(fisher, "_eigen_slds", lambda *ops: slds.append(1) or eigen_slds(*ops))
     row = evaluate_point(spec, 0, value)
     assert row["error"] == ""
+    # Q is the bundle's: one eigh of the state for all its SLDs
+    assert len(slds) == 1
     # the row's model is evaluated once, to its frame (a Bell row's
     # single-copy model only inside the two-copy one); a point-source point
     # builds no dense state or derivatives
