@@ -16,15 +16,16 @@ A process loads only what its verb runs: PyYAML is imported by a
 
 import argparse
 import contextlib
+import re
 import sys
 from functools import lru_cache
 
 import numpy as np
 
 from .fisher import fisher_bundle
-from .sweep import (MEASUREMENTS, MODEL_TABLE, MODELS, SweepSpec,
-                    SweepSpecError, build_model_povm, check_in_domain,
-                    check_model_spec, run_sweep)
+from .sweep import (MEASUREMENTS, MODEL_TABLE, MODELS, NUMERICAL_ERRORS,
+                    SweepSpec, SweepSpecError, check_model_spec,
+                    checked_model_povm, run_sweep)
 
 EXIT_OK = 0
 EXIT_INVARIANT_FAILURE = 1
@@ -66,9 +67,9 @@ def _parse_sweep(text):
 
 def _number(value, key, kind=float):
     """``value`` as a float, or an int for ``kind=int``; a bool (YAML reads
-    ``true`` as 1) or a fractional int is refused, not converted or truncated."""
-    if isinstance(value, bool) or (kind is int and isinstance(value, float)
-                                   and not value.is_integer()):
+    ``true`` as 1), a string or a fractional int is refused, not converted."""
+    if isinstance(value, (bool, str)) or (kind is int and isinstance(value, float)
+                                          and not value.is_integer()):
         raise SweepSpecError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
                              f"got {value!r}")
     return kind(value)
@@ -91,12 +92,17 @@ def _load_config(path):
     if path is None:
         return {}
     import yaml
+    # a plain 1e-3 or 2.5e3 is a float (YAML 1.2), not a string (PyYAML's YAML 1.1)
+    loader = type("ConfigLoader", (yaml.SafeLoader,), {})
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+        r"[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"))
     # read as bytes, so that PyYAML detects the encoding and reports a bad
     # byte as a YAMLError (a text-mode read raises UnicodeDecodeError); its
     # recursive parser exhausts the stack on deeply nested brackets
     with open(path, "rb") as fh:
         try:
-            config = yaml.safe_load(fh)
+            config = yaml.load(fh, Loader=loader)
         except (yaml.YAMLError, RecursionError) as err:
             raise SweepSpecError(f"config {path} is not readable YAML: "
                                  f"{' '.join(str(err).split())}")
@@ -114,11 +120,12 @@ def _spec_from_args(args):
         start, stop, count = (None if sweep_cfg.get(k) is None else
                               _number(sweep_cfg[k], k, int if k == "count" else float)
                               for k in ("start", "stop", "count"))
-        settings = {k: _number(cfg.get(k, default), k, int) for k, default in
-                    (("oracle_samples", 0), ("seed", 0), ("workers", 1), ("n_max", 20))}
-        out = cfg.get("out", "sweep.csv")
-        if not isinstance(out, str):
-            raise SweepSpecError(f"out must be a string, got {out!r}")
+        settings = {k: _number(cfg[k], k, int) for k in
+                    ("oracle_samples", "seed", "workers", "n_max") if k in cfg}
+        if "out" in cfg:
+            if not isinstance(cfg["out"], str):
+                raise SweepSpecError(f"out must be a string, got {cfg['out']!r}")
+            settings["out"] = cfg["out"]
     except (TypeError, ValueError) as err:
         raise SweepSpecError(f"malformed value in the sweep specification: {err}")
     fixed.update(_parse_fix(args.fix))
@@ -134,12 +141,11 @@ def _spec_from_args(args):
     if scale is None:
         log_axes = MODEL_TABLE[model].log_axes if model in MODELS else ()
         scale = "log" if name in log_axes else "linear"
-    settings.update((k, getattr(args, k)) for k in ("oracle_samples", "seed", "workers")
+    settings.update((k, getattr(args, k)) for k in ("oracle_samples", "seed", "workers", "out")
                     if getattr(args, k) is not None)
     measurement = args.measurement or cfg.get("measurement") or ""
     return SweepSpec(model=model, measurement=measurement, fixed=fixed, sweep_name=name,
-                     start=start, stop=stop, count=count, scale=scale,
-                     out=out if args.out is None else args.out, **settings)
+                     start=start, stop=stop, count=count, scale=scale, **settings)
 
 
 def _cmd_sweep(args):
@@ -184,19 +190,17 @@ def _cmd_verify(args):
 def _cmd_show_model(args):
     try:
         fixed = _parse_fix(args.fix)
-        model_id = args.model or ""
-        measurement = args.measurement or ""
+        model_id, measurement = args.model or "", args.measurement or ""
         names = check_model_spec(model_id, measurement, fixed)
         theta = np.array([fixed[n] for n in names])
-        model, povm, copies = build_model_povm(model_id, measurement, theta)
-        check_in_domain(model, theta, f"point {fixed}")
+        model, povm, copies = checked_model_povm(model_id, measurement, theta, f"point {fixed}")
     except SweepSpecError as err:
         print(f"invalid specification: {err}", file=sys.stderr)
         return EXIT_INVALID_SPEC
     try:
         bundle = fisher_bundle(model, theta, povm)
         rho, F, Q = bundle.rho, bundle.fisher, bundle.qfi   # a sweep row's Q, bit for bit
-    except ValueError as err:
+    except NUMERICAL_ERRORS as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
     print(f"model = {model_id}, measurement = {measurement}, copies = {copies}")

@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _lift, hermitize
+from .linalg import _lift, _sym, hermitize
 
 P_CUTOFF = 1e-12
 SLD_CUTOFF = 1e-15          # relative to the largest eigenvalue of rho
@@ -276,10 +276,10 @@ def _eigen_slds(rho, derivs):
     den = w[:, None] + w[None, :]
     mask = den > SLD_CUTOFF * w[-1]
     Lp = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
-    Lp = (Lp + Lp.conj().swapaxes(-1, -2)) / 2.0
+    Lp = _sym(Lp)
     P = Lp.shape[0]
     Q = np.real((Lp * w[:, None]).reshape(P, -1) @ Lp.swapaxes(-1, -2).reshape(P, -1).T)
-    return V, Lp, (Q + Q.T) / 2.0
+    return V, Lp, _sym(Q)
 
 
 def sld(rho, drho):

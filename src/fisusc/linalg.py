@@ -61,16 +61,27 @@ def hermitize(entries):
     return out
 
 
+def _sym(X):
+    """The Hermitian part ``(X + X^dag) / 2`` of a (..., d, d) stack, unchecked."""
+    return (X + X.conj().swapaxes(-1, -2)) / 2.0
+
+
 def _lift(B, S):
     """``B S B^dag`` for a (..., r, r) stack of Hermitian cores S and a (d, r) B.
 
     Symmetrized and read-only, without the Hermiticity check: the cores
     are validated where they are built.
     """
-    X = B @ S @ B.conj().T
-    out = (X + X.conj().swapaxes(-1, -2)) / 2.0
+    out = _sym(B @ S @ B.conj().T)
     out.setflags(write=False)
     return out
+
+
+def _normalized(A):
+    """``R A_a R``, ``R = (sum_a A_a)^-1/2``: positive operators rescaled to a POVM."""
+    w, U = np.linalg.eigh(np.sum(A, axis=0))
+    R = (U / np.sqrt(w)) @ U.conj().T
+    return R @ A @ R
 
 
 def trace_norm(H):

@@ -220,10 +220,10 @@ def _kron(a, b):
 def tensor_model(model, m):
     """m-fold tensor power of a model, with product-rule derivatives: bit for
     bit the in-order sums of left-to-right ``np.kron`` chains of its checked
-    state and derivatives."""
+    state and derivatives.  A bool or non-integral ``m`` is refused, not truncated."""
+    if isinstance(m, bool) or not float(m).is_integer() or m < 1:
+        raise ValueError(f"need an integer m >= 1, got {m!r}")
     m = int(m)
-    if m < 1:
-        raise ValueError("need m >= 1")
     if m == 1:
         return model
 

@@ -35,10 +35,10 @@ frame is J = 1 and `sigma_single` is ``Sigma_U``.
 
 Sigma[M] is an SDP in the K_a, with dual min Tr Y over Y >= K_a.
 `sigma_exact` settles it by the pair certificate Y = K_b + (K_a - K_b)_+
-where that dominates every K_c, and otherwise by a primal-dual
-interior-point method (`_exact_sdp`, which factors each iterate once:
-seven LAPACK calls per step), and reports exactly feasible primal and
-dual points: ``value <= Sigma <= value + exact_gap``.
+where that dominates every K_c (to CERTIFICATE_RTOL max|K_xy|), else by a
+primal-dual interior-point method (`_exact_sdp`, which factors each iterate
+once: seven LAPACK calls per step), and reports exactly feasible primal
+and dual points: ``value <= Sigma <= value + exact_gap``.
 
 Every function takes the point's `FisherBundle` (`fisher_bundle`), so one
 evaluation of state, derivatives, F, K = K(F^-1) and its best pair serves them all;
@@ -60,7 +60,7 @@ import numpy as np
 
 from .fisher import (FisherBundle, SingularFisherError, _outcome_traces,
                      fisher_bundle)
-from .linalg import _trace_norms
+from .linalg import _normalized, _sym, _trace_norms
 from .model import Povm, mix_povm
 
 CLUSTER_RTOL = 1e-8
@@ -297,10 +297,6 @@ class ExactWorstCase:
         return Povm(elements)
 
 
-def _sym(X):
-    return 0.5 * (X + X.conj().swapaxes(-1, -2))
-
-
 def _step(eigenvalues):
     """Largest alpha <= 1 keeping the stack X + alpha dX PSD, from the eigenvalues
     of L^-1 dX L^-H (X = L L^H) of every member."""
@@ -369,10 +365,10 @@ def sigma_exact(bundle: FisherBundle) -> ExactWorstCase:
 
     A minimum-error-discrimination SDP on the support (Eldar, Megretski &
     Verghese, IEEE TIT 49, 1007, 2003).  The pair certificate holds when no
-    K_c exceeds its Y by more than CERTIFICATE_RTOL max|lambda(K)| (tested
-    first against the smaller max|K_xy|, which needs no eigvalsh(K)); else
-    `_exact_sdp` runs, its N is clipped to PSD and mapped to R^-1/2 N R^-1/2
-    (R = sum N), and the value is the larger of that primal and Sigma_L.
+    K_c exceeds its Y by more than CERTIFICATE_RTOL max|K_xy| (one test);
+    else `_exact_sdp` starts from eigvalsh(K), its N is clipped to PSD and
+    mapped to R^-1/2 N R^-1/2 (R = sum N), and the value is the larger of
+    that primal and Sigma_L, so it never reads below Sigma_L.
     The noise, V N_a V^dag plus I - V V^dag on b, is lifted when first
     read.  Raises `SingularFisherError` below two kept outcomes.
     """
@@ -387,18 +383,11 @@ def sigma_exact(bundle: FisherBundle) -> ExactWorstCase:
     Y = K[b] + (U * np.maximum(w, 0.0)) @ U.conj().T
     shift = np.max(np.linalg.eigvalsh(K - Y)[:, -1])
     value, iterations = P + pair_value, 0
-    # max|K_xy| <= max|lambda(K)|: the entry test certifies a subset of the rows
     certified = bool(shift <= CERTIFICATE_RTOL * np.max(np.abs(K)))
     if not certified:
-        lam = np.linalg.eigvalsh(K)
-        certified = bool(shift <= CERTIFICATE_RTOL * np.max(np.abs(lam)))
-    if not certified:
-        M, Y, iterations = _exact_sdp(K, lam)
+        M, Y, iterations = _exact_sdp(K, np.linalg.eigvalsh(K))
         w, U = np.linalg.eigh(M)
-        M = (U * np.maximum(w, 0.0)[:, None, :]) @ U.conj().swapaxes(-1, -2)
-        w, U = np.linalg.eigh(np.sum(M, axis=0))
-        R = (U / np.sqrt(w)) @ U.conj().T
-        M = R @ M @ R
+        M = _normalized((U * np.maximum(w, 0.0)[:, None, :]) @ U.conj().swapaxes(-1, -2))
         primal = P + float(np.einsum("axy,ayx->", K, M).real)
         if primal > value:
             N, value = M, primal

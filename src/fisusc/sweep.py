@@ -47,7 +47,9 @@ class SweepSpecError(ValueError):
 class SweepSpec:
     """Declarative description of one sweep.
 
-    Any ``oracle_samples`` > 0 fills ``oracle_best_X`` with `sigma_exact`;
+    The field defaults are the only sweep defaults: the CLI passes just what
+    a config or flag sets.  `run_sweep` writes the CSV to ``out``.  Any
+    ``oracle_samples`` > 0 fills ``oracle_best_X`` with `sigma_exact`;
     neither its magnitude nor ``seed`` changes a result.  ``workers`` is
     validated (>= 1) but does not change how points run: `run_sweep`
     evaluates them in order on the calling thread, since threads only pass
@@ -82,11 +84,9 @@ class SweepSpec:
             raise SweepSpecError("log scale needs positive start/stop")
         if self.oracle_samples < 0 or self.workers < 1:
             raise SweepSpecError("oracle_samples must be >= 0 and workers >= 1")
-        grid = self.grid()
-        for value in (grid[0], grid[-1]):
-            theta = _theta_for(self, value)
-            model = build_model_povm(self.model, self.measurement, theta, self.n_max)[0]
-            check_in_domain(model, theta, f"sweep endpoint {self.sweep_name} = {value}")
+        for value in self.grid()[[0, -1]]:
+            checked_model_povm(self.model, self.measurement, _theta_for(self, value),
+                               f"sweep endpoint {self.sweep_name} = {value}", self.n_max)
 
     def grid(self):
         if self.scale == "log":
@@ -124,18 +124,12 @@ def check_model_spec(model, measurement, fixed, swept=None):
     return names
 
 
-def check_in_domain(model, theta, where):
-    """Raise :class:`SweepSpecError` when ``theta`` is outside the model domain."""
-    if not model.in_domain(theta):
-        raise SweepSpecError(f"{where} leaves the model domain")
-
-
 def _theta_for(spec, sweep_value):
     values = {**spec.fixed, spec.sweep_name: float(sweep_value)}
     return np.array([values[n] for n in MODEL_TABLE[spec.model].params])
 
 
-def build_model_povm(model_id, measurement, theta, n_max=20):
+def build_model_povm(model_id, measurement, theta, n_max=SweepSpec.n_max):
     """Model, measurement POVM and copy count at one parameter point.
 
     The Hermite-Gauss modes are re-aligned to the intensity centroid of
@@ -154,6 +148,14 @@ def build_model_povm(model_id, measurement, theta, n_max=20):
     return tensor_model(base, copies), _measurement_povm(measurement, n_max), copies
 
 
+def checked_model_povm(model_id, measurement, theta, where, n_max=SweepSpec.n_max):
+    """`build_model_povm`; a point outside the domain is a `SweepSpecError` at ``where``."""
+    built = build_model_povm(model_id, measurement, theta, n_max)
+    if not built[0].in_domain(theta):
+        raise SweepSpecError(f"{where} leaves the model domain")
+    return built
+
+
 @lru_cache(maxsize=32)
 def _measurement_povm(measurement, n_max):
     """The validated POVM of a measurement; shared, its elements are read-only."""
@@ -169,10 +171,6 @@ def _upper_triangle(M):
     """The upper triangle of M, row by row, as Python floats."""
     rows = M.tolist()
     return [rows[i][j] for i in range(len(rows)) for j in range(i, len(rows))]
-
-
-def sweep_columns(spec):
-    return list(_columns(spec.model))
 
 
 @lru_cache(maxsize=None)
@@ -234,8 +232,8 @@ def evaluate_point(spec, index, sweep_value):
     return row
 
 
-def run_sweep(spec, out_path=None):
-    """Run the sweep and write a CSV; returns the list of row dicts.
+def run_sweep(spec):
+    """Run the sweep, write its CSV to ``spec.out`` and return the row dicts.
 
     Points run in grid order on the calling thread, whatever ``spec.workers``
     says; the output, opened before the first point, is byte-identical
@@ -243,8 +241,8 @@ def run_sweep(spec, out_path=None):
     digits, and the error text as it is.
     """
     spec.validate()
-    cols = sweep_columns(spec)
-    with open(out_path or spec.out, "w", newline="") as fh:
+    cols = _columns(spec.model)
+    with open(spec.out, "w", newline="") as fh:
         rows = [evaluate_point(spec, i, v) for i, v in enumerate(spec.grid())]
         writer = csv.writer(fh)
         writer.writerow(cols)

@@ -14,7 +14,7 @@ import numpy as np
 from . import models
 from .fisher import (_outcome_traces, fisher_bundle, qfi_matrix, r_metric,
                      r_nuisance, sld)
-from .linalg import hermitize, trace_norm
+from .linalg import _normalized, _sym, hermitize, trace_norm
 from .model import (Povm, StatisticalModel, mix_povm, tensor_model,
                     tensor_povm, validate_povm)
 from .models import (POINT_SOURCE_WEIGHTS, PointSourceConfig, bell_povm,
@@ -53,17 +53,14 @@ class VerifyReport:
 
 def _random_hermitian(rng, dim):
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return hermitize((z + z.conj().T) / 2.0)
+    return hermitize(_sym(z))
 
 
 def _random_qubit_noise(rng):
     """Qubit noise ``S^-1/2 A_a S^-1/2``, ``A_a = G_a G_a^dag`` (G_a complex Gaussian,
     4 outcomes, S = sum A_a): unlike white noise, it gives X non-zero n_a terms."""
     G = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
-    A = G @ G.conj().swapaxes(-1, -2)
-    w, U = np.linalg.eigh(np.sum(A, axis=0))
-    R = (U / np.sqrt(w)) @ U.conj().T
-    return Povm(R @ A @ R)
+    return Povm(_normalized(G @ G.conj().swapaxes(-1, -2)))
 
 
 def _qubit_instances(rng, n):
@@ -356,8 +353,8 @@ def check_zero_padding_invariance(seed):
     return abs(x0 - x1) == 0.0, f"|X(padded) - X| = {abs(x0-x1):.1e}"
 
 
-def check_hg_orthonormality(seed, weights=None):
-    w = POINT_SOURCE_WEIGHTS if weights is None else np.asarray(weights)
+def check_hg_orthonormality(seed):
+    w = POINT_SOURCE_WEIGHTS
     gram_err = float(np.max(np.abs(w @ w.T - np.eye(4))))
     if gram_err > 1e-12:
         return False, f"weight rows not orthonormal: max|w w^T - I| = {gram_err:.2e}"

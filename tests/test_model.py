@@ -203,8 +203,19 @@ def test_tensor_model_identity_and_trace():
     assert tensor_model(model, 1) is model
     double = tensor_model(model, 2)
     assert double.dim == 4
+    # an integral count of another type is taken as it is
+    assert tensor_model(model, 1.0) is model
+    assert tensor_model(model, 2.0).dim == tensor_model(model, np.int64(2)).dim == 4
     theta = [0.4, 0.2]
     assert np.trace(double.state_at(theta)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [2.7, True, 0, -1, float("nan"), float("inf")],
+                         ids=["fractional", "bool", "zero", "negative", "nan", "inf"])
+def test_tensor_model_refuses_a_copy_count_it_would_truncate(m):
+    # int(2.7) is 2 and int(True) is 1: a truncated count builds the wrong model
+    with pytest.raises(ValueError, match="integer m >= 1"):
+        tensor_model(qubit_phase_dephasing(), m)
 
 
 def test_tensor_model_product_rule_vs_fd():

@@ -23,3 +23,14 @@ def test_readme_quick_start_runs():
     assert exact.pair_certified and exact.value == lower
     assert namespace["pair"] == (1, 3)
     assert lower <= namespace["upper"] == pytest.approx(sum(namespace["sigmas"]), rel=1e-15)
+
+
+def test_readme_yaml_config_runs(tmp_path):
+    # the README's config, its plain start: 1e-3 included, runs as written
+    from fisusc.cli import main
+    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    cfg_path, out = tmp_path / "sweep.yaml", tmp_path / "sep.csv"
+    cfg_path.write_text(blocks[0])
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 51

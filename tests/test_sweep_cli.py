@@ -26,7 +26,7 @@ from fisusc.models import (PointSourceConfig, bell_povm,
                            separable_povm, x_opt)
 from fisusc.susceptibility import sigma_exact
 from fisusc.sweep import (SweepSpec, SweepSpecError, build_model_povm,
-                          evaluate_point, run_sweep, sweep_columns)
+                          evaluate_point, run_sweep)
 from fisusc.verify import (check_hg_orthonormality, check_p1_collapse,
                            check_tensor_associativity, check_trace_identity,
                            check_truncation_convergence, run_verify)
@@ -45,7 +45,7 @@ def small_spec(tmp_path, **overrides):
 
 def test_sweep_columns_contract(tmp_path):
     spec = small_spec(tmp_path)
-    cols = sweep_columns(spec)
+    cols = sweep._columns(spec.model)
     assert cols[0] == "sweep_value"
     for name in ("F_phi_phi", "F_phi_delta", "F_delta_delta", "Q_phi_phi",
                  "r_multi", "r_nuisance_phi", "r_nuisance_delta",
@@ -66,9 +66,9 @@ def test_sweep_runs_and_r_is_two(tmp_path):
 
 def test_sweep_csv_byte_identical_and_worker_independent(tmp_path):
     out1, out2, out3 = (str(tmp_path / f"{n}.csv") for n in "abc")
-    run_sweep(small_spec(tmp_path, oracle_samples=200), out_path=out1)
-    run_sweep(small_spec(tmp_path, oracle_samples=200), out_path=out2)
-    run_sweep(small_spec(tmp_path, oracle_samples=200, workers=3), out_path=out3)
+    run_sweep(small_spec(tmp_path, oracle_samples=200, out=out1))
+    run_sweep(small_spec(tmp_path, oracle_samples=200, out=out2))
+    run_sweep(small_spec(tmp_path, oracle_samples=200, workers=3, out=out3))
     b1, b2, b3 = (Path(p).read_bytes() for p in (out1, out2, out3))
     assert b1 == b2 == b3
     assert b"\r\n" in b1    # RFC-4180 line endings
@@ -84,7 +84,7 @@ def test_point_source_search_csv_worker_independent(tmp_path):
     outs = []
     for workers in (1, 2, 3):
         outs.append(str(tmp_path / f"w{workers}.csv"))
-        rows = run_sweep(small_spec(tmp_path, workers=workers, **spec), out_path=outs[-1])
+        rows = run_sweep(small_spec(tmp_path, workers=workers, out=outs[-1], **spec))
         assert not any(row["error"] for row in rows)
     b1, b2, b3 = (Path(p).read_bytes() for p in outs)
     assert b1 == b2 == b3
@@ -289,13 +289,16 @@ POINT_SOURCE_CONFIG = {"model": "point-sources", "measurement": "optimal-hg",
     {"fix": ["x_c=0", "q=0.3"]}, {"sweep": ["dx", 0.01, 1, 5]}, {"n_max": 171},
     {"out": None}, {"out": ["a", "b"]}, {"fix": {"x_c": True, "q": 0.3}},
     {"sweep": {**POINT_SOURCE_CONFIG["sweep"], "stop": True}}, {"oracle_samples": True},
-    {"seed": True}, {"workers": True},
+    {"seed": True}, {"workers": True}, {"fix": {"x_c": "0", "q": 0.3}},
+    {"sweep": {**POINT_SOURCE_CONFIG["sweep"], "start": "0.01"}},
+    {"sweep": {**POINT_SOURCE_CONFIG["sweep"], "count": "3"}}, {"seed": "7"},
 ], ids=["n_max-below-3", "n_max-not-a-number", "workers-not-a-number",
         "fractional-count", "fractional-n_max", "fractional-seed", "fractional-workers",
         "fractional-oracle_samples", "nan-seed", "unknown-key", "unknown-sweep-key",
         "fix-not-a-mapping", "sweep-not-a-mapping", "n_max-above-170",
         "out-null", "out-not-a-string", "bool-fix-value", "bool-stop",
-        "bool-oracle_samples", "bool-seed", "bool-workers"])
+        "bool-oracle_samples", "bool-seed", "bool-workers", "string-fix-value",
+        "string-start", "string-count", "string-seed"])
 def test_cli_malformed_config_value_exit_code(tmp_path, capsys, entry):
     # a malformed config value is refused even where a flag (here --out) wins
     cfg_path = tmp_path / "sweep.yaml"
@@ -337,6 +340,54 @@ def test_cli_sweep_validates_its_spec_once(tmp_path, monkeypatch, capsys):
     assert main(["sweep", "--config", str(cfg_path), "--out", str(bad)]) == 2
     assert len(calls) == 2 and not bad.exists()
     assert "n_max must be between" in capsys.readouterr().err
+
+
+def test_cli_sweep_empty_out_is_refused(tmp_path, monkeypatch, capsys):
+    # an empty --out names no file: it is not read as "no flag", so the
+    # config's out or the default sweep.csv is not written in its place
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "sweep.yaml"
+    cfg_path.write_text(yaml.safe_dump({**POINT_SOURCE_CONFIG, "out": "cfg.csv"}))
+    assert main(["sweep", "--config", str(cfg_path), "--out", ""]) == 2
+    assert main(["sweep", "--model", "phase-dephasing", "--measurement", "separable",
+                 "--fix", f"phi={PHI}", "--sweep", "delta:0.01:1:3", "--out", ""]) == 2
+    assert "invalid sweep specification" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_cli_unset_settings_take_the_sweep_spec_defaults(tmp_path):
+    # a config (or flags) without oracle_samples, seed, workers, n_max and
+    # out leaves each to the SweepSpec field default
+    cfg_path = tmp_path / "sweep.yaml"
+    cfg_path.write_text(yaml.safe_dump(POINT_SOURCE_CONFIG))
+    expected = SweepSpec(model="point-sources", measurement="optimal-hg",
+                         fixed={"x_c": 0.0, "q": 0.3}, sweep_name="dx", start=0.01,
+                         stop=1.0, count=3, scale="log")
+    from_flags = ["sweep", "--model", "point-sources", "--measurement", "optimal-hg",
+                  "--fix", "x_c=0", "--fix", "q=0.3", "--sweep", "dx:0.01:1:3"]
+    for argv in (["sweep", "--config", str(cfg_path)], from_flags):
+        spec = fisusc.cli._spec_from_args(fisusc.cli._parser().parse_args(argv))
+        assert spec == expected
+        assert (spec.oracle_samples, spec.seed, spec.workers, spec.n_max, spec.out) == \
+            (0, 0, 1, 20, "sweep.csv")
+
+
+def test_cli_plain_exponents_are_numbers_and_quoted_ones_strings(tmp_path, capsys):
+    # PyYAML's YAML 1.1 rules read a plain 1e-2 as a string; the config loader
+    # reads it as the float YAML 1.2 makes it, so only a quoted number is refused
+    cfg_path = tmp_path / "sweep.yaml"
+    text = ("model: point-sources\nmeasurement: optimal-hg\nfix: {x_c: 0e0, q: 3E-1}\n"
+            "sweep: {name: dx, start: 1e-2, stop: 1.e0, count: 3e0}\nseed: 7e0\n")
+    cfg_path.write_text(text)
+    spec = fisusc.cli._spec_from_args(
+        fisusc.cli._parser().parse_args(["sweep", "--config", str(cfg_path)]))
+    assert (spec.fixed, spec.start, spec.stop, spec.count, spec.seed) == \
+        ({"x_c": 0.0, "q": 0.3}, 0.01, 1.0, 3, 7)
+    cfg_path.write_text(text.replace("start: 1e-2", 'start: "1e-2"'))
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "start must be a number, got '1e-2'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_integral_float_config_values_are_accepted(tmp_path):
@@ -426,6 +477,26 @@ def test_cli_show_model_restricts_its_point_once(monkeypatch, capsys, measuremen
     assert len(calls) == 1 and len(slds) == 1
 
 
+def test_cli_show_model_exits_3_on_numerical_errors_only(monkeypatch, capsys):
+    # a numerical failure of the point exits 3, as a sweep row records it;
+    # any other ValueError is a bug and propagates, as it does out of a sweep
+    argv = ["show-model", "--model", "phase-dephasing", "--measurement", "separable",
+            "--fix", "phi=0.7", "--fix", "delta=0.3"]
+
+    def failing(error):
+        def bundle(*args):
+            raise error
+        return bundle
+
+    monkeypatch.setattr(fisusc.cli, "fisher_bundle",
+                        failing(fisher.SingularFisherError("singular here")))
+    assert main(argv) == 3
+    assert "numerical failure: singular here" in capsys.readouterr().err
+    monkeypatch.setattr(fisusc.cli, "fisher_bundle", failing(ValueError("a bug")))
+    with pytest.raises(ValueError, match="a bug"):
+        main(argv)
+
+
 def test_cli_show_model_spec_errors():
     # the same model/measurement/parameter checks as a sweep specification
     assert main(["show-model", "--model", "point-sources", "--measurement", "bell",
@@ -462,10 +533,11 @@ def test_verify_report_and_seeds(tmp_path):
     assert all(v == verdicts[0] for v in verdicts)
 
 
-def test_verify_negative_control_corrupted_weights():
+def test_verify_negative_control_corrupted_weights(monkeypatch):
     corrupted = np.eye(4)
     corrupted[0, 0] = 0.7
-    passed, detail = check_hg_orthonormality(0, weights=corrupted)
+    monkeypatch.setattr(verify, "POINT_SOURCE_WEIGHTS", corrupted)
+    passed, detail = check_hg_orthonormality(0)
     assert not passed
     assert "orthonormal" in detail
 
