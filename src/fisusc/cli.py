@@ -23,9 +23,9 @@ from functools import lru_cache
 import numpy as np
 
 from .fisher import fisher_bundle
-from .sweep import (MEASUREMENTS, MODEL_TABLE, MODELS, NUMERICAL_ERRORS,
-                    SweepSpec, SweepSpecError, check_model_spec,
-                    checked_model_povm, run_sweep)
+from .sweep import (MEASUREMENTS, MODELS, NUMERICAL_ERRORS, SweepSpec,
+                    SweepSpecError, check_model_spec, checked_model_povm,
+                    run_sweep)
 
 EXIT_OK = 0
 EXIT_INVARIANT_FAILURE = 1
@@ -87,22 +87,48 @@ def _mapping(value, what, keys=None):
     return value
 
 
+@lru_cache(maxsize=None)
+def _config_loader():
+    """The config's YAML loader class, built once.
+
+    Where PyYAML has libyaml, its C parser reads the events (the pure-Python
+    parser is several times slower) and PyYAML's Python composer builds the
+    nodes: that composer's recursion ends deeply nested brackets in a
+    RecursionError, where libyaml's C composer overflows the C stack.
+    """
+    import yaml
+    if getattr(yaml, "__with_libyaml__", False):
+        from yaml._yaml import CParser
+        from yaml.composer import Composer
+        from yaml.constructor import SafeConstructor
+        from yaml.resolver import Resolver
+
+        class ConfigLoader(Composer, CParser, SafeConstructor, Resolver):
+            def __init__(self, stream):
+                CParser.__init__(self, stream)
+                SafeConstructor.__init__(self)
+                Resolver.__init__(self)
+                Composer.__init__(self)
+    else:
+        ConfigLoader = type("ConfigLoader", (yaml.SafeLoader,), {})
+    # a plain 1e-3 or 2.5e3 is a float (YAML 1.2), not a string (PyYAML's YAML 1.1)
+    ConfigLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+        r"[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"))
+    return ConfigLoader
+
+
 def _load_config(path):
     """The config file's mapping; YAML that cannot be read is refused in one line."""
     if path is None:
         return {}
     import yaml
-    # a plain 1e-3 or 2.5e3 is a float (YAML 1.2), not a string (PyYAML's YAML 1.1)
-    loader = type("ConfigLoader", (yaml.SafeLoader,), {})
-    loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
-        r"[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
-        list("-+.0123456789"))
     # read as bytes, so that PyYAML detects the encoding and reports a bad
-    # byte as a YAMLError (a text-mode read raises UnicodeDecodeError); its
-    # recursive parser exhausts the stack on deeply nested brackets
+    # byte as a YAMLError (a text-mode read raises UnicodeDecodeError); the
+    # Python composer recurses, and exhausts the stack on deeply nested brackets
     with open(path, "rb") as fh:
         try:
-            config = yaml.load(fh, Loader=loader)
+            config = yaml.load(fh, Loader=_config_loader())
         except (yaml.YAMLError, RecursionError) as err:
             raise SweepSpecError(f"config {path} is not readable YAML: "
                                  f"{' '.join(str(err).split())}")
@@ -122,12 +148,17 @@ def _spec_from_args(args):
                               for k in ("start", "stop", "count"))
         settings = {k: _number(cfg[k], k, int) for k in
                     ("oracle_samples", "seed", "workers", "n_max") if k in cfg}
-        if "out" in cfg:
-            if not isinstance(cfg["out"], str):
-                raise SweepSpecError(f"out must be a string, got {cfg['out']!r}")
-            settings["out"] = cfg["out"]
     except (TypeError, ValueError) as err:
         raise SweepSpecError(f"malformed value in the sweep specification: {err}")
+    strings = {k: cfg[k] for k in ("model", "measurement", "out") if k in cfg}
+    if sweep_cfg.get("name") is not None:
+        strings["sweep name"] = sweep_cfg["name"]
+    for key, value in strings.items():
+        if not isinstance(value, str):     # by type: a deep list's repr exhausts the stack
+            raise SweepSpecError(f"config {args.config}: {key} must be a string, "
+                                 f"got {type(value).__name__}")
+    if "out" in cfg:
+        settings["out"] = cfg["out"]
     fixed.update(_parse_fix(args.fix))
     name, scale = sweep_cfg.get("name"), sweep_cfg.get("scale")
     if args.sweep:
@@ -138,9 +169,6 @@ def _spec_from_args(args):
         raise SweepSpecError("a sweep needs name, start, stop and count "
                              "(--sweep or config 'sweep:')")
     model = args.model or cfg.get("model") or ""
-    if scale is None:
-        log_axes = MODEL_TABLE[model].log_axes if model in MODELS else ()
-        scale = "log" if name in log_axes else "linear"
     settings.update((k, getattr(args, k)) for k in ("oracle_samples", "seed", "workers", "out")
                     if getattr(args, k) is not None)
     measurement = args.measurement or cfg.get("measurement") or ""

@@ -12,7 +12,10 @@ giving the Fisher matrix ``F_{jk} = sum_a p_a l_{a,j} l_{a,k}``.
 susceptibility quantity is read from that bundle.  It drops an outcome
 with ``p_a < P_CUTOFF`` whose numerators are at most ``sqrt(P_CUTOFF)``
 times the largest entry of their ``d_j rho``, a test that does not depend
-on the units of the parameters.  The cutoffs are fixed constants.  The
+on the units of the parameters.  The cutoffs are fixed constants.  A
+sweep row refuses and inverts F and Q together, with one SVD of the
+unit-scaled (2, P, P) stack and one ``inv`` (`_checked_inverse`,
+`FisherBundle.inverses`); a refusal names F before Q.  The
 quantum Fisher matrix is built from the symmetric logarithmic
 derivatives L_j solving ``2 d_j rho = L_j rho + rho L_j``:
 
@@ -86,10 +89,16 @@ class FisherBundle:
     qfi : Q, from one `_eigen_slds` of the support on first use.
     fisher_inverse : (P, P) array
         F^-1, checked and computed once per bundle on first use.
-    fisher_eigh : ``(w, U)``, one eigh(F) for the frame of `sigma_upper` and
+    inverses : ``(F^-1, Q^-1)``, checked and computed by one stacked
+        `_checked_inverse`; a sweep row reads it, and `fisher_inverse` is then
+        its first member.
+    fisher_eigh : ``(w, U)``, one eigh(F) for the frame of the bounds and
         `fisher_condition`.
-    k_operators, best_pair : K_a on the support and ``((i, j), value)``
-        (`susceptibility`).
+    pair_bounds : `susceptibility.PairBounds`: K, the best pair and the
+        terms of Sigma_U from one kernel call and one spectrum.
+    k_operators, best_pair : K_a = K_a(F^-1) on the support and
+        ``((i, j), value)``, read off `pair_bounds`; K alone, for the
+        fixed-noise functions, is one kernel call without the frame.
     """
 
     probabilities: np.ndarray
@@ -121,8 +130,16 @@ class FisherBundle:
         return _eigen_slds(*self.support[1:])[2]
 
     @cached_property
+    def inverses(self):
+        """``(F^-1, Q^-1)`` from one stacked `_checked_inverse`; F is refused first."""
+        return _checked_inverse((self.fisher, self.qfi))
+
+    @cached_property
     def fisher_inverse(self):
-        return _checked_inverse(self.fisher)
+        # the first of `inverses` when they were taken, else F's alone
+        if "inverses" in self.__dict__:
+            return self.inverses[0]
+        return _checked_inverse((self.fisher,))[0]
 
     @cached_property
     def fisher_eigh(self):
@@ -134,19 +151,27 @@ class FisherBundle:
     @cached_property
     def fisher_condition(self):
         """Condition number of F itself (the refusal tests the unit-scaled F),
-        from the eigenvalues of symmetric F."""
-        w = np.abs(self.fisher_eigh[0])
-        return float(np.max(w) / np.min(w))
+        ``max|w| / min|w|`` over the eigenvalues of symmetric F."""
+        w = [abs(x) for x in self.fisher_eigh[0].tolist()]
+        return max(w) / min(w) if min(w) > 0.0 else float("inf")
+
+    @cached_property
+    def pair_bounds(self):
+        from .susceptibility import _pair_bounds
+        return _pair_bounds(self)
 
     @cached_property
     def k_operators(self):
+        # the bounds' K when they were taken; else one kernel call on F^-1
+        # alone, so the fixed-noise functions never build the frame
+        if "pair_bounds" in self.__dict__:
+            return self.pair_bounds.k_operators
         from .susceptibility import _k_operators
         return _k_operators(self)
 
     @cached_property
     def best_pair(self):
-        from .susceptibility import _best_pair
-        return _best_pair(self.k_operators)
+        return self.pair_bounds.best_pair
 
 
 def _support(B, rho, derivs):
@@ -308,32 +333,37 @@ def weak_commutativity(rho, L_j, L_k):
     return abs(float(np.imag(np.trace(rho @ comm))))
 
 
-def _checked_inverse(F, what="Fisher matrix"):
-    """F^-1; refuses singular or ill-conditioned matrices.
+_STACK_NAMES = ("Fisher matrix", "quantum Fisher matrix")
+
+
+def _checked_inverse(stack):
+    """Inverses of a (n, P, P) stack; refuses singular or ill-conditioned members.
 
     The refusal does not depend on the units of the parameters: it tests
     the condition number of ``D^-1/2 F D^-1/2`` with ``D = diag F``, which
     a rescaling of any parameter leaves unchanged (a diagonal entry <= 0
-    means F is singular).
+    means F is singular).  One SVD of the unit-scaled stack tests every
+    member and one ``inv`` inverts them all.  The first refused member is
+    reported, by name for the (F, Q) members 0 and 1 and by index after
+    them, so an (F, Q) stack refuses F first.
     """
-    F = np.asarray(F, dtype=float)
-    diag = F.diagonal()
-    scaled = np.inf
-    if (diag > 0.0).all() and np.isfinite(F).all():
-        s = 1.0 / np.sqrt(diag)
-        sv = np.linalg.svd(s[:, None] * F * s, compute_uv=False)
-        if sv[-1] > 0.0:
-            scaled = float(sv[0] / sv[-1])
-    if scaled > MAX_FISHER_CONDITION:
-        raise SingularFisherError(
-            f"{what} is singular or ill-conditioned (condition number of the "
-            f"unit-scaled matrix {scaled:.3e}, limit {MAX_FISHER_CONDITION:.1e}); "
-            f"refusing to invert")
+    F = np.asarray(stack, dtype=float)
+    diag = F.diagonal(axis1=1, axis2=2)
+    usable = ((diag > 0.0).all(axis=1) & np.isfinite(F).all(axis=(1, 2))).tolist()
+    scaled = F
+    if not all(usable):          # the SVD sees the identity in their place
+        scaled = np.where(np.array(usable)[:, None, None], F, np.eye(F.shape[-1]))
+    s = 1.0 / np.sqrt(scaled.diagonal(axis1=1, axis2=2))
+    svs = np.linalg.svd(s[:, :, None] * scaled * s[:, None, :], compute_uv=False).tolist()
+    for k, (ok, sv) in enumerate(zip(usable, svs)):
+        condition = sv[0] / sv[-1] if ok and sv[-1] > 0.0 else np.inf
+        if condition > MAX_FISHER_CONDITION:
+            name = _STACK_NAMES[k] if k < len(_STACK_NAMES) else f"matrix {k} of the stack"
+            raise SingularFisherError(
+                f"{name} is singular or ill-conditioned (condition number of the "
+                f"unit-scaled matrix {condition:.3e}, limit {MAX_FISHER_CONDITION:.1e}); "
+                f"refusing to invert")
     return np.linalg.inv(F)
-
-
-def _qfi_inverse(Q):
-    return _checked_inverse(Q, what="quantum Fisher matrix")
 
 
 def _ratios(Finv, Qinv, m=1):
@@ -351,7 +381,7 @@ def r_metric(F, Q, m=1):
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    return _ratios(_checked_inverse(F), _qfi_inverse(Q), m)[0]
+    return _ratios(*_checked_inverse((F, Q)), m)[0]
 
 
 def r_nuisance(F, Q, index):
@@ -360,4 +390,4 @@ def r_nuisance(F, Q, index):
     Quantifies how well parameter ``index`` is estimated when all other
     parameters are unknown nuisance parameters.
     """
-    return float(_ratios(_checked_inverse(F), _qfi_inverse(Q))[1][index])
+    return float(_ratios(*_checked_inverse((F, Q)))[1][index])

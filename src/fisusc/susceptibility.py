@@ -28,10 +28,14 @@ noise POVM, so it is a certified lower bound, and it needs no choice of
 parametrization.
 
 Only ``Sigma_U = sum_k sigma_k`` depends on a frame, the J that
-diagonalizes F (``F~ = J F J^T``), and only `sigma_upper` builds it:
-sigma_k is 1 plus the pair value of ``K(C_k)``, ``C_k = J_k J_k^T / F~_kk``,
-and the C_k sum to F^-1, so ``sum_k K(C_k) = K(F^-1)``.  At P = 1 the
-frame is J = 1 and `sigma_single` is ``Sigma_U``.
+diagonalizes F (``F~ = J F J^T``): sigma_k is 1 plus the pair value of
+``K(C_k)``, ``C_k = J_k J_k^T / F~_kk``, and the C_k sum to F^-1, so
+``sum_k K(C_k) = K(F^-1)``.  At P = 1 the frame is J = 1 and
+`sigma_single` is ``Sigma_U``.  Both bounds come from one kernel call on
+the (1 + P, P, P) stack ``[F^-1; C_1 .. C_P]`` and one spectrum of the
+stacked pair differences, all E(E-1)/2 outcome pairs of K(F^-1) and the
+pair (n_k, m_k) of each K(C_k) (`_pair_bounds`, cached on the bundle as
+`FisherBundle.pair_bounds`).
 
 Sigma[M] is an SDP in the K_a, with dual min Tr Y over Y >= K_a.
 `sigma_exact` settles it by the pair certificate Y = K_b + (K_a - K_b)_+
@@ -41,18 +45,21 @@ once: seven LAPACK calls per step), and reports exactly feasible primal
 and dual points: ``value <= Sigma <= value + exact_gap``.
 
 Every function takes the point's `FisherBundle` (`fisher_bundle`), so one
-evaluation of state, derivatives, F, K = K(F^-1) and its best pair serves them all;
-only `x_finite_mix` takes the model, because it must evaluate the mixed POVM.
+evaluation of state, derivatives, F and the bounds' kernel call serves
+`sigma_lower`, `sigma_upper`, `sigma_single` and `sigma_exact`; only
+`x_finite_mix` takes the model, because it must evaluate the mixed POVM.
 The bundle holds rho and its derivatives on their joint range
 (`FisherBundle.support`), which holds every K_a(C):
 trace norms, bounds and X are unchanged, and the operators are r x r
 instead of d x d (``bundle.support[1].shape[0]`` is r).  The
 fixed-noise functions `g_matrix`, `xi_matrix` and `x_scalar` take a noise
-POVM on the full space and restrict its elements to the support, so they
-read the same K as the bounds; the noise of `sigma_exact` is lifted to the
-full space when first read.
+POVM on the full space and restrict its elements to the support; they
+never build the frame, and `x_scalar` reads K(F^-1) alone, with the bits
+of the bounds' K; the noise of `sigma_exact` is lifted to the full space
+when first read.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -162,7 +169,7 @@ def _k_operators(bundle, C=None):
 
     C is a symmetric (P, P) matrix or a (..., P, P) stack; K is (..., E_kept,
     r, r) on the support, and linear in C, so sum_k K(C_k) = K(sum_k C_k).
-    The default C = F^-1 is the K that `FisherBundle.k_operators` caches.
+    The default C = F^-1 is the K of the fixed-noise functions.
     """
     _, rho, derivs = bundle.support
     w = bundle.scores @ (bundle.fisher_inverse if C is None else C)   # (..., E, P): C l_a
@@ -185,19 +192,37 @@ def _pair_indices(E):
     return pairs
 
 
-def _best_pair(K):
-    """Best outcome pair (i, j), i < j, and its value without the P term.
+PairBounds = namedtuple("PairBounds", "k_operators best_pair upper sigmas")
 
-    The value `_pair_values` is sum_a Tr[K_a N_a] for the best noise on
-    that pair, taken over all pairs at once; ties go to the lowest pair.
+
+def _pair_bounds(bundle):
+    """Both bounds of a point from one kernel call and one spectrum.
+
+    One `_k_operators` call on the (1 + P, P, P) stack ``[F^-1; C_1 .. C_P]``
+    of the frame that diagonalizes F, and one `_pair_values` call over the
+    E(E-1)/2 outcome pairs of K = K(F^-1) followed by the P pairs
+    ``(n_k, m_k)`` of K(C_k).  Returns `PairBounds`: K, the best pair
+    ``((i, j), value)`` of Sigma_L (value without the P term; ties go to
+    the lowest pair), and Sigma_U with its terms sigma_k.  Raises
+    `SingularFisherError` when F is refused or fewer than two outcomes are kept.
     """
-    E = K.shape[0]
+    J, f = _canonical_diagonalizer(bundle)
+    E, P = bundle.scores.shape
     if E < 2:
-        raise SingularFisherError("sigma_lower needs at least two kept outcomes")
-    i, j = _pair_indices(E)
-    values = _pair_values(K, i, j)
-    p = int(np.argmax(values))
-    return (int(i[p]), int(j[p])), float(values[p])
+        raise SingularFisherError("the pair bounds need at least two kept outcomes")
+    K = _k_operators(bundle, np.concatenate((
+        bundle.fisher_inverse[None], J[:, :, None] * J[:, None, :] / f[:, None, None])))
+    s = bundle.scores @ J.T                                  # l~_a = J l_a
+    pairs = _pair_indices(E)
+    n = pairs.shape[1]
+    # the kernel-stack member of each pair: 0 (F^-1) for Sigma_L's n, k for C_k's
+    members = np.concatenate((np.zeros(n, dtype=int), np.arange(1, P + 1)))
+    values = _pair_values(K, (members, np.concatenate((pairs[0], np.argmax(s, axis=0)))),
+                          (members, np.concatenate((pairs[1], np.argmin(s, axis=0)))))
+    p = int(np.argmax(values[:n]))
+    sigmas = 1.0 + values[n:]
+    return PairBounds(K[0], ((int(pairs[0, p]), int(pairs[1, p])), float(values[p])),
+                      float(np.sum(sigmas)), tuple(sigmas.tolist()))
 
 
 def sigma_lower(bundle: FisherBundle):
@@ -226,15 +251,18 @@ def _canonical_diagonalizer(bundle):
     coordinate axes, which is deterministic, stable under tiny
     perturbations, and reduces to the identity when F is proportional
     to it.  Column signs are fixed by making the largest component
-    positive.  Raises `SingularFisherError` when F is singular.
+    positive.  The cluster and sign tests run on Python floats, which
+    round as numpy's float64 does.  Raises `SingularFisherError` when F
+    is singular.
     """
     bundle.fisher_inverse                # refuse a singular F
     F = bundle.fisher
     w, V = bundle.fisher_eigh
-    w, V = w[::-1].copy(), V[:, ::-1].copy()
-    scale = max(float(np.max(np.abs(w))), 1e-300)
-    starts = np.flatnonzero(np.abs(np.diff(w)) > CLUSTER_RTOL * scale) + 1
-    if starts.size < len(w) - 1:         # some eigenvalues share a cluster
+    w, V = w.tolist()[::-1], V[:, ::-1]
+    scale = max(max(map(abs, w)), 1e-300)
+    starts = [k for k in range(1, len(w)) if abs(w[k] - w[k - 1]) > CLUSTER_RTOL * scale]
+    if len(starts) < len(w) - 1:         # some eigenvalues share a cluster
+        V = V.copy()
         for idx in np.split(np.arange(len(w)), starts):
             if len(idx) < 2:
                 continue
@@ -244,10 +272,9 @@ def _canonical_diagonalizer(bundle):
             axes = sorted(order[:len(idx)])
             U, _, Wt = np.linalg.svd(proj[:, axes], full_matrices=False)
             V[:, idx] = U @ Wt
-    lead = np.argmax(np.abs(V), axis=0)
-    V *= np.where(V[lead, np.arange(V.shape[1])] < 0, -1.0, 1.0)
-    J = V.T
-    return J, np.diag(J @ F @ J.T).copy()
+    # each column's first entry of largest magnitude made positive
+    J = (V * [-1.0 if max(col, key=abs) < 0.0 else 1.0 for col in V.T.tolist()]).T
+    return J, np.diag(J @ F @ J.T)
 
 
 def sigma_upper(bundle: FisherBundle):
@@ -255,17 +282,14 @@ def sigma_upper(bundle: FisherBundle):
 
     sigma_k is `sigma_single` of direction J_k of the frame that diagonalizes
     F: 1 plus the pair value of K(C_k), C_k = J_k J_k^T / F~_kk, on the
-    outcomes n_k, m_k of maximal and minimal l~_k; one kernel call serves
-    the stack of C_k.  They sum to F^-1, so sum_k K(C_k) = K(F^-1), and as
-    the pair value is subadditive in K and maximal for C_k at (n_k, m_k),
-    Sigma_L <= Sigma_U.  Returns ``(Sigma_U, [sigma_k])``.
+    outcomes n_k, m_k of maximal and minimal l~_k (`_pair_bounds`, which
+    takes them with Sigma_L from one kernel call).  They sum to F^-1, so
+    sum_k K(C_k) = K(F^-1), and as the pair value is subadditive in K and
+    maximal for C_k at (n_k, m_k), Sigma_L <= Sigma_U.  Returns
+    ``(Sigma_U, [sigma_k])``.
     """
-    J, f = _canonical_diagonalizer(bundle)
-    s = bundle.scores @ J.T                                   # l~_a = J l_a
-    K = _k_operators(bundle, J[:, :, None] * J[:, None, :] / f[:, None, None])
-    k = np.arange(s.shape[1])
-    sigmas = 1.0 + _pair_values(K, (k, np.argmax(s, axis=0)), (k, np.argmin(s, axis=0)))
-    return float(np.sum(sigmas)), sigmas.tolist()
+    bounds = bundle.pair_bounds
+    return bounds.upper, list(bounds.sigmas)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +396,8 @@ def sigma_exact(bundle: FisherBundle) -> ExactWorstCase:
     The noise, V N_a V^dag plus I - V V^dag on b, is lifted when first
     read.  Raises `SingularFisherError` below two kept outcomes.
     """
-    K = bundle.k_operators
     (a, b), pair_value = bundle.best_pair
+    K = bundle.k_operators
     P, r = bundle.n_params, K.shape[1]
     w, U = np.linalg.eigh(K[a] - K[b])
     pos = U[:, w > POSITIVE_PART_RTOL * np.max(np.abs(w))]

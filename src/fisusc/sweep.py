@@ -14,8 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fisher import (SingularFisherError, SingularScoreError, _qfi_inverse,
-                     _ratios, fisher_bundle)
+from .fisher import (SingularFisherError, SingularScoreError, _ratios,
+                     fisher_bundle)
 from .linalg import HermiticityError
 from .model import DomainError, tensor_model
 from .models import (N_MAX_LIMIT, PointSourceConfig, bell_povm,
@@ -48,12 +48,14 @@ class SweepSpec:
     """Declarative description of one sweep.
 
     The field defaults are the only sweep defaults: the CLI passes just what
-    a config or flag sets.  `run_sweep` writes the CSV to ``out``.  Any
-    ``oracle_samples`` > 0 fills ``oracle_best_X`` with `sigma_exact`;
-    neither its magnitude nor ``seed`` changes a result.  ``workers`` is
-    validated (>= 1) but does not change how points run: `run_sweep`
-    evaluates them in order on the calling thread, since threads only pass
-    the interpreter lock between a point's small numpy calls.
+    a config or flag sets.  A ``scale`` left None becomes "log" on the
+    model's `MODEL_TABLE` log axes and "linear" on any other.  `run_sweep`
+    writes the CSV to ``out``.  Any ``oracle_samples`` > 0 fills
+    ``oracle_best_X`` with `sigma_exact`; neither its magnitude nor
+    ``seed`` changes a result.  ``workers`` is validated (>= 1) but does
+    not change how points run: `run_sweep` evaluates them in order on the
+    calling thread, since threads only pass the interpreter lock between a
+    point's small numpy calls.
     """
 
     model: str
@@ -63,12 +65,17 @@ class SweepSpec:
     start: float
     stop: float
     count: int
-    scale: str = "log"
+    scale: str = None
     oracle_samples: int = 0
     seed: int = 0
     out: str = "sweep.csv"
     workers: int = 1
     n_max: int = 20
+
+    def __post_init__(self):
+        if self.scale is None and self.model in MODELS:     # else validate refuses the model
+            log = self.sweep_name in MODEL_TABLE[self.model].log_axes
+            object.__setattr__(self, "scale", "log" if log else "linear")
 
     def validate(self):
         check_model_spec(self.model, self.measurement, self.fixed, self.sweep_name)
@@ -197,16 +204,17 @@ def evaluate_point(spec, index, sweep_value):
 
     State, derivatives, F and Q are evaluated once; every column reads them
     from the point's Fisher bundle, which holds rho and its derivatives on
-    their joint support.  Q (the bundle's `qfi`), `sigma_lower`,
-    `sigma_upper` (its total and terms) and, when ``spec.oracle_samples``
-    > 0, the exact worst case (one K and best pair) come from those
-    operators, and the condition number from the bundle's eigh(F); the
-    worst case's noise is never lifted, and Q reads only the eigenbasis
-    SLDs.  F and Q are written before F^-1, so a row it refuses still
-    carries them.  A Bell row's model is the two-copy state, whose Q is
-    2 Q_1 for the single-copy Q_1, so ``tr F^-1 / tr Q^-1`` is its
-    two-copies-per-shot ``r_multi = 2 tr F^-1 / tr Q_1^-1``; no
-    single-copy Q is computed.
+    their joint support.  F^-1 and Q^-1 come from one stacked checked
+    inverse (`FisherBundle.inverses`).  `sigma_lower`, `sigma_upper` (its
+    total and terms) and, when ``spec.oracle_samples`` > 0, the exact
+    worst case read one kernel call and one spectrum
+    (`FisherBundle.pair_bounds`), and the condition number the bundle's
+    eigh(F); the worst case's noise is never lifted, and Q reads only the
+    eigenbasis SLDs.  F and Q are written before they are inverted, so a
+    row that refuses either still carries them.  A Bell row's model is the
+    two-copy state, whose Q is 2 Q_1 for the single-copy Q_1, so
+    ``tr F^-1 / tr Q^-1`` is its two-copies-per-shot
+    ``r_multi = 2 tr F^-1 / tr Q_1^-1``; no single-copy Q is computed.
     The row does not depend on ``index``, its grid position.
     """
     f_keys, q_keys, r_keys, sigma_keys = _keys(spec.model)
@@ -219,7 +227,7 @@ def evaluate_point(spec, index, sweep_value):
         F, Q = bundle.fisher, bundle.qfi
         row.update(zip(f_keys, _upper_triangle(F)))
         row.update(zip(q_keys, _upper_triangle(Q)))
-        row["r_multi"], r_nuisance = _ratios(bundle.fisher_inverse, _qfi_inverse(Q))
+        row["r_multi"], r_nuisance = _ratios(*bundle.inverses)
         row.update(zip(r_keys, r_nuisance.tolist()))
         row["sigma_lower"] = sigma_lower(bundle)[0]
         row["sigma_upper"], sigmas = sigma_upper(bundle)

@@ -22,9 +22,9 @@ from fisusc.model import Povm, StatisticalModel, tensor_model, tensor_povm
 from fisusc.models import (POINT_SOURCE_WEIGHTS, PointSourceConfig, bell_povm,
                            optimal_povm_point_sources, point_source_model,
                            qubit_phase_dephasing, separable_povm, x_opt)
-from fisusc.susceptibility import (_best_pair, _k_operators, sigma_exact,
-                                   sigma_lower, sigma_single, sigma_upper,
-                                   x_finite_mix, x_scalar, xi_matrix)
+from fisusc.susceptibility import (sigma_exact, sigma_lower, sigma_single,
+                                   sigma_upper, x_finite_mix, x_scalar,
+                                   xi_matrix)
 from fisusc.verify import _reparametrized_bundle
 
 PHI = float(np.pi / 4)
@@ -340,8 +340,9 @@ def test_c7_pair_dual_certificate_holds_off_balance():
     violation = {}
     for q, dx in ((0.5, 0.2), (0.3, 0.1), (0.1, 0.06)):
         model, theta, povm = _point_source_setup(q, dx)
-        K = _k_operators(fisher_bundle(model, theta, povm))
-        (a, b), _ = _best_pair(K)
+        bundle = fisher_bundle(model, theta, povm)
+        (a, b), _ = bundle.best_pair
+        K = bundle.k_operators
         w, U = np.linalg.eigh(K[a] - K[b])
         Y = K[b] + (U * np.maximum(w, 0.0)) @ U.conj().T
         worst = max(np.linalg.eigvalsh(K[c] - Y)[-1]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_sylvester
@@ -370,16 +372,46 @@ def test_fisher_refusal_is_independent_of_parameter_units():
     F = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.5]])
     S = np.diag([1e7, 1.0, 1e-7])      # theta_0 in units 1e7 larger, ...
     assert np.linalg.cond(S @ F @ S) > 1e20
-    Finv = _checked_inverse(S @ F @ S)
+    Finv = _checked_inverse([S @ F @ S])[0]
     np.testing.assert_allclose(S @ Finv @ S, np.linalg.inv(F), rtol=1e-6)
     # a nearly dependent pair is refused in any units
     G = np.array([[1.0, 1.0 - 1e-14], [1.0 - 1e-14, 1.0]])
     for scale in (np.eye(2), np.diag([1e5, 1e-5])):
         with pytest.raises(SingularFisherError, match="singular or ill-conditioned"):
-            _checked_inverse(scale @ G @ scale)
+            _checked_inverse([scale @ G @ scale])
     # a parameter the measurement does not see at all
     with pytest.raises(SingularFisherError):
-        _checked_inverse(np.diag([1.0, 0.0]))
+        _checked_inverse([np.diag([1.0, 0.0])])
+
+
+@pytest.mark.parametrize("first, second, refused", [
+    ("singular", "good", "Fisher matrix"),
+    ("good", "singular", "quantum Fisher matrix"),
+    ("singular", "singular", "Fisher matrix"),
+    ("non-finite", "good", "Fisher matrix"),
+    ("good", "negative-diagonal", "quantum Fisher matrix"),
+])
+def test_stacked_inverse_names_the_first_refused_member(first, second, refused):
+    # one SVD and one inv serve the (F, Q) stack; the message is the first
+    # refused member's, F before Q, and an accepted stack is each member's
+    # inverse bit for bit
+    matrices = {"good": np.array([[2.0, 0.3], [0.3, 1.0]]),
+                "singular": np.array([[1.0, 1.0 - 1e-14], [1.0 - 1e-14, 1.0]]),
+                "non-finite": np.array([[1.0, np.inf], [np.inf, 1.0]]),
+                "negative-diagonal": np.diag([1.0, -2.0])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularFisherError) as err:
+            _checked_inverse((matrices[first], matrices[second]))
+    assert str(err.value).startswith(f"{refused} is singular")
+    # a member after F and Q is tested too, and named by its index
+    bad = matrices[first if first != "good" else second]
+    with pytest.raises(SingularFisherError, match=r"^matrix 2 of the stack is singular"):
+        _checked_inverse((matrices["good"], matrices["good"], bad))
+    pair = (matrices["good"], 3.0 * matrices["good"])
+    inverses = _checked_inverse(pair)
+    for matrix, inverse in zip(pair, inverses):
+        assert inverse.tobytes() == np.linalg.inv(matrix).tobytes()
 
 
 def test_r_nuisance_identity_and_bounds():

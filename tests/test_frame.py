@@ -281,9 +281,9 @@ def test_q_is_one_evaluation_on_every_route(monkeypatch, fixed, value):
 
 
 def test_one_kernel_serves_every_susceptibility_of_a_point(monkeypatch):
-    # x_scalar, g_matrix, Sigma_L and the exact worst case of a point-source
-    # point all read the one 4 x 4 K of its bundle; Sigma_U runs the same
-    # kernel once, on the stack of its three frame contractions
+    # x_scalar, g_matrix, Sigma_L, Sigma_U and the exact worst case of a
+    # point-source point all read one kernel call, on the (1 + P) stack of
+    # F^-1 and the three frame contractions; K is its first member
     theta = np.array([0.0, 0.3, 0.3])
     model, povm = point(theta, 20)
     bundle = fisher_bundle(model, theta, povm)
@@ -296,7 +296,7 @@ def test_one_kernel_serves_every_susceptibility_of_a_point(monkeypatch):
     g_matrix(bundle, exact.noise)
     lower = sigma_lower(bundle)[0]
     upper = sigma_upper(bundle)[0]
-    assert calls == [None, (3, 3, 3)]
+    assert calls == [(4, 3, 3)]
     assert bundle.k_operators.shape == (5, 4, 4)
     assert exact.noise.dim == 21 and lower <= exact.value <= upper
     assert x == pytest.approx(exact.value, rel=1e-10)

@@ -12,8 +12,8 @@ from fisusc.model import Povm, StatisticalModel, tensor_model, validate_povm
 from fisusc.models import (PointSourceConfig, bell_povm,
                            optimal_povm_point_sources, point_source_model,
                            qubit_phase_dephasing, separable_povm, x_opt)
-from fisusc.susceptibility import (_best_pair, _canonical_diagonalizer,
-                                   _exact_sdp, _k_operators, g_matrix,
+from fisusc.susceptibility import (_canonical_diagonalizer, _exact_sdp,
+                                   _k_operators, _pair_values, g_matrix,
                                    sigma_exact, sigma_lower, sigma_single,
                                    sigma_upper, x_finite_mix, x_scalar,
                                    xi_matrix)
@@ -58,6 +58,29 @@ def a_tensor(bundle):
     return (np.einsum("aj,ak,xy->ajkxy", l, l, bundle.rho)
             - np.einsum("aj,kxy->ajkxy", l, derivs)
             - np.einsum("ak,jxy->ajkxy", l, derivs))
+
+
+def best_pair_reference(K):
+    """Best outcome pair (i, j), i < j, of a K stack and its value without
+    the P term, from a `_pair_values` call of its own over all pairs (the
+    bounds take these pairs with Sigma_U's in one call)."""
+    i, j = np.triu_indices(len(K), 1)
+    values = _pair_values(K, i, j)
+    p = int(np.argmax(values))
+    return (int(i[p]), int(j[p])), float(values[p])
+
+
+def split_bounds_reference(bundle):
+    """``(K, best_pair, Sigma_U, [sigma_k])`` built with K(F^-1) and the K(C_k)
+    from two kernel calls and two `_pair_values` calls: the reference for
+    the one kernel call and one spectrum of the bounds."""
+    K = _k_operators(bundle)
+    J, f = _canonical_diagonalizer(bundle)
+    s = bundle.scores @ J.T
+    KC = _k_operators(bundle, J[:, :, None] * J[:, None, :] / f[:, None, None])
+    k = np.arange(s.shape[1])
+    sigmas = 1.0 + _pair_values(KC, (k, np.argmax(s, axis=0)), (k, np.argmin(s, axis=0)))
+    return K, best_pair_reference(K), float(np.sum(sigmas)), sigmas.tolist()
 
 
 def g_from_a_tensor(bundle, noise):
@@ -628,7 +651,7 @@ def test_sigma_lower_invariant_under_degenerate_rotation():
     J1 = R @ J0
     lo = sigma_lower(bundle)[0]
     for J in (J0, J1):
-        _, value = _best_pair(_k_operators(reparametrized_bundle(bundle, J)))
+        _, value = best_pair_reference(_k_operators(reparametrized_bundle(bundle, J)))
         assert 2 + value == pytest.approx(lo, abs=1e-9)
     # F is proportional to I here, so the canonical frame of the rotated
     # bundle is the rotated frame
@@ -672,7 +695,7 @@ def test_report_flags_split_variant_on_bell_instance():
     # certificate Y = K_b + (K_a - K_b)_+ of the best pair, shifted by its
     # largest violation
     K = _k_operators(bundle)
-    (a, b), _ = _best_pair(K)
+    (a, b), _ = best_pair_reference(K)
     w, U = np.linalg.eigh(K[a] - K[b])
     Y = K[b] + (U * np.maximum(w, 0.0)) @ U.conj().T
     shift = max(np.linalg.eigvalsh(Kc - Y)[-1] for Kc in K)
@@ -818,7 +841,7 @@ def test_shared_kernel_and_lazy_noise_change_no_value(fresh_bundle):
     assert bounds_first == bounds_second
     assert first.k_operators is first.k_operators
     np.testing.assert_array_equal(first.k_operators, _k_operators(first))
-    assert first.best_pair == _best_pair(_k_operators(first))
+    assert first.best_pair == best_pair_reference(_k_operators(first))
     # the noise is lifted when first read, once
     assert "noise" not in vars(exact_first)
     noise = exact_first.noise
@@ -831,6 +854,64 @@ def test_shared_kernel_and_lazy_noise_change_no_value(fresh_bundle):
     eager[kept[b]] += np.eye(dim) - V @ V.conj().T
     np.testing.assert_array_equal(noise.elements, Povm(eager).elements)
     assert x_scalar(first, noise) == pytest.approx(exact_first.value, rel=1e-9)
+
+
+def bit_identity_points():
+    """The README sweep points, where every separable F is proportional to I
+    (one cluster of the frame), and seeded points of each model."""
+    qubit = qubit_phase_dephasing()
+    out = []
+    for delta in np.geomspace(1e-3, 1.0, 50):
+        theta = np.array([np.pi / 4, delta])
+        out += [(qubit, theta, separable_povm()), (tensor_model(qubit, 2), theta, bell_povm())]
+    for dx in np.geomspace(0.01, 1.0, 50):
+        theta = np.array([0.0, dx, 0.3])
+        cfg = PointSourceConfig(n_max=20, x_m=x_opt(*theta))
+        out.append((point_source_model(cfg), theta, optimal_povm_point_sources(cfg)))
+    return out + instances(21, 5)
+
+
+def test_bounds_match_the_split_reference_bit_for_bit():
+    # one kernel call on [F^-1; C_1 .. C_P] and one spectrum over the pairs of
+    # both bounds give the bits of K(F^-1) and K(C_k) taken apart, each with
+    # a _pair_values call of its own: K, the best pair, Sigma_L and Sigma_U
+    clusters = 0
+    for model, theta, povm in bit_identity_points():
+        bundle = fisher_bundle(model, theta, povm)
+        K, (pair, value), upper, sigmas = split_bounds_reference(
+            fisher_bundle(model, theta, povm))
+        assert bundle.pair_bounds.k_operators.tobytes() == K.tobytes(), theta
+        assert bundle.best_pair[0] == pair, theta
+        lower = sigma_lower(bundle)[0]
+        got = np.array([bundle.best_pair[1], lower, *sigma_upper(bundle)[1], upper])
+        want = np.array([value, bundle.n_params + value, *sigmas, upper])
+        assert got.tobytes() == want.tobytes(), theta
+        assert sigma_upper(bundle)[0] == upper
+        w = bundle.fisher_eigh[0]
+        clusters += abs(w[1] - w[0]) <= susceptibility.CLUSTER_RTOL * np.max(np.abs(w))
+    assert clusters >= 50
+
+
+@pytest.mark.parametrize("model, theta, povm", instances(22, 1))
+def test_fixed_noise_functions_never_build_the_frame(monkeypatch, model, theta, povm):
+    # x_scalar, g_matrix and xi_matrix on a fresh bundle read K(F^-1) alone:
+    # no eigh of F (or of anything else), no frame, no bounds
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: calls.append(
+        np.shape(a)) or eigh(a, *args, **kwargs))
+    bundle = fisher_bundle(model, theta, povm)
+    E = len(povm)
+    noise = Povm([np.eye(povm.dim) / E] * E)
+    x = x_scalar(bundle, noise)
+    g_matrix(bundle, noise)
+    xi_matrix(bundle, noise)
+    assert calls == []
+    assert "fisher_eigh" not in vars(bundle) and "pair_bounds" not in vars(bundle)
+    # the bounds, taken afterwards, read the same bits of K
+    K = bundle.k_operators
+    bundle.pair_bounds
+    assert bundle.pair_bounds.k_operators.tobytes() == K.tobytes()
+    assert x_scalar(bundle, noise) == x
 
 
 def test_report_qubit_instance_no_flag():
@@ -989,7 +1070,7 @@ def test_support_reduction_matches_full_dimension(seed, k, rank, extra, P, more_
     Q_full = _eigen_slds(dense.rho, dense.derivatives)[2]
     Q_red = _eigen_slds(rho, derivs)[2]
     np.testing.assert_allclose(Q_red, Q_full, rtol=0, atol=1e-10 * np.max(np.abs(Q_full)))
-    lower = bundle.n_params + _best_pair(_k_operators(dense))[1]
+    lower = bundle.n_params + best_pair_reference(_k_operators(dense))[1]
     upper, sigmas = sigma_upper_reference(dense)
     assert sigma_lower(bundle)[0] == pytest.approx(lower, rel=1e-10)
     assert sigma_upper(bundle)[0] == pytest.approx(upper, rel=1e-10)
@@ -1015,7 +1096,7 @@ def test_no_sample_beats_the_pair_bound(model, theta, povm):
     # point of the two-outcome SDP, stays at or below Sigma_L
     bundle = fisher_bundle(model, theta, povm)
     K = _k_operators(bundle)
-    lower = bundle.n_params + _best_pair(K)[1]
+    lower = bundle.n_params + best_pair_reference(K)[1]
     for a, b in zip(*np.triu_indices(len(K), 1)):
         pair = K[[a, b]]
         _, Y, _ = _exact_sdp(pair, np.linalg.eigvalsh(pair))
@@ -1035,7 +1116,7 @@ def test_exact_certificates_are_feasible(model, theta, povm):
     lam = np.linalg.eigvalsh(K)
     scale = np.max(np.abs(lam))
     if exact.pair_certified:
-        (a, b), _ = _best_pair(K)
+        (a, b), _ = best_pair_reference(K)
         w, U = np.linalg.eigh(K[a] - K[b])
         Y = K[b] + (U * np.maximum(w, 0.0)) @ U.conj().T
     else:

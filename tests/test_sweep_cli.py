@@ -310,9 +310,13 @@ def test_cli_malformed_config_value_exit_code(tmp_path, capsys, entry):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("content", [b"model: [point-sources\n", b"measurement: \xff\n",
-                                     b"model: " + b"[" * 5000 + b"]" * 5000 + b"\n"],
-                         ids=["unclosed-bracket", "non-utf8-byte", "nested-too-deeply"])
+@pytest.mark.parametrize("content", [
+    b"model: [point-sources\n", b"measurement: \xff\n",
+    b"model: " + b"[" * 5000 + b"]" * 5000 + b"\n",
+    b"model: " + b"[" * 200000 + b"]" * 200000 + b"\n",
+    b"fix: {phi: " + b"[" * 200000 + b"]" * 200000 + b"}\n",
+], ids=["unclosed-bracket", "non-utf8-byte", "nested-too-deeply", "model-nested-200k-deep",
+        "fix-nested-200k-deep"])
 def test_cli_unreadable_yaml_config_is_refused_in_one_line(tmp_path, capsys, content):
     cfg_path = tmp_path / "sweep.yaml"
     cfg_path.write_bytes(content)
@@ -370,6 +374,66 @@ def test_cli_unset_settings_take_the_sweep_spec_defaults(tmp_path):
         assert spec == expected
         assert (spec.oracle_samples, spec.seed, spec.workers, spec.n_max, spec.out) == \
             (0, 0, 1, 20, "sweep.csv")
+
+
+def test_sweep_spec_takes_the_default_scale_of_its_model_table_axis(tmp_path):
+    # a spec without a scale sweeps the model's log axes (delta, dx) on a log
+    # grid and any other on a linear one, as the command line does
+    spec = SweepSpec(model="phase-dephasing", measurement="separable", fixed={"delta": 0.3},
+                     sweep_name="phi", start=0.0, stop=3.0, count=5,
+                     out=str(tmp_path / "lib.csv"))
+    spec.validate()
+    assert spec.scale == "linear"
+    out = tmp_path / "cli.csv"
+    assert main(["sweep", "--model", "phase-dephasing", "--measurement", "separable",
+                 "--fix", "delta=0.3", "--sweep", "phi:0:3:5", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        column = [float(r["sweep_value"]) for r in csv.DictReader(fh)]
+    assert spec.grid().tolist() == column
+    assert run_sweep(spec) and (tmp_path / "lib.csv").read_bytes() == out.read_bytes()
+    logs = [SweepSpec(model=m, measurement=meas, fixed={}, sweep_name=name, start=0.1,
+                      stop=1.0, count=2).scale
+            for m, meas, name in (("phase-dephasing", "bell", "delta"),
+                                  ("point-sources", "optimal-hg", "dx"),
+                                  ("point-sources", "optimal-hg", "q"))]
+    assert logs == ["log", "log", "linear"]
+    assert SweepSpec(model="phase-dephasing", measurement="separable", fixed={},
+                     sweep_name="delta", start=0.1, stop=1.0, count=2,
+                     scale="linear").scale == "linear"
+    with pytest.raises(SweepSpecError, match="unknown model"):
+        SweepSpec(model="no-such-model", measurement="separable", fixed={},
+                  sweep_name="delta", start=0.1, stop=1.0, count=2).validate()
+
+
+@pytest.mark.parametrize("entry", [
+    {"model": ["point-sources"]}, {"measurement": 3},
+    {"model": [[[["point-sources"]]]]},
+    {"sweep": {**POINT_SOURCE_CONFIG["sweep"], "name": ["dx"]}},
+], ids=["model-list", "measurement-number", "model-nested", "sweep-name-list"])
+def test_cli_config_names_must_be_strings(tmp_path, capsys, entry):
+    # a model, measurement or sweep name that is not a string is refused by
+    # its type, with the config's path, even where a flag gives the value
+    cfg_path = tmp_path / "sweep.yaml"
+    cfg_path.write_text(yaml.safe_dump({**POINT_SOURCE_CONFIG, **entry}))
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--config", str(cfg_path), "--out", str(out)]
+    for flags in ([], ["--model", "point-sources", "--measurement", "optimal-hg"]):
+        assert main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid sweep specification") and err.count("\n") == 1
+        assert str(cfg_path) in err and "must be a string" in err
+        assert not out.exists()
+
+
+def test_cli_config_loader_is_built_once_on_libyaml():
+    # the loader class is made once per process, on libyaml's parser where
+    # PyYAML has it, and reads plain exponents as floats either way
+    fisusc.cli._config_loader.cache_clear()
+    loader = fisusc.cli._config_loader()
+    assert fisusc.cli._config_loader() is loader
+    assert issubclass(loader, yaml._yaml.CParser if yaml.__with_libyaml__ else yaml.SafeLoader)
+    assert yaml.load("a: 1e-3\nb: '1e-3'\n", Loader=loader) == {"a": 0.001, "b": "1e-3"}
+    assert yaml.load("a: 1e-3\n", Loader=yaml.SafeLoader) == {"a": "1e-3"}
 
 
 def test_cli_plain_exponents_are_numbers_and_quoted_ones_strings(tmp_path, capsys):
@@ -553,15 +617,18 @@ def test_tensor_associativity_check_sees_a_transposed_factor(monkeypatch):
 
 
 def test_p1_collapse_check_sees_an_error_the_bounds_share(monkeypatch):
-    # sigma_single, Sigma_L and Sigma_U all take the pair value of one K;
-    # the check's closed form does not, so an error in it fails the check
+    # sigma_single, Sigma_L and Sigma_U all read one _pair_values call per
+    # bundle, over the pairs of both bounds; the check's closed form does
+    # not, so an error in it fails the check, in each of the three values
     passed, detail = check_p1_collapse(0)
     assert passed and max(float(x.rsplit(" ", 1)[1]) for x in detail.split(", ")) > 0.0
-    pair_values = susceptibility._pair_values
+    calls, pair_values = [], susceptibility._pair_values
     monkeypatch.setattr(susceptibility, "_pair_values",
-                        lambda K, i, j: pair_values(K, i, j) + 1e-6)
+                        lambda K, i, j: calls.append(1) or pair_values(K, i, j) + 1e-6)
     passed, detail = check_p1_collapse(0)
     assert not passed, detail
+    assert len(calls) == 3                  # one per bundle of the check
+    assert all(float(x.rsplit(" ", 1)[1]) > 5e-7 for x in detail.split(", ")), detail
 
 
 def test_trace_identity_check_sees_misaligned_noise_terms(monkeypatch):
@@ -664,9 +731,32 @@ def test_non_numerical_error_in_a_point_propagates(tmp_path, monkeypatch):
         run_sweep(small_spec(tmp_path))
 
 
+def test_row_refusing_q_alone_keeps_its_f_and_q_cells(tmp_path, monkeypatch):
+    # F and Q are refused and inverted as one stack, F first: a row whose Q
+    # alone is refused keeps its F_* and Q_* cells and names the quantum
+    # Fisher matrix; no cell that reads an inverse is filled
+    spec = small_spec(tmp_path)
+    clean = evaluate_point(spec, 0, 0.3)
+    eigen_slds = fisher._eigen_slds
+
+    def singular_q(rho, derivs):
+        V, Lp, Q = eigen_slds(rho, derivs)
+        return V, Lp, np.diag([Q[0, 0], 0.0])
+
+    monkeypatch.setattr(fisher, "_eigen_slds", singular_q)
+    row = evaluate_point(spec, 0, 0.3)
+    assert row["error"].startswith("quantum Fisher matrix is singular"), row["error"]
+    for key in ("F_phi_phi", "F_phi_delta", "F_delta_delta"):
+        assert row[key] == clean[key] != ""
+    assert (row["Q_phi_phi"], row["Q_phi_delta"], row["Q_delta_delta"]) == \
+        (clean["Q_phi_phi"], 0.0, 0.0)
+    assert all(row[k] == "" for k in ("r_multi", "r_nuisance_phi", "sigma_lower",
+                                      "sigma_upper", "condition_number_F"))
+
+
 def _count_evaluations(monkeypatch):
     """Count the outermost frame_at/state_at/derivatives_at calls per model
-    and every checked inverse.  Calls made inside another (tensor_model
+    and record every checked inverse's stack.  Calls made inside another (tensor_model
     reading its base model) are not counted; how often a model's own state
     and derivative functions run is counted by
     test_bell_point_runs_the_single_copy_functions_once."""
@@ -686,9 +776,9 @@ def _count_evaluations(monkeypatch):
         monkeypatch.setattr(StatisticalModel, name, counted)
     checked = fisher._checked_inverse
 
-    def recording(F, what="Fisher matrix"):
-        inverted.append(np.array(F, dtype=float))
-        return checked(F, what)
+    def recording(stack):
+        inverted.append(np.array(stack, dtype=float))
+        return checked(stack)
 
     monkeypatch.setattr(fisher, "_checked_inverse", recording)
     return calls, inverted
@@ -700,10 +790,10 @@ def _count_evaluations(monkeypatch):
 ])
 def test_point_builds_one_kernel_and_no_noise_povm(tmp_path, monkeypatch, model,
                                                    measurement, fixed, swept, value):
-    # Sigma_L and the exact worst case read one K (C = F^-1) and one best
-    # pair, Sigma_U one kernel on the stack of its frame terms C_k, and the
-    # row never reads the worst-case noise, so no POVM is built once the
-    # measurement POVM is cached
+    # Sigma_L, Sigma_U and the exact worst case read one kernel call on the
+    # stack [F^-1; C_1 .. C_P] and one _pair_values call over the pairs of
+    # both bounds, and the row never reads the worst-case noise, so no POVM
+    # is built once the measurement POVM is cached
     spec = small_spec(tmp_path, model=model, measurement=measurement, fixed=fixed,
                       sweep_name=swept, start=value, stop=1.0, oracle_samples=1)
     assert evaluate_point(spec, 0, value)["error"] == ""      # warms _measurement_povm
@@ -718,13 +808,13 @@ def test_point_builds_one_kernel_and_no_noise_povm(tmp_path, monkeypatch, model,
     kernels, kernel = [], susceptibility._k_operators
     monkeypatch.setattr(susceptibility, "_k_operators", lambda bundle, C=None: kernels.append(
         None if C is None else np.shape(C)) or kernel(bundle, C))
-    monkeypatch.setattr(susceptibility, "_best_pair",
-                        counted("_best_pair", susceptibility._best_pair))
+    monkeypatch.setattr(susceptibility, "_pair_values",
+                        counted("_pair_values", susceptibility._pair_values))
     monkeypatch.setattr(Povm, "__init__", counted("Povm", Povm.__init__))
     row = evaluate_point(spec, 0, value)
     assert row["error"] == "" and row["oracle_best_X"] != ""
     P = len(fixed) + 1
-    assert sorted(kernels, key=str) == [(P, P, P), None] and calls["_best_pair"] == 1
+    assert kernels == [(P + 1, P, P)] and calls["_pair_values"] == 1
     assert calls["Povm"] == 0
 
 
@@ -871,8 +961,10 @@ def test_point_evaluates_each_model_once(tmp_path, monkeypatch, model, measureme
     assert len({m for m, _ in calls}) == n_models
     assert set(calls.values()) == {1} and len(calls) == n_models
     assert {name for _, name in calls} == {"frame_at"}
-    # one checked inverse per distinct matrix, F and Q; a Bell row reads
-    # r_multi off the two-copy Q = 2 Q_1, with no single-copy Q_1
-    assert len(inverted) == n_matrices
-    assert all(not np.array_equal(a, b) for i, a in enumerate(inverted)
-               for b in inverted[i + 1:])
+    # one checked inverse of the stack of distinct matrices, F and Q; a Bell
+    # row reads r_multi off the two-copy Q = 2 Q_1, with no single-copy Q_1
+    assert len(inverted) == 1
+    members = inverted[0]
+    assert len(members) == n_matrices
+    assert all(not np.array_equal(a, b) for i, a in enumerate(members)
+               for b in members[i + 1:])
