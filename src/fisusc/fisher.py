@@ -13,15 +13,17 @@ susceptibility quantity is read from that bundle.  It drops an outcome
 with ``p_a < P_CUTOFF`` whose numerators are at most ``sqrt(P_CUTOFF)``
 times the largest entry of their ``d_j rho``, a test that does not depend
 on the units of the parameters.  The cutoffs are fixed constants.  A
-sweep row refuses and inverts F and Q together, with one SVD of the
-unit-scaled (2, P, P) stack and one ``inv`` (`_checked_inverse`,
-`FisherBundle.inverses`); a refusal names F before Q.  The
-quantum Fisher matrix is built from the symmetric logarithmic
-derivatives L_j solving ``2 d_j rho = L_j rho + rho L_j``:
+sweep row refuses and inverts F and Q together, with one ``eigh`` of the
+stack ``[F~, Q~, F]`` (F and Q scaled to unit diagonal, then F itself for
+the frame of the bounds) and one ``inv`` of (F, Q)
+(`_checked_inverse_and_eigh`, `FisherBundle.inverses`); a refusal names
+F before Q.  The quantum Fisher matrix is built from the symmetric
+logarithmic derivatives L_j solving ``2 d_j rho = L_j rho + rho L_j``:
 
     Q_{jk} = Tr[rho (L_j L_k + L_k L_j)] / 2.
 
-All SLDs of a point share one eigendecomposition ``rho = V diag(w) V^dag``:
+All SLDs of a point share one eigendecomposition ``rho = V diag(w) V^dag``,
+the one a dense state's support test took (`FisherBundle.rho_eigh`):
 in that eigenbasis ``L'_j = V^dag L_j V`` and
 ``Q_{jk} = Re sum_mn w_m L'_{j,mn} L'_{k,nm}``.
 
@@ -39,8 +41,9 @@ identity when S is the whole space.  An operator on the support maps
 back as ``V X' V^dag``.  Trace norms, spectra and the quantum Fisher
 matrix are unchanged by the restriction.  The rank-4 point-source frame
 in d = 49 gives r = 4 from one SVD of its 4 x 4 cores, and a full-rank
-dense state keeps the whole space after one Cholesky.  `FisherBundle.qfi`
-reads Q off it, as does `qfi_matrix` for a model without a measurement.
+dense state keeps the whole space after one ``eigh(rho)``, which its SLDs
+reuse.  `FisherBundle.qfi` reads Q off it, as does `qfi_matrix` for a
+model without a measurement.
 """
 
 from dataclasses import dataclass
@@ -84,16 +87,20 @@ class FisherBundle:
         rho and its derivatives on their joint range (`_support`): V is an
         orthonormal (d, r) basis of it (the identity for the whole space),
         and the operators are the r x r ``V^dag X V``.
+    rho_eigh : ``(w, U)``, the ``eigh`` of the support's rho that a dense
+        state's support test took, or None (then `qfi` takes its own).
     rho, derivatives : the full-space operators ``V X V^dag``, built when
         first read.
     qfi : Q, from one `_eigen_slds` of the support on first use.
     fisher_inverse : (P, P) array
-        F^-1, checked and computed once per bundle on first use.
-    inverses : ``(F^-1, Q^-1)``, checked and computed by one stacked
-        `_checked_inverse`; a sweep row reads it, and `fisher_inverse` is then
-        its first member.
-    fisher_eigh : ``(w, U)``, one eigh(F) for the frame of the bounds and
-        `fisher_condition`.
+        F^-1, checked and computed once per bundle on first use; alone
+        (the fixed-noise functions), it takes no eigenvectors of F.
+    inverses : ``(F^-1, Q^-1)``, checked and computed by one
+        `_checked_inverse_and_eigh` of (F, Q); a sweep row reads it, and
+        `fisher_inverse` and `fisher_eigh` are then read off the same call.
+    fisher_eigh : ``(w, U)`` of F, for the frame of the bounds and
+        `fisher_condition`: the F member of the stacked eigh when
+        `inverses` were taken, else one eigh(F).
     pair_bounds : `susceptibility.PairBounds`: K, the best pair and the
         terms of Sigma_U from one kernel call and one spectrum.
     k_operators, best_pair : K_a = K_a(F^-1) on the support and
@@ -106,6 +113,7 @@ class FisherBundle:
     fisher: np.ndarray
     kept_outcomes: tuple
     support: tuple
+    rho_eigh: tuple = None
 
     @property
     def n_params(self):
@@ -127,23 +135,31 @@ class FisherBundle:
 
     @cached_property
     def qfi(self):
-        return _eigen_slds(*self.support[1:])[2]
+        return _eigen_slds(*self.support[1:], self.rho_eigh)[2]
 
     @cached_property
+    def _inverses_and_eigh(self):
+        return _checked_inverse_and_eigh((self.fisher, self.qfi))
+
+    @property
     def inverses(self):
-        """``(F^-1, Q^-1)`` from one stacked `_checked_inverse`; F is refused first."""
-        return _checked_inverse((self.fisher, self.qfi))
+        """``(F^-1, Q^-1)``, refused (F first) and inverted as one stack."""
+        return self._inverses_and_eigh[0]
 
     @cached_property
     def fisher_inverse(self):
         # the first of `inverses` when they were taken, else F's alone
-        if "inverses" in self.__dict__:
+        if "_inverses_and_eigh" in self.__dict__:
             return self.inverses[0]
         return _checked_inverse((self.fisher,))[0]
 
     @cached_property
     def fisher_eigh(self):
-        w, U = np.linalg.eigh(self.fisher)
+        # the stacked eigh's F member when `inverses` were taken, else F's alone
+        if "_inverses_and_eigh" in self.__dict__:
+            w, U = self._inverses_and_eigh[1]
+        else:
+            w, U = np.linalg.eigh(self.fisher)
         w.setflags(write=False)
         U.setflags(write=False)
         return w, U
@@ -175,26 +191,29 @@ class FisherBundle:
 
 
 def _support(B, rho, derivs):
-    """``(V, rho', derivs')``: the operators ``B X B^dag`` on their joint range.
+    """``(V, rho', derivs', eig)``: the operators ``B X B^dag`` on their joint range.
 
     ``X' = V^dag B X B^dag V`` for an orthonormal (d, r) basis V of the range.
-    Without a frame (B None) the range is the whole space, and V the
-    identity with the operators returned as they are, when the Cholesky
-    factor of rho has every squared pivot above ``SUPPORT_RTOL`` times its
-    largest diagonal entry; otherwise V is `_support_basis` of the d x d
-    operators.  With a frame, ``B = W T`` (reduced QR) and `_support_basis`
-    U of the cores ``T X T^dag`` gives ``V = W U`` (V = W when U is None).
-    The Cholesky test is for dense models only: a frame's state core has
-    rank 2 for the point sources, so it would fail on every point.
+    Without a frame (B None) one ``eigh(rho) = (w, U)`` decides: when
+    ``w_min > SUPPORT_RTOL w_max`` the range is the whole space, and V the
+    identity with the operators returned as they are; otherwise V is
+    `_support_basis` of the d x d operators, which is the identity again
+    when their joint range is the whole space.  With a frame, ``B = W T``
+    (reduced QR) and `_support_basis` U of the cores ``T X T^dag`` gives
+    ``V = W U`` (V = W when U is None).  ``eig`` is ``(w, U)`` when rho'
+    is the rho it was taken of, for `_eigen_slds` to reuse, else None.
+    The search scales each operator to unit max entry, so it may cut a
+    direction the eigenvalue test keeps only in a band just above the cut,
+    ``w_min <= SUPPORT_RTOL sqrt(1 + P) d w_max``; the whole space holds
+    the range there too.  The eigenvalue test is for dense models only: a
+    frame's state core has rank 2 for the point sources, so it would fail
+    on every point.
     """
     ops = (rho,) + derivs
     if B is None:
-        try:
-            pivots = np.linalg.cholesky(rho).diagonal().real
-            if pivots.min() ** 2 > SUPPORT_RTOL * rho.diagonal().real.max():
-                return np.eye(rho.shape[0]), rho, derivs
-        except np.linalg.LinAlgError:
-            pass
+        eig = np.linalg.eigh(rho)
+        if eig[0][0] > SUPPORT_RTOL * eig[0][-1]:
+            return np.eye(rho.shape[0]), rho, derivs, eig
     else:
         W, T = np.linalg.qr(B)
         ops = T @ np.asarray(ops) @ T.conj().T
@@ -202,9 +221,9 @@ def _support(B, rho, derivs):
     if U is not None:
         ops = U.conj().T @ np.asarray(ops) @ U
     elif B is None:
-        return np.eye(rho.shape[0]), rho, derivs
+        return np.eye(rho.shape[0]), rho, derivs, eig
     V = U if B is None else (W if U is None else W @ U)
-    return V, ops[0], tuple(ops[1:])
+    return V, ops[0], tuple(ops[1:]), None
 
 
 def _support_basis(ops):
@@ -277,13 +296,17 @@ def fisher_bundle(model, theta, povm):
     scores = numerators[kept] / probs[kept, None]
     # p_a (l_a l_a^T) summed over kept outcomes in index order: symmetric bit for bit
     F = np.sum(probs[kept, None, None] * (scores[:, :, None] * scores[:, None, :]), axis=0)
+    *support, eig = _support(B, rho, derivs)
     return FisherBundle(probabilities=probs, scores=scores,
                         fisher=F, kept_outcomes=tuple(kept.tolist()),
-                        support=_support(B, rho, derivs))
+                        support=tuple(support), rho_eigh=eig)
 
 
-def _eigen_slds(rho, derivs):
+def _eigen_slds(rho, derivs, eig=None):
     """All SLDs of one state in its eigenbasis, and Q, from one eigh(rho).
+
+    ``eig`` is that ``eigh(rho)`` when the caller already holds it
+    (`_support` of a dense state); it is taken here otherwise.
 
     In the eigenbasis of rho, L'_{j,mn} = 2 <m|d_j rho|n> / (w_m + w_n)
     wherever ``w_m + w_n > SLD_CUTOFF max(w)``; the kernel-kernel block is
@@ -296,11 +319,11 @@ def _eigen_slds(rho, derivs):
     re-check: their rounding scales with 1 / (w_m + w_n), far above any
     fixed Hermiticity tolerance for nearly pure states.
     """
-    w, V = np.linalg.eigh(rho)
+    w, V = np.linalg.eigh(rho) if eig is None else eig
     num = 2.0 * (V.conj().T @ np.asarray(derivs) @ V)
     den = w[:, None] + w[None, :]
     mask = den > SLD_CUTOFF * w[-1]
-    Lp = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
+    Lp = num / den if mask.all() else np.where(mask, num / np.where(mask, den, 1.0), 0.0)
     Lp = _sym(Lp)
     P = Lp.shape[0]
     Q = np.real((Lp * w[:, None]).reshape(P, -1) @ Lp.swapaxes(-1, -2).reshape(P, -1).T)
@@ -336,40 +359,72 @@ def weak_commutativity(rho, L_j, L_k):
 _STACK_NAMES = ("Fisher matrix", "quantum Fisher matrix")
 
 
-def _checked_inverse(stack):
-    """Inverses of a (n, P, P) stack; refuses singular or ill-conditioned members.
+def _unit_scaled(F):
+    """``(usable, D^-1/2 F D^-1/2)`` of a (n, P, P) stack, ``D = diag F`` per member.
 
-    The refusal does not depend on the units of the parameters: it tests
-    the condition number of ``D^-1/2 F D^-1/2`` with ``D = diag F``, which
-    a rescaling of any parameter leaves unchanged (a diagonal entry <= 0
-    means F is singular).  One SVD of the unit-scaled stack tests every
-    member and one ``inv`` inverts them all.  The first refused member is
-    reported, by name for the (F, Q) members 0 and 1 and by index after
-    them, so an (F, Q) stack refuses F first.
+    A member with a diagonal entry <= 0 or a non-finite entry is not
+    usable (it is singular or no Fisher matrix); the identity stands in
+    for it, so the spectrum of the scaled stack stays finite.
     """
-    F = np.asarray(stack, dtype=float)
     diag = F.diagonal(axis1=1, axis2=2)
     usable = ((diag > 0.0).all(axis=1) & np.isfinite(F).all(axis=(1, 2))).tolist()
-    scaled = F
-    if not all(usable):          # the SVD sees the identity in their place
-        scaled = np.where(np.array(usable)[:, None, None], F, np.eye(F.shape[-1]))
-    s = 1.0 / np.sqrt(scaled.diagonal(axis1=1, axis2=2))
-    svs = np.linalg.svd(s[:, :, None] * scaled * s[:, None, :], compute_uv=False).tolist()
-    for k, (ok, sv) in enumerate(zip(usable, svs)):
-        condition = sv[0] / sv[-1] if ok and sv[-1] > 0.0 else np.inf
+    if not all(usable):
+        F = np.where(np.array(usable)[:, None, None], F, np.eye(F.shape[-1]))
+    s = 1.0 / np.sqrt(F.diagonal(axis1=1, axis2=2))
+    return usable, s[:, :, None] * F * s[:, None, :]
+
+
+def _refuse(usable, spectra):
+    """Raise for the first member whose unit-scaled ``max|w| / min|w|`` exceeds
+    MAX_FISHER_CONDITION, by name for members 0 and 1 (F, Q), by index after them."""
+    for k, (ok, w) in enumerate(zip(usable, spectra)):
+        w = [abs(x) for x in w]
+        condition = max(w) / min(w) if ok and min(w) > 0.0 else np.inf
         if condition > MAX_FISHER_CONDITION:
             name = _STACK_NAMES[k] if k < len(_STACK_NAMES) else f"matrix {k} of the stack"
             raise SingularFisherError(
                 f"{name} is singular or ill-conditioned (condition number of the "
                 f"unit-scaled matrix {condition:.3e}, limit {MAX_FISHER_CONDITION:.1e}); "
                 f"refusing to invert")
+
+
+def _checked_inverse(stack):
+    """Inverses of a (n, P, P) stack; refuses singular or ill-conditioned members.
+
+    The refusal does not depend on the units of the parameters: it tests
+    the condition number of ``D^-1/2 F D^-1/2`` with ``D = diag F``, which
+    a rescaling of any parameter leaves unchanged (`_unit_scaled`).  One
+    ``eigvalsh`` of the unit-scaled stack tests every member and one
+    ``inv`` inverts them all.  The first refused member is reported
+    (`_refuse`), so an (F, Q) stack refuses F first.
+    """
+    F = np.asarray(stack, dtype=float)
+    usable, scaled = _unit_scaled(F)
+    _refuse(usable, np.linalg.eigvalsh(scaled).tolist())
     return np.linalg.inv(F)
+
+
+def _checked_inverse_and_eigh(stack):
+    """`_checked_inverse` of the stack, and ``eigh`` of its first member.
+
+    One ``eigh`` of the unit-scaled stack with the first member itself
+    appended both tests every member and gives ``(w, U)`` of that member,
+    bit for bit its ``eigh`` alone (a stacked ``eigh`` is one LAPACK call
+    per member).  Returns ``(inverses, (w, U))``.
+    """
+    F = np.asarray(stack, dtype=float)
+    usable, scaled = _unit_scaled(F)
+    n = len(F)
+    # an unusable first member is refused before its eigh is read
+    w, U = np.linalg.eigh(np.concatenate((scaled, F[:1] if usable[0] else scaled[:1])))
+    _refuse(usable, w[:n].tolist())
+    return np.linalg.inv(F), (w[n], U[n])
 
 
 def _ratios(Finv, Qinv, m=1):
     """``(m tr(F^-1) / tr(Q^-1), (F^-1)_jj / (Q^-1)_jj for every j)``."""
-    return (float(m) * float(np.trace(Finv)) / float(np.trace(Qinv)),
-            np.diag(Finv) / np.diag(Qinv))
+    f, q = Finv.diagonal(), Qinv.diagonal()
+    return float(m) * float(f.sum()) / float(q.sum()), f / q
 
 
 def r_metric(F, Q, m=1):

@@ -192,6 +192,23 @@ def _pair_indices(E):
     return pairs
 
 
+@lru_cache(maxsize=32)
+def _pair_slots(E, P):
+    """``(members, pairs)``, read-only, built once per (E, P): the kernel-stack
+    member and the two outcomes of each pair `_pair_bounds` reads.
+
+    The first E(E-1)/2 slots are `_pair_indices` on member 0 (F^-1); slot
+    E(E-1)/2 + k - 1 is on member k (C_k), and its two outcomes, zero
+    here, are filled per point.
+    """
+    pairs = _pair_indices(E)
+    members = np.concatenate((np.zeros(pairs.shape[1], dtype=int), np.arange(1, P + 1)))
+    pairs = np.concatenate((pairs, np.zeros((2, P), dtype=int)), axis=1)
+    members.setflags(write=False)
+    pairs.setflags(write=False)
+    return members, pairs
+
+
 PairBounds = namedtuple("PairBounds", "k_operators best_pair upper sigmas")
 
 
@@ -201,7 +218,7 @@ def _pair_bounds(bundle):
     One `_k_operators` call on the (1 + P, P, P) stack ``[F^-1; C_1 .. C_P]``
     of the frame that diagonalizes F, and one `_pair_values` call over the
     E(E-1)/2 outcome pairs of K = K(F^-1) followed by the P pairs
-    ``(n_k, m_k)`` of K(C_k).  Returns `PairBounds`: K, the best pair
+    ``(n_k, m_k)`` of K(C_k) (`_pair_slots`).  Returns `PairBounds`: K, the best pair
     ``((i, j), value)`` of Sigma_L (value without the P term; ties go to
     the lowest pair), and Sigma_U with its terms sigma_k.  Raises
     `SingularFisherError` when F is refused or fewer than two outcomes are kept.
@@ -213,12 +230,12 @@ def _pair_bounds(bundle):
     K = _k_operators(bundle, np.concatenate((
         bundle.fisher_inverse[None], J[:, :, None] * J[:, None, :] / f[:, None, None])))
     s = bundle.scores @ J.T                                  # l~_a = J l_a
-    pairs = _pair_indices(E)
-    n = pairs.shape[1]
-    # the kernel-stack member of each pair: 0 (F^-1) for Sigma_L's n, k for C_k's
-    members = np.concatenate((np.zeros(n, dtype=int), np.arange(1, P + 1)))
-    values = _pair_values(K, (members, np.concatenate((pairs[0], np.argmax(s, axis=0)))),
-                          (members, np.concatenate((pairs[1], np.argmin(s, axis=0)))))
+    members, pairs = _pair_slots(E, P)
+    n = pairs.shape[1] - P
+    pairs = pairs.copy()
+    pairs[0, n:] = np.argmax(s, axis=0)
+    pairs[1, n:] = np.argmin(s, axis=0)
+    values = _pair_values(K, (members, pairs[0]), (members, pairs[1]))
     p = int(np.argmax(values[:n]))
     sigmas = 1.0 + values[n:]
     return PairBounds(K[0], ((int(pairs[0, p]), int(pairs[1, p])), float(values[p])),

@@ -205,12 +205,12 @@ def evaluate_point(spec, index, sweep_value):
     State, derivatives, F and Q are evaluated once; every column reads them
     from the point's Fisher bundle, which holds rho and its derivatives on
     their joint support.  F^-1 and Q^-1 come from one stacked checked
-    inverse (`FisherBundle.inverses`).  `sigma_lower`, `sigma_upper` (its
-    total and terms) and, when ``spec.oracle_samples`` > 0, the exact
-    worst case read one kernel call and one spectrum
-    (`FisherBundle.pair_bounds`), and the condition number the bundle's
-    eigh(F); the worst case's noise is never lifted, and Q reads only the
-    eigenbasis SLDs.  F and Q are written before they are inverted, so a
+    inverse, whose one eigh also gives eigh(F) (`FisherBundle.inverses`).
+    `sigma_lower`, `sigma_upper` (its total and terms) and, when
+    ``spec.oracle_samples`` > 0, the exact worst case read one kernel call
+    and one spectrum (`FisherBundle.pair_bounds`), and the condition
+    number that eigh(F); the worst case's noise is never lifted, and Q
+    reads only the eigenbasis SLDs.  F and Q are written before they are inverted, so a
     row that refuses either still carries them.  A Bell row's model is the
     two-copy state, whose Q is 2 Q_1 for the single-copy Q_1, so
     ``tr F^-1 / tr Q^-1`` is its two-copies-per-shot

@@ -5,8 +5,9 @@ import pytest
 from scipy.linalg import solve_sylvester
 
 from fisusc.fisher import (SingularFisherError, SingularScoreError,
-                           _checked_inverse, _eigen_slds, fisher_bundle, qfi_matrix,
-                           r_metric, r_nuisance, sld, weak_commutativity)
+                           _checked_inverse, _checked_inverse_and_eigh, _eigen_slds,
+                           fisher_bundle, qfi_matrix, r_metric, r_nuisance, sld,
+                           weak_commutativity)
 from fisusc.model import Povm, StatisticalModel, tensor_model
 from fisusc.models import (PointSourceConfig, bell_povm,
                            optimal_povm_point_sources, point_source_model,
@@ -412,6 +413,38 @@ def test_stacked_inverse_names_the_first_refused_member(first, second, refused):
     inverses = _checked_inverse(pair)
     for matrix, inverse in zip(pair, inverses):
         assert inverse.tobytes() == np.linalg.inv(matrix).tobytes()
+
+
+def _unit_diagonal(condition, P):
+    """A P x P unit-diagonal matrix of condition number ``condition``: the
+    pair block [[1, a], [a, 1]] (eigenvalues 1 +- a) and ones after it."""
+    a = (condition - 1.0) / (condition + 1.0)
+    M = np.eye(P)
+    M[0, 1] = M[1, 0] = a
+    return M
+
+
+@pytest.mark.parametrize("P", [2, 3])
+@pytest.mark.parametrize("scale", np.geomspace(1e-3, 1e3, 7))
+def test_refusal_at_its_limit_in_any_units(P, scale):
+    # unit-scaled members of condition number 1e11 are accepted and 1e13
+    # refused (the limit is 1e12), F is named before Q and a member after
+    # them by its index, whatever the units of the first parameter; the
+    # stacked eigh gives the same decision and F's own eigh
+    S = np.diag([scale] + [1.0] * (P - 1))
+    good, bad = (S @ _unit_diagonal(c, P) @ S for c in (1e11, 1e13))
+    for checked in (_checked_inverse, lambda stack: _checked_inverse_and_eigh(stack)[0]):
+        inverses = checked((good, 2.0 * good))
+        assert inverses[0].tobytes() == np.linalg.inv(good).tobytes()
+        for stack, refused in (((bad, good), "Fisher matrix"),
+                               ((good, bad), "quantum Fisher matrix"),
+                               ((bad, bad), "Fisher matrix"),
+                               ((good, good, bad), "matrix 2 of the stack")):
+            with pytest.raises(SingularFisherError) as err:
+                checked(stack)
+            assert str(err.value).startswith(f"{refused} is singular or ill-conditioned")
+    w, U = _checked_inverse_and_eigh((good, 2.0 * good))[1]
+    assert [w.tobytes(), U.tobytes()] == [a.tobytes() for a in np.linalg.eigh(good)]
 
 
 def test_r_nuisance_identity_and_bounds():

@@ -222,20 +222,99 @@ def test_support_basis_cuts_singular_values_at_the_relative_tolerance(ratio, ran
 
 
 def test_point_source_points_make_no_cholesky_call(monkeypatch):
-    # a frame's state core has rank 2, so the dense full-rank test is not tried
-    calls = []
-    cholesky = np.linalg.cholesky
+    # a frame's state core has rank 2, so the dense full-rank test, one
+    # eigh of the d x d state, is not tried; no point takes a Cholesky
+    calls, eighs = [], []
+    cholesky, eigh = np.linalg.cholesky, np.linalg.eigh
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(np.shape(a)) or eigh(a))
     for n_max in (20, 48):
         spec = dx_spec(README_FIXED, n_max, oracle_samples=1)
         for v in spec.grid()[::7]:
             assert evaluate_point(spec, 0, v)["error"] == ""
-    assert calls == []
-    # the dense qubit points still take the full-rank test
+    assert calls == [] and eighs and all(shape[-1] <= 4 for shape in eighs)
+    theta = np.array([0.0, 0.1, 0.3])
+    model, povm = point(theta, 20)
+    assert fisher_bundle(model, theta, povm).rho_eigh is None
+    # the dense qubit points take the full-rank test on their state, and
+    # their SLDs reuse its eigh
     qubit = SweepSpec(model="phase-dephasing", measurement="separable",
                       fixed={"phi": 0.7853981633974483}, sweep_name="delta",
                       start=0.001, stop=1.0, count=5)
-    assert evaluate_point(qubit, 0, 0.3)["error"] == "" and calls
+    eighs.clear()
+    assert evaluate_point(qubit, 0, 0.3)["error"] == "" and calls == []
+    assert eighs.count((2, 2)) == 1
+
+
+def _random_dense_point(rng, dim, low, confined):
+    """A state of dimension ``dim`` whose smallest eigenvalue is ``low`` times
+    its largest, in a random complex basis, and two random derivatives;
+    ``confined`` derivatives leave out the eigenvector of ``low``."""
+    basis = np.linalg.qr(rng.standard_normal((dim, dim))
+                         + 1j * rng.standard_normal((dim, dim)))[0]
+    w = np.concatenate(([low], rng.uniform(low, 1.0, dim - 2), [1.0]))
+    rho = (basis * (w / w.sum())) @ basis.conj().T
+    B = basis[:, 1:] if confined else basis
+    k = B.shape[1]
+    z = rng.standard_normal((2, k, k)) + 1j * rng.standard_normal((2, k, k))
+    return rho, tuple(B @ (z + z.conj().swapaxes(-1, -2)) @ B.conj().T)
+
+
+def test_dense_support_test_accepts_only_full_rank_states(monkeypatch):
+    # the eigenvalue test w_min > SUPPORT_RTOL w_max settles a dense state
+    # as full rank, and every state it refuses goes to the SVD search
+    # (_support_basis).  The two cut different quantities: the search
+    # scales each operator to unit max entry, so a state it cuts has
+    # w_min / w_max <= SUPPORT_RTOL sqrt(n) d for n operators in d
+    # dimensions, and in that band above the cut the eigenvalue test keeps
+    # the whole space, which always holds the joint range (the old Cholesky
+    # test, looser still, kept it too).  Everywhere else the eigenvalue
+    # test accepts only states the search calls full rank.  Rank-deficient
+    # states: confined derivatives, a pure qubit state and the two-copy
+    # Bell state at delta = 1e-9
+    searched, basis = [], fisher._support_basis
+    monkeypatch.setattr(fisher, "_support_basis", lambda ops: searched.append(1) or basis(ops))
+    rng = np.random.default_rng(11)
+    points = [_random_dense_point(rng, dim, low, confined) for dim in (2, 3, 4)
+              for low in np.geomspace(1.0, 1e-17, 35) for confined in (False, True)]
+    pure = np.array([[1.0, 1.0], [1.0, 1.0]]) / 2
+    points.append((pure, (np.array([[0.0, 1.0], [1.0, 0.0]]),)))
+    bell = sweep.build_model_povm("phase-dephasing", "bell", np.array([0.3, 1e-9]))[0]
+    points.append(bell.frame_at(np.array([0.3, 1e-9]))[1:])
+    fast = []
+    for rho, derivs in points:
+        searched.clear()
+        V, rho_s, _, eig = _support(None, rho, derivs)
+        fast.append(not searched)       # settled by the eigenvalue test
+        U = basis((rho,) + derivs)
+        w = np.linalg.eigvalsh(rho)
+        if fast[-1] and U is not None:
+            assert w[0] <= SUPPORT_RTOL * np.sqrt(1 + len(derivs)) * len(rho) * w[-1]
+        if U is None or fast[-1]:       # the whole space: the eigh is kept
+            assert np.array_equal(V, np.eye(len(rho))) and rho_s is rho
+            assert [a.tobytes() for a in eig] == [a.tobytes() for a in np.linalg.eigh(rho)]
+        else:
+            assert eig is None and V.shape[1] == U.shape[1] < len(rho)
+    assert fast[-2:] == [False, False] and 0 < sum(fast) < len(points) - 2
+
+
+@pytest.mark.parametrize("measurement", ["separable", "bell"])
+def test_readme_qubit_rows_are_settled_by_the_eigenvalue_test(monkeypatch, measurement):
+    # every row of the README qubit sweeps is full rank by w_min > SUPPORT_RTOL
+    # w_max, with no SVD, and its SLDs reuse that eigh
+    searched, svds, basis, svd = [], [], fisher._support_basis, np.linalg.svd
+    monkeypatch.setattr(fisher, "_support_basis", lambda ops: searched.append(1) or basis(ops))
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    spec = SweepSpec(model="phase-dephasing", measurement=measurement,
+                     fixed={"phi": 0.7853981633974483}, sweep_name="delta",
+                     start=0.001, stop=1.0, count=50)
+    for v in spec.grid():
+        theta = sweep._theta_for(spec, v)
+        model, povm, _ = sweep.build_model_povm(spec.model, spec.measurement, theta)
+        bundle = fisher_bundle(model, theta, povm)
+        assert bundle.rho_eigh is not None
+        assert bundle.qfi.tobytes() == fisher._eigen_slds(*bundle.support[1:])[2].tobytes()
+    assert searched == [] and svds == []
 
 
 @pytest.mark.parametrize("n_max", [20, 48])

@@ -739,8 +739,8 @@ def test_row_refusing_q_alone_keeps_its_f_and_q_cells(tmp_path, monkeypatch):
     clean = evaluate_point(spec, 0, 0.3)
     eigen_slds = fisher._eigen_slds
 
-    def singular_q(rho, derivs):
-        V, Lp, Q = eigen_slds(rho, derivs)
+    def singular_q(*args):        # (rho, derivs, the support test's eigh of rho)
+        V, Lp, Q = eigen_slds(*args)
         return V, Lp, np.diag([Q[0, 0], 0.0])
 
     monkeypatch.setattr(fisher, "_eigen_slds", singular_q)
@@ -756,7 +756,8 @@ def test_row_refusing_q_alone_keeps_its_f_and_q_cells(tmp_path, monkeypatch):
 
 def _count_evaluations(monkeypatch):
     """Count the outermost frame_at/state_at/derivatives_at calls per model
-    and record every checked inverse's stack.  Calls made inside another (tensor_model
+    and record every checked inverse's stack, with the name of the function
+    that took it.  Calls made inside another (tensor_model
     reading its base model) are not counted; how often a model's own state
     and derivative functions run is counted by
     test_bell_point_runs_the_single_copy_functions_once."""
@@ -774,13 +775,12 @@ def _count_evaluations(monkeypatch):
                 depth[0] -= 1
 
         monkeypatch.setattr(StatisticalModel, name, counted)
-    checked = fisher._checked_inverse
+    for name in ("_checked_inverse", "_checked_inverse_and_eigh"):
+        def recording(stack, _checked=getattr(fisher, name), _name=name):
+            inverted.append((_name, np.array(stack, dtype=float)))
+            return _checked(stack)
 
-    def recording(stack):
-        inverted.append(np.array(stack, dtype=float))
-        return checked(stack)
-
-    monkeypatch.setattr(fisher, "_checked_inverse", recording)
+        monkeypatch.setattr(fisher, name, recording)
     return calls, inverted
 
 
@@ -938,6 +938,32 @@ def test_cli_reused_parser_carries_no_state(tmp_path, capsys):
     assert [len(r[3]) for r in reused] == [1, 1, 0, 0]
 
 
+@pytest.mark.parametrize("model, measurement, fixed, swept, value, expected", [
+    ("phase-dephasing", "separable", {"phi": 0.7}, "delta", 0.3,
+     {"eigh": 2, "eigvalsh": 1, "inv": 1}),
+    ("phase-dephasing", "bell", {"phi": 0.3}, "delta", 0.1,
+     {"eigh": 2, "eigvalsh": 1, "inv": 1}),
+    ("point-sources", "optimal-hg", {"x_c": 0.1, "q": 0.3}, "dx", 0.2,
+     {"qr": 1, "svd": 1, "eigh": 2, "eigvalsh": 1, "inv": 1}),
+])
+def test_row_lapack_calls(tmp_path, monkeypatch, model, measurement, fixed, swept, value,
+                          expected):
+    # a dense row: eigh(rho) decides its support and serves its SLDs, one
+    # eigh of [F~, Q~, F] refuses F and Q and gives F's frame, one inv of
+    # (F, Q) and one eigvalsh over the pairs of both bounds; a point-source
+    # row adds the QR of its frame and one SVD of its cores, and takes
+    # eigh of its support's state
+    spec = small_spec(tmp_path, model=model, measurement=measurement, fixed=fixed,
+                      sweep_name=swept, start=value, stop=1.0)
+    assert evaluate_point(spec, 0, value)["error"] == ""     # warms _measurement_povm
+    calls = Counter()
+    for name in ("cholesky", "qr", "svd", "eigh", "eigvalsh", "inv"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=getattr(np.linalg, name), _n=name,
+                            **k: calls.update([_n]) or _f(*a, **k))
+    assert evaluate_point(spec, 0, value)["error"] == ""
+    assert dict(calls) == expected
+
+
 @pytest.mark.parametrize("model, measurement, fixed, swept, value, n_models, n_matrices", [
     ("point-sources", "optimal-hg", {"x_c": 0.1, "q": 0.3}, "dx", 0.2, 1, 2),
     ("phase-dephasing", "bell", {"phi": PHI}, "delta", 0.1, 1, 2),
@@ -961,10 +987,11 @@ def test_point_evaluates_each_model_once(tmp_path, monkeypatch, model, measureme
     assert len({m for m, _ in calls}) == n_models
     assert set(calls.values()) == {1} and len(calls) == n_models
     assert {name for _, name in calls} == {"frame_at"}
-    # one checked inverse of the stack of distinct matrices, F and Q; a Bell
-    # row reads r_multi off the two-copy Q = 2 Q_1, with no single-copy Q_1
-    assert len(inverted) == 1
-    members = inverted[0]
+    # one checked inverse of the stack of distinct matrices, F and Q, whose
+    # one eigh also gives F's frame; a Bell row reads r_multi off the
+    # two-copy Q = 2 Q_1, with no single-copy Q_1
+    assert [name for name, _ in inverted] == ["_checked_inverse_and_eigh"]
+    members = inverted[0][1]
     assert len(members) == n_matrices
     assert all(not np.array_equal(a, b) for i, a in enumerate(members)
                for b in members[i + 1:])
