@@ -100,7 +100,9 @@ class FisherBundle:
         `fisher_inverse` and `fisher_eigh` are then read off the same call.
     fisher_eigh : ``(w, U)`` of F, for the frame of the bounds and
         `fisher_condition`: the F member of the stacked eigh when
-        `inverses` were taken, else one eigh(F).
+        `inverses` were taken; else, on a fresh bundle, of one
+        `_checked_inverse_and_eigh` of F alone, which also refuses F and
+        gives `fisher_inverse`; after the fixed-noise refusal, one eigh(F).
     pair_bounds : `susceptibility.PairBounds`: K, the best pair and the
         terms of Sigma_U from one kernel call and one spectrum.
     k_operators, best_pair : K_a = K_a(F^-1) on the support and
@@ -148,18 +150,27 @@ class FisherBundle:
 
     @cached_property
     def fisher_inverse(self):
-        # the first of `inverses` when they were taken, else F's alone
-        if "_inverses_and_eigh" in self.__dict__:
-            return self.inverses[0]
+        # off the call that took F's eigh, when one was made; else F's refusal
+        # alone, which takes no eigenvectors (the fixed-noise functions)
+        if "_inverses_and_eigh" in self.__dict__ or "_fisher_inverse_and_eigh" in self.__dict__:
+            return self._fisher_inverse_and_eigh[0]
         return _checked_inverse((self.fisher,))[0]
 
     @cached_property
-    def fisher_eigh(self):
-        # the stacked eigh's F member when `inverses` were taken, else F's alone
+    def _fisher_inverse_and_eigh(self):
+        # the (F, Q) call when `inverses` were taken; else eigh(F) alone when F
+        # was already refused, or one checked call on F that refuses it too
         if "_inverses_and_eigh" in self.__dict__:
-            w, U = self._inverses_and_eigh[1]
-        else:
-            w, U = np.linalg.eigh(self.fisher)
+            (Finv, _), eig = self._inverses_and_eigh
+            return Finv, eig
+        if "fisher_inverse" in self.__dict__:
+            return self.fisher_inverse, np.linalg.eigh(self.fisher)
+        (Finv,), eig = _checked_inverse_and_eigh((self.fisher,))
+        return Finv, eig
+
+    @cached_property
+    def fisher_eigh(self):
+        w, U = self._fisher_inverse_and_eigh[1]
         w.setflags(write=False)
         U.setflags(write=False)
         return w, U

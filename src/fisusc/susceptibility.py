@@ -55,8 +55,8 @@ instead of d x d (``bundle.support[1].shape[0]`` is r).  The
 fixed-noise functions `g_matrix`, `xi_matrix` and `x_scalar` take a noise
 POVM on the full space and restrict its elements to the support; they
 never build the frame, and `x_scalar` reads K(F^-1) alone, with the bits
-of the bounds' K; the noise of `sigma_exact` is lifted to the full space
-when first read.
+of the bounds' K; the noise of `sigma_exact` is built, and lifted to the
+full space, when first read.
 """
 
 from collections import namedtuple
@@ -260,7 +260,8 @@ def sigma_lower(bundle: FisherBundle):
 def _canonical_diagonalizer(bundle):
     """Deterministic orthogonal J with J F J^T diagonal (descending).
 
-    Built from the bundle's one eigh(F) (`FisherBundle.fisher_eigh`).
+    Built from the bundle's one eigh(F) (`FisherBundle.fisher_eigh`, whose
+    call refuses a singular F).
 
     Within clusters of (nearly) degenerate eigenvalues the eigenbasis
     returned by ``eigh`` is arbitrary and unstable; each cluster basis is
@@ -272,7 +273,6 @@ def _canonical_diagonalizer(bundle):
     round as numpy's float64 does.  Raises `SingularFisherError` when F
     is singular.
     """
-    bundle.fisher_inverse                # refuse a singular F
     F = bundle.fisher
     w, V = bundle.fisher_eigh
     w, V = w.tolist()[::-1], V[:, ::-1]
@@ -320,21 +320,31 @@ class ExactWorstCase:
     ``value`` is X[M, noise] of the explicit noise POVM ``noise``, and
     ``value + exact_gap`` is P + Tr Y for a Y >= K_a (every kept a), which
     bounds X of every noise.  ``iterations`` counts interior-point steps.
+    `sigma_exact` computes these four numbers and stores, for ``noise``,
+    the bundle, the eigenpairs (w, U) of K_a - K_b on the best pair (a, b)
+    and the interior-point N when it beat the pair; the noise is built
+    from them when first read.
     """
 
     value: float
     exact_gap: float
     iterations: int
     pair_certified: bool
-    _lift: tuple = field(repr=False, compare=False)    # (N, V, kept, b, shape)
+    _lift: tuple = field(repr=False, compare=False)    # (bundle, N or None, w, U, a, b)
 
     @cached_property
     def noise(self):
         """V N_a V^dag on kept outcome a, plus I - V V^dag on b; built on first read."""
-        N, V, kept, b, shape = self._lift
-        elements = np.zeros(shape, dtype=N.dtype)
+        bundle, N, w, U, a, b = self._lift
+        if N is None:       # the pair noise: (K_a - K_b)_+'s projector on a, its complement on b
+            pos = U[:, w > POSITIVE_PART_RTOL * np.max(np.abs(w))]
+            N = np.zeros_like(bundle.k_operators)
+            N[a] = pos @ pos.conj().T
+            N[b] = np.eye(len(U)) - N[a]
+        V, kept, d = bundle.support[0], list(bundle.kept_outcomes), bundle.dim
+        elements = np.zeros((len(bundle.probabilities), d, d), dtype=N.dtype)
         elements[kept] = V @ N @ V.conj().T
-        elements[kept[b]] += np.eye(shape[1]) - V @ V.conj().T
+        elements[kept[b]] += np.eye(d) - V @ V.conj().T
         return Povm(elements)
 
 
@@ -405,37 +415,35 @@ def sigma_exact(bundle: FisherBundle) -> ExactWorstCase:
     """The worst case Sigma[M] = P + max_N sum_a Tr[K_a N_a], certified.
 
     A minimum-error-discrimination SDP on the support (Eldar, Megretski &
-    Verghese, IEEE TIT 49, 1007, 2003).  The pair certificate holds when no
-    K_c exceeds its Y by more than CERTIFICATE_RTOL max|K_xy| (one test);
-    else `_exact_sdp` starts from eigvalsh(K), its N is clipped to PSD and
-    mapped to R^-1/2 N R^-1/2 (R = sum N), and the value is the larger of
-    that primal and Sigma_L, so it never reads below Sigma_L.
-    The noise, V N_a V^dag plus I - V V^dag on b, is lifted when first
-    read.  Raises `SingularFisherError` below two kept outcomes.
+    Verghese, IEEE TIT 49, 1007, 2003).  The value, gap and certificate
+    take ``eigh(K_a - K_b)`` on the best pair (a, b), the dual point
+    Y = K_b + (K_a - K_b)_+, one ``eigvalsh(K - Y)`` and Tr Y.  The pair
+    certificate holds when no K_c exceeds Y by more than
+    CERTIFICATE_RTOL max|K_xy| (one test); else `_exact_sdp` starts from
+    eigvalsh(K), its N is clipped to PSD and mapped to R^-1/2 N R^-1/2
+    (R = sum N), and the value is the larger of that primal and Sigma_L,
+    so it never reads below Sigma_L.  The noise, V N_a V^dag plus
+    I - V V^dag on b, is built from the stored eigenpairs (or the kept
+    interior-point N) when ``.noise`` is first read.  Raises
+    `SingularFisherError` below two kept outcomes.
     """
     (a, b), pair_value = bundle.best_pair
     K = bundle.k_operators
     P, r = bundle.n_params, K.shape[1]
     w, U = np.linalg.eigh(K[a] - K[b])
-    pos = U[:, w > POSITIVE_PART_RTOL * np.max(np.abs(w))]
-    N = np.zeros_like(K)
-    N[a] = pos @ pos.conj().T
-    N[b] = np.eye(r) - N[a]
     Y = K[b] + (U * np.maximum(w, 0.0)) @ U.conj().T
-    shift = np.max(np.linalg.eigvalsh(K - Y)[:, -1])
-    value, iterations = P + pair_value, 0
-    certified = bool(shift <= CERTIFICATE_RTOL * np.max(np.abs(K)))
+    shift = np.linalg.eigvalsh(K - Y)[:, -1].max()
+    value, iterations, N = P + pair_value, 0, None
+    certified = bool(shift <= CERTIFICATE_RTOL * abs(K).max())
     if not certified:
         M, Y, iterations = _exact_sdp(K, np.linalg.eigvalsh(K))
-        w, U = np.linalg.eigh(M)
-        M = _normalized((U * np.maximum(w, 0.0)[:, None, :]) @ U.conj().swapaxes(-1, -2))
+        m, W = np.linalg.eigh(M)
+        M = _normalized((W * np.maximum(m, 0.0)[:, None, :]) @ W.conj().swapaxes(-1, -2))
         primal = P + float(np.einsum("axy,ayx->", K, M).real)
         if primal > value:
             N, value = M, primal
-        shift = np.max(np.linalg.eigvalsh(K - Y)[:, -1])
-    dual = P + float(np.trace(Y).real + r * shift)
-    shape = bundle.probabilities.shape + (bundle.dim, bundle.dim)
+        shift = np.linalg.eigvalsh(K - Y)[:, -1].max()
+    dual = P + float(Y.trace().real + r * shift)
     # a pair-certified dual equals the value up to rounding, either side of it
     return ExactWorstCase(value=value, exact_gap=max(dual - value, 0.0), iterations=iterations,
-                          pair_certified=certified,
-                          _lift=(N, bundle.support[0], list(bundle.kept_outcomes), b, shape))
+                          pair_certified=certified, _lift=(bundle, N, w, U, a, b))

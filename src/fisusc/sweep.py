@@ -209,7 +209,7 @@ def evaluate_point(spec, index, sweep_value):
     `sigma_lower`, `sigma_upper` (its total and terms) and, when
     ``spec.oracle_samples`` > 0, the exact worst case read one kernel call
     and one spectrum (`FisherBundle.pair_bounds`), and the condition
-    number that eigh(F); the worst case's noise is never lifted, and Q
+    number that eigh(F); the worst case's noise is never built, and Q
     reads only the eigenbasis SLDs.  F and Q are written before they are inverted, so a
     row that refuses either still carries them.  A Bell row's model is the
     two-copy state, whose Q is 2 Q_1 for the single-copy Q_1, so

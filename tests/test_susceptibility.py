@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fisusc.susceptibility as susceptibility
+import fisusc.sweep as sweep
 from fisusc.fisher import SingularFisherError, _eigen_slds, fisher_bundle
 from fisusc.linalg import trace_norm
 from fisusc.model import Povm, StatisticalModel, tensor_model, validate_povm
@@ -824,11 +825,42 @@ def _cache_instances():
         lambda: fisher_bundle(point_source_model(cfg), theta,
                               optimal_povm_point_sources(cfg)),     # pair-certified
         lambda: fisher_bundle(model, [np.pi / 4, 0.1], bell_povm()),   # interior point
+        lambda: fisher_bundle(model, [0.3, 1e-5], bell_povm()),  # interior point, pair noise kept
     ]
 
 
+def eager_noise_reference(bundle):
+    """``(value, elements)``: the support noise of `sigma_exact` built as the
+    value is found, then lifted, as the package built it before the noise
+    waited for its first read."""
+    (a, b), pair_value = bundle.best_pair
+    K = bundle.k_operators
+    P, r = bundle.n_params, K.shape[1]
+    w, U = np.linalg.eigh(K[a] - K[b])
+    pos = U[:, w > susceptibility.POSITIVE_PART_RTOL * np.max(np.abs(w))]
+    N = np.zeros_like(K)
+    N[a] = pos @ pos.conj().T
+    N[b] = np.eye(r) - N[a]
+    Y = K[b] + (U * np.maximum(w, 0.0)) @ U.conj().T
+    shift = np.max(np.linalg.eigvalsh(K - Y)[:, -1])
+    value = P + pair_value
+    if not shift <= susceptibility.CERTIFICATE_RTOL * np.max(np.abs(K)):
+        M = _exact_sdp(K, np.linalg.eigvalsh(K))[0]
+        w, U = np.linalg.eigh(M)
+        M = susceptibility._normalized(
+            (U * np.maximum(w, 0.0)[:, None, :]) @ U.conj().swapaxes(-1, -2))
+        primal = P + float(np.einsum("axy,ayx->", K, M).real)
+        if primal > value:
+            N, value = M, primal
+    V, kept, dim = bundle.support[0], list(bundle.kept_outcomes), bundle.dim
+    elements = np.zeros((len(bundle.probabilities), dim, dim), dtype=N.dtype)
+    elements[kept] = V @ N @ V.conj().T
+    elements[kept[b]] += np.eye(dim) - V @ V.conj().T
+    return value, elements
+
+
 @pytest.mark.parametrize("fresh_bundle", _cache_instances(),
-                         ids=["pair-certified", "interior-point"])
+                         ids=["pair-certified", "interior-point", "interior-point-pair-noise"])
 def test_shared_kernel_and_lazy_noise_change_no_value(fresh_bundle):
     # Sigma_L and the exact worst case read one cached K and best pair;
     # either order of evaluation gives the same bits
@@ -842,18 +874,42 @@ def test_shared_kernel_and_lazy_noise_change_no_value(fresh_bundle):
     assert first.k_operators is first.k_operators
     np.testing.assert_array_equal(first.k_operators, _k_operators(first))
     assert first.best_pair == best_pair_reference(_k_operators(first))
-    # the noise is lifted when first read, once
+    # the noise is built when first read, once, with the bits of the eager
+    # construction
     assert "noise" not in vars(exact_first)
     noise = exact_first.noise
     assert exact_first.noise is noise
-    N, V, kept, b, _ = exact_first._lift
-    assert b == first.best_pair[0][1]
-    dim = first.rho.shape[0]
-    eager = np.zeros((len(first.probabilities), dim, dim), dtype=complex)
-    eager[kept] = V @ N @ V.conj().T
-    eager[kept[b]] += np.eye(dim) - V @ V.conj().T
-    np.testing.assert_array_equal(noise.elements, Povm(eager).elements)
+    value, eager = eager_noise_reference(first)
+    assert value == exact_first.value
+    assert noise.elements.dtype == eager.dtype
+    assert noise.elements.tobytes() == Povm(eager).elements.tobytes()
     assert x_scalar(first, noise) == pytest.approx(exact_first.value, rel=1e-9)
+
+
+def test_pair_certified_sweep_row_builds_no_noise(tmp_path, monkeypatch):
+    # a worst-case row reads only the value: the support noise (a zeros_like
+    # of K, an identity for the complement on b) is never allocated, nor is
+    # the lift or its Povm, and the result's noise is never read
+    results, exact = [], susceptibility.sigma_exact
+    monkeypatch.setattr(sweep, "sigma_exact", lambda b: results.append(exact(b)) or results[-1])
+    spec = sweep.SweepSpec(model="point-sources", measurement="optimal-hg",
+                           fixed={"x_c": 0.0, "q": 0.3}, sweep_name="dx", start=0.2,
+                           stop=1.0, count=2, oracle_samples=50, out=str(tmp_path / "x.csv"))
+    assert sweep.evaluate_point(spec, 0, 0.2)["error"] == ""      # warms the POVM cache
+    results.clear()
+    built = []
+    for module, name in ((np, "zeros_like"), (np, "eye"), (susceptibility, "Povm")):
+        monkeypatch.setattr(module, name, lambda *a, _f=getattr(module, name), _n=name, **k:
+                            built.append(_n) or _f(*a, **k))
+    row = sweep.evaluate_point(spec, 0, 0.2)
+    assert row["error"] == "" and row["oracle_best_X"] == row["sigma_lower"]
+    [result] = results
+    assert result.pair_certified and "noise" not in vars(result)
+    assert built == []
+    # read afterwards, the noise is built then, once
+    noise = result.noise
+    assert sorted(built) == ["Povm", "eye", "eye", "zeros_like"]
+    assert validate_povm(noise, 1e-12).passed
 
 
 def bit_identity_points():

@@ -956,12 +956,51 @@ def test_row_lapack_calls(tmp_path, monkeypatch, model, measurement, fixed, swep
     spec = small_spec(tmp_path, model=model, measurement=measurement, fixed=fixed,
                       sweep_name=swept, start=value, stop=1.0)
     assert evaluate_point(spec, 0, value)["error"] == ""     # warms _measurement_povm
+    calls = _count_lapack_calls(monkeypatch)
+    assert evaluate_point(spec, 0, value)["error"] == ""
+    assert dict(calls) == expected
+
+
+def _count_lapack_calls(monkeypatch):
     calls = Counter()
     for name in ("cholesky", "qr", "svd", "eigh", "eigvalsh", "inv"):
         monkeypatch.setattr(np.linalg, name, lambda *a, _f=getattr(np.linalg, name), _n=name,
                             **k: calls.update([_n]) or _f(*a, **k))
-    assert evaluate_point(spec, 0, value)["error"] == ""
-    assert dict(calls) == expected
+    return calls
+
+
+def test_pair_certified_worst_case_row_lapack_calls(tmp_path, monkeypatch):
+    # the point-source row's calls, plus the exact worst case's eigh of
+    # K_a - K_b and eigvalsh of K - Y: its noise is never built
+    spec = small_spec(tmp_path, model="point-sources", measurement="optimal-hg",
+                      fixed={"x_c": 0.1, "q": 0.3}, sweep_name="dx", start=0.2, stop=1.0,
+                      oracle_samples=50)
+    assert evaluate_point(spec, 0, 0.2)["error"] == ""       # warms _measurement_povm
+    calls = _count_lapack_calls(monkeypatch)
+    row = evaluate_point(spec, 0, 0.2)
+    assert row["error"] == "" and row["oracle_best_X"] == row["sigma_lower"]
+    assert dict(calls) == {"qr": 1, "svd": 1, "eigh": 3, "eigvalsh": 2, "inv": 1}
+
+
+@pytest.mark.parametrize("model, theta, povm", [
+    (qubit_phase_dephasing(), [0.7, 0.3], separable_povm()),
+    (models.point_source_model(PointSourceConfig(n_max=20, x_m=x_opt(0.1, 0.2, 0.3))),
+     [0.1, 0.2, 0.3], optimal_povm_point_sources(PointSourceConfig(
+         n_max=20, x_m=x_opt(0.1, 0.2, 0.3)))),
+], ids=["separable", "point-sources"])
+def test_fresh_bundle_bounds_lapack_calls(monkeypatch, model, theta, povm):
+    # on a bundle whose (F, Q) inverses were never read, the bounds take one
+    # checked eigh of F alone (its refusal and its frame), one inv and the
+    # pairs' eigvalsh, with the bits of a sweep row's bounds
+    bundle = fisher_bundle(model, np.array(theta), povm)
+    calls = _count_lapack_calls(monkeypatch)
+    lower, upper = susceptibility.sigma_lower(bundle), susceptibility.sigma_upper(bundle)
+    assert dict(calls) == {"eigh": 1, "inv": 1, "eigvalsh": 1}
+    row = fisher_bundle(model, np.array(theta), povm)
+    row.inverses
+    assert (lower, upper) == (susceptibility.sigma_lower(row), susceptibility.sigma_upper(row))
+    assert bundle.fisher_inverse.tobytes() == row.fisher_inverse.tobytes()
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(bundle.fisher_eigh, row.fisher_eigh))
 
 
 @pytest.mark.parametrize("model, measurement, fixed, swept, value, n_models, n_matrices", [
