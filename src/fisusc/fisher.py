@@ -30,19 +30,25 @@ in that eigenbasis ``L'_j = V^dag L_j V`` and
 A point is evaluated once, to the model's frame B (the identity, None,
 for a dense model) and r x r cores S with ``rho = B S_0 B^dag`` and
 ``d_j rho = B S_j B^dag`` (`StatisticalModel.frame_at`), so probabilities
-and score numerators are ``Tr[S B^dag M_a B]``.
+and score numerators are ``Tr[S B^dag M_a B]``.  The cores are one
+checked, read-only (1 + P, r, r) stack, and a point's operators stay one
+stack from the model to the kernel: `fisher_bundle` reads the model's
+stack whole, `_support` maps a stack to a stack, and `_outcome_traces`,
+`_eigen_slds` and `_k_operators` receive rho and the derivatives as
+views of it, so no tuple of operators is stacked again.
 
 Every operator the SLDs and the susceptibility bounds use is a linear
 combination of ``rho`` and its derivatives, so it lives in their joint
 range S.  `fisher_bundle` restricts the point to S once (`_support`) and
 keeps only the restriction, ``FisherBundle.support = (V, rho', d_j rho')``
-with ``X' = V^dag X V`` for an orthonormal (d, r) basis V of S; V is the
-identity when S is the whole space.  An operator on the support maps
-back as ``V X' V^dag``.  Trace norms, spectra and the quantum Fisher
-matrix are unchanged by the restriction.  The rank-4 point-source frame
-in d = 49 gives r = 4 from one SVD of its 4 x 4 cores, and a full-rank
-dense state keeps the whole space after one ``eigh(rho)``, which its SLDs
-reuse.  `FisherBundle.qfi` reads Q off it, as does `qfi_matrix` for a
+with ``X' = V^dag X V`` for an orthonormal (d, r) basis V of S, rho' and
+the (P, r, r) d_j rho' being views of one read-only stack; V is the
+identity when S is the whole space, and the stack then the model's own.
+An operator on the support maps back as ``V X' V^dag``.  Trace norms,
+spectra and the quantum Fisher matrix are unchanged by the restriction.
+The rank-4 point-source frame in d = 49 gives r = 4 from one SVD of its
+4 x 4 cores, and a full-rank dense state keeps the whole space after one
+``eigh(rho)``, which its SLDs reuse.  `FisherBundle.qfi` reads Q off it, as does `qfi_matrix` for a
 model without a measurement.
 """
 
@@ -86,7 +92,9 @@ class FisherBundle:
     support : (V, rho, derivatives)
         rho and its derivatives on their joint range (`_support`): V is an
         orthonormal (d, r) basis of it (the identity for the whole space),
-        and the operators are the r x r ``V^dag X V``.
+        and the operators are the r x r ``V^dag X V``: rho and the
+        (P, r, r) derivatives are views of one read-only (1 + P, r, r)
+        stack, the model's own when V is the identity.
     rho_eigh : ``(w, U)``, the ``eigh`` of the support's rho that a dense
         state's support test took, or None (then `qfi` takes its own).
     rho, derivatives : the full-space operators ``V X V^dag``, built when
@@ -133,7 +141,7 @@ class FisherBundle:
     @cached_property
     def derivatives(self):
         V, _, derivs = self.support
-        return tuple(_lift(V, np.asarray(derivs)))
+        return tuple(_lift(V, derivs))
 
     @cached_property
     def qfi(self):
@@ -201,40 +209,41 @@ class FisherBundle:
         return self.pair_bounds.best_pair
 
 
-def _support(B, rho, derivs):
-    """``(V, rho', derivs', eig)``: the operators ``B X B^dag`` on their joint range.
+def _support(B, ops):
+    """``(V, ops', eig)``: the (1 + P, r, r) stack ``B X B^dag`` on its joint range.
 
-    ``X' = V^dag B X B^dag V`` for an orthonormal (d, r) basis V of the range.
+    ``X' = V^dag B X B^dag V`` for an orthonormal (d, r) basis V of the
+    range, and ops' is one stack again, read-only when built here.
     Without a frame (B None) one ``eigh(rho) = (w, U)`` decides: when
     ``w_min > SUPPORT_RTOL w_max`` the range is the whole space, and V the
-    identity with the operators returned as they are; otherwise V is
+    identity with the stack returned as it is; otherwise V is
     `_support_basis` of the d x d operators, which is the identity again
     when their joint range is the whole space.  With a frame, ``B = W T``
     (reduced QR) and `_support_basis` U of the cores ``T X T^dag`` gives
-    ``V = W U`` (V = W when U is None).  ``eig`` is ``(w, U)`` when rho'
-    is the rho it was taken of, for `_eigen_slds` to reuse, else None.
-    The search scales each operator to unit max entry, so it may cut a
-    direction the eigenvalue test keeps only in a band just above the cut,
-    ``w_min <= SUPPORT_RTOL sqrt(1 + P) d w_max``; the whole space holds
-    the range there too.  The eigenvalue test is for dense models only: a
+    ``V = W U`` (V = W when U is None).  ``eig`` is ``(w, U)`` when
+    ``ops'[0]`` is the rho it was taken of, for `_eigen_slds` to reuse,
+    else None.  The search scales each operator to unit max entry, so it
+    may cut a direction the eigenvalue test keeps only in a band just above
+    the cut, ``w_min <= SUPPORT_RTOL sqrt(1 + P) d w_max``; the whole space
+    holds the range there too.  The eigenvalue test is for dense models only: a
     frame's state core has rank 2 for the point sources, so it would fail
     on every point.
     """
-    ops = (rho,) + derivs
     if B is None:
-        eig = np.linalg.eigh(rho)
+        eig = np.linalg.eigh(ops[0])
         if eig[0][0] > SUPPORT_RTOL * eig[0][-1]:
-            return np.eye(rho.shape[0]), rho, derivs, eig
+            return np.eye(len(ops[0])), ops, eig
     else:
         W, T = np.linalg.qr(B)
-        ops = T @ np.asarray(ops) @ T.conj().T
+        ops = T @ ops @ T.conj().T
     U = _support_basis(ops)
     if U is not None:
-        ops = U.conj().T @ np.asarray(ops) @ U
+        ops = U.conj().T @ ops @ U
     elif B is None:
-        return np.eye(rho.shape[0]), rho, derivs, eig
+        return np.eye(len(ops[0])), ops, eig
     V = U if B is None else (W if U is None else W @ U)
-    return V, ops[0], tuple(ops[1:]), None
+    ops.setflags(write=False)
+    return V, ops, None
 
 
 def _support_basis(ops):
@@ -251,9 +260,8 @@ def _support_basis(ops):
     rounding level.  The basis has the operators' dtype: real for the
     point-source cores.
     """
-    ops = np.asarray(ops)
     n, d = ops.shape[:2]
-    scales = np.abs(ops).max(axis=(1, 2))
+    scales = abs(ops).max(axis=(1, 2))
     scales[scales == 0.0] = 1.0
     R = (ops / scales[:, None, None]).transpose(1, 0, 2).reshape(d, n * d)
     s = np.linalg.svd(R, compute_uv=False)
@@ -264,11 +272,12 @@ def _support_basis(ops):
 def _outcome_traces(rho, derivs, elements):
     """``(Tr[rho E_a], Tr[d_j rho E_a])`` for a (E, d, d) stack of elements.
 
-    The probabilities and score numerators of a POVM; for a noise POVM, the
-    ``c_a`` and ``n_{a,j}`` its susceptibility is built from.
+    ``derivs`` is a (P, d, d) array, in a bundle the view of its support's
+    stack.  The probabilities and score numerators of a POVM; for a noise
+    POVM, the ``c_a`` and ``n_{a,j}`` its susceptibility is built from.
     """
-    return (np.real(np.einsum("xy,ayx->a", rho, elements)),
-            np.real(np.einsum("jxy,ayx->aj", np.asarray(derivs), elements)))
+    return (np.einsum("xy,ayx->a", rho, elements).real,
+            np.einsum("jxy,ayx->aj", derivs, elements).real)
 
 
 def fisher_bundle(model, theta, povm):
@@ -289,28 +298,30 @@ def fisher_bundle(model, theta, povm):
     """
     if model.dim != povm.dim:
         raise ValueError(f"model dim {model.dim} != POVM dim {povm.dim}")
-    B, rho, derivs = model.frame_at(theta)
+    B, ops = model._point(theta)[3]
     elements = povm.elements if B is None else B.conj().T @ povm.elements @ B
-    probs, numerators = _outcome_traces(rho, derivs, elements)
+    probs, numerators = _outcome_traces(ops[0], ops[1:], elements)
     keep = probs >= P_CUTOFF
+    kept, p = range(len(probs)), probs
     if not keep.all():
-        full = np.asarray(derivs) if B is None else _lift(B, np.asarray(derivs))
-        limits = np.sqrt(P_CUTOFF) * np.max(np.abs(full), axis=(1, 2))
-        bad = np.flatnonzero(~keep & np.any(np.abs(numerators) > limits, axis=1))
+        full = ops[1:] if B is None else _lift(B, ops[1:])
+        limits = np.sqrt(P_CUTOFF) * abs(full).max(axis=(1, 2))
+        bad = np.flatnonzero(~keep & (abs(numerators) > limits).any(1))
         if bad.size:
             a = bad[0]
             raise SingularScoreError(
                 f"outcome {povm.labels[a]} has p = {probs[a]:.3e} below cutoff but "
                 f"a score numerator above sqrt(cutoff) max|d_j rho| (largest "
                 f"{np.max(np.abs(numerators[a])):.3e}); its Fisher contribution diverges")
-    kept = np.flatnonzero(keep)
-    scores = numerators[kept] / probs[kept, None]
+        kept = np.flatnonzero(keep).tolist()
+        p, numerators = probs[kept], numerators[kept]
+    scores = numerators / p[:, None]
     # p_a (l_a l_a^T) summed over kept outcomes in index order: symmetric bit for bit
-    F = np.sum(probs[kept, None, None] * (scores[:, :, None] * scores[:, None, :]), axis=0)
-    *support, eig = _support(B, rho, derivs)
-    return FisherBundle(probabilities=probs, scores=scores,
-                        fisher=F, kept_outcomes=tuple(kept.tolist()),
-                        support=tuple(support), rho_eigh=eig)
+    F = (p[:, None, None] * (scores[:, :, None] * scores[:, None, :])).sum(0)
+    V, ops, eig = _support(B, ops)
+    return FisherBundle(probabilities=probs, scores=scores, fisher=F,
+                        kept_outcomes=tuple(kept), support=(V, ops[0], ops[1:]),
+                        rho_eigh=eig)
 
 
 def _eigen_slds(rho, derivs, eig=None):
@@ -331,13 +342,13 @@ def _eigen_slds(rho, derivs, eig=None):
     fixed Hermiticity tolerance for nearly pure states.
     """
     w, V = np.linalg.eigh(rho) if eig is None else eig
-    num = 2.0 * (V.conj().T @ np.asarray(derivs) @ V)
+    num = 2.0 * (V.conj().T @ derivs @ V)
     den = w[:, None] + w[None, :]
     mask = den > SLD_CUTOFF * w[-1]
     Lp = num / den if mask.all() else np.where(mask, num / np.where(mask, den, 1.0), 0.0)
     Lp = _sym(Lp)
     P = Lp.shape[0]
-    Q = np.real((Lp * w[:, None]).reshape(P, -1) @ Lp.swapaxes(-1, -2).reshape(P, -1).T)
+    Q = ((Lp * w[:, None]).reshape(P, -1) @ Lp.swapaxes(-1, -2).reshape(P, -1).T).real
     return V, Lp, _sym(Q)
 
 
@@ -354,7 +365,8 @@ def sld(rho, drho):
 def qfi_matrix(model, theta):
     """Q of a model at ``theta`` without a measurement, from the SLDs on the
     support; a caller holding the point's bundle reads `FisherBundle.qfi`."""
-    return _eigen_slds(*_support(*model.frame_at(theta))[1:])[2]
+    _, ops, eig = _support(*model._point(theta)[3])
+    return _eigen_slds(ops[0], ops[1:], eig)[2]
 
 
 def weak_commutativity(rho, L_j, L_k):
@@ -381,7 +393,8 @@ def _unit_scaled(F):
     usable = ((diag > 0.0).all(axis=1) & np.isfinite(F).all(axis=(1, 2))).tolist()
     if not all(usable):
         F = np.where(np.array(usable)[:, None, None], F, np.eye(F.shape[-1]))
-    s = 1.0 / np.sqrt(F.diagonal(axis1=1, axis2=2))
+        diag = F.diagonal(axis1=1, axis2=2)
+    s = 1.0 / np.sqrt(diag)
     return usable, s[:, :, None] * F * s[:, None, :]
 
 

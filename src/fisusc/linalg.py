@@ -43,7 +43,7 @@ def hermitize(entries):
     with np.errstate(invalid="ignore"):     # inf - inf is NaN, refused below
         drift = np.abs(H - Hh)
     # no member's tolerance is lower; a NaN or inf entry makes the drift NaN or inf
-    if not np.max(drift) <= HERMITICITY_TOL:
+    if not drift.max() <= HERMITICITY_TOL:
         finite = np.all(np.isfinite(H), axis=(-2, -1))
         asym = np.max(drift, axis=(-2, -1))
         scale = np.maximum(1.0, np.max(np.abs(H), axis=(-2, -1)))
@@ -95,4 +95,4 @@ def _trace_norms(H):
     One batched ``eigvalsh``, without the Hermiticity check: for operators
     the package built itself from validated inputs.
     """
-    return np.sum(np.abs(np.linalg.eigvalsh(H)), axis=-1)
+    return abs(np.linalg.eigvalsh(H)).sum(-1)

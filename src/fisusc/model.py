@@ -43,8 +43,10 @@ class StatisticalModel:
     ``frame_fn``.  It evaluates a point once: one domain check, one frame,
     and one `hermitize` of its stack of cores, kept for the last point
     (keyed on the bytes of theta) with the lift ``B S B^dag`` built when
-    `state_at` or `derivatives_at` first reads it.  A repeated point
-    returns the same read-only arrays; a dense model's lift is its cores.
+    `state_at` or `derivatives_at` first reads it.  That read-only
+    (1 + P, r, r) stack is the point's one operator stack: `fisher_bundle`
+    reads it whole, and `frame_at`'s cores and a dense model's state and
+    derivatives are views of it.  A repeated point returns the same arrays.
     """
 
     def __init__(self, dim, param_names, state_fn=None, derivative_fn=None,
@@ -83,8 +85,9 @@ class StatisticalModel:
                               f"outside the model domain")
 
     def _point(self, theta):
-        """The slot ``[key, frame, lift]`` of theta, evaluated on a miss; the
-        lift of a frame model waits for `_lifted`."""
+        """The slot ``[key, frame, lift, (B, ops)]`` of theta, evaluated on a
+        miss: ops is the checked (1 + P, r, r) stack of cores and frame
+        `frame_at`'s views of it; the lift of a frame model waits for `_lifted`."""
         values = self._theta_values(theta)
         key = values.tobytes()
         slot = self._slot
@@ -94,9 +97,9 @@ class StatisticalModel:
             if B is not None:
                 B = np.array(B)
                 B.setflags(write=False)
-            cores = hermitize(cores)
-            frame = (B, cores[0], tuple(cores[1:]))
-            slot = self._slot = [key, frame, frame[1:] if B is None else None]
+            ops = hermitize(cores)
+            frame = (B, ops[0], tuple(ops[1:]))
+            slot = self._slot = [key, frame, frame[1:] if B is None else None, (B, ops)]
         return slot
 
     def frame_at(self, theta):
@@ -108,8 +111,7 @@ class StatisticalModel:
     def _lifted(self, theta):
         slot = self._point(theta)
         if slot[2] is None:
-            B, rho, derivs = slot[1]
-            ops = _lift(B, np.asarray((rho, *derivs)))
+            ops = _lift(*slot[3])
             slot[2] = ops[0], tuple(ops[1:])
         return slot[2]
 

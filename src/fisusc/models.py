@@ -159,6 +159,20 @@ def _sqrt_factorials(n_max):
     return values
 
 
+@lru_cache(maxsize=32)
+def _hg_ladder(n_max):
+    """``(modes, sqrt_factorial, lower)`` for n = 0..n_max, read-only and shared
+    by every point-source model of that n_max: the mode indices, sqrt(n!)
+    and the ladder ``lower_n = (n / 2) sqrt((n-1)!) / sqrt(n!)`` (n >= 1)
+    of ``d c_n / dd = lower_n c_{n-1} - (d / 4) c_n``."""
+    modes = np.arange(n_max + 1)
+    sqrt_factorial = _sqrt_factorials(n_max)
+    lower = 0.5 * modes[1:] * sqrt_factorial[:-1] / sqrt_factorial[1:]
+    modes.flags.writeable = False
+    lower.flags.writeable = False
+    return modes, sqrt_factorial, lower
+
+
 def x_opt(x_c, dx, q):
     """Optimal measurement alignment point: the intensity centroid."""
     return x_c + (q - 0.5) * dx
@@ -202,10 +216,7 @@ def point_source_model(cfg: PointSourceConfig):
     cores; `state_at` is its lift, ``q c+ c+^T + (1-q) c- c-^T``.
     """
     x_m = float(cfg.x_m)
-    modes = np.arange(cfg.n_max + 1)
-    sqrt_factorial = _sqrt_factorials(cfg.n_max)
-    # d c_n / dd = (n / 2) (sqrt((n-1)!) / sqrt(n!)) c_{n-1} - (d / 4) c_n
-    lower = 0.5 * modes[1:] * sqrt_factorial[:-1] / sqrt_factorial[1:]
+    modes, sqrt_factorial, lower = _hg_ladder(cfg.n_max)
 
     def frame_fn(values):
         x_c, dx, q = values

@@ -180,7 +180,7 @@ def _k_operators(bundle, C=None):
 def _pair_values(K, i, j):
     """(Tr K_i + Tr K_j + ||K_i - K_j||_1) / 2, sum_a Tr[K_a N_a] of the best noise
     on the pair (i, j); i and j index the leading axes of the (..., r, r) stack K."""
-    traces = np.real(np.einsum("...xx->...", K))
+    traces = np.einsum("...xx->...", K).real
     return 0.5 * (traces[i] + traces[j] + _trace_norms(K[i] - K[j]))
 
 
@@ -233,13 +233,13 @@ def _pair_bounds(bundle):
     members, pairs = _pair_slots(E, P)
     n = pairs.shape[1] - P
     pairs = pairs.copy()
-    pairs[0, n:] = np.argmax(s, axis=0)
-    pairs[1, n:] = np.argmin(s, axis=0)
+    pairs[0, n:] = s.argmax(0)
+    pairs[1, n:] = s.argmin(0)
     values = _pair_values(K, (members, pairs[0]), (members, pairs[1]))
-    p = int(np.argmax(values[:n]))
+    p = int(values[:n].argmax())
     sigmas = 1.0 + values[n:]
     return PairBounds(K[0], ((int(pairs[0, p]), int(pairs[1, p])), float(values[p])),
-                      float(np.sum(sigmas)), tuple(sigmas.tolist()))
+                      float(sigmas.sum()), tuple(sigmas.tolist()))
 
 
 def sigma_lower(bundle: FisherBundle):
@@ -291,7 +291,7 @@ def _canonical_diagonalizer(bundle):
             V[:, idx] = U @ Wt
     # each column's first entry of largest magnitude made positive
     J = (V * [-1.0 if max(col, key=abs) < 0.0 else 1.0 for col in V.T.tolist()]).T
-    return J, np.diag(J @ F @ J.T)
+    return J, (J @ F @ J.T).diagonal()
 
 
 def sigma_upper(bundle: FisherBundle):
@@ -351,7 +351,7 @@ class ExactWorstCase:
 def _step(eigenvalues):
     """Largest alpha <= 1 keeping the stack X + alpha dX PSD, from the eigenvalues
     of L^-1 dX L^-H (X = L L^H) of every member."""
-    low = float(np.min(eigenvalues))
+    low = float(eigenvalues.min())
     return 1.0 if low >= -1.0 else -1.0 / low
 
 
@@ -372,17 +372,17 @@ def _exact_sdp(K, lam):
     E, r = K.shape[:2]
     eye = np.eye(r)
     N = np.repeat(eye[None] / E, E, axis=0)
-    Y = (np.max(lam) + max(1.0, np.max(np.abs(lam)))) * eye
+    Y = (lam.max() + max(1.0, abs(lam).max())) * eye
     for it in range(MAX_ITERATIONS):
         S = Y - K
         gap = float(np.einsum("axy,ayx->", N, S).real)
-        if gap <= EXACT_RTOL * abs(float(np.trace(Y).real)):
+        if gap <= EXACT_RTOL * abs(float(Y.trace().real)):
             return N, Y, it
         try:
             Li = np.linalg.inv(np.linalg.cholesky(np.concatenate((N, S))))
             LiH = Li.conj().swapaxes(-1, -2)
             Si = _sym(np.linalg.inv(S))
-            sum_Si = np.sum(Si, axis=0)
+            sum_Si = Si.sum(0)
             # twice the map dY -> sum_a sym(N_a dY S_a^-1); the (Si, N) term of the
             # sum is the transpose of the (N, Si) term
             H = np.einsum("aij,alk->ikjl", N, Si)
@@ -391,7 +391,7 @@ def _exact_sdp(K, lam):
             def newton(target, C=None):
                 rhs = target * sum_Si - eye       # the predictor has no C: x - 0.0 is x
                 if C is not None:
-                    rhs = rhs - np.sum(_sym(C), axis=0)
+                    rhs = rhs - _sym(C).sum(0)
                 dY = _sym(np.linalg.solve(H, 2.0 * rhs.reshape(-1)).reshape(r, r))
                 dN = target * Si - N - N @ dY @ Si
                 dN = _sym(dN if C is None else dN - C)

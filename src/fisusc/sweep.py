@@ -8,6 +8,7 @@ sweep continues.
 """
 
 import csv
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,7 +51,8 @@ class SweepSpec:
     The field defaults are the only sweep defaults: the CLI passes just what
     a config or flag sets.  A ``scale`` left None becomes "log" on the
     model's `MODEL_TABLE` log axes and "linear" on any other.  `run_sweep`
-    writes the CSV to ``out``.  Any ``oracle_samples`` > 0 fills
+    writes the CSV to ``out``.  ``count`` and ``n_max`` must be integers
+    (`validate` refuses a float or a bool).  Any ``oracle_samples`` > 0 fills
     ``oracle_best_X`` with `sigma_exact`; neither its magnitude nor
     ``seed`` changes a result.  ``workers`` is validated (>= 1) but does
     not change how points run: `run_sweep` evaluates them in order on the
@@ -81,6 +83,10 @@ class SweepSpec:
         check_model_spec(self.model, self.measurement, self.fixed, self.sweep_name)
         if not np.all(np.isfinite([self.start, self.stop])):
             raise SweepSpecError("sweep limits must be finite")
+        for key in ("count", "n_max"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise SweepSpecError(f"{key} must be an integer, got {value!r}")
         if not 3 <= self.n_max <= N_MAX_LIMIT:
             raise SweepSpecError(f"n_max must be between 3 and {N_MAX_LIMIT}")
         if self.count < 2:

@@ -245,10 +245,9 @@ def _reparametrized_bundle(bundle, J):
     """
     Jinv_T = np.linalg.inv(J).T
     V, rho, derivs = bundle.support
-    derivs = np.einsum("jk,kxy->jxy", Jinv_T, np.stack(derivs))
     return replace(bundle, scores=bundle.scores @ Jinv_T.T,
                    fisher=Jinv_T @ bundle.fisher @ Jinv_T.T,
-                   support=(V, rho, tuple(derivs)))
+                   support=(V, rho, np.einsum("jk,kxy->jxy", Jinv_T, derivs)))
 
 
 def check_reparametrization_invariance(seed):

@@ -31,6 +31,12 @@ def dx_spec(fixed, n_max, oracle_samples=0):
                      oracle_samples=oracle_samples, n_max=n_max)
 
 
+def support_basis(model, theta):
+    """V of `_support` on the stack of the point's frame cores."""
+    B, rho, derivs = model.frame_at(theta)
+    return _support(B, np.stack((rho, *derivs)))[0]
+
+
 def dense_twin(model):
     """The model's dense operators behind the d x d path: no frame."""
     return StatisticalModel(model.dim, model.param_names, model.state_at,
@@ -118,8 +124,8 @@ def test_frame_path_refuses_like_the_dense_twin(monkeypatch):
     theta = np.array([0.0, 0.0, 0.3])
     model, povm = point(theta, 20)
     twin = dense_twin(model)
-    assert _support(*model.frame_at(theta))[0].shape == (21, 2)
-    assert _support(*twin.frame_at(theta))[0].shape == (21, 2)
+    assert support_basis(model, theta).shape == (21, 2)
+    assert support_basis(twin, theta).shape == (21, 2)
     kind, text = refusal(model, theta, povm)
     assert kind is SingularFisherError and (kind, text) == refusal(twin, theta, povm)
     # the sweep row writes F and Q before F^-1 refuses, on both paths
@@ -208,7 +214,7 @@ def test_support_basis_cuts_singular_values_at_the_relative_tolerance(ratio, ran
     lam, mu = np.array([1.0, 0.5, 0.25, 0.0, 0.0]), np.array([0.3, -0.6, 0.2, 0.0, 0.0])
     a, b = np.max(np.abs(op(lam))), np.max(np.abs(op(mu)))
     lam[3] = ratio * a * np.sqrt(np.max(lam ** 2 / a ** 2 + mu ** 2 / b ** 2))
-    ops = (op(lam), op(mu))
+    ops = np.stack((op(lam), op(mu)))
     sv = np.sqrt(lam ** 2 / np.max(np.abs(ops[0])) ** 2 + mu ** 2 / np.max(np.abs(ops[1])) ** 2)
     assert sv[3] / sv.max() == pytest.approx(ratio, rel=1e-3)
     assert ratio / 10 >= SUPPORT_RTOL or ratio * 10 <= SUPPORT_RTOL
@@ -284,14 +290,15 @@ def test_dense_support_test_accepts_only_full_rank_states(monkeypatch):
     fast = []
     for rho, derivs in points:
         searched.clear()
-        V, rho_s, _, eig = _support(None, rho, derivs)
+        ops = np.stack((rho, *derivs))
+        V, ops_s, eig = _support(None, ops)
         fast.append(not searched)       # settled by the eigenvalue test
-        U = basis((rho,) + derivs)
+        U = basis(ops)
         w = np.linalg.eigvalsh(rho)
         if fast[-1] and U is not None:
             assert w[0] <= SUPPORT_RTOL * np.sqrt(1 + len(derivs)) * len(rho) * w[-1]
         if U is None or fast[-1]:       # the whole space: the eigh is kept
-            assert np.array_equal(V, np.eye(len(rho))) and rho_s is rho
+            assert np.array_equal(V, np.eye(len(rho))) and ops_s is ops
             assert [a.tobytes() for a in eig] == [a.tobytes() for a in np.linalg.eigh(rho)]
         else:
             assert eig is None and V.shape[1] == U.shape[1] < len(rho)
@@ -346,7 +353,7 @@ def test_q_is_one_evaluation_on_every_route(monkeypatch, fixed, value):
     theta = sweep._theta_for(spec, value)
     model = point(theta, 20)[0]
     twin = dense_twin(model)
-    assert _support(*twin.frame_at(theta))[0].shape == (21, 4)
+    assert support_basis(twin, theta).shape == (21, 4)
     rows = [evaluate_point(spec, 0, value)]
     monkeypatch.setattr(sweep, "point_source_model",
                         lambda cfg: dense_twin(point_source_model(cfg)))

@@ -1269,7 +1269,10 @@ def test_pair_certificate_never_claims_exactness_where_the_sdp_finds_more(monkey
 def test_full_rank_bundle_is_its_own_support():
     model, theta, bundle = qubit_bundle()
     V, rho, derivs = bundle.support
-    assert np.array_equal(V, np.eye(2)) and bundle.support[1] is model.state_at(theta)
+    # the support is the model's own checked stack, not a copy of it
+    state = model.state_at(theta)
+    assert np.array_equal(V, np.eye(2)) and np.array_equal(rho, state)
+    assert rho.base is state.base is derivs.base is not None
     # lifting through the exact identity changes no bit
     assert np.array_equal(bundle.rho, rho)
     assert np.array_equal(np.stack(bundle.derivatives), np.stack(derivs))
@@ -1286,7 +1289,8 @@ def test_point_source_bundle_holds_its_rank_four_support():
     assert bundle.dim == 21 and not hasattr(bundle, "frame")
     # the lifted operators reproduce the model's dense ones
     dense = (model.state_at(theta), *model.derivatives_at(theta))
-    for X, Xr, lifted in zip(dense, (rho,) + derivs, (bundle.rho,) + bundle.derivatives):
+    assert rho.base is derivs.base is not None       # views of one stack
+    for X, Xr, lifted in zip(dense, (rho, *derivs), (bundle.rho,) + bundle.derivatives):
         atol = 1e-14 * np.max(np.abs(X))
         np.testing.assert_allclose(V @ Xr @ V.conj().T, X, rtol=0, atol=atol)
         np.testing.assert_allclose(lifted, X, rtol=0, atol=atol)

@@ -204,6 +204,25 @@ def test_sweep_spec_validation_errors(tmp_path):
         small_spec(tmp_path, scale="linear", start=0.0).validate()
 
 
+POINT_SOURCES = dict(model="point-sources", measurement="optimal-hg",
+                     fixed={"x_c": 0.0, "q": 0.3}, sweep_name="dx", start=0.01)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"count": 5.0}, {"count": 2.5}, {"count": np.float64(4.0)}, {"count": True},
+    {"n_max": 20.0}, {"n_max": 20.5}, {"n_max": True},
+    {**POINT_SOURCES, "count": 5.0}, {**POINT_SOURCES, "n_max": 20.0},
+], ids=lambda o: f"{o.get('model', 'phase-dephasing')}-" + "-".join(
+    f"{k}={o[k]!r}" for k in ("count", "n_max") if k in o))
+def test_sweep_spec_refuses_a_non_integer_count_or_n_max(tmp_path, overrides):
+    # the library refuses what the CLI refuses (exit 2): a float or a bool
+    # is no count or n_max, whatever its value; numpy integers are integers
+    key = "count" if "count" in overrides else "n_max"
+    with pytest.raises(SweepSpecError, match=f"{key} must be an integer"):
+        small_spec(tmp_path, **overrides).validate()
+    small_spec(tmp_path, **{**overrides, key: np.int64(4 if key == "count" else 20)}).validate()
+
+
 def test_cli_sweep_and_config_override(tmp_path):
     config = {
         "model": "phase-dephasing",
@@ -655,14 +674,14 @@ def test_truncation_check_sees_a_dropped_mode(monkeypatch):
     # non-zero on working code, and losing the last retained mode fails it
     passed, detail = check_truncation_convergence(0)
     assert passed and 1e-9 < float(detail.rsplit(" ", 1)[1]) < 1e-6
-    sqrt_factorials = models._sqrt_factorials
+    ladder = models._hg_ladder
 
     def drop_last_mode(n_max):
-        values = sqrt_factorials(n_max).copy()
-        values[-1] = np.inf          # zero coefficient and derivative
-        return values
+        modes, sqrt_factorial, lower = (a.copy() for a in ladder(n_max))
+        sqrt_factorial[-1], lower[-1] = np.inf, 0.0     # zero coefficient and derivative
+        return modes, sqrt_factorial, lower
 
-    monkeypatch.setattr(models, "_sqrt_factorials", drop_last_mode)
+    monkeypatch.setattr(models, "_hg_ladder", drop_last_mode)
     passed, detail = check_truncation_convergence(0)
     assert not passed, detail
 
@@ -755,14 +774,14 @@ def test_row_refusing_q_alone_keeps_its_f_and_q_cells(tmp_path, monkeypatch):
 
 
 def _count_evaluations(monkeypatch):
-    """Count the outermost frame_at/state_at/derivatives_at calls per model
-    and record every checked inverse's stack, with the name of the function
-    that took it.  Calls made inside another (tensor_model
+    """Count the outermost _point/frame_at/state_at/derivatives_at calls per
+    model and record every checked inverse's stack, with the name of the
+    function that took it.  Calls made inside another (tensor_model
     reading its base model) are not counted; how often a model's own state
     and derivative functions run is counted by
     test_bell_point_runs_the_single_copy_functions_once."""
     calls, inverted, depth = Counter(), [], [0]
-    for name in ("frame_at", "state_at", "derivatives_at"):
+    for name in ("_point", "frame_at", "state_at", "derivatives_at"):
         original = getattr(StatisticalModel, name)
 
         def counted(self, theta, _original=original, _name=name):
@@ -1020,12 +1039,12 @@ def test_point_evaluates_each_model_once(tmp_path, monkeypatch, model, measureme
     assert row["error"] == ""
     # Q is the bundle's: one eigh of the state for all its SLDs
     assert len(slds) == 1
-    # the row's model is evaluated once, to its frame (a Bell row's
-    # single-copy model only inside the two-copy one); a point-source point
-    # builds no dense state or derivatives
+    # the row's model is evaluated once, to its stack of frame cores (a
+    # Bell row's single-copy model only inside the two-copy one); a
+    # point-source point builds no dense state or derivatives
     assert len({m for m, _ in calls}) == n_models
     assert set(calls.values()) == {1} and len(calls) == n_models
-    assert {name for _, name in calls} == {"frame_at"}
+    assert {name for _, name in calls} == {"_point"}
     # one checked inverse of the stack of distinct matrices, F and Q, whose
     # one eigh also gives F's frame; a Bell row reads r_multi off the
     # two-copy Q = 2 Q_1, with no single-copy Q_1
@@ -1034,3 +1053,50 @@ def test_point_evaluates_each_model_once(tmp_path, monkeypatch, model, measureme
     assert len(members) == n_matrices
     assert all(not np.array_equal(a, b) for i, a in enumerate(members)
                for b in members[i + 1:])
+
+
+@pytest.mark.parametrize("model, measurement, fixed, swept, value", [
+    ("phase-dephasing", "separable", {"phi": PHI}, "delta", 0.3),
+    ("phase-dephasing", "bell", {"phi": PHI}, "delta", 0.1),
+    ("point-sources", "optimal-hg", {"x_c": 0.1, "q": 0.3}, "dx", 0.05),   # drops "rest"
+    ("point-sources", "optimal-hg", {"x_c": 0.1, "q": 0.3}, "dx", 0.2),    # keeps it
+])
+def test_row_operators_are_one_stack(tmp_path, monkeypatch, model, measurement, fixed,
+                                     swept, value):
+    # the model's checked (1 + P, r, r) stack of cores reaches the traces
+    # whole, and its restriction to the support reaches the SLDs and the
+    # kernel whole: rho and the derivatives arrive as views of one
+    # read-only array, never as a tuple that is stacked again
+    spec = small_spec(tmp_path, model=model, measurement=measurement, fixed=fixed,
+                      sweep_name=swept, start=value, stop=1.0, oracle_samples=1)
+    points, received = [], {"traces": [], "slds": [], "kernel": []}
+
+    def spy(module, name, key, operators):
+        original = getattr(module, name)
+
+        def recording(*args):
+            received[key].append(operators(*args))
+            return original(*args)
+
+        monkeypatch.setattr(module, name, recording)
+
+    def bundle_of(model, theta, povm):
+        points.append((model, theta, fisher_bundle(model, theta, povm)))
+        return points[-1][2]
+
+    monkeypatch.setattr(sweep, "fisher_bundle", bundle_of)
+    spy(fisher, "_outcome_traces", "traces", lambda rho, derivs, elements: (rho, derivs))
+    spy(fisher, "_eigen_slds", "slds", lambda rho, derivs, eig=None: (rho, derivs))
+    spy(susceptibility, "_k_operators", "kernel", lambda bundle, C=None: bundle.support[1:])
+    assert evaluate_point(spec, 0, value)["error"] == ""
+    [(m, theta, bundle)] = points
+    _, rho, derivs = bundle.support
+    support = rho.base
+    assert isinstance(derivs, np.ndarray) and support is derivs.base is not None
+    assert support.shape == (1 + len(theta),) + rho.shape and not support.flags.writeable
+    assert received["traces"] and received["slds"] and received["kernel"]
+    cores = m._point(theta)[3][1]
+    for key, stack in (("traces", cores), ("slds", support), ("kernel", support)):
+        for rho, derivs in received[key]:
+            assert isinstance(derivs, np.ndarray), key
+            assert rho.base is stack and derivs.base is stack, key
