@@ -16,8 +16,10 @@ on the units of the parameters.  The cutoffs are fixed constants.  A
 sweep row refuses and inverts F and Q together, with one ``eigh`` of the
 stack ``[F~, Q~, F]`` (F and Q scaled to unit diagonal, then F itself for
 the frame of the bounds) and one ``inv`` of (F, Q)
-(`_checked_inverse_and_eigh`, `FisherBundle.inverses`); a refusal names
-F before Q.  The quantum Fisher matrix is built from the symmetric
+(`_checked_inverse_and_eigh`); a refusal names F before Q.  The row calls
+each stage helper (`_eigen_slds`, `_checked_inverse_and_eigh`, `_ratios`,
+`_condition`) once on explicit arrays, and the bundle's attributes call
+the same helpers.  The quantum Fisher matrix is built from the symmetric
 logarithmic derivatives L_j solving ``2 d_j rho = L_j rho + rho L_j``:
 
     Q_{jk} = Tr[rho (L_j L_k + L_k L_j)] / 2.
@@ -28,28 +30,23 @@ in that eigenbasis ``L'_j = V^dag L_j V`` and
 ``Q_{jk} = Re sum_mn w_m L'_{j,mn} L'_{k,nm}``.
 
 A point is evaluated once, to the model's frame B (the identity, None,
-for a dense model) and r x r cores S with ``rho = B S_0 B^dag`` and
-``d_j rho = B S_j B^dag`` (`StatisticalModel.frame_at`), so probabilities
-and score numerators are ``Tr[S B^dag M_a B]``.  The cores are one
-checked, read-only (1 + P, r, r) stack, and a point's operators stay one
-stack from the model to the kernel: `fisher_bundle` reads the model's
-stack whole, `_support` maps a stack to a stack, and `_outcome_traces`,
-`_eigen_slds` and `_k_operators` receive rho and the derivatives as
-views of it, so no tuple of operators is stacked again.
+for a dense model) and the checked, read-only (1 + P, r, r) stack of
+cores S with ``rho = B S_0 B^dag`` and ``d_j rho = B S_j B^dag``
+(`StatisticalModel.frame_at`), so probabilities and score numerators are
+``Tr[S B^dag M_a B]``.  That stack stays one array from the model to the
+kernel: `_support` maps it to a stack, and `_outcome_traces`,
+`_eigen_slds` and `_k_operators` receive rho and the derivatives as views.
 
 Every operator the SLDs and the susceptibility bounds use is a linear
 combination of ``rho`` and its derivatives, so it lives in their joint
 range S.  `fisher_bundle` restricts the point to S once (`_support`) and
-keeps only the restriction, ``FisherBundle.support = (V, rho', d_j rho')``
-with ``X' = V^dag X V`` for an orthonormal (d, r) basis V of S, rho' and
-the (P, r, r) d_j rho' being views of one read-only stack; V is the
-identity when S is the whole space, and the stack then the model's own.
-An operator on the support maps back as ``V X' V^dag``.  Trace norms,
-spectra and the quantum Fisher matrix are unchanged by the restriction.
-The rank-4 point-source frame in d = 49 gives r = 4 from one SVD of its
-4 x 4 cores, and a full-rank dense state keeps the whole space after one
-``eigh(rho)``, which its SLDs reuse.  `FisherBundle.qfi` reads Q off it, as does `qfi_matrix` for a
-model without a measurement.
+keeps only ``FisherBundle.support = (V, rho', d_j rho')`` with
+``X' = V^dag X V`` for an orthonormal (d, r) basis V of S (the identity
+when S is the whole space); an operator maps back as ``V X' V^dag``.
+Trace norms, spectra and Q are unchanged by the restriction.  The rank-4
+point-source frame gives r = 4 from one SVD of its 4 x 4 cores, and a
+full-rank dense state keeps the whole space after one ``eigh(rho)``, which
+its SLDs reuse.
 """
 
 from dataclasses import dataclass
@@ -90,29 +87,23 @@ class FisherBundle:
     kept_outcomes : tuple of int
         Indices of outcomes with probability above the cutoff.
     support : (V, rho, derivatives)
-        rho and its derivatives on their joint range (`_support`): V is an
-        orthonormal (d, r) basis of it (the identity for the whole space),
-        and the operators are the r x r ``V^dag X V``: rho and the
-        (P, r, r) derivatives are views of one read-only (1 + P, r, r)
-        stack, the model's own when V is the identity.
+        rho and its derivatives on their joint range (`_support`): an
+        orthonormal (d, r) basis V of it (the identity for the whole space)
+        and views of one read-only (1 + P, r, r) stack of ``V^dag X V``.
     rho_eigh : ``(w, U)``, the ``eigh`` of the support's rho that a dense
         state's support test took, or None (then `qfi` takes its own).
-    rho, derivatives : the full-space operators ``V X V^dag``, built when
-        first read.
-    qfi : Q, from one `_eigen_slds` of the support on first use.
-    fisher_inverse : (P, P) array
-        F^-1, checked and computed once per bundle on first use; alone
-        (the fixed-noise functions), it takes no eigenvectors of F.
-    inverses : ``(F^-1, Q^-1)``, checked and computed by one
-        `_checked_inverse_and_eigh` of (F, Q); a sweep row reads it, and
-        `fisher_inverse` and `fisher_eigh` are then read off the same call.
-    fisher_eigh : ``(w, U)`` of F, for the frame of the bounds and
-        `fisher_condition`: the F member of the stacked eigh when
-        `inverses` were taken; else, on a fresh bundle, of one
-        `_checked_inverse_and_eigh` of F alone, which also refuses F and
-        gives `fisher_inverse`; after the fixed-noise refusal, one eigh(F).
-    pair_bounds : `susceptibility.PairBounds`: K, the best pair and the
-        terms of Sigma_U from one kernel call and one spectrum.
+
+    The library reads the attributes below, each computed on first read by
+    the helper a sweep row calls itself (`sweep.evaluate_point` reads none):
+
+    rho, derivatives : the full-space operators ``V X V^dag``.
+    qfi : Q, from one `_eigen_slds` of the support.
+    inverses : ``(F^-1, Q^-1)`` from one `_checked_inverse` of (F, Q).
+    fisher_eigh, fisher_inverse : ``(w, U)`` of F and F^-1, both from one
+        `_checked_inverse_and_eigh` of F, which refuses it; F^-1 read first
+        (the fixed-noise functions) takes no eigenvectors.
+    pair_bounds : `susceptibility.PairBounds`: K, the best pair, both
+        bounds and the terms of Sigma_U (`susceptibility._pair_bounds`).
     k_operators, best_pair : K_a = K_a(F^-1) on the support and
         ``((i, j), value)``, read off `pair_bounds`; K alone, for the
         fixed-noise functions, is one kernel call without the frame.
@@ -148,29 +139,22 @@ class FisherBundle:
         return _eigen_slds(*self.support[1:], self.rho_eigh)[2]
 
     @cached_property
-    def _inverses_and_eigh(self):
-        return _checked_inverse_and_eigh((self.fisher, self.qfi))
-
-    @property
     def inverses(self):
         """``(F^-1, Q^-1)``, refused (F first) and inverted as one stack."""
-        return self._inverses_and_eigh[0]
+        return _checked_inverse((self.fisher, self.qfi))
 
     @cached_property
     def fisher_inverse(self):
         # off the call that took F's eigh, when one was made; else F's refusal
         # alone, which takes no eigenvectors (the fixed-noise functions)
-        if "_inverses_and_eigh" in self.__dict__ or "_fisher_inverse_and_eigh" in self.__dict__:
+        if "_fisher_inverse_and_eigh" in self.__dict__:
             return self._fisher_inverse_and_eigh[0]
         return _checked_inverse((self.fisher,))[0]
 
     @cached_property
     def _fisher_inverse_and_eigh(self):
-        # the (F, Q) call when `inverses` were taken; else eigh(F) alone when F
-        # was already refused, or one checked call on F that refuses it too
-        if "_inverses_and_eigh" in self.__dict__:
-            (Finv, _), eig = self._inverses_and_eigh
-            return Finv, eig
+        # eigh(F) alone when F was already refused; else one checked call on F
+        # that refuses it too
         if "fisher_inverse" in self.__dict__:
             return self.fisher_inverse, np.linalg.eigh(self.fisher)
         (Finv,), eig = _checked_inverse_and_eigh((self.fisher,))
@@ -185,15 +169,14 @@ class FisherBundle:
 
     @cached_property
     def fisher_condition(self):
-        """Condition number of F itself (the refusal tests the unit-scaled F),
-        ``max|w| / min|w|`` over the eigenvalues of symmetric F."""
-        w = [abs(x) for x in self.fisher_eigh[0].tolist()]
-        return max(w) / min(w) if min(w) > 0.0 else float("inf")
+        """Condition number of F itself (the refusal tests the unit-scaled F)."""
+        return _condition(self.fisher_eigh[0])
 
     @cached_property
     def pair_bounds(self):
         from .susceptibility import _pair_bounds
-        return _pair_bounds(self)
+        eig = self.fisher_eigh          # refuses F before its inverse is read
+        return _pair_bounds(self, self.fisher_inverse, eig)
 
     @cached_property
     def k_operators(self):
@@ -443,6 +426,13 @@ def _checked_inverse_and_eigh(stack):
     w, U = np.linalg.eigh(np.concatenate((scaled, F[:1] if usable[0] else scaled[:1])))
     _refuse(usable, w[:n].tolist())
     return np.linalg.inv(F), (w[n], U[n])
+
+
+def _condition(w):
+    """``max|w| / min|w|`` over the eigenvalues w of a symmetric matrix (inf when
+    one is zero): the condition number of F itself, which `_refuse` does not test."""
+    w = [abs(x) for x in w.tolist()]
+    return max(w) / min(w) if min(w) > 0.0 else float("inf")
 
 
 def _ratios(Finv, Qinv, m=1):

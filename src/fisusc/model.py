@@ -37,16 +37,17 @@ class StatisticalModel:
         non-finite value is out of every model's domain.
     frame_fn : callable, optional
         ``theta values -> (B, S)``: a (dim, r) matrix and a (1 + P, r, r)
-        stack of cores, ``rho = B S[0] B^dag`` and ``d_j rho = B S[j+1] B^dag``.
+        stack of cores, ``rho = B S[0] B^dag`` and ``d_j rho = B S[j+1] B^dag``
+        (B None is the identity).
 
     A model takes either ``state_fn`` with ``derivative_fn`` or
     ``frame_fn``.  It evaluates a point once: one domain check, one frame,
     and one `hermitize` of its stack of cores, kept for the last point
-    (keyed on the bytes of theta) with the lift ``B S B^dag`` built when
-    `state_at` or `derivatives_at` first reads it.  That read-only
-    (1 + P, r, r) stack is the point's one operator stack: `fisher_bundle`
-    reads it whole, and `frame_at`'s cores and a dense model's state and
-    derivatives are views of it.  A repeated point returns the same arrays.
+    (keyed on the bytes of theta).  That read-only (1 + P, r, r) stack is
+    the point's one operator stack, which `fisher_bundle` reads whole; its
+    lift ``B S B^dag`` (a dense model's own stack) and the views that
+    `state_at` and `frame_at` return are built on first read.  A repeated
+    point returns the same arrays.
     """
 
     def __init__(self, dim, param_names, state_fn=None, derivative_fn=None,
@@ -85,9 +86,9 @@ class StatisticalModel:
                               f"outside the model domain")
 
     def _point(self, theta):
-        """The slot ``[key, frame, lift, (B, ops)]`` of theta, evaluated on a
-        miss: ops is the checked (1 + P, r, r) stack of cores and frame
-        `frame_at`'s views of it; the lift of a frame model waits for `_lifted`."""
+        """The slot ``[key, frame, lift, (B, ops), full]`` of theta, evaluated on
+        a miss: ops is the checked stack of cores; full, its lift, and the
+        views frame and lift (`frame_at`, `state_at`) wait for first use."""
         values = self._theta_values(theta)
         key = values.tobytes()
         slot = self._slot
@@ -98,20 +99,30 @@ class StatisticalModel:
                 B = np.array(B)
                 B.setflags(write=False)
             ops = hermitize(cores)
-            frame = (B, ops[0], tuple(ops[1:]))
-            slot = self._slot = [key, frame, frame[1:] if B is None else None, (B, ops)]
+            slot = self._slot = [key, None, None, (B, ops), ops if B is None else None]
         return slot
 
     def frame_at(self, theta):
         """``(B, rho, derivatives)``: the state is ``B rho B^dag`` and d_j rho
         is ``B derivatives[j] B^dag``; B is None (the identity) for a dense
         model.  The cores are views of one checked stack."""
-        return self._point(theta)[1]
+        slot = self._point(theta)
+        if slot[1] is None:
+            B, ops = slot[3]
+            slot[1] = (B, ops[0], tuple(ops[1:])) if B is not None else (B, *self._lifted(theta))
+        return slot[1]
+
+    def _operators(self, theta):
+        """The checked (1 + P, d, d) stack of the state and its derivatives."""
+        slot = self._point(theta)
+        if slot[4] is None:
+            slot[4] = _lift(*slot[3])
+        return slot[4]
 
     def _lifted(self, theta):
         slot = self._point(theta)
         if slot[2] is None:
-            ops = _lift(*slot[3])
+            ops = self._operators(theta)
             slot[2] = ops[0], tuple(ops[1:])
         return slot[2]
 
@@ -222,21 +233,22 @@ def _kron(a, b):
 def tensor_model(model, m):
     """m-fold tensor power of a model, with product-rule derivatives: bit for
     bit the in-order sums of left-to-right ``np.kron`` chains of its checked
-    state and derivatives.  A bool or non-integral ``m`` is refused, not truncated."""
+    state and derivatives, formed from its checked (1 + P, d, d) stack (a
+    frame model's lift).  A bool or non-integral ``m`` is refused, not truncated."""
     if isinstance(m, bool) or not float(m).is_integer() or m < 1:
         raise ValueError(f"need an integer m >= 1, got {m!r}")
     m = int(m)
     if m == 1:
         return model
 
-    def state_fn(values):
-        return reduce(_kron, [model.state_at(values)] * m)
+    def frame_fn(values):
+        ops = model._operators(values)
+        rho, D = ops[0], ops[1:]
+        # the chain from the whole stack: the state and each derivative's first term
+        power = reduce(_kron, [ops] + [rho] * (m - 1))
+        for pos in range(1, m):
+            power[1:] += reduce(_kron, [D if k == pos else rho for k in range(m)])
+        return None, power
 
-    def derivative_fn(values):
-        rho, D = model.state_at(values), np.asarray(model.derivatives_at(values))
-        return reduce(np.add, (reduce(_kron, [D if k == pos else rho for k in range(m)])
-                               for pos in range(m)))
-
-    return StatisticalModel(model.dim ** m, model.param_names, state_fn,
-                            derivative_fn=derivative_fn,
-                            domain_fn=model._domain_fn)
+    return StatisticalModel(model.dim ** m, model.param_names, domain_fn=model._domain_fn,
+                            frame_fn=frame_fn)

@@ -34,8 +34,8 @@ diagonalizes F (``F~ = J F J^T``): sigma_k is 1 plus the pair value of
 `sigma_single` is ``Sigma_U``.  Both bounds come from one kernel call on
 the (1 + P, P, P) stack ``[F^-1; C_1 .. C_P]`` and one spectrum of the
 stacked pair differences, all E(E-1)/2 outcome pairs of K(F^-1) and the
-pair (n_k, m_k) of each K(C_k) (`_pair_bounds`, cached on the bundle as
-`FisherBundle.pair_bounds`).
+pair (n_k, m_k) of each K(C_k) (`_pair_bounds`: a sweep row calls it on
+its own F^-1 and eigh(F), and `FisherBundle.pair_bounds` on the bundle's).
 
 Sigma[M] is an SDP in the K_a, with dual min Tr Y over Y >= K_a.
 `sigma_exact` settles it by the pair certificate Y = K_b + (K_a - K_b)_+
@@ -47,16 +47,12 @@ and dual points: ``value <= Sigma <= value + exact_gap``.
 Every function takes the point's `FisherBundle` (`fisher_bundle`), so one
 evaluation of state, derivatives, F and the bounds' kernel call serves
 `sigma_lower`, `sigma_upper`, `sigma_single` and `sigma_exact`; only
-`x_finite_mix` takes the model, because it must evaluate the mixed POVM.
-The bundle holds rho and its derivatives on their joint range
-(`FisherBundle.support`), which holds every K_a(C):
-trace norms, bounds and X are unchanged, and the operators are r x r
-instead of d x d (``bundle.support[1].shape[0]`` is r).  The
-fixed-noise functions `g_matrix`, `xi_matrix` and `x_scalar` take a noise
-POVM on the full space and restrict its elements to the support; they
-never build the frame, and `x_scalar` reads K(F^-1) alone, with the bits
-of the bounds' K; the noise of `sigma_exact` is built, and lifted to the
-full space, when first read.
+`x_finite_mix` takes the model, to evaluate the mixed POVM.  Every K_a(C)
+lives on the bundle's support (r x r operators, ``bundle.support[1]``).
+The fixed-noise functions `g_matrix`, `xi_matrix` and `x_scalar` restrict
+a full-space noise POVM to it and never build the frame; `x_scalar` reads
+K(F^-1) alone, with the bits of the bounds' K.  The noise of
+`sigma_exact` is built, and lifted to the full space, when first read.
 """
 
 from collections import namedtuple
@@ -209,26 +205,28 @@ def _pair_slots(E, P):
     return members, pairs
 
 
-PairBounds = namedtuple("PairBounds", "k_operators best_pair upper sigmas")
+PairBounds = namedtuple("PairBounds", "k_operators best_pair lower upper sigmas")
 
 
-def _pair_bounds(bundle):
+def _pair_bounds(bundle, Finv, eig):
     """Both bounds of a point from one kernel call and one spectrum.
 
-    One `_k_operators` call on the (1 + P, P, P) stack ``[F^-1; C_1 .. C_P]``
-    of the frame that diagonalizes F, and one `_pair_values` call over the
-    E(E-1)/2 outcome pairs of K = K(F^-1) followed by the P pairs
-    ``(n_k, m_k)`` of K(C_k) (`_pair_slots`).  Returns `PairBounds`: K, the best pair
-    ``((i, j), value)`` of Sigma_L (value without the P term; ties go to
-    the lowest pair), and Sigma_U with its terms sigma_k.  Raises
-    `SingularFisherError` when F is refused or fewer than two outcomes are kept.
+    ``Finv`` is F^-1 and ``eig`` the ``eigh`` of F, both from the call that
+    refused F.  One `_k_operators` call on the (1 + P, P, P) stack
+    ``[F^-1; C_1 .. C_P]`` of the frame that diagonalizes F, and one
+    `_pair_values` call over the E(E-1)/2 outcome pairs of K = K(F^-1)
+    followed by the P pairs ``(n_k, m_k)`` of K(C_k) (`_pair_slots`).
+    Returns `PairBounds`: K, the best pair ``((i, j), value)`` (value
+    without the P term; ties go to the lowest pair), Sigma_L, and Sigma_U
+    with its terms sigma_k.  Raises `SingularFisherError` when fewer than
+    two outcomes are kept.
     """
-    J, f = _canonical_diagonalizer(bundle)
+    J, f = _canonical_diagonalizer(bundle, eig)
     E, P = bundle.scores.shape
     if E < 2:
         raise SingularFisherError("the pair bounds need at least two kept outcomes")
     K = _k_operators(bundle, np.concatenate((
-        bundle.fisher_inverse[None], J[:, :, None] * J[:, None, :] / f[:, None, None])))
+        Finv[None], J[:, :, None] * J[:, None, :] / f[:, None, None])))
     s = bundle.scores @ J.T                                  # l~_a = J l_a
     members, pairs = _pair_slots(E, P)
     n = pairs.shape[1] - P
@@ -238,7 +236,8 @@ def _pair_bounds(bundle):
     values = _pair_values(K, (members, pairs[0]), (members, pairs[1]))
     p = int(values[:n].argmax())
     sigmas = 1.0 + values[n:]
-    return PairBounds(K[0], ((int(pairs[0, p]), int(pairs[1, p])), float(values[p])),
+    value = float(values[p])
+    return PairBounds(K[0], ((int(pairs[0, p]), int(pairs[1, p])), value), P + value,
                       float(sigmas.sum()), tuple(sigmas.tolist()))
 
 
@@ -248,20 +247,21 @@ def sigma_lower(bundle: FisherBundle):
     Returns ``(Sigma_L, best_pair)`` with outcome indices of the
     maximizing pair (ties broken toward the lowest indices).
     """
-    (i, j), value = bundle.best_pair
+    bounds = bundle.pair_bounds
+    (i, j), _ = bounds.best_pair
     kept = bundle.kept_outcomes
-    return bundle.n_params + value, (kept[i], kept[j])
+    return bounds.lower, (kept[i], kept[j])
 
 
 # ---------------------------------------------------------------------------
 # Fisher-diagonalizing frame
 # ---------------------------------------------------------------------------
 
-def _canonical_diagonalizer(bundle):
+def _canonical_diagonalizer(bundle, eig=None):
     """Deterministic orthogonal J with J F J^T diagonal (descending).
 
-    Built from the bundle's one eigh(F) (`FisherBundle.fisher_eigh`, whose
-    call refuses a singular F).
+    Built from one eigh(F): ``eig`` when the caller holds it, else the
+    bundle's (`FisherBundle.fisher_eigh`, whose call refuses a singular F).
 
     Within clusters of (nearly) degenerate eigenvalues the eigenbasis
     returned by ``eigh`` is arbitrary and unstable; each cluster basis is
@@ -270,11 +270,10 @@ def _canonical_diagonalizer(bundle):
     perturbations, and reduces to the identity when F is proportional
     to it.  Column signs are fixed by making the largest component
     positive.  The cluster and sign tests run on Python floats, which
-    round as numpy's float64 does.  Raises `SingularFisherError` when F
-    is singular.
+    round as numpy's float64 does.
     """
     F = bundle.fisher
-    w, V = bundle.fisher_eigh
+    w, V = bundle.fisher_eigh if eig is None else eig
     w, V = w.tolist()[::-1], V[:, ::-1]
     scale = max(max(map(abs, w)), 1e-300)
     starts = [k for k in range(1, len(w)) if abs(w[k] - w[k - 1]) > CLUSTER_RTOL * scale]
@@ -321,24 +320,24 @@ class ExactWorstCase:
     ``value + exact_gap`` is P + Tr Y for a Y >= K_a (every kept a), which
     bounds X of every noise.  ``iterations`` counts interior-point steps.
     `sigma_exact` computes these four numbers and stores, for ``noise``,
-    the bundle, the eigenpairs (w, U) of K_a - K_b on the best pair (a, b)
-    and the interior-point N when it beat the pair; the noise is built
-    from them when first read.
+    the bundle, K, the eigenpairs (w, U) of K_a - K_b on the best pair
+    (a, b) and the interior-point N when it beat the pair; the noise is
+    built from them when first read.
     """
 
     value: float
     exact_gap: float
     iterations: int
     pair_certified: bool
-    _lift: tuple = field(repr=False, compare=False)    # (bundle, N or None, w, U, a, b)
+    _lift: tuple = field(repr=False, compare=False)    # (bundle, K, N or None, w, U, a, b)
 
     @cached_property
     def noise(self):
         """V N_a V^dag on kept outcome a, plus I - V V^dag on b; built on first read."""
-        bundle, N, w, U, a, b = self._lift
+        bundle, K, N, w, U, a, b = self._lift
         if N is None:       # the pair noise: (K_a - K_b)_+'s projector on a, its complement on b
             pos = U[:, w > POSITIVE_PART_RTOL * np.max(np.abs(w))]
-            N = np.zeros_like(bundle.k_operators)
+            N = np.zeros_like(K)
             N[a] = pos @ pos.conj().T
             N[b] = np.eye(len(U)) - N[a]
         V, kept, d = bundle.support[0], list(bundle.kept_outcomes), bundle.dim
@@ -427,8 +426,12 @@ def sigma_exact(bundle: FisherBundle) -> ExactWorstCase:
     interior-point N) when ``.noise`` is first read.  Raises
     `SingularFisherError` below two kept outcomes.
     """
-    (a, b), pair_value = bundle.best_pair
-    K = bundle.k_operators
+    return _exact_worst_case(bundle, bundle.best_pair, bundle.k_operators)
+
+
+def _exact_worst_case(bundle, best_pair, K):
+    """`sigma_exact` from the bounds' best pair ``((a, b), value)`` and K = K(F^-1)."""
+    (a, b), pair_value = best_pair
     P, r = bundle.n_params, K.shape[1]
     w, U = np.linalg.eigh(K[a] - K[b])
     Y = K[b] + (U * np.maximum(w, 0.0)) @ U.conj().T
@@ -446,4 +449,4 @@ def sigma_exact(bundle: FisherBundle) -> ExactWorstCase:
     dual = P + float(Y.trace().real + r * shift)
     # a pair-certified dual equals the value up to rounding, either side of it
     return ExactWorstCase(value=value, exact_gap=max(dual - value, 0.0), iterations=iterations,
-                          pair_certified=certified, _lift=(bundle, N, w, U, a, b))
+                          pair_certified=certified, _lift=(bundle, K, N, w, U, a, b))

@@ -15,14 +15,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fisher import (SingularFisherError, SingularScoreError, _ratios,
-                     fisher_bundle)
+from . import fisher, susceptibility
+from .fisher import SingularFisherError, SingularScoreError, fisher_bundle
 from .linalg import HermiticityError
 from .model import DomainError, tensor_model
 from .models import (N_MAX_LIMIT, PointSourceConfig, bell_povm,
                      optimal_povm_point_sources, point_source_model,
                      qubit_phase_dephasing, separable_povm, x_opt)
-from .susceptibility import sigma_exact, sigma_lower, sigma_upper
 
 ModelEntry = namedtuple("ModelEntry", "params measurements log_axes")
 # each model's parameter names, measurements (with the copies each acts on)
@@ -51,8 +50,9 @@ class SweepSpec:
     The field defaults are the only sweep defaults: the CLI passes just what
     a config or flag sets.  A ``scale`` left None becomes "log" on the
     model's `MODEL_TABLE` log axes and "linear" on any other.  `run_sweep`
-    writes the CSV to ``out``.  ``count`` and ``n_max`` must be integers
-    (`validate` refuses a float or a bool).  Any ``oracle_samples`` > 0 fills
+    writes the CSV to ``out``.  `validate` refuses a bool or a string for
+    a number, and a float for ``count``, ``n_max``, ``oracle_samples`` or
+    ``workers``.  Any ``oracle_samples`` > 0 fills
     ``oracle_best_X`` with `sigma_exact`; neither its magnitude nor
     ``seed`` changes a result.  ``workers`` is validated (>= 1) but does
     not change how points run: `run_sweep` evaluates them in order on the
@@ -81,9 +81,8 @@ class SweepSpec:
 
     def validate(self):
         check_model_spec(self.model, self.measurement, self.fixed, self.sweep_name)
-        if not np.all(np.isfinite([self.start, self.stop])):
-            raise SweepSpecError("sweep limits must be finite")
-        for key in ("count", "n_max"):
+        _check_numbers({"start": self.start, "stop": self.stop}, "sweep limits")
+        for key in ("count", "n_max", "oracle_samples", "workers"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise SweepSpecError(f"{key} must be an integer, got {value!r}")
@@ -110,9 +109,9 @@ class SweepSpec:
 def check_model_spec(model, measurement, fixed, swept=None):
     """Check a model/measurement choice and its fixed values.
 
-    Every model parameter except ``swept`` needs a finite fixed value, and
-    only those may have one.  Returns the model's parameter names; raises
-    :class:`SweepSpecError`.
+    Every model parameter except ``swept`` needs a finite real fixed value
+    (not a bool), and only those may have one.  Returns the model's
+    parameter names; raises :class:`SweepSpecError`.
     """
     if model not in MODELS:
         raise SweepSpecError(f"unknown model {model!r}; choose from {MODELS}")
@@ -132,9 +131,17 @@ def check_model_spec(model, measurement, fixed, swept=None):
     unknown = [n for n in fixed if n not in fixable]
     if unknown:
         raise SweepSpecError(f"cannot fix {unknown}; fixable parameters are {fixable}")
-    if not np.all(np.isfinite(list(fixed.values()))):
-        raise SweepSpecError("fixed values must be finite")
+    _check_numbers(fixed, "fixed values")
     return names
+
+
+def _check_numbers(values, what):
+    """Refuse a value of ``{name: value}`` that is a bool, no real number or not finite."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise SweepSpecError(f"{name} must be a number, got {value!r}")
+    if not np.all(np.isfinite(list(values.values()))):
+        raise SweepSpecError(f"{what} must be finite")
 
 
 def _theta_for(spec, sweep_value):
@@ -148,17 +155,25 @@ def build_model_povm(model_id, measurement, theta, n_max=SweepSpec.n_max):
     The Hermite-Gauss modes are re-aligned to the intensity centroid of
     the supplied point, mirroring how the optimal measurement is defined;
     within a point the apparatus is fixed.  The POVM itself, in the
-    aligned basis, depends on ``n_max`` alone and is built once per
-    process (`_measurement_povm`).  The model is the base model's tensor
+    aligned basis, depends on ``n_max`` alone, and the qubit models on
+    nothing: each is built once per process (`_measurement_povm`,
+    `_phase_dephasing_model`).  The model is the base model's tensor
     power over the copies its measurement acts on (`MODEL_TABLE`: two for
     Bell; one copy is the model itself).  Returns ``(model, povm, copies)``.
     """
     copies = MODEL_TABLE[model_id].measurements[measurement]
     if model_id == "phase-dephasing":
-        base = qubit_phase_dephasing()
+        model = _phase_dephasing_model(copies)
     else:
-        base = point_source_model(PointSourceConfig(n_max=n_max, x_m=x_opt(*theta)))
-    return tensor_model(base, copies), _measurement_povm(measurement, n_max), copies
+        model = tensor_model(point_source_model(
+            PointSourceConfig(n_max=n_max, x_m=x_opt(*theta))), copies)
+    return model, _measurement_povm(measurement, n_max), copies
+
+
+@lru_cache(maxsize=None)
+def _phase_dephasing_model(copies):
+    """The qubit model's power over ``copies``; shared, it keeps its last point."""
+    return tensor_model(qubit_phase_dephasing(), copies)
 
 
 def checked_model_povm(model_id, measurement, theta, where, n_max=SweepSpec.n_max):
@@ -208,17 +223,17 @@ def _columns(model_id):
 def evaluate_point(spec, index, sweep_value):
     """One sweep row as a dict; numerical failures land in 'error'.
 
-    State, derivatives, F and Q are evaluated once; every column reads them
-    from the point's Fisher bundle, which holds rho and its derivatives on
-    their joint support.  F^-1 and Q^-1 come from one stacked checked
-    inverse, whose one eigh also gives eigh(F) (`FisherBundle.inverses`).
-    `sigma_lower`, `sigma_upper` (its total and terms) and, when
-    ``spec.oracle_samples`` > 0, the exact worst case read one kernel call
-    and one spectrum (`FisherBundle.pair_bounds`), and the condition
-    number that eigh(F); the worst case's noise is never built, and Q
-    reads only the eigenbasis SLDs.  F and Q are written before they are inverted, so a
-    row that refuses either still carries them.  A Bell row's model is the
-    two-copy state, whose Q is 2 Q_1 for the single-copy Q_1, so
+    One pass: each stage helper that the library functions and the bundle's
+    attributes call runs once, in order, on explicit arrays.  The point's
+    bundle (F and rho with its derivatives on their joint support) gives Q
+    (`_eigen_slds`); one checked inverse of (F, Q) gives eigh(F) too
+    (`_checked_inverse_and_eigh`), then the ratios, both bounds from one
+    kernel call and one spectrum (`_pair_bounds`), the exact worst case
+    when ``spec.oracle_samples`` > 0 (`_exact_worst_case`, which never
+    builds its noise) and cond(F).  Every value has the bits of the public
+    functions on a fresh bundle.  F and Q are written before they are
+    inverted, so a row that refuses either still carries them.  A Bell
+    row's model is the two-copy state, whose Q is 2 Q_1 for the single-copy Q_1, so
     ``tr F^-1 / tr Q^-1`` is its two-copies-per-shot
     ``r_multi = 2 tr F^-1 / tr Q_1^-1``; no single-copy Q is computed.
     The row does not depend on ``index``, its grid position.
@@ -230,17 +245,20 @@ def evaluate_point(spec, index, sweep_value):
         theta = _theta_for(spec, sweep_value)
         model, povm, _ = build_model_povm(spec.model, spec.measurement, theta, spec.n_max)
         bundle = fisher_bundle(model, theta, povm)
-        F, Q = bundle.fisher, bundle.qfi
+        _, rho, derivs = bundle.support
+        F, Q = bundle.fisher, fisher._eigen_slds(rho, derivs, bundle.rho_eigh)[2]
         row.update(zip(f_keys, _upper_triangle(F)))
         row.update(zip(q_keys, _upper_triangle(Q)))
-        row["r_multi"], r_nuisance = _ratios(*bundle.inverses)
+        (Finv, Qinv), eig = fisher._checked_inverse_and_eigh((F, Q))
+        row["r_multi"], r_nuisance = fisher._ratios(Finv, Qinv)
         row.update(zip(r_keys, r_nuisance.tolist()))
-        row["sigma_lower"] = sigma_lower(bundle)[0]
-        row["sigma_upper"], sigmas = sigma_upper(bundle)
-        row.update(zip(sigma_keys, sigmas))
+        bounds = susceptibility._pair_bounds(bundle, Finv, eig)
+        row["sigma_lower"], row["sigma_upper"] = bounds.lower, bounds.upper
+        row.update(zip(sigma_keys, bounds.sigmas))
         if spec.oracle_samples > 0:
-            row["oracle_best_X"] = sigma_exact(bundle).value
-        row["condition_number_F"] = bundle.fisher_condition
+            row["oracle_best_X"] = susceptibility._exact_worst_case(
+                bundle, bounds.best_pair, bounds.k_operators).value
+        row["condition_number_F"] = fisher._condition(eig[0])
     except NUMERICAL_ERRORS as err:
         row["error"] = str(err)
     return row

@@ -260,6 +260,25 @@ def test_tensor_model_is_the_kron_chain_bit_for_bit(m):
             assert np.array_equal(d_power, total)
 
 
+def test_tensor_model_of_a_frame_model_is_the_kron_chain_bit_for_bit():
+    # a frame model's power is formed from its lifted stack, the d x d state
+    # and derivatives B S B^dag that state_at and derivatives_at return, not
+    # from its r x r cores, whichever of the two models reads a point first
+    base = point_source_model(PointSourceConfig(n_max=20, x_m=0.1))
+    power = tensor_model(base, 2)
+    assert power.dim == 21 ** 2
+    for theta, power_first in (([0.1, 0.4, 0.3], False), ([0.0, 0.05, 0.8], True),
+                               ([-0.2, 1.1, 0.5], False)):
+        if power_first:
+            power.state_at(theta)
+        rho, derivs = base.state_at(theta), base.derivatives_at(theta)
+        assert np.array_equal(power.state_at(theta), _kron_chain([rho, rho]))
+        got = power.derivatives_at(theta)
+        assert len(got) == len(derivs) == 3
+        for d_power, d in zip(got, derivs):
+            assert np.array_equal(d_power, _kron_chain([d, rho]) + _kron_chain([rho, d]))
+
+
 def test_repeated_point_reuses_the_checked_arrays():
     states, derivatives = [], []
     base = qubit_phase_dephasing()

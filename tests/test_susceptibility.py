@@ -890,8 +890,9 @@ def test_pair_certified_sweep_row_builds_no_noise(tmp_path, monkeypatch):
     # a worst-case row reads only the value: the support noise (a zeros_like
     # of K, an identity for the complement on b) is never allocated, nor is
     # the lift or its Povm, and the result's noise is never read
-    results, exact = [], susceptibility.sigma_exact
-    monkeypatch.setattr(sweep, "sigma_exact", lambda b: results.append(exact(b)) or results[-1])
+    results, exact = [], susceptibility._exact_worst_case
+    monkeypatch.setattr(susceptibility, "_exact_worst_case",
+                        lambda *args: results.append(exact(*args)) or results[-1])
     spec = sweep.SweepSpec(model="point-sources", measurement="optimal-hg",
                            fixed={"x_c": 0.0, "q": 0.3}, sweep_name="dx", start=0.2,
                            stop=1.0, count=2, oracle_samples=50, out=str(tmp_path / "x.csv"))

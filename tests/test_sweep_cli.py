@@ -19,8 +19,8 @@ import fisusc.susceptibility as susceptibility
 import fisusc.sweep as sweep
 import fisusc.verify as verify
 from fisusc.cli import main
-from fisusc.fisher import fisher_bundle, qfi_matrix, r_metric
-from fisusc.model import Povm, StatisticalModel
+from fisusc.fisher import fisher_bundle, qfi_matrix, r_metric, r_nuisance
+from fisusc.model import Povm, StatisticalModel, tensor_model
 from fisusc.models import (PointSourceConfig, bell_povm,
                            optimal_povm_point_sources, qubit_phase_dephasing,
                            separable_povm, x_opt)
@@ -221,6 +221,21 @@ def test_sweep_spec_refuses_a_non_integer_count_or_n_max(tmp_path, overrides):
     with pytest.raises(SweepSpecError, match=f"{key} must be an integer"):
         small_spec(tmp_path, **overrides).validate()
     small_spec(tmp_path, **{**overrides, key: np.int64(4 if key == "count" else 20)}).validate()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("phi", "0.7"), ("phi", True), ("start", "0.1"), ("stop", True),
+    ("oracle_samples", "5"), ("oracle_samples", True), ("oracle_samples", 1.0),
+    ("workers", 2.5), ("workers", True),
+])
+def test_sweep_spec_refuses_a_string_or_bool_where_a_number_is_due(tmp_path, key, value):
+    # the library refuses what the CLI refuses (exit 2), before any point is
+    # evaluated: a string is no number, and a bool (YAML's true) is neither
+    # a real number nor an integer, although Python reads True as 1
+    overrides = {"fixed": {key: value}} if key == "phi" else {key: value}
+    kind = "an integer" if key in ("oracle_samples", "workers") else "a number"
+    with pytest.raises(SweepSpecError, match=f"{key} must be {kind}"):
+        small_spec(tmp_path, **overrides).validate()
 
 
 def test_cli_sweep_and_config_override(tmp_path):
@@ -745,7 +760,7 @@ def test_non_numerical_error_in_a_point_propagates(tmp_path, monkeypatch):
     def broken(*args):
         raise ValueError("not a numerical failure")
 
-    monkeypatch.setattr(sweep, "sigma_upper", broken)
+    monkeypatch.setattr(susceptibility, "_pair_bounds", broken)
     with pytest.raises(ValueError, match="not a numerical failure"):
         run_sweep(small_spec(tmp_path))
 
@@ -837,7 +852,17 @@ def test_point_builds_one_kernel_and_no_noise_povm(tmp_path, monkeypatch, model,
     assert calls["Povm"] == 0
 
 
-def test_bell_point_runs_the_single_copy_functions_once(tmp_path, monkeypatch):
+@pytest.fixture
+def fresh_qubit_models():
+    """The qubit models are built once per process; a test that patches their
+    constructor builds its own, and leaves none behind."""
+    sweep._phase_dephasing_model.cache_clear()
+    yield
+    sweep._phase_dephasing_model.cache_clear()
+
+
+def test_bell_point_runs_the_single_copy_functions_once(tmp_path, monkeypatch,
+                                                        fresh_qubit_models):
     # the two-copy state and its product-rule derivatives read one
     # evaluation of the single-copy model
     calls = Counter()
@@ -955,6 +980,67 @@ def test_cli_reused_parser_carries_no_state(tmp_path, capsys):
     assert run_all(fresh) == reused
     assert [r[0] for r in reused] == [0, 0, 0, 0]
     assert [len(r[3]) for r in reused] == [1, 1, 0, 0]
+
+
+def public_cells(spec, value):
+    """The cells of a sweep row through the public library path, on a fresh
+    model and a fresh bundle: `fisher_bundle`, ``.qfi``, `r_metric`,
+    `r_nuisance`, `sigma_lower`, `sigma_upper`, `sigma_exact` and
+    ``.fisher_condition``; a numerical failure fills 'error' alone."""
+    names = sweep.MODEL_TABLE[spec.model].params
+    theta = np.array([{**spec.fixed, spec.sweep_name: float(value)}[n] for n in names])
+    if spec.model == "phase-dephasing":
+        copies = sweep.MODEL_TABLE[spec.model].measurements[spec.measurement]
+        model = tensor_model(qubit_phase_dephasing(), copies)
+        povm = bell_povm() if spec.measurement == "bell" else separable_povm()
+    else:
+        cfg = PointSourceConfig(n_max=spec.n_max, x_m=x_opt(*theta))
+        model, povm = models.point_source_model(cfg), optimal_povm_point_sources(cfg)
+    pairs = [(i, j) for i in range(len(names)) for j in range(i, len(names))]
+    cells = {}
+    try:
+        bundle = fisher_bundle(model, theta, povm)
+        F, Q = bundle.fisher, bundle.qfi
+        for i, j in pairs:
+            cells[f"F_{names[i]}_{names[j]}"] = F[i, j]
+            cells[f"Q_{names[i]}_{names[j]}"] = Q[i, j]
+        cells["r_multi"] = r_metric(F, Q)
+        cells.update((f"r_nuisance_{n}", r_nuisance(F, Q, j)) for j, n in enumerate(names))
+        cells["sigma_lower"] = susceptibility.sigma_lower(bundle)[0]
+        cells["sigma_upper"], sigmas = susceptibility.sigma_upper(bundle)
+        cells.update((f"sigma_{n}", s) for n, s in zip(names, sigmas))
+        if spec.oracle_samples > 0:
+            cells["oracle_best_X"] = sigma_exact(bundle).value
+        cells["condition_number_F"] = bundle.fisher_condition
+    except sweep.NUMERICAL_ERRORS as err:
+        cells["error"] = str(err)
+    return cells
+
+
+@pytest.mark.parametrize("overrides, n_errors", [
+    ({}, 0),                                                              # README separable
+    ({"measurement": "bell"}, 0),                                         # README Bell
+    ({**POINT_SOURCES, "stop": 1.0}, 0),                                  # README point sources
+    ({"measurement": "bell", "fixed": {"phi": 0.3}, "start": 1e-8}, 0),   # bell-small
+    ({**POINT_SOURCES, "fixed": {"x_c": 0.0, "q": 0.5}, "oracle_samples": 1}, 0),
+    ({**POINT_SOURCES, "start": 0.0, "stop": 3.0, "scale": "linear"}, 1),  # singular F at dx = 0
+], ids=["separable", "bell", "point-sources", "bell-small", "q-0.5-exact", "ps-linear"])
+def test_row_cells_are_the_public_functions_bit_for_bit(tmp_path, overrides, n_errors):
+    # the row calls each stage helper once on explicit arrays; the library
+    # functions on a fresh bundle call the same helpers through the bundle's
+    # attributes, so every cell, the error text included, is the same bytes
+    spec = small_spec(tmp_path, **{"count": 50, **overrides})
+    errors = 0
+    for value in spec.grid():
+        row, cells = evaluate_point(spec, 0, value), public_cells(spec, value)
+        errors += bool(row["error"])
+        for key in sweep._columns(spec.model)[1:]:
+            want = cells.get(key, "")
+            if isinstance(want, str):
+                assert row[key] == want, (value, key)
+            else:
+                assert np.float64(row[key]).tobytes() == np.float64(want).tobytes(), (value, key)
+    assert errors == n_errors
 
 
 @pytest.mark.parametrize("model, measurement, fixed, swept, value, expected", [
