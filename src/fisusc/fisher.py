@@ -18,9 +18,13 @@ stack ``[F~, Q~, F]`` (F and Q scaled to unit diagonal, then F itself for
 the frame of the bounds) and one ``inv`` of (F, Q)
 (`_checked_inverse_and_eigh`); a refusal names F before Q.  The row calls
 each stage helper (`_eigen_slds`, `_checked_inverse_and_eigh`, `_ratios`,
-`_condition`) once on explicit arrays, and the bundle's attributes call
-the same helpers.  The quantum Fisher matrix is built from the symmetric
-logarithmic derivatives L_j solving ``2 d_j rho = L_j rho + rho L_j``:
+`_condition`) once on explicit arrays.  The bundle's attributes call the
+same helpers, each attribute one expression of the bundle's fields and of
+the attributes above it, so neither its value nor its LAPACK calls depend
+on what was read before: the fixed-noise functions, the bounds and the
+ratios each refuse F once, by their own call.  The quantum Fisher matrix
+is built from the symmetric logarithmic derivatives L_j solving
+``2 d_j rho = L_j rho + rho L_j``:
 
     Q_{jk} = Tr[rho (L_j L_k + L_k L_j)] / 2.
 
@@ -49,6 +53,7 @@ full-rank dense state keeps the whole space after one ``eigh(rho)``, which
 its SLDs reuse.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -94,19 +99,24 @@ class FisherBundle:
         state's support test took, or None (then `qfi` takes its own).
 
     The library reads the attributes below, each computed on first read by
-    the helper a sweep row calls itself (`sweep.evaluate_point` reads none):
+    the helper a sweep row calls itself (`sweep.evaluate_point` reads none).
+    Each is one expression of the fields and of the attributes listed
+    before it, so its value and its LAPACK calls do not depend on what was
+    read first.  Three families refuse F, each once:
 
     rho, derivatives : the full-space operators ``V X V^dag``.
     qfi : Q, from one `_eigen_slds` of the support.
-    inverses : ``(F^-1, Q^-1)`` from one `_checked_inverse` of (F, Q).
-    fisher_eigh, fisher_inverse : ``(w, U)`` of F and F^-1, both from one
-        `_checked_inverse_and_eigh` of F, which refuses it; F^-1 read first
-        (the fixed-noise functions) takes no eigenvectors.
-    pair_bounds : `susceptibility.PairBounds`: K, the best pair, both
-        bounds and the terms of Sigma_U (`susceptibility._pair_bounds`).
-    k_operators, best_pair : K_a = K_a(F^-1) on the support and
-        ``((i, j), value)``, read off `pair_bounds`; K alone, for the
-        fixed-noise functions, is one kernel call without the frame.
+    inverses : ``(F^-1, Q^-1)`` from one `_checked_inverse` of (F, Q) (the
+        ratios).
+    fisher_inverse, k_operators : F^-1 from `_checked_inverse` of F alone,
+        one ``eigvalsh`` and no eigenvectors, and K_a = K_a(F^-1) on the
+        support from one kernel call on it (the fixed-noise functions).
+    fisher_eigh, fisher_condition : ``(w, U)`` of F, read-only, and cond(F),
+        from one `_checked_inverse_and_eigh` of F that refuses it and
+        gives the bounds their F^-1 too.
+    pair_bounds, best_pair : `susceptibility.PairBounds` of that F^-1 and
+        ``eigh(F)`` (K, the best pair ``((i, j), value)``, both bounds and
+        the terms of Sigma_U), and its best pair.
     """
 
     probabilities: np.ndarray
@@ -145,27 +155,23 @@ class FisherBundle:
 
     @cached_property
     def fisher_inverse(self):
-        # off the call that took F's eigh, when one was made; else F's refusal
-        # alone, which takes no eigenvectors (the fixed-noise functions)
-        if "_fisher_inverse_and_eigh" in self.__dict__:
-            return self._fisher_inverse_and_eigh[0]
         return _checked_inverse((self.fisher,))[0]
 
     @cached_property
-    def _fisher_inverse_and_eigh(self):
-        # eigh(F) alone when F was already refused; else one checked call on F
-        # that refuses it too
-        if "fisher_inverse" in self.__dict__:
-            return self.fisher_inverse, np.linalg.eigh(self.fisher)
+    def k_operators(self):
+        from .susceptibility import _k_operators
+        return _k_operators(self)
+
+    @cached_property
+    def _inverse_and_eigh(self):
         (Finv,), eig = _checked_inverse_and_eigh((self.fisher,))
+        for a in eig:
+            a.setflags(write=False)
         return Finv, eig
 
     @cached_property
     def fisher_eigh(self):
-        w, U = self._fisher_inverse_and_eigh[1]
-        w.setflags(write=False)
-        U.setflags(write=False)
-        return w, U
+        return self._inverse_and_eigh[1]
 
     @cached_property
     def fisher_condition(self):
@@ -175,19 +181,9 @@ class FisherBundle:
     @cached_property
     def pair_bounds(self):
         from .susceptibility import _pair_bounds
-        eig = self.fisher_eigh          # refuses F before its inverse is read
-        return _pair_bounds(self, self.fisher_inverse, eig)
+        return _pair_bounds(self, *self._inverse_and_eigh)
 
-    @cached_property
-    def k_operators(self):
-        # the bounds' K when they were taken; else one kernel call on F^-1
-        # alone, so the fixed-noise functions never build the frame
-        if "pair_bounds" in self.__dict__:
-            return self.pair_bounds.k_operators
-        from .susceptibility import _k_operators
-        return _k_operators(self)
-
-    @cached_property
+    @property
     def best_pair(self):
         return self.pair_bounds.best_pair
 
@@ -382,11 +378,10 @@ def _unit_scaled(F):
 
 
 def _refuse(usable, spectra):
-    """Raise for the first member whose unit-scaled ``max|w| / min|w|`` exceeds
-    MAX_FISHER_CONDITION, by name for members 0 and 1 (F, Q), by index after them."""
+    """Raise for the first member whose unit-scaled spectrum w has a `_condition`
+    above MAX_FISHER_CONDITION, by name for members 0 and 1 (F, Q), by index after them."""
     for k, (ok, w) in enumerate(zip(usable, spectra)):
-        w = [abs(x) for x in w]
-        condition = max(w) / min(w) if ok and min(w) > 0.0 else np.inf
+        condition = _condition(w) if ok else np.inf
         if condition > MAX_FISHER_CONDITION:
             name = _STACK_NAMES[k] if k < len(_STACK_NAMES) else f"matrix {k} of the stack"
             raise SingularFisherError(
@@ -407,7 +402,7 @@ def _checked_inverse(stack):
     """
     F = np.asarray(stack, dtype=float)
     usable, scaled = _unit_scaled(F)
-    _refuse(usable, np.linalg.eigvalsh(scaled).tolist())
+    _refuse(usable, np.linalg.eigvalsh(scaled))
     return np.linalg.inv(F)
 
 
@@ -424,13 +419,13 @@ def _checked_inverse_and_eigh(stack):
     n = len(F)
     # an unusable first member is refused before its eigh is read
     w, U = np.linalg.eigh(np.concatenate((scaled, F[:1] if usable[0] else scaled[:1])))
-    _refuse(usable, w[:n].tolist())
+    _refuse(usable, w[:n])
     return np.linalg.inv(F), (w[n], U[n])
 
 
 def _condition(w):
     """``max|w| / min|w|`` over the eigenvalues w of a symmetric matrix (inf when
-    one is zero): the condition number of F itself, which `_refuse` does not test."""
+    one is zero): `_refuse` tests it on the unit-scaled F, a row reports it of F."""
     w = [abs(x) for x in w.tolist()]
     return max(w) / min(w) if min(w) > 0.0 else float("inf")
 
@@ -446,10 +441,11 @@ def r_metric(F, Q, m=1):
 
     ``F`` is the Fisher matrix of a POVM acting on ``m`` copies of the
     state; ``Q`` is the single-copy quantum Fisher matrix.  The ratio is
-    1 exactly when the scalar quantum Cramer-Rao bound is saturated.
+    1 exactly when the scalar quantum Cramer-Rao bound is saturated.  A bool
+    or non-integral ``m`` is refused, as `model.tensor_model` refuses it.
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
+    if isinstance(m, bool) or not float(m).is_integer() or m < 1:
+        raise ValueError(f"need an integer m >= 1, got {m!r}")
     return _ratios(*_checked_inverse((F, Q)), m)[0]
 
 
@@ -457,6 +453,11 @@ def r_nuisance(F, Q, index):
     """Per-parameter optimality ratio (F^-1)_jj / (Q^-1)_jj >= 1.
 
     Quantifies how well parameter ``index`` is estimated when all other
-    parameters are unknown nuisance parameters.
+    parameters are unknown nuisance parameters.  ``index`` must be an
+    integer in 0 .. P - 1; a negative index is refused, not counted from
+    the end, and so is a bool or a float.
     """
+    if isinstance(index, bool) or not isinstance(index, numbers.Integral) \
+            or not 0 <= index < len(F):
+        raise ValueError(f"index must be an integer in 0 .. {len(F) - 1}, got {index!r}")
     return float(_ratios(*_checked_inverse((F, Q)))[1][index])

@@ -51,8 +51,9 @@ evaluation of state, derivatives, F and the bounds' kernel call serves
 lives on the bundle's support (r x r operators, ``bundle.support[1]``).
 The fixed-noise functions `g_matrix`, `xi_matrix` and `x_scalar` restrict
 a full-space noise POVM to it and never build the frame; `x_scalar` reads
-K(F^-1) alone, with the bits of the bounds' K.  The noise of
-`sigma_exact` is built, and lifted to the full space, when first read.
+K(F^-1) alone (`FisherBundle.k_operators`), with the bits of the bounds'
+K.  The noise of `sigma_exact` is built, and lifted to the full space,
+when first read.
 """
 
 from collections import namedtuple
@@ -423,10 +424,13 @@ def sigma_exact(bundle: FisherBundle) -> ExactWorstCase:
     (R = sum N), and the value is the larger of that primal and Sigma_L,
     so it never reads below Sigma_L.  The noise, V N_a V^dag plus
     I - V V^dag on b, is built from the stored eigenpairs (or the kept
-    interior-point N) when ``.noise`` is first read.  Raises
-    `SingularFisherError` below two kept outcomes.
+    interior-point N) when ``.noise`` is first read.  K and the best pair
+    are those of the bounds (`FisherBundle.pair_bounds`), so on a bundle
+    that took them no kernel call is made.  Raises `SingularFisherError`
+    below two kept outcomes.
     """
-    return _exact_worst_case(bundle, bundle.best_pair, bundle.k_operators)
+    bounds = bundle.pair_bounds
+    return _exact_worst_case(bundle, bounds.best_pair, bounds.k_operators)
 
 
 def _exact_worst_case(bundle, best_pair, K):

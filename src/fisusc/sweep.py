@@ -51,8 +51,8 @@ class SweepSpec:
     a config or flag sets.  A ``scale`` left None becomes "log" on the
     model's `MODEL_TABLE` log axes and "linear" on any other.  `run_sweep`
     writes the CSV to ``out``.  `validate` refuses a bool or a string for
-    a number, and a float for ``count``, ``n_max``, ``oracle_samples`` or
-    ``workers``.  Any ``oracle_samples`` > 0 fills
+    a number, and a float for ``count``, ``n_max``, ``oracle_samples``,
+    ``seed`` or ``workers``.  Any ``oracle_samples`` > 0 fills
     ``oracle_best_X`` with `sigma_exact`; neither its magnitude nor
     ``seed`` changes a result.  ``workers`` is validated (>= 1) but does
     not change how points run: `run_sweep` evaluates them in order on the
@@ -82,7 +82,7 @@ class SweepSpec:
     def validate(self):
         check_model_spec(self.model, self.measurement, self.fixed, self.sweep_name)
         _check_numbers({"start": self.start, "stop": self.stop}, "sweep limits")
-        for key in ("count", "n_max", "oracle_samples", "workers"):
+        for key in ("count", "n_max", "oracle_samples", "seed", "workers"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise SweepSpecError(f"{key} must be an integer, got {value!r}")

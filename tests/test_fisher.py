@@ -457,6 +457,24 @@ def test_r_nuisance_identity_and_bounds():
         assert r_nuisance(F, Qq, j) >= 1.0 - 1e-9
 
 
+@pytest.mark.parametrize("call", [
+    lambda F, Q: r_metric(F, Q, 2.5), lambda F, Q: r_metric(F, Q, True),
+    lambda F, Q: r_metric(F, Q, np.float64(1.5)),
+    lambda F, Q: r_nuisance(F, Q, 2), lambda F, Q: r_nuisance(F, Q, 5),
+    lambda F, Q: r_nuisance(F, Q, -1), lambda F, Q: r_nuisance(F, Q, True),
+    lambda F, Q: r_nuisance(F, Q, 1.0),
+], ids=["m-2.5", "m-True", "m-float64-1.5", "index-2", "index-5", "index-minus-1",
+        "index-True", "index-1.0"])
+def test_ratios_refuse_a_non_integral_m_and_an_index_outside_the_parameters(call):
+    # a copy count is an integer, as tensor_model has it, and a parameter index
+    # is an integer in 0 .. P - 1: neither is truncated nor counted from the end
+    F, Q = np.array([[2.0, 0.1], [0.1, 1.0]]), np.diag([3.0, 2.0])
+    with pytest.raises(ValueError, match="need an integer m >= 1|index must be an integer"):
+        call(F, Q)
+    assert r_metric(F, Q, 2.0) == 2 * r_metric(F, Q)
+    assert r_nuisance(F, Q, np.int64(1)) == r_nuisance(F, Q, 1)
+
+
 def _point_source_r(q, dx):
     theta = np.array([0.0, dx, q])
     cfg = PointSourceConfig(n_max=20, x_m=x_opt(*theta))

@@ -336,7 +336,7 @@ def test_pair_certified_worst_case_needs_no_spectrum_of_k(monkeypatch, n_max):
         theta = sweep._theta_for(spec, v)
         model, povm = point(theta, n_max)
         bundle = fisher_bundle(model, theta, povm)
-        K = bundle.k_operators
+        K = bundle.pair_bounds.k_operators
         stacks.clear()
         exact = sigma_exact(bundle)
         assert any(a is K for a in stacks) == (not exact.pair_certified)
@@ -367,9 +367,10 @@ def test_q_is_one_evaluation_on_every_route(monkeypatch, fixed, value):
 
 
 def test_one_kernel_serves_every_susceptibility_of_a_point(monkeypatch):
-    # x_scalar, g_matrix, Sigma_L, Sigma_U and the exact worst case of a
-    # point-source point all read one kernel call, on the (1 + P) stack of
-    # F^-1 and the three frame contractions; K is its first member
+    # Sigma_L, Sigma_U and the exact worst case of a point-source point read
+    # one kernel call, on the (1 + P) stack of F^-1 and the three frame
+    # contractions; x_scalar and g_matrix, read after them, make one call on
+    # F^-1 alone, which has the bits of the stack's first member
     theta = np.array([0.0, 0.3, 0.3])
     model, povm = point(theta, 20)
     bundle = fisher_bundle(model, theta, povm)
@@ -382,7 +383,8 @@ def test_one_kernel_serves_every_susceptibility_of_a_point(monkeypatch):
     g_matrix(bundle, exact.noise)
     lower = sigma_lower(bundle)[0]
     upper = sigma_upper(bundle)[0]
-    assert calls == [(4, 3, 3)]
+    assert calls == [(4, 3, 3), None]
     assert bundle.k_operators.shape == (5, 4, 4)
+    assert bundle.k_operators.tobytes() == bundle.pair_bounds.k_operators.tobytes()
     assert exact.noise.dim == 21 and lower <= exact.value <= upper
     assert x == pytest.approx(exact.value, rel=1e-10)

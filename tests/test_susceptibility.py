@@ -1,4 +1,7 @@
+import pickle
+from collections import Counter
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -970,6 +973,58 @@ def test_fixed_noise_functions_never_build_the_frame(monkeypatch, model, theta, 
     bundle.pair_bounds
     assert bundle.pair_bounds.k_operators.tobytes() == K.tobytes()
     assert x_scalar(bundle, noise) == x
+
+
+READ_ORDER = ("x_scalar", "xi_matrix", "g_matrix", "sigma_lower", "sigma_upper",
+              "sigma_exact", "inverses", "fisher_condition")
+FAMILY = {"x_scalar": "fixed noise", "xi_matrix": "fixed noise", "g_matrix": "fixed noise",
+          "sigma_lower": "bounds", "sigma_upper": "bounds", "sigma_exact": "bounds",
+          "fisher_condition": "bounds", "inverses": "ratios"}
+
+
+def point_source_point(theta):
+    theta = np.array(theta)
+    cfg = PointSourceConfig(n_max=20, x_m=x_opt(*theta))
+    return point_source_model(cfg), theta, optimal_povm_point_sources(cfg)
+
+
+@pytest.mark.parametrize("model, theta, povm", instances(36, 1) + [
+    point_source_point([0.0, 0.5, 0.5]),        # the interior-point worst case
+    point_source_point([0.1, 0.05, 0.3]),       # drops "rest"
+])
+def test_values_and_lapack_calls_do_not_depend_on_read_order(monkeypatch, model, theta, povm):
+    # each bundle attribute is one expression of the bundle's fields and of the
+    # attributes above it: read forward or in reverse on a fresh bundle, every
+    # value has the same bytes and each family (fixed noise, bounds, ratios)
+    # makes the same LAPACK calls; the fixed-noise family refuses F alone, with
+    # one eigvalsh and no eigenvectors
+    kept = fisher_bundle(model, theta, povm).kept_outcomes
+    noise = random_noise(np.random.default_rng(36), povm, kept)
+    readers = {
+        "x_scalar": lambda b: x_scalar(b, noise),
+        "xi_matrix": lambda b: xi_matrix(b, noise),
+        "g_matrix": lambda b: g_matrix(b, noise),
+        "sigma_lower": sigma_lower,
+        "sigma_upper": sigma_upper,
+        "sigma_exact": lambda b: attrgetter("value", "exact_gap")(sigma_exact(b)),
+        "inverses": lambda b: b.inverses,
+        "fisher_condition": lambda b: b.fisher_condition,
+    }
+    calls = Counter()
+    for name in ("cholesky", "eigh", "eigvalsh", "inv", "qr", "solve", "svd"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=getattr(np.linalg, name), _n=name,
+                            **k: calls.update([_n]) or _f(*a, **k))
+    runs = []
+    for order in (READ_ORDER, READ_ORDER[::-1]):
+        bundle = fisher_bundle(model, theta, povm)
+        values, family_calls = {}, {family: Counter() for family in FAMILY.values()}
+        for name in order:
+            calls.clear()
+            values[name] = pickle.dumps(readers[name](bundle))
+            family_calls[FAMILY[name]].update(calls)
+        runs.append((values, family_calls))
+    assert runs[0] == runs[1]
+    assert runs[0][1]["fixed noise"] == {"eigvalsh": 1, "inv": 1}
 
 
 def test_report_qubit_instance_no_flag():

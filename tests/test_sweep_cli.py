@@ -238,6 +238,14 @@ def test_sweep_spec_refuses_a_string_or_bool_where_a_number_is_due(tmp_path, key
         small_spec(tmp_path, **overrides).validate()
 
 
+@pytest.mark.parametrize("seed", ["7", True, 1.5], ids=["string", "bool", "fractional"])
+def test_sweep_spec_refuses_a_seed_that_is_no_integer(tmp_path, seed):
+    # the library refuses the seed the CLI refuses in a config (exit 2)
+    with pytest.raises(SweepSpecError, match="seed must be an integer"):
+        small_spec(tmp_path, seed=seed).validate()
+    small_spec(tmp_path, seed=np.int64(7)).validate()
+
+
 def test_cli_sweep_and_config_override(tmp_path):
     config = {
         "model": "phase-dephasing",
