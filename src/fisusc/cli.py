@@ -67,12 +67,16 @@ def _parse_sweep(text):
 
 def _number(value, key, kind=float):
     """``value`` as a float, or an int for ``kind=int``; a bool (YAML reads
-    ``true`` as 1), a string or a fractional int is refused, not converted."""
+    ``true`` as 1), a string or a fractional int is refused, not converted;
+    so is an int too large for a double where a float is due."""
     if isinstance(value, (bool, str)) or (kind is int and isinstance(value, float)
                                           and not value.is_integer()):
         raise SweepSpecError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
                              f"got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise SweepSpecError(f"{key} must be finite, got an integer too large for a double")
 
 
 def _mapping(value, what, keys=None):
@@ -125,11 +129,13 @@ def _load_config(path):
     import yaml
     # read as bytes, so that PyYAML detects the encoding and reports a bad
     # byte as a YAMLError (a text-mode read raises UnicodeDecodeError); the
-    # Python composer recurses, and exhausts the stack on deeply nested brackets
+    # Python composer recurses, and exhausts the stack on deeply nested brackets;
+    # a scalar the constructor cannot build (an integer past Python's digit
+    # limit, a date such as 2001-13-45) raises ValueError
     with open(path, "rb") as fh:
         try:
             config = yaml.load(fh, Loader=_config_loader())
-        except (yaml.YAMLError, RecursionError) as err:
+        except (yaml.YAMLError, RecursionError, ValueError) as err:
             raise SweepSpecError(f"config {path} is not readable YAML: "
                                  f"{' '.join(str(err).split())}")
     return _mapping(config, "config", CONFIG_KEYS)

@@ -8,6 +8,7 @@ sweep continues.
 """
 
 import csv
+import math
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass
@@ -136,12 +137,20 @@ def check_model_spec(model, measurement, fixed, swept=None):
 
 
 def _check_numbers(values, what):
-    """Refuse a value of ``{name: value}`` that is a bool, no real number or not finite."""
+    """Refuse a value of ``{name: value}`` that is a bool, no real number or
+    not finite; an int too large for a double is not finite."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise SweepSpecError(f"{name} must be a number, got {value!r}")
-    if not np.all(np.isfinite(list(values.values()))):
+    if not all(map(_finite, values.values())):
         raise SweepSpecError(f"{what} must be finite")
+
+
+def _finite(value):
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _theta_for(spec, sweep_value):

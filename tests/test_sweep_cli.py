@@ -246,6 +246,17 @@ def test_sweep_spec_refuses_a_seed_that_is_no_integer(tmp_path, seed):
     small_spec(tmp_path, seed=np.int64(7)).validate()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"fixed": {"phi": 10 ** 400}}, {"start": 10 ** 400}, {"stop": 10 ** 400},
+    {"stop": -10 ** 400},
+], ids=["fixed-value", "start", "stop", "negative-stop"])
+def test_sweep_spec_refuses_an_int_too_large_for_a_double(tmp_path, overrides):
+    # such an int is a real number, but no double holds it: it is refused as
+    # infinite, as the CLI refuses it in a config (exit 2)
+    with pytest.raises(SweepSpecError, match="must be finite"):
+        small_spec(tmp_path, **overrides).validate()
+
+
 def test_cli_sweep_and_config_override(tmp_path):
     config = {
         "model": "phase-dephasing",
@@ -334,13 +345,17 @@ POINT_SOURCE_CONFIG = {"model": "point-sources", "measurement": "optimal-hg",
     {"seed": True}, {"workers": True}, {"fix": {"x_c": "0", "q": 0.3}},
     {"sweep": {**POINT_SOURCE_CONFIG["sweep"], "start": "0.01"}},
     {"sweep": {**POINT_SOURCE_CONFIG["sweep"], "count": "3"}}, {"seed": "7"},
+    {"fix": {"x_c": 10 ** 400, "q": 0.3}},
+    {"sweep": {**POINT_SOURCE_CONFIG["sweep"], "start": 10 ** 400}},
+    {"sweep": {**POINT_SOURCE_CONFIG["sweep"], "stop": 10 ** 400}},
 ], ids=["n_max-below-3", "n_max-not-a-number", "workers-not-a-number",
         "fractional-count", "fractional-n_max", "fractional-seed", "fractional-workers",
         "fractional-oracle_samples", "nan-seed", "unknown-key", "unknown-sweep-key",
         "fix-not-a-mapping", "sweep-not-a-mapping", "n_max-above-170",
         "out-null", "out-not-a-string", "bool-fix-value", "bool-stop",
         "bool-oracle_samples", "bool-seed", "bool-workers", "string-fix-value",
-        "string-start", "string-count", "string-seed"])
+        "string-start", "string-count", "string-seed", "401-digit-fix-value",
+        "401-digit-start", "401-digit-stop"])
 def test_cli_malformed_config_value_exit_code(tmp_path, capsys, entry):
     # a malformed config value is refused even where a flag (here --out) wins
     cfg_path = tmp_path / "sweep.yaml"
@@ -357,8 +372,9 @@ def test_cli_malformed_config_value_exit_code(tmp_path, capsys, entry):
     b"model: " + b"[" * 5000 + b"]" * 5000 + b"\n",
     b"model: " + b"[" * 200000 + b"]" * 200000 + b"\n",
     b"fix: {phi: " + b"[" * 200000 + b"]" * 200000 + b"}\n",
+    b"fix: {x_c: 1" + b"0" * 5000 + b", q: 0.3}\n", b"model: 2001-13-45\n",
 ], ids=["unclosed-bracket", "non-utf8-byte", "nested-too-deeply", "model-nested-200k-deep",
-        "fix-nested-200k-deep"])
+        "fix-nested-200k-deep", "int-past-the-digit-limit", "date-out-of-range"])
 def test_cli_unreadable_yaml_config_is_refused_in_one_line(tmp_path, capsys, content):
     cfg_path = tmp_path / "sweep.yaml"
     cfg_path.write_bytes(content)
