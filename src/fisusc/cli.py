@@ -67,16 +67,20 @@ def _parse_sweep(text):
 
 def _number(value, key, kind=float):
     """``value`` as a float, or an int for ``kind=int``; a bool (YAML reads
-    ``true`` as 1), a string or a fractional int is refused, not converted;
-    so is an int too large for a double where a float is due."""
-    if isinstance(value, (bool, str)) or (kind is int and isinstance(value, float)
-                                          and not value.is_integer()):
-        raise SweepSpecError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
-                             f"got {value!r}")
+    ``true`` as 1), a string, bytes (YAML's ``!!binary``) or a fractional
+    int is refused, not converted; so is an int too large for a double
+    where a float is due, and a value of another type (named by its type:
+    a deep list's repr exhausts the stack)."""
+    what = "an integer" if kind is int else "a number"
+    if isinstance(value, (bool, str, bytes)) or (kind is int and isinstance(value, float)
+                                                 and not value.is_integer()):
+        raise SweepSpecError(f"{key} must be {what}, got {value!r}")
     try:
         return kind(value)
     except OverflowError:
         raise SweepSpecError(f"{key} must be finite, got an integer too large for a double")
+    except TypeError:
+        raise SweepSpecError(f"{key} must be {what}, got {type(value).__name__}")
 
 
 def _mapping(value, what, keys=None):
@@ -147,15 +151,12 @@ def _spec_from_args(args):
     cfg = _load_config(args.config)
     fix_cfg = _mapping(cfg.get("fix"), "config 'fix:'")
     sweep_cfg = _mapping(cfg.get("sweep"), "config 'sweep:'", SWEEP_KEYS)
-    try:
-        fixed = {k: _number(v, f"fix {k}") for k, v in fix_cfg.items()}
-        start, stop, count = (None if sweep_cfg.get(k) is None else
-                              _number(sweep_cfg[k], k, int if k == "count" else float)
-                              for k in ("start", "stop", "count"))
-        settings = {k: _number(cfg[k], k, int) for k in
-                    ("oracle_samples", "seed", "workers", "n_max") if k in cfg}
-    except (TypeError, ValueError) as err:
-        raise SweepSpecError(f"malformed value in the sweep specification: {err}")
+    fixed = {k: _number(v, f"fix {k}") for k, v in fix_cfg.items()}
+    start, stop, count = (None if sweep_cfg.get(k) is None else
+                          _number(sweep_cfg[k], k, int if k == "count" else float)
+                          for k in ("start", "stop", "count"))
+    settings = {k: _number(cfg[k], k, int) for k in
+                ("oracle_samples", "seed", "workers", "n_max") if k in cfg}
     strings = {k: cfg[k] for k in ("model", "measurement", "out") if k in cfg}
     if sweep_cfg.get("name") is not None:
         strings["sweep name"] = sweep_cfg["name"]

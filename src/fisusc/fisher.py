@@ -16,13 +16,15 @@ on the units of the parameters.  The cutoffs are fixed constants.  A
 sweep row refuses and inverts F and Q together, with one ``eigh`` of the
 stack ``[F~, Q~, F]`` (F and Q scaled to unit diagonal, then F itself for
 the frame of the bounds) and one ``inv`` of (F, Q)
-(`_checked_inverse_and_eigh`); a refusal names F before Q.  The row calls
-each stage helper (`_eigen_slds`, `_checked_inverse_and_eigh`, `_ratios`,
-`_condition`) once on explicit arrays.  The bundle's attributes call the
-same helpers, each attribute one expression of the bundle's fields and of
-the attributes above it, so neither its value nor its LAPACK calls depend
-on what was read before: the fixed-noise functions, the bounds and the
-ratios each refuse F once, by their own call.  The quantum Fisher matrix
+(`_checked_inverse_and_eigh`, the one routine that refuses a Fisher
+stack); a refusal names F before Q.  The row calls each stage helper
+(`_eigen_slds`, `_checked_inverse_and_eigh`, `_ratios`, `_condition`) once
+on explicit arrays.  The bundle's attributes call the same helpers, each
+attribute one expression of the bundle's fields and of the attributes
+above it, so neither its value nor its LAPACK calls depend on what was
+read before: F alone (the fixed-noise functions and the bounds) and
+(F, Q) (the ratios) are each refused once, by their own call, from the
+same unit-scaled spectrum a row tests.  The quantum Fisher matrix
 is built from the symmetric logarithmic derivatives L_j solving
 ``2 d_j rho = L_j rho + rho L_j``:
 
@@ -102,18 +104,18 @@ class FisherBundle:
     the helper a sweep row calls itself (`sweep.evaluate_point` reads none).
     Each is one expression of the fields and of the attributes listed
     before it, so its value and its LAPACK calls do not depend on what was
-    read first.  Three families refuse F, each once:
+    read first.  Two families refuse F, each once, both by
+    `_checked_inverse_and_eigh`, so they agree on whether F is invertible:
 
     rho, derivatives : the full-space operators ``V X V^dag``.
     qfi : Q, from one `_eigen_slds` of the support.
-    inverses : ``(F^-1, Q^-1)`` from one `_checked_inverse` of (F, Q) (the
-        ratios).
-    fisher_inverse, k_operators : F^-1 from `_checked_inverse` of F alone,
-        one ``eigvalsh`` and no eigenvectors, and K_a = K_a(F^-1) on the
-        support from one kernel call on it (the fixed-noise functions).
-    fisher_eigh, fisher_condition : ``(w, U)`` of F, read-only, and cond(F),
-        from one `_checked_inverse_and_eigh` of F that refuses it and
-        gives the bounds their F^-1 too.
+    inverses : ``(F^-1, Q^-1)`` from one `_checked_inverse_and_eigh` of
+        (F, Q), the call a sweep row makes (the ratios).
+    fisher_inverse, fisher_eigh, fisher_condition : F^-1, ``(w, U)`` of F,
+        read-only, and cond(F), from one `_checked_inverse_and_eigh` of F
+        alone, which the fixed-noise functions and the bounds share.
+    k_operators : K_a = K_a(F^-1) on the support from one kernel call on
+        it (the fixed-noise functions).
     pair_bounds, best_pair : `susceptibility.PairBounds` of that F^-1 and
         ``eigh(F)`` (K, the best pair ``((i, j), value)``, both bounds and
         the terms of Sigma_U), and its best pair.
@@ -150,17 +152,8 @@ class FisherBundle:
 
     @cached_property
     def inverses(self):
-        """``(F^-1, Q^-1)``, refused (F first) and inverted as one stack."""
-        return _checked_inverse((self.fisher, self.qfi))
-
-    @cached_property
-    def fisher_inverse(self):
-        return _checked_inverse((self.fisher,))[0]
-
-    @cached_property
-    def k_operators(self):
-        from .susceptibility import _k_operators
-        return _k_operators(self)
+        """``(F^-1, Q^-1)``, refused (F first) and inverted as one stack, as a row does."""
+        return _checked_inverse_and_eigh((self.fisher, self.qfi))[0]
 
     @cached_property
     def _inverse_and_eigh(self):
@@ -168,6 +161,15 @@ class FisherBundle:
         for a in eig:
             a.setflags(write=False)
         return Finv, eig
+
+    @property
+    def fisher_inverse(self):
+        return self._inverse_and_eigh[0]
+
+    @cached_property
+    def k_operators(self):
+        from .susceptibility import _k_operators
+        return _k_operators(self)
 
     @cached_property
     def fisher_eigh(self):
@@ -361,71 +363,45 @@ def weak_commutativity(rho, L_j, L_k):
 _STACK_NAMES = ("Fisher matrix", "quantum Fisher matrix")
 
 
-def _unit_scaled(F):
-    """``(usable, D^-1/2 F D^-1/2)`` of a (n, P, P) stack, ``D = diag F`` per member.
+def _checked_inverse_and_eigh(stack):
+    """Inverses of a (n, P, P) stack, refused member by member, and ``eigh``
+    of its first member: the one routine that refuses a Fisher stack.
 
-    A member with a diagonal entry <= 0 or a non-finite entry is not
-    usable (it is singular or no Fisher matrix); the identity stands in
-    for it, so the spectrum of the scaled stack stays finite.
+    The refusal does not depend on the units of the parameters: it tests
+    the `_condition` of ``D^-1/2 F D^-1/2`` with ``D = diag F``, which a
+    rescaling of any parameter leaves unchanged.  A member with a diagonal
+    entry <= 0 or a non-finite entry is singular or no Fisher matrix; the
+    identity stands in for it, so the spectrum stays finite, and it is
+    refused.  One ``eigh`` of the unit-scaled stack with the first member
+    itself appended both tests every member and gives ``(w, U)`` of that
+    member, bit for bit its ``eigh`` alone (a stacked ``eigh`` is one
+    LAPACK call per member), and one ``inv`` inverts them all.  The first
+    refused member is reported, by name for members 0 and 1 (F, Q) and by
+    index after them.  Returns ``(inverses, (w, U))``.
     """
-    diag = F.diagonal(axis1=1, axis2=2)
-    usable = ((diag > 0.0).all(axis=1) & np.isfinite(F).all(axis=(1, 2))).tolist()
-    if not all(usable):
-        F = np.where(np.array(usable)[:, None, None], F, np.eye(F.shape[-1]))
-        diag = F.diagonal(axis1=1, axis2=2)
-    s = 1.0 / np.sqrt(diag)
-    return usable, s[:, :, None] * F * s[:, None, :]
-
-
-def _refuse(usable, spectra):
-    """Raise for the first member whose unit-scaled spectrum w has a `_condition`
-    above MAX_FISHER_CONDITION, by name for members 0 and 1 (F, Q), by index after them."""
-    for k, (ok, w) in enumerate(zip(usable, spectra)):
-        condition = _condition(w) if ok else np.inf
+    F = np.asarray(stack, dtype=float)
+    n = len(F)
+    usable = ((F.diagonal(axis1=1, axis2=2) > 0.0).all(axis=1)
+              & np.isfinite(F).all(axis=(1, 2))).tolist()
+    scaled = F if all(usable) else np.where(np.array(usable)[:, None, None], F, np.eye(F.shape[-1]))
+    s = 1.0 / np.sqrt(scaled.diagonal(axis1=1, axis2=2))
+    scaled = s[:, :, None] * scaled * s[:, None, :]
+    # an unusable first member is refused before its eigh is read
+    w, U = np.linalg.eigh(np.concatenate((scaled, F[:1] if usable[0] else scaled[:1])))
+    for k in range(n):
+        condition = _condition(w[k]) if usable[k] else np.inf
         if condition > MAX_FISHER_CONDITION:
             name = _STACK_NAMES[k] if k < len(_STACK_NAMES) else f"matrix {k} of the stack"
             raise SingularFisherError(
                 f"{name} is singular or ill-conditioned (condition number of the "
                 f"unit-scaled matrix {condition:.3e}, limit {MAX_FISHER_CONDITION:.1e}); "
                 f"refusing to invert")
-
-
-def _checked_inverse(stack):
-    """Inverses of a (n, P, P) stack; refuses singular or ill-conditioned members.
-
-    The refusal does not depend on the units of the parameters: it tests
-    the condition number of ``D^-1/2 F D^-1/2`` with ``D = diag F``, which
-    a rescaling of any parameter leaves unchanged (`_unit_scaled`).  One
-    ``eigvalsh`` of the unit-scaled stack tests every member and one
-    ``inv`` inverts them all.  The first refused member is reported
-    (`_refuse`), so an (F, Q) stack refuses F first.
-    """
-    F = np.asarray(stack, dtype=float)
-    usable, scaled = _unit_scaled(F)
-    _refuse(usable, np.linalg.eigvalsh(scaled))
-    return np.linalg.inv(F)
-
-
-def _checked_inverse_and_eigh(stack):
-    """`_checked_inverse` of the stack, and ``eigh`` of its first member.
-
-    One ``eigh`` of the unit-scaled stack with the first member itself
-    appended both tests every member and gives ``(w, U)`` of that member,
-    bit for bit its ``eigh`` alone (a stacked ``eigh`` is one LAPACK call
-    per member).  Returns ``(inverses, (w, U))``.
-    """
-    F = np.asarray(stack, dtype=float)
-    usable, scaled = _unit_scaled(F)
-    n = len(F)
-    # an unusable first member is refused before its eigh is read
-    w, U = np.linalg.eigh(np.concatenate((scaled, F[:1] if usable[0] else scaled[:1])))
-    _refuse(usable, w[:n])
     return np.linalg.inv(F), (w[n], U[n])
 
 
 def _condition(w):
     """``max|w| / min|w|`` over the eigenvalues w of a symmetric matrix (inf when
-    one is zero): `_refuse` tests it on the unit-scaled F, a row reports it of F."""
+    one is zero): the refusal tests it on the unit-scaled F, a row reports it of F."""
     w = [abs(x) for x in w.tolist()]
     return max(w) / min(w) if min(w) > 0.0 else float("inf")
 
@@ -446,7 +422,7 @@ def r_metric(F, Q, m=1):
     """
     if isinstance(m, bool) or not float(m).is_integer() or m < 1:
         raise ValueError(f"need an integer m >= 1, got {m!r}")
-    return _ratios(*_checked_inverse((F, Q)), m)[0]
+    return _ratios(*_checked_inverse_and_eigh((F, Q))[0], m)[0]
 
 
 def r_nuisance(F, Q, index):
@@ -460,4 +436,4 @@ def r_nuisance(F, Q, index):
     if isinstance(index, bool) or not isinstance(index, numbers.Integral) \
             or not 0 <= index < len(F):
         raise ValueError(f"index must be an integer in 0 .. {len(F) - 1}, got {index!r}")
-    return float(_ratios(*_checked_inverse((F, Q)))[1][index])
+    return float(_ratios(*_checked_inverse_and_eigh((F, Q))[0])[1][index])

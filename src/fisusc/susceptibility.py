@@ -50,9 +50,10 @@ evaluation of state, derivatives, F and the bounds' kernel call serves
 `x_finite_mix` takes the model, to evaluate the mixed POVM.  Every K_a(C)
 lives on the bundle's support (r x r operators, ``bundle.support[1]``).
 The fixed-noise functions `g_matrix`, `xi_matrix` and `x_scalar` restrict
-a full-space noise POVM to it and never build the frame; `x_scalar` reads
-K(F^-1) alone (`FisherBundle.k_operators`), with the bits of the bounds'
-K.  The noise of `sigma_exact` is built, and lifted to the full space,
+a full-space noise POVM to it and never build the frame or the bounds:
+they read the F^-1 of the bounds' refusal (`FisherBundle.fisher_inverse`),
+and `x_scalar` reads K(F^-1) alone (`FisherBundle.k_operators`), with the
+bits of the bounds' K.  The noise of `sigma_exact` is built, and lifted to the full space,
 when first read.
 """
 

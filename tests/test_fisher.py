@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import solve_sylvester
 
 from fisusc.fisher import (SingularFisherError, SingularScoreError,
-                           _checked_inverse, _checked_inverse_and_eigh, _eigen_slds,
+                           _checked_inverse_and_eigh, _eigen_slds,
                            fisher_bundle, qfi_matrix, r_metric, r_nuisance, sld,
                            weak_commutativity)
 from fisusc.model import Povm, StatisticalModel, tensor_model
@@ -373,16 +373,16 @@ def test_fisher_refusal_is_independent_of_parameter_units():
     F = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.5]])
     S = np.diag([1e7, 1.0, 1e-7])      # theta_0 in units 1e7 larger, ...
     assert np.linalg.cond(S @ F @ S) > 1e20
-    Finv = _checked_inverse([S @ F @ S])[0]
+    Finv = _checked_inverse_and_eigh([S @ F @ S])[0][0]
     np.testing.assert_allclose(S @ Finv @ S, np.linalg.inv(F), rtol=1e-6)
     # a nearly dependent pair is refused in any units
     G = np.array([[1.0, 1.0 - 1e-14], [1.0 - 1e-14, 1.0]])
     for scale in (np.eye(2), np.diag([1e5, 1e-5])):
         with pytest.raises(SingularFisherError, match="singular or ill-conditioned"):
-            _checked_inverse([scale @ G @ scale])
+            _checked_inverse_and_eigh([scale @ G @ scale])
     # a parameter the measurement does not see at all
     with pytest.raises(SingularFisherError):
-        _checked_inverse([np.diag([1.0, 0.0])])
+        _checked_inverse_and_eigh([np.diag([1.0, 0.0])])
 
 
 @pytest.mark.parametrize("first, second, refused", [
@@ -393,7 +393,7 @@ def test_fisher_refusal_is_independent_of_parameter_units():
     ("good", "negative-diagonal", "quantum Fisher matrix"),
 ])
 def test_stacked_inverse_names_the_first_refused_member(first, second, refused):
-    # one SVD and one inv serve the (F, Q) stack; the message is the first
+    # one eigh and one inv serve the (F, Q) stack; the message is the first
     # refused member's, F before Q, and an accepted stack is each member's
     # inverse bit for bit
     matrices = {"good": np.array([[2.0, 0.3], [0.3, 1.0]]),
@@ -403,14 +403,14 @@ def test_stacked_inverse_names_the_first_refused_member(first, second, refused):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularFisherError) as err:
-            _checked_inverse((matrices[first], matrices[second]))
+            _checked_inverse_and_eigh((matrices[first], matrices[second]))
     assert str(err.value).startswith(f"{refused} is singular")
     # a member after F and Q is tested too, and named by its index
     bad = matrices[first if first != "good" else second]
     with pytest.raises(SingularFisherError, match=r"^matrix 2 of the stack is singular"):
-        _checked_inverse((matrices["good"], matrices["good"], bad))
+        _checked_inverse_and_eigh((matrices["good"], matrices["good"], bad))
     pair = (matrices["good"], 3.0 * matrices["good"])
-    inverses = _checked_inverse(pair)
+    inverses = _checked_inverse_and_eigh(pair)[0]
     for matrix, inverse in zip(pair, inverses):
         assert inverse.tobytes() == np.linalg.inv(matrix).tobytes()
 
@@ -430,19 +430,18 @@ def test_refusal_at_its_limit_in_any_units(P, scale):
     # unit-scaled members of condition number 1e11 are accepted and 1e13
     # refused (the limit is 1e12), F is named before Q and a member after
     # them by its index, whatever the units of the first parameter; the
-    # stacked eigh gives the same decision and F's own eigh
+    # stacked eigh also gives F's own eigh
     S = np.diag([scale] + [1.0] * (P - 1))
     good, bad = (S @ _unit_diagonal(c, P) @ S for c in (1e11, 1e13))
-    for checked in (_checked_inverse, lambda stack: _checked_inverse_and_eigh(stack)[0]):
-        inverses = checked((good, 2.0 * good))
-        assert inverses[0].tobytes() == np.linalg.inv(good).tobytes()
-        for stack, refused in (((bad, good), "Fisher matrix"),
-                               ((good, bad), "quantum Fisher matrix"),
-                               ((bad, bad), "Fisher matrix"),
-                               ((good, good, bad), "matrix 2 of the stack")):
-            with pytest.raises(SingularFisherError) as err:
-                checked(stack)
-            assert str(err.value).startswith(f"{refused} is singular or ill-conditioned")
+    inverses = _checked_inverse_and_eigh((good, 2.0 * good))[0]
+    assert inverses[0].tobytes() == np.linalg.inv(good).tobytes()
+    for stack, refused in (((bad, good), "Fisher matrix"),
+                           ((good, bad), "quantum Fisher matrix"),
+                           ((bad, bad), "Fisher matrix"),
+                           ((good, good, bad), "matrix 2 of the stack")):
+        with pytest.raises(SingularFisherError) as err:
+            _checked_inverse_and_eigh(stack)
+        assert str(err.value).startswith(f"{refused} is singular or ill-conditioned")
     w, U = _checked_inverse_and_eigh((good, 2.0 * good))[1]
     assert [w.tobytes(), U.tobytes()] == [a.tobytes() for a in np.linalg.eigh(good)]
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import fisusc.susceptibility as susceptibility
 import fisusc.sweep as sweep
-from fisusc.fisher import SingularFisherError, _eigen_slds, fisher_bundle
+from fisusc.fisher import (MAX_FISHER_CONDITION, SingularFisherError, _eigen_slds,
+                           fisher_bundle, r_metric)
 from fisusc.linalg import trace_norm
 from fisusc.model import Povm, StatisticalModel, tensor_model, validate_povm
 from fisusc.models import (PointSourceConfig, bell_povm,
@@ -952,34 +953,46 @@ def test_bounds_match_the_split_reference_bit_for_bit():
     assert clusters >= 50
 
 
+def count_lapack_calls(monkeypatch, calls):
+    """Record ``(name, shape of the first argument)`` of every LAPACK-backed
+    `numpy.linalg` call in ``calls``."""
+    for name in ("cholesky", "eigh", "eigvalsh", "inv", "qr", "solve", "svd"):
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, _f=getattr(np.linalg, name),
+                            _n=name, **kwargs: calls.append((_n, np.shape(a)))
+                            or _f(a, *args, **kwargs))
+
+
 @pytest.mark.parametrize("model, theta, povm", instances(22, 1))
 def test_fixed_noise_functions_never_build_the_frame(monkeypatch, model, theta, povm):
-    # x_scalar, g_matrix and xi_matrix on a fresh bundle read K(F^-1) alone:
-    # once the bundle is built (a dense state's support test takes its
-    # eigh), no eigh of F (or of anything else), no frame, no bounds
+    # x_scalar, g_matrix and xi_matrix on a fresh bundle refuse F alone by the
+    # call the bounds share: once the bundle is built (a dense state's support
+    # test takes its eigh), one eigh of [F~, F] and one inv of F, and no
+    # frame and no bounds
     bundle = fisher_bundle(model, theta, povm)
-    calls, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: calls.append(
-        np.shape(a)) or eigh(a, *args, **kwargs))
     E = len(povm)
     noise = Povm([np.eye(povm.dim) / E] * E)
+    calls = []
+    count_lapack_calls(monkeypatch, calls)
     x = x_scalar(bundle, noise)
     g_matrix(bundle, noise)
     xi_matrix(bundle, noise)
-    assert calls == []
-    assert "fisher_eigh" not in vars(bundle) and "pair_bounds" not in vars(bundle)
-    # the bounds, taken afterwards, read the same bits of K
+    P = bundle.n_params
+    assert calls == [("eigh", (2, P, P)), ("inv", (1, P, P))]
+    assert "pair_bounds" not in vars(bundle)
+    # the bounds, taken afterwards, add only their pairs' eigvalsh and read
+    # the same bits of K
+    calls.clear()
     K = bundle.k_operators
     bundle.pair_bounds
+    assert [name for name, _ in calls] == ["eigvalsh"]
     assert bundle.pair_bounds.k_operators.tobytes() == K.tobytes()
     assert x_scalar(bundle, noise) == x
 
 
 READ_ORDER = ("x_scalar", "xi_matrix", "g_matrix", "sigma_lower", "sigma_upper",
               "sigma_exact", "inverses", "fisher_condition")
-FAMILY = {"x_scalar": "fixed noise", "xi_matrix": "fixed noise", "g_matrix": "fixed noise",
-          "sigma_lower": "bounds", "sigma_upper": "bounds", "sigma_exact": "bounds",
-          "fisher_condition": "bounds", "inverses": "ratios"}
+BOUNDS = ("sigma_lower", "sigma_upper", "sigma_exact", "fisher_condition")
+FAMILY = {name: "(F, Q)" if name == "inverses" else "F" for name in READ_ORDER}
 
 
 def point_source_point(theta):
@@ -995,9 +1008,10 @@ def point_source_point(theta):
 def test_values_and_lapack_calls_do_not_depend_on_read_order(monkeypatch, model, theta, povm):
     # each bundle attribute is one expression of the bundle's fields and of the
     # attributes above it: read forward or in reverse on a fresh bundle, every
-    # value has the same bytes and each family (fixed noise, bounds, ratios)
-    # makes the same LAPACK calls; the fixed-noise family refuses F alone, with
-    # one eigvalsh and no eigenvectors
+    # value has the same bytes and each family makes the same LAPACK calls.
+    # F alone (the fixed-noise functions and the bounds) is refused once, so
+    # the family makes the calls of the bounds alone; (F, Q) (the ratios) is
+    # refused and inverted by one eigh of [F~, Q~, F] and one inv, as a row does
     kept = fisher_bundle(model, theta, povm).kept_outcomes
     noise = random_noise(np.random.default_rng(36), povm, kept)
     readers = {
@@ -1010,10 +1024,8 @@ def test_values_and_lapack_calls_do_not_depend_on_read_order(monkeypatch, model,
         "inverses": lambda b: b.inverses,
         "fisher_condition": lambda b: b.fisher_condition,
     }
-    calls = Counter()
-    for name in ("cholesky", "eigh", "eigvalsh", "inv", "qr", "solve", "svd"):
-        monkeypatch.setattr(np.linalg, name, lambda *a, _f=getattr(np.linalg, name), _n=name,
-                            **k: calls.update([_n]) or _f(*a, **k))
+    calls = []
+    count_lapack_calls(monkeypatch, calls)
     runs = []
     for order in (READ_ORDER, READ_ORDER[::-1]):
         bundle = fisher_bundle(model, theta, povm)
@@ -1024,7 +1036,89 @@ def test_values_and_lapack_calls_do_not_depend_on_read_order(monkeypatch, model,
             family_calls[FAMILY[name]].update(calls)
         runs.append((values, family_calls))
     assert runs[0] == runs[1]
-    assert runs[0][1]["fixed noise"] == {"eigvalsh": 1, "inv": 1}
+    P = len(theta)
+    alone = {}
+    for family, names in (("(F, Q)", ("qfi",)), ("F", BOUNDS)):
+        bundle = fisher_bundle(model, theta, povm)
+        calls.clear()
+        for name in names:
+            readers.get(name, attrgetter(name))(bundle)
+        alone[family] = Counter(calls)
+    # Q's own eigh of the state (none where the support test took it), then
+    # the call of a row
+    assert runs[0][1]["(F, Q)"] == alone["(F, Q)"] + Counter(
+        {("eigh", (3, P, P)): 1, ("inv", (2, P, P)): 1})
+    assert runs[0][1]["F"] == alone["F"]
+    assert alone["F"][("eigh", (2, P, P))] == alone["F"][("inv", (1, P, P))] == 1
+
+
+@pytest.mark.parametrize("model, theta, povm", instances(77, 20))
+def test_rarest_informative_outcome_bounds_sigma_lower(model, theta, povm):
+    # the noise N_a = I on one outcome gives X = P + Tr K_a, and a pair value
+    # is at least the larger Tr K of its pair (||K_i - K_j||_1 >= |Tr(K_i - K_j)|),
+    # so P + max_a Tr K_a <= Sigma_L, with Tr K_a = l_a . F^-1 l_a
+    bundle = fisher_bundle(model, theta, povm)
+    traces = np.einsum("aii->a", bundle.k_operators).real
+    leverage = np.einsum("aj,jk,ak->a", bundle.scores, bundle.fisher_inverse, bundle.scores)
+    np.testing.assert_allclose(traces, leverage, rtol=1e-12, atol=0)
+    lower = sigma_lower(bundle)[0]
+    assert bundle.n_params + traces.max() <= lower * (1.0 + 1e-12)
+    # attained by an explicit noise: every click on the rarest informative outcome
+    rarest = bundle.kept_outcomes[int(traces.argmax())]
+    zero = np.zeros((povm.dim, povm.dim))
+    noise = Povm([np.eye(povm.dim) if a == rarest else zero for a in range(len(povm))])
+    assert x_scalar(bundle, noise) == pytest.approx(bundle.n_params + traces.max(), rel=1e-12)
+
+
+def near_limit_fishers(rng, n):
+    """n random 3 x 3 Fisher matrices whose unit-scaled condition number is
+    within 0.2% of MAX_FISHER_CONDITION: ``Q diag(1, c^-1/2, c^-1) Q^T`` for a
+    random rotation Q, c tuned so the unit-scaled matrix hits its target,
+    then a random positive diagonal scaling (the refusal does not see it)."""
+    def unit_scaled_condition(F):
+        s = 1.0 / np.sqrt(F.diagonal())
+        w = abs(np.linalg.eigvalsh(s[:, None] * F * s[None, :]))
+        return w.max() / w.min()
+
+    out = []
+    for _ in range(n):
+        Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        c = target = MAX_FISHER_CONDITION * rng.uniform(0.998, 1.002)
+        for _ in range(3):
+            F = Q @ np.diag(np.geomspace(1.0, 1.0 / c, 3)) @ Q.T
+            c *= target / unit_scaled_condition(F)
+        d = np.exp(rng.uniform(-3.0, 3.0, 3))
+        F = d[:, None] * F * d[None, :]
+        out.append(0.5 * (F + F.T))
+    return out
+
+
+def test_every_path_agrees_on_whether_f_is_invertible():
+    # the fixed-noise functions, the bounds, cond(F) and the ratios refuse F
+    # on one spectrum, so near the limit they all refuse it or all invert it;
+    # the draws include matrices on which an eigvalsh and a stacked eigh of
+    # the unit-scaled F fall on opposite sides of 1e12, such as the first
+    # (with OpenBLAS 0.3.31: 9.99991e11 by eigvalsh, 1.00002e12 by eigh)
+    model, theta, povm = point_source_point([0.1, 0.3, 0.3])
+    bundle = fisher_bundle(model, theta, povm)
+    noise = random_noise(np.random.default_rng(38), povm, bundle.kept_outcomes)
+    readers = (lambda b: x_scalar(b, noise), lambda b: xi_matrix(b, noise), sigma_lower,
+               lambda b: b.fisher_condition, lambda b: r_metric(b.fisher, bundle.qfi))
+    decisions = Counter()
+    first = np.array([[35.12763098555984, -30.89048833479828, 0.12257747252388027],
+                      [-30.89048833479828, 27.164475177503498, -0.10779297274153868],
+                      [0.12257747252388027, -0.10779297274153868, 0.00042775607840391287]])
+    for F in [first] + near_limit_fishers(np.random.default_rng(0), 1000):
+        refused = []
+        for read in readers:
+            try:
+                read(replace(bundle, fisher=F))
+                refused.append(False)
+            except SingularFisherError:
+                refused.append(True)
+        assert len(set(refused)) == 1, (refused, F.tolist())
+        decisions[refused[0]] += 1
+    assert min(decisions.values()) > 100, decisions
 
 
 def test_report_qubit_instance_no_flag():

@@ -367,6 +367,29 @@ def test_cli_malformed_config_value_exit_code(tmp_path, capsys, entry):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"fix": {"x_c": True, "q": 0.3}}, "fix x_c must be a number, got True"),
+    ({"seed": [1]}, "seed must be an integer, got list"),
+    ({"seed": None}, "seed must be an integer, got NoneType"),
+    ({"fix": {"x_c": [[[0.0]]], "q": 0.3}}, "fix x_c must be a number, got list"),
+    ({"sweep": {**POINT_SOURCE_CONFIG["sweep"], "count": {"n": 3}}},
+     "count must be an integer, got dict"),
+    ({"n_max": b"48"}, "n_max must be an integer, got b'48'"),
+    ({"fix": {"x_c": 10 ** 400, "q": 0.3}},
+     "fix x_c must be finite, got an integer too large for a double"),
+], ids=["bool-fix-value", "list-seed", "null-seed", "nested-list-fix-value", "dict-count",
+        "binary-n_max", "401-digit-fix-value"])
+def test_cli_config_value_refusal_is_one_message(tmp_path, capsys, entry, message):
+    # each refusal is printed once, naming its key, and a value that is no
+    # number is named by its type
+    cfg_path = tmp_path / "sweep.yaml"
+    cfg_path.write_text(yaml.safe_dump({**POINT_SOURCE_CONFIG, **entry}))
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"invalid sweep specification: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content", [
     b"model: [point-sources\n", b"measurement: \xff\n",
     b"model: " + b"[" * 5000 + b"]" * 5000 + b"\n",
@@ -833,12 +856,12 @@ def _count_evaluations(monkeypatch):
                 depth[0] -= 1
 
         monkeypatch.setattr(StatisticalModel, name, counted)
-    for name in ("_checked_inverse", "_checked_inverse_and_eigh"):
-        def recording(stack, _checked=getattr(fisher, name), _name=name):
-            inverted.append((_name, np.array(stack, dtype=float)))
-            return _checked(stack)
 
-        monkeypatch.setattr(fisher, name, recording)
+    def recording(stack, _checked=fisher._checked_inverse_and_eigh):
+        inverted.append(("_checked_inverse_and_eigh", np.array(stack, dtype=float)))
+        return _checked(stack)
+
+    monkeypatch.setattr(fisher, "_checked_inverse_and_eigh", recording)
     return calls, inverted
 
 
