@@ -6,9 +6,10 @@ Verbs:
 * ``verify``     - run the invariant suite, JSON report, exit 0/1,
 * ``show-model`` - print rho, F and Q at one parameter point.
 
-Sweeps can be described in a YAML config file; command-line flags override
-config values.  Exit codes: 0 success, 1 invariant failure, 2 invalid
-specification or unwritable output, 3 numerical failure at every sweep point.
+Sweeps can be described in a YAML config file; flags override its values,
+which `SweepSpec`'s checker judges all the same.  Exit codes: 0 success,
+1 invariant failure, 2 invalid specification or unwritable output,
+3 numerical failure at every sweep point.
 
 A process loads only what its verb runs: PyYAML is imported by a
 ``--config`` sweep and the invariant suite (``fisusc.verify``) by ``verify``.
@@ -23,9 +24,9 @@ from functools import lru_cache
 import numpy as np
 
 from .fisher import fisher_bundle
-from .sweep import (MEASUREMENTS, MODELS, NUMERICAL_ERRORS, SweepSpec,
-                    SweepSpecError, check_model_spec, checked_model_povm,
-                    run_sweep)
+from .sweep import (FIELD_KINDS, MEASUREMENTS, MODELS, NUMERICAL_ERRORS, SweepSpec,
+                    SweepSpecError, check_model_spec, check_value,
+                    checked_model_povm, run_sweep)
 
 EXIT_OK = 0
 EXIT_INVARIANT_FAILURE = 1
@@ -56,31 +57,13 @@ def _parse_sweep(text):
         raise SweepSpecError(
             f"--sweep expects name:start:stop:count[:log|:linear], got {text!r}")
     try:
-        name, start, stop, count = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
+        fields = dict(sweep_name=parts[0], start=float(parts[1]), stop=float(parts[2]),
+                      count=int(parts[3]))
     except ValueError as err:
         raise SweepSpecError(f"--sweep {text!r}: {err}")
-    scale = parts[4] if len(parts) == 5 else None
-    if scale is not None and scale not in ("log", "linear"):
-        raise SweepSpecError(f"unknown sweep scale {scale!r}")
-    return name, start, stop, count, scale
-
-
-def _number(value, key, kind=float):
-    """``value`` as a float, or an int for ``kind=int``; a bool (YAML reads
-    ``true`` as 1), a string, bytes (YAML's ``!!binary``) or a fractional
-    int is refused, not converted; so is an int too large for a double
-    where a float is due, and a value of another type (named by its type:
-    a deep list's repr exhausts the stack)."""
-    what = "an integer" if kind is int else "a number"
-    if isinstance(value, (bool, str, bytes)) or (kind is int and isinstance(value, float)
-                                                 and not value.is_integer()):
-        raise SweepSpecError(f"{key} must be {what}, got {value!r}")
-    try:
-        return kind(value)
-    except OverflowError:
-        raise SweepSpecError(f"{key} must be finite, got an integer too large for a double")
-    except TypeError:
-        raise SweepSpecError(f"{key} must be {what}, got {type(value).__name__}")
+    if len(parts) == 5:
+        fields["scale"] = parts[4]
+    return fields
 
 
 def _mapping(value, what, keys=None):
@@ -146,41 +129,31 @@ def _load_config(path):
 
 
 def _spec_from_args(args):
-    """Merge config file and flags (flags win) into a SweepSpec (`run_sweep`
-    validates); a malformed config value is refused even where a flag wins."""
+    """Merge config file and flags (flags win) into a SweepSpec (`run_sweep` validates);
+    `check_value` judges each config value, YAML's ``3.0`` as an int, even where a flag wins."""
     cfg = _load_config(args.config)
-    fix_cfg = _mapping(cfg.get("fix"), "config 'fix:'")
+    fixed = _mapping(cfg.get("fix"), "config 'fix:'")
     sweep_cfg = _mapping(cfg.get("sweep"), "config 'sweep:'", SWEEP_KEYS)
-    fixed = {k: _number(v, f"fix {k}") for k, v in fix_cfg.items()}
-    start, stop, count = (None if sweep_cfg.get(k) is None else
-                          _number(sweep_cfg[k], k, int if k == "count" else float)
-                          for k in ("start", "stop", "count"))
-    settings = {k: _number(cfg[k], k, int) for k in
-                ("oracle_samples", "seed", "workers", "n_max") if k in cfg}
-    strings = {k: cfg[k] for k in ("model", "measurement", "out") if k in cfg}
-    if sweep_cfg.get("name") is not None:
-        strings["sweep name"] = sweep_cfg["name"]
-    for key, value in strings.items():
-        if not isinstance(value, str):     # by type: a deep list's repr exhausts the stack
-            raise SweepSpecError(f"config {args.config}: {key} must be a string, "
-                                 f"got {type(value).__name__}")
-    if "out" in cfg:
-        settings["out"] = cfg["out"]
+    fields = {k: v for k, v in cfg.items() if k not in ("fix", "sweep")}
+    fields.update(("sweep_name" if k == "name" else k, v) for k, v in sweep_cfg.items())
+    try:
+        for name, value in fixed.items():
+            check_value(f"fix {name}", value, float)
+        for key, kind in FIELD_KINDS.items():
+            if key in fields:
+                if kind is int and isinstance(fields[key], float) and fields[key].is_integer():
+                    fields[key] = int(fields[key])
+                check_value(key, fields[key], kind)
+    except SweepSpecError as err:
+        raise SweepSpecError(f"config {args.config}: {err}") from None
     fixed.update(_parse_fix(args.fix))
-    name, scale = sweep_cfg.get("name"), sweep_cfg.get("scale")
+    fields.update((k, v) for k, v in vars(args).items() if k in FIELD_KINDS and v is not None)
     if args.sweep:
-        name, start, stop, count, flag_scale = _parse_sweep(args.sweep)
-        if flag_scale is not None:
-            scale = flag_scale
-    if name is None or start is None or stop is None or count is None:
+        fields.update(_parse_sweep(args.sweep))
+    if any(k not in fields for k in ("sweep_name", "start", "stop", "count")):
         raise SweepSpecError("a sweep needs name, start, stop and count "
                              "(--sweep or config 'sweep:')")
-    model = args.model or cfg.get("model") or ""
-    settings.update((k, getattr(args, k)) for k in ("oracle_samples", "seed", "workers", "out")
-                    if getattr(args, k) is not None)
-    measurement = args.measurement or cfg.get("measurement") or ""
-    return SweepSpec(model=model, measurement=measurement, fixed=fixed, sweep_name=name,
-                     start=start, stop=stop, count=count, scale=scale, **settings)
+    return SweepSpec(**{"model": "", "measurement": "", **fields, "fixed": fixed})
 
 
 def _cmd_sweep(args):

@@ -63,8 +63,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fisher import (FisherBundle, SingularFisherError, _outcome_traces,
-                     fisher_bundle)
+from .fisher import (FisherBundle, SingularFisherError, _checked_inverse_and_eigh,
+                     _outcome_traces, fisher_bundle)
 from .linalg import _normalized, _sym, _trace_norms
 from .model import Povm, mix_povm
 
@@ -135,11 +135,13 @@ def x_finite_mix(model, theta, target, noise, eps):
     """Finite-eps determinant quotient (det F - det F_eps) / (eps det F).
 
     Converges linearly in eps to x_scalar; used as an independent check
-    of the first-order formula.  Needs eps > 0.
+    of the first-order formula.  Needs eps > 0 and an F of ``target`` that
+    `fisher._checked_inverse_and_eigh` inverts (else `SingularFisherError`).
     """
     if not eps > 0.0:
         raise ValueError(f"x_finite_mix needs eps > 0, got {eps}")
     F0 = fisher_bundle(model, theta, target).fisher
+    _checked_inverse_and_eigh((F0,))     # a singular F0 is refused, not divided by
     Fe = fisher_bundle(model, theta, mix_povm(target, noise, eps)).fisher
     d0 = np.linalg.det(F0)
     return float((d0 - np.linalg.det(Fe)) / (eps * d0))

@@ -40,6 +40,15 @@ NUMERICAL_ERRORS = (SingularFisherError, SingularScoreError, DomainError,
                     HermiticityError, np.linalg.LinAlgError)
 
 
+# each SweepSpec field's kind for `check_value`: a name, a finite real number or an
+# integer; ``fixed`` maps names to numbers, and ``scale`` is one of two names
+FIELD_KINDS = {"model": str, "measurement": str, "sweep_name": str, "start": float,
+               "stop": float, "count": int, "oracle_samples": int, "seed": int,
+               "out": str, "workers": int, "n_max": int}
+_KIND_TYPES = {str: (str, "a string"), float: (numbers.Real, "a number"),
+               int: (numbers.Integral, "an integer")}
+
+
 class SweepSpecError(ValueError):
     """The sweep specification is invalid."""
 
@@ -51,9 +60,9 @@ class SweepSpec:
     The field defaults are the only sweep defaults: the CLI passes just what
     a config or flag sets.  A ``scale`` left None becomes "log" on the
     model's `MODEL_TABLE` log axes and "linear" on any other.  `run_sweep`
-    writes the CSV to ``out``.  `validate` refuses a bool or a string for
-    a number, and a float for ``count``, ``n_max``, ``oracle_samples``,
-    ``seed`` or ``workers``.  Any ``oracle_samples`` > 0 fills
+    writes the CSV to ``out``.  `validate` judges each field by `check_value`,
+    as the CLI judges a YAML config's values, then its range; a grid numpy
+    cannot build is refused.  Any ``oracle_samples`` > 0 fills
     ``oracle_best_X`` with `sigma_exact`; neither its magnitude nor
     ``seed`` changes a result.  ``workers`` is validated (>= 1) but does
     not change how points run: `run_sweep` evaluates them in order on the
@@ -81,12 +90,9 @@ class SweepSpec:
             object.__setattr__(self, "scale", "log" if log else "linear")
 
     def validate(self):
+        for key, kind in FIELD_KINDS.items():
+            check_value(key, getattr(self, key), kind)
         check_model_spec(self.model, self.measurement, self.fixed, self.sweep_name)
-        _check_numbers({"start": self.start, "stop": self.stop}, "sweep limits")
-        for key in ("count", "n_max", "oracle_samples", "seed", "workers"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise SweepSpecError(f"{key} must be an integer, got {value!r}")
         if not 3 <= self.n_max <= N_MAX_LIMIT:
             raise SweepSpecError(f"n_max must be between 3 and {N_MAX_LIMIT}")
         if self.count < 2:
@@ -97,7 +103,11 @@ class SweepSpec:
             raise SweepSpecError("log scale needs positive start/stop")
         if self.oracle_samples < 0 or self.workers < 1:
             raise SweepSpecError("oracle_samples must be >= 0 and workers >= 1")
-        for value in self.grid()[[0, -1]]:
+        try:
+            ends = self.grid()[[0, -1]]
+        except (ValueError, OverflowError) as err:     # numpy refuses before it allocates
+            raise SweepSpecError(f"count is too large for a grid: {err}")
+        for value in ends:
             checked_model_povm(self.model, self.measurement, _theta_for(self, value),
                                f"sweep endpoint {self.sweep_name} = {value}", self.n_max)
 
@@ -110,9 +120,9 @@ class SweepSpec:
 def check_model_spec(model, measurement, fixed, swept=None):
     """Check a model/measurement choice and its fixed values.
 
-    Every model parameter except ``swept`` needs a finite real fixed value
-    (not a bool), and only those may have one.  Returns the model's
-    parameter names; raises :class:`SweepSpecError`.
+    Every model parameter except ``swept`` needs a fixed value, and only
+    those may have one; `check_value` judges the values.  Returns the
+    model's parameter names; raises :class:`SweepSpecError`.
     """
     if model not in MODELS:
         raise SweepSpecError(f"unknown model {model!r}; choose from {MODELS}")
@@ -132,25 +142,27 @@ def check_model_spec(model, measurement, fixed, swept=None):
     unknown = [n for n in fixed if n not in fixable]
     if unknown:
         raise SweepSpecError(f"cannot fix {unknown}; fixable parameters are {fixable}")
-    _check_numbers(fixed, "fixed values")
+    for name, value in fixed.items():
+        check_value(f"fix {name}", value, float)
     return names
 
 
-def _check_numbers(values, what):
-    """Refuse a value of ``{name: value}`` that is a bool, no real number or
-    not finite; an int too large for a double is not finite."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise SweepSpecError(f"{name} must be a number, got {value!r}")
-    if not all(map(_finite, values.values())):
-        raise SweepSpecError(f"{what} must be finite")
-
-
-def _finite(value):
+def check_value(key, value, kind):
+    """Refuse a ``value`` of ``key`` that is not of its `FIELD_KINDS` ``kind``:
+    a str, a finite real number (float; no bool, no int too large for a
+    double) or an integer (int; no bool, no float whatever its value).  A
+    value is named by its repr if it is a bool, float, str or bytes, else by
+    its type (a deep list's repr exhausts the stack)."""
+    base, what = _KIND_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, base):
+        got = repr(value) if isinstance(value, (bool, float, str, bytes)) else type(value).__name__
+        raise SweepSpecError(f"{key} must be {what}, got {got}")
     try:
-        return math.isfinite(value)
+        finite = kind is not float or math.isfinite(value)
     except OverflowError:
-        return False
+        finite, value = False, "an integer too large for a double"
+    if not finite:
+        raise SweepSpecError(f"{key} must be finite, got {value}")
 
 
 def _theta_for(spec, sweep_value):

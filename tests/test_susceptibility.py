@@ -339,6 +339,20 @@ def test_x_finite_mix_refuses_a_non_positive_eps(eps, monkeypatch):
                      IDENTITY_NOISE, eps)
 
 
+def test_x_finite_mix_refuses_a_singular_target_fisher_matrix(monkeypatch):
+    # two outcomes cannot inform two parameters: det F = 0 but for rounding
+    # (6.6e-17), and the quotient divides by it; F is refused as x_scalar
+    # refuses it, before the mixed bundle is built
+    plus = np.array([[1.0, 1.0], [1.0, 1.0]]) / 2.0
+    x_basis, noise = Povm([plus, np.eye(2) - plus]), Povm([np.eye(2) / 2.0] * 2)
+    model, theta = qubit_phase_dephasing(), np.array([0.7, 0.3])
+    with pytest.raises(SingularFisherError):
+        x_scalar(fisher_bundle(model, theta, x_basis), noise)
+    monkeypatch.setattr(susceptibility, "mix_povm", None)
+    with pytest.raises(SingularFisherError):
+        x_finite_mix(model, theta, x_basis, noise, 1e-3)
+
+
 def test_x_scalar_p1_equals_chi():
     model = phase_only_model(0.25)
     theta = np.array([0.9])

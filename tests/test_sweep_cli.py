@@ -257,6 +257,37 @@ def test_sweep_spec_refuses_an_int_too_large_for_a_double(tmp_path, overrides):
         small_spec(tmp_path, **overrides).validate()
 
 
+DEEP = object()     # a list nested 100,000 deep, built in the test
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("model", DEEP, "model must be a string, got list"),
+    ("measurement", DEEP, "measurement must be a string, got list"),
+    ("sweep_name", DEEP, "sweep_name must be a string, got list"),
+    ("phi", DEEP, "fix phi must be a number, got list"),
+    ("start", DEEP, "start must be a number, got list"),
+    ("seed", DEEP, "seed must be an integer, got list"),
+    ("out", None, "out must be a string, got NoneType"),
+    ("out", ["a"], "out must be a string, got list"),
+], ids=["deep-model", "deep-measurement", "deep-sweep_name", "deep-fixed-value",
+        "deep-start", "deep-seed", "out-none", "out-list"])
+def test_run_sweep_names_a_deep_list_or_an_out_that_is_no_string_by_type(
+        tmp_path, monkeypatch, key, value, message):
+    # a library spec is refused as a config is: by key and type, never by a
+    # repr that a 100,000-deep list would take the stack to build, and
+    # before the output is opened
+    if value is DEEP:
+        value = []
+        for _ in range(100_000):
+            value = [value]
+    overrides = {"fixed": {"phi": value}} if key == "phi" else {key: value}
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SweepSpecError) as err:
+        run_sweep(small_spec(tmp_path, **overrides))
+    assert str(err.value) == message
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_sweep_and_config_override(tmp_path):
     config = {
         "model": "phase-dephasing",
@@ -380,13 +411,14 @@ def test_cli_malformed_config_value_exit_code(tmp_path, capsys, entry):
 ], ids=["bool-fix-value", "list-seed", "null-seed", "nested-list-fix-value", "dict-count",
         "binary-n_max", "401-digit-fix-value"])
 def test_cli_config_value_refusal_is_one_message(tmp_path, capsys, entry, message):
-    # each refusal is printed once, naming its key, and a value that is no
-    # number is named by its type
+    # each refusal is printed once, naming the config file and its key, and
+    # a value that is no number is named by its type
     cfg_path = tmp_path / "sweep.yaml"
     cfg_path.write_text(yaml.safe_dump({**POINT_SOURCE_CONFIG, **entry}))
     out = tmp_path / "out.csv"
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"invalid sweep specification: {message}\n"
+    assert capsys.readouterr().err == \
+        f"invalid sweep specification: config {cfg_path}: {message}\n"
     assert not out.exists()
 
 
@@ -544,6 +576,74 @@ def test_cli_integral_float_config_values_are_accepted(tmp_path):
     out = tmp_path / "out.csv"
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("count", [10 ** 48, 10 ** 400], ids=["49-digit", "401-digit"])
+def test_a_count_numpy_cannot_grid_is_refused_by_every_front_end(tmp_path, capsys, count):
+    # numpy refuses such a grid before it allocates: the library, a config
+    # and --sweep each refuse it naming count, with exit 2 and one line
+    with pytest.raises(SweepSpecError, match="^count is too large for a grid"):
+        small_spec(tmp_path, count=count).validate()
+    cfg_path, out = tmp_path / "sweep.yaml", tmp_path / "out.csv"
+    cfg_path.write_text(yaml.safe_dump(
+        {**POINT_SOURCE_CONFIG, "sweep": {**POINT_SOURCE_CONFIG["sweep"], "count": count}}))
+    flags = ["--model", "phase-dephasing", "--measurement", "separable",
+             "--fix", f"phi={PHI}", "--sweep", f"delta:0.001:1:{count}"]
+    for argv in (["--config", str(cfg_path)], flags):
+        assert main(["sweep", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid sweep specification: count is too large for a grid")
+        assert err.count("\n") == 1 and not out.exists()
+
+
+# where each SweepSpec field sits in a config
+CONFIG_PLACES = {"model": ("model",), "measurement": ("measurement",),
+                 "fix x_c": ("fix", "x_c"), "fix q": ("fix", "q"),
+                 "sweep_name": ("sweep", "name"), "start": ("sweep", "start"),
+                 "stop": ("sweep", "stop"), "count": ("sweep", "count"),
+                 "scale": ("sweep", "scale"), "oracle_samples": ("oracle_samples",),
+                 "seed": ("seed",), "out": ("out",), "workers": ("workers",),
+                 "n_max": ("n_max",)}
+
+
+@pytest.mark.parametrize("field", CONFIG_PLACES, ids=lambda f: f.replace(" ", "-"))
+def test_the_library_and_a_config_refuse_the_same_values(tmp_path, monkeypatch, capsys, field):
+    # one checker judges both front ends: the library refuses a value exactly
+    # when a --config sweep exits 2, with the same message but for the
+    # config's path; the one exception is YAML's whole-number float (3.0),
+    # which a config gives where an integer is due and the library refuses
+    monkeypatch.chdir(tmp_path)      # an accepted config writes sweep.csv or 7 here
+    cfg_path = tmp_path / "sweep.yaml"
+    for value in (True, "7", b"48", None, [1], {"n": 3}, float("nan"), float("inf"),
+                  10 ** 400, 2.5, 3.0):
+        config = {**POINT_SOURCE_CONFIG, "fix": {**POINT_SOURCE_CONFIG["fix"]},
+                  "sweep": {**POINT_SOURCE_CONFIG["sweep"]}}
+        place = CONFIG_PLACES[field]
+        (config[place[0]] if len(place) == 2 else config)[place[-1]] = value
+        settings = {k: config[k] for k in ("oracle_samples", "seed", "out", "workers",
+                                           "n_max") if k in config}
+        spec = SweepSpec(model=config["model"], measurement=config["measurement"],
+                         fixed=config["fix"], sweep_name=config["sweep"]["name"],
+                         start=config["sweep"]["start"], stop=config["sweep"]["stop"],
+                         count=config["sweep"]["count"], scale=config["sweep"].get("scale"),
+                         **settings)
+        try:
+            spec.validate()
+            refusal = None
+        except SweepSpecError as err:
+            refusal = str(err)
+        cfg_path.write_text(yaml.safe_dump(config))
+        code = main(["sweep", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        if value == 3.0 and field in (
+                "count", "oracle_samples", "seed", "workers", "n_max"):
+            assert refusal.endswith("must be an integer, got 3.0") and code != 2, field
+            continue
+        assert (code == 2) == (refusal is not None), (field, value, refusal, err)
+        if refusal is not None:
+            assert err in (f"invalid sweep specification: {refusal}\n",
+                           f"invalid sweep specification: config {cfg_path}: {refusal}\n"), \
+                (field, value, err)
 
 
 @pytest.mark.parametrize("fix, sweep_arg", [
