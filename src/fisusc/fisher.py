@@ -22,11 +22,11 @@ stack); a refusal names F before Q.  The row calls each stage helper
 on explicit arrays.  The bundle's attributes call the same helpers, each
 attribute one expression of the bundle's fields and of the attributes
 above it, so neither its value nor its LAPACK calls depend on what was
-read before: F alone (the fixed-noise functions and the bounds) and
-(F, Q) (the ratios) are each refused once, by their own call, from the
-same unit-scaled spectrum a row tests.  The quantum Fisher matrix
-is built from the symmetric logarithmic derivatives L_j solving
-``2 d_j rho = L_j rho + rho L_j``:
+read before: F is refused once, by one call on F alone shared by the
+fixed-noise functions and the bounds, from the same unit-scaled spectrum
+a row tests.  `r_metric` and `r_nuisance` refuse (F, Q) as a row does.
+The quantum Fisher matrix is built from the symmetric logarithmic
+derivatives L_j solving ``2 d_j rho = L_j rho + rho L_j``:
 
     Q_{jk} = Tr[rho (L_j L_k + L_k L_j)] / 2.
 
@@ -62,6 +62,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import _lift, _sym, hermitize
+from .model import _integer
 
 P_CUTOFF = 1e-12
 SLD_CUTOFF = 1e-15          # relative to the largest eigenvalue of rho
@@ -104,21 +105,19 @@ class FisherBundle:
     the helper a sweep row calls itself (`sweep.evaluate_point` reads none).
     Each is one expression of the fields and of the attributes listed
     before it, so its value and its LAPACK calls do not depend on what was
-    read first.  Two families refuse F, each once, both by
-    `_checked_inverse_and_eigh`, so they agree on whether F is invertible:
+    read first.  F is refused once, by one `_checked_inverse_and_eigh` of F
+    alone, the routine a sweep row and `r_metric` call on (F, Q):
 
     rho, derivatives : the full-space operators ``V X V^dag``.
     qfi : Q, from one `_eigen_slds` of the support.
-    inverses : ``(F^-1, Q^-1)`` from one `_checked_inverse_and_eigh` of
-        (F, Q), the call a sweep row makes (the ratios).
     fisher_inverse, fisher_eigh, fisher_condition : F^-1, ``(w, U)`` of F,
-        read-only, and cond(F), from one `_checked_inverse_and_eigh` of F
-        alone, which the fixed-noise functions and the bounds share.
+        read-only, and cond(F), from that one call, which the fixed-noise
+        functions and the bounds share.
     k_operators : K_a = K_a(F^-1) on the support from one kernel call on
         it (the fixed-noise functions).
-    pair_bounds, best_pair : `susceptibility.PairBounds` of that F^-1 and
-        ``eigh(F)`` (K, the best pair ``((i, j), value)``, both bounds and
-        the terms of Sigma_U), and its best pair.
+    pair_bounds : `susceptibility.PairBounds` of that F^-1 and ``eigh(F)``
+        (K, the best pair ``((i, j), value)``, both bounds and the terms of
+        Sigma_U).
     """
 
     probabilities: np.ndarray
@@ -151,11 +150,6 @@ class FisherBundle:
         return _eigen_slds(*self.support[1:], self.rho_eigh)[2]
 
     @cached_property
-    def inverses(self):
-        """``(F^-1, Q^-1)``, refused (F first) and inverted as one stack, as a row does."""
-        return _checked_inverse_and_eigh((self.fisher, self.qfi))[0]
-
-    @cached_property
     def _inverse_and_eigh(self):
         (Finv,), eig = _checked_inverse_and_eigh((self.fisher,))
         for a in eig:
@@ -166,14 +160,14 @@ class FisherBundle:
     def fisher_inverse(self):
         return self._inverse_and_eigh[0]
 
+    @property
+    def fisher_eigh(self):
+        return self._inverse_and_eigh[1]
+
     @cached_property
     def k_operators(self):
         from .susceptibility import _k_operators
         return _k_operators(self)
-
-    @cached_property
-    def fisher_eigh(self):
-        return self._inverse_and_eigh[1]
 
     @cached_property
     def fisher_condition(self):
@@ -184,10 +178,6 @@ class FisherBundle:
     def pair_bounds(self):
         from .susceptibility import _pair_bounds
         return _pair_bounds(self, *self._inverse_and_eigh)
-
-    @property
-    def best_pair(self):
-        return self.pair_bounds.best_pair
 
 
 def _support(B, ops):
@@ -420,8 +410,7 @@ def r_metric(F, Q, m=1):
     1 exactly when the scalar quantum Cramer-Rao bound is saturated.  A bool
     or non-integral ``m`` is refused, as `model.tensor_model` refuses it.
     """
-    if isinstance(m, bool) or not float(m).is_integer() or m < 1:
-        raise ValueError(f"need an integer m >= 1, got {m!r}")
+    m = _integer("m", m, 1)
     return _ratios(*_checked_inverse_and_eigh((F, Q))[0], m)[0]
 
 

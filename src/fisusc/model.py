@@ -8,6 +8,7 @@ is an ordered list of positive operators summing to the identity.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 
@@ -20,13 +21,24 @@ class DomainError(ValueError):
     """Parameter point outside the model's declared domain."""
 
 
+def _integer(name, value, minimum):
+    """``value`` as an int of at least ``minimum``: an integral float or a numpy
+    integer is taken, a bool, a str or a non-integral number is refused, not
+    truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not float(value).is_integer() or value < minimum:
+        raise ValueError(f"need an integer {name} >= {minimum}, got {value!r}")
+    return int(value)
+
+
 class StatisticalModel:
     """Family of states rho(theta) with parameter derivatives.
 
     Parameters
     ----------
     dim : int
-        Hilbert-space dimension.
+        Hilbert-space dimension; a bool, a str or a non-integral number is
+        refused, as `tensor_model` refuses its ``m``.
     param_names : sequence of str
     state_fn, derivative_fn : callable, optional
         ``theta values -> (dim, dim) density matrix`` and ``theta values ->
@@ -52,12 +64,12 @@ class StatisticalModel:
 
     def __init__(self, dim, param_names, state_fn=None, derivative_fn=None,
                  domain_fn=None, frame_fn=None):
-        self.dim = int(dim)
+        self.dim = _integer("dim", dim, 1)
         self.param_names = tuple(param_names)
         self._domain_fn = domain_fn
         self._slot = None
-        if self.dim < 1 or not self.param_names:
-            raise ValueError("need dim >= 1 and at least one parameter")
+        if not self.param_names:
+            raise ValueError("need at least one parameter")
         routes = (state_fn is not None, derivative_fn is not None, frame_fn is not None)
         if routes not in ((True, True, False), (False, False, True)):
             raise ValueError("a model takes a state_fn with a derivative_fn, "
@@ -202,10 +214,10 @@ def mix_povm(target, noise, eps):
 
     POVMs with different outcome counts are aligned by padding the
     shorter one with zero elements; zero elements contribute nothing to
-    any Fisher-information sum.
+    any Fisher-information sum.  A bool ``eps`` is refused, not read as 0 or 1.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must lie in [0, 1], got {eps}")
+    if isinstance(eps, bool) or not 0.0 <= eps <= 1.0:
+        raise ValueError(f"eps must be a number in [0, 1], got {eps!r}")
     if target.dim != noise.dim:
         raise ValueError(f"dimension mismatch: {target.dim} vs {noise.dim}")
     n = max(len(target), len(noise))
@@ -235,9 +247,7 @@ def tensor_model(model, m):
     bit the in-order sums of left-to-right ``np.kron`` chains of its checked
     state and derivatives, formed from its checked (1 + P, d, d) stack (a
     frame model's lift).  A bool or non-integral ``m`` is refused, not truncated."""
-    if isinstance(m, bool) or not float(m).is_integer() or m < 1:
-        raise ValueError(f"need an integer m >= 1, got {m!r}")
-    m = int(m)
+    m = _integer("m", m, 1)
     if m == 1:
         return model
 

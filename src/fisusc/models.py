@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import DomainError, Povm, StatisticalModel
+from .model import DomainError, Povm, StatisticalModel, _integer
 
 TRUNCATION_LEAKAGE_TOL = 1e-8
 N_MAX_LIMIT = 170        # the largest n whose n! is a finite double
@@ -130,9 +130,10 @@ def hg_overlap(n, x0, x_m=0.0):
     Computed by exact Gauss-Hermite quadrature of the mode times the PSF
     (a Gaussian centered at (x0 + x_m)/2 times a degree-n polynomial);
     cross-validated against the closed form :func:`hg_overlap_closed_form`.
+    A bool, a str or a non-integral ``n`` is refused, as `model.tensor_model`
+    refuses its ``m``.
     """
-    if n < 0:
-        raise ValueError("mode index must be >= 0")
+    n = _integer("n", n, 0)
     return _gauss_hermite(lambda x: _hg_mode(n, x, x_m) * _psf_amplitude(x, x0),
                           (x0 + x_m) / 2.0, n)
 
@@ -152,24 +153,16 @@ def _hg_overlap(n, x0, x_m, sqrt_factorial):
 
 
 @lru_cache(maxsize=32)
-def _sqrt_factorials(n_max):
-    """sqrt(n!) for n = 0..n_max; shared by every model of that n_max, read-only."""
-    values = _sqrt_factorial(np.arange(n_max + 1))
-    values.flags.writeable = False
-    return values
-
-
-@lru_cache(maxsize=32)
 def _hg_ladder(n_max):
     """``(modes, sqrt_factorial, lower)`` for n = 0..n_max, read-only and shared
     by every point-source model of that n_max: the mode indices, sqrt(n!)
     and the ladder ``lower_n = (n / 2) sqrt((n-1)!) / sqrt(n!)`` (n >= 1)
     of ``d c_n / dd = lower_n c_{n-1} - (d / 4) c_n``."""
     modes = np.arange(n_max + 1)
-    sqrt_factorial = _sqrt_factorials(n_max)
+    sqrt_factorial = _sqrt_factorial(modes)
     lower = 0.5 * modes[1:] * sqrt_factorial[:-1] / sqrt_factorial[1:]
-    modes.flags.writeable = False
-    lower.flags.writeable = False
+    for a in (modes, sqrt_factorial, lower):
+        a.flags.writeable = False
     return modes, sqrt_factorial, lower
 
 

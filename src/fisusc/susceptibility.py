@@ -185,23 +185,15 @@ def _pair_values(K, i, j):
 
 
 @lru_cache(maxsize=32)
-def _pair_indices(E):
-    """``np.triu_indices(E, 1)`` as one read-only (2, E(E-1)/2) array, built once per E."""
-    pairs = np.array(np.triu_indices(E, 1))
-    pairs.setflags(write=False)
-    return pairs
-
-
-@lru_cache(maxsize=32)
 def _pair_slots(E, P):
     """``(members, pairs)``, read-only, built once per (E, P): the kernel-stack
     member and the two outcomes of each pair `_pair_bounds` reads.
 
-    The first E(E-1)/2 slots are `_pair_indices` on member 0 (F^-1); slot
-    E(E-1)/2 + k - 1 is on member k (C_k), and its two outcomes, zero
-    here, are filled per point.
+    The first E(E-1)/2 slots are ``np.triu_indices(E, 1)`` on member 0
+    (F^-1); slot E(E-1)/2 + k - 1 is on member k (C_k), and its two
+    outcomes, zero here, are filled per point.
     """
-    pairs = _pair_indices(E)
+    pairs = np.array(np.triu_indices(E, 1))
     members = np.concatenate((np.zeros(pairs.shape[1], dtype=int), np.arange(1, P + 1)))
     pairs = np.concatenate((pairs, np.zeros((2, P), dtype=int)), axis=1)
     members.setflags(write=False)

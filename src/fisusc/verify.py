@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import models
-from .fisher import _outcome_traces, _ratios, fisher_bundle, qfi_matrix, sld
+from .fisher import (_checked_inverse_and_eigh, _outcome_traces, _ratios, fisher_bundle,
+                     qfi_matrix, sld)
 from .linalg import _normalized, _sym, trace_norm
 from .model import (Povm, StatisticalModel, mix_povm, tensor_model,
                     tensor_povm, validate_povm)
@@ -215,7 +216,8 @@ def check_r_bounds(seed):
     povm = separable_povm()
     for model, theta in _qubit_instances(rng, 6):
         # r_metric and r_nuisance of the bundle's (F, Q), off one checked inverse
-        r, rn = _ratios(*fisher_bundle(model, theta, povm).inverses)
+        bundle = fisher_bundle(model, theta, povm)
+        r, rn = _ratios(*_checked_inverse_and_eigh((bundle.fisher, bundle.qfi))[0])
         rn = float(rn[0])
         values += [r, rn]
         ok &= r >= 1 - 1e-9 and rn >= 1 - 1e-9

@@ -341,7 +341,7 @@ def test_c7_pair_dual_certificate_holds_off_balance():
     for q, dx in ((0.5, 0.2), (0.3, 0.1), (0.1, 0.06)):
         model, theta, povm = _point_source_setup(q, dx)
         bundle = fisher_bundle(model, theta, povm)
-        (a, b), _ = bundle.best_pair
+        (a, b), _ = bundle.pair_bounds.best_pair
         K = bundle.k_operators
         w, U = np.linalg.eigh(K[a] - K[b])
         Y = K[b] + (U * np.maximum(w, 0.0)) @ U.conj().T

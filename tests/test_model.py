@@ -7,7 +7,7 @@ from fisusc.fisher import fisher_bundle
 from fisusc.linalg import HermiticityError, _lift
 from fisusc.model import (DomainError, Povm, StatisticalModel, mix_povm,
                           tensor_model, tensor_povm, validate_povm)
-from fisusc.models import (PointSourceConfig, bell_povm,
+from fisusc.models import (PointSourceConfig, bell_povm, hg_overlap,
                            optimal_povm_point_sources, point_source_model,
                            qubit_phase_dephasing, separable_povm)
 
@@ -216,6 +216,19 @@ def test_tensor_model_refuses_a_copy_count_it_would_truncate(m):
     # int(2.7) is 2 and int(True) is 1: a truncated count builds the wrong model
     with pytest.raises(ValueError, match="integer m >= 1"):
         tensor_model(qubit_phase_dephasing(), m)
+
+
+@pytest.mark.parametrize("value", [2.5, True, "2"], ids=["fractional", "bool", "str"])
+@pytest.mark.parametrize("build", [
+    lambda n: StatisticalModel(n, ("a",), frame_fn=lambda v: None).dim,
+    lambda n: hg_overlap(n, 0.3),
+], ids=["model-dim", "hg-overlap-mode"])
+def test_integer_arguments_are_refused_not_truncated(build, value):
+    # int(2.5) is 2 and int("2") is 2, and True is mode 1: each is refused in
+    # tensor_model's words, while an integral float or a numpy integer is taken
+    with pytest.raises(ValueError, match=r"^need an integer (dim >= 1|n >= 0), got "):
+        build(value)
+    assert build(2.0) == build(np.int64(2)) == build(2)
 
 
 def test_tensor_model_product_rule_vs_fd():

@@ -9,7 +9,7 @@ from fisusc.models import (POINT_SOURCE_WEIGHTS, PointSourceConfig,
                            bell_povm, hg_overlap,
                            hg_overlap_closed_form, optimal_povm_point_sources,
                            point_source_model, qubit_phase_dephasing,
-                           separable_povm, x_opt, _hg_ladder, _sqrt_factorials)
+                           separable_povm, x_opt, _hg_ladder)
 
 
 def test_qubit_off_diagonal_value():
@@ -193,10 +193,9 @@ def test_point_source_state_is_built_from_the_closed_form():
             model = point_source_model(PointSourceConfig(n_max=n_max, x_m=x_m))
             np.testing.assert_allclose(model.state_at([x_c, dx, q]), expected,
                                        rtol=0, atol=1e-15)
-    assert _sqrt_factorials(20) is _sqrt_factorials(20)
-    assert not _sqrt_factorials(20).flags.writeable
-    # the ladder of every model of one n_max is built once, read-only
-    assert _hg_ladder(20) is _hg_ladder(20) and _hg_ladder(20)[1] is _sqrt_factorials(20)
+    # the ladder of every model of one n_max (sqrt(n!) included) is built
+    # once, read-only
+    assert _hg_ladder(20) is _hg_ladder(20)
     assert not any(a.flags.writeable for a in _hg_ladder(20))
 
 

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fisusc.fisher as fisher
 import fisusc.susceptibility as susceptibility
 import fisusc.sweep as sweep
 from fisusc.fisher import (MAX_FISHER_CONDITION, SingularFisherError, _eigen_slds,
                            fisher_bundle, r_metric)
 from fisusc.linalg import trace_norm
-from fisusc.model import Povm, StatisticalModel, tensor_model, validate_povm
+from fisusc.model import Povm, StatisticalModel, mix_povm, tensor_model, validate_povm
 from fisusc.models import (PointSourceConfig, bell_povm,
                            optimal_povm_point_sources, point_source_model,
                            qubit_phase_dephasing, separable_povm, x_opt)
@@ -339,6 +340,16 @@ def test_x_finite_mix_refuses_a_non_positive_eps(eps, monkeypatch):
                      IDENTITY_NOISE, eps)
 
 
+def test_x_finite_mix_refuses_a_bool_eps():
+    # True is no mixing weight: read as eps = 1 it gave the quotient 1.0
+    args = qubit_phase_dephasing(), np.array([0.7, 0.3]), separable_povm(), IDENTITY_NOISE
+    with pytest.raises(ValueError, match=r"^eps must be a number in \[0, 1\], got True$"):
+        x_finite_mix(*args, True)
+    with pytest.raises(ValueError, match="got False"):
+        mix_povm(separable_povm(), IDENTITY_NOISE, False)
+    assert x_finite_mix(*args, 1.0) == 1.0
+
+
 def test_x_finite_mix_refuses_a_singular_target_fisher_matrix(monkeypatch):
     # two outcomes cannot inform two parameters: det F = 0 but for rounding
     # (6.6e-17), and the quotient divides by it; F is refused as x_scalar
@@ -351,6 +362,21 @@ def test_x_finite_mix_refuses_a_singular_target_fisher_matrix(monkeypatch):
     monkeypatch.setattr(susceptibility, "mix_povm", None)
     with pytest.raises(SingularFisherError):
         x_finite_mix(model, theta, x_basis, noise, 1e-3)
+
+
+def test_pair_bounds_refuse_a_bundle_of_one_kept_outcome():
+    # one kept outcome has no pair: its F = p l l^T is invertible at P = 1, and
+    # every reader of the pair bounds refuses the bundle
+    bundle = fisher_bundle(phase_only_model(0.25), np.array([0.9]), separable_povm())
+    a = bundle.kept_outcomes[0]
+    l = bundle.scores[:1]
+    one = replace(bundle, scores=l, kept_outcomes=(a,),
+                  fisher=bundle.probabilities[a] * l.T @ l)
+    assert one.fisher_inverse.shape == (1, 1)
+    for bound in (sigma_lower, sigma_upper, sigma_single, sigma_exact):
+        with pytest.raises(SingularFisherError,
+                           match="^the pair bounds need at least two kept outcomes$"):
+            bound(replace(one))
 
 
 def test_x_scalar_p1_equals_chi():
@@ -851,7 +877,7 @@ def eager_noise_reference(bundle):
     """``(value, elements)``: the support noise of `sigma_exact` built as the
     value is found, then lifted, as the package built it before the noise
     waited for its first read."""
-    (a, b), pair_value = bundle.best_pair
+    (a, b), pair_value = bundle.pair_bounds.best_pair
     K = bundle.k_operators
     P, r = bundle.n_params, K.shape[1]
     w, U = np.linalg.eigh(K[a] - K[b])
@@ -891,7 +917,7 @@ def test_shared_kernel_and_lazy_noise_change_no_value(fresh_bundle):
     assert bounds_first == bounds_second
     assert first.k_operators is first.k_operators
     np.testing.assert_array_equal(first.k_operators, _k_operators(first))
-    assert first.best_pair == best_pair_reference(_k_operators(first))
+    assert first.pair_bounds.best_pair == best_pair_reference(_k_operators(first))
     # the noise is built when first read, once, with the bits of the eager
     # construction
     assert "noise" not in vars(exact_first)
@@ -956,9 +982,9 @@ def test_bounds_match_the_split_reference_bit_for_bit():
         K, (pair, value), upper, sigmas = split_bounds_reference(
             fisher_bundle(model, theta, povm))
         assert bundle.pair_bounds.k_operators.tobytes() == K.tobytes(), theta
-        assert bundle.best_pair[0] == pair, theta
+        assert bundle.pair_bounds.best_pair[0] == pair, theta
         lower = sigma_lower(bundle)[0]
-        got = np.array([bundle.best_pair[1], lower, *sigma_upper(bundle)[1], upper])
+        got = np.array([bundle.pair_bounds.best_pair[1], lower, *sigma_upper(bundle)[1], upper])
         want = np.array([value, bundle.n_params + value, *sigmas, upper])
         assert got.tobytes() == want.tobytes(), theta
         assert sigma_upper(bundle)[0] == upper
@@ -1004,9 +1030,9 @@ def test_fixed_noise_functions_never_build_the_frame(monkeypatch, model, theta, 
 
 
 READ_ORDER = ("x_scalar", "xi_matrix", "g_matrix", "sigma_lower", "sigma_upper",
-              "sigma_exact", "inverses", "fisher_condition")
+              "sigma_exact", "r_metric", "fisher_condition")
 BOUNDS = ("sigma_lower", "sigma_upper", "sigma_exact", "fisher_condition")
-FAMILY = {name: "(F, Q)" if name == "inverses" else "F" for name in READ_ORDER}
+FAMILY = {name: "(F, Q)" if name == "r_metric" else "F" for name in READ_ORDER}
 
 
 def point_source_point(theta):
@@ -1024,8 +1050,8 @@ def test_values_and_lapack_calls_do_not_depend_on_read_order(monkeypatch, model,
     # attributes above it: read forward or in reverse on a fresh bundle, every
     # value has the same bytes and each family makes the same LAPACK calls.
     # F alone (the fixed-noise functions and the bounds) is refused once, so
-    # the family makes the calls of the bounds alone; (F, Q) (the ratios) is
-    # refused and inverted by one eigh of [F~, Q~, F] and one inv, as a row does
+    # the family makes the calls of the bounds alone; r_metric refuses and
+    # inverts (F, Q) by one eigh of [F~, Q~, F] and one inv, as a row does
     kept = fisher_bundle(model, theta, povm).kept_outcomes
     noise = random_noise(np.random.default_rng(36), povm, kept)
     readers = {
@@ -1035,7 +1061,7 @@ def test_values_and_lapack_calls_do_not_depend_on_read_order(monkeypatch, model,
         "sigma_lower": sigma_lower,
         "sigma_upper": sigma_upper,
         "sigma_exact": lambda b: attrgetter("value", "exact_gap")(sigma_exact(b)),
-        "inverses": lambda b: b.inverses,
+        "r_metric": lambda b: r_metric(b.fisher, b.qfi),
         "fisher_condition": lambda b: b.fisher_condition,
     }
     calls = []
@@ -1064,6 +1090,30 @@ def test_values_and_lapack_calls_do_not_depend_on_read_order(monkeypatch, model,
         {("eigh", (3, P, P)): 1, ("inv", (2, P, P)): 1})
     assert runs[0][1]["F"] == alone["F"]
     assert alone["F"][("eigh", (2, P, P))] == alone["F"][("inv", (1, P, P))] == 1
+
+
+@pytest.mark.parametrize("model, theta, povm", [
+    (qubit_phase_dephasing(), np.array([0.7, 0.3]), separable_povm()),
+    (tensor_model(qubit_phase_dephasing(), 2), np.array([0.7, 0.3]), bell_povm()),
+    point_source_point([0.1, 0.2, 0.3]),
+], ids=["separable", "bell", "point-sources"])
+def test_every_bundle_attribute_refuses_f_once_in_any_read_order(monkeypatch, model, theta,
+                                                                 povm):
+    # every public attribute of a fresh bundle, read forward or in reverse,
+    # refuses F by exactly one checked inverse and has the same bytes
+    names = [n for n in dir(fisher_bundle(model, theta, povm)) if not n.startswith("_")]
+    checked = []
+    inverse_and_eigh = fisher._checked_inverse_and_eigh
+    monkeypatch.setattr(fisher, "_checked_inverse_and_eigh",
+                        lambda stack: checked.append(len(stack)) or inverse_and_eigh(stack))
+    runs = []
+    for order in (names, names[::-1]):
+        bundle = fisher_bundle(model, theta, povm)
+        checked.clear()
+        runs.append({name: pickle.dumps(getattr(bundle, name)) for name in order})
+        assert checked == [1], order
+    assert runs[0] == runs[1]
+    assert {"fisher_inverse", "fisher_eigh", "pair_bounds", "qfi"} <= set(names)
 
 
 @pytest.mark.parametrize("model, theta, povm", instances(77, 20))
@@ -1361,7 +1411,7 @@ def test_pair_certified_gap_is_rounding_and_never_negative():
             continue
         certified += 1
         K = bundle.k_operators
-        (a, b), _ = bundle.best_pair
+        (a, b), _ = bundle.pair_bounds.best_pair
         w, U = np.linalg.eigh(K[a] - K[b])
         Y = K[b] + (U * np.maximum(w, 0.0)) @ U.conj().T
         shift = np.max(np.linalg.eigvalsh(K - Y)[:, -1])
@@ -1392,11 +1442,12 @@ def test_point_source_pipeline_stays_real_and_qubits_stay_complex():
 
 
 def test_pair_indices_are_built_once_per_outcome_count():
-    pairs = susceptibility._pair_indices(5)
-    assert susceptibility._pair_indices(5) is pairs
-    np.testing.assert_array_equal(pairs, np.triu_indices(5, 1))
+    members, pairs = slots = susceptibility._pair_slots(5, 2)
+    assert susceptibility._pair_slots(5, 2) is slots
+    np.testing.assert_array_equal(pairs[:, :10], np.triu_indices(5, 1))
+    np.testing.assert_array_equal(members, [0] * 10 + [1, 2])
     i, j = pairs
-    assert not i.flags.writeable and not j.flags.writeable
+    assert not members.flags.writeable and not i.flags.writeable and not j.flags.writeable
 
 
 def certified_points():

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -547,6 +548,36 @@ def test_cli_config_loader_is_built_once_on_libyaml():
     assert issubclass(loader, yaml._yaml.CParser if yaml.__with_libyaml__ else yaml.SafeLoader)
     assert yaml.load("a: 1e-3\nb: '1e-3'\n", Loader=loader) == {"a": 0.001, "b": "1e-3"}
     assert yaml.load("a: 1e-3\n", Loader=yaml.SafeLoader) == {"a": "1e-3"}
+
+
+def test_cli_config_pure_python_loader_reads_what_libyaml_reads(tmp_path, monkeypatch, capsys):
+    # where PyYAML has no libyaml the loader is PyYAML's own SafeLoader with the
+    # same float rule: the README config and a config in the bench's form load
+    # to the same mappings, and a 200,000-deep nest is refused in one line
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    texts = [*re.findall(r"```yaml\n(.*?)```", readme.read_text(), re.S),
+             "model: point-sources\nmeasurement: optimal-hg\nfix: {x_c: 0.0, q: 0.3}\n"
+             "sweep: {name: dx, start: 0.01, stop: 1.0, count: 50, scale: log}\n"
+             "n_max: 48\noracle_samples: 0\nseed: 0\nworkers: 1\nout: ps48.csv\n"]
+    fisusc.cli._config_loader.cache_clear()
+    expected = [yaml.load(text, Loader=fisusc.cli._config_loader()) for text in texts]
+    monkeypatch.setattr(yaml, "__with_libyaml__", False)
+    fisusc.cli._config_loader.cache_clear()
+    try:
+        loader = fisusc.cli._config_loader()
+        assert loader.__bases__ == (yaml.SafeLoader,)
+        assert [yaml.load(text, Loader=loader) for text in texts] == expected
+        assert expected[1]["n_max"] == 48 and len(texts) == 2
+        assert yaml.load("a: 1e-3\n", Loader=loader) == {"a": 0.001}
+        cfg_path, out = tmp_path / "sweep.yaml", tmp_path / "out.csv"
+        cfg_path.write_bytes(b"model: " + b"[" * 200000 + b"]" * 200000 + b"\n")
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid sweep specification: config {cfg_path} is not "
+                              "readable YAML: ") and err.count("\n") == 1
+        assert not out.exists()
+    finally:
+        fisusc.cli._config_loader.cache_clear()
 
 
 def test_cli_plain_exponents_are_numbers_and_quoted_ones_strings(tmp_path, capsys):
@@ -1234,25 +1265,28 @@ def test_pair_certified_worst_case_row_lapack_calls(tmp_path, monkeypatch):
     assert dict(calls) == {"qr": 1, "svd": 1, "eigh": 3, "eigvalsh": 2, "inv": 1}
 
 
-@pytest.mark.parametrize("model, theta, povm", [
-    (qubit_phase_dephasing(), [0.7, 0.3], separable_povm()),
-    (models.point_source_model(PointSourceConfig(n_max=20, x_m=x_opt(0.1, 0.2, 0.3))),
-     [0.1, 0.2, 0.3], optimal_povm_point_sources(PointSourceConfig(
-         n_max=20, x_m=x_opt(0.1, 0.2, 0.3)))),
+@pytest.mark.parametrize("model, measurement, fixed, swept, value", [
+    ("phase-dephasing", "separable", {"phi": 0.7}, "delta", 0.3),
+    ("point-sources", "optimal-hg", {"x_c": 0.1, "q": 0.3}, "dx", 0.2),
 ], ids=["separable", "point-sources"])
-def test_fresh_bundle_bounds_lapack_calls(monkeypatch, model, theta, povm):
-    # on a bundle whose (F, Q) inverses were never read, the bounds take one
-    # checked eigh of F alone (its refusal and its frame), one inv and the
-    # pairs' eigvalsh, with the bits of a sweep row's bounds
-    bundle = fisher_bundle(model, np.array(theta), povm)
+def test_fresh_bundle_bounds_lapack_calls(tmp_path, monkeypatch, model, measurement, fixed,
+                                          swept, value):
+    # on a fresh bundle the bounds take one checked eigh of F alone (its
+    # refusal and its frame), one inv and the pairs' eigvalsh, with the bits
+    # of a sweep row's bounds, which refuses (F, Q) together
+    spec = small_spec(tmp_path, model=model, measurement=measurement, fixed=fixed,
+                      sweep_name=swept, start=value, stop=1.0)
+    theta = sweep._theta_for(spec, value)
+    built = build_model_povm(model, measurement, theta)
+    bundle = fisher_bundle(built[0], theta, built[1])
     calls = _count_lapack_calls(monkeypatch)
     lower, upper = susceptibility.sigma_lower(bundle), susceptibility.sigma_upper(bundle)
     assert dict(calls) == {"eigh": 1, "inv": 1, "eigvalsh": 1}
-    row = fisher_bundle(model, np.array(theta), povm)
-    row.inverses
-    assert (lower, upper) == (susceptibility.sigma_lower(row), susceptibility.sigma_upper(row))
-    assert bundle.fisher_inverse.tobytes() == row.fisher_inverse.tobytes()
-    assert all(x.tobytes() == y.tobytes() for x, y in zip(bundle.fisher_eigh, row.fisher_eigh))
+    row = evaluate_point(spec, 0, value)
+    assert row["error"] == ""
+    assert (lower[0], upper[0]) == (row["sigma_lower"], row["sigma_upper"])
+    assert upper[1] == [row[k] for k in sweep._keys(model)[3]]
+    assert bundle.fisher_condition == row["condition_number_F"]
 
 
 @pytest.mark.parametrize("model, measurement, fixed, swept, value, n_models, n_matrices", [
