@@ -35,13 +35,14 @@ the one a dense state's support test took (`FisherBundle.rho_eigh`):
 in that eigenbasis ``L'_j = V^dag L_j V`` and
 ``Q_{jk} = Re sum_mn w_m L'_{j,mn} L'_{k,nm}``.
 
-A point is evaluated once, to the model's frame B (the identity, None,
-for a dense model) and the checked, read-only (1 + P, r, r) stack of
-cores S with ``rho = B S_0 B^dag`` and ``d_j rho = B S_j B^dag``
-(`StatisticalModel.frame_at`), so probabilities and score numerators are
-``Tr[S B^dag M_a B]``.  That stack stays one array from the model to the
-kernel: `_support` maps it to a stack, and `_outcome_traces`,
-`_eigen_slds` and `_k_operators` receive rho and the derivatives as views.
+A point is evaluated once, to the model's frame ``(B, S)``: B is None (the
+identity) for a dense model, S the checked, read-only (1 + P, r, r) stack
+of cores with ``rho = B S_0 B^dag`` and ``d_j rho = B S_j B^dag``, read whole
+by `fisher_bundle` and `qfi_matrix` (`StatisticalModel._point`).  So
+probabilities and score numerators are ``Tr[S B^dag M_a B]``.  That stack
+stays one array from the model to the kernel: `_support` maps it to a
+stack, and `_outcome_traces`, `_eigen_slds` and `_k_operators` receive rho
+and the derivatives as views.
 
 Every operator the SLDs and the susceptibility bounds use is a linear
 combination of ``rho`` and its derivatives, so it lives in their joint
@@ -269,7 +270,7 @@ def fisher_bundle(model, theta, povm):
     """
     if model.dim != povm.dim:
         raise ValueError(f"model dim {model.dim} != POVM dim {povm.dim}")
-    B, ops = model._point(theta)[3]
+    B, ops = model._point(theta)
     elements = povm.elements if B is None else B.conj().T @ povm.elements @ B
     probs, numerators = _outcome_traces(ops[0], ops[1:], elements)
     keep = probs >= P_CUTOFF
@@ -336,7 +337,7 @@ def sld(rho, drho):
 def qfi_matrix(model, theta):
     """Q of a model at ``theta`` without a measurement, from the SLDs on the
     support; a caller holding the point's bundle reads `FisherBundle.qfi`."""
-    _, ops, eig = _support(*model._point(theta)[3])
+    _, ops, eig = _support(*model._point(theta))
     return _eigen_slds(ops[0], ops[1:], eig)[2]
 
 

@@ -40,6 +40,8 @@ class StatisticalModel:
         Hilbert-space dimension; a bool, a str or a non-integral number is
         refused, as `tensor_model` refuses its ``m``.
     param_names : sequence of str
+        One name per parameter; a str (a sequence of one-letter names) is
+        refused.
     state_fn, derivative_fn : callable, optional
         ``theta values -> (dim, dim) density matrix`` and ``theta values ->
         list of d rho / d theta_j``: a dense model, whose frame is B = None
@@ -54,20 +56,22 @@ class StatisticalModel:
 
     A model takes either ``state_fn`` with ``derivative_fn`` or
     ``frame_fn``.  It evaluates a point once: one domain check, one frame,
-    and one `hermitize` of its stack of cores, kept for the last point
-    (keyed on the bytes of theta).  That read-only (1 + P, r, r) stack is
-    the point's one operator stack, which `fisher_bundle` reads whole; its
-    lift ``B S B^dag`` (a dense model's own stack) and the views that
-    `state_at` and `frame_at` return are built on first read.  A repeated
-    point returns the same arrays.
+    and one `hermitize` of its stack of cores ops, kept for the last point
+    (keyed on the bytes of theta) as one record: ``(B, ops)``, which
+    `fisher_bundle` reads whole (`_point`), and one view triple ``(stack,
+    stack[0], tuple(stack[1:]))`` for each of ops and its lift ``B S B^dag``,
+    built on first read (`_views`).  A dense model's ops is its lift, so
+    the two are one triple.  A repeated point returns the same arrays.
     """
 
     def __init__(self, dim, param_names, state_fn=None, derivative_fn=None,
                  domain_fn=None, frame_fn=None):
         self.dim = _integer("dim", dim, 1)
         self.param_names = tuple(param_names)
+        if isinstance(param_names, str) or not all(isinstance(n, str) for n in self.param_names):
+            raise ValueError(f"param_names must be a sequence of str, got {param_names!r}")
         self._domain_fn = domain_fn
-        self._slot = None
+        self._record = None
         if not self.param_names:
             raise ValueError("need at least one parameter")
         routes = (state_fn is not None, derivative_fn is not None, frame_fn is not None)
@@ -98,53 +102,49 @@ class StatisticalModel:
                               f"outside the model domain")
 
     def _point(self, theta):
-        """The slot ``[key, frame, lift, (B, ops), full]`` of theta, evaluated on
-        a miss: ops is the checked stack of cores; full, its lift, and the
-        views frame and lift (`frame_at`, `state_at`) wait for first use."""
+        """``(B, ops)``, theta's frame with its checked stack of cores; a miss
+        evaluates it and keeps the record ``[key, (B, ops), cores, lift]``,
+        whose two view triples (`_views`) wait for first read."""
         values = self._theta_values(theta)
         key = values.tobytes()
-        slot = self._slot
-        if slot is None or slot[0] != key:
+        if self._record is None or self._record[0] != key:
             self._check_domain(values)
             B, cores = self._frame_fn(values)
             if B is not None:
                 B = np.array(B)
                 B.setflags(write=False)
-            ops = hermitize(cores)
-            slot = self._slot = [key, None, None, (B, ops), ops if B is None else None]
-        return slot
+            self._record = [key, (B, hermitize(cores)), None, None]
+        return self._record[1]
+
+    def _views(self, theta, lifted):
+        """The view triple ``(stack, stack[0], tuple(stack[1:]))`` of theta's
+        cores, or (``lifted``) of their lift ``B S B^dag``, built on first read.
+        A dense model's cores are its lift, so both are one triple."""
+        B, ops = self._point(theta)
+        at = 3 if lifted and B is not None else 2
+        if self._record[at] is None:
+            stack = _lift(B, ops) if at == 3 else ops
+            self._record[at] = stack, stack[0], tuple(stack[1:])
+        return self._record[at]
 
     def frame_at(self, theta):
         """``(B, rho, derivatives)``: the state is ``B rho B^dag`` and d_j rho
         is ``B derivatives[j] B^dag``; B is None (the identity) for a dense
         model.  The cores are views of one checked stack."""
-        slot = self._point(theta)
-        if slot[1] is None:
-            B, ops = slot[3]
-            slot[1] = (B, ops[0], tuple(ops[1:])) if B is not None else (B, *self._lifted(theta))
-        return slot[1]
+        return (self._point(theta)[0], *self._views(theta, False)[1:])
 
     def _operators(self, theta):
-        """The checked (1 + P, d, d) stack of the state and its derivatives."""
-        slot = self._point(theta)
-        if slot[4] is None:
-            slot[4] = _lift(*slot[3])
-        return slot[4]
-
-    def _lifted(self, theta):
-        slot = self._point(theta)
-        if slot[2] is None:
-            ops = self._operators(theta)
-            slot[2] = ops[0], tuple(ops[1:])
-        return slot[2]
+        """The checked (1 + P, d, d) stack of state and derivatives: a dense model's ops."""
+        B, ops = self._point(theta)
+        return ops if B is None else self._views(theta, True)[0]
 
     def state_at(self, theta):
         """Density matrix at theta (unit trace, PSD)."""
-        return self._lifted(theta)[0]
+        return self._views(theta, True)[1]
 
     def derivatives_at(self, theta):
         """List of Hermitian traceless operators d rho / d theta_j."""
-        return list(self._lifted(theta)[1])
+        return list(self._views(theta, True)[2])
 
 
 @dataclass(frozen=True)

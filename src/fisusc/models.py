@@ -141,8 +141,14 @@ def hg_overlap(n, x0, x_m=0.0):
 def hg_overlap_closed_form(n, x0, x_m=0.0):
     """Closed form of the same overlap: a displaced Gaussian is a coherent
     state of the mode family, so the coefficient is
-    e^{-d^2/8} (d/2)^n / sqrt(n!) with d = x0 - x_m."""
+    e^{-d^2/8} (d/2)^n / sqrt(n!) with d = x0 - x_m.  A scalar ``n`` is
+    judged as `hg_overlap` judges it; an array needs an integer dtype (not
+    bool) and no negative entry."""
     n = np.asarray(n)
+    if n.ndim == 0:
+        n = np.asarray(_integer("n", n.item(), 0))
+    elif n.dtype.kind not in "iu" or (n < 0).any():
+        raise ValueError(f"need integers n >= 0, got an array of dtype {n.dtype}: {n!r}")
     return _hg_overlap(n, x0, x_m, _sqrt_factorial(n))
 
 

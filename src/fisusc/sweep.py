@@ -11,6 +11,7 @@ import csv
 import math
 import numbers
 from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -120,9 +121,10 @@ class SweepSpec:
 def check_model_spec(model, measurement, fixed, swept=None):
     """Check a model/measurement choice and its fixed values.
 
-    Every model parameter except ``swept`` needs a fixed value, and only
-    those may have one; `check_value` judges the values.  Returns the
-    model's parameter names; raises :class:`SweepSpecError`.
+    ``fixed`` is a mapping of names to values: every model parameter except
+    ``swept`` needs a fixed value, and only those may have one;
+    `check_value` judges the values.  Returns the model's parameter names;
+    raises :class:`SweepSpecError`.
     """
     if model not in MODELS:
         raise SweepSpecError(f"unknown model {model!r}; choose from {MODELS}")
@@ -135,6 +137,9 @@ def check_model_spec(model, measurement, fixed, swept=None):
     names = MODEL_TABLE[model].params
     if swept is not None and swept not in names:
         raise SweepSpecError(f"sweep parameter {swept!r} not in {names}")
+    if not isinstance(fixed, Mapping):
+        raise SweepSpecError(f"fixed must be a mapping of names to values, "
+                             f"got {type(fixed).__name__}")
     fixable = [n for n in names if n != swept]
     missing = [n for n in fixable if n not in fixed]
     if missing:

@@ -104,6 +104,8 @@ def test_fisher_trivial_povm_is_zero():
     model = qubit_phase_dephasing()
     bundle = fisher_bundle(model, [0.3, 0.4], Povm([np.eye(2)]))
     np.testing.assert_allclose(bundle.fisher, np.zeros((2, 2)), atol=1e-15)
+    with pytest.raises(ValueError, match="^model dim 2 != POVM dim 4$"):
+        fisher_bundle(model, [0.3, 0.4], Povm([np.eye(4)]))
 
 
 def test_fisher_p1_reduces_to_scalar_definition():

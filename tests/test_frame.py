@@ -168,7 +168,7 @@ def test_score_limits_lift_the_derivative_cores_alone(monkeypatch, n_max, values
         model, povm = point(theta, n_max)
         lifts.clear()
         bundle = fisher_bundle(model, theta, povm)
-        assert model._slot[2] is None
+        assert model._record[3] is None       # the lift's view triple is unbuilt
         if bundle.probabilities.min() >= P_CUTOFF:
             assert lifts == []
             continue

@@ -192,9 +192,9 @@ def test_mix_povm_padding_and_errors():
     mixed = mix_povm(M, N, 0.5)
     assert len(mixed) == 4
     assert validate_povm(mixed, 1e-12).passed
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^eps must be a number in \[0, 1\], got 1.5$"):
         mix_povm(M, N, 1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
         mix_povm(M, Povm([np.eye(3)]), 0.5)
 
 
@@ -229,6 +229,19 @@ def test_integer_arguments_are_refused_not_truncated(build, value):
     with pytest.raises(ValueError, match=r"^need an integer (dim >= 1|n >= 0), got "):
         build(value)
     assert build(2.0) == build(np.int64(2)) == build(2)
+
+
+def test_param_names_are_a_sequence_of_strings():
+    # "phi" is not the three parameters 'p', 'h' and 'i'; every name is a str
+    for names in ("phi", ("phi", 1), ["phi", None]):
+        with pytest.raises(ValueError, match=r"^param_names must be a sequence of str, got "):
+            StatisticalModel(2, names, frame_fn=lambda v: None)
+    with pytest.raises(ValueError, match="^need at least one parameter$"):
+        StatisticalModel(2, (), frame_fn=lambda v: None)
+    model = StatisticalModel(2, ["phi", "delta"], frame_fn=lambda v: None)
+    assert model.param_names == ("phi", "delta")
+    with pytest.raises(ValueError, match="^expected 2 parameter values$"):
+        model.state_at([0.7])
 
 
 def test_tensor_model_product_rule_vs_fd():
@@ -361,6 +374,30 @@ def test_point_source_point_is_evaluated_once_by_any_accessors(order):
     assert calls == {"_check_domain": 2, "_frame_fn": 2}
 
 
+def test_a_point_record_builds_each_view_triple_on_first_read():
+    # a dense model's cores are its lift, so one triple serves frame_at and
+    # state_at, and the stack a two-copy model reads from it builds none
+    qubit = qubit_phase_dephasing()
+    dense = StatisticalModel(2, qubit.param_names, qubit.state_at, qubit.derivatives_at,
+                             domain_fn=qubit._domain_fn)
+    theta = [0.4, 0.2]
+    fisher_bundle(tensor_model(dense, 2), theta, bell_povm())
+    B, ops = dense._point(theta)
+    assert B is None and dense._operators(theta) is ops
+    assert dense._record[2] is None and dense._record[3] is None
+    rho = dense.state_at(theta)
+    assert dense._record[2][0] is ops and dense._record[2][1] is rho
+    assert dense.frame_at(theta)[1] is rho and dense._record[3] is None
+    # a frame model's lift is its own stack, read by _operators and state_at
+    frame = point_source_model(PointSourceConfig(n_max=20, x_m=0.1))
+    theta = [0.1, 0.4, 0.3]
+    full = frame._operators(theta)
+    assert frame._record[2] is None and frame._record[3][0] is full
+    assert frame.state_at(theta) is frame._record[3][1] and frame._record[2] is None
+    assert frame.frame_at(theta)[1] is frame._record[2][1]
+    assert frame._record[2][0] is frame._point(theta)[1]
+
+
 def test_tensor_povm_completeness():
     prod = tensor_povm(separable_povm(), separable_povm())
     assert len(prod) == 16
@@ -391,6 +428,17 @@ def test_povm_refuses_a_nan_element():
     elements = [np.eye(2) / 2.0, np.array([[0.5, np.nan], [np.nan, 0.5]])]
     with pytest.raises(HermiticityError, match=r"non-finite entry \(stack member 1\)"):
         Povm(elements)
+
+
+@pytest.mark.parametrize("elements, labels, message", [
+    ([], None, "a POVM needs at least one element"),
+    ([np.eye(2), np.eye(3)], None, "POVM elements must be matrices of one Hilbert dimension"),
+    ([np.ones(2)], None, "POVM elements must be matrices of one Hilbert dimension"),
+    ([np.eye(2) / 2.0] * 2, ["a"], "need one label per element"),
+], ids=["empty", "two-dimensions", "vector", "one-label-short"])
+def test_povm_refuses_a_malformed_element_list(elements, labels, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Povm(elements, labels=labels)
 
 
 def test_nan_state_is_refused_where_it_is_built():

@@ -119,6 +119,27 @@ def test_hg_overlap_stays_finite_up_to_the_largest_n_max(n):
     assert hg_overlap(n, 30.0) > 1e-4
 
 
+@pytest.mark.parametrize("n, message", [
+    (True, "need an integer n >= 0, got True"),
+    (2.5, "need an integer n >= 0, got 2.5"),
+    ("2", "need an integer n >= 0, got '2'"),
+    (-1, "need an integer n >= 0, got -1"),
+    (np.array([True, False]), "need integers n >= 0, got an array of dtype bool"),
+    (np.array([1.0, 2.0]), "need integers n >= 0, got an array of dtype float64"),
+    (np.array([-1, 2]), "need integers n >= 0, got an array of dtype int64"),
+], ids=["bool", "fractional", "str", "negative", "bool-array", "float-array",
+        "negative-entry"])
+def test_hg_overlap_closed_form_judges_its_mode_index(n, message):
+    # True is not mode 1, and an array of bools is not modes 1 and 0; a
+    # scalar is judged as hg_overlap judges it, an array by dtype and sign
+    with pytest.raises(ValueError) as err:
+        hg_overlap_closed_form(n, 0.3)
+    assert str(err.value).startswith(message)
+    closed = hg_overlap_closed_form(2, 0.3)
+    assert hg_overlap_closed_form(2.0, 0.3) == hg_overlap_closed_form(np.int64(2), 0.3) == closed
+    assert hg_overlap_closed_form(np.array([0, 2]), 0.3)[1] == closed
+
+
 def test_point_source_config():
     assert PointSourceConfig(n_max=20, x_m=0.2).x_m == 0.2
     with pytest.raises(TypeError):

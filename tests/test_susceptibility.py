@@ -275,6 +275,9 @@ def test_g_matrix_rejects_noise_on_dropped_outcome():
     for response in (g_matrix, xi_matrix, x_scalar):
         with pytest.raises(ValueError):
             response(bundle, noise)
+    # a noise POVM of another dimension is refused before any outcome is read
+    with pytest.raises(ValueError, match="^noise dimension 3 != target dimension 2$"):
+        g_matrix(bundle, Povm([np.eye(3)]))
 
 
 @pytest.mark.parametrize("model, theta, povm", instances(14, 1))

@@ -190,16 +190,24 @@ def test_small_separation_row_is_not_refused_for_its_units(tmp_path):
 
 
 def test_sweep_spec_validation_errors(tmp_path):
-    with pytest.raises(SweepSpecError):
+    with pytest.raises(SweepSpecError, match="does not apply to model"):
         small_spec(tmp_path, measurement="optimal-hg").validate()
-    with pytest.raises(SweepSpecError):
+    with pytest.raises(SweepSpecError, match="^unknown measurement 'nope'; choose from "):
+        small_spec(tmp_path, measurement="nope").validate()
+    with pytest.raises(SweepSpecError, match="^count must be >= 2$"):
         small_spec(tmp_path, count=1).validate()
-    with pytest.raises(SweepSpecError):
+    with pytest.raises(SweepSpecError, match=r"^missing fixed values for \['phi'\]$"):
         small_spec(tmp_path, fixed={}).validate()
-    with pytest.raises(SweepSpecError):
+    with pytest.raises(SweepSpecError, match="^log scale needs positive start/stop$"):
         small_spec(tmp_path, start=-1.0).validate()
-    with pytest.raises(SweepSpecError):
+    with pytest.raises(SweepSpecError, match=r"^sweep parameter 'nope' not in \('phi', "):
         small_spec(tmp_path, sweep_name="nope").validate()
+    with pytest.raises(SweepSpecError, match="^scale must be 'linear' or 'log'$"):
+        small_spec(tmp_path, scale="LOG").validate()
+    for overrides in ({"oracle_samples": -1}, {"workers": 0}):
+        with pytest.raises(SweepSpecError,
+                           match="^oracle_samples must be >= 0 and workers >= 1$"):
+            small_spec(tmp_path, **overrides).validate()
     with pytest.raises(SweepSpecError):
         # endpoint outside the domain (delta must stay positive)
         small_spec(tmp_path, scale="linear", start=0.0).validate()
@@ -286,6 +294,19 @@ def test_run_sweep_names_a_deep_list_or_an_out_that_is_no_string_by_type(
     with pytest.raises(SweepSpecError) as err:
         run_sweep(small_spec(tmp_path, **overrides))
     assert str(err.value) == message
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fixed", [None, "phi", [("phi", PHI)], PHI],
+                         ids=["none", "str", "list-of-pairs", "number"])
+def test_run_sweep_refuses_a_fixed_that_is_no_mapping(tmp_path, monkeypatch, fixed):
+    # None is not "nothing fixed", and "phi" is not the names 'p', 'h' and
+    # 'i': one refusal names the type, before the output is opened
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SweepSpecError) as err:
+        run_sweep(small_spec(tmp_path, fixed=fixed))
+    assert str(err.value) == ("fixed must be a mapping of names to values, "
+                              f"got {type(fixed).__name__}")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -677,16 +698,27 @@ def test_the_library_and_a_config_refuse_the_same_values(tmp_path, monkeypatch, 
                 (field, value, err)
 
 
-@pytest.mark.parametrize("fix, sweep_arg", [
-    ("phi=0.7", "delta:0.001:1:1.5"),
-    ("phi=nan", "delta:0.001:1:5"),
-    ("phi=0.7", "delta:0.001:inf:5"),
-], ids=["fractional-count", "nan-fixed-value", "infinite-sweep-limit"])
-def test_cli_malformed_flag_value_exit_code(tmp_path, capsys, fix, sweep_arg):
+@pytest.mark.parametrize("fix, sweep_arg, message", [
+    ("phi=0.7", "delta:0.001:1:1.5", "--sweep 'delta:0.001:1:1.5': invalid literal for int()"),
+    ("phi=nan", "delta:0.001:1:5", "fix phi must be finite, got nan"),
+    ("phi=0.7", "delta:0.001:inf:5", "stop must be finite, got inf"),
+    ("phi", "delta:0.001:1:5", "--fix expects name=value, got 'phi'"),
+    ("phi=abc", "delta:0.001:1:5", "--fix value for 'phi' is not a number: 'abc'"),
+    ("phi=0.7", "delta:1:2", "--sweep expects name:start:stop:count[:log|:linear], got "),
+    ("phi=0.7", "delta:a:1:3", "--sweep 'delta:a:1:3': could not convert string to float"),
+    ("phi=0.7", "delta:0.1:1:5:LOG", "scale must be 'linear' or 'log'"),
+    ("phi=0.7", None, "a sweep needs name, start, stop and count (--sweep or config 'sweep:')"),
+], ids=["fractional-count", "nan-fixed-value", "infinite-sweep-limit", "fix-without-value",
+        "fix-value-no-number", "sweep-of-three-fields", "sweep-start-no-number",
+        "sweep-scale-unknown", "no-sweep"])
+def test_cli_malformed_flag_value_exit_code(tmp_path, capsys, fix, sweep_arg, message):
+    # each malformed flag is refused in one line, before the CSV is opened
     out = tmp_path / "out.csv"
-    assert main(["sweep", "--model", "phase-dephasing", "--measurement", "separable",
-                 "--fix", fix, "--sweep", sweep_arg, "--out", str(out)]) == 2
-    assert "invalid sweep specification" in capsys.readouterr().err
+    argv = ["sweep", "--model", "phase-dephasing", "--measurement", "separable",
+            "--fix", fix, "--out", str(out)]
+    assert main(argv + (["--sweep", sweep_arg] if sweep_arg else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid sweep specification: {message}") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -1362,7 +1394,7 @@ def test_row_operators_are_one_stack(tmp_path, monkeypatch, model, measurement, 
     assert isinstance(derivs, np.ndarray) and support is derivs.base is not None
     assert support.shape == (1 + len(theta),) + rho.shape and not support.flags.writeable
     assert received["traces"] and received["slds"] and received["kernel"]
-    cores = m._point(theta)[3][1]
+    cores = m._point(theta)[1]
     for key, stack in (("traces", cores), ("slds", support), ("kernel", support)):
         for rho, derivs in received[key]:
             assert isinstance(derivs, np.ndarray), key
