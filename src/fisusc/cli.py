@@ -24,9 +24,9 @@ from functools import lru_cache
 import numpy as np
 
 from .fisher import fisher_bundle
+from .model import check_value
 from .sweep import (FIELD_KINDS, MEASUREMENTS, MODELS, NUMERICAL_ERRORS, SweepSpec,
-                    SweepSpecError, check_model_spec, check_value,
-                    checked_model_povm, run_sweep)
+                    SweepSpecError, check_model_spec, checked_model_povm, run_sweep)
 
 EXIT_OK = 0
 EXIT_INVARIANT_FAILURE = 1
@@ -130,7 +130,8 @@ def _load_config(path):
 
 def _spec_from_args(args):
     """Merge config file and flags (flags win) into a SweepSpec (`run_sweep` validates);
-    `check_value` judges each config value, YAML's ``3.0`` as an int, even where a flag wins."""
+    `model.check_value` judges each config value's kind, YAML's ``3.0`` as an int, even
+    where a flag wins (`validate` judges the bounds)."""
     cfg = _load_config(args.config)
     fixed = _mapping(cfg.get("fix"), "config 'fix:'")
     sweep_cfg = _mapping(cfg.get("sweep"), "config 'sweep:'", SWEEP_KEYS)
@@ -138,12 +139,12 @@ def _spec_from_args(args):
     fields.update(("sweep_name" if k == "name" else k, v) for k, v in sweep_cfg.items())
     try:
         for name, value in fixed.items():
-            check_value(f"fix {name}", value, float)
-        for key, kind in FIELD_KINDS.items():
+            check_value(f"fix {name}", value, float, error=SweepSpecError)
+        for key, (kind, *_) in FIELD_KINDS.items():
             if key in fields:
                 if kind is int and isinstance(fields[key], float) and fields[key].is_integer():
                     fields[key] = int(fields[key])
-                check_value(key, fields[key], kind)
+                check_value(key, fields[key], kind, error=SweepSpecError)
     except SweepSpecError as err:
         raise SweepSpecError(f"config {args.config}: {err}") from None
     fixed.update(_parse_fix(args.fix))

@@ -56,14 +56,13 @@ full-rank dense state keeps the whole space after one ``eigh(rho)``, which
 its SLDs reuse.
 """
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .linalg import _lift, _sym, hermitize
-from .model import _integer
+from .model import check_value
 
 P_CUTOFF = 1e-12
 SLD_CUTOFF = 1e-15          # relative to the largest eigenvalue of rho
@@ -408,10 +407,10 @@ def r_metric(F, Q, m=1):
 
     ``F`` is the Fisher matrix of a POVM acting on ``m`` copies of the
     state; ``Q`` is the single-copy quantum Fisher matrix.  The ratio is
-    1 exactly when the scalar quantum Cramer-Rao bound is saturated.  A bool
-    or non-integral ``m`` is refused, as `model.tensor_model` refuses it.
+    1 exactly when the scalar quantum Cramer-Rao bound is saturated.  ``m``
+    is an integer >= 1 (`model.check_value`).
     """
-    m = _integer("m", m, 1)
+    m = check_value("m", m, int, 1)
     return _ratios(*_checked_inverse_and_eigh((F, Q))[0], m)[0]
 
 
@@ -419,11 +418,9 @@ def r_nuisance(F, Q, index):
     """Per-parameter optimality ratio (F^-1)_jj / (Q^-1)_jj >= 1.
 
     Quantifies how well parameter ``index`` is estimated when all other
-    parameters are unknown nuisance parameters.  ``index`` must be an
-    integer in 0 .. P - 1; a negative index is refused, not counted from
-    the end, and so is a bool or a float.
+    parameters are unknown nuisance parameters.  ``index`` is an integer
+    in [0, P - 1] (`model.check_value`); a negative index is refused, not
+    counted from the end.
     """
-    if isinstance(index, bool) or not isinstance(index, numbers.Integral) \
-            or not 0 <= index < len(F):
-        raise ValueError(f"index must be an integer in 0 .. {len(F) - 1}, got {index!r}")
+    index = check_value("index", index, int, 0, len(F) - 1)
     return float(_ratios(*_checked_inverse_and_eigh((F, Q))[0])[1][index])

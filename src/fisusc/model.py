@@ -21,14 +21,39 @@ class DomainError(ValueError):
     """Parameter point outside the model's declared domain."""
 
 
-def _integer(name, value, minimum):
-    """``value`` as an int of at least ``minimum``: an integral float or a numpy
-    integer is taken, a bool, a str or a non-integral number is refused, not
-    truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not float(value).is_integer() or value < minimum:
-        raise ValueError(f"need an integer {name} >= {minimum}, got {value!r}")
-    return int(value)
+# each kind `check_value` judges: the type it takes and the words that name it
+_KINDS = {str: (str, "a string"), float: (numbers.Real, "a number"),
+          int: (numbers.Integral, "an integer")}
+
+
+def check_value(name, value, kind, low=None, high=None, error=ValueError):
+    """The package's one judge of a str, real or integer argument ``name``.
+
+    ``kind`` is ``str``; ``float``, a finite real (a non-bool `numbers.Real`);
+    or ``int``, an integer (a non-bool `numbers.Integral`, Python or numpy; a
+    float is refused whatever its value).  A real or an integer must be
+    finite as a double and lie in the inclusive bounds ``low`` .. ``high``
+    (``high`` needs ``low``).  Returns ``value``, an integer as an int;
+    raises ``error`` in one line, naming a refused type by the repr of a
+    bool, float, str or bytes and by the type name of anything else (a deep
+    list's repr exhausts the stack).
+    """
+    base, what = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, base):
+        got = repr(value) if isinstance(value, (bool, float, str, bytes)) else type(value).__name__
+        raise error(f"{name} must be {what}, got {got}")
+    if kind is str:
+        return value
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite, value = False, "an integer too large for a double"
+    if not finite:
+        raise error(f"{name} must be finite, got {value}")
+    if (low is not None and value < low) or (high is not None and value > high):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise error(f"{name} must be {span}, got {value}")
+    return int(value) if kind is int else value
 
 
 class StatisticalModel:
@@ -37,11 +62,10 @@ class StatisticalModel:
     Parameters
     ----------
     dim : int
-        Hilbert-space dimension; a bool, a str or a non-integral number is
-        refused, as `tensor_model` refuses its ``m``.
+        Hilbert-space dimension, an integer >= 1 (`check_value`).
     param_names : sequence of str
-        One name per parameter; a str (a sequence of one-letter names) is
-        refused.
+        One distinct name per parameter; a str (a sequence of one-letter
+        names) is refused.
     state_fn, derivative_fn : callable, optional
         ``theta values -> (dim, dim) density matrix`` and ``theta values ->
         list of d rho / d theta_j``: a dense model, whose frame is B = None
@@ -66,10 +90,12 @@ class StatisticalModel:
 
     def __init__(self, dim, param_names, state_fn=None, derivative_fn=None,
                  domain_fn=None, frame_fn=None):
-        self.dim = _integer("dim", dim, 1)
+        self.dim = check_value("dim", dim, int, 1)
         self.param_names = tuple(param_names)
         if isinstance(param_names, str) or not all(isinstance(n, str) for n in self.param_names):
             raise ValueError(f"param_names must be a sequence of str, got {param_names!r}")
+        if len(set(self.param_names)) < len(self.param_names):
+            raise ValueError(f"param_names must be distinct, got {self.param_names}")
         self._domain_fn = domain_fn
         self._record = None
         if not self.param_names:
@@ -92,7 +118,7 @@ class StatisticalModel:
 
     def _theta_values(self, theta):
         values = np.asarray(theta, dtype=float)
-        if values.size != self.n_params:
+        if values.shape != (self.n_params,):
             raise ValueError(f"expected {self.n_params} parameter values")
         return values
 
@@ -214,10 +240,9 @@ def mix_povm(target, noise, eps):
 
     POVMs with different outcome counts are aligned by padding the
     shorter one with zero elements; zero elements contribute nothing to
-    any Fisher-information sum.  A bool ``eps`` is refused, not read as 0 or 1.
+    any Fisher-information sum.  ``eps`` is a real in [0, 1] (`check_value`).
     """
-    if isinstance(eps, bool) or not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be a number in [0, 1], got {eps!r}")
+    check_value("eps", eps, float, 0, 1)
     if target.dim != noise.dim:
         raise ValueError(f"dimension mismatch: {target.dim} vs {noise.dim}")
     n = max(len(target), len(noise))
@@ -246,8 +271,9 @@ def tensor_model(model, m):
     """m-fold tensor power of a model, with product-rule derivatives: bit for
     bit the in-order sums of left-to-right ``np.kron`` chains of its checked
     state and derivatives, formed from its checked (1 + P, d, d) stack (a
-    frame model's lift).  A bool or non-integral ``m`` is refused, not truncated."""
-    m = _integer("m", m, 1)
+    frame model's lift).  ``m`` is an integer in [1, 62] (`check_value`): a
+    qubit's 63rd power has more dimensions than an int64 counts."""
+    m = check_value("m", m, int, 1, 62)
     if m == 1:
         return model
 

@@ -19,13 +19,12 @@ d x d derivative is built per point.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .model import DomainError, Povm, StatisticalModel, _integer
+from .model import DomainError, Povm, StatisticalModel, check_value
 
 TRUNCATION_LEAKAGE_TOL = 1e-8
 N_MAX_LIMIT = 170        # the largest n whose n! is a finite double
@@ -130,10 +129,12 @@ def hg_overlap(n, x0, x_m=0.0):
     Computed by exact Gauss-Hermite quadrature of the mode times the PSF
     (a Gaussian centered at (x0 + x_m)/2 times a degree-n polynomial);
     cross-validated against the closed form :func:`hg_overlap_closed_form`.
-    A bool, a str or a non-integral ``n`` is refused, as `model.tensor_model`
-    refuses its ``m``.
+    ``n`` is an integer in [0, N_MAX_LIMIT] (the modes a point-source model
+    holds), and ``x0`` and ``x_m`` are finite reals (`model.check_value`).
     """
-    n = _integer("n", n, 0)
+    n = check_value("n", n, int, 0, N_MAX_LIMIT)
+    check_value("x0", x0, float)
+    check_value("x_m", x_m, float)
     return _gauss_hermite(lambda x: _hg_mode(n, x, x_m) * _psf_amplitude(x, x0),
                           (x0 + x_m) / 2.0, n)
 
@@ -141,14 +142,16 @@ def hg_overlap(n, x0, x_m=0.0):
 def hg_overlap_closed_form(n, x0, x_m=0.0):
     """Closed form of the same overlap: a displaced Gaussian is a coherent
     state of the mode family, so the coefficient is
-    e^{-d^2/8} (d/2)^n / sqrt(n!) with d = x0 - x_m.  A scalar ``n`` is
-    judged as `hg_overlap` judges it; an array needs an integer dtype (not
-    bool) and no negative entry."""
-    n = np.asarray(n)
-    if n.ndim == 0:
-        n = np.asarray(_integer("n", n.item(), 0))
-    elif n.dtype.kind not in "iu" or (n < 0).any():
-        raise ValueError(f"need integers n >= 0, got an array of dtype {n.dtype}: {n!r}")
+    e^{-d^2/8} (d/2)^n / sqrt(n!) with d = x0 - x_m.  The arguments are
+    judged as `hg_overlap` judges them, but for an array ``n``: it needs an
+    integer dtype (not bool) and every entry in [0, N_MAX_LIMIT]."""
+    if not isinstance(n, np.ndarray):
+        n = np.asarray(check_value("n", n, int, 0, N_MAX_LIMIT))
+    elif n.dtype.kind not in "iu" or not ((0 <= n) & (n <= N_MAX_LIMIT)).all():
+        raise ValueError(f"n must be integers in [0, {N_MAX_LIMIT}], "
+                         f"got an array of dtype {n.dtype}: {n!r}")
+    check_value("x0", x0, float)
+    check_value("x_m", x_m, float)
     return _hg_overlap(n, x0, x_m, _sqrt_factorial(n))
 
 
@@ -184,20 +187,16 @@ class PointSourceConfig:
     ``x_m`` fixes where the measurement modes sit (the sweeps use the
     intensity centroid :func:`x_opt` of the point); the apparatus stays
     fixed while the parameters vary.  ``n_max`` is the highest retained
-    Hermite-Gauss mode (basis dimension n_max + 1), an integer at most
-    ``N_MAX_LIMIT``; ``x_m`` must be finite.
+    Hermite-Gauss mode (basis dimension n_max + 1), an integer in
+    [3, N_MAX_LIMIT]; ``x_m`` is a finite real (`model.check_value`).
     """
 
     x_m: float
     n_max: int = 20
 
     def __post_init__(self):
-        if not math.isfinite(self.x_m):
-            raise ValueError(f"x_m must be finite, got {self.x_m}")
-        if not isinstance(self.n_max, numbers.Integral):
-            raise ValueError(f"n_max must be an integer, got {self.n_max!r}")
-        if not 3 <= self.n_max <= N_MAX_LIMIT:
-            raise ValueError(f"need 3 <= n_max <= {N_MAX_LIMIT}, got {self.n_max}")
+        check_value("x_m", self.x_m, float)
+        check_value("n_max", self.n_max, int, 3, N_MAX_LIMIT)
 
 
 def point_source_model(cfg: PointSourceConfig):

@@ -66,7 +66,7 @@ import numpy as np
 from .fisher import (FisherBundle, SingularFisherError, _checked_inverse_and_eigh,
                      _outcome_traces, fisher_bundle)
 from .linalg import _normalized, _sym, _trace_norms
-from .model import Povm, mix_povm
+from .model import Povm, check_value, mix_povm
 
 CLUSTER_RTOL = 1e-8
 POSITIVE_PART_RTOL = 1e-12
@@ -135,10 +135,11 @@ def x_finite_mix(model, theta, target, noise, eps):
     """Finite-eps determinant quotient (det F - det F_eps) / (eps det F).
 
     Converges linearly in eps to x_scalar; used as an independent check
-    of the first-order formula.  Needs eps > 0 and an F of ``target`` that
+    of the first-order formula.  Needs a real eps > 0 (`model.check_value`;
+    `mix_povm` refuses eps > 1) and an F of ``target`` that
     `fisher._checked_inverse_and_eigh` inverts (else `SingularFisherError`).
     """
-    if not eps > 0.0:
+    if not check_value("eps", eps, float) > 0.0:
         raise ValueError(f"x_finite_mix needs eps > 0, got {eps}")
     F0 = fisher_bundle(model, theta, target).fisher
     _checked_inverse_and_eigh((F0,))     # a singular F0 is refused, not divided by

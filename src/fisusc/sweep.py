@@ -8,8 +8,6 @@ sweep continues.
 """
 
 import csv
-import math
-import numbers
 from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -20,7 +18,7 @@ import numpy as np
 from . import fisher, susceptibility
 from .fisher import SingularFisherError, SingularScoreError, fisher_bundle
 from .linalg import HermiticityError
-from .model import DomainError, tensor_model
+from .model import DomainError, check_value, tensor_model
 from .models import (N_MAX_LIMIT, PointSourceConfig, bell_povm,
                      optimal_povm_point_sources, point_source_model,
                      qubit_phase_dephasing, separable_povm, x_opt)
@@ -41,13 +39,12 @@ NUMERICAL_ERRORS = (SingularFisherError, SingularScoreError, DomainError,
                     HermiticityError, np.linalg.LinAlgError)
 
 
-# each SweepSpec field's kind for `check_value`: a name, a finite real number or an
-# integer; ``fixed`` maps names to numbers, and ``scale`` is one of two names
-FIELD_KINDS = {"model": str, "measurement": str, "sweep_name": str, "start": float,
-               "stop": float, "count": int, "oracle_samples": int, "seed": int,
-               "out": str, "workers": int, "n_max": int}
-_KIND_TYPES = {str: (str, "a string"), float: (numbers.Real, "a number"),
-               int: (numbers.Integral, "an integer")}
+# each SweepSpec field's kind (a name, a finite real or an integer) and inclusive
+# bounds for `model.check_value`; ``fixed`` holds reals, ``scale`` one of two names
+FIELD_KINDS = {"model": (str,), "measurement": (str,), "sweep_name": (str,),
+               "start": (float,), "stop": (float,), "count": (int, 2),
+               "oracle_samples": (int, 0), "seed": (int,), "out": (str,),
+               "workers": (int, 1), "n_max": (int, 3, N_MAX_LIMIT)}
 
 
 class SweepSpecError(ValueError):
@@ -61,9 +58,10 @@ class SweepSpec:
     The field defaults are the only sweep defaults: the CLI passes just what
     a config or flag sets.  A ``scale`` left None becomes "log" on the
     model's `MODEL_TABLE` log axes and "linear" on any other.  `run_sweep`
-    writes the CSV to ``out``.  `validate` judges each field by `check_value`,
-    as the CLI judges a YAML config's values, then its range; a grid numpy
-    cannot build is refused.  Any ``oracle_samples`` > 0 fills
+    writes the CSV to ``out``.  `validate` judges each field's kind and
+    bounds (`FIELD_KINDS`) by `model.check_value`, whose refusals are
+    `SweepSpecError`s here, as the CLI judges a YAML config's values; a grid
+    numpy cannot build is refused.  Any ``oracle_samples`` > 0 fills
     ``oracle_best_X`` with `sigma_exact`; neither its magnitude nor
     ``seed`` changes a result.  ``workers`` is validated (>= 1) but does
     not change how points run: `run_sweep` evaluates them in order on the
@@ -91,19 +89,13 @@ class SweepSpec:
             object.__setattr__(self, "scale", "log" if log else "linear")
 
     def validate(self):
-        for key, kind in FIELD_KINDS.items():
-            check_value(key, getattr(self, key), kind)
+        for key, judge in FIELD_KINDS.items():
+            check_value(key, getattr(self, key), *judge, error=SweepSpecError)
         check_model_spec(self.model, self.measurement, self.fixed, self.sweep_name)
-        if not 3 <= self.n_max <= N_MAX_LIMIT:
-            raise SweepSpecError(f"n_max must be between 3 and {N_MAX_LIMIT}")
-        if self.count < 2:
-            raise SweepSpecError("count must be >= 2")
         if self.scale not in ("linear", "log"):
             raise SweepSpecError("scale must be 'linear' or 'log'")
         if self.scale == "log" and (self.start <= 0 or self.stop <= 0):
             raise SweepSpecError("log scale needs positive start/stop")
-        if self.oracle_samples < 0 or self.workers < 1:
-            raise SweepSpecError("oracle_samples must be >= 0 and workers >= 1")
         try:
             ends = self.grid()[[0, -1]]
         except (ValueError, OverflowError) as err:     # numpy refuses before it allocates
@@ -123,8 +115,8 @@ def check_model_spec(model, measurement, fixed, swept=None):
 
     ``fixed`` is a mapping of names to values: every model parameter except
     ``swept`` needs a fixed value, and only those may have one;
-    `check_value` judges the values.  Returns the model's parameter names;
-    raises :class:`SweepSpecError`.
+    `model.check_value` judges the values as finite reals.  Returns the
+    model's parameter names; raises :class:`SweepSpecError`.
     """
     if model not in MODELS:
         raise SweepSpecError(f"unknown model {model!r}; choose from {MODELS}")
@@ -148,26 +140,8 @@ def check_model_spec(model, measurement, fixed, swept=None):
     if unknown:
         raise SweepSpecError(f"cannot fix {unknown}; fixable parameters are {fixable}")
     for name, value in fixed.items():
-        check_value(f"fix {name}", value, float)
+        check_value(f"fix {name}", value, float, error=SweepSpecError)
     return names
-
-
-def check_value(key, value, kind):
-    """Refuse a ``value`` of ``key`` that is not of its `FIELD_KINDS` ``kind``:
-    a str, a finite real number (float; no bool, no int too large for a
-    double) or an integer (int; no bool, no float whatever its value).  A
-    value is named by its repr if it is a bool, float, str or bytes, else by
-    its type (a deep list's repr exhausts the stack)."""
-    base, what = _KIND_TYPES[kind]
-    if isinstance(value, bool) or not isinstance(value, base):
-        got = repr(value) if isinstance(value, (bool, float, str, bytes)) else type(value).__name__
-        raise SweepSpecError(f"{key} must be {what}, got {got}")
-    try:
-        finite = kind is not float or math.isfinite(value)
-    except OverflowError:
-        finite, value = False, "an integer too large for a double"
-    if not finite:
-        raise SweepSpecError(f"{key} must be finite, got {value}")
 
 
 def _theta_for(spec, sweep_value):

@@ -1,15 +1,19 @@
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
 
-from fisusc.fisher import fisher_bundle
+from fisusc.fisher import fisher_bundle, r_metric, r_nuisance
 from fisusc.linalg import HermiticityError, _lift
 from fisusc.model import (DomainError, Povm, StatisticalModel, mix_povm,
                           tensor_model, tensor_povm, validate_povm)
 from fisusc.models import (PointSourceConfig, bell_povm, hg_overlap,
-                           optimal_povm_point_sources, point_source_model,
-                           qubit_phase_dephasing, separable_povm)
+                           hg_overlap_closed_form, optimal_povm_point_sources,
+                           point_source_model, qubit_phase_dephasing, separable_povm)
+from fisusc.susceptibility import x_finite_mix
+from fisusc.sweep import SweepSpec, SweepSpecError
 
 
 def test_qubit_state_plus_limit():
@@ -192,7 +196,7 @@ def test_mix_povm_padding_and_errors():
     mixed = mix_povm(M, N, 0.5)
     assert len(mixed) == 4
     assert validate_povm(mixed, 1e-12).passed
-    with pytest.raises(ValueError, match=r"^eps must be a number in \[0, 1\], got 1.5$"):
+    with pytest.raises(ValueError, match=r"^eps must be in \[0, 1\], got 1.5$"):
         mix_povm(M, N, 1.5)
     with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
         mix_povm(M, Povm([np.eye(3)]), 0.5)
@@ -203,9 +207,11 @@ def test_tensor_model_identity_and_trace():
     assert tensor_model(model, 1) is model
     double = tensor_model(model, 2)
     assert double.dim == 4
-    # an integral count of another type is taken as it is
-    assert tensor_model(model, 1.0) is model
-    assert tensor_model(model, 2.0).dim == tensor_model(model, np.int64(2)).dim == 4
+    # a numpy integer is taken; a float is refused whatever its value
+    for m in (1.0, 2.0):
+        with pytest.raises(ValueError, match=f"^m must be an integer, got {m}$"):
+            tensor_model(model, m)
+    assert tensor_model(model, np.int64(2)).dim == 4
     theta = [0.4, 0.2]
     assert np.trace(double.state_at(theta)) == pytest.approx(1.0, abs=1e-12)
 
@@ -214,7 +220,7 @@ def test_tensor_model_identity_and_trace():
                          ids=["fractional", "bool", "zero", "negative", "nan", "inf"])
 def test_tensor_model_refuses_a_copy_count_it_would_truncate(m):
     # int(2.7) is 2 and int(True) is 1: a truncated count builds the wrong model
-    with pytest.raises(ValueError, match="integer m >= 1"):
+    with pytest.raises(ValueError, match=r"^m must be (an integer|in \[1, 62\]), got "):
         tensor_model(qubit_phase_dephasing(), m)
 
 
@@ -225,10 +231,11 @@ def test_tensor_model_refuses_a_copy_count_it_would_truncate(m):
 ], ids=["model-dim", "hg-overlap-mode"])
 def test_integer_arguments_are_refused_not_truncated(build, value):
     # int(2.5) is 2 and int("2") is 2, and True is mode 1: each is refused in
-    # tensor_model's words, while an integral float or a numpy integer is taken
-    with pytest.raises(ValueError, match=r"^need an integer (dim >= 1|n >= 0), got "):
-        build(value)
-    assert build(2.0) == build(np.int64(2)) == build(2)
+    # tensor_model's words, and so is an integral float, while a numpy integer is taken
+    for bad in (value, 2.0):
+        with pytest.raises(ValueError, match=r"^(dim|n) must be an integer, got "):
+            build(bad)
+    assert build(np.int64(2)) == build(2)
 
 
 def test_param_names_are_a_sequence_of_strings():
@@ -242,6 +249,102 @@ def test_param_names_are_a_sequence_of_strings():
     assert model.param_names == ("phi", "delta")
     with pytest.raises(ValueError, match="^expected 2 parameter values$"):
         model.state_at([0.7])
+
+
+def test_param_names_are_distinct():
+    # ("phi", "phi") built a two-parameter model whose domain error printed
+    # {'phi': -1.0}, one value dropped
+    with pytest.raises(ValueError, match=r"^param_names must be distinct, got \('phi', 'phi'\)$"):
+        StatisticalModel(2, ("phi", "phi"), frame_fn=lambda v: None)
+
+
+def _one_parameter_model(calls):
+    def frame_fn(values):
+        calls.append(values)
+        return None, [np.eye(2) / 2.0, np.diag([1.0, -1.0]) * values[0]]
+    return StatisticalModel(2, ("a",), domain_fn=lambda v: calls.append(v) or True,
+                            frame_fn=frame_fn)
+
+
+@pytest.mark.parametrize("params, good, bad", [
+    (1, [0.3], 0.3), (1, [0.3], np.array([[0.3]])), (2, [0.3, 0.2], np.array([[0.3, 0.2]])),
+], ids=["scalar", "one-by-one", "one-by-two"])
+def test_theta_of_another_shape_is_refused_fresh_or_cached(params, good, bad):
+    # a scalar was not iterable, a (1, 2) array reached the domain function,
+    # and an array with the bytes of the last point was served from its record
+    calls = []
+    make = (lambda: _one_parameter_model(calls)) if params == 1 else qubit_phase_dephasing
+    fresh, cached = make(), make()
+    cached.state_at(good)
+    calls.clear()
+    for model in (fresh, cached):
+        for read in (model.state_at, model.derivatives_at, model.frame_at, model.in_domain):
+            with pytest.raises(ValueError, match=f"^expected {params} parameter values$"):
+                read(bad)
+    assert calls == []
+
+
+DEEP = object()     # a list nested 100,000 deep, built in the test
+_F, _Q = np.array([[2.0, 0.1], [0.1, 1.0]]), np.diag([3.0, 2.0])
+_MIX_ARGS = (qubit_phase_dephasing(), np.array([0.7, 0.3]), separable_povm(), Povm([np.eye(2)]))
+_SPEC = dict(model="phase-dephasing", measurement="separable", fixed={"phi": 0.7},
+             sweep_name="delta", start=1e-3, stop=1.0, count=3)
+# every public entry that takes an integer or real argument: (argument name,
+# kind, call, refusal class)
+ARGUMENTS = {
+    "StatisticalModel-dim": ("dim", int, lambda v: StatisticalModel(
+        v, ("a",), frame_fn=lambda _: None), ValueError),
+    "tensor_model-m": ("m", int, lambda v: tensor_model(qubit_phase_dephasing(), v), ValueError),
+    "r_metric-m": ("m", int, lambda v: r_metric(_F, _Q, v), ValueError),
+    "r_nuisance-index": ("index", int, lambda v: r_nuisance(_F, _Q, v), ValueError),
+    "hg_overlap-n": ("n", int, lambda v: hg_overlap(v, 0.3), ValueError),
+    "hg_overlap-x0": ("x0", float, lambda v: hg_overlap(2, v), ValueError),
+    "hg_overlap-x_m": ("x_m", float, lambda v: hg_overlap(2, 0.3, v), ValueError),
+    "hg_overlap_closed_form-n": ("n", int, lambda v: hg_overlap_closed_form(v, 0.3), ValueError),
+    "hg_overlap_closed_form-x0": ("x0", float, lambda v: hg_overlap_closed_form(2, v),
+                                  ValueError),
+    "hg_overlap_closed_form-x_m": ("x_m", float, lambda v: hg_overlap_closed_form(2, 0.3, v),
+                                   ValueError),
+    "PointSourceConfig-n_max": ("n_max", int, lambda v: PointSourceConfig(x_m=0.0, n_max=v),
+                                ValueError),
+    "PointSourceConfig-x_m": ("x_m", float, lambda v: PointSourceConfig(x_m=v), ValueError),
+    "mix_povm-eps": ("eps", float, lambda v: mix_povm(*_MIX_ARGS[2:], v), ValueError),
+    "x_finite_mix-eps": ("eps", float, lambda v: x_finite_mix(*_MIX_ARGS, v), ValueError),
+    "SweepSpec-fix": ("fix phi", float, lambda v: SweepSpec(
+        **{**_SPEC, "fixed": {"phi": v}}).validate(), SweepSpecError),
+    **{f"SweepSpec-{key}": (key, kind, lambda v, key=key: SweepSpec(
+        **{**_SPEC, key: v}).validate(), SweepSpecError)
+       for key, kind in (("start", float), ("stop", float), ("count", int),
+                         ("oracle_samples", int), ("seed", int), ("workers", int),
+                         ("n_max", int))},
+}
+VALUES = {"bool": True, "str": "2", "bytes": b"2", "fractional": 2.5, "integral-float": 2.0,
+          "nan": math.nan, "inf": math.inf, "401-digit": 10 ** 400, "deep-list": DEEP}
+
+
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{value}") for entry in ARGUMENTS for value in VALUES
+    if ARGUMENTS[entry][1] is int or value not in ("fractional", "integral-float")])
+def test_every_integer_and_real_argument_is_judged_by_one_rule(entry, value):
+    # one judge, model.check_value, refuses each value in one line: a bool, a
+    # str, bytes or a float where an integer is due, and a number no double
+    # holds, never with a TypeError, a RecursionError or a NaN result
+    name, kind, call, error = ARGUMENTS[entry]
+    value = VALUES[value]
+    what = "an integer" if kind is int else "a number"
+    if value is DEEP:
+        message = f"must be {what}, got list"
+        value = []
+        for _ in range(100_000):
+            value = [value]
+    elif isinstance(value, int) and not isinstance(value, bool):
+        message = "must be finite, got an integer too large for a double"
+    elif kind is float and isinstance(value, float):
+        message = f"must be finite, got {value}"
+    else:
+        message = f"must be {what}, got {value!r}"
+    with pytest.raises(error, match=f"^{re.escape(f'{name} {message}')}$"):
+        call(value)
 
 
 def test_tensor_model_product_rule_vs_fd():

@@ -120,13 +120,13 @@ def test_hg_overlap_stays_finite_up_to_the_largest_n_max(n):
 
 
 @pytest.mark.parametrize("n, message", [
-    (True, "need an integer n >= 0, got True"),
-    (2.5, "need an integer n >= 0, got 2.5"),
-    ("2", "need an integer n >= 0, got '2'"),
-    (-1, "need an integer n >= 0, got -1"),
-    (np.array([True, False]), "need integers n >= 0, got an array of dtype bool"),
-    (np.array([1.0, 2.0]), "need integers n >= 0, got an array of dtype float64"),
-    (np.array([-1, 2]), "need integers n >= 0, got an array of dtype int64"),
+    (True, "n must be an integer, got True"),
+    (2.5, "n must be an integer, got 2.5"),
+    ("2", "n must be an integer, got '2'"),
+    (-1, "n must be in [0, 170], got -1"),
+    (np.array([True, False]), "n must be integers in [0, 170], got an array of dtype bool"),
+    (np.array([1.0, 2.0]), "n must be integers in [0, 170], got an array of dtype float64"),
+    (np.array([-1, 2]), "n must be integers in [0, 170], got an array of dtype int64"),
 ], ids=["bool", "fractional", "str", "negative", "bool-array", "float-array",
         "negative-entry"])
 def test_hg_overlap_closed_form_judges_its_mode_index(n, message):
@@ -136,7 +136,9 @@ def test_hg_overlap_closed_form_judges_its_mode_index(n, message):
         hg_overlap_closed_form(n, 0.3)
     assert str(err.value).startswith(message)
     closed = hg_overlap_closed_form(2, 0.3)
-    assert hg_overlap_closed_form(2.0, 0.3) == hg_overlap_closed_form(np.int64(2), 0.3) == closed
+    with pytest.raises(ValueError, match="^n must be an integer, got 2.0$"):
+        hg_overlap_closed_form(2.0, 0.3)
+    assert hg_overlap_closed_form(np.int64(2), 0.3) == closed
     assert hg_overlap_closed_form(np.array([0, 2]), 0.3)[1] == closed
 
 

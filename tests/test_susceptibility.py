@@ -346,7 +346,7 @@ def test_x_finite_mix_refuses_a_non_positive_eps(eps, monkeypatch):
 def test_x_finite_mix_refuses_a_bool_eps():
     # True is no mixing weight: read as eps = 1 it gave the quotient 1.0
     args = qubit_phase_dephasing(), np.array([0.7, 0.3]), separable_povm(), IDENTITY_NOISE
-    with pytest.raises(ValueError, match=r"^eps must be a number in \[0, 1\], got True$"):
+    with pytest.raises(ValueError, match=r"^eps must be a number, got True$"):
         x_finite_mix(*args, True)
     with pytest.raises(ValueError, match="got False"):
         mix_povm(separable_povm(), IDENTITY_NOISE, False)

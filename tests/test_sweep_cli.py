@@ -194,7 +194,7 @@ def test_sweep_spec_validation_errors(tmp_path):
         small_spec(tmp_path, measurement="optimal-hg").validate()
     with pytest.raises(SweepSpecError, match="^unknown measurement 'nope'; choose from "):
         small_spec(tmp_path, measurement="nope").validate()
-    with pytest.raises(SweepSpecError, match="^count must be >= 2$"):
+    with pytest.raises(SweepSpecError, match="^count must be >= 2, got 1$"):
         small_spec(tmp_path, count=1).validate()
     with pytest.raises(SweepSpecError, match=r"^missing fixed values for \['phi'\]$"):
         small_spec(tmp_path, fixed={}).validate()
@@ -204,10 +204,9 @@ def test_sweep_spec_validation_errors(tmp_path):
         small_spec(tmp_path, sweep_name="nope").validate()
     with pytest.raises(SweepSpecError, match="^scale must be 'linear' or 'log'$"):
         small_spec(tmp_path, scale="LOG").validate()
-    for overrides in ({"oracle_samples": -1}, {"workers": 0}):
-        with pytest.raises(SweepSpecError,
-                           match="^oracle_samples must be >= 0 and workers >= 1$"):
-            small_spec(tmp_path, **overrides).validate()
+    for key, value, low in (("oracle_samples", -1, 0), ("workers", 0, 1)):
+        with pytest.raises(SweepSpecError, match=f"^{key} must be >= {low}, got {value}$"):
+            small_spec(tmp_path, **{key: value}).validate()
     with pytest.raises(SweepSpecError):
         # endpoint outside the domain (delta must stay positive)
         small_spec(tmp_path, scale="linear", start=0.0).validate()
@@ -478,7 +477,7 @@ def test_cli_sweep_validates_its_spec_once(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.csv"
     assert main(["sweep", "--config", str(cfg_path), "--out", str(bad)]) == 2
     assert len(calls) == 2 and not bad.exists()
-    assert "n_max must be between" in capsys.readouterr().err
+    assert "n_max must be in [3, 170], got 2" in capsys.readouterr().err
 
 
 def test_cli_sweep_empty_out_is_refused(tmp_path, monkeypatch, capsys):
@@ -630,21 +629,27 @@ def test_cli_integral_float_config_values_are_accepted(tmp_path):
     assert len(out.read_text().splitlines()) == 4
 
 
-@pytest.mark.parametrize("count", [10 ** 48, 10 ** 400], ids=["49-digit", "401-digit"])
-def test_a_count_numpy_cannot_grid_is_refused_by_every_front_end(tmp_path, capsys, count):
-    # numpy refuses such a grid before it allocates: the library, a config
-    # and --sweep each refuse it naming count, with exit 2 and one line
-    with pytest.raises(SweepSpecError, match="^count is too large for a grid"):
+@pytest.mark.parametrize("count, message, judged", [
+    (10 ** 48, "count is too large for a grid", False),
+    (10 ** 400, "count must be finite, got an integer too large for a double", True),
+], ids=["49-digit", "401-digit"])
+def test_a_count_numpy_cannot_grid_is_refused_by_every_front_end(
+        tmp_path, capsys, count, message, judged):
+    # numpy refuses such a grid before it allocates, and no number too large
+    # for a double is taken (the CLI judges a config's value, naming the
+    # config): the library, a config and --sweep each refuse it naming count,
+    # with exit 2 and one line
+    with pytest.raises(SweepSpecError, match=f"^{message}"):
         small_spec(tmp_path, count=count).validate()
     cfg_path, out = tmp_path / "sweep.yaml", tmp_path / "out.csv"
     cfg_path.write_text(yaml.safe_dump(
         {**POINT_SOURCE_CONFIG, "sweep": {**POINT_SOURCE_CONFIG["sweep"], "count": count}}))
     flags = ["--model", "phase-dephasing", "--measurement", "separable",
              "--fix", f"phi={PHI}", "--sweep", f"delta:0.001:1:{count}"]
-    for argv in (["--config", str(cfg_path)], flags):
+    for argv, where in ((["--config", str(cfg_path)], f"config {cfg_path}: "), (flags, "")):
         assert main(["sweep", *argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("invalid sweep specification: count is too large for a grid")
+        assert err.startswith(f"invalid sweep specification: {where if judged else ''}{message}")
         assert err.count("\n") == 1 and not out.exists()
 
 
