@@ -61,6 +61,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import linalg
 from .linalg import _lift, _sym, hermitize
 from .model import check_value
 
@@ -201,7 +202,7 @@ def _support(B, ops):
     on every point.
     """
     if B is None:
-        eig = np.linalg.eigh(ops[0])
+        eig = linalg.eigh(ops[0])
         if eig[0][0] > SUPPORT_RTOL * eig[0][-1]:
             return np.eye(len(ops[0])), ops, eig
     else:
@@ -312,7 +313,7 @@ def _eigen_slds(rho, derivs, eig=None):
     re-check: their rounding scales with 1 / (w_m + w_n), far above any
     fixed Hermiticity tolerance for nearly pure states.
     """
-    w, V = np.linalg.eigh(rho) if eig is None else eig
+    w, V = linalg.eigh(rho) if eig is None else eig
     num = 2.0 * (V.conj().T @ derivs @ V)
     den = w[:, None] + w[None, :]
     mask = den > SLD_CUTOFF * w[-1]
@@ -377,7 +378,7 @@ def _checked_inverse_and_eigh(stack):
     s = 1.0 / np.sqrt(scaled.diagonal(axis1=1, axis2=2))
     scaled = s[:, :, None] * scaled * s[:, None, :]
     # an unusable first member is refused before its eigh is read
-    w, U = np.linalg.eigh(np.concatenate((scaled, F[:1] if usable[0] else scaled[:1])))
+    w, U = linalg.eigh(np.concatenate((scaled, F[:1] if usable[0] else scaled[:1])))
     for k in range(n):
         condition = _condition(w[k]) if usable[k] else np.inf
         if condition > MAX_FISHER_CONDITION:
@@ -386,7 +387,7 @@ def _checked_inverse_and_eigh(stack):
                 f"{name} is singular or ill-conditioned (condition number of the "
                 f"unit-scaled matrix {condition:.3e}, limit {MAX_FISHER_CONDITION:.1e}); "
                 f"refusing to invert")
-    return np.linalg.inv(F), (w[n], U[n])
+    return linalg.inv(F), (w[n], U[n])
 
 
 def _condition(w):

@@ -1,13 +1,27 @@
-"""Dense Hermitian linear algebra primitives.
+"""Dense Hermitian linear algebra primitives and the package's LAPACK kernel.
 
 Operators are plain ``numpy`` arrays whose dtype follows the input: real
 symmetric stays float64, complex stays complex128.  :func:`hermitize` is the
 canonical constructor: it validates Hermiticity, symmetrizes away
-floating-point drift and returns a read-only array; the public functions
-validate their input with it.  Dimensions stay small, so everything is dense.
+floating-point drift and returns a read-only array; the public operator
+functions validate their input with it.  Dimensions stay small, so
+everything is dense.
+
+The kernel entries :func:`eigh`, :func:`eigvalsh`, :func:`inv`,
+:func:`cholesky` and :func:`solve` are the package's one route to these
+LAPACK routines.  Each calls the gufunc ``numpy.linalg`` itself calls, with
+numpy's signature for the dtype and under numpy's error state, so results
+keep ``np.linalg``'s bits and a failure raises its ``LinAlgError`` with its
+message.  They skip numpy's Python wrapper (array conversion, shape and type
+checks, the result namedtuple) and :func:`hermitize`: they take float64 or
+complex128 arrays the package built, a (..., m, m) stack as numpy does, and
+read the lower triangle.  Callers reach them as ``linalg.<name>``, so one
+patch of this module sees every call.  ``svd``, ``qr`` and ``det`` stay on
+``np.linalg``: their gufunc names differ between numpy 1.x and 2.x.
 """
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 HERMITICITY_TOL = 1e-12
 
@@ -79,7 +93,7 @@ def _lift(B, S):
 
 def _normalized(A):
     """``R A_a R``, ``R = (sum_a A_a)^-1/2``: positive operators rescaled to a POVM."""
-    w, U = np.linalg.eigh(np.sum(A, axis=0))
+    w, U = eigh(np.sum(A, axis=0))
     R = (U / np.sqrt(w)) @ U.conj().T
     return R @ A @ R
 
@@ -95,4 +109,53 @@ def _trace_norms(H):
     One batched ``eigvalsh``, without the Hermiticity check: for operators
     the package built itself from validated inputs.
     """
-    return abs(np.linalg.eigvalsh(H)).sum(-1)
+    return abs(eigvalsh(H)).sum(-1)
+
+
+def _raising(message):
+    """numpy.linalg's error callback: raise ``LinAlgError(message)``."""
+    def raise_error(err, flag):
+        raise LinAlgError(message)
+    return raise_error
+
+
+# numpy.linalg's error state for each routine: a failed factorization sets the
+# invalid flag, whose callback raises; the other flags are ignored
+_NO_CONVERGENCE = dict(call=_raising("Eigenvalues did not converge"), invalid="call",
+                       over="ignore", divide="ignore", under="ignore")
+_SINGULAR = dict(_NO_CONVERGENCE, call=_raising("Singular matrix"))
+_NOT_POSITIVE_DEFINITE = dict(_NO_CONVERGENCE, call=_raising("Matrix is not positive definite"))
+
+
+def eigh(a):
+    """``np.linalg.eigh(a)`` as a plain tuple ``(w, U)``: ascending eigenvalues
+    (float64) and eigenvectors of each Hermitian matrix of a (..., m, m) stack."""
+    with np.errstate(**_NO_CONVERGENCE):
+        return _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+
+
+def eigvalsh(a):
+    """``np.linalg.eigvalsh(a)``: the ascending eigenvalues (float64) alone."""
+    with np.errstate(**_NO_CONVERGENCE):
+        return _umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+
+
+def inv(a):
+    """``np.linalg.inv(a)``: the inverse of each matrix of a (..., m, m) stack."""
+    with np.errstate(**_SINGULAR):
+        return _umath_linalg.inv(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
+
+
+def cholesky(a):
+    """``np.linalg.cholesky(a)``: the lower Cholesky factor of each matrix."""
+    with np.errstate(**_NOT_POSITIVE_DEFINITE):
+        return _umath_linalg.cholesky_lo(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
+
+
+def solve(a, b):
+    """``np.linalg.solve(a, b)``: x with ``a x = b``, for a 1-D ``b`` (one
+    right-hand side) or a (..., m, k) stack of them."""
+    gufunc = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
+    complex_ = a.dtype.kind == "c" or b.dtype.kind == "c"
+    with np.errstate(**_SINGULAR):
+        return gufunc(a, b, signature="DD->D" if complex_ else "dd->d")

@@ -14,6 +14,7 @@ from functools import reduce
 
 import numpy as np
 
+from . import linalg
 from .linalg import _lift, hermitize
 
 
@@ -221,7 +222,7 @@ def validate_povm(povm, tol):
     the smallest element eigenvalue is >= -tol and
     ``max|sum_a M_a - I|`` <= tol.
     """
-    min_eig = float(np.min(np.linalg.eigvalsh(povm.elements)))
+    min_eig = float(np.min(linalg.eigvalsh(povm.elements)))
     total = sum(povm.elements)
     residual = float(np.max(np.abs(total - np.eye(povm.dim))))
     return PovmValidation(min_eigenvalue=min_eig,

@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import linalg
 from .model import DomainError, Povm, StatisticalModel, check_value
 
 TRUNCATION_LEAKAGE_TOL = 1e-8
@@ -277,7 +278,7 @@ def optimal_povm_point_sources(cfg: PointSourceConfig, weights=None):
     remainder = np.eye(dim) - sum(elements)
     # the remainder is I - W^T W on the first four modes and I above them
     W = w[:4]
-    if np.linalg.eigvalsh(np.eye(4) - W.T @ W)[0] < -1e-9:
+    if linalg.eigvalsh(np.eye(4) - W.T @ W)[0] < -1e-9:
         raise ValueError("remainder element is not positive; weight rows must be "
                          "orthonormal over the first four modes")
     elements.append(remainder)

@@ -65,6 +65,7 @@ import numpy as np
 
 from .fisher import (FisherBundle, SingularFisherError, _checked_inverse_and_eigh,
                      _outcome_traces, fisher_bundle)
+from . import linalg
 from .linalg import _normalized, _sym, _trace_norms
 from .model import Povm, check_value, mix_povm
 
@@ -375,9 +376,9 @@ def _exact_sdp(K, lam):
         if gap <= EXACT_RTOL * abs(float(Y.trace().real)):
             return N, Y, it
         try:
-            Li = np.linalg.inv(np.linalg.cholesky(np.concatenate((N, S))))
+            Li = linalg.inv(linalg.cholesky(np.concatenate((N, S))))
             LiH = Li.conj().swapaxes(-1, -2)
-            Si = _sym(np.linalg.inv(S))
+            Si = _sym(linalg.inv(S))
             sum_Si = Si.sum(0)
             # twice the map dY -> sum_a sym(N_a dY S_a^-1); the (Si, N) term of the
             # sum is the transpose of the (N, Si) term
@@ -388,11 +389,11 @@ def _exact_sdp(K, lam):
                 rhs = target * sum_Si - eye       # the predictor has no C: x - 0.0 is x
                 if C is not None:
                     rhs = rhs - _sym(C).sum(0)
-                dY = _sym(np.linalg.solve(H, 2.0 * rhs.reshape(-1)).reshape(r, r))
+                dY = _sym(linalg.solve(H, 2.0 * rhs.reshape(-1)).reshape(r, r))
                 dN = target * Si - N - N @ dY @ Si
                 dN = _sym(dN if C is None else dN - C)
                 dX = np.concatenate((dN, np.repeat(dY[None], E, axis=0)))
-                w = np.linalg.eigvalsh(Li @ dX @ LiH)
+                w = linalg.eigvalsh(Li @ dX @ LiH)
                 return dN, dY, _step(w[:E]), _step(w[E:])
 
             dN, dY, ap, ad = newton(0.0)
@@ -433,19 +434,19 @@ def _exact_worst_case(bundle, best_pair, K):
     """`sigma_exact` from the bounds' best pair ``((a, b), value)`` and K = K(F^-1)."""
     (a, b), pair_value = best_pair
     P, r = bundle.n_params, K.shape[1]
-    w, U = np.linalg.eigh(K[a] - K[b])
+    w, U = linalg.eigh(K[a] - K[b])
     Y = K[b] + (U * np.maximum(w, 0.0)) @ U.conj().T
-    shift = np.linalg.eigvalsh(K - Y)[:, -1].max()
+    shift = linalg.eigvalsh(K - Y)[:, -1].max()
     value, iterations, N = P + pair_value, 0, None
     certified = bool(shift <= CERTIFICATE_RTOL * abs(K).max())
     if not certified:
-        M, Y, iterations = _exact_sdp(K, np.linalg.eigvalsh(K))
-        m, W = np.linalg.eigh(M)
+        M, Y, iterations = _exact_sdp(K, linalg.eigvalsh(K))
+        m, W = linalg.eigh(M)
         M = _normalized((W * np.maximum(m, 0.0)[:, None, :]) @ W.conj().swapaxes(-1, -2))
         primal = P + float(np.einsum("axy,ayx->", K, M).real)
         if primal > value:
             N, value = M, primal
-        shift = np.linalg.eigvalsh(K - Y)[:, -1].max()
+        shift = linalg.eigvalsh(K - Y)[:, -1].max()
     dual = P + float(Y.trace().real + r * shift)
     # a pair-certified dual equals the value up to rounding, either side of it
     return ExactWorstCase(value=value, exact_gap=max(dual - value, 0.0), iterations=iterations,

@@ -8,6 +8,7 @@ sweep continues.
 """
 
 import csv
+import math
 from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -159,14 +160,20 @@ def build_model_povm(model_id, measurement, theta, n_max=SweepSpec.n_max):
     nothing: each is built once per process (`_measurement_povm`,
     `_phase_dephasing_model`).  The model is the base model's tensor
     power over the copies its measurement acts on (`MODEL_TABLE`: two for
-    Bell; one copy is the model itself).  Returns ``(model, povm, copies)``.
+    Bell; one copy is the model itself).  Returns ``(model, povm, copies)``;
+    raises `DomainError` for a point-source point whose centroid overflows.
     """
     copies = MODEL_TABLE[model_id].measurements[measurement]
     if model_id == "phase-dephasing":
         model = _phase_dephasing_model(copies)
     else:
-        model = tensor_model(point_source_model(
-            PointSourceConfig(n_max=n_max, x_m=x_opt(*theta))), copies)
+        x_m = x_opt(*map(float, theta))      # Python floats overflow to inf silently
+        if not math.isfinite(x_m):
+            point = dict(zip(MODEL_TABLE[model_id].params, map(float, theta)))
+            raise DomainError(f"theta = {point} has no finite alignment point: "
+                              f"x_c + (q - 1/2) dx = {x_m}")
+        model = tensor_model(point_source_model(PointSourceConfig(n_max=n_max, x_m=x_m)),
+                             copies)
     return model, _measurement_povm(measurement, n_max), copies
 
 
@@ -177,8 +184,12 @@ def _phase_dephasing_model(copies):
 
 
 def checked_model_povm(model_id, measurement, theta, where, n_max=SweepSpec.n_max):
-    """`build_model_povm`; a point outside the domain is a `SweepSpecError` at ``where``."""
-    built = build_model_povm(model_id, measurement, theta, n_max)
+    """`build_model_povm`; a point outside the domain, or one it refuses, is a
+    `SweepSpecError` at ``where``."""
+    try:
+        built = build_model_povm(model_id, measurement, theta, n_max)
+    except DomainError as err:
+        raise SweepSpecError(f"{where}: {err}") from None
     if not built[0].in_domain(theta):
         raise SweepSpecError(f"{where} leaves the model domain")
     return built

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import models
+from . import linalg, models
 from .fisher import (_checked_inverse_and_eigh, _outcome_traces, _ratios, fisher_bundle,
                      qfi_matrix, sld)
 from .linalg import _normalized, _sym, trace_norm
@@ -96,7 +96,7 @@ def check_eig_reconstruction(seed):
     # the max of a group's residuals is the max of its members' residuals
     for (dim, _), z in _by_shape(drawn).items():
         H = _sym(z)
-        w, V = np.linalg.eigh(H)
+        w, V = linalg.eigh(H)
         Vh = V.conj().swapaxes(-1, -2)
         eye = np.eye(dim)
         err = float(np.max(np.abs(V @ (w[..., :, None] * eye) @ Vh - H)))
@@ -143,7 +143,7 @@ def check_model_states(seed):
             worst = max(worst, abs(float(np.real(np.trace(d)))) / 1e-9)
     # one eigvalsh per model family: the 2 x 2 qubit and 21 x 21 point-source states
     for rhos in _by_shape(states).values():
-        lowest = float(np.min(np.linalg.eigvalsh(rhos)[:, 0]))
+        lowest = float(np.min(linalg.eigvalsh(rhos)[:, 0]))
         worst = max(worst, max(0.0, -lowest) / 1e-10)
     return worst <= 1.0, f"worst normalized violation {worst:.3e}"
 
@@ -182,7 +182,7 @@ def check_qfi_dominates_fisher(seed):
     for model, theta in _qubit_instances(rng, 8):
         bundle = fisher_bundle(model, theta, povm)
         F, Q = bundle.fisher, bundle.qfi
-        worst = min(worst, float(np.linalg.eigvalsh(Q - F)[0]))
+        worst = min(worst, float(linalg.eigvalsh(Q - F)[0]))
     return worst >= -1e-8, f"min eig(Q - F) = {worst:.3e}"
 
 
@@ -273,7 +273,7 @@ def _reparametrized_bundle(bundle, J):
     Derivatives and scores become J^-T d rho and J^-T l, and F becomes
     J^-T F J^-1; the bundle's cached F^-1 and K are not carried over.
     """
-    Jinv_T = np.linalg.inv(J).T
+    Jinv_T = linalg.inv(J).T
     V, rho, derivs = bundle.support
     return replace(bundle, scores=bundle.scores @ Jinv_T.T,
                    fisher=Jinv_T @ bundle.fisher @ Jinv_T.T,

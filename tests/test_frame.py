@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fisusc.fisher as fisher
+import fisusc.linalg as linalg
 import fisusc.susceptibility as susceptibility
 import fisusc.sweep as sweep
 from fisusc.fisher import (P_CUTOFF, SUPPORT_RTOL, SingularFisherError, SingularScoreError,
@@ -231,9 +232,9 @@ def test_point_source_points_make_no_cholesky_call(monkeypatch):
     # a frame's state core has rank 2, so the dense full-rank test, one
     # eigh of the d x d state, is not tried; no point takes a Cholesky
     calls, eighs = [], []
-    cholesky, eigh = np.linalg.cholesky, np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(np.shape(a)) or eigh(a))
+    cholesky, eigh = linalg.cholesky, linalg.eigh
+    monkeypatch.setattr(linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+    monkeypatch.setattr(linalg, "eigh", lambda a: eighs.append(np.shape(a)) or eigh(a))
     for n_max in (20, 48):
         spec = dx_spec(README_FIXED, n_max, oracle_samples=1)
         for v in spec.grid()[::7]:
@@ -328,8 +329,8 @@ def test_readme_qubit_rows_are_settled_by_the_eigenvalue_test(monkeypatch, measu
 def test_pair_certified_worst_case_needs_no_spectrum_of_k(monkeypatch, n_max):
     # max|K_xy| <= max|lambda(K)| decides every pair-certified row of the
     # q = 0.5 sweep; eigvalsh(K) runs only where the interior-point method does
-    stacks, eigvalsh = [], np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a) or eigvalsh(a))
+    stacks, eigvalsh = [], linalg.eigvalsh
+    monkeypatch.setattr(linalg, "eigvalsh", lambda a: stacks.append(a) or eigvalsh(a))
     spec = dx_spec({"x_c": 0.0, "q": 0.5}, n_max)
     certified = 0
     for v in spec.grid():

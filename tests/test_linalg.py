@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import fisusc.linalg as linalg
 from fisusc.linalg import HermiticityError, hermitize, trace_norm
 from fisusc.model import Povm, validate_povm
 
@@ -149,3 +152,106 @@ def test_hermitize_names_the_non_finite_stack_member():
         hermitize(np.stack([SX.real, over, bad]))
     with pytest.raises(HermiticityError, match=r"non-finite entry \(stack member 0\)"):
         hermitize(np.stack([np.full((2, 2), np.inf), over]))
+
+
+# ---------------------------------------------------------------------------
+# The LAPACK kernel: numpy.linalg's bits and errors
+# ---------------------------------------------------------------------------
+
+KERNEL = ("eigh", "eigvalsh", "inv", "cholesky", "solve")
+
+
+def _draw(rng, dtype, shape):
+    if dtype == np.int8:
+        # a small-integer array: numpy computes in float64, and without a
+        # signature the gufunc would pick its float32 loop
+        return rng.integers(-1, 2, shape).astype(np.int8)
+    z = rng.standard_normal(shape)
+    return z + 1j * rng.standard_normal(shape) if dtype == complex else z
+
+
+def _kernel_inputs(rng, routine, dtype, shape):
+    """Arguments of ``routine`` for a (..., r, r) ``shape``: Hermitian
+    positive definite matrices (every routine takes them), and for solve a
+    right-hand side: a vector for one matrix, two columns for each of a stack."""
+    r = shape[-1]
+    z = _draw(rng, dtype, shape)
+    a = (z @ z.conj().swapaxes(-1, -2) + r * np.eye(r, dtype=int)).astype(dtype)
+    if routine != "solve":
+        return (a,)
+    return a, _draw(rng, dtype, (r,) if len(shape) == 2 else shape[:-1] + (2,))
+
+
+def _outcome(f, *args):
+    """``(result or raised LinAlgError, warning messages)`` of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = f(*args)
+        except np.linalg.LinAlgError as err:
+            result = err
+    return result, [str(w.message) for w in caught]
+
+
+def _same_bits(got, want):
+    got, want = (got, want) if isinstance(want, tuple) else ((got,), (want,))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is np.ndarray and g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("dtype", [float, complex, np.int8], ids=["real", "complex", "int8"])
+@pytest.mark.parametrize("routine", KERNEL)
+def test_kernel_keeps_the_bits_of_numpy_linalg(routine, dtype):
+    # single matrices and stacks of the sizes the package factors (r = 2-16,
+    # 1-13 members): each output has numpy.linalg's dtype and bits
+    rng = np.random.default_rng(KERNEL.index(routine))
+    kernel, numpy_routine = getattr(linalg, routine), getattr(np.linalg, routine)
+    shapes = [(r, r) for r in range(2, 17)]
+    shapes += [(int(rng.integers(1, 14)), r, r) for r in range(2, 17)]
+    for shape in shapes:
+        args = _kernel_inputs(rng, routine, dtype, shape)
+        _same_bits(kernel(*args), numpy_routine(*args))
+
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+@pytest.mark.parametrize("r", [2, 3, 4, 16])
+def test_kernel_solve_of_the_interior_point_system(r, dtype):
+    # the interior point's (r^2, r^2) Newton system with a 1-D right-hand side
+    rng = np.random.default_rng(r)
+    H, rhs = _kernel_inputs(rng, "solve", dtype, (r * r, r * r))
+    assert rhs.shape == (r * r,)
+    _same_bits(linalg.solve(H, rhs), np.linalg.solve(H, rhs))
+    # a real and a complex operand solve in complex, as numpy's common type does
+    other = rhs.real if dtype == complex else rhs + 1j
+    _same_bits(linalg.solve(H, other), np.linalg.solve(H, other))
+
+
+SINGULAR = np.array([[1.0, 2.0], [2.0, 4.0]])
+
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+@pytest.mark.parametrize("routine, args", [
+    ("cholesky", (-np.eye(3),)),
+    ("cholesky", (np.stack([np.eye(2), SINGULAR - np.eye(2)]),)),
+    ("inv", (SINGULAR,)),
+    ("inv", (np.zeros((2, 3, 3)),)),
+    ("solve", (SINGULAR, np.ones(2))),
+    ("solve", (np.stack([np.eye(2), SINGULAR]), np.ones((2, 2, 1)))),
+    ("eigh", (np.full((3, 3), np.nan),)),
+    ("eigvalsh", (np.full((3, 3), np.nan),)),
+], ids=["cholesky-negative", "cholesky-stack", "inv-rank-one", "inv-zero-stack",
+        "solve-rank-one", "solve-stack", "eigh-nan", "eigvalsh-nan"])
+def test_kernel_raises_numpy_linalg_errors_without_warnings(routine, args, dtype):
+    # a failed factorization raises numpy's LinAlgError with numpy's message,
+    # under numpy's error state: no RuntimeWarning, no NaN result
+    args = tuple(np.asarray(a, dtype=dtype) for a in args)
+    got, got_warnings = _outcome(getattr(linalg, routine), *args)
+    want, want_warnings = _outcome(getattr(np.linalg, routine), *args)
+    assert type(want) is np.linalg.LinAlgError and want_warnings == []
+    assert type(got) is np.linalg.LinAlgError and got_warnings == []
+    assert str(got) == str(want)
+    messages = {"cholesky": "Matrix is not positive definite", "inv": "Singular matrix",
+                "solve": "Singular matrix", "eigh": "Eigenvalues did not converge",
+                "eigvalsh": "Eigenvalues did not converge"}
+    assert str(want) == messages[routine]

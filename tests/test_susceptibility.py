@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fisusc.fisher as fisher
+import fisusc.linalg as linalg
 import fisusc.susceptibility as susceptibility
 import fisusc.sweep as sweep
 from fisusc.fisher import (MAX_FISHER_CONDITION, SingularFisherError, _eigen_slds,
@@ -784,10 +785,10 @@ def test_exact_worst_case_pinned_on_qubit_rows(model, delta, expected):
 def _count_linalg_calls(monkeypatch):
     calls = dict.fromkeys(("cholesky", "inv", "eigvalsh", "solve"), 0)
     for name in calls:
-        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+        def counted(*args, _real=getattr(linalg, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(linalg, name, counted)
     return calls
 
 
@@ -815,7 +816,7 @@ def test_failed_cholesky_returns_the_iterate_it_factored(monkeypatch, k):
     N_k, Y_k, stopped = _exact_sdp(K, lam)
     assert stopped == k
     monkeypatch.undo()
-    real, stacks = np.linalg.cholesky, []
+    real, stacks = linalg.cholesky, []
 
     def failing(X):
         stacks.append(X.shape)
@@ -823,7 +824,7 @@ def test_failed_cholesky_returns_the_iterate_it_factored(monkeypatch, k):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
         return real(X)
 
-    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    monkeypatch.setattr(linalg, "cholesky", failing)
     N, Y, stopped = _exact_sdp(K, lam)
     assert stopped == k and np.array_equal(N, N_k) and np.array_equal(Y, Y_k)
     assert stacks == [(2 * len(K),) + K.shape[1:]] * (k + 1)
@@ -997,12 +998,15 @@ def test_bounds_match_the_split_reference_bit_for_bit():
 
 
 def count_lapack_calls(monkeypatch, calls):
-    """Record ``(name, shape of the first argument)`` of every LAPACK-backed
-    `numpy.linalg` call in ``calls``."""
-    for name in ("cholesky", "eigh", "eigvalsh", "inv", "qr", "solve", "svd"):
-        monkeypatch.setattr(np.linalg, name, lambda a, *args, _f=getattr(np.linalg, name),
-                            _n=name, **kwargs: calls.append((_n, np.shape(a)))
-                            or _f(a, *args, **kwargs))
+    """Record ``(name, shape of the first argument)`` of every LAPACK call in
+    ``calls``: the kernel entries of `fisusc.linalg`, and qr and svd, which
+    the package takes from `numpy.linalg`."""
+    for owner, names in ((linalg, ("cholesky", "eigh", "eigvalsh", "inv", "solve")),
+                         (np.linalg, ("qr", "svd"))):
+        for name in names:
+            monkeypatch.setattr(owner, name, lambda a, *args, _f=getattr(owner, name),
+                                _n=name, **kwargs: calls.append((_n, np.shape(a)))
+                                or _f(a, *args, **kwargs))
 
 
 @pytest.mark.parametrize("model, theta, povm", instances(22, 1))

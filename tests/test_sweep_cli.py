@@ -14,6 +14,7 @@ import yaml
 
 import fisusc.cli
 import fisusc.fisher as fisher
+import fisusc.linalg as linalg
 import fisusc.model
 import fisusc.models as models
 import fisusc.susceptibility as susceptibility
@@ -21,7 +22,7 @@ import fisusc.sweep as sweep
 import fisusc.verify as verify
 from fisusc.cli import main
 from fisusc.fisher import fisher_bundle, qfi_matrix, r_metric, r_nuisance
-from fisusc.model import Povm, StatisticalModel, tensor_model
+from fisusc.model import DomainError, Povm, StatisticalModel, tensor_model
 from fisusc.models import (PointSourceConfig, bell_povm,
                            optimal_povm_point_sources, qubit_phase_dephasing,
                            separable_povm, x_opt)
@@ -810,6 +811,35 @@ def test_cli_show_model_exits_3_on_numerical_errors_only(monkeypatch, capsys):
         main(argv)
 
 
+CENTROID_OVERFLOW = r"has no finite alignment point: x_c \+ \(q - 1/2\) dx = inf$"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--model", "point-sources", "--measurement", "optimal-hg", "--fix", "x_c=0",
+     "--fix", "q=1e300", "--sweep", "dx:1e10:1e11:3:log"],
+    ["show-model", "--model", "point-sources", "--measurement", "optimal-hg",
+     "--fix", "x_c=1.5e308", "--fix", "q=0.9", "--fix", "dx=1e308"],
+], ids=["sweep", "show-model-inside-the-domain"])
+def test_a_point_whose_centroid_overflows_is_refused_in_one_line(tmp_path, capsys, argv):
+    # x_c + (q - 1/2) dx overflows: the point has no alignment point for its
+    # modes, a DomainError naming it, so the CLI exits 2 before any CSV
+    out = tmp_path / "f.csv"
+    assert main(argv + (["--out", str(out)] if argv[0] == "sweep" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and re.search(CENTROID_OVERFLOW, err.strip()), err
+    assert not out.exists()
+    # a row records the error text, as it records any DomainError
+    theta = np.array([1.5e308, 1e308, 0.9])
+    with pytest.raises(DomainError, match="^theta = {'x_c': 1.5e\\+308, 'dx': 1e\\+308, 'q': 0.9} "
+                       + CENTROID_OVERFLOW):
+        build_model_povm("point-sources", "optimal-hg", theta)
+    spec = small_spec(tmp_path, model="point-sources", measurement="optimal-hg",
+                      fixed={"x_c": 1.5e308, "q": 0.9}, sweep_name="dx", start=1e308,
+                      stop=1.2e308)
+    row = evaluate_point(spec, 0, 1e308)
+    assert re.search(CENTROID_OVERFLOW, row["error"]) and row["F_x_c_x_c"] == ""
+
+
 def test_cli_show_model_spec_errors():
     # the same model/measurement/parameter checks as a sweep specification
     assert main(["show-model", "--model", "point-sources", "--measurement", "bell",
@@ -1283,8 +1313,10 @@ def test_row_lapack_calls(tmp_path, monkeypatch, model, measurement, fixed, swep
 
 def _count_lapack_calls(monkeypatch):
     calls = Counter()
+    # qr and svd from numpy.linalg, the other routines from the package's kernel
     for name in ("cholesky", "qr", "svd", "eigh", "eigvalsh", "inv"):
-        monkeypatch.setattr(np.linalg, name, lambda *a, _f=getattr(np.linalg, name), _n=name,
+        owner = np.linalg if name in ("qr", "svd") else linalg
+        monkeypatch.setattr(owner, name, lambda *a, _f=getattr(owner, name), _n=name,
                             **k: calls.update([_n]) or _f(*a, **k))
     return calls
 
